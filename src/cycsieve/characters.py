@@ -26,19 +26,30 @@ is a pair of exponents (psi exponent mod p, character exponent mod ell) or
 
 from __future__ import annotations
 
+import functools
+
 from . import polyring as pr
 from .cyclotomic import CycRing, cyc_ring
 from .ffield import is_prime_int
 
 
-def check_ell(k, ell: int):
+RESIDUE_CACHE_SIZE = 256  # (k, pi, ell) residue tables kept
+
+
+def check_cover(k, ell: int, m: int | None = None):
+    """The conditions on a cover y^ell = F of degree m over F_q: ell prime,
+    ell | q - 1, ell | m and char(F_q) not dividing m.  Without m only the
+    two conditions on ell are checked."""
     if not is_prime_int(ell):
         raise ValueError("ell must be prime")
-    if (k.size - 1) % ell != 0:
-        raise ValueError(f"ell={ell} does not divide q-1={k.size - 1}")
-
-
-_RESIDUE_CACHE: dict = {}
+    if (k.size - 1) % ell:
+        raise ValueError(f"ell = {ell} does not divide q - 1 = {k.size - 1}")
+    if m is None:
+        return
+    if m % ell:
+        raise ValueError(f"ell = {ell} does not divide the degree m = {m}")
+    if m % k.char == 0:
+        raise ValueError(f"characteristic {k.char} divides the degree m = {m}")
 
 
 class ResidueData:
@@ -56,7 +67,7 @@ class ResidueData:
     """
 
     def __init__(self, k, pi, ell: int):
-        check_ell(k, ell)
+        check_cover(k, ell)
         if not pr.is_irreducible(k, pi) or pi[-1] != k.one:
             raise ValueError("modulus must be a monic irreducible")
         self.k = k
@@ -122,13 +133,9 @@ class ResidueData:
         return self.kpi.index(self.reduce(f))
 
 
+@functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def residue_data(k, pi, ell: int) -> ResidueData:
-    key = (k, pi, ell)
-    got = _RESIDUE_CACHE.get(key)
-    if got is None:
-        got = ResidueData(k, pi, ell)
-        _RESIDUE_CACHE[key] = got
-    return got
+    return ResidueData(k, pi, ell)
 
 
 def residue_symbol(k, a, pi, ell: int):

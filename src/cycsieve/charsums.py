@@ -14,7 +14,8 @@ On top of the kernel:
     the proved bound for its case -- w = 0 ("i"), w on the dual variety
     ("ii"), w off the dual variety ("iii"; here the normalized ratio
     |S| / q^((n+1) Delta / 2) is also logged, since no explicit constant is
-    asserted for this case),
+    asserted for this case); the case comes from the dual-membership test
+    that ``geometry.dual_membership_test`` builds once per prime,
   * the slicing identity (S_G(0, chi) decomposed along first-nonzero-
     coordinate strata) with the per-slice multiplicative-sum bound
     (d-1) * |field|^(r/2) for Deligne slices,
@@ -27,6 +28,7 @@ callers can refuse oversized requests up front.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import geometry as geo
@@ -35,15 +37,12 @@ from .characters import MultChar, gauss_sum, residue_data
 from .cyclotomic import CycRing
 from .ffield import FieldTables
 
-_TABLES_CACHE: dict = {}
+TABLES_CACHE_SIZE = 64  # residue fields with tables kept
 
 
+@functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
 def field_tables(field) -> FieldTables:
-    got = _TABLES_CACHE.get(field)
-    if got is None:
-        got = FieldTables(field)
-        _TABLES_CACHE[field] = got
-    return got
+    return FieldTables(field)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,10 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
     return bound_i, bound_ii, normalizer_iii
 
 
+# dual-membership verdict of a nonzero w -> its audit case
+_CASES = {True: "ii", False: "iii", None: "unknown"}
+
+
 def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
                 search_bound: int = 1) -> str:
     """Case of w: "i" (w = 0), "ii" (w on the dual variety), "iii" (w off
@@ -247,13 +250,8 @@ def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
     kpi = pr.residue_field(form.k, pi)
     if all(kpi.is_zero(x) for x in w):
         return "i"
-    member = geo.dual_membership(form, pi, w, dual=dual,
-                                 search_bound=search_bound)
-    if member is True:
-        return "ii"
-    if member is False:
-        return "iii"
-    return "unknown"
+    return _CASES[geo.dual_membership(form, pi, w, dual=dual,
+                                      search_bound=search_bound)]
 
 
 def estimate_wd_audit_cost(q: int, delta: int, n: int, num_chis: int) -> int:
@@ -279,30 +277,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     delta = pr.degree(pi)
     bound_i, bound_ii, norm_iii = wd_case_bounds(k.size, delta, n, m)
 
-    # membership test for w != 0, precomputed once
-    if dual in ("auto", "quadric") and m == 2:
-        A = geo.quadric_matrix_poly(form)
-        if kpi.is_zero(kpi.reduce_poly(geo.poly_mat_det(k, A))):
-            raise ValueError(
-                "quadric degenerates mod pi (exceptional prime); "
-                "audit cases are undefined")
-        _, dual_terms, _ = geo.reduce_form(geo.quadric_dual_form(form), pi)
-
-        def classify(w):
-            return "ii" if kpi.is_zero(geo.eval_terms(kpi, dual_terms, w)) \
-                else "iii"
-    elif isinstance(dual, geo.MultiForm):
-        _, dual_terms, _ = geo.reduce_form(dual, pi)
-        if not dual_terms:
-            raise ValueError("supplied dual form vanishes mod pi")
-
-        def classify(w):
-            return "ii" if kpi.is_zero(geo.eval_terms(kpi, dual_terms, w)) \
-                else "iii"
-    else:
-
-        def classify(w):
-            return wd_classify(form, pi, w, dual=dual)
+    on_dual = geo.dual_membership_test(form, pi, dual=dual)
 
     if chi_indices is None:
         chi_indices = range(1, ell)
@@ -324,7 +299,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
             if all(kpi.is_zero(x) for x in w):
                 case = "i"
             else:
-                case = classify(w)
+                case = _CASES[on_dual(w)]
             cases[case] += 1
             if case == "i":
                 bound, ratio = bound_i, abs_s / bound_i

@@ -125,6 +125,8 @@ def cmd_primes(args) -> int:
         raise ValueError("primes needs --q and an integer --delta")
     q, delta = args.q, int(args.delta)
     k = rp.field_from_q(q)
+    budget = Budget(rp.DEFAULT_BUDGET if args.budget is None else args.budget)
+    budget.charge(pr.irreducibles_cost(q, delta))
     names = [pr.format_poly(k, f) for f in pr.irreducibles(k, delta)]
     pnt = sv.verify_prime_count(q, delta)
     for name in names:
@@ -307,16 +309,17 @@ def cmd_dual_check(args) -> int:
     form = geo.form_from_json(k, cfg["form"])
     pi = pr.parse_poly(k, args.pi)
     kpi = pr.residue_field(k, pi)
-    dual = _dual_spec(k, cfg)
+    closed_test = geo.dual_membership_test(form, pi, dual=_dual_spec(k, cfg))
+    witness_test = geo.dual_membership_test(form, pi, dual="tangency",
+                                            search_bound=args.search_bound)
     rows = []
     agree_all = True
     for idx in itertools.product(range(kpi.size), repeat=form.n + 1):
         w = tuple(kpi.from_index(i) for i in idx)
         if all(kpi.is_zero(x) for x in w):
             continue
-        closed = geo.dual_membership(form, pi, w, dual=dual)
-        witness = geo.dual_membership(form, pi, w, dual="tangency",
-                                      search_bound=args.search_bound)
+        closed = closed_test(w)
+        witness = witness_test(w)
         agree = (closed is True) == (witness is True)
         agree_all = agree_all and agree
         rows.append({

@@ -29,6 +29,8 @@ import functools
 
 from .ffield import is_prime_int
 
+RING_CACHE_SIZE = 64  # (p, ell) rings kept by cyc_ring
+
 
 class CycRing:
     """Z[zeta_p, zeta_ell] with dense integer-tuple values."""
@@ -208,6 +210,6 @@ class CycRing:
         return coords
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def cyc_ring(p: int, ell: int) -> CycRing:
     return CycRing(p, ell)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import functools
 
+FIELD_CACHE_SIZE = 64  # fields whose constructor or generator is memoized
+
 
 def is_prime_int(n: int) -> bool:
     """Deterministic trial-division primality for small integers."""
@@ -51,6 +53,7 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _find_generator(field):
     """Smallest generator of field^* in the field's enumeration order.
 
@@ -133,7 +136,6 @@ class PrimeField:
     def trace_to_prime(self, a) -> int:
         return a
 
-    @functools.lru_cache(maxsize=None)
     def multiplicative_generator(self):
         return _find_generator(self)
 
@@ -279,9 +281,7 @@ class ExtensionField:
         raise ArithmeticError("trace did not land in the prime field")
 
     def multiplicative_generator(self):
-        if not hasattr(self, "_gen"):
-            self._gen = _find_generator(self)
-        return self._gen
+        return _find_generator(self)
 
 
 class FieldTables:
@@ -312,7 +312,7 @@ class FieldTables:
                 self.mul[i * n + j] = idx[field.mul(a, b)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def GF(p: int) -> PrimeField:
     """Memoized prime field constructor."""
     return PrimeField(p)

@@ -4,8 +4,7 @@ Provides the geometric side of the sieve: multivariate forms with polynomial
 coefficients, reduction modulo primes, Dwork-regularity verdicts (a form is
 Dwork-regular when the system H = 0, X_i * dH/dX_i = 0 for all i has no
 projective solution over the algebraic closure), slice checks, projective
-duality for quadrics, the exceptional-prime scan, and a Schwartz-Zippel zero
-count audit.
+duality, the exceptional-prime scan, and a Schwartz-Zippel zero count audit.
 
 Conventions:
   * a "terms" mapping sends an exponent tuple (one entry per variable) to a
@@ -15,7 +14,15 @@ Conventions:
     in (``extension_of(field, ext_degree)`` reconstructs that field), or the
     search bound that was exhausted when the answer is "unknown",
   * all decisions are exact; search strategies never report a negative, they
-    report "unknown".
+    report "unknown",
+  * every search over points of extension fields goes through the one
+    generator ``_extension_points``,
+  * matrices over F_q[T] are handled by the field routines (``mat_det``,
+    ``mat_adjugate``) over K = F_q(T) (``RationalFunctionField``),
+  * dual-variety membership mod a prime is decided by the test that
+    ``dual_membership_test`` builds once per (form, pi, route): the closed-form
+    quadric dual, a supplied dual, or the set of tangent covectors at smooth
+    points found by the extension search.
 """
 
 from __future__ import annotations
@@ -195,6 +202,24 @@ def projective_points(field, nvars: int):
             yield (field.zero,) * pivot + (field.one,) + rest
 
 
+def _extension_points(field, term_maps, nvars: int, search_bound: int,
+                      affine: bool = False):
+    """The extension-point search: for r = 1 .. search_bound, yield
+    (r, ext, term maps embedded in ext, point) for every point of
+    P^(nvars-1)(ext), or of ext^nvars when affine, where ext is the
+    degree-r extension of field.  Deterministic order."""
+    if field.size is None:
+        raise ValueError("search strategy needs a finite field")
+    for r in range(1, search_bound + 1):
+        ext = pr.extension_of(field, r)
+        emb = (lambda c: c) if r == 1 else ext.embed_base
+        maps = [{e: emb(c) for e, c in t.items()} for t in term_maps]
+        points = (itertools.product(ext.elements(), repeat=nvars) if affine
+                  else projective_points(ext, nvars))
+        for point in points:
+            yield r, ext, maps, point
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra over any field object
 
@@ -330,10 +355,6 @@ def quadric_matrix_over(field, terms, nvars: int):
     return A
 
 
-def _embedder(field, ext, r: int):
-    return (lambda c: c) if r == 1 else ext.embed_base
-
-
 def _validated_irregular(field, terms, nvars, witness, ext_degree):
     if ext_degree == 1:
         fld, wterms = field, terms
@@ -367,9 +388,6 @@ def is_dwork_regular(field, terms, nvars: int, m: int, strategy: str = "auto",
         return _validated_irregular(field, terms, nvars, witness, 1)
     diagonal = all(sum(1 for e in exps if e) <= 1 for exps in terms)
 
-    if strategy == "resultant":
-        raise NotImplementedError(
-            "no resultant-based strategy is provided; use 'quadric' or 'search'")
     if strategy == "auto":
         if diagonal:
             strategy = "diagonal"
@@ -415,15 +433,22 @@ def is_dwork_regular(field, terms, nvars: int, m: int, strategy: str = "auto",
         return Verdict("regular")
 
     # strategy == "search"
-    if field.size is None:
-        raise ValueError("search strategy needs a finite field")
-    for r in range(1, search_bound + 1):
-        ext = pr.extension_of(field, r)
-        emb = _embedder(field, ext, r)
-        ext_terms = {e: emb(c) for e, c in terms.items()}
-        for point in projective_points(ext, nvars):
-            if dwork_system_holds(ext, ext_terms, nvars, point):
-                return _validated_irregular(field, terms, nvars, point, r)
+    for r, ext, (ext_terms,), point in _extension_points(
+            field, [terms], nvars, search_bound):
+        if dwork_system_holds(ext, ext_terms, nvars, point):
+            return _validated_irregular(field, terms, nvars, point, r)
+    return Verdict("unknown", search_bound=search_bound)
+
+
+def _search_singular(field, terms, nvars: int, search_bound: int,
+                     affine: bool) -> Verdict:
+    """A point where the form and every partial derivative vanish, searched
+    over extensions of degree <= search_bound."""
+    grads = [partial_terms(field, terms, i) for i in range(nvars)]
+    for r, ext, (h, *gs), point in _extension_points(
+            field, [terms, *grads], nvars, search_bound, affine):
+        if all(ext.is_zero(eval_terms(ext, t, point)) for t in (h, *gs)):
+            return Verdict("singular", point, r)
     return Verdict("unknown", search_bound=search_bound)
 
 
@@ -477,20 +502,7 @@ def projective_singularity(field, terms, nvars: int, strategy: str = "auto",
 
     if strategy != "search":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if field.size is None:
-        raise ValueError("search strategy needs a finite field")
-    grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    for r in range(1, search_bound + 1):
-        ext = pr.extension_of(field, r)
-        emb = _embedder(field, ext, r)
-        ext_terms = {e: emb(c) for e, c in terms.items()}
-        ext_grads = [{e: emb(c) for e, c in g.items()} for g in grads]
-        for point in projective_points(ext, nvars):
-            if not ext.is_zero(eval_terms(ext, ext_terms, point)):
-                continue
-            if all(ext.is_zero(eval_terms(ext, g, point)) for g in ext_grads):
-                return Verdict("singular", point, r)
-    return Verdict("unknown", search_bound=search_bound)
+    return _search_singular(field, terms, nvars, search_bound, affine=False)
 
 
 def _pure_power_degrees(terms):
@@ -563,20 +575,7 @@ def affine_singularity(field, terms, nvars: int, strategy: str = "auto",
 
     if strategy != "search":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if field.size is None:
-        raise ValueError("search strategy needs a finite field")
-    grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    for r in range(1, search_bound + 1):
-        ext = pr.extension_of(field, r)
-        emb = _embedder(field, ext, r)
-        ext_terms = {e: emb(c) for e, c in terms.items()}
-        ext_grads = [{e: emb(c) for e, c in g.items()} for g in grads]
-        for point in itertools.product(ext.elements(), repeat=nvars):
-            if not ext.is_zero(eval_terms(ext, ext_terms, point)):
-                continue
-            if all(ext.is_zero(eval_terms(ext, g, point)) for g in ext_grads):
-                return Verdict("singular", point, r)
-    return Verdict("unknown", search_bound=search_bound)
+    return _search_singular(field, terms, nvars, search_bound, affine=True)
 
 
 # ---------------------------------------------------------------------------
@@ -635,62 +634,28 @@ def dual_degree(d: int, n: int) -> int:
     return d * (d - 1) ** (n - 1)
 
 
-def poly_mat_det(k, mat):
-    """Determinant of a matrix of polynomials over F_q (cofactor expansion)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    det = ()
-    for j in range(n):
-        if not mat[0][j]:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        t = pr.mul(k, mat[0][j], poly_mat_det(k, minor))
-        det = pr.add(k, det, t) if j % 2 == 0 else pr.sub(k, det, t)
-    return det
+def _polynomial(K, a):
+    """An element of K = F_q(T) known to lie in F_q[T], as a polynomial."""
+    num, den = a
+    if den != (K.k.one,):
+        raise RuntimeError("internal error: expected a polynomial entry")
+    return num
 
 
-def poly_mat_adjugate(k, mat):
-    """Adjugate of a polynomial matrix, so mat * adj = det * I."""
-    n = len(mat)
-    if n == 1:
-        return [[(k.one,)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            d = poly_mat_det(k, minor)
-            adj[i][j] = d if (i + j) % 2 == 0 else pr.neg(k, d)
-    return adj
-
-
-def quadric_matrix_poly(form: MultiForm):
-    """Symmetric matrix over F_q[T] of a quadratic form (m = 2, char != 2)."""
+def _quadric_adjugate(form: MultiForm):
+    """Adjugate of the symmetric matrix of a quadratic form (m = 2,
+    char != 2), computed over K = F_q(T); its entries are polynomials."""
     if form.m != 2:
         raise ValueError("need a quadratic form")
-    k = form.k
-    if k.char == 2:
-        raise ValueError("quadric matrix needs odd characteristic")
-    nv = form.n + 1
-    half = k.inv(k.from_int(2))
-    A = [[()] * nv for _ in range(nv)]
-    for exps, coeff in form.terms.items():
-        sup = [i for i, e in enumerate(exps) if e]
-        if len(sup) == 1:
-            A[sup[0]][sup[0]] = coeff
-        else:
-            i, j = sup
-            A[i][j] = A[j][i] = pr.smul(k, half, coeff)
-    return A
+    K, terms = form_over_fraction_field(form)
+    adj = mat_adjugate(K, quadric_matrix_over(K, terms, form.n + 1))
+    return [[_polynomial(K, e) for e in row] for row in adj]
 
 
 def quadric_dual_form(form: MultiForm) -> MultiForm:
     """Dual quadric: x^T A x dualizes to w^T adj(A) w (projectively A^{-1})."""
     k = form.k
-    A = quadric_matrix_poly(form)
-    adj = poly_mat_adjugate(k, A)
+    adj = _quadric_adjugate(form)
     nv = form.n + 1
     terms = {}
     for i in range(nv):
@@ -716,65 +681,88 @@ def proportional(field, u, w) -> bool:
     return True
 
 
-def dual_membership(form: MultiForm, pi, w, dual="auto", search_bound: int = 1):
-    """Does the hyperplane w lie on the dual of {F = 0} mod pi?
+def _normalized(field, v):
+    """The nonzero vector v scaled so its first nonzero coordinate is 1."""
+    inv = field.inv(next(x for x in v if not field.is_zero(x)))
+    return tuple(field.mul(inv, x) for x in v)
+
+
+def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> dict:
+    """{ext: normalized gradients grad H(P) != 0 at the points P of
+    {H = 0} over ext} for the extensions of degree <= search_bound."""
+    grads = [partial_terms(field, terms, i) for i in range(nvars)]
+    found: dict = {}
+    for _, ext, (h, *gs), point in _extension_points(
+            field, [terms, *grads], nvars, search_bound):
+        covectors = found.setdefault(ext, set())
+        if not ext.is_zero(eval_terms(ext, h, point)):
+            continue
+        grad = tuple(eval_terms(ext, g, point) for g in gs)
+        if not all(ext.is_zero(x) for x in grad):
+            covectors.add(_normalized(ext, grad))
+    return found
+
+
+def dual_membership_test(form: MultiForm, pi, dual="auto",
+                         search_bound: int = 1):
+    """The test w -> True | False | None of "does the hyperplane w lie on the
+    dual of {F = 0} mod pi?", with the per-prime work done once.
 
     dual selects the route:
-      * "quadric" (or "auto" for m = 2): evaluate the closed-form dual
-        quadric mod pi; raises if the quadric degenerates mod pi (such a
-        prime belongs in the exceptional set),
+      * "quadric" (or "auto" for m = 2): the closed-form dual quadric mod pi;
+        raises if the quadric degenerates mod pi (such a prime belongs in the
+        exceptional set),
       * a MultiForm: caller-supplied dual form, evaluated mod pi,
-      * "tangency": search points of {F = 0 mod pi} over extensions of
-        degree <= search_bound whose (nonzero) gradient is proportional to
-        w; True on a witness, None when the search is exhausted (certifies
-        nothing).
+      * "tangency": is w proportional to a (nonzero) gradient at a point of
+        {F = 0 mod pi} over an extension of degree <= search_bound?  True on
+        a witness, None when there is none (certifies nothing).
+    The test raises on a w of the wrong length or w = 0.
     """
-    k = form.k
-    kpi = pr.residue_field(k, pi)
-    w = tuple(w)
-    if len(w) != form.n + 1:
-        raise ValueError(f"w needs {form.n + 1} coordinates")
-    if all(kpi.is_zero(x) for x in w):
-        raise ValueError("w must be a nonzero (projective) covector")
+    kpi, terms, _ = reduce_form(form, pi)
+    nv = form.n + 1
     if dual == "auto":
         dual = "quadric" if form.m == 2 else "tangency"
 
-    if dual == "quadric":
-        A = quadric_matrix_poly(form)
-        det = poly_mat_det(k, A)
-        if kpi.is_zero(kpi.reduce_poly(det)):
-            raise ValueError(
-                "quadric degenerates mod pi; the dual is undefined there "
-                "(exceptional prime)")
-        _, dual_terms, _ = reduce_form(quadric_dual_form(form), pi)
-        return kpi.is_zero(eval_terms(kpi, dual_terms, w))
+    if dual == "tangency":
+        tangents = _tangent_covectors(kpi, terms, nv, search_bound)
 
-    if isinstance(dual, MultiForm):
+        def member(w):
+            w = _normalized(kpi, w)
+            for ext, covectors in tangents.items():
+                ext_w = w if ext is kpi else tuple(map(ext.embed_base, w))
+                if ext_w in covectors:
+                    return True
+            return None
+    else:
+        if dual == "quadric":
+            dual = quadric_dual_form(form)
+            if kpi.is_zero(mat_det(kpi, quadric_matrix_over(kpi, terms, nv))):
+                raise ValueError(
+                    "quadric degenerates mod pi; the dual is undefined there "
+                    "(exceptional prime)")
+        elif not isinstance(dual, MultiForm):
+            raise ValueError(f"unknown dual specification {dual!r}")
         _, dual_terms, _ = reduce_form(dual, pi)
         if not dual_terms:
             raise ValueError("supplied dual form vanishes mod pi")
-        return kpi.is_zero(eval_terms(kpi, dual_terms, w))
 
-    if dual != "tangency":
-        raise ValueError(f"unknown dual specification {dual!r}")
-    _, h_terms, _ = reduce_form(form, pi)
-    nv = form.n + 1
-    grads = [partial_terms(kpi, h_terms, i) for i in range(nv)]
-    for r in range(1, search_bound + 1):
-        ext = pr.extension_of(kpi, r)
-        emb = _embedder(kpi, ext, r)
-        ext_terms = {e: emb(c) for e, c in h_terms.items()}
-        ext_grads = [{e: emb(c) for e, c in g.items()} for g in grads]
-        ext_w = tuple(emb(x) for x in w)
-        for point in projective_points(ext, nv):
-            if not ext.is_zero(eval_terms(ext, ext_terms, point)):
-                continue
-            grad = tuple(eval_terms(ext, g, point) for g in ext_grads)
-            if all(ext.is_zero(x) for x in grad):
-                continue
-            if proportional(ext, grad, ext_w):
-                return True
-    return None
+        def member(w):
+            return kpi.is_zero(eval_terms(kpi, dual_terms, w))
+
+    def test(w):
+        w = tuple(w)
+        if len(w) != nv:
+            raise ValueError(f"w needs {nv} coordinates")
+        if all(kpi.is_zero(x) for x in w):
+            raise ValueError("w must be a nonzero (projective) covector")
+        return member(w)
+    return test
+
+
+def dual_membership(form: MultiForm, pi, w, dual="auto", search_bound: int = 1):
+    """Does the hyperplane w lie on the dual of {F = 0} mod pi?  One call of
+    the test from dual_membership_test; see there for the routes."""
+    return dual_membership_test(form, pi, dual, search_bound)(w)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +786,7 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     if form.m % k.char == 0:
         raise ValueError("degree divisible by the characteristic; not supported")
     quadric = form.m == 2
-    adj_poly = poly_mat_adjugate(k, quadric_matrix_poly(form)) if quadric else None
+    adj_poly = _quadric_adjugate(form) if quadric else None
     user_dual = dual if isinstance(dual, MultiForm) else None
     entries = []
     exceptional = []
@@ -826,15 +814,14 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
                 elif dv.status == "unknown":
                     unknown.append("dwork")
             if quadric:
-                A_red = [[kpi.reduce_poly(e) for e in row]
-                         for row in quadric_matrix_poly(form)]
                 adj_then_reduce = [[kpi.reduce_poly(e) for e in row]
                                    for row in adj_poly]
-                reduce_then_adj = mat_adjugate(kpi, A_red)
+                reduce_then_adj = mat_adjugate(
+                    kpi, quadric_matrix_over(kpi, terms, nv))
                 if adj_then_reduce != reduce_then_adj:
                     tags.append("dual-mismatch")
             elif user_dual is not None and terms:
-                if _user_dual_mismatch(kpi, terms, nv, user_dual, piv):
+                if _user_dual_mismatch(form, piv, user_dual):
                     tags.append("dual-mismatch")
             if tags or unknown:
                 entries.append({
@@ -853,22 +840,16 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     }
 
 
-def _user_dual_mismatch(kpi, terms, nv, user_dual, piv) -> bool:
-    """True when the supplied dual fails to vanish on some tangent covector
-    grad H(P) at a smooth k_pi-point of {H = 0}."""
-    _, dual_terms, _ = reduce_form(user_dual, piv)
-    if not dual_terms:
+def _user_dual_mismatch(form: MultiForm, piv, user_dual) -> bool:
+    """True when the supplied dual vanishes mod pi or fails to vanish on some
+    tangent covector grad H(P) at a smooth k_pi-point of {H = 0}."""
+    try:
+        on_dual = dual_membership_test(form, piv, dual=user_dual)
+    except ValueError:  # the supplied dual vanishes mod pi
         return True
-    grads = [partial_terms(kpi, terms, i) for i in range(nv)]
-    for point in projective_points(kpi, nv):
-        if not kpi.is_zero(eval_terms(kpi, terms, point)):
-            continue
-        grad = tuple(eval_terms(kpi, g, point) for g in grads)
-        if all(kpi.is_zero(x) for x in grad):
-            continue
-        if not kpi.is_zero(eval_terms(kpi, dual_terms, grad)):
-            return True
-    return False
+    kpi, terms, _ = reduce_form(form, piv)
+    return not all(map(on_dual,
+                       _tangent_covectors(kpi, terms, form.n + 1, 1)[kpi]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ The verified identities:
   checked at every point of the box.
 """
 
-import itertools
-
 from . import geometry as geo
 from . import polyring as pr
 from .characters import (
@@ -42,13 +40,7 @@ from .characters import (
 )
 from .charsums import Budget, CharSumContext
 from .cyclotomic import cyc_ring
-
-
-def box(k, bound: int, arity: int):
-    """All tuples in O_K^arity with every coordinate of degree < bound,
-    coordinates enumerated by ascending index (deterministic order)."""
-    coords = [pr.poly_from_index(k, i, bound) for i in range(k.size ** max(bound, 0))]
-    return itertools.product(coords, repeat=arity)
+from .polyring import box
 
 
 def dot(k, xs, ys):

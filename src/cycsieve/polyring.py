@@ -29,12 +29,18 @@ outside that range and duplicate powers; the zero polynomial is ``"0"``.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
 from .ffield import ExtensionField, GF, PrimeField, prime_factors
 
 NEG_INF = float("-inf")
+
+# bounds of the memo caches; no shipped workload comes near them
+FIELD_CACHE_SIZE = 64
+IRREDUCIBLES_CACHE_SIZE = 256
+FACTOR_CACHE_SIZE = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +193,6 @@ def pow_mod(k, f, e: int, m):
     return out
 
 
-def eval_at(k, f, x):
-    """Evaluate f at a field element x (Horner)."""
-    out = k.zero
-    for c in reversed(f):
-        out = k.add(k.mul(out, x), c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # deterministic enumeration
 
@@ -206,6 +204,13 @@ def poly_from_index(k, i: int, b: int):
         out.append(k.from_index(i % k.size))
         i //= k.size
     return normalize(k, out)
+
+
+def box(k, bound: int, arity: int):
+    """All tuples in O_K^arity with every coordinate of degree < bound,
+    coordinates enumerated by ascending index (deterministic order)."""
+    coords = [poly_from_index(k, i, bound) for i in range(k.size ** max(bound, 0))]
+    return itertools.product(coords, repeat=arity)
 
 
 def poly_to_index(k, f, b: int) -> int:
@@ -265,9 +270,7 @@ def is_irreducible(k, f) -> bool:
     return True
 
 
-_IRR_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=IRREDUCIBLES_CACHE_SIZE)
 def irreducibles(k, d: int):
     """All monic irreducibles of degree exactly d, in enumeration order.
 
@@ -277,26 +280,27 @@ def irreducibles(k, d: int):
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    key = (k, d)
-    got = _IRR_CACHE.get(key)
-    if got is not None:
-        return got
     q = k.size
     if d == 1:
-        out = tuple(monic_from_index(k, i, 1) for i in range(q))
-    else:
-        composite = bytearray(q**d)
-        for dg in range(1, d // 2 + 1):
-            dh = d - dg
-            for g in irreducibles(k, dg):
-                for hi in range(q**dh):
-                    h = monic_from_index(k, hi, dh)
-                    composite[monic_to_index(k, mul(k, g, h))] = 1
-        out = tuple(
-            monic_from_index(k, i, d) for i in range(q**d) if not composite[i]
-        )
-    _IRR_CACHE[key] = out
-    return out
+        return tuple(monic_from_index(k, i, 1) for i in range(q))
+    composite = bytearray(q**d)
+    for dg in range(1, d // 2 + 1):
+        dh = d - dg
+        for g in irreducibles(k, dg):
+            for hi in range(q**dh):
+                h = monic_from_index(k, hi, dh)
+                composite[monic_to_index(k, mul(k, g, h))] = 1
+    return tuple(
+        monic_from_index(k, i, d) for i in range(q**d) if not composite[i]
+    )
+
+
+def irreducibles_cost(q: int, d: int) -> int:
+    """Work of irreducibles(k, d) over F_q, priced without enumerating:
+    q^d composite marks plus one product g*h per irreducible g of degree
+    e <= d/2 and monic h of degree d - e."""
+    return q**d + sum(count_irreducibles_formula(q, e) * q ** (d - e)
+                      for e in range(1, d // 2 + 1))
 
 
 def count_irreducibles_formula(q: int, d: int) -> int:
@@ -315,9 +319,7 @@ def count_irreducibles_formula(q: int, d: int) -> int:
     return total // d
 
 
-_FACTOR_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor(k, f):
     """(leading coefficient, tuple of (monic irreducible, multiplicity)).
 
@@ -327,10 +329,6 @@ def factor(k, f):
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    key = (k, f)
-    got = _FACTOR_CACHE.get(key)
-    if got is not None:
-        return got
     lc, g = monic(k, f)
     out = []
     d = 1
@@ -353,9 +351,7 @@ def factor(k, f):
                 break
         d += 1
     out.sort(key=lambda pe: (len(pe[0]), monic_to_index(k, pe[0])))
-    result = (lc, tuple(out))
-    _FACTOR_CACHE[key] = result
-    return result
+    return lc, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +601,7 @@ class RationalFunctionField:
 # field construction
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def make_field(p: int, e: int = 1):
     """F_{p^e}; for e > 1 the modulus is the first irreducible of degree e
     over F_p in enumeration order (fixed, documented choice)."""

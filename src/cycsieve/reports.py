@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import geometry as geo
 from . import polyring as pr
 from . import sieve as sv
+from .characters import check_cover
 from .charsums import Budget
 from .ffield import is_prime_int
 
@@ -79,7 +80,6 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         raise ValueError(f"characteristic {p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be positive")
-    q = p ** e
 
     for key in ("n", "ell", "b"):
         if key not in cfg:
@@ -91,16 +91,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     form = geo.form_from_json(k, cfg["form"])
     if form.n != n:
         raise ValueError("form arity does not match n")
-    m = form.m
-
-    if not is_prime_int(ell):
-        raise ValueError("ell must be prime")
-    if (q - 1) % ell:
-        raise ValueError(f"ell = {ell} does not divide q - 1 = {q - 1}")
-    if m % ell:
-        raise ValueError(f"ell = {ell} does not divide the degree m = {m}")
-    if m % p == 0:
-        raise ValueError(f"characteristic {p} divides the degree m = {m}")
+    check_cover(k, ell, form.m)
 
     delta = cfg.get("delta", "auto")
     if delta in ("auto", None):
@@ -114,10 +105,10 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     return {
         "p": p,
         "e": e,
-        "q": q,
+        "q": k.size,
         "n": n,
         "ell": ell,
-        "m": m,
+        "m": form.m,
         "b": b,
         "delta": delta,
         "delta_max": int(cfg.get("delta_max", delta)),

@@ -18,15 +18,14 @@ callers can fan the enumeration out to workers and still merge to the same
 exact integers in the same order.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import char_sum_root_count, check_ell, residue_data
+from .characters import char_sum_root_count, check_cover, residue_data
 from .charsums import Budget
-from .ffield import is_prime_int
-from .identities import box
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +54,7 @@ class SieveParams:
             raise ValueError("form arity does not match n")
         if not form.terms:
             raise ValueError("the zero form has no cover to sieve")
-        if not is_prime_int(self.ell):
-            raise ValueError("ell must be prime")
-        if form.m % self.ell or (k.size - 1) % self.ell:
-            raise ValueError("need ell | gcd(m, q - 1)")
-        if form.m % k.char == 0:
-            raise ValueError("the characteristic must not divide m")
-        check_ell(k, self.ell)
+        check_cover(k, self.ell, form.m)
         if self.delta < 1:
             raise ValueError("delta must be positive")
         if not self.delta < self.b < 2 * self.delta:
@@ -266,7 +259,7 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
         budget.charge(k.size ** (b * arity))
     powers = _value_power_set(k, ell, form, b)
     count = 0
-    for x in box(k, b, arity):
+    for x in pr.box(k, b, arity):
         if _globally_solvable(k, ell, geo.eval_form_at_polys(form, x),
                               powers):
             count += 1
@@ -280,8 +273,9 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
 def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
                      start: int, stop: int,
                      budget: Budget | None = None) -> dict:
-    """One pass over box indices [start, stop): every integer the sieve
-    terms need, as exact partial sums.
+    """One pass over the box points at positions [start, stop) of the
+    enumeration pr.box(k, b, n + 1): every integer the sieve terms need, as
+    exact partial sums.
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
@@ -306,9 +300,7 @@ def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
     S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
     sum_u2 = sum_us = sum_s2 = 0
 
-    for idx in range(start, stop):
-        x = tuple(pr.poly_from_index(k, c, b)
-                  for c in _digits(idx, k.size ** b, arity))
+    for x in itertools.islice(pr.box(k, b, arity), start, stop):
         g = geo.eval_form_at_polys(form, x)
         if _globally_solvable(k, ell, g, powers):
             M += 1
@@ -354,14 +346,6 @@ def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
         "sum_us": sum_us,
         "sum_s2": sum_s2,
     }
-
-
-def _digits(idx: int, base: int, arity: int) -> tuple:
-    out = []
-    for _ in range(arity):
-        out.append(idx % base)
-        idx //= base
-    return tuple(out)
 
 
 def merge_accumulators(parts) -> dict:

@@ -226,6 +226,13 @@ class TestExitCodes:
         assert code == 2
         assert "ell" in capsys.readouterr().err
 
+    def test_primes_budget_exceeded_is_three(self, tmp_path, capsys):
+        # priced before the sieve allocates 7^9 marks
+        code = cli.main(["primes", "--q", "7", "--delta", "9",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert "121060821" in capsys.readouterr().err
+
     def test_missing_flags_is_two(self, tmp_path):
         assert cli.main(["primes", "--out", str(tmp_path)]) == 2
 

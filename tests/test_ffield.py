@@ -1,7 +1,11 @@
 """Finite-field tower tests: arithmetic, enumeration order, traces, tables."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import cycsieve
 from cycsieve.ffield import GF, ExtensionField, FieldTables, prime_factors
 
 
@@ -122,3 +126,17 @@ def test_field_tables_match_direct_ops():
             b = tab.elems[j]
             assert tab.elems[tab.add[i * n + j]] == k.add(a, b)
             assert tab.elems[tab.mul[i * n + j]] == k.mul(a, b)
+
+
+def test_module_caches_are_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(cycsieve.__path__):
+        mod = importlib.import_module(f"cycsieve.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    for name in ("charsums.field_tables", "characters.residue_data",
+                 "polyring.irreducibles", "polyring.factor",
+                 "ffield._find_generator"):
+        assert name in caches
+    assert all(size is not None for size in caches.values()), caches

@@ -203,15 +203,26 @@ class TestLinearAlgebra:
                     assert s == (det if i == j else K7.zero)
 
     def test_poly_matrix_det_and_adjugate(self):
+        # matrices over F_q[T] go through the field routines over K = F_q(T)
+        K = RationalFunctionField(K3)
+
+        def over_K(m):
+            return [[K.from_poly(e) for e in row] for row in m]
+
+        def as_poly(a):
+            assert a[1] == (K3.one,)  # det and adjugate stay polynomial
+            return a[0]
+
         t, t1 = P(K3, "T"), P(K3, "1+T")
         m = [[t, ()], [(), t1]]
-        assert geo.poly_mat_det(K3, m) == P(K3, "T+T^2")
+        assert geo.mat_det(K, over_K(m)) == K.from_poly(P(K3, "T+T^2"))
         rng = random.Random(15)
         for _ in range(15):
             m = [[pr.poly_from_index(K3, rng.randrange(27), 3) for _ in range(3)]
                  for _ in range(3)]
-            det = geo.poly_mat_det(K3, m)
-            adj = geo.poly_mat_adjugate(K3, m)
+            det = as_poly(geo.mat_det(K, over_K(m)))
+            adj = [[as_poly(e) for e in row]
+                   for row in geo.mat_adjugate(K, over_K(m))]
             for i in range(3):
                 for j in range(3):
                     s = ()
@@ -318,7 +329,7 @@ class TestDworkRegularity:
 
     def test_resultant_strategy_not_provided(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError):
             geo.is_dwork_regular(K3, terms, 3, 2, strategy="resultant")
 
 
@@ -461,6 +472,102 @@ def t_quadric(k):
          (1, 1, 0): P(k, "T")})
 
 
+def tangency_oracle(form, pi, w, search_bound):
+    """Slow reference for the tangency route: the per-covector scan the
+    built test replaced.  True when w is proportional to a nonzero gradient
+    at a point of {F = 0 mod pi} over an extension of degree
+    <= search_bound, else None."""
+    kpi, h_terms, _ = geo.reduce_form(form, pi)
+    nv = form.n + 1
+    grads = [geo.partial_terms(kpi, h_terms, i) for i in range(nv)]
+    for r in range(1, search_bound + 1):
+        ext = pr.extension_of(kpi, r)
+        emb = (lambda c: c) if r == 1 else ext.embed_base
+        ext_terms = {e: emb(c) for e, c in h_terms.items()}
+        ext_grads = [{e: emb(c) for e, c in g.items()} for g in grads]
+        ext_w = tuple(emb(x) for x in w)
+        for point in geo.projective_points(ext, nv):
+            if not ext.is_zero(geo.eval_terms(ext, ext_terms, point)):
+                continue
+            grad = tuple(geo.eval_terms(ext, g, point) for g in ext_grads)
+            if all(ext.is_zero(x) for x in grad):
+                continue
+            if geo.proportional(ext, grad, ext_w):
+                return True
+    return None
+
+
+def nonzero_covectors(kpi, nvars):
+    for idx in itertools.product(range(kpi.size), repeat=nvars):
+        w = tuple(kpi.from_index(i) for i in idx)
+        if not all(kpi.is_zero(x) for x in w):
+            yield w
+
+
+def cubic7(coeffs):
+    return const_form(K7, 2, 3, coeffs)
+
+
+class TestDualTest:
+    """The dual-membership test built once per prime against the slow
+    per-covector tangency scan, on every nonzero covector."""
+
+    @pytest.mark.parametrize("form, pi_text, bound", [
+        (cubic7({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), "T", 1),
+        (cubic7({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), "1+T", 1),
+        (cubic7({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (1, 1, 1): 1}),
+         "T", 1),
+        (diag3(K3), "T", 1),
+        (diag3(K3), "T", 2),
+        (diag3(K3), "1+T^2", 1),
+        (const_form(K5, 3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1,
+                               (0, 0, 2, 0): 1, (0, 0, 0, 2): 1,
+                               (1, 1, 0, 0): 1, (0, 0, 1, 1): 1}), "T", 1),
+    ])
+    def test_tangency_matches_oracle(self, form, pi_text, bound):
+        pi = P(form.k, pi_text)
+        kpi = pr.residue_field(form.k, pi)
+        on_dual = geo.dual_membership_test(form, pi, "tangency", bound)
+        quadric = (geo.dual_membership_test(form, pi, "quadric")
+                   if form.m == 2 else None)
+        for w in nonzero_covectors(kpi, form.n + 1):
+            expect = tangency_oracle(form, pi, w, bound)
+            assert on_dual(w) is expect
+            if quadric is not None:
+                # a tangent hyperplane of a smooth quadric touches it at a
+                # point of the base field
+                assert quadric(w) is (expect is True)
+
+    def test_tangency_matches_oracle_degree_two_prime_bound_two(self):
+        # the oracle scans P^2(F_81) for each covector off the dual (about
+        # 2 s each), so this instance takes covectors on and off the dual
+        # rather than all 728
+        f = diag3(K3)
+        pi = P(K3, "1+T^2")
+        kpi = pr.residue_field(K3, pi)
+        on_dual = geo.dual_membership_test(f, pi, "tangency", 2)
+        t = kpi.from_index(3)  # the class of T, a square root of -1
+        one, zero = kpi.one, kpi.zero
+        for w, member in (((one, one, one), True), ((one, t, zero), True),
+                          ((one, zero, zero), None), ((one, t, one), None)):
+            assert tangency_oracle(f, pi, w, 2) is member
+            assert on_dual(w) is member
+
+    def test_covectors_validated(self):
+        pi = P(K3, "T")
+        kpi = pr.residue_field(K3, pi)
+        for route in ("quadric", "tangency", geo.quadric_dual_form(diag3(K3))):
+            on_dual = geo.dual_membership_test(diag3(K3), pi, route)
+            with pytest.raises(ValueError):
+                on_dual((kpi.one, kpi.one))
+            with pytest.raises(ValueError):
+                on_dual((kpi.zero,) * 3)
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError):
+            geo.dual_membership_test(diag3(K3), P(K3, "T"), "resultant")
+
+
 class TestDuality:
     def test_dual_degree_formula(self):
         assert geo.dual_degree(2, 2) == 2
@@ -475,7 +582,10 @@ class TestDuality:
 
     def test_double_dual_is_det_times_form(self):
         f = t_quadric(K3)
-        det = geo.poly_mat_det(K3, geo.quadric_matrix_poly(f))
+        K, terms = geo.form_over_fraction_field(f)
+        num, den = geo.mat_det(K, geo.quadric_matrix_over(K, terms, 3))
+        assert den == (K3.one,)
+        det = num
         double = geo.quadric_dual_form(geo.quadric_dual_form(f))
         assert set(double.terms) == set(f.terms)
         for exps, coeff in f.terms.items():
@@ -523,6 +633,8 @@ class TestDuality:
         w = (kpi.one, kpi.one, kpi.one)
         with pytest.raises(ValueError):
             geo.dual_membership(f, P(K3, "1+T"), w, dual="quadric")
+        with pytest.raises(ValueError):
+            geo.dual_membership_test(f, P(K3, "1+T"), "quadric")
 
     def test_w_validation(self):
         f = diag3(K3)

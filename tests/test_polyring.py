@@ -155,6 +155,20 @@ def test_counts_frozen_values():
         7, 21, 112, 588, 3360, 19544]
 
 
+def test_irreducibles_cost():
+    # q^d marks plus N_q(e) * q^(d-e) products for e <= d/2
+    assert pr.irreducibles_cost(3, 3) == 27 + 3 * 9
+    assert pr.irreducibles_cost(7, 9) == 121060821
+    assert pr.irreducibles_cost(5, 1) == 5
+
+
+def test_box_order():
+    pts = list(pr.box(K3, 2, 2))
+    assert len(pts) == 81
+    assert pts[0] == ((), ()) and pts[1] == ((), (K3.one,))
+    assert pts[9] == ((K3.one,), ())
+
+
 def test_prime_polynomial_theorem_inequality():
     for k in (K3, K5, K7):
         q = k.size
