@@ -25,7 +25,7 @@ The verified identities:
   equals the complete-sum expansion over non-principal character pairs;
   additionally the discarded F(x) == 0 portion is verified to vanish and the
   pointwise fiber identity |fiber| - 1 = sum of non-principal chi(F(x)) is
-  checked at every point of the box.
+  checked at every value F takes on the box.
 """
 
 from . import geometry as geo
@@ -41,6 +41,7 @@ from .characters import (
 from .charsums import Budget, CharSumContext
 from .cyclotomic import cyc_ring
 from .polyring import box
+from .sieve import box_histogram
 
 
 def dot(k, xs, ys):
@@ -180,8 +181,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     ring = data1.ring
 
     counts: dict = {}
-    for xs in box(k, b, arity):
-        v = geo.eval_form_at_polys(form, xs)
+    for v, count in box_histogram(k, form, b).items():
         e1 = chi1.exponent_at(data1.index_of_poly(v))
         if e1 is None:
             continue
@@ -189,7 +189,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
         if e2 is None:
             continue
         key = (0, (e1 + e2) % ell)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + count
     lhs = ring.from_exponent_counts(counts)
 
     # pibar with pi * pibar == 1 (mod pi2), and the other way around
@@ -243,7 +243,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     Extra checks: the discarded
     {F(x) == 0 mod pi1*pi2} portion of the character-product sum vanishes,
     and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
-    holds at every x in the box.
+    holds at every value F takes on the box.
     """
     _require_distinct_primes(k, pi1, pi2)
     D = pr.degree(pi1) + pr.degree(pi2)
@@ -268,8 +268,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     lhs = 0
     zero_portion = ring.zero
     pointwise_ok = True
-    for xs in box(k, b, arity):
-        v = geo.eval_form_at_polys(form, xs)
+    for v, count in box_histogram(k, form, b).items():
         idx1 = data1.index_of_poly(v)
         idx2 = data2.index_of_poly(v)
         n1 = data1.root_count[idx1]
@@ -281,9 +280,10 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
         divisible1 = not pr.poly_mod(k, v, pi1)
         divisible2 = not pr.poly_mod(k, v, pi2)
         if divisible1 and divisible2:
-            zero_portion = ring.add(zero_portion, ring.mul(s1, s2))
+            zero_portion = ring.add(zero_portion,
+                                    ring.scale(count, ring.mul(s1, s2)))
         else:
-            lhs += (n1 - 1) * (n2 - 1)
+            lhs += count * (n1 - 1) * (n2 - 1)
 
     pibar1 = pr.invert_mod(k, pi1, pi2)
     pibar2 = pr.invert_mod(k, pi2, pi1)

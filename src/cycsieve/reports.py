@@ -2,7 +2,8 @@
 with CLI overrides, byte-stable JSON and CSV emission (sorted keys, exact
 integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
-(fixed chunk fan-out, exact integer partials, ordered merge).
+(fixed chunk fan-out, exact value histograms per chunk, whose sum does not
+depend on the order in which chunks finish).
 """
 
 import csv
@@ -214,27 +215,26 @@ SIEVE_CSV_COLUMNS = ["q", "delta", "n", "ell", "m", "b", "A",
 
 
 def _chunk_job(spec):
-    p, e, form_json, ell, b, prime_texts, start, stop = spec
+    p, e, form_json, b, start, stop = spec
     k = pr.make_field(p, e)
     form = geo.form_from_json(k, form_json)
-    primes = tuple(pr.parse_poly(k, text) for text in prime_texts)
-    return sv.accumulate_chunk(k, form, ell, b, primes, start, stop)
+    return sv.accumulate_chunk(k, form, b, start=start, stop=stop)
 
 
 def parallel_accumulator(config: dict, params: sv.SieveParams,
                          sset: sv.SievingSet, workers: int = 1,
                          budget: Budget | None = None,
                          chunks: int = CHUNKS) -> dict:
-    """The full-box accumulator via a fixed number of index chunks, merged
-    in chunk order; the result is the same exact integers for any worker
-    count (and identical to the single-pass accumulator)."""
-    if budget is not None:
-        budget.charge(params.box_size)
+    """The value moments of the full box: a fixed number of index chunks
+    each build the histogram of F over their points, the histograms are
+    summed, and the per-prime work runs once per distinct value.  The
+    result is the same exact integers for any worker count (and identical
+    to the single-pass accumulator)."""
+    k, form, b = params.k, params.form, params.b
+    sv.charge_box_pass(budget, k, params.ell, form, b)
     size = params.box_size
     edges = [size * i // chunks for i in range(chunks + 1)]
-    prime_texts = tuple(pr.format_poly(params.k, p) for p in sset.primes)
-    base = (config["p"], config["e"], config["form"], params.ell, params.b,
-            prime_texts)
+    base = (config["p"], config["e"], config["form"], b)
     specs = [base + (lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
     if workers <= 1:
         parts = [_chunk_job(spec) for spec in specs]
@@ -243,7 +243,8 @@ def parallel_accumulator(config: dict, params: sv.SieveParams,
                   else "spawn")
         with multiprocessing.get_context(method).Pool(workers) as pool:
             parts = pool.map(_chunk_job, specs)
-    return sv.merge_accumulators(parts)
+    return sv.value_moments(k, form, params.ell, b, sset.primes,
+                            sv.merge_accumulators(parts))
 
 
 def run_sieve(config: dict, workers: int = 1,

@@ -6,19 +6,22 @@ the brute-force count M_n(F; b) of points with a global ell-th root.
 
 All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
-solvability of y^ell = F(x) is decided by two independent routes per point
-(membership in a precomputed set of ell-th powers, versus the factorization
-criterion: every irreducible multiplicity divisible by ell and the leading
-coefficient an ell-th power in F_q); a disagreement raises instead of
-returning a number.
+solvability of y^ell = F(x) is decided by two independent routes per
+distinct value of F (membership in a precomputed set of ell-th powers,
+versus the factorization criterion: every irreducible multiplicity divisible
+by ell and the leading coefficient an ell-th power in F_q); a disagreement
+raises instead of returning a number.
 
-The single pass over the box is organized as a chunked accumulator
-(accumulate_chunk / merge_accumulators over contiguous index ranges) so
-callers can fan the enumeration out to workers and still merge to the same
-exact integers in the same order.
+Every term depends on a box point x only through the value F(x), so the
+pass over the box has two steps.  accumulate_chunk builds the histogram
+Counter(F(x)) over a contiguous range of box positions, so callers can fan
+the enumeration out to workers; merge_accumulators adds the histograms,
+whose exact counts do not depend on the order of the parts; value_moments
+then does the per-prime work once per distinct value, weighted by its
+count.
 """
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,10 +236,10 @@ def _solvable_by_factoring(k, ell: int, g) -> bool:
     return k.power(lc, (k.size - 1) // ell) == k.one
 
 
-def _value_power_set(k, ell: int, form: geo.MultiForm, b: int) -> set:
-    """Ell-th powers up to the largest degree F can reach on the box."""
-    max_val_deg = form.deg_T() + form.m * (b - 1)
-    return _ell_th_power_set(k, ell, max(max_val_deg, 0) // ell)
+def _root_degree(ell: int, form: geo.MultiForm, b: int) -> int:
+    """The largest degree of an ell-th root of a value F can reach on the
+    box {deg x < b}."""
+    return max(form.deg_T() + form.m * (b - 1), 0) // ell
 
 
 def _globally_solvable(k, ell: int, g, powers: set) -> bool:
@@ -249,33 +252,136 @@ def _globally_solvable(k, ell: int, g, powers: set) -> bool:
     return by_set
 
 
+def _solvable_weight(k, ell: int, form: geo.MultiForm, b: int, hist) -> int:
+    """The total count of the values in hist with a global ell-th root; each
+    distinct value is decided once, by both solvability routes."""
+    powers = _ell_th_power_set(k, ell, _root_degree(ell, form, b))
+    return sum(count for g, count in hist.items()
+               if _globally_solvable(k, ell, g, powers))
+
+
+def charge_box_pass(budget: Budget | None, k, ell: int, form: geo.MultiForm,
+                    b: int) -> None:
+    """Charge a pass over the box {deg x < b} before it starts: first its
+    q^(b(n+1)) points, then the q^(d+1) polynomials of degree <= d whose
+    ell-th powers the solvability test enumerates."""
+    if budget is not None:
+        budget.charge(k.size ** (b * (form.n + 1)))
+        budget.charge(k.size ** (_root_degree(ell, form, b) + 1))
+
+
 def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
                       budget: Budget | None = None) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
-    y^ell = F(x) has a solution y in F_q[T], each point decided by the two
-    independent solvability routes."""
-    arity = form.n + 1
-    if budget is not None:
-        budget.charge(k.size ** (b * arity))
-    powers = _value_power_set(k, ell, form, b)
-    count = 0
-    for x in pr.box(k, b, arity):
-        if _globally_solvable(k, ell, geo.eval_form_at_polys(form, x),
-                              powers):
-            count += 1
-    return count
+    y^ell = F(x) has a solution y in F_q[T].  Each distinct value of F on
+    the box is decided by the two independent solvability routes and
+    weighted by the number of points taking it."""
+    charge_box_pass(budget, k, ell, form, b)
+    return _solvable_weight(k, ell, form, b, box_histogram(k, form, b))
 
 
 # ---------------------------------------------------------------------------
-# the chunked box pass
+# the box pass: value histograms of chunks, then the sieve work per value
 
 
-def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
-                     start: int, stop: int,
-                     budget: Budget | None = None) -> dict:
-    """One pass over the box points at positions [start, stop) of the
-    enumeration pr.box(k, b, n + 1): every integer the sieve terms need, as
-    exact partial sums.
+def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
+                     stop: int, budget: Budget | None = None) -> Counter:
+    """Counter(F(x)) over the box points at positions [start, stop) of the
+    enumeration pr.box(k, b, n + 1).
+
+    The positions are walked row by row, a row being the q^b points that
+    share x_0 .. x_{n-1} (x_n varies fastest).  Once per row, F is written
+    as a polynomial in x_n: its free part, and the key tuple of its
+    coefficients of x_n^1 .. x_n^m, from per-coordinate power tables.  Full
+    rows are grouped by key, and each group's Counter of free parts is
+    convolved with the Counter of the key's values over x_n; the partial
+    rows at the edges of the range go point by point.
+    """
+    n, m = form.n, form.m
+    coords = [pr.poly_from_index(k, i, b) for i in range(k.size ** max(b, 0))]
+    width = len(coords)
+    if not 0 <= start <= stop <= width ** (n + 1):
+        raise ValueError(f"positions [{start}, {stop}) are not in the box")
+    if budget is not None:
+        budget.charge(stop - start)
+    powers = []  # powers[i][e] = coords[i]^e for e = 0 .. m
+    for x in coords:
+        xe = [(k.one,)]
+        for _ in range(m):
+            xe.append(pr.mul(k, xe[-1], x))
+        powers.append(xe)
+    terms = [(exps[:n], exps[n], coeff) for exps, coeff in form.terms.items()]
+
+    def split_row(r):
+        """(free part, key) of F on row r."""
+        digits = []
+        for _ in range(n):
+            r, d = divmod(r, width)
+            digits.append(d)
+        digits.reverse()
+        parts = [()] * (m + 1)
+        for head, j, coeff in terms:
+            t = coeff
+            for d, e in zip(digits, head):
+                if e:
+                    t = pr.mul(k, t, powers[d][e])
+            parts[j] = pr.add(k, parts[j], t)
+        return parts[0], tuple(parts[1:])
+
+    def values_over_row(key):
+        """sum_j key[j-1] * x_n^j at every x_n, in box order."""
+        out = []
+        for xe in powers:
+            v = ()
+            for c, power in zip(key, xe[1:]):
+                if c:
+                    v = pr.add(k, v, pr.mul(k, c, power))
+            out.append(v)
+        return out
+
+    hist = Counter()
+    groups = {}  # key -> Counter of the free parts of the full rows
+    for r in range(start // width, -(-stop // width)):
+        lo = max(start - r * width, 0)
+        hi = min(stop - r * width, width)
+        free, key = split_row(r)
+        if hi - lo == width:
+            groups.setdefault(key, Counter())[free] += 1
+            continue
+        for v in values_over_row(key)[lo:hi]:
+            hist[pr.add(k, free, v)] += 1
+    for key, frees in groups.items():
+        over_row = Counter(values_over_row(key))
+        for free, c in frees.items():
+            for v, d in over_row.items():
+                hist[pr.add(k, free, v)] += c * d
+    return hist
+
+
+def box_histogram(k, form: geo.MultiForm, b: int) -> Counter:
+    """Counter(F(x)) over the whole box {deg x < b}, as one chunk."""
+    return accumulate_chunk(k, form, b, start=0,
+                            stop=k.size ** (b * (form.n + 1)))
+
+
+def merge_accumulators(parts) -> Counter:
+    """The sum of chunk histograms; counts are exact, so the order of the
+    parts does not matter."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("nothing to merge")
+    total = Counter()
+    for part in parts:
+        total.update(part)
+    return total
+
+
+def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
+                  hist) -> dict:
+    """Every integer the sieve terms need, as exact sums over the box, from
+    its value histogram hist = Counter(F(x)): each distinct value g is
+    reduced mod each prime and decided by both solvability routes once, and
+    weighted by its count.
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
@@ -287,60 +393,47 @@ def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
         primes at x and s = sum of Psi(ell-1-Psi) over them, so that
         I_alpha(x) = alpha*u + s for every alpha.
     """
-    if budget is not None:
-        budget.charge(stop - start)
-    arity = form.n + 1
     P = len(primes)
     datas = [residue_data(k, p, ell) for p in primes]
-    powers = _value_power_set(k, ell, form, b)
-
     ram_sum = 0
     psi_square_ok = True
-    M = 0
-    S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
     sum_u2 = sum_us = sum_s2 = 0
-
-    for x in itertools.islice(pr.box(k, b, arity), start, stop):
-        g = geo.eval_form_at_polys(form, x)
-        if _globally_solvable(k, ell, g, powers):
-            M += 1
-        unram = []
-        fibers = []
-        u = 0
-        s = 0
+    states = Counter()  # fiber at each prime (None where ramified) -> weight
+    for g, count in hist.items():
+        state = []
+        u = s = 0
         for p, data in zip(primes, datas):
-            fiber = data.root_count[data.index_of_poly(g)]
-            is_unram = bool(pr.poly_mod(k, g, p)) if g else False
-            unram.append(is_unram)
-            fibers.append(fiber)
-            if is_unram:
+            if g and pr.poly_mod(k, g, p):
+                fiber = data.root_count[data.index_of_poly(g)]
                 psi = fiber - 1
                 if psi * psi != (ell - 1) + (ell - 2) * psi:
                     psi_square_ok = False
                 u += 1
                 s += psi * (ell - 1 - psi)
+                state.append(fiber)
             else:
-                ram_sum += 1
-        sum_u2 += u * u
-        sum_us += u * s
-        sum_s2 += s * s
-        live = [i for i in range(P) if unram[i]]
-        for i1 in live:
-            f1 = fibers[i1]
-            pow1 = (1, f1, f1 * f1)
-            for i2 in live:
-                f2 = fibers[i2]
-                pow2 = (1, f2, f2 * f2)
+                ram_sum += count
+                state.append(None)
+        sum_u2 += count * u * u
+        sum_us += count * u * s
+        sum_s2 += count * s * s
+        states[tuple(state)] += count
+
+    S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
+    for state, count in states.items():
+        live = [(i, (1, f, f * f)) for i, f in enumerate(state)
+                if f is not None]
+        for i1, pow1 in live:
+            for i2, pow2 in live:
                 cell = S[i1][i2]
                 for i in range(3):
-                    row = cell[i]
-                    a = pow1[i]
+                    a = count * pow1[i]
                     for j in range(3):
-                        row[j] += a * pow2[j]
+                        cell[i][j] += a * pow2[j]
     return {
         "ram_sum": ram_sum,
         "psi_square_ok": psi_square_ok,
-        "M": M,
+        "M": _solvable_weight(k, ell, form, b, hist),
         "S": S,
         "sum_u2": sum_u2,
         "sum_us": sum_us,
@@ -348,35 +441,13 @@ def accumulate_chunk(k, form: geo.MultiForm, ell: int, b: int, primes,
     }
 
 
-def merge_accumulators(parts) -> dict:
-    """Sum chunk accumulators (in the given order); all entries exact."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    total = parts[0]
-    P = len(total["S"])
-    for part in parts[1:]:
-        if len(part["S"]) != P:
-            raise ValueError("accumulators disagree on the sieving set size")
-        total = {
-            "ram_sum": total["ram_sum"] + part["ram_sum"],
-            "psi_square_ok": total["psi_square_ok"] and part["psi_square_ok"],
-            "M": total["M"] + part["M"],
-            "S": [[[[total["S"][a][b2][i][j] + part["S"][a][b2][i][j]
-                     for j in range(3)] for i in range(3)]
-                   for b2 in range(P)] for a in range(P)],
-            "sum_u2": total["sum_u2"] + part["sum_u2"],
-            "sum_us": total["sum_us"] + part["sum_us"],
-            "sum_s2": total["sum_s2"] + part["sum_s2"],
-        }
-    return total
-
-
 def box_accumulator(params: SieveParams, sset: SievingSet,
                     budget: Budget | None = None) -> dict:
-    """The full-box accumulator in a single chunk."""
-    return accumulate_chunk(params.k, params.form, params.ell, params.b,
-                            sset.primes, 0, params.box_size, budget=budget)
+    """The value moments of the full box, from a single chunk."""
+    k, form, b = params.k, params.form, params.b
+    charge_box_pass(budget, k, params.ell, form, b)
+    return value_moments(k, form, params.ell, b, sset.primes,
+                         box_histogram(k, form, b))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 brute-force global count M_n(F; b) with its two independent solvability
 routes, both sieve-inequality formulations on the diagonal-quadric instance
 q = 3, n = 2, ell = 2, b = 3, delta = 2 (every term frozen from exact
-enumeration), the c_{i,j}(alpha) expansion, chunked accumulation, and the
+enumeration), the c_{i,j}(alpha) expansion, the chunked value-histogram
+box pass against the per-point pass as a differential oracle, and the
 parameter-selection helpers choose_delta / min_b / the prime-count bounds.
 """
 
+import inspect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from cycsieve import ffield
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
 from cycsieve import sieve as sv
+from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
 K3 = ffield.GF(3)
@@ -286,6 +290,35 @@ class TestBruteForce:
         assert info.value.needed == 19683
         assert info.value.limit == 100
 
+    def test_power_set_budget(self):
+        # the box {deg x < 1} has 27 points, but F reaches T-degree 8, so the
+        # solvability test enumerates the 3^5 = 243 polynomials of degree
+        # <= 4; that charge alone overruns the budget
+        form = geo.MultiForm(K3, 2, 2, {
+            (2, 0, 0): P(K3, "T^8"),
+            (0, 2, 0): (K3.one,),
+            (0, 0, 2): (K3.one,),
+        })
+        with pytest.raises(BudgetExceeded) as info:
+            sv.brute_force_count(K3, 2, form, 1, budget=Budget(100))
+        assert info.value.needed == 27 + 243
+        budget = Budget(270)
+        assert sv.brute_force_count(K3, 2, form, 1, budget=budget) > 0
+        assert budget.spent == 270
+
+    def test_power_set_budget_of_sieve_pass(self):
+        # 19683 box points fit the budget; the 3^18 polynomials of degree
+        # <= 17 whose squares can reach the values of degree 34 do not
+        form = geo.MultiForm(K3, 2, 2, {
+            (2, 0, 0): P(K3, "T^30"),
+            (0, 2, 0): (K3.one,),
+            (0, 0, 2): (K3.one,),
+        })
+        params = sv.SieveParams(k=K3, n=2, ell=2, form=form, b=3, delta=2)
+        with pytest.raises(BudgetExceeded) as info:
+            sv.box_accumulator(params, _SSET, budget=Budget(10 ** 5))
+        assert info.value.needed == 19683 + 3 ** 18
+
     def test_polynomial_coefficient_form(self):
         # degree-raising coefficient: the value set leaves the constants
         form = geo.MultiForm(K3, 2, 2, {
@@ -383,28 +416,158 @@ class TestGeneralInequality:
             sv.sieve_inequality_general(_PARAMS, empty)
 
 
+def per_point_moments(k, form, ell, b, primes, start, stop):
+    """The sieve integers of value_moments, recomputed point by point: every
+    box position in [start, stop) of pr.box is evaluated with
+    geo.eval_form_at_polys and decided on its own.  The differential oracle
+    of the value-histogram pass."""
+    arity = form.n + 1
+    P = len(primes)
+    datas = [residue_data(k, p, ell) for p in primes]
+    powers = sv._ell_th_power_set(k, ell, sv._root_degree(ell, form, b))
+
+    ram_sum = 0
+    psi_square_ok = True
+    M = 0
+    S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
+    sum_u2 = sum_us = sum_s2 = 0
+
+    for x in itertools.islice(pr.box(k, b, arity), start, stop):
+        g = geo.eval_form_at_polys(form, x)
+        if sv._globally_solvable(k, ell, g, powers):
+            M += 1
+        unram = []
+        fibers = []
+        u = 0
+        s = 0
+        for p, data in zip(primes, datas):
+            fiber = data.root_count[data.index_of_poly(g)]
+            is_unram = bool(pr.poly_mod(k, g, p)) if g else False
+            unram.append(is_unram)
+            fibers.append(fiber)
+            if is_unram:
+                psi = fiber - 1
+                if psi * psi != (ell - 1) + (ell - 2) * psi:
+                    psi_square_ok = False
+                u += 1
+                s += psi * (ell - 1 - psi)
+            else:
+                ram_sum += 1
+        sum_u2 += u * u
+        sum_us += u * s
+        sum_s2 += s * s
+        live = [i for i in range(P) if unram[i]]
+        for i1 in live:
+            f1 = fibers[i1]
+            pow1 = (1, f1, f1 * f1)
+            for i2 in live:
+                f2 = fibers[i2]
+                pow2 = (1, f2, f2 * f2)
+                cell = S[i1][i2]
+                for i in range(3):
+                    row = cell[i]
+                    a = pow1[i]
+                    for j in range(3):
+                        row[j] += a * pow2[j]
+    return {
+        "ram_sum": ram_sum,
+        "psi_square_ok": psi_square_ok,
+        "M": M,
+        "S": S,
+        "sum_u2": sum_u2,
+        "sum_us": sum_us,
+        "sum_s2": sum_s2,
+    }
+
+
+K5 = ffield.GF(5)
+K9 = pr.make_field(3, 2)
+
+
+def _form(k, n, m, terms):
+    return geo.MultiForm(k, n, m, {e: P(k, c) if isinstance(c, str) else c
+                                   for e, c in terms.items()})
+
+
+def _histogram_cases():
+    """(label, k, ell, form, b, edges): chunk edges over box positions, with
+    ranges that start and stop inside a row (a row is the q^b points that
+    share x_0 .. x_{n-1}) and one empty range."""
+    g9 = K9.from_index(4)  # a non-square of F_9 (F_9^* has even order)
+    return [
+        ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2, [0, 200, 200, 413, 729]),
+        ("q3-T-coefficients", K3, 2, _form(K3, 2, 2, {
+            (2, 0, 0): "1+T", (1, 1, 0): "T", (0, 1, 1): "2",
+            (0, 0, 2): "2*T^2"}), 2, [0, 5, 377, 377, 729]),
+        ("q5-diagonal", K5, 2, _form(K5, 2, 2, {
+            (2, 0, 0): "1", (0, 2, 0): "2", (0, 0, 2): "3"}), 2,
+         [3007, 3501, 3501, 4012]),
+        ("q7-quadric-non-diagonal", K7, 2, _form(K7, 2, 2, {
+            (1, 1, 0): "1", (0, 0, 2): "3+T", (1, 0, 1): "2"}), 1,
+         [0, 100, 343]),
+        ("q7-cubic-diagonal", K7, 3, diag(K7, 2, 3), 1, [0, 171, 171, 343]),
+        ("q7-cubic-T-coefficients", K7, 3, _form(K7, 2, 3, {
+            (3, 0, 0): "1", (0, 3, 0): "2", (0, 0, 3): "T",
+            (1, 1, 1): "1+T"}), 2, [20000, 20050, 20700]),
+        ("q9-non-diagonal", K9, 2, _form(K9, 2, 2, {
+            (2, 0, 0): (K9.one,), (0, 1, 1): (g9,), (0, 0, 2): (g9, K9.one)}),
+         1, [0, 7, 500, 729]),
+    ]
+
+
+def _case_primes(k):
+    return tuple(pr.irreducibles(k, 1)[:2]) + tuple(pr.irreducibles(k, 2)[:1])
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_value_moments_equal_per_point_pass(case):
+    _, k, ell, form, b, edges = case
+    parts = [sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+             for lo, hi in zip(edges, edges[1:])]
+    for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
+        assert sum(part.values()) == hi - lo
+    hist = sv.merge_accumulators(parts)
+    primes = _case_primes(k)
+    assert (sv.value_moments(k, form, ell, b, primes, hist)
+            == per_point_moments(k, form, ell, b, primes, edges[0],
+                                 edges[-1]))
+
+
 class TestChunking:
     def test_chunked_merge_equals_full_pass(self):
         size = _PARAMS.box_size
+        full = sv.accumulate_chunk(K3, QUADRIC, 3, start=0, stop=size)
         for pieces in (2, 7):
             edges = [size * i // pieces for i in range(pieces + 1)]
-            parts = [sv.accumulate_chunk(K3, QUADRIC, 2, 3, _SSET.primes,
-                                         lo, hi)
+            parts = [sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
                      for lo, hi in zip(edges, edges[1:])]
-            assert sv.merge_accumulators(parts) == _ACC
+            merged = sv.merge_accumulators(parts)
+            assert merged == full
+            assert sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
+                                    merged) == _ACC
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
             sv.merge_accumulators([])
 
-    def test_merge_rejects_mismatched_sets(self):
-        small = sv.accumulate_chunk(K3, QUADRIC, 2, 3, _SSET.primes[:2],
-                                    0, 10)
-        full = sv.accumulate_chunk(K3, QUADRIC, 2, 3, _SSET.primes, 0, 10)
-        with pytest.raises(ValueError):
-            sv.merge_accumulators([small, full])
+    def test_histogram_weights_sum_to_range(self):
+        for lo, hi in ((0, 10), (5, 5), (20, 500), (19600, 19683)):
+            hist = sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
+            assert sum(hist.values()) == hi - lo
+
+    def test_range_outside_box_rejected(self):
+        for lo, hi in ((-1, 5), (10, 5), (0, 19684)):
+            with pytest.raises(ValueError):
+                sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
 
     def test_chunk_budget(self):
         with pytest.raises(BudgetExceeded):
-            sv.accumulate_chunk(K3, QUADRIC, 2, 3, _SSET.primes, 0, 500,
+            sv.accumulate_chunk(K3, QUADRIC, 3, start=0, stop=500,
                                 budget=Budget(100))
+
+    def test_start_stop_are_keyword_only(self):
+        # the benchmark's tracer reads the chunk span of a call from
+        # kwargs["start"] and kwargs["stop"]
+        params = inspect.signature(sv.accumulate_chunk).parameters
+        for name in ("start", "stop"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
