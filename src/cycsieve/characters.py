@@ -238,7 +238,9 @@ def gauss_sum(chi: MultChar) -> tuple:
 
 
 def count_ell_roots(k, a, pi, ell: int) -> int:
-    """#{y in k_pi : y^ell = a mod pi} by direct enumeration (oracle route)."""
+    """#{y in k_pi : y^ell = a mod pi}, read from the root-count table of
+    ResidueData, which is filled by raising every y in k_pi to the ell-th
+    power (char_sum_root_count is the character route)."""
     data = residue_data(k, pi, ell)
     return data.root_count[data.index_of_poly(a)]
 

@@ -38,6 +38,8 @@ from .cyclotomic import CycRing
 from .ffield import FieldTables
 
 TABLES_CACHE_SIZE = 64  # residue fields with tables kept
+# relative slack of every comparison of a float magnitude with its bound
+MAGNITUDE_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
@@ -261,8 +263,7 @@ def estimate_wd_audit_cost(q: int, delta: int, n: int, num_chis: int) -> int:
 
 
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
-             dual="auto", ws=None, budget: Budget | None = None,
-             tol: float = 1e-9) -> dict:
+             dual="auto", ws=None, budget: Budget | None = None) -> dict:
     """Audit |S_G(w, chi)| against the per-case bounds.
 
     Defaults: every non-principal chi of order dividing ell and every
@@ -309,7 +310,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
                 bound, ratio = bound_ii, abs_s / norm_iii
                 if max_ratio_iii is None or ratio > max_ratio_iii:
                     max_ratio_iii = ratio
-            ok = abs_s <= bound * (1 + tol)
+            ok = abs_s <= bound * (1 + MAGNITUDE_TOL)
             all_pass = all_pass and ok
             rows.append({
                 "q": k.size,
@@ -412,7 +413,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
 
 
 def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
-                     budget: Budget | None = None, tol: float = 1e-9,
+                     budget: Budget | None = None,
                      search_bound: int = 2) -> dict:
     """Per-slice audit: |sum_b chi(g_j(b))| <= (m - 1) * Q^(r/2) whenever the
     slice is a certified Deligne polynomial (degree preserved, coprime to the
@@ -445,7 +446,8 @@ def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
             "abs_sum": abs_s,
             "bound": bound,
             "deligne": deligne,
-            "pass": (abs_s <= bound * (1 + tol)) if deligne else None,
+            "pass": ((abs_s <= bound * (1 + MAGNITUDE_TOL)) if deligne
+                     else None),
         }
         if deligne and not row["pass"]:
             all_pass = False
@@ -463,7 +465,7 @@ def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
 
 def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
                          chi_index: int, budget: Budget | None = None,
-                         tol: float = 1e-9, search_bound: int = 2) -> dict:
+                         search_bound: int = 2) -> dict:
     """Complete S_G(w, chi) through Gauss sums, exactly, for w != 0.
 
     With tau(chi) = sum_alpha chi(alpha) psi(alpha/pi) and
@@ -525,7 +527,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
             inner[pe] = inner.get(pe, 0) + 1
         t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})
         abs_t = ring.abs_embed(t_beta)
-        ok = abs_t <= bound_beta * (1 + tol)
+        ok = abs_t <= bound_beta * (1 + MAGNITUDE_TOL)
         if deligne_applicable and not ok:
             betas_pass = False
         beta_rows.append({

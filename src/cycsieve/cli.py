@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--budget", type=int,
                         help=f"max innermost evaluations "
                              f"(default {rp.DEFAULT_BUDGET})")
-    shared.add_argument("--workers", type=int,
+    shared.add_argument("--workers", type=int, default=1,
                         help="worker processes (sieve-run; default 1)")
     shared.add_argument("--out", default="artifacts",
                         help="artifact directory (default artifacts/)")
@@ -156,7 +156,7 @@ def cmd_charsum(args) -> int:
     S = ctx.char_sum(w, args.chi)
     abs_s = ctx.ring.abs_embed(S)
     trivial = ctx.trivial_bound()
-    ok = abs_s <= trivial * (1 + 1e-9)
+    ok = abs_s <= trivial * (1 + cs.MAGNITUDE_TOL)
     as_int = ctx.ring.as_int(S)
     print(f"S = {as_int if as_int is not None else ctx.ring.serialize(S)}")
     print(f"|S| = {abs_s:.12g}  (trivial bound {trivial} "
@@ -356,8 +356,7 @@ def cmd_exc_primes(args) -> int:
 
 def cmd_sieve_run(args) -> int:
     cfg = _config(args)
-    workers = args.workers or 1
-    result = rp.run_sieve(cfg, workers=workers)
+    result = rp.run_sieve(cfg, workers=args.workers)
     rep = result["sieve"]
     print(f"q={rep['q']} delta={rep['delta']} b={rep['b']} "
           f"|P|={len(rep['primes'])} |A|={rep['A']}")

@@ -28,6 +28,8 @@ The verified identities:
   checked at every value F takes on the box.
 """
 
+import itertools
+
 from . import geometry as geo
 from . import polyring as pr
 from .characters import (
@@ -151,13 +153,36 @@ def verify_count_mod(k, u, a, b: int) -> dict:
 # completion of a two-prime incomplete sum
 
 
-def _cached_char_sum(ctx, cache, w, chi_index):
-    key = (w, chi_index)
-    got = cache.get(key)
-    if got is None:
-        got = ctx.char_sum(w, chi_index)
-        cache[key] = got
-    return got
+def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
+                       width: int, chi_pairs, budget: Budget | None):
+    """The character side of the two-prime identities: the sum over the
+    index pairs (i1, i2) in chi_pairs and over the box {deg x < width} of
+    S_F(pibar2 x, chi_i1 mod pi1) * S_F(pibar1 x, chi_i2 mod pi2), where
+    pi1 pibar1 == 1 (mod pi2) and pi2 pibar2 == 1 (mod pi1).
+
+    Every coordinate value is twisted and reduced mod both primes once, the
+    box is walked in box order over those reductions, and the char sum of
+    each distinct (prime, covector, character) is computed once."""
+    ctxs = (CharSumContext(k, pi1, ell, form, budget=budget),
+            CharSumContext(k, pi2, ell, form, budget=budget))
+    twists = (pr.invert_mod(k, pi2, pi1), pr.invert_mod(k, pi1, pi2))
+    table = [tuple(ctx.data.reduce(pr.mul(k, t, x))
+                   for ctx, t in zip(ctxs, twists))
+             for x in (pr.poly_from_index(k, i, width)
+                       for i in range(k.size ** width))]
+    ring = ctxs[0].ring
+    sums = {}  # (prime slot, covector, character index) -> S
+    total = ring.zero
+    for chis in chi_pairs:
+        for point in itertools.product(table, repeat=form.n + 1):
+            factors = []
+            for slot, (ctx, chi) in enumerate(zip(ctxs, chis)):
+                key = (slot, tuple(r[slot] for r in point), chi)
+                if key not in sums:
+                    sums[key] = ctx.char_sum(key[1], chi)
+                factors.append(sums[key])
+            total = ring.add(total, ring.mul(*factors))
+    return total
 
 
 def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
@@ -181,7 +206,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     ring = data1.ring
 
     counts: dict = {}
-    for v, count in box_histogram(k, form, b).items():
+    for v, count in box_histogram(k, form, b, budget=budget).items():
         e1 = chi1.exponent_at(data1.index_of_poly(v))
         if e1 is None:
             continue
@@ -192,20 +217,8 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
         counts[key] = counts.get(key, 0) + count
     lhs = ring.from_exponent_counts(counts)
 
-    # pibar with pi * pibar == 1 (mod pi2), and the other way around
-    pibar = pr.invert_mod(k, pi, pi2)
-    pibar2 = pr.invert_mod(k, pi2, pi)
-    ctx1 = CharSumContext(k, pi, ell, form, budget=budget)
-    ctx2 = CharSumContext(k, pi2, ell, form, budget=budget)
-    cache1: dict = {}
-    cache2: dict = {}
-    total = ring.zero
-    for xs in box(k, D - b, arity):
-        w1 = tuple(ctx1.data.reduce(pr.mul(k, pibar2, x)) for x in xs)
-        w2 = tuple(ctx2.data.reduce(pr.mul(k, pibar, x)) for x in xs)
-        s1 = _cached_char_sum(ctx1, cache1, w1, chi_index)
-        s2 = _cached_char_sum(ctx2, cache2, w2, chi2_index)
-        total = ring.add(total, ring.mul(s1, s2))
+    total = _complementary_sum(k, pi, pi2, ell, form, D - b,
+                               [(chi_index, chi2_index)], budget)
     rhs = ring.div_int(total, k.size ** (arity * (D - b)))
 
     return {
@@ -268,7 +281,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     lhs = 0
     zero_portion = ring.zero
     pointwise_ok = True
-    for v, count in box_histogram(k, form, b).items():
+    for v, count in box_histogram(k, form, b, budget=budget).items():
         idx1 = data1.index_of_poly(v)
         idx2 = data2.index_of_poly(v)
         n1 = data1.root_count[idx1]
@@ -285,21 +298,9 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
         else:
             lhs += count * (n1 - 1) * (n2 - 1)
 
-    pibar1 = pr.invert_mod(k, pi1, pi2)
-    pibar2 = pr.invert_mod(k, pi2, pi1)
-    ctx1 = CharSumContext(k, pi1, ell, form, budget=budget)
-    ctx2 = CharSumContext(k, pi2, ell, form, budget=budget)
-    total = ring.zero
-    cache1: dict = {}
-    cache2: dict = {}
-    for i1 in range(1, ell):
-        for i2 in range(1, ell):
-            for xs in box(k, D - b, arity):
-                w1 = tuple(ctx1.data.reduce(pr.mul(k, pibar2, x)) for x in xs)
-                w2 = tuple(ctx2.data.reduce(pr.mul(k, pibar1, x)) for x in xs)
-                s1 = _cached_char_sum(ctx1, cache1, w1, i1)
-                s2 = _cached_char_sum(ctx2, cache2, w2, i2)
-                total = ring.add(total, ring.mul(s1, s2))
+    total = _complementary_sum(
+        k, pi1, pi2, ell, form, D - b,
+        itertools.product(range(1, ell), repeat=2), budget)
     quotient = ring.div_int(total, k.size ** (arity * (D - b)))
     rhs = ring.as_int(quotient)
     if rhs is None:

@@ -2,8 +2,9 @@
 with CLI overrides, byte-stable JSON and CSV emission (sorted keys, exact
 integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
-(fixed chunk fan-out, exact value histograms per chunk, whose sum does not
-depend on the order in which chunks finish).
+(the box is split into one range of positions per worker, and the exact
+value histograms of the ranges sum to the histogram of the whole box however
+it is split).
 """
 
 import csv
@@ -21,7 +22,6 @@ from .charsums import Budget
 from .ffield import is_prime_int
 
 DEFAULT_BUDGET = 10 ** 8
-CHUNKS = 32  # box fan-out; fixed so results never depend on worker count
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +120,23 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     }
 
 
-def build_instance(config: dict):
-    """(k, form, params, sieving set) for a resolved config; the bad primes
-    are rescanned up to delta_max and excluded."""
+def build_instance(config: dict, budget: Budget | None = None):
+    """(k, form, params, sieving set) for a resolved config.  The params are
+    validated, and a pass over the box is charged to budget, before the bad
+    primes are rescanned up to delta_max and excluded, so an invalid or
+    oversized run stops before the scan."""
     k = pr.make_field(config["p"], config["e"])
     form = geo.form_from_json(k, config["form"])
+    params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
+                            b=config["b"], delta=config["delta"],
+                            delta_max=config["delta_max"])
+    sv.charge_box_pass(budget, k, params.ell, form, params.b)
     dual = config.get("dual")
     dual_spec = geo.form_from_json(k, dual) if dual else "auto"
     exc = sv.exceptional_primes_of(form, config["delta_max"],
                                    dual=dual_spec,
                                    search_bound=config["search_bound"])
     sset = sv.build_sieving_set(k, config["delta"], exc)
-    params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
-                            b=config["b"], delta=config["delta"],
-                            delta_max=config["delta_max"])
     return k, form, params, sset
 
 
@@ -215,48 +218,43 @@ SIEVE_CSV_COLUMNS = ["q", "delta", "n", "ell", "m", "b", "A",
 
 
 def _chunk_job(spec):
-    p, e, form_json, b, start, stop = spec
-    k = pr.make_field(p, e)
-    form = geo.form_from_json(k, form_json)
+    k, form, b, start, stop = spec
     return sv.accumulate_chunk(k, form, b, start=start, stop=stop)
 
 
-def parallel_accumulator(config: dict, params: sv.SieveParams,
-                         sset: sv.SievingSet, workers: int = 1,
-                         budget: Budget | None = None,
-                         chunks: int = CHUNKS) -> dict:
-    """The value moments of the full box: a fixed number of index chunks
-    each build the histogram of F over their points, the histograms are
-    summed, and the per-prime work runs once per distinct value.  The
-    result is the same exact integers for any worker count (and identical
-    to the single-pass accumulator)."""
+def parallel_accumulator(params: sv.SieveParams, sset: sv.SievingSet,
+                         workers: int = 1) -> dict:
+    """The value moments of the full box.  The box positions are split into
+    workers contiguous ranges, each range builds the histogram of F over its
+    points (in this process for one worker, in a pool of at most one process
+    per non-empty range otherwise), the histograms are summed, and the
+    per-prime work runs once per distinct value.  The exact sums do not
+    depend on the split, so the result is the same for any worker count."""
     k, form, b = params.k, params.form, params.b
-    sv.charge_box_pass(budget, k, params.ell, form, b)
-    size = params.box_size
-    edges = [size * i // chunks for i in range(chunks + 1)]
-    base = (config["p"], config["e"], config["form"], b)
-    specs = [base + (lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    if workers <= 1:
-        parts = [_chunk_job(spec) for spec in specs]
+    if workers == 1:
+        parts = [sv.box_histogram(k, form, b)]
     else:
+        size = params.box_size
+        edges = [size * i // workers for i in range(workers + 1)]
+        specs = [(k, form, b, lo, hi) for lo, hi in zip(edges, edges[1:])
+                 if lo < hi]
         method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                   else "spawn")
-        with multiprocessing.get_context(method).Pool(workers) as pool:
+        with multiprocessing.get_context(method).Pool(len(specs)) as pool:
             parts = pool.map(_chunk_job, specs)
     return sv.value_moments(k, form, params.ell, b, sset.primes,
                             sv.merge_accumulators(parts))
 
 
-def run_sieve(config: dict, workers: int = 1,
-              alpha_grid=(1, 2, 3, 4)) -> dict:
-    """Both sieve inequalities on the configured instance; one box pass."""
-    _, _, params, sset = build_instance(config)
-    budget = Budget(config["budget"])
-    acc = parallel_accumulator(config, params, sset, workers=workers,
-                               budget=budget)
-    report = sv.sieve_terms(params, sset, acc=acc)
-    general = sv.sieve_inequality_general(params, sset,
-                                          alpha_grid=alpha_grid, acc=acc)
+def run_sieve(config: dict, workers: int = 1) -> dict:
+    """Both sieve inequalities on the configured instance; one box pass,
+    charged to the config's budget before the bad-prime scan."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    _, _, params, sset = build_instance(config, Budget(config["budget"]))
+    acc = parallel_accumulator(params, sset, workers=workers)
+    report = sv.sieve_terms(params, sset, acc)
+    general = sv.sieve_inequality_general(params, sset, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]
               and report["psi_square_identity"]
               and report["ramified_majorization"]

@@ -14,11 +14,12 @@ raises instead of returning a number.
 
 Every term depends on a box point x only through the value F(x), so the
 pass over the box has two steps.  accumulate_chunk builds the histogram
-Counter(F(x)) over a contiguous range of box positions, so callers can fan
-the enumeration out to workers; merge_accumulators adds the histograms,
-whose exact counts do not depend on the order of the parts; value_moments
-then does the per-prime work once per distinct value, weighted by its
-count.
+Counter(F(x)) over a contiguous range of box positions (box_histogram over
+the whole box), so a caller can split the box into one range per worker;
+merge_accumulators adds the histograms, whose exact counts do not depend on
+the split or the order of the parts; value_moments then does the per-prime
+work once per distinct value, weighted by its count.  The sieve terms read
+the resulting moments.
 """
 
 from collections import Counter
@@ -358,10 +359,12 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
     return hist
 
 
-def box_histogram(k, form: geo.MultiForm, b: int) -> Counter:
-    """Counter(F(x)) over the whole box {deg x < b}, as one chunk."""
+def box_histogram(k, form: geo.MultiForm, b: int,
+                  budget: Budget | None = None) -> Counter:
+    """Counter(F(x)) over the whole box {deg x < b}, as one chunk; its points
+    are charged to budget first."""
     return accumulate_chunk(k, form, b, start=0,
-                            stop=k.size ** (b * (form.n + 1)))
+                            stop=k.size ** (b * (form.n + 1)), budget=budget)
 
 
 def merge_accumulators(parts) -> Counter:
@@ -441,15 +444,6 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     }
 
 
-def box_accumulator(params: SieveParams, sset: SievingSet,
-                    budget: Budget | None = None) -> dict:
-    """The value moments of the full box, from a single chunk."""
-    k, form, b = params.k, params.form, params.b
-    charge_box_pass(budget, k, params.ell, form, b)
-    return value_moments(k, form, params.ell, b, sset.primes,
-                         box_histogram(k, form, b))
-
-
 # ---------------------------------------------------------------------------
 # sieve terms (the prime-degree cyclic-cover inequality)
 
@@ -461,9 +455,9 @@ def _pair_psi_sum(S, i1: int, i2: int) -> int:
     return cell[1][1] - cell[1][0] - cell[0][1] + cell[0][0]
 
 
-def sieve_terms(params: SieveParams, sset: SievingSet,
-                budget: Budget | None = None, acc: dict | None = None) -> dict:
-    """All terms of the prime-degree cyclic-cover sieve inequality, exactly:
+def sieve_terms(params: SieveParams, sset: SievingSet, acc: dict) -> dict:
+    """All terms of the prime-degree cyclic-cover sieve inequality, exactly,
+    from the value moments acc of the box (see value_moments):
 
         M <= (ell-1)^2 |A| / |P|  +  (2/|P|) sum_x |V_P^ram(x)|
              + max over distinct prime pairs |sum_x' Psi_1 Psi_2|
@@ -477,8 +471,6 @@ def sieve_terms(params: SieveParams, sset: SievingSet,
     k, form, ell = params.k, params.form, params.ell
     P = len(sset)
     A = params.box_size
-    if acc is None:
-        acc = box_accumulator(params, sset, budget=budget)
 
     pair_sums = {(i1, i2): _pair_psi_sum(acc["S"], i1, i2)
                  for i1 in range(P) for i2 in range(P) if i1 != i2}
@@ -542,23 +534,19 @@ def c_coefficients(alpha, ell: int) -> dict:
 
 
 def sieve_inequality_general(params: SieveParams, sset: SievingSet,
-                             alpha_grid=(1, 2, 3, 4),
-                             budget: Budget | None = None,
-                             acc: dict | None = None) -> dict:
+                             acc: dict, alpha_grid=(1, 2, 3, 4)) -> dict:
     """For each alpha >= 1 in the grid: sum_x I_alpha(x)^2 from the (u, s)
-    moments; the same integer recomputed through the c_{i,j}(alpha)
-    expansion over all ordered prime pairs (exact equality reported); and
-    both right-hand sides of the general sieve inequality — the direct one
-    with sum_x I_alpha^2 and the dominating one with per-pair absolute
-    values — checked against M."""
+    moments of the box in acc (see value_moments); the same integer
+    recomputed through the c_{i,j}(alpha) expansion over all ordered prime
+    pairs (exact equality reported); and both right-hand sides of the
+    general sieve inequality — the direct one with sum_x I_alpha^2 and the
+    dominating one with per-pair absolute values — checked against M."""
     for alpha in alpha_grid:
         if alpha < 1:
             raise ValueError("alpha must be at least 1")
     P = len(sset)
     if P < 1:
         raise ValueError("empty sieving set")
-    if acc is None:
-        acc = box_accumulator(params, sset, budget=budget)
     ell = params.ell
     M, ram_sum = acc["M"], acc["ram_sum"]
 

@@ -112,8 +112,7 @@ def test_criterion_2_gauss_riemann_hypothesis(report):
 def test_criterion_3_weil_deligne_audit(report):
     t0 = time.perf_counter()
     budget = cs.Budget(10 ** 8)
-    audits = [cs.wd_audit(K3, P(K3, pi_text), 2, QUADRIC, budget=budget,
-                          tol=1e-9)
+    audits = [cs.wd_audit(K3, P(K3, pi_text), 2, QUADRIC, budget=budget)
               for pi_text in ("T", "1+T^2")]
     rows = sum(a["summary"]["rows"] for a in audits)
     all_pass = all(a["summary"]["all_pass"] for a in audits)
@@ -134,10 +133,10 @@ def test_criterion_4_sieve_inequalities(report):
     t0 = time.perf_counter()
     sset = sv.build_sieving_set(K3, 2, sv.exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2)
-    acc = sv.box_accumulator(params, sset)
-    terms = sv.sieve_terms(params, sset, acc=acc)
-    general = sv.sieve_inequality_general(params, sset,
-                                          alpha_grid=(1, 2, 3, 4), acc=acc)
+    acc = rp.parallel_accumulator(params, sset)
+    terms = sv.sieve_terms(params, sset, acc)
+    general = sv.sieve_inequality_general(params, sset, acc,
+                                          alpha_grid=(1, 2, 3, 4))
     expansion = all(r["expansion_equal"] for r in general["rows"])
     grid = all(r["pass_direct"] and r["pass_absolute"]
                for r in general["rows"])

@@ -6,10 +6,13 @@ and the config resolution rules."""
 
 import json
 import pathlib
+import re
 
 import pytest
 
 from cycsieve import cli
+from cycsieve import geometry as geo
+from cycsieve import polyring as pr
 from cycsieve import reports as rp
 
 CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
@@ -18,6 +21,22 @@ CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
 
 def read(path):
     return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def config_without_delta_max(tmp_path):
+    """The shipped config without delta_max, which then defaults to delta."""
+    config = json.loads(read(CONFIG))
+    del config["delta_max"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def forbid(monkeypatch, module, name):
+    """Make module.name fail the test if it is called."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(module, name, called)
 
 
 class TestConfig:
@@ -225,6 +244,46 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "ell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ("0", "-1"))
+    def test_workers_below_one_is_two(self, tmp_path, monkeypatch, capsys,
+                                      workers):
+        forbid(monkeypatch, rp.multiprocessing, "get_context")
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        code = cli.main(["sieve-run", "--config", CONFIG, "--workers",
+                         workers, "--out", str(tmp_path)])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_sieve_params_checked_before_scan(self, tmp_path, monkeypatch,
+                                              capsys):
+        # --b 8 gives delta 5, beyond the shipped delta_max of 2
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main(["sieve-run", "--config", CONFIG, "--b", "8",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "delta_max" in capsys.readouterr().err
+
+    def test_sieve_budget_charged_before_scan(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = config_without_delta_max(tmp_path)  # delta_max = delta = 5
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main(["sieve-run", "--config", path, "--b", "8",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert f"needs {3 ** 24}," in capsys.readouterr().err
+
+    def test_identity_box_budget_is_three(self, tmp_path, capsys):
+        path = config_without_delta_max(tmp_path)
+        code = cli.main(["identity-check", "--config", path, "--b", "6",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        # the rows before the unramified expansion spent part of the budget;
+        # its box of 3^18 points overruns the rest
+        needs = re.search(r"needs (\d+),", capsys.readouterr().err)
+        assert int(needs.group(1)) > 3 ** 18
 
     def test_primes_budget_exceeded_is_three(self, tmp_path, capsys):
         # priced before the sieve allocates 7^9 marks

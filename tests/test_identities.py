@@ -173,6 +173,19 @@ class TestUnramifiedExpansion:
                 K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 1,
                 budget=Budget(5))
 
+    def test_box_histograms_are_charged(self):
+        # the 27 points of the box {deg x < 1} are charged before any sum
+        for verify in (
+                lambda budget: idn.verify_unramified_expansion(
+                    K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 1,
+                    budget=budget),
+                lambda budget: idn.verify_completion(
+                    K3, P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1,
+                    budget=budget)):
+            with pytest.raises(BudgetExceeded) as info:
+                verify(Budget(26))
+            assert info.value.needed == 27
+
     def test_b_range(self):
         with pytest.raises(ValueError):
             idn.verify_unramified_expansion(

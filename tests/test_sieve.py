@@ -9,6 +9,7 @@ parameter-selection helpers choose_delta / min_b / the prime-count bounds.
 
 import inspect
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,15 @@ import pytest
 from cycsieve import ffield
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
+from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
+CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
+             / "configs" / "quadric_q3.json")
 
 
 def P(k, text):
@@ -49,7 +53,7 @@ def quadric_instance():
 
 # one full box pass shared by the term tests (exactness makes reuse safe)
 _PARAMS, _SSET = quadric_instance()
-_ACC = sv.box_accumulator(_PARAMS, _SSET)
+_ACC = rp.parallel_accumulator(_PARAMS, _SSET)
 
 
 class TestParams:
@@ -314,9 +318,8 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        params = sv.SieveParams(k=K3, n=2, ell=2, form=form, b=3, delta=2)
         with pytest.raises(BudgetExceeded) as info:
-            sv.box_accumulator(params, _SSET, budget=Budget(10 ** 5))
+            sv.charge_box_pass(Budget(10 ** 5), K3, 2, form, 3)
         assert info.value.needed == 19683 + 3 ** 18
 
     def test_polynomial_coefficient_form(self):
@@ -356,20 +359,19 @@ class TestSieveTerms:
         assert isinstance(report["ramified_term"], Fraction)
         assert isinstance(report["M"], int)
 
-    def test_fresh_pass_matches_shared_accumulator(self):
-        assert sv.sieve_terms(_PARAMS, _SSET) == sv.sieve_terms(
-            _PARAMS, _SSET, acc=_ACC)
-
     def test_pair_minimum(self):
         sset = sv.build_sieving_set(
             K3, 2, [P(K3, "1+T^2"), P(K3, "2+T+T^2")])
         assert len(sset) == 1
         with pytest.raises(ValueError):
-            sv.sieve_terms(_PARAMS, sset)
+            sv.sieve_terms(_PARAMS, sset, _ACC)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            sv.sieve_terms(_PARAMS, _SSET, budget=Budget(1000))
+        # a sieve run charges its box pass while it builds the instance
+        cfg = rp.resolve_config(rp.load_config(CONFIG))
+        with pytest.raises(BudgetExceeded) as info:
+            rp.build_instance(cfg, Budget(1000))
+        assert info.value.needed == 19683
 
 
 class TestGeneralInequality:
@@ -413,7 +415,7 @@ class TestGeneralInequality:
     def test_empty_sieving_set_rejected(self):
         empty = sv.SievingSet(primes=(), delta=2, excluded=())
         with pytest.raises(ValueError):
-            sv.sieve_inequality_general(_PARAMS, empty)
+            sv.sieve_inequality_general(_PARAMS, empty, _ACC)
 
 
 def per_point_moments(k, form, ell, b, primes, start, stop):
@@ -545,6 +547,19 @@ class TestChunking:
             assert merged == full
             assert sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
                                     merged) == _ACC
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_parallel_accumulator_any_worker_count(self, workers):
+        t_form = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T",
+                                  (0, 1, 1): "2", (0, 0, 2): "2*T^2"})
+        t_params = sv.SieveParams(k=K3, n=2, ell=2, form=t_form, b=3,
+                                  delta=2)
+        for params, sset in ((_PARAMS, _SSET),
+                             (t_params, sv.build_sieving_set(K3, 2))):
+            k, form, b = params.k, params.form, params.b
+            full = sv.value_moments(k, form, 2, b, sset.primes,
+                                    sv.box_histogram(k, form, b))
+            assert rp.parallel_accumulator(params, sset, workers) == full
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
