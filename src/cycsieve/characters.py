@@ -253,12 +253,16 @@ def char_sum_root_count(k, a, pi, ell: int) -> int:
     is solvable; 0 otherwise.
     """
     data = residue_data(k, pi, ell)
+    return residue_root_count(data, data.index_of_poly(a))
+
+
+def residue_root_count(data: ResidueData, idx: int) -> int:
+    """The character route to root_count[idx]: sum over the characters chi
+    mod pi of order dividing ell of chi at the residue of index idx."""
     ring = data.ring
-    idx = data.index_of_poly(a)
     total = ring.zero
-    for i in range(ell):
-        chi = MultChar(data, i)
-        e = chi.exponent_at(idx)
+    for i in range(data.ell):
+        e = MultChar(data, i).exponent_at(idx)
         if e is not None:
             total = ring.add(total, ring.monomial(0, e))
     n = ring.as_int(total)

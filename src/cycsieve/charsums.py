@@ -256,10 +256,14 @@ def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
                                       search_bound=search_bound)]
 
 
-def estimate_wd_audit_cost(q: int, delta: int, n: int, num_chis: int) -> int:
-    """Innermost evaluations for a full audit: one char sum per (w, chi)."""
-    Q = q**delta
-    return num_chis * Q ** (2 * (n + 1))
+def estimate_wd_audit_cost(q: int, delta: int, n: int, num_chis: int,
+                           num_ws: int | None = None) -> int:
+    """Innermost evaluations of the char sums of an audit mod a prime of
+    degree delta: one sum over k_pi^(n+1) per (w, chi), w running over all
+    of k_pi^(n+1) unless num_ws is given.  The table of G on k_pi^(n+1)
+    that the sums share costs one sum more."""
+    size = q ** (delta * (n + 1))
+    return num_chis * (size if num_ws is None else num_ws) * size
 
 
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
@@ -271,20 +275,26 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     carries q, Delta, pi, ell, chi_index, w, case, abs_S, bound, ratio,
     pass.  For case "iii" (and "unknown") the ratio column is
     |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is |S| / bound.
+    The table of G and every sum are charged to budget before the first.
     """
-    ctx = CharSumContext(k, pi, ell, form, budget=budget)
+    ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
     n, m = form.n, form.m
     delta = pr.degree(pi)
     bound_i, bound_ii, norm_iii = wd_case_bounds(k.size, delta, n, m)
 
-    on_dual = geo.dual_membership_test(form, pi, dual=dual)
-
     if chi_indices is None:
         chi_indices = range(1, ell)
+    if not all(0 < chi_index < ell for chi_index in chi_indices):
+        raise ValueError("audit characters must be non-principal")
     if ws is None:
         ws = [tuple(kpi.from_index(i) for i in a)
               for a in itertools.product(range(ctx.Q), repeat=ctx.nvars)]
+    if budget is not None:
+        budget.charge(ctx.Q ** ctx.nvars + estimate_wd_audit_cost(
+            k.size, delta, n, len(chi_indices), len(ws)))
+
+    on_dual = geo.dual_membership_test(form, pi, dual=dual)
 
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
@@ -292,8 +302,6 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     all_pass = True
     pi_text = pr.format_poly(k, pi)
     for chi_index in chi_indices:
-        if not 0 < chi_index < ell:
-            raise ValueError("audit characters must be non-principal")
         for w in ws:
             S = ctx.char_sum(w, chi_index)
             abs_s = ring.abs_embed(S)

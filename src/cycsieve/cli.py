@@ -21,22 +21,31 @@ from . import sieve as sv
 from .charsums import Budget, BudgetExceeded
 
 
+# the flags, each added only to the subcommands that read it
+FLAGS = {
+    "config": {"help": "JSON config file"},
+    "q": {"type": int, "help": "field size (prime power)"},
+    "n": {"type": int, "help": "projective dimension"},
+    "ell": {"type": int, "help": "cover degree (prime)"},
+    "b": {"type": int, "help": "box degree bound"},
+    "delta": {"help": "sieving degree or 'auto'"},
+    "budget": {"type": int, "help": f"max innermost evaluations "
+                                    f"(default {rp.DEFAULT_BUDGET})"},
+    "out": {"default": "artifacts",
+            "help": "artifact directory (default artifacts/)"},
+    "form": {"help": "inline form JSON (overrides config)"},
+}
+
+
+def _flags(*names) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(f"--{name}", **FLAGS[name])
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--q", type=int, help="field size (prime power)")
-    shared.add_argument("--n", type=int, help="projective dimension")
-    shared.add_argument("--ell", type=int, help="cover degree (prime)")
-    shared.add_argument("--b", type=int, help="box degree bound")
-    shared.add_argument("--delta", help="sieving degree or 'auto'")
-    shared.add_argument("--budget", type=int,
-                        help=f"max innermost evaluations "
-                             f"(default {rp.DEFAULT_BUDGET})")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="worker processes (sieve-run; default 1)")
-    shared.add_argument("--out", default="artifacts",
-                        help="artifact directory (default artifacts/)")
-    shared.add_argument("--form", help="inline form JSON (overrides config)")
+    config = _flags(*FLAGS)
 
     parser = argparse.ArgumentParser(
         prog="cycsieve",
@@ -44,28 +53,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "prime-degree cyclic covers over F_q(T)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("primes", parents=[shared],
+    p = sub.add_parser("primes", parents=[_flags("q", "delta", "budget",
+                                                 "out")],
                        help="enumerate monic irreducibles of one degree and "
                             "check the prime-count bound")
     p.set_defaults(func=cmd_primes)
 
-    p = sub.add_parser("charsum", parents=[shared],
+    p = sub.add_parser("charsum", parents=[config],
                        help="one mixed character sum S_G(w, chi), exact")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.add_argument("--chi", type=int, default=1, help="character index")
     p.add_argument("--w", help="covector, semicolon-joined poly texts")
     p.set_defaults(func=cmd_charsum)
 
-    p = sub.add_parser("gauss", parents=[shared],
+    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "out")],
                        help="Gauss sums mod one prime; exact |tau|^2 = Q")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.set_defaults(func=cmd_gauss)
 
-    p = sub.add_parser("identity-check", parents=[shared],
+    p = sub.add_parser("identity-check", parents=[config],
                        help="run the exact identity suite on the config")
     p.set_defaults(func=cmd_identity_check)
 
-    p = sub.add_parser("wd-audit", parents=[shared],
+    p = sub.add_parser("wd-audit", parents=[config],
                        help="audit |S_G(w, chi)| against the case bounds "
                             "for every w mod the given primes")
     p.add_argument("--pi", action="append",
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "and first quadratic prime)")
     p.set_defaults(func=cmd_wd_audit)
 
-    p = sub.add_parser("dual-check", parents=[shared],
+    p = sub.add_parser("dual-check", parents=[config],
                        help="dual membership: closed form against tangency "
                             "witness search, all w mod one prime")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
@@ -81,34 +91,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extension degree for the witness search")
     p.set_defaults(func=cmd_dual_check)
 
-    p = sub.add_parser("exc-primes", parents=[shared],
+    p = sub.add_parser("exc-primes", parents=[config],
                        help="scan for primes of bad reduction")
-    p.add_argument("--delta-max", type=int, help="scan bound")
+    p.add_argument("--delta-max", type=int,
+                   help="scan bound (overrides config)")
     p.set_defaults(func=cmd_exc_primes)
 
-    p = sub.add_parser("sieve-run", parents=[shared],
+    p = sub.add_parser("sieve-run", parents=[config],
                        help="both sieve inequalities on the configured "
                             "instance; JSON + CSV artifacts")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1)")
     p.set_defaults(func=cmd_sieve_run)
 
-    p = sub.add_parser("count", parents=[shared],
+    p = sub.add_parser("count", parents=[config],
                        help="brute-force M_n(F;b) with dual solvability "
                             "routes")
     p.set_defaults(func=cmd_count)
     return parser
 
 
-def _overrides(args) -> dict:
+def _config(args) -> dict:
+    """The resolved config: the file under the flags that override it."""
+    raw = rp.load_config(args.config) if args.config else {}
     over = {"q": args.q, "n": args.n, "ell": args.ell, "b": args.b,
-            "delta": args.delta, "budget": args.budget}
+            "delta": args.delta, "budget": args.budget,
+            "delta_max": getattr(args, "delta_max", None)}
     if args.form:
         over["form"] = json.loads(args.form)
-    return over
-
-
-def _config(args) -> dict:
-    raw = rp.load_config(args.config) if args.config else {}
-    return rp.resolve_config(raw, _overrides(args))
+    return rp.resolve_config(raw, over)
 
 
 def _emit(args, name: str, report: dict) -> None:
@@ -143,8 +154,8 @@ def cmd_primes(args) -> int:
 
 def cmd_charsum(args) -> int:
     cfg = _config(args)
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
+    form, _ = rp.config_objects(cfg)
+    k = form.k
     pi = pr.parse_poly(k, args.pi)
     ctx = cs.CharSumContext(k, pi, cfg["ell"], form,
                             budget=Budget(cfg["budget"]))
@@ -196,8 +207,7 @@ def run_identity_suite(cfg: dict) -> dict:
     composite and prime-power moduli, completions over distinct prime pairs,
     and the unramified two-prime expansion on the instance's own sieving
     primes."""
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
+    k, form, params, sset = rp.build_instance(cfg)
     ell, arity = cfg["ell"], cfg["n"] + 1
     budget = Budget(cfg["budget"])
     rows = []
@@ -238,7 +248,6 @@ def run_identity_suite(cfg: dict) -> dict:
             rows.append(ids.verify_completion(k, lin[0], quad[0], ell, 1,
                                               chi2, form, b, budget=budget))
 
-    _, _, params, sset = rp.build_instance(cfg)
     if len(sset) >= 2:
         rows.append(ids.verify_unramified_expansion(
             k, sset.primes[0], sset.primes[1], ell, form, params.b,
@@ -265,27 +274,23 @@ def cmd_identity_check(args) -> int:
     return 0 if suite["all_pass"] else 1
 
 
-def _dual_spec(k, cfg):
-    return geo.form_from_json(k, cfg["dual"]) if cfg.get("dual") else "auto"
-
-
 def cmd_wd_audit(args) -> int:
     cfg = _config(args)
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
-    pi_texts = args.pi or None
-    if pi_texts:
-        pis = [pr.parse_poly(k, text) for text in pi_texts]
+    form, dual = rp.config_objects(cfg)
+    k = form.k
+    if args.pi:
+        pis = [pr.parse_poly(k, text) for text in args.pi]
     else:
         pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
-    budget = Budget(cfg["budget"])
-    dual = _dual_spec(k, cfg)
+    # every audit, its table of G and one sum per (w, chi), before the first
+    Budget(cfg["budget"]).charge(sum(
+        k.size ** (pr.degree(pi) * (form.n + 1)) + cs.estimate_wd_audit_cost(
+            k.size, pr.degree(pi), form.n, cfg["ell"] - 1) for pi in pis))
     audits = []
     all_rows = []
     ok = True
     for pi in pis:
-        audit = cs.wd_audit(k, pi, cfg["ell"], form, dual=dual,
-                            budget=budget)
+        audit = cs.wd_audit(k, pi, cfg["ell"], form, dual=dual)
         summary = audit["summary"]
         audits.append({"pi": pr.format_poly(k, pi), "summary": summary})
         all_rows.extend(audit["rows"])
@@ -305,11 +310,11 @@ def cmd_wd_audit(args) -> int:
 
 def cmd_dual_check(args) -> int:
     cfg = _config(args)
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
+    form, dual = rp.config_objects(cfg)
+    k = form.k
     pi = pr.parse_poly(k, args.pi)
     kpi = pr.residue_field(k, pi)
-    closed_test = geo.dual_membership_test(form, pi, dual=_dual_spec(k, cfg))
+    closed_test = geo.dual_membership_test(form, pi, dual=dual)
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
                                             search_bound=args.search_bound)
     rows = []
@@ -339,12 +344,11 @@ def cmd_dual_check(args) -> int:
 
 def cmd_exc_primes(args) -> int:
     cfg = _config(args)
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
-    delta_max = args.delta_max or cfg["delta_max"]
-    report = geo.compute_exceptional_primes(form, delta_max,
-                                            dual=_dual_spec(k, cfg),
-                                            search_bound=cfg["search_bound"])
+    form, dual = rp.config_objects(cfg)
+    delta_max = cfg["delta_max"]
+    report = geo.compute_exceptional_primes(form, delta_max, dual=dual,
+                                            search_bound=cfg["search_bound"],
+                                            budget=Budget(cfg["budget"]))
     for entry in report["entries"]:
         print(f"{entry['pi']}: tags={entry['tags']} "
               f"unknown={entry['unknown']}")
@@ -374,9 +378,8 @@ def cmd_sieve_run(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = _config(args)
-    k = pr.make_field(cfg["p"], cfg["e"])
-    form = geo.form_from_json(k, cfg["form"])
-    M = sv.brute_force_count(k, cfg["ell"], form, cfg["b"],
+    form, _ = rp.config_objects(cfg)
+    M = sv.brute_force_count(form.k, cfg["ell"], form, cfg["b"],
                              budget=Budget(cfg["budget"]))
     trivial = cfg["q"] ** (cfg["b"] * (cfg["n"] + 1))
     ok = M <= trivial

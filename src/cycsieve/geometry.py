@@ -77,7 +77,12 @@ class MultiForm:
         return max((pr.degree(c) for c in self.terms.values()), default=NEG_INF)
 
     def is_diagonal(self) -> bool:
-        return all(sum(1 for e in exps if e) <= 1 for exps in self.terms)
+        return _is_diagonal(self.terms)
+
+
+def _is_diagonal(terms) -> bool:
+    """Is every monomial a pure power of one variable?"""
+    return all(sum(1 for e in exps if e) <= 1 for exps in terms)
 
 
 def form_from_json(k, obj) -> MultiForm:
@@ -200,6 +205,13 @@ def projective_points(field, nvars: int):
     for pivot in range(nvars):
         for rest in itertools.product(elems, repeat=nvars - pivot - 1):
             yield (field.zero,) * pivot + (field.one,) + rest
+
+
+def _projective_count(Q: int, nvars: int, search_bound: int) -> int:
+    """The number of points _extension_points walks over F_Q: those of
+    P^(nvars-1) over each extension of degree 1 .. search_bound."""
+    return sum((Q ** (r * nvars) - 1) // (Q ** r - 1)
+               for r in range(1, search_bound + 1))
 
 
 def _extension_points(field, term_maps, nvars: int, search_bound: int,
@@ -386,7 +398,7 @@ def is_dwork_regular(field, terms, nvars: int, m: int, strategy: str = "auto",
     if not terms:
         witness = (field.one,) + (field.zero,) * (nvars - 1)
         return _validated_irregular(field, terms, nvars, witness, 1)
-    diagonal = all(sum(1 for e in exps if e) <= 1 for exps in terms)
+    diagonal = _is_diagonal(terms)
 
     if strategy == "auto":
         if diagonal:
@@ -468,7 +480,7 @@ def projective_singularity(field, terms, nvars: int, strategy: str = "auto",
     if len(degs) != 1:
         raise ValueError("form must be homogeneous")
     m = degs.pop()
-    diagonal = all(sum(1 for e in exps if e) <= 1 for exps in terms)
+    diagonal = _is_diagonal(terms)
     if strategy == "auto":
         if diagonal and m % field.char != 0:
             strategy = "diagonal"
@@ -770,7 +782,8 @@ def dual_membership(form: MultiForm, pi, w, dual="auto", search_bound: int = 1):
 
 
 def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
-                               search_bound: int = 4) -> dict:
+                               search_bound: int = 4,
+                               budget=None) -> dict:
     """Scan the monic primes of degree <= delta_max and flag the bad ones.
 
     Tags per prime: "degree-drop" (some coefficient vanishes mod pi),
@@ -780,6 +793,12 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     for a supplied dual a check that it vanishes on every tangent covector
     at the smooth k_pi-points).  Checks a search could not decide are listed
     under "unknown" for that prime rather than silently passed.
+
+    Before the first prime, the projective points of every extension-point
+    search of the scan are charged to budget: the smoothness and Dwork
+    searches of a reduced form that is neither diagonal nor a quadric, and
+    the tangent covectors over k_pi that a supplied non-quadric dual is
+    checked on.
     """
     k = form.k
     nv = form.n + 1
@@ -788,53 +807,59 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     quadric = form.m == 2
     adj_poly = _quadric_adjugate(form) if quadric else None
     user_dual = dual if isinstance(dual, MultiForm) else None
+    scan = [(d, piv, *reduce_form(form, piv))
+            for d in range(1, delta_max + 1) for piv in pr.irreducibles(k, d)]
+    if budget is not None:
+        points = 0
+        for _, _, kpi, terms, _ in scan:
+            if terms and not quadric and not _is_diagonal(terms):
+                points += 2 * _projective_count(kpi.size, nv, search_bound)
+            if terms and not quadric and user_dual is not None:
+                points += _projective_count(kpi.size, nv, 1)
+        budget.charge(points)
     entries = []
     exceptional = []
-    scanned = 0
-    for d in range(1, delta_max + 1):
-        for piv in pr.irreducibles(k, d):
-            scanned += 1
-            kpi, terms, dropped = reduce_form(form, piv)
-            tags, unknown = [], []
-            if dropped:
-                tags.append("degree-drop")
-            if not terms:
-                tags.extend(["smoothness-fail", "dwork-fail"])
-            else:
-                sv = projective_singularity(kpi, terms, nv,
-                                            search_bound=search_bound)
-                if sv.status == "singular":
-                    tags.append("smoothness-fail")
-                elif sv.status == "unknown":
-                    unknown.append("smoothness")
-                dv = is_dwork_regular(kpi, terms, nv, form.m,
-                                      search_bound=search_bound)
-                if dv.status == "irregular":
-                    tags.append("dwork-fail")
-                elif dv.status == "unknown":
-                    unknown.append("dwork")
-            if quadric:
-                adj_then_reduce = [[kpi.reduce_poly(e) for e in row]
-                                   for row in adj_poly]
-                reduce_then_adj = mat_adjugate(
-                    kpi, quadric_matrix_over(kpi, terms, nv))
-                if adj_then_reduce != reduce_then_adj:
-                    tags.append("dual-mismatch")
-            elif user_dual is not None and terms:
-                if _user_dual_mismatch(form, piv, user_dual):
-                    tags.append("dual-mismatch")
-            if tags or unknown:
-                entries.append({
-                    "pi": pr.format_poly(k, piv),
-                    "degree": d,
-                    "tags": tags,
-                    "unknown": unknown,
-                })
-            if tags:
-                exceptional.append(pr.format_poly(k, piv))
+    for d, piv, kpi, terms, dropped in scan:
+        tags, unknown = [], []
+        if dropped:
+            tags.append("degree-drop")
+        if not terms:
+            tags.extend(["smoothness-fail", "dwork-fail"])
+        else:
+            sv = projective_singularity(kpi, terms, nv,
+                                        search_bound=search_bound)
+            if sv.status == "singular":
+                tags.append("smoothness-fail")
+            elif sv.status == "unknown":
+                unknown.append("smoothness")
+            dv = is_dwork_regular(kpi, terms, nv, form.m,
+                                  search_bound=search_bound)
+            if dv.status == "irregular":
+                tags.append("dwork-fail")
+            elif dv.status == "unknown":
+                unknown.append("dwork")
+        if quadric:
+            adj_then_reduce = [[kpi.reduce_poly(e) for e in row]
+                               for row in adj_poly]
+            reduce_then_adj = mat_adjugate(
+                kpi, quadric_matrix_over(kpi, terms, nv))
+            if adj_then_reduce != reduce_then_adj:
+                tags.append("dual-mismatch")
+        elif user_dual is not None and terms:
+            if _user_dual_mismatch(form, piv, user_dual):
+                tags.append("dual-mismatch")
+        if tags or unknown:
+            entries.append({
+                "pi": pr.format_poly(k, piv),
+                "degree": d,
+                "tags": tags,
+                "unknown": unknown,
+            })
+        if tags:
+            exceptional.append(pr.format_poly(k, piv))
     return {
         "delta_max": delta_max,
-        "scanned": scanned,
+        "scanned": len(scan),
         "entries": entries,
         "exceptional": exceptional,
     }

@@ -19,9 +19,13 @@ from . import polyring as pr
 from . import sieve as sv
 from .characters import check_cover
 from .charsums import Budget
-from .ffield import is_prime_int
+from .ffield import is_prime_int, prime_factors
 
 DEFAULT_BUDGET = 10 ** 8
+
+# the keys of a resolved config, the only keys a config may have
+CONFIG_KEYS = ("p", "e", "q", "n", "ell", "m", "b", "delta", "delta_max",
+               "search_bound", "budget", "form", "dual")
 
 
 # ---------------------------------------------------------------------------
@@ -30,26 +34,27 @@ DEFAULT_BUDGET = 10 ** 8
 
 def factor_prime_power(q: int) -> tuple:
     """(p, e) with q = p^e, or ValueError."""
-    if q < 2:
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"field size {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if rest != 1:
-                raise ValueError(f"field size {q} is not a prime power")
-            return p, e
-        p += 1
-    return q, 1
+    p, e = factors[0], 1
+    while p ** e < q:
+        e += 1
+    return p, e
 
 
 def field_from_q(q: int):
     p, e = factor_prime_power(q)
     return pr.make_field(p, e)
+
+
+def config_objects(config: dict) -> tuple:
+    """(form, dual) of a config: the form F over F_q, q = p^e, and the
+    supplied dual form or "auto" when there is none.  The field is form.k."""
+    k = pr.make_field(int(config["p"]), int(config.get("e", 1)))
+    dual = config.get("dual")
+    return (geo.form_from_json(k, config["form"]),
+            geo.form_from_json(k, dual) if dual else "auto")
 
 
 def load_config(path: str) -> dict:
@@ -58,16 +63,21 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
-    """Merge CLI overrides over the raw config, fill defaults, validate the
-    arithmetic consistency (ell | q-1, ell | m, char not dividing m), and
-    resolve delta = "auto".  Returns the fully resolved config embedded in
-    every artifact."""
+    """Merge CLI overrides over the raw config, fill defaults, resolve
+    delta = "auto", and make every check a config gets (see README.md,
+    "Configuration"), so a bad config stops before any work.  Returns the
+    fully resolved config embedded in every artifact; fed back as input it
+    resolves to itself."""
     cfg = dict(raw)
     live = {k: v for k, v in (overrides or {}).items() if v is not None}
     if "q" in live:
         cfg.pop("p", None)
         cfg.pop("e", None)
     cfg.update(live)
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; the keys are "
+                         f"{' '.join(CONFIG_KEYS)}")
 
     if "q" in cfg and "p" not in cfg:
         cfg["p"], cfg["e"] = factor_prime_power(int(cfg["q"]))
@@ -82,60 +92,64 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     if e < 1:
         raise ValueError("extension degree must be positive")
 
-    for key in ("n", "ell", "b"):
+    for key in ("n", "ell", "b", "form"):
         if key not in cfg:
             raise ValueError(f"config needs {key}")
     n, ell, b = int(cfg["n"]), int(cfg["ell"]), int(cfg["b"])
-    if "form" not in cfg:
-        raise ValueError("config needs a form")
-    k = pr.make_field(p, e)
-    form = geo.form_from_json(k, cfg["form"])
+    form, dual = config_objects(cfg)
     if form.n != n:
         raise ValueError("form arity does not match n")
-    check_cover(k, ell, form.m)
+    if dual != "auto" and dual.n != n:
+        raise ValueError("dual form arity does not match n")
+    if int(cfg.get("m", form.m)) != form.m:
+        raise ValueError(f"m = {cfg['m']} is not the form's degree {form.m}")
+    check_cover(form.k, ell, form.m)
 
     delta = cfg.get("delta", "auto")
     if delta in ("auto", None):
         delta = sv.choose_delta(n, b)
     delta = int(delta)
-
-    dual = cfg.get("dual")
-    if dual is not None:
-        geo.form_from_json(k, dual)  # parse now so errors are config errors
+    delta_max = int(cfg.get("delta_max", max(delta, 1)))
+    search_bound = int(cfg.get("search_bound", 4))
+    for key, value in (("delta_max", delta_max),
+                       ("search_bound", search_bound)):
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
 
     return {
         "p": p,
         "e": e,
-        "q": k.size,
+        "q": form.k.size,
         "n": n,
         "ell": ell,
         "m": form.m,
         "b": b,
         "delta": delta,
-        "delta_max": int(cfg.get("delta_max", delta)),
-        "search_bound": int(cfg.get("search_bound", 4)),
+        "delta_max": delta_max,
+        "search_bound": search_bound,
         "budget": int(cfg.get("budget", DEFAULT_BUDGET)),
         "form": geo.form_to_json(form),
-        "dual": dual,
+        "dual": cfg.get("dual"),
     }
 
 
 def build_instance(config: dict, budget: Budget | None = None):
     """(k, form, params, sieving set) for a resolved config.  The params are
     validated, and a pass over the box is charged to budget, before the bad
-    primes are rescanned up to delta_max and excluded, so an invalid or
-    oversized run stops before the scan."""
-    k = pr.make_field(config["p"], config["e"])
-    form = geo.form_from_json(k, config["form"])
+    primes are rescanned up to delta_max and excluded; the searches of that
+    scan are charged before its first prime, to budget or, without one, to
+    a budget of the config's limit.  So an invalid or oversized run stops
+    before the scan."""
+    form, dual = config_objects(config)
+    k = form.k
     params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
                             b=config["b"], delta=config["delta"],
                             delta_max=config["delta_max"])
     sv.charge_box_pass(budget, k, params.ell, form, params.b)
-    dual = config.get("dual")
-    dual_spec = geo.form_from_json(k, dual) if dual else "auto"
-    exc = sv.exceptional_primes_of(form, config["delta_max"],
-                                   dual=dual_spec,
-                                   search_bound=config["search_bound"])
+    exc = sv.exceptional_primes_of(
+        form, config["delta_max"], dual=dual,
+        search_bound=config["search_bound"],
+        budget=Budget(config["budget"]) if budget is None else budget)
     sset = sv.build_sieving_set(k, config["delta"], exc)
     return k, form, params, sset
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import char_sum_root_count, check_cover, residue_data
+from .characters import (char_sum_root_count, check_cover, residue_data,
+                         residue_root_count)
 from .charsums import Budget
 
 
@@ -88,9 +89,7 @@ def min_b(n: int, q: int, p_exc_size: int, cap: int = 10000) -> int:
     admissibility constraints: delta != 0; |P_exc| <= q^delta/(4*delta);
     4(b+1) <= q^(delta/2); and delta < b < 2*delta.  The root-free
     equivalents 4*delta*|P_exc| <= q^delta and (4(b+1))^2 <= q^delta are
-    tested so everything stays in integers."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    tested so everything stays in integers; choose_delta rejects n < 2."""
     for b in range(1, cap + 1):
         delta = choose_delta(n, b)
         if delta == 0:
@@ -167,10 +166,13 @@ class SievingSet:
 
 
 def exceptional_primes_of(form: geo.MultiForm, delta_max: int,
-                          dual: str = "auto", search_bound: int = 4) -> list:
-    """The bad primes of the form up to degree delta_max, as polynomials."""
+                          dual: str = "auto", search_bound: int = 4,
+                          budget: Budget | None = None) -> list:
+    """The bad primes of the form up to degree delta_max, as polynomials;
+    the scan's searches are charged to budget before they start."""
     report = geo.compute_exceptional_primes(form, delta_max, dual=dual,
-                                            search_bound=search_bound)
+                                            search_bound=search_bound,
+                                            budget=budget)
     return [pr.parse_poly(form.k, text) for text in report["exceptional"]]
 
 
@@ -197,6 +199,19 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
             f"fiber routes disagree at {x}: table {by_table}, "
             f"characters {by_chars}")
     return by_table
+
+
+def check_root_table(data) -> None:
+    """Check the root-count table of one prime against the character route
+    at every residue, so the fibers read from the table are checked by both
+    routes; raises on a disagreement."""
+    for idx, by_table in enumerate(data.root_count):
+        by_chars = residue_root_count(data, idx)
+        if by_table != by_chars:
+            raise ArithmeticError(
+                f"fiber routes disagree mod "
+                f"{pr.format_poly(data.k, data.pi)} at residue {idx}: "
+                f"table {by_table}, characters {by_chars}")
 
 
 def psi_value(k, pi, ell: int, form: geo.MultiForm, x) -> int:
@@ -384,7 +399,8 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     """Every integer the sieve terms need, as exact sums over the box, from
     its value histogram hist = Counter(F(x)): each distinct value g is
     reduced mod each prime and decided by both solvability routes once, and
-    weighted by its count.
+    weighted by its count.  The root-count table of each prime, which gives
+    the fibers, is first checked against the characters (check_root_table).
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
@@ -398,6 +414,8 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     """
     P = len(primes)
     datas = [residue_data(k, p, ell) for p in primes]
+    for data in datas:
+        check_root_table(data)
     ram_sum = 0
     psi_square_ok = True
     sum_u2 = sum_us = sum_s2 = 0

@@ -4,16 +4,20 @@ contract (0 pass / 1 math failure / 2 config or usage / 3 budget), byte
 stability of emitted JSON/CSV including independence from the worker count,
 and the config resolution rules."""
 
+import copy
 import json
 import pathlib
 import re
 
 import pytest
 
+from cycsieve import charsums as cs
 from cycsieve import cli
 from cycsieve import geometry as geo
+from cycsieve import identities as ids
 from cycsieve import polyring as pr
 from cycsieve import reports as rp
+from cycsieve import sieve as sv
 
 CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
              / "configs" / "quadric_q3.json")
@@ -27,6 +31,15 @@ def config_without_delta_max(tmp_path):
     """The shipped config without delta_max, which then defaults to delta."""
     config = json.loads(read(CONFIG))
     del config["delta_max"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def write_config(tmp_path, patch):
+    """The shipped config with the keys of patch set, as a file."""
+    config = json.loads(read(CONFIG))
+    config.update(patch)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -69,11 +82,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             rp.resolve_config({"p": 3, "n": 2, "ell": 2, "b": 3})
 
+    def test_resolved_config_resolves_to_itself(self):
+        dual = {"n": 2, "m": 2, "terms": [
+            {"exps": [2, 0, 0], "coeff": "1"},
+            {"exps": [0, 2, 0], "coeff": "1"},
+            {"exps": [0, 0, 2], "coeff": "1"}]}
+        for raw in (rp.load_config(CONFIG),
+                    {**rp.load_config(CONFIG), "dual": dual}):
+            cfg = rp.resolve_config(raw)
+            assert rp.resolve_config(cfg) == cfg
+
+    def test_config_objects(self):
+        cfg = rp.resolve_config(rp.load_config(CONFIG))
+        form, dual = rp.config_objects(cfg)
+        assert form.k.size == 3 and (form.n, form.m) == (2, 2)
+        assert dual == "auto"
+
     def test_prime_power_field(self):
         assert rp.factor_prime_power(9) == (3, 2)
         assert rp.factor_prime_power(7) == (7, 1)
-        with pytest.raises(ValueError):
-            rp.factor_prime_power(12)
+        assert rp.factor_prime_power(2) == (2, 1)
+        assert rp.factor_prime_power(3 ** 5) == (3, 5)
+        for q in (-4, 0, 1, 12, 2 * 3 ** 4):
+            with pytest.raises(ValueError):
+                rp.factor_prime_power(q)
 
 
 class TestSerialization:
@@ -305,3 +337,126 @@ class TestExitCodes:
                          str(tmp_path / "absent.json"),
                          "--out", str(tmp_path)])
         assert code == 2
+
+
+# a binary quadric: the dual of a form in three variables needs three
+BINARY_DUAL = {"n": 1, "m": 2, "terms": [{"exps": [2, 0], "coeff": "1"},
+                                         {"exps": [0, 2], "coeff": "1"}]}
+
+# (command and flags, config patch, fragment of the error message)
+CONFIG_ERRORS = [
+    (["sieve-run"], {"delta_max": 0}, "delta_max must be at least 1"),
+    (["exc-primes", "--delta-max", "0"], {}, "delta_max must be at least 1"),
+    (["exc-primes", "--delta-max", "-1"], {}, "delta_max must be at least 1"),
+    (["exc-primes"], {"search_bound": 0}, "search_bound must be at least 1"),
+    (["wd-audit", "--pi", "T"], {"dual": BINARY_DUAL},
+     "dual form arity does not match n"),
+    (["sieve-run"], {"deltamax": 2}, "unknown config keys ['deltamax']"),
+    (["exc-primes"], {"search-bound": 1},
+     "unknown config keys ['search-bound']"),
+    (["count", "--b", "1"], {"m": 4}, "is not the form's degree 2"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv, patch, fragment", CONFIG_ERRORS)
+    def test_config_error_before_any_scan(self, tmp_path, monkeypatch,
+                                          capsys, argv, patch, fragment):
+        path = write_config(tmp_path, patch)
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main([*argv, "--config", path, "--out", str(tmp_path)])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (
+        ["count", "--config", CONFIG, "--workers", "2"],
+        ["primes", "--q", "3", "--delta", "2", "--config", CONFIG],
+        ["gauss", "--q", "3", "--ell", "2", "--b", "3"],
+    ))
+    def test_flag_a_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+
+    def test_identity_params_checked_before_first_row(self, tmp_path,
+                                                      monkeypatch, capsys):
+        forbid(monkeypatch, ids, "verify_root_count")
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        code = cli.main(["identity-check", "--config", CONFIG, "--b", "8",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "delta_max" in capsys.readouterr().err
+
+
+class TestUpFrontBudgets:
+    def test_wd_audit_charged_before_first_sum(self, tmp_path, monkeypatch,
+                                               capsys):
+        forbid(monkeypatch, cs.CharSumContext, "char_sum")
+        code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "1+T^2",
+                         "--budget", "100000", "--out", str(tmp_path)])
+        assert code == 3
+        # the table of G and one sum per covector, 9^3 points each
+        assert f"needs {9 ** 3 + 9 ** 6}," in capsys.readouterr().err
+
+    def test_wd_audit_prices_every_prime_first(self, tmp_path, monkeypatch,
+                                               capsys):
+        forbid(monkeypatch, cs.CharSumContext, "char_sum")
+        code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "T",
+                         "--pi", "1+T^2", "--budget", "100000",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        needs = 3 ** 3 + 3 ** 6 + 9 ** 3 + 9 ** 6
+        assert f"needs {needs}," in capsys.readouterr().err
+
+    def test_scan_searches_charged_before_first_prime(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # neither diagonal nor a quadric, so each prime gets a smoothness
+        # and a Dwork search over P^2 of F_7, F_49, F_343 and F_2401
+        path = write_config(tmp_path, {
+            "p": 7, "ell": 3, "delta_max": 1,
+            "form": {"n": 2, "m": 3, "terms": [
+                {"exps": [3, 0, 0], "coeff": "1"},
+                {"exps": [0, 3, 0], "coeff": "2"},
+                {"exps": [0, 0, 3], "coeff": "1"},
+                {"exps": [1, 1, 1], "coeff": "1"}]}})
+        forbid(monkeypatch, geo, "_extension_points")
+        code = cli.main(["exc-primes", "--config", path,
+                         "--budget", "100000", "--out", str(tmp_path)])
+        assert code == 3
+        points = sum(7 ** (2 * r) + 7 ** r + 1 for r in range(1, 5))
+        assert points == 5887704
+        assert f"needs {7 * 2 * points}," in capsys.readouterr().err
+
+    def test_sieve_run_prices_the_scan(self, tmp_path, monkeypatch,
+                                       capsys):
+        # the box of 7^9 points fits the default budget, the searches over
+        # P^2 of F_49^4 for the quadratic primes do not
+        path = write_config(tmp_path, {
+            "p": 7, "ell": 3, "b": 3, "delta_max": 2,
+            "form": {"n": 2, "m": 3, "terms": [
+                {"exps": [3, 0, 0], "coeff": "1"},
+                {"exps": [0, 3, 0], "coeff": "1"},
+                {"exps": [1, 1, 1], "coeff": "1"}]}})
+        forbid(monkeypatch, geo, "_extension_points")
+        code = cli.main(["sieve-run", "--config", path,
+                         "--out", str(tmp_path)])
+        assert code == 3
+        needs = re.search(r"needs (\d+),", capsys.readouterr().err)
+        assert int(needs.group(1)) > 49 ** 8
+
+
+def test_sieve_run_checks_root_tables_by_characters(tmp_path, monkeypatch,
+                                                    capsys):
+    real = sv.residue_data
+
+    def corrupted(k, pi, ell):
+        data = copy.copy(real(k, pi, ell))
+        data.root_count = list(data.root_count)
+        data.root_count[1] += 1
+        return data
+
+    monkeypatch.setattr(sv, "residue_data", corrupted)
+    code = cli.main(["sieve-run", "--config", CONFIG, "--out", str(tmp_path)])
+    assert code == 1
+    assert "fiber routes disagree" in capsys.readouterr().err
