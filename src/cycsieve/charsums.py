@@ -256,14 +256,14 @@ def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
                                       search_bound=search_bound)]
 
 
-def estimate_wd_audit_cost(q: int, delta: int, n: int, num_chis: int,
-                           num_ws: int | None = None) -> int:
-    """Innermost evaluations of the char sums of an audit mod a prime of
-    degree delta: one sum over k_pi^(n+1) per (w, chi), w running over all
-    of k_pi^(n+1) unless num_ws is given.  The table of G on k_pi^(n+1)
-    that the sums share costs one sum more."""
+def wd_audit_cost(q: int, delta: int, n: int, num_chis: int,
+                  num_ws: int | None = None) -> int:
+    """Innermost evaluations of an audit mod a prime of degree delta: the
+    table of G on k_pi^(n+1) that the sums share, then one sum over
+    k_pi^(n+1) per (w, chi), w running over all of k_pi^(n+1) unless
+    num_ws is given."""
     size = q ** (delta * (n + 1))
-    return num_chis * (size if num_ws is None else num_ws) * size
+    return size + num_chis * (size if num_ws is None else num_ws) * size
 
 
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
@@ -291,8 +291,8 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
         ws = [tuple(kpi.from_index(i) for i in a)
               for a in itertools.product(range(ctx.Q), repeat=ctx.nvars)]
     if budget is not None:
-        budget.charge(ctx.Q ** ctx.nvars + estimate_wd_audit_cost(
-            k.size, delta, n, len(chi_indices), len(ws)))
+        budget.charge(wd_audit_cost(k.size, delta, n, len(chi_indices),
+                                    len(ws)))
 
     on_dual = geo.dual_membership_test(form, pi, dual=dual)
 

@@ -207,9 +207,9 @@ def run_identity_suite(cfg: dict) -> dict:
     composite and prime-power moduli, completions over distinct prime pairs,
     and the unramified two-prime expansion on the instance's own sieving
     primes."""
-    k, form, params, sset = rp.build_instance(cfg)
-    ell, arity = cfg["ell"], cfg["n"] + 1
     budget = Budget(cfg["budget"])
+    k, form, params, sset = rp.build_instance(cfg, budget)
+    ell, arity = cfg["ell"], cfg["n"] + 1
     rows = []
 
     lin = pr.irreducibles(k, 1)
@@ -284,8 +284,8 @@ def cmd_wd_audit(args) -> int:
         pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
     # every audit, its table of G and one sum per (w, chi), before the first
     Budget(cfg["budget"]).charge(sum(
-        k.size ** (pr.degree(pi) * (form.n + 1)) + cs.estimate_wd_audit_cost(
-            k.size, pr.degree(pi), form.n, cfg["ell"] - 1) for pi in pis))
+        cs.wd_audit_cost(k.size, pr.degree(pi), form.n, cfg["ell"] - 1)
+        for pi in pis))
     audits = []
     all_rows = []
     ok = True

@@ -794,11 +794,11 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     at the smooth k_pi-points).  Checks a search could not decide are listed
     under "unknown" for that prime rather than silently passed.
 
-    Before the first prime, the projective points of every extension-point
-    search of the scan are charged to budget: the smoothness and Dwork
-    searches of a reduced form that is neither diagonal nor a quadric, and
-    the tangent covectors over k_pi that a supplied non-quadric dual is
-    checked on.
+    The enumeration of the primes is charged to budget before it runs, and
+    before the first prime the projective points of every extension-point
+    search of the scan: the smoothness and Dwork searches of a reduced form
+    that is neither diagonal nor a quadric, and the tangent covectors over
+    k_pi that a supplied non-quadric dual is checked on.
     """
     k = form.k
     nv = form.n + 1
@@ -807,6 +807,9 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     quadric = form.m == 2
     adj_poly = _quadric_adjugate(form) if quadric else None
     user_dual = dual if isinstance(dual, MultiForm) else None
+    if budget is not None:
+        budget.charge(sum(pr.irreducibles_cost(k.size, d)
+                          for d in range(1, delta_max + 1)))
     scan = [(d, piv, *reduce_form(form, piv))
             for d in range(1, delta_max + 1) for piv in pr.irreducibles(k, d)]
     if budget is not None:

@@ -136,10 +136,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
 def build_instance(config: dict, budget: Budget | None = None):
     """(k, form, params, sieving set) for a resolved config.  The params are
     validated, and a pass over the box is charged to budget, before the bad
-    primes are rescanned up to delta_max and excluded; the searches of that
-    scan are charged before its first prime, to budget or, without one, to
-    a budget of the config's limit.  So an invalid or oversized run stops
-    before the scan."""
+    primes are rescanned up to delta_max and excluded; the scan charges its
+    prime enumeration and searches to the same budget before its first
+    prime.  So an invalid or oversized run stops before the scan."""
     form, dual = config_objects(config)
     k = form.k
     params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
@@ -148,8 +147,7 @@ def build_instance(config: dict, budget: Budget | None = None):
     sv.charge_box_pass(budget, k, params.ell, form, params.b)
     exc = sv.exceptional_primes_of(
         form, config["delta_max"], dual=dual,
-        search_bound=config["search_bound"],
-        budget=Budget(config["budget"]) if budget is None else budget)
+        search_bound=config["search_bound"], budget=budget)
     sset = sv.build_sieving_set(k, config["delta"], exc)
     return k, form, params, sset
 

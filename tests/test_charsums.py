@@ -110,8 +110,9 @@ class TestBudget:
             ctx.char_sum((ctx.kpi.zero,) * 3, 1)
 
     def test_estimate(self):
-        # 27 covectors, 27 summands each, one character
-        assert cs.estimate_wd_audit_cost(3, 1, 2, 1) == 729
+        # the table of G on 27 points, then 27 covectors, 27 summands each,
+        # one character
+        assert cs.wd_audit_cost(3, 1, 2, 1) == 27 + 729
 
 
 class TestAudit:

@@ -307,15 +307,17 @@ class TestExitCodes:
         assert code == 3
         assert f"needs {3 ** 24}," in capsys.readouterr().err
 
-    def test_identity_box_budget_is_three(self, tmp_path, capsys):
+    def test_identity_box_budget_is_three(self, tmp_path, monkeypatch,
+                                          capsys):
         path = config_without_delta_max(tmp_path)
+        forbid(monkeypatch, ids, "verify_root_count")
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["identity-check", "--config", path, "--b", "6",
                          "--out", str(tmp_path)])
         assert code == 3
-        # the rows before the unramified expansion spent part of the budget;
-        # its box of 3^18 points overruns the rest
-        needs = re.search(r"needs (\d+),", capsys.readouterr().err)
-        assert int(needs.group(1)) > 3 ** 18
+        # the rows and the scan share one budget, and the box of 3^18
+        # points is charged to it before either
+        assert f"needs {3 ** 18}," in capsys.readouterr().err
 
     def test_primes_budget_exceeded_is_three(self, tmp_path, capsys):
         # priced before the sieve allocates 7^9 marks
@@ -426,7 +428,18 @@ class TestUpFrontBudgets:
         assert code == 3
         points = sum(7 ** (2 * r) + 7 ** r + 1 for r in range(1, 5))
         assert points == 5887704
-        assert f"needs {7 * 2 * points}," in capsys.readouterr().err
+        # the 7 linear primes, then two searches for each
+        assert f"needs {7 + 7 * 2 * points}," in capsys.readouterr().err
+
+    def test_scan_prime_enumeration_charged_first(self, tmp_path,
+                                                 monkeypatch, capsys):
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main(["exc-primes", "--config", CONFIG, "--delta-max",
+                         "20", "--out", str(tmp_path)])
+        assert code == 3
+        needs = sum(pr.irreducibles_cost(3, d) for d in range(1, 21))
+        assert needs > 3 ** 20
+        assert f"needs {needs}," in capsys.readouterr().err
 
     def test_sieve_run_prices_the_scan(self, tmp_path, monkeypatch,
                                        capsys):
