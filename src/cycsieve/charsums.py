@@ -9,6 +9,12 @@ order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
 counters over index tables and canonicalizes once per sum.
 
+The family {S_G(w, chi)}_w over every covector w is a Fourier transform
+over F_p^N (N = Delta e (n+1), q = p^e): ``CharSumContext.all_sums`` runs
+one exact radix-p transform of integer counters and reads every chi of
+order dividing ell from the same counters, for about N ell p^2 Q^(n+1)
+steps against Q^(2(n+1)) for one ``char_sum`` per w.
+
 On top of the kernel:
   * the square-root cancellation audit: every |S_G(w, chi)| is compared with
     the proved bound for its case -- w = 0 ("i"), w on the dual variety
@@ -30,12 +36,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from array import array
 
 from . import geometry as geo
 from . import polyring as pr
 from .characters import MultChar, gauss_sum, residue_data
 from .cyclotomic import CycRing
-from .ffield import FieldTables
+from .ffield import FieldTables, prime_factors
 
 TABLES_CACHE_SIZE = 64  # residue fields with tables kept
 # relative slack of every comparison of a float magnitude with its bound
@@ -142,7 +150,7 @@ class CharSumContext:
                     row.append(mul[row[-1] * Q + x])
                 powt.append(row)
             vals = []
-            for a in self.coords():
+            for a in itertools.product(range(Q), repeat=self.nvars):
                 acc = self.idx_zero
                 for cidx, exps in self._monomials:
                     t = cidx
@@ -217,8 +225,113 @@ class CharSumContext:
             total = ring.add(total, ring.monomial(pe, e))
         return total
 
+    def all_sums(self, chi_indices):
+        """{chi_index: an iterator over S_G(w, chi_index) for every w, in
+        coords() order} for non-principal characters, from one exact
+        radix-p transform.
+
+        Read a point a through the N base-p digits a_s of its flat index in
+        coords() (check_digitwise_addition makes that an F_p-linear reading).
+        Then psi_infty(-w.a/pi) = zeta_p^<c(w), a> with c(w)_s =
+        psi_exp[-(w.e_s)], e_s the point of flat index p^s, and
+
+            S_G(w, chi_i) = sum over (k, t) of
+                            L[k][t][c(w)] * zeta_p^k * zeta_ell^(i t),
+
+        where L[k][t][c] = #{a : <c, a> = k, chi_exp[G(a)] = t}.  The layers
+        L start as the indicator of chi_exp[G(a)] = t in layer k = 0; each of
+        the N passes transforms the top digit of the flat index and writes
+        the output digit at the bottom, so the digits end in order.  Every
+        chi_i comes from the same layers by relabeling t -> i t mod ell.
+        """
+        if not all(0 < i < self.ell for i in chi_indices):
+            raise ValueError("the transform needs non-principal characters")
+        p, ell, Q = self.kpi.char, self.ell, self.Q
+        size = Q ** self.nvars
+        if self.budget is not None:
+            self.budget.charge(transform_cost(p, ell, size))
+        check_digitwise_addition(self.tables, p)
+        chi_exp = self.data.chi_exp
+        # 64-bit integer arrays, not lists of int objects, to keep the
+        # layers small; a count is at most size, so it stays exact (an
+        # array raises on overflow, it never wraps)
+        layers = [[array('q', [0]) * size for _ in range(ell)]
+                  for _ in range(p)]
+        for pos, gv in enumerate(self.g_values()):
+            t = chi_exp[gv]
+            if t is not None:
+                layers[0][t][pos] = 1
+        block = size // p
+        for _ in range(_base_digits(p, size)):
+            # blocks[k][t][d]: the points whose top digit is d
+            blocks = [[[layer[d * block:(d + 1) * block] for d in range(p)]
+                       for layer in by_t] for by_t in layers]
+            layers = []
+            for k in range(p):
+                by_t = []
+                for t in range(ell):
+                    out = array('q', [0]) * size
+                    for c in range(p):
+                        acc = blocks[k][t][0]
+                        for d in range(1, p):
+                            acc = map(operator.add, acc,
+                                      blocks[(k - c * d) % p][t][d])
+                        out[c::p] = array('q', acc)
+                    by_t.append(out)
+                layers.append(by_t)
+
+        # col[x]: the digits of a -> psi_exp[-(x a)] on one coordinate
+        mul, neg, psi = self.tables.mul, self.tables.neg, self.data.psi_exp
+        units = [p ** r for r in range(_base_digits(p, Q))]
+        col = [sum(psi[neg[mul[x * Q + u]]] * u for u in units)
+               for x in range(Q)]
+        cs = [0]
+        for _ in range(self.nvars):
+            cs = [c * Q + col[x] for c in cs for x in range(Q)]
+        ring = self.ring
+
+        def sums(i):
+            for c in cs:
+                yield ring.from_exponent_counts(
+                    {(k, i * t): layers[k][t][c]
+                     for k in range(p) for t in range(ell)})
+        return {i: sums(i) for i in chi_indices}
+
     def trivial_bound(self) -> int:
         return self.Q ** self.nvars
+
+
+def _base_digits(p: int, size: int) -> int:
+    """N with p^N = size."""
+    n = 0
+    while size > 1:
+        size //= p
+        n += 1
+    return n
+
+
+def transform_cost(p: int, ell: int, size: int) -> int:
+    """Steps of the transform of all_sums over size = p^N points: N passes,
+    each summing p blocks of size/p counters for every one of the p outputs
+    of the p * ell layers."""
+    return _base_digits(p, size) * ell * p * p * size
+
+
+def check_digitwise_addition(tables: FieldTables, p: int):
+    """Raise unless adding two field elements adds the base-p digits of
+    their indices mod p, with no carry: all_sums reads the digits of an
+    index as its coordinates over F_p."""
+    Q = tables.size
+    units = [p ** r for r in range(_base_digits(p, Q))]
+    digits = [[i // u % p for u in units] for i in range(Q)]
+    for i in range(Q):
+        for j in range(Q):
+            want = sum((x + y) % p * u
+                       for x, y, u in zip(digits[i], digits[j], units))
+            if tables.add[i * Q + j] != want:
+                raise ArithmeticError(
+                    f"field addition is not digitwise mod {p} at indices "
+                    f"{i} and {j}")
 
 
 def mixed_char_sum(k, pi, ell: int, form: geo.MultiForm, w, chi_index: int,
@@ -256,14 +369,19 @@ def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
                                       search_bound=search_bound)]
 
 
-def wd_audit_cost(q: int, delta: int, n: int, num_chis: int,
-                  num_ws: int | None = None) -> int:
+def wd_audit_cost(q: int, delta: int, n: int, ell: int,
+                  num_ws: int | None = None,
+                  num_chis: int | None = None) -> int:
     """Innermost evaluations of an audit mod a prime of degree delta: the
-    table of G on k_pi^(n+1) that the sums share, then one sum over
-    k_pi^(n+1) per (w, chi), w running over all of k_pi^(n+1) unless
-    num_ws is given."""
+    table of G on k_pi^(n+1) that the sums share, then the transform of
+    all_sums when w runs over all of k_pi^(n+1) (num_ws None), or else one
+    sum over k_pi^(n+1) per (w, chi) for num_ws covectors and num_chis
+    characters (default: the ell - 1 non-principal ones)."""
     size = q ** (delta * (n + 1))
-    return size + num_chis * (size if num_ws is None else num_ws) * size
+    if num_ws is None:
+        return size + transform_cost(prime_factors(q)[0], ell, size)
+    chis = ell - 1 if num_chis is None else num_chis
+    return size + chis * num_ws * size
 
 
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
@@ -271,11 +389,13 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     """Audit |S_G(w, chi)| against the per-case bounds.
 
     Defaults: every non-principal chi of order dividing ell and every
-    w in k_pi^(n+1).  Returns {"rows": [...], "summary": {...}}; each row
-    carries q, Delta, pi, ell, chi_index, w, case, abs_S, bound, ratio,
-    pass.  For case "iii" (and "unknown") the ratio column is
-    |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is |S| / bound.
-    The table of G and every sum are charged to budget before the first.
+    w in k_pi^(n+1), whose sums come from one transform (all_sums); given
+    ws, each sum is its own char_sum.  Returns {"rows": [...],
+    "summary": {...}}; each row carries q, Delta, pi, ell, chi_index, w,
+    case, abs_S, bound, ratio, pass.  For case "iii" (and "unknown") the
+    ratio column is |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is
+    |S| / bound.  The table of G and the sums are charged to budget before
+    any of them runs, and the dual test charges its search before it.
     """
     ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
@@ -287,14 +407,19 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
         chi_indices = range(1, ell)
     if not all(0 < chi_index < ell for chi_index in chi_indices):
         raise ValueError("audit characters must be non-principal")
-    if ws is None:
-        ws = [tuple(kpi.from_index(i) for i in a)
-              for a in itertools.product(range(ctx.Q), repeat=ctx.nvars)]
+    every_w = ws is None
+    if every_w:
+        ws = list(itertools.product(kpi.elements(), repeat=ctx.nvars))
     if budget is not None:
-        budget.charge(wd_audit_cost(k.size, delta, n, len(chi_indices),
-                                    len(ws)))
+        budget.charge(wd_audit_cost(k.size, delta, n, ell,
+                                    None if every_w else len(ws),
+                                    len(chi_indices)))
 
-    on_dual = geo.dual_membership_test(form, pi, dual=dual)
+    on_dual = geo.dual_membership_test(form, pi, dual=dual, budget=budget)
+    if every_w:
+        sums = ctx.all_sums(chi_indices)
+    else:
+        sums = {i: [ctx.char_sum(w, i) for w in ws] for i in chi_indices}
 
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
@@ -302,8 +427,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     all_pass = True
     pi_text = pr.format_poly(k, pi)
     for chi_index in chi_indices:
-        for w in ws:
-            S = ctx.char_sum(w, chi_index)
+        for w, S in zip(ws, sums[chi_index]):
             abs_s = ring.abs_embed(S)
             if all(kpi.is_zero(x) for x in w):
                 case = "i"

@@ -127,6 +127,14 @@ def _emit(args, name: str, report: dict) -> None:
     print(f"wrote {path}")
 
 
+def _low_primes(k, budget: Budget) -> tuple:
+    """(the linear primes, the quadratic primes), their enumeration charged
+    to budget before it runs."""
+    budget.charge(pr.irreducibles_cost(k.size, 1)
+                  + pr.irreducibles_cost(k.size, 2))
+    return pr.irreducibles(k, 1), pr.irreducibles(k, 2)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -212,8 +220,7 @@ def run_identity_suite(cfg: dict) -> dict:
     ell, arity = cfg["ell"], cfg["n"] + 1
     rows = []
 
-    lin = pr.irreducibles(k, 1)
-    quad = pr.irreducibles(k, 2)
+    lin, quad = _low_primes(k, budget)
     for piv in lin + quad:
         rows.append(ids.verify_root_count(k, piv, ell))
         rows.append(ids.verify_gauss_magnitude(k, piv, ell))
@@ -278,13 +285,17 @@ def cmd_wd_audit(args) -> int:
     cfg = _config(args)
     form, dual = rp.config_objects(cfg)
     k = form.k
+    budget = Budget(cfg["budget"])
     if args.pi:
         pis = [pr.parse_poly(k, text) for text in args.pi]
     else:
-        pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
-    # every audit, its table of G and one sum per (w, chi), before the first
-    Budget(cfg["budget"]).charge(sum(
-        cs.wd_audit_cost(k.size, pr.degree(pi), form.n, cfg["ell"] - 1)
+        lin, quad = _low_primes(k, budget)
+        pis = [lin[0], quad[0]]
+    # every audit, its table of G, its transform and its dual test, before
+    # the first
+    budget.charge(sum(
+        cs.wd_audit_cost(k.size, pr.degree(pi), form.n, cfg["ell"])
+        + geo.dual_test_cost(form, k.size ** pr.degree(pi), dual)
         for pi in pis))
     audits = []
     all_rows = []
@@ -314,9 +325,12 @@ def cmd_dual_check(args) -> int:
     k = form.k
     pi = pr.parse_poly(k, args.pi)
     kpi = pr.residue_field(k, pi)
-    closed_test = geo.dual_membership_test(form, pi, dual=dual)
+    budget = Budget(cfg["budget"])
+    closed_test = geo.dual_membership_test(form, pi, dual=dual,
+                                           budget=budget)
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
-                                            search_bound=args.search_bound)
+                                            search_bound=args.search_bound,
+                                            budget=budget)
     rows = []
     agree_all = True
     for idx in itertools.product(range(kpi.size), repeat=form.n + 1):

@@ -715,8 +715,26 @@ def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> dict:
     return found
 
 
+def _dual_route(form: MultiForm, dual):
+    """The dual route that "auto" stands for: the closed-form quadric for
+    m = 2, the tangency search otherwise."""
+    if dual == "auto":
+        return "quadric" if form.m == 2 else "tangency"
+    return dual
+
+
+def dual_test_cost(form: MultiForm, Q: int, dual="auto",
+                   search_bound: int = 1) -> int:
+    """The points dual_membership_test searches mod a prime with Q
+    residues: P^n over the extensions up to search_bound on the tangency
+    route, none on a closed-form route."""
+    if _dual_route(form, dual) != "tangency":
+        return 0
+    return _projective_count(Q, form.n + 1, search_bound)
+
+
 def dual_membership_test(form: MultiForm, pi, dual="auto",
-                         search_bound: int = 1):
+                         search_bound: int = 1, budget=None):
     """The test w -> True | False | None of "does the hyperplane w lie on the
     dual of {F = 0} mod pi?", with the per-prime work done once.
 
@@ -728,14 +746,16 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
       * "tangency": is w proportional to a (nonzero) gradient at a point of
         {F = 0 mod pi} over an extension of degree <= search_bound?  True on
         a witness, None when there is none (certifies nothing).
-    The test raises on a w of the wrong length or w = 0.
+    The test raises on a w of the wrong length or w = 0.  The tangency
+    search is charged to budget before it starts (dual_test_cost).
     """
     kpi, terms, _ = reduce_form(form, pi)
     nv = form.n + 1
-    if dual == "auto":
-        dual = "quadric" if form.m == 2 else "tangency"
+    dual = _dual_route(form, dual)
 
     if dual == "tangency":
+        if budget is not None:
+            budget.charge(_projective_count(kpi.size, nv, search_bound))
         tangents = _tangent_covectors(kpi, terms, nv, search_bound)
 
         def member(w):

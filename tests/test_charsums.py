@@ -6,6 +6,7 @@ route; bound audits and the exact completion identities run on small
 instances.
 """
 
+import copy
 import itertools
 
 import pytest
@@ -94,6 +95,124 @@ class TestKernel:
         assert got == ring.from_int(-6)
 
 
+def indexed_form(k, n, m, terms):
+    """terms: {exps: [indices of the coefficients of 1, T, T^2, ...]}."""
+    return geo.MultiForm(k, n, m, {
+        e: tuple(k.from_index(c) for c in coeffs)
+        for e, coeffs in terms.items()})
+
+
+K5 = GF(5)
+K9 = pr.make_field(3, 2)
+TERNARY_QUADRIC = {(2, 0, 0): [1], (0, 2, 0): [1], (0, 0, 2): [1]}
+NONDIAG_QUADRIC = {(2, 0, 0): [1], (1, 1, 0): [1], (0, 2, 0): [2],
+                   (0, 1, 1): [1], (0, 0, 2): [1]}
+T_QUADRIC = {(2, 0, 0): [1, 1], (0, 2, 0): [0, 1], (1, 0, 1): [2],
+             (0, 0, 2): [1]}
+DIAG_CUBIC = {(3, 0, 0): [1], (0, 3, 0): [2], (0, 0, 3): [1]}
+NONDIAG_CUBIC = {(3, 0, 0): [1], (0, 3, 0): [2], (0, 0, 3): [1],
+                 (1, 1, 1): [1]}
+T_CUBIC = {(3, 0, 0): [1], (0, 3, 0): [0, 1], (1, 1, 1): [3, 1],
+           (0, 0, 3): [2]}
+# (field, ell, prime, n, m, terms): q in {3, 5, 7, 9}, ell in {2, 3} with
+# ell | q - 1, diagonal, non-diagonal and T-coefficient forms, primes of
+# degree 1 and of degree 2 with Q^(n+1) <= 729.  When ell | m,
+# S_G(-w, chi) = chi((-1)^m) S_G(w, chi) = S_G(w, chi); the cubics with
+# ell = 2 over F_7, where chi(-1) = -1, are there so the sign of w shows.
+TRANSFORM_CASES = [
+    (K7, 2, "1+T", 2, 3, NONDIAG_CUBIC),
+    (K7, 2, "T", 2, 3, T_CUBIC),
+    (K3, 2, "T", 2, 2, TERNARY_QUADRIC),
+    (K3, 2, "1+T^2", 2, 2, NONDIAG_QUADRIC),
+    (K3, 2, "1+T^2", 2, 2, T_QUADRIC),
+    (K3, 2, "2+T+T^2", 2, 2, TERNARY_QUADRIC),
+    (K5, 2, "T", 2, 2, TERNARY_QUADRIC),
+    (K5, 2, "1+T", 2, 2, NONDIAG_QUADRIC),
+    (K5, 2, "2+T^2", 1, 2, {(2, 0): [1], (1, 1): [1, 1], (0, 2): [2]}),
+    (K7, 2, "T", 2, 2, NONDIAG_QUADRIC),
+    (K7, 3, "T", 2, 3, DIAG_CUBIC),
+    (K7, 3, "1+T", 2, 3, DIAG_CUBIC),
+    (K7, 3, "1+T", 2, 3, NONDIAG_CUBIC),
+    (K7, 3, "2+T", 2, 3, T_CUBIC),
+    (K9, 2, "T", 2, 2, {(2, 0, 0): [1], (1, 1, 0): [4], (0, 2, 0): [5],
+                        (0, 1, 1): [7], (0, 0, 2): [3]}),
+    (K9, 2, "1+T", 2, 2, {(2, 0, 0): [0, 1], (0, 2, 0): [1],
+                          (0, 0, 2): [2, 4]}),
+]
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES,
+                         ids=lambda c: f"q{c[0].size}-ell{c[1]}-{c[2]}-m{c[4]}")
+class TestTransform:
+    def context(self, case):
+        k, ell, prime, n, m, terms = case
+        pi = P(k, prime)
+        assert pr.is_irreducible(k, pi)
+        return cs.CharSumContext(k, pi, ell, indexed_form(k, n, m, terms))
+
+    def test_equals_char_sum_for_every_w(self, case):
+        ctx = self.context(case)
+        assert ctx.Q ** ctx.nvars <= 729
+        chis = range(1, ctx.ell)
+        sums = {i: list(it) for i, it in ctx.all_sums(chis).items()}
+        ws = all_ws(ctx)
+        for chi_index in chis:
+            assert len(sums[chi_index]) == len(ws)
+            for w, S in zip(ws, sums[chi_index]):
+                assert S == ctx.char_sum(w, chi_index), (w, chi_index)
+
+    def test_sample_equals_bruteforce(self, case):
+        ctx = self.context(case)
+        sums = list(ctx.all_sums([ctx.ell - 1])[ctx.ell - 1])
+        ws = all_ws(ctx)
+        for pos in sorted({0, 1, len(ws) // 3, len(ws) - 1}):
+            assert sums[pos] == ctx.char_sum_bruteforce(ws[pos],
+                                                        ctx.ell - 1)
+
+
+def test_transform_charged_before_the_table():
+    cost = cs.transform_cost(3, 2, 27)
+    assert cost == 3 * 2 * 3 * 3 * 27
+    budget = cs.Budget(cost - 1)
+    ctx = cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3), budget=budget)
+    with pytest.raises(cs.BudgetExceeded) as err:
+        ctx.all_sums([1])
+    assert err.value.needed == cost
+    assert ctx._g_vals is None
+
+
+def test_transform_needs_non_principal_characters():
+    # chi_0 is 1 at the zeros of G, which the layers do not count
+    with pytest.raises(ValueError):
+        ctx_T().all_sums([0, 1])
+
+
+class TestDigitwiseAddition:
+    def test_residue_fields_pass(self):
+        for k, prime in ((K3, "1+T^2"), (K5, "2+T^2"), (K9, "T")):
+            tables = cs.field_tables(pr.residue_field(k, P(k, prime)))
+            cs.check_digitwise_addition(tables, k.char)
+
+    def test_broken_table_raises(self):
+        tables = copy.copy(cs.field_tables(
+            pr.residue_field(K3, P(K3, "1+T^2"))))
+        tables.add = list(tables.add)
+        Q = tables.size
+        # swap two sums in the row of index 4: 4 + 1 and 4 + 2
+        tables.add[4 * Q + 1], tables.add[4 * Q + 2] = \
+            tables.add[4 * Q + 2], tables.add[4 * Q + 1]
+        with pytest.raises(ArithmeticError, match="digitwise"):
+            cs.check_digitwise_addition(tables, 3)
+
+    def test_all_sums_checks_the_table(self, monkeypatch):
+        ctx = ctx_T()
+        ctx.tables = copy.copy(ctx.tables)
+        ctx.tables.add = list(ctx.tables.add)
+        ctx.tables.add[1 * 3 + 1] = 0  # 1 + 1 = 0 in F_3: false
+        with pytest.raises(ArithmeticError):
+            ctx.all_sums([1])
+
+
 class TestBudget:
     def test_charge_and_raise(self):
         b = cs.Budget(100)
@@ -110,9 +229,13 @@ class TestBudget:
             ctx.char_sum((ctx.kpi.zero,) * 3, 1)
 
     def test_estimate(self):
-        # the table of G on 27 points, then 27 covectors, 27 summands each,
-        # one character
-        assert cs.wd_audit_cost(3, 1, 2, 1) == 27 + 729
+        # every covector: the table of G on 27 = 3^3 points, then the
+        # transform, 3 passes over 3 * 2 layers with 3 outputs of 3 blocks
+        assert cs.wd_audit_cost(3, 1, 2, 2) == 27 + 3 * 2 * 3 * 3 * 27
+        # 27 given covectors, 27 summands each, one character
+        assert cs.wd_audit_cost(3, 1, 2, 2, num_ws=27) == 27 + 729
+        assert cs.wd_audit_cost(7, 1, 2, 3, num_ws=5, num_chis=1) \
+            == 343 + 5 * 343
 
 
 class TestAudit:

@@ -5,6 +5,7 @@ stability of emitted JSON/CSV including independence from the worker count,
 and the config resolution rules."""
 
 import copy
+import hashlib
 import json
 import pathlib
 import re
@@ -21,6 +22,24 @@ from cycsieve import sieve as sv
 
 CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
              / "configs" / "quadric_q3.json")
+
+
+# sha256 of the wd-audit artifacts of the shipped config
+WD_REFERENCE_DIGESTS = {
+    "wd_audit.csv":
+        "c30c4f4beb7ee10f85a80872bd78b549a141d2d59b2ed44f510b3193b677b4d9",
+    "wd_audit.json":
+        "09510d4315f4902b615f73ecdaf5e76c9c3a45274bfebd19f0ee43656da4c39b",
+}
+
+# X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
+# so its auto dual is the tangency search
+NONDIAG_CUBIC = {
+    "p": 7, "ell": 3, "form": {"n": 2, "m": 3, "terms": [
+        {"exps": [3, 0, 0], "coeff": "1"},
+        {"exps": [0, 3, 0], "coeff": "2"},
+        {"exps": [0, 0, 3], "coeff": "1"},
+        {"exps": [1, 1, 1], "coeff": "1"}]}}
 
 
 def read(path):
@@ -190,6 +209,21 @@ class TestCommands:
         csv_lines = read(tmp_path / "wd_audit.csv").splitlines()
         assert csv_lines[0] == ",".join(rp.WD_CSV_COLUMNS)
         assert len(csv_lines) == 1 + 27 + 729
+        # byte for byte; the CSV digest is the benchmark's reference digest
+        # of the same run
+        for name, want in WD_REFERENCE_DIGESTS.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == want, name
+
+    def test_wd_audit_q5_fits_default_budget(self, tmp_path):
+        code = cli.main(["wd-audit", "--config", CONFIG, "--q", "5",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads(read(tmp_path / "wd_audit.json"))
+        assert data["all_pass"] is True
+        assert [a["summary"]["rows"] for a in data["audits"]] == [125, 15625]
+        assert len(read(tmp_path / "wd_audit.csv").splitlines()) \
+            == 1 + 125 + 15625
 
     def test_dual_check(self, tmp_path):
         code = cli.main(["dual-check", "--config", CONFIG, "--pi", "T",
@@ -395,20 +429,25 @@ class TestUpFrontBudgets:
     def test_wd_audit_charged_before_first_sum(self, tmp_path, monkeypatch,
                                                capsys):
         forbid(monkeypatch, cs.CharSumContext, "char_sum")
+        forbid(monkeypatch, cs.CharSumContext, "all_sums")
         code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "1+T^2",
-                         "--budget", "100000", "--out", str(tmp_path)])
+                         "--budget", "75000", "--out", str(tmp_path)])
         assert code == 3
-        # the table of G and one sum per covector, 9^3 points each
-        assert f"needs {9 ** 3 + 9 ** 6}," in capsys.readouterr().err
+        # the table of G on 9^3 points, then the transform: 6 base-3 digits,
+        # 3 * 2 layers, 3 outputs of 3 blocks each
+        assert f"needs {9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3}," \
+            in capsys.readouterr().err
 
     def test_wd_audit_prices_every_prime_first(self, tmp_path, monkeypatch,
                                                capsys):
         forbid(monkeypatch, cs.CharSumContext, "char_sum")
+        forbid(monkeypatch, cs.CharSumContext, "all_sums")
         code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "T",
-                         "--pi", "1+T^2", "--budget", "100000",
+                         "--pi", "1+T^2", "--budget", "75000",
                          "--out", str(tmp_path)])
         assert code == 3
-        needs = 3 ** 3 + 3 ** 6 + 9 ** 3 + 9 ** 6
+        needs = (3 ** 3 + 3 * 2 * 3 * 3 * 3 ** 3
+                 + 9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3)
         assert f"needs {needs}," in capsys.readouterr().err
 
     def test_scan_searches_charged_before_first_prime(self, tmp_path,
@@ -430,6 +469,63 @@ class TestUpFrontBudgets:
         assert points == 5887704
         # the 7 linear primes, then two searches for each
         assert f"needs {7 + 7 * 2 * points}," in capsys.readouterr().err
+
+    def test_dual_check_prices_the_tangency_search(self, tmp_path,
+                                                   monkeypatch, capsys):
+        path = write_config(tmp_path, NONDIAG_CUBIC)
+        forbid(monkeypatch, geo, "_extension_points")
+        code = cli.main(["dual-check", "--config", path, "--pi", "T",
+                         "--search-bound", "2", "--budget", "1",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        # the auto dual searches P^2(F_7) first
+        assert f"needs {7 ** 2 + 7 + 1}," in capsys.readouterr().err
+
+    def test_wd_audit_prices_the_tangency_search(self, tmp_path,
+                                                 monkeypatch, capsys):
+        path = write_config(tmp_path, NONDIAG_CUBIC)
+        forbid(monkeypatch, geo, "_extension_points")
+        forbid(monkeypatch, cs.CharSumContext, "char_sum")
+        forbid(monkeypatch, cs.CharSumContext, "all_sums")
+        # the table of G on 7^3 points, the transform (3 base-7 digits,
+        # 7 * 3 layers, 7 outputs of 7 blocks) and P^2(F_7)
+        needs = 7 ** 3 + 3 * 3 * 7 * 7 * 7 ** 3 + 7 ** 2 + 7 + 1
+        code = cli.main(["wd-audit", "--config", path, "--pi", "T",
+                         "--budget", str(needs - 1), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"needs {needs}," in capsys.readouterr().err
+
+    def test_wd_audit_prices_the_default_primes(self, tmp_path, monkeypatch,
+                                                capsys):
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main(["wd-audit", "--config", CONFIG, "--budget", "1",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        needs = pr.irreducibles_cost(3, 1) + pr.irreducibles_cost(3, 2)
+        assert f"needs {needs}," in capsys.readouterr().err
+
+    def test_identity_check_prices_its_primes(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the instance (box and scan) fits the budget exactly; the primes
+        # of degree <= 2 that the rows run over come after it
+        cfg = rp.resolve_config(rp.load_config(CONFIG))
+        spent = cs.Budget()
+        rp.build_instance(cfg, spent)
+        real = rp.build_instance
+
+        def build_then_forbid(config, budget):
+            built = real(config, budget)
+            forbid(monkeypatch, pr, "irreducibles")
+            return built
+
+        monkeypatch.setattr(rp, "build_instance", build_then_forbid)
+        code = cli.main(["identity-check", "--config", CONFIG,
+                         "--budget", str(spent.spent),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        needs = (spent.spent + pr.irreducibles_cost(3, 1)
+                 + pr.irreducibles_cost(3, 2))
+        assert f"needs {needs}," in capsys.readouterr().err
 
     def test_scan_prime_enumeration_charged_first(self, tmp_path,
                                                  monkeypatch, capsys):
