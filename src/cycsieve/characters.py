@@ -237,25 +237,6 @@ def gauss_sum(chi: MultChar) -> tuple:
     return chi.ring.from_exponent_counts(counts)
 
 
-def count_ell_roots(k, a, pi, ell: int) -> int:
-    """#{y in k_pi : y^ell = a mod pi}, read from the root-count table of
-    ResidueData, which is filled by raising every y in k_pi to the ell-th
-    power (char_sum_root_count is the character route)."""
-    data = residue_data(k, pi, ell)
-    return data.root_count[data.index_of_poly(a)]
-
-
-def char_sum_root_count(k, a, pi, ell: int) -> int:
-    """sum over all order-dividing-ell characters chi of chi(a), evaluated
-    exactly and recognized as a rational integer.
-
-    Equals 1 if pi | a; ell if pi does not divide a and X^ell = a (mod pi)
-    is solvable; 0 otherwise.
-    """
-    data = residue_data(k, pi, ell)
-    return residue_root_count(data, data.index_of_poly(a))
-
-
 def residue_root_count(data: ResidueData, idx: int) -> int:
     """The character route to root_count[idx]: sum over the characters chi
     mod pi of order dividing ell of chi at the residue of index idx."""
@@ -269,3 +250,19 @@ def residue_root_count(data: ResidueData, idx: int) -> int:
     if n is None:
         raise ArithmeticError("character sum failed to be a rational integer")
     return n
+
+
+def root_count_routes(data: ResidueData, check: bool = False) -> tuple:
+    """(root_count, the character route) at every residue index of one
+    prime: the table, filled by raising every y in k_pi to the ell-th
+    power, against residue_root_count.  With check, raise on the first
+    residue where they differ."""
+    by_chars = [residue_root_count(data, idx) for idx in range(data.kpi.size)]
+    if check:
+        for idx, (a, b) in enumerate(zip(data.root_count, by_chars)):
+            if a != b:
+                raise ArithmeticError(
+                    f"fiber routes disagree mod "
+                    f"{pr.format_poly(data.k, data.pi)} at residue {idx}: "
+                    f"table {a}, characters {b}")
+    return list(data.root_count), by_chars

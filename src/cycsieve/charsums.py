@@ -9,11 +9,17 @@ order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
 counters over index tables and canonicalizes once per sum.
 
-The family {S_G(w, chi)}_w over every covector w is a Fourier transform
-over F_p^N (N = Delta e (n+1), q = p^e): ``CharSumContext.all_sums`` runs
-one exact radix-p transform of integer counters and reads every chi of
-order dividing ell from the same counters, for about N ell p^2 Q^(n+1)
-steps against Q^(2(n+1)) for one ``char_sum`` per w.
+Both fast routes rest on the additivity of the psi exponent over k_pi,
+psi_exp[x + y] = psi_exp[x] + psi_exp[y] (mod p).  ``char_sum`` builds the
+phase of -w.a at every point a as the outer sum of one Q-entry row per
+coordinate (``CharSumContext.phases``) and counts (phase, chi exponent)
+pairs.  The family {S_G(w, chi)}_w over every covector w is a Fourier
+transform over F_p^N (N = Delta e (n+1), q = p^e): ``all_sums`` reads the
+phase as an F_p-linear functional of the point's base-p digits, runs one
+exact radix-p transform of integer counters and reads every chi of order
+dividing ell from the same counters, for about N ell p^2 Q^(n+1) steps
+against Q^(2(n+1)) for one ``char_sum`` per w.  ``char_sum_bruteforce``
+evaluates psi term by term and is the one route that assumes neither.
 
 On top of the kernel:
   * the square-root cancellation audit: every |S_G(w, chi)| is compared with
@@ -38,6 +44,7 @@ import functools
 import itertools
 import operator
 from array import array
+from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
@@ -106,7 +113,6 @@ class CharSumContext:
         self.ell = ell
         self.form = form
         self.nvars = form.n + 1
-        self.m = form.m
         self.budget = budget
         self.data = residue_data(k, pi, ell)
         self.kpi = self.data.kpi
@@ -114,29 +120,17 @@ class CharSumContext:
         self.tables = field_tables(self.kpi)
         self.Q = self.kpi.size
         self.idx_zero = self.tables.index[self.kpi.zero]
-        terms = {}
-        for exps, coeff in form.terms.items():
-            r = self.data.reduce(coeff)
-            if not self.kpi.is_zero(r):
-                terms[exps] = r
-        self.reduced_terms = terms
-        self._monomials = [
-            (self.tables.index[c], exps) for exps, c in terms.items()
-        ]
-        self._coords = None
+        _, self.reduced_terms, _ = geo.reduce_form(form, pi)
+        self._monomials = [(self.tables.index[c], exps)
+                           for exps, c in self.reduced_terms.items()]
         self._g_vals = None
 
     # -- shared precomputation ------------------------------------------------
 
-    def coords(self):
-        """All of k_pi^(n+1) as tuples of element indices, fixed order."""
-        if self._coords is None:
-            self._coords = list(
-                itertools.product(range(self.Q), repeat=self.nvars))
-        return self._coords
-
     def g_values(self):
-        """G(a) as an element index, aligned with coords()."""
+        """G(a) as an element index for every a in k_pi^(n+1), the points
+        in the order itertools.product(range(Q), repeat=n+1) gives their
+        coordinate indices (the order of every per-point list here)."""
         if self._g_vals is None:
             if self.budget is not None:
                 self.budget.charge(self.Q ** self.nvars)
@@ -176,35 +170,30 @@ class CharSumContext:
 
     # -- sums -------------------------------------------------------------
 
-    def char_sum(self, w, chi_index: int):
-        """S_G(w, chi_index) as an exact cyclotomic value."""
+    def phases(self, w):
+        """The exponent of psi_infty(-w.a/pi) = zeta_p^phase at every point
+        a, mod p.  psi_exp is additive, so the phase of a is the sum over
+        its coordinates of one Q-entry row x -> psi_exp[-w_i x]: the list is
+        the outer sum of the rows.  The pass is charged to the budget."""
         widx = self._w_indices(w)
         if self.budget is not None:
             self.budget.charge(self.Q ** self.nvars)
-        Q, mul, add = self.Q, self.tables.mul, self.tables.add
-        mw = [self.tables.neg[i] for i in widx]
+        p, Q, mul, neg = self.kpi.char, self.Q, self.tables.mul, self.tables.neg
         psi = self.data.psi_exp
+        out = [0]
+        for i in widx:
+            row = [psi[mul[neg[i] * Q + x]] for x in range(Q)]
+            out = [(c + r) % p for c in out for r in row]
+        return out
+
+    def char_sum(self, w, chi_index: int):
+        """S_G(w, chi_index) as an exact cyclotomic value: the count of each
+        (phase, chi exponent) pair over the points."""
         jtab = self.chi_exponents(chi_index)
-        counts: dict = {}
-        if all(i == self.idx_zero for i in mw):
-            for gv in self.g_values():
-                j = jtab[gv]
-                if j is None:
-                    continue
-                key = (0, j)
-                counts[key] = counts.get(key, 0) + 1
-        else:
-            live = [i for i in range(self.nvars) if mw[i] != self.idx_zero]
-            for a, gv in zip(self.coords(), self.g_values()):
-                j = jtab[gv]
-                if j is None:
-                    continue
-                dot = self.idx_zero
-                for i in live:
-                    dot = add[dot * Q + mul[mw[i] * Q + a[i]]]
-                key = (psi[dot], j)
-                counts[key] = counts.get(key, 0) + 1
-        return self.ring.from_exponent_counts(counts)
+        counts = Counter(zip(self.phases(w),
+                             map(jtab.__getitem__, self.g_values())))
+        return self.ring.from_exponent_counts(
+            {key: c for key, c in counts.items() if key[1] is not None})
 
     def char_sum_bruteforce(self, w, chi_index: int):
         """Independent slow route: evaluate chi and psi_infty term by term
@@ -227,11 +216,12 @@ class CharSumContext:
 
     def all_sums(self, chi_indices):
         """{chi_index: an iterator over S_G(w, chi_index) for every w, in
-        coords() order} for non-principal characters, from one exact
+        the order of g_values} for non-principal characters, from one exact
         radix-p transform.
 
         Read a point a through the N base-p digits a_s of its flat index in
-        coords() (check_digitwise_addition makes that an F_p-linear reading).
+        that order (check_digitwise_addition makes that an F_p-linear
+        reading).
         Then psi_infty(-w.a/pi) = zeta_p^<c(w), a> with c(w)_s =
         psi_exp[-(w.e_s)], e_s the point of flat index p^s, and
 
@@ -334,12 +324,6 @@ def check_digitwise_addition(tables: FieldTables, p: int):
                     f"{i} and {j}")
 
 
-def mixed_char_sum(k, pi, ell: int, form: geo.MultiForm, w, chi_index: int,
-                   budget: Budget | None = None):
-    """One-shot S_G(w, chi); w is a tuple of k_pi elements."""
-    return CharSumContext(k, pi, ell, form, budget=budget).char_sum(w, chi_index)
-
-
 # ---------------------------------------------------------------------------
 # square-root cancellation audit
 
@@ -356,17 +340,6 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
 
 # dual-membership verdict of a nonzero w -> its audit case
 _CASES = {True: "ii", False: "iii", None: "unknown"}
-
-
-def wd_classify(form: geo.MultiForm, pi, w, dual="auto",
-                search_bound: int = 1) -> str:
-    """Case of w: "i" (w = 0), "ii" (w on the dual variety), "iii" (w off
-    it), or "unknown" (the dual route could not decide)."""
-    kpi = pr.residue_field(form.k, pi)
-    if all(kpi.is_zero(x) for x in w):
-        return "i"
-    return _CASES[geo.dual_membership(form, pi, w, dual=dual,
-                                      search_bound=search_bound)]
 
 
 def wd_audit_cost(q: int, delta: int, n: int, ell: int,
@@ -626,19 +599,12 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
 
     if budget is not None:
         budget.charge((Q - 1) * Q**nvars)
-    mul, add = tables.mul, tables.add
-    mw = [tables.neg[i] for i in widx]
+    mul, p = tables.mul, kpi.char
     psi = ctx.data.psi_exp
     chi_exp = ctx.data.chi_exp
     g_vals = ctx.g_values()
-    coords = ctx.coords()
-    dots = []
-    for a in coords:
-        dot = ctx.idx_zero
-        for i in range(nvars):
-            if mw[i] != ctx.idx_zero:
-                dot = add[dot * Q + mul[mw[i] * Q + a[i]]]
-        dots.append(dot)
+    # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
+    phases = ctx.phases(w)
 
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
     smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
@@ -654,8 +620,8 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
             continue
         jb = (conj_index * chi_exp[b_idx]) % ell
         inner: dict = {}
-        for gv, dot in zip(g_vals, dots):
-            pe = psi[add[mul[b_idx * Q + gv] * Q + dot]]
+        for gv, phase in zip(g_vals, phases):
+            pe = (psi[mul[b_idx * Q + gv]] + phase) % p
             inner[pe] = inner.get(pe, 0) + 1
         t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})
         abs_t = ring.abs_embed(t_beta)

@@ -123,7 +123,7 @@ def _config(args) -> dict:
 
 
 def _emit(args, name: str, report: dict) -> None:
-    path = rp.write_artifact(args.out, name, rp.json_text(report))
+    path = rp.write_artifact(args.out, name, report)
     print(f"wrote {path}")
 
 

@@ -791,12 +791,6 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
     return test
 
 
-def dual_membership(form: MultiForm, pi, w, dual="auto", search_bound: int = 1):
-    """Does the hyperplane w lie on the dual of {F = 0} mod pi?  One call of
-    the test from dual_membership_test; see there for the routes."""
-    return dual_membership_test(form, pi, dual, search_bound)(w)
-
-
 # ---------------------------------------------------------------------------
 # exceptional primes
 

@@ -34,11 +34,10 @@ from . import geometry as geo
 from . import polyring as pr
 from .characters import (
     MultChar,
-    count_ell_roots,
-    char_sum_root_count,
     gauss_sum,
     psi_exponent,
     residue_data,
+    root_count_routes,
 )
 from .charsums import Budget, CharSumContext
 from .cyclotomic import cyc_ring
@@ -65,16 +64,10 @@ def _require_distinct_primes(k, pi1, pi2):
 
 
 def verify_root_count(k, pi, ell: int) -> dict:
-    """For every residue a mod pi: #{y : y^ell = a} (direct enumeration)
-    versus the sum of chi(a) over all characters of order dividing ell."""
-    Q = k.size ** pr.degree(pi)
-    d = pr.degree(pi)
-    lhs = []
-    rhs = []
-    for idx in range(Q):
-        a = pr.poly_from_index(k, idx, d)
-        lhs.append(count_ell_roots(k, a, pi, ell))
-        rhs.append(char_sum_root_count(k, a, pi, ell))
+    """For every residue a mod pi: #{y : y^ell = a} (the table, filled by
+    enumeration) versus the sum of chi(a) over all characters of order
+    dividing ell; the lists run over the residue indices."""
+    lhs, rhs = root_count_routes(residue_data(k, pi, ell))
     return {
         "id": "root-count",
         "params": {"q": k.size, "pi": pr.format_poly(k, pi), "ell": ell},
@@ -290,9 +283,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
         s2 = nonprincipal_sum(data2, chis2, idx2)
         if ring.as_int(s1) != n1 - 1 or ring.as_int(s2) != n2 - 1:
             pointwise_ok = False
-        divisible1 = not pr.poly_mod(k, v, pi1)
-        divisible2 = not pr.poly_mod(k, v, pi2)
-        if divisible1 and divisible2:
+        if idx1 == 0 and idx2 == 0:  # pi1 pi2 | F(x), F(x) = 0 included
             zero_portion = ring.add(zero_portion,
                                     ring.scale(count, ring.mul(s1, s2)))
         else:

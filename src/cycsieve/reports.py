@@ -178,10 +178,6 @@ def normalize(obj):
     return str(obj)
 
 
-def json_text(obj) -> str:
-    return json.dumps(normalize(obj), sort_keys=True, indent=2) + "\n"
-
-
 def cell_text(value) -> str:
     """One CSV cell: exact integers, 12-significant-digit magnitudes,
     lowercase booleans, exact fractions as num/den."""
@@ -206,11 +202,18 @@ def csv_text(columns, rows) -> str:
     return out.getvalue()
 
 
-def write_artifact(out_dir: str, name: str, text: str) -> str:
+def write_artifact(out_dir: str, name: str, content) -> str:
+    """Write out_dir/name: a str as it is, any other report as byte-stable
+    JSON (normalized, sorted keys, indent 2, a final newline), encoded
+    straight into the file, so the whole text is never held in memory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(normalize(content), fh, sort_keys=True, indent=2)
+            fh.write("\n")
     return path
 
 

@@ -20,6 +20,12 @@ merge_accumulators adds the histograms, whose exact counts do not depend on
 the split or the order of the parts; value_moments then does the per-prime
 work once per distinct value, weighted by its count.  The sieve terms read
 the resulting moments.
+
+Each distinct value is reduced once per prime to its residue index, and that
+index is all the per-prime work reads: index 0 is a ramified prime (pi | F(x)),
+any other index gives the fiber size from the prime's root-count table.  The
+tables are checked against the character route at every residue before the
+first value (characters.root_count_routes); a disagreement raises.
 """
 
 from collections import Counter
@@ -28,8 +34,8 @@ from fractions import Fraction
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import (char_sum_root_count, check_cover, residue_data,
-                         residue_root_count)
+from .characters import (check_cover, residue_data, residue_root_count,
+                         root_count_routes)
 from .charsums import Budget
 
 
@@ -191,32 +197,14 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
     """#{y in k_pi : y^ell = F(x) mod pi}, via the residue root table and,
     independently, via the character-sum expression; the two must agree."""
     data = residue_data(k, pi, ell)
-    g = geo.eval_form_at_polys(form, x)
-    by_table = data.root_count[data.index_of_poly(g)]
-    by_chars = char_sum_root_count(k, g, pi, ell)
+    idx = data.index_of_poly(geo.eval_form_at_polys(form, x))
+    by_table = data.root_count[idx]
+    by_chars = residue_root_count(data, idx)
     if by_table != by_chars:
         raise ArithmeticError(
             f"fiber routes disagree at {x}: table {by_table}, "
             f"characters {by_chars}")
     return by_table
-
-
-def check_root_table(data) -> None:
-    """Check the root-count table of one prime against the character route
-    at every residue, so the fibers read from the table are checked by both
-    routes; raises on a disagreement."""
-    for idx, by_table in enumerate(data.root_count):
-        by_chars = residue_root_count(data, idx)
-        if by_table != by_chars:
-            raise ArithmeticError(
-                f"fiber routes disagree mod "
-                f"{pr.format_poly(data.k, data.pi)} at residue {idx}: "
-                f"table {by_table}, characters {by_chars}")
-
-
-def psi_value(k, pi, ell: int, form: geo.MultiForm, x) -> int:
-    """Psi = |fiber| - 1, the quantity the sieve terms are built from."""
-    return fiber_count(k, pi, ell, form, x) - 1
 
 
 def ramified_set(k, sset: SievingSet, form: geo.MultiForm, x) -> tuple:
@@ -399,8 +387,10 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     """Every integer the sieve terms need, as exact sums over the box, from
     its value histogram hist = Counter(F(x)): each distinct value g is
     reduced mod each prime and decided by both solvability routes once, and
-    weighted by its count.  The root-count table of each prime, which gives
-    the fibers, is first checked against the characters (check_root_table).
+    weighted by its count.  The residue index of g decides ramification:
+    index 0 means pi | g (g = 0 included), any other index reads the fiber
+    from the prime's root-count table.  Each table is first checked against
+    the characters at every residue (characters.root_count_routes).
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
@@ -415,7 +405,7 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     P = len(primes)
     datas = [residue_data(k, p, ell) for p in primes]
     for data in datas:
-        check_root_table(data)
+        root_count_routes(data, check=True)
     ram_sum = 0
     psi_square_ok = True
     sum_u2 = sum_us = sum_s2 = 0
@@ -423,9 +413,10 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     for g, count in hist.items():
         state = []
         u = s = 0
-        for p, data in zip(primes, datas):
-            if g and pr.poly_mod(k, g, p):
-                fiber = data.root_count[data.index_of_poly(g)]
+        for data in datas:
+            idx = data.index_of_poly(g)
+            if idx:
+                fiber = data.root_count[idx]
                 psi = fiber - 1
                 if psi * psi != (ell - 1) + (ell - 2) * psi:
                     psi_square_ok = False

@@ -238,14 +238,16 @@ def test_criterion_7_geometry(report):
     for pi_text in ("T", "1+T^2"):
         pi = P(K3, pi_text)
         kpi = pr.residue_field(K3, pi)
+        closed_test = geo.dual_membership_test(QUADRIC, pi, dual="auto")
+        witness_test = geo.dual_membership_test(QUADRIC, pi, dual="tangency",
+                                                search_bound=1)
         import itertools
         for idx in itertools.product(range(kpi.size), repeat=3):
             w = tuple(kpi.from_index(i) for i in idx)
             if all(kpi.is_zero(v) for v in w):
                 continue
-            closed = geo.dual_membership(QUADRIC, pi, w, dual="auto")
-            witness = geo.dual_membership(QUADRIC, pi, w, dual="tangency",
-                                          search_bound=1)
+            closed = closed_test(w)
+            witness = witness_test(w)
             tangency_ok = tangency_ok and ((closed is True)
                                            == (witness is True))
 

@@ -134,9 +134,13 @@ def test_gauss_sum_rejects_principal():
 
 
 def test_char_sum_root_count_examples():
-    assert ch.char_sum_root_count(K3, P(K3, 0, 1), T3, 2) == 1  # pi | a
-    assert ch.char_sum_root_count(K3, P(K3, 1), T3, 2) == 2  # 1 = (+-1)^2
-    assert ch.char_sum_root_count(K3, P(K3, 2), T3, 2) == 0  # nonsquare
+    data = ch.residue_data(K3, T3, 2)
+
+    def by_chars(a):
+        return ch.residue_root_count(data, data.index_of_poly(a))
+    assert by_chars(P(K3, 0, 1)) == 1  # pi | a
+    assert by_chars(P(K3, 1)) == 2  # 1 = (+-1)^2
+    assert by_chars(P(K3, 2)) == 0  # nonsquare
 
 
 def test_char_sum_equals_fiber_size_everywhere():
@@ -149,8 +153,9 @@ def test_char_sum_equals_fiber_size_everywhere():
                     data = ch.residue_data(k, pi, ell)
                     for idx in range(data.kpi.size):
                         a = pr.lift_from(data.kpi, data.kpi.from_index(idx))
-                        assert ch.char_sum_root_count(k, a, pi, ell) == \
-                            ch.count_ell_roots(k, a, pi, ell)
+                        i = data.index_of_poly(a)
+                        assert ch.residue_root_count(data, i) == \
+                            data.root_count[i]
 
 
 def test_residue_data_rejects_bad_modulus():

@@ -89,8 +89,8 @@ class TestKernel:
 
     def test_one_shot_helper(self):
         kpi = pr.residue_field(K3, P(K3, "T"))
-        got = cs.mixed_char_sum(K3, P(K3, "T"), 2, diag3(K3),
-                                (kpi.zero, kpi.zero, kpi.zero), 1)
+        got = cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3)).char_sum(
+            (kpi.zero, kpi.zero, kpi.zero), 1)
         ring = residue_data(K3, P(K3, "T"), 2).ring
         assert got == ring.from_int(-6)
 
@@ -162,12 +162,26 @@ class TestTransform:
                 assert S == ctx.char_sum(w, chi_index), (w, chi_index)
 
     def test_sample_equals_bruteforce(self, case):
+        # all_sums and char_sum both read psi through its additivity; the
+        # term-by-term route is the one that does not
         ctx = self.context(case)
-        sums = list(ctx.all_sums([ctx.ell - 1])[ctx.ell - 1])
+        chi = ctx.ell - 1
+        sums = list(ctx.all_sums([chi])[chi])
         ws = all_ws(ctx)
-        for pos in sorted({0, 1, len(ws) // 3, len(ws) - 1}):
-            assert sums[pos] == ctx.char_sum_bruteforce(ws[pos],
-                                                        ctx.ell - 1)
+        full = tuple(ctx.kpi.from_index(1 + i % (ctx.Q - 1))
+                     for i in range(ctx.nvars))  # every coordinate nonzero
+        for pos in sorted({0, 1, len(ws) // 3, len(ws) - 1, ws.index(full)}):
+            brute = ctx.char_sum_bruteforce(ws[pos], chi)
+            assert sums[pos] == brute
+            assert ctx.char_sum(ws[pos], chi) == brute
+
+    def test_psi_exponent_adds_over_the_table(self, case):
+        ctx = self.context(case)
+        Q, add, psi = ctx.Q, ctx.tables.add, ctx.data.psi_exp
+        p = ctx.kpi.char
+        for i in range(Q):
+            for j in range(Q):
+                assert psi[add[i * Q + j]] == (psi[i] + psi[j]) % p, (i, j)
 
 
 def test_transform_charged_before_the_table():
@@ -286,10 +300,13 @@ class TestAudit:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        assert cs.wd_classify(f, pi, (kpi.zero,) * 3) == "i"
+
+        def case(w):
+            return cs.wd_audit(K3, pi, 2, f, ws=[w])["rows"][0]["case"]
+        assert case((kpi.zero,) * 3) == "i"
         one = kpi.one
-        assert cs.wd_classify(f, pi, (one, one, one)) == "ii"   # 1+1+1 = 0
-        assert cs.wd_classify(f, pi, (one, kpi.zero, kpi.zero)) == "iii"
+        assert case((one, one, one)) == "ii"   # 1+1+1 = 0
+        assert case((one, kpi.zero, kpi.zero)) == "iii"
 
     def test_quintic_case_i_violation_reported(self):
         # With a character of order 5 and a degree-5 diagonal form the

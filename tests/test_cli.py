@@ -135,9 +135,15 @@ class TestSerialization:
         assert rp.normalize((1, 2.0, (True, None))) == [1, 2.0, [True, None]]
         assert rp.normalize(0.12345678901234567) == 0.123456789012
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         report = {"a": 19683, "b": [1.5, True], "c": {"d": None}}
-        assert json.loads(rp.json_text(report)) == rp.normalize(report)
+        path = rp.write_artifact(str(tmp_path), "report.json", report)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert json.loads(text) == rp.normalize(report)
+        # streamed into the file, byte for byte the one-shot encoding
+        assert text == json.dumps(rp.normalize(report), sort_keys=True,
+                                  indent=2) + "\n"
 
     def test_cell_text(self):
         from fractions import Fraction

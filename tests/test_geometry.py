@@ -595,11 +595,13 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
+        closed = geo.dual_membership_test(f, pi, dual="quadric")
+        tangency = geo.dual_membership_test(f, pi, dual="tangency",
+                                            search_bound=1)
         members = 0
         for w in geo.projective_points(kpi, 3):
-            via_dual = geo.dual_membership(f, pi, w, dual="quadric")
-            via_tangency = geo.dual_membership(f, pi, w, dual="tangency",
-                                               search_bound=1)
+            via_dual = closed(w)
+            via_tangency = tangency(w)
             assert via_dual == (via_tangency is True)
             members += via_dual
         # a smooth conic over F_q has exactly q + 1 rational points
@@ -609,11 +611,13 @@ class TestDuality:
         f = t_quadric(K3)
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
+        closed = geo.dual_membership_test(f, pi, dual="quadric")
+        tangency = geo.dual_membership_test(f, pi, dual="tangency",
+                                            search_bound=1)
         members = 0
         for w in geo.projective_points(kpi, 3):
-            via_dual = geo.dual_membership(f, pi, w, dual="quadric")
-            via_tangency = geo.dual_membership(f, pi, w, dual="tangency",
-                                               search_bound=1)
+            via_dual = closed(w)
+            via_tangency = tangency(w)
             assert via_dual == (via_tangency is True)
             members += via_dual
         assert members == 10  # q + 1 over F_9
@@ -622,17 +626,18 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        user = geo.quadric_dual_form(f)
+        supplied = geo.dual_membership_test(f, pi,
+                                            dual=geo.quadric_dual_form(f))
+        closed = geo.dual_membership_test(f, pi, dual="quadric")
         for w in geo.projective_points(kpi, 3):
-            assert (geo.dual_membership(f, pi, w, dual=user)
-                    == geo.dual_membership(f, pi, w, dual="quadric"))
+            assert supplied(w) == closed(w)
 
     def test_degenerate_prime_rejected(self):
         f = t_quadric(K3)
         kpi = pr.residue_field(K3, P(K3, "1+T"))
         w = (kpi.one, kpi.one, kpi.one)
         with pytest.raises(ValueError):
-            geo.dual_membership(f, P(K3, "1+T"), w, dual="quadric")
+            geo.dual_membership_test(f, P(K3, "1+T"), dual="quadric")(w)
         with pytest.raises(ValueError):
             geo.dual_membership_test(f, P(K3, "1+T"), "quadric")
 
@@ -640,10 +645,11 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
+        test = geo.dual_membership_test(f, pi, dual="quadric")
         with pytest.raises(ValueError):
-            geo.dual_membership(f, pi, (kpi.one, kpi.one), dual="quadric")
+            test((kpi.one, kpi.one))
         with pytest.raises(ValueError):
-            geo.dual_membership(f, pi, (kpi.zero,) * 3, dual="quadric")
+            test((kpi.zero,) * 3)
 
 
 # ---------------------------------------------------------------------------
