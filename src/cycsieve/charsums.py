@@ -7,7 +7,9 @@ The central object is
 for a form G reduced mod a monic prime pi, a multiplicative character chi of
 order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
-counters over index tables and canonicalizes once per sum.
+counters over index tables and canonicalizes once per sum.  The table of G
+over k_pi^(n+1) comes from ``geometry.index_evaluator``, the evaluation the
+closed-form dual test also runs on the same cached tables (``field_tables``).
 
 Both fast routes rest on the additivity of the psi exponent over k_pi,
 psi_exp[x + y] = psi_exp[x] + psi_exp[y] (mod p).  ``char_sum`` builds the
@@ -27,7 +29,8 @@ On top of the kernel:
     ("ii"), w off the dual variety ("iii"; here the normalized ratio
     |S| / q^((n+1) Delta / 2) is also logged, since no explicit constant is
     asserted for this case); the case comes from the dual-membership test
-    that ``geometry.dual_membership_test`` builds once per prime,
+    that ``geometry.dual_membership_test`` builds once per prime, and the
+    case and the text of each w are computed once for every chi,
   * the slicing identity (S_G(0, chi) decomposed along first-nonzero-
     coordinate strata) with the per-slice multiplicative-sum bound
     (d-1) * |field|^(r/2) for Deligne slices,
@@ -121,8 +124,6 @@ class CharSumContext:
         self.Q = self.kpi.size
         self.idx_zero = self.tables.index[self.kpi.zero]
         _, self.reduced_terms, _ = geo.reduce_form(form, pi)
-        self._monomials = [(self.tables.index[c], exps)
-                           for exps, c in self.reduced_terms.items()]
         self._g_vals = None
 
     # -- shared precomputation ------------------------------------------------
@@ -134,26 +135,9 @@ class CharSumContext:
         if self._g_vals is None:
             if self.budget is not None:
                 self.budget.charge(self.Q ** self.nvars)
-            Q, mul, add = self.Q, self.tables.mul, self.tables.add
-            maxe = max((max(exps) for _, exps in self._monomials), default=0)
-            idx_one = self.tables.index[self.kpi.one]
-            powt = []
-            for x in range(Q):
-                row = [idx_one]
-                for _ in range(maxe):
-                    row.append(mul[row[-1] * Q + x])
-                powt.append(row)
-            vals = []
-            for a in itertools.product(range(Q), repeat=self.nvars):
-                acc = self.idx_zero
-                for cidx, exps in self._monomials:
-                    t = cidx
-                    for i, e in enumerate(exps):
-                        if e:
-                            t = mul[t * Q + powt[a[i]][e]]
-                    acc = add[acc * Q + t]
-                vals.append(acc)
-            self._g_vals = vals
+            evaluate = geo.index_evaluator(self.tables, self.reduced_terms)
+            self._g_vals = list(map(evaluate, itertools.product(
+                range(self.Q), repeat=self.nvars)))
         return self._g_vals
 
     def chi_exponents(self, chi_index: int):
@@ -394,18 +378,18 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     else:
         sums = {i: [ctx.char_sum(w, i) for w in ws] for i in chi_indices}
 
+    # the case and the text of each w, shared by every character
+    w_cases = ["i" if all(kpi.is_zero(x) for x in w) else _CASES[on_dual(w)]
+               for w in ws]
+    w_texts = [format_covector(kpi, w) for w in ws]
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
     max_ratio_iii = None
     all_pass = True
     pi_text = pr.format_poly(k, pi)
     for chi_index in chi_indices:
-        for w, S in zip(ws, sums[chi_index]):
+        for w_text, case, S in zip(w_texts, w_cases, sums[chi_index]):
             abs_s = ring.abs_embed(S)
-            if all(kpi.is_zero(x) for x in w):
-                case = "i"
-            else:
-                case = _CASES[on_dual(w)]
             cases[case] += 1
             if case == "i":
                 bound, ratio = bound_i, abs_s / bound_i
@@ -423,7 +407,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
                 "pi": pi_text,
                 "ell": ell,
                 "chi_index": chi_index,
-                "w": format_covector(kpi, w),
+                "w": w_text,
                 "case": case,
                 "abs_S": abs_s,
                 "bound": bound,

@@ -20,6 +20,10 @@ The class also converts exponent-pair counters into ring elements: a
 character-sum kernel accumulates integer counts keyed by (i mod p, j mod ell)
 — an order-independent, parallel-merge-safe representation — and calls
 ``from_exponent_counts`` exactly once at the end.
+
+A ring tabulates its p * ell monomials and the complex embeddings of its
+basis once; ``monomial``, ``from_exponent_counts``, ``conj``, ``mul_table``
+and ``embed`` read those tables.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ import functools
 from .ffield import is_prime_int
 
 RING_CACHE_SIZE = 64  # (p, ell) rings kept by cyc_ring
+
+
+def _power_coords(k: int, prime: int) -> list:
+    """zeta^k (0 <= k < prime, zeta of order prime) on the basis 1, zeta,
+    ..., zeta^(prime-2): a unit vector, or all -1 for the top power."""
+    if k < prime - 1:
+        return [int(t == k) for t in range(prime - 1)]
+    return [-1] * (prime - 1)
 
 
 class CycRing:
@@ -46,6 +58,16 @@ class CycRing:
         self.dim_l = ell - 1
         self.dim = self.dim_p * self.dim_l
         self.zero = (0,) * self.dim
+        # _monomials[i * ell + j]: zeta_p^i * zeta_ell^j in the basis, for
+        # 0 <= i < p, 0 <= j < ell
+        self._monomials = [
+            tuple(a * b for a in _power_coords(i, p)
+                  for b in _power_coords(j, ell))
+            for i in range(p) for j in range(ell)]
+        # _embeddings[u]: the complex embedding of basis element u
+        self._embeddings = [
+            cmath.exp(2j * cmath.pi * (iu / p + ju / ell))
+            for iu in range(self.dim_p) for ju in range(self.dim_l)]
         self.one = self.monomial(0, 0)
         # table[u][v] = basis_u * basis_v expressed in the basis
         self._mul_table = None
@@ -61,30 +83,9 @@ class CycRing:
 
     # -- construction -------------------------------------------------------
 
-    def _vec_p(self, i: int) -> tuple:
-        """zeta_p^i as integer coordinates on 1, zeta_p, ..., zeta_p^(p-2)."""
-        i %= self.p
-        if i < self.dim_p:
-            return tuple(1 if t == i else 0 for t in range(self.dim_p))
-        return (-1,) * self.dim_p
-
-    def _vec_l(self, j: int) -> tuple:
-        j %= self.ell
-        if j < self.dim_l:
-            return tuple(1 if t == j else 0 for t in range(self.dim_l))
-        return (-1,) * self.dim_l
-
     def monomial(self, i: int, j: int) -> tuple:
         """zeta_p^i * zeta_ell^j in basis coordinates (any integer exponents)."""
-        vp, vl = self._vec_p(i), self._vec_l(j)
-        out = [0] * self.dim
-        for a, ca in enumerate(vp):
-            if ca:
-                row = a * self.dim_l
-                for b, cb in enumerate(vl):
-                    if cb:
-                        out[row + b] = ca * cb
-        return tuple(out)
+        return self._monomials[i % self.p * self.ell + j % self.ell]
 
     def from_int(self, n: int) -> tuple:
         return tuple(n * c for c in self.one)
@@ -95,11 +96,12 @@ class CycRing:
         ``counts`` is any mapping from exponent pairs to integers; exponents
         may be arbitrary ints (folded mod p, mod ell).
         """
+        p, ell, monomials = self.p, self.ell, self._monomials
         out = [0] * self.dim
         for (i, j), c in counts.items():
             if not c:
                 continue
-            for t, m in enumerate(self.monomial(i, j)):
+            for t, m in enumerate(monomials[i % p * ell + j % ell]):
                 if m:
                     out[t] += c * m
         return tuple(out)
@@ -186,11 +188,9 @@ class CycRing:
     def embed(self, a) -> complex:
         """Complex embedding zeta_p -> exp(2 pi i / p), zeta_ell -> exp(2 pi i / ell)."""
         out = 0j
-        for u, x in enumerate(a):
-            if not x:
-                continue
-            iu, ju = divmod(u, self.dim_l)
-            out += x * cmath.exp(2j * cmath.pi * (iu / self.p + ju / self.ell))
+        for x, z in zip(a, self._embeddings):
+            if x:
+                out += x * z
         return out
 
     def abs_embed(self, a) -> float:

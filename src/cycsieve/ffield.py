@@ -214,15 +214,17 @@ class ExtensionField:
         return self.reduce_poly(conv)
 
     def power(self, a, e: int):
+        """a^e by squaring from the top bit of e down: (bits - 1) squarings
+        and (set bits - 1) products, so a^1 takes none and a^2 one."""
         if e < 0:
             return self.power(self.inv(a), -e)
-        out = self.one
-        acc = a
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
+        if e == 0:
+            return self.one
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
         return out
 
     def inv(self, a):

@@ -22,7 +22,12 @@ Conventions:
   * dual-variety membership mod a prime is decided by the test that
     ``dual_membership_test`` builds once per (form, pi, route): the closed-form
     quadric dual, a supplied dual, or the set of tangent covectors at smooth
-    points found by the extension search.
+    points found by the extension search,
+  * the closed-form routes evaluate the reduced dual on the index tables of
+    k_pi that the char-sum kernel caches (``charsums.field_tables``), through
+    ``index_evaluator``, the one per-point evaluation the kernel's table of
+    G also uses; the tangency route and the extension search stay in tuple
+    arithmetic.
 """
 
 from __future__ import annotations
@@ -166,6 +171,33 @@ def eval_terms(field, terms, point):
                 t = field.mul(t, field.power(x, e))
         out = field.add(out, t)
     return out
+
+
+def index_evaluator(tables, terms):
+    """eval_terms on the index tables of a field: the function that takes a
+    point as the element indices of its coordinates and returns the index
+    of the value of the terms there."""
+    Q, mul, add = tables.size, tables.mul, tables.add
+    monomials = [(tables.index[c], exps) for exps, c in terms.items()]
+    maxe = max((max(exps) for exps in terms), default=0)
+    one, zero = tables.index[tables.field.one], tables.index[tables.field.zero]
+    # powers[x][e]: the index of x^e
+    powers = []
+    for x in range(Q):
+        row = [one]
+        for _ in range(maxe):
+            row.append(mul[row[-1] * Q + x])
+        powers.append(row)
+
+    def evaluate(point):
+        acc = zero
+        for t, exps in monomials:
+            for x, e in zip(point, exps):
+                if e:
+                    t = mul[t * Q + powers[x][e]]
+            acc = add[acc * Q + t]
+        return acc
+    return evaluate
 
 
 def partial_terms(field, terms, i: int):
@@ -777,9 +809,15 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
         _, dual_terms, _ = reduce_form(dual, pi)
         if not dual_terms:
             raise ValueError("supplied dual form vanishes mod pi")
+        # the char-sum kernel's cached tables of k_pi (charsums imports this
+        # module, so the import waits until a test is built)
+        from .charsums import field_tables
+        tables = field_tables(kpi)
+        evaluate = index_evaluator(tables, dual_terms)
+        index, zero = tables.index, tables.index[kpi.zero]
 
         def member(w):
-            return kpi.is_zero(eval_terms(kpi, dual_terms, w))
+            return evaluate([index[x] for x in w]) == zero
 
     def test(w):
         w = tuple(w)

@@ -32,6 +32,18 @@ WD_REFERENCE_DIGESTS = {
         "09510d4315f4902b615f73ecdaf5e76c9c3a45274bfebd19f0ee43656da4c39b",
 }
 
+# the diagonal cubic over F_7 with ell = 3, and the sha256 of its wd-audit
+# artifacts mod T and 1+T, where the case and the text of each w serve both
+# non-principal characters
+CUBIC_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
+                / "perfbench" / "inputs" / "cubic_n2_q7.json")
+CUBIC_WD_DIGESTS = {
+    "wd_audit.csv":
+        "7c57d565ab783b2db5b0903c9fb2a449441f5522a7d80cb3a397d5331ccad2f7",
+    "wd_audit.json":
+        "ddd37c47a0991a1fe66baf493ab1891c13bd75498769ca8ede632091f5b18f22",
+}
+
 # X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
 # so its auto dual is the tangency search
 NONDIAG_CUBIC = {
@@ -219,6 +231,20 @@ class TestCommands:
         # of the same run
         for name, want in WD_REFERENCE_DIGESTS.items():
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == want, name
+
+    def test_wd_audit_cubic_ell3_frozen(self, tmp_path, capsys):
+        config = tmp_path / "cubic.json"
+        config.write_bytes(CUBIC_CONFIG.read_bytes())
+        out = tmp_path / "out"
+        code = cli.main(["wd-audit", "--config", str(config), "--pi", "T",
+                         "--pi", "1+T", "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert ("pi=T: rows=686 cases={'i': 2, 'ii': 108, 'iii': 0, "
+                "'unknown': 576}") in printed
+        for name, want in CUBIC_WD_DIGESTS.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == want, name
 
     def test_wd_audit_q5_fits_default_budget(self, tmp_path):

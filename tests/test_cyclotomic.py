@@ -148,3 +148,57 @@ def test_serialization_roundtrip():
     assert ring.deserialize(obj) == val
     with pytest.raises(ValueError):
         cyc_ring(3, 2).deserialize(obj)
+
+
+def monomial_oracle(ring, i, j):
+    """zeta_p^i * zeta_ell^j built coordinate by coordinate: zeta^k is a
+    unit vector for k below the top power and all -1 at the top power."""
+    def power_vec(k, prime):
+        k %= prime
+        if k < prime - 1:
+            return [int(t == k) for t in range(prime - 1)]
+        return [-1] * (prime - 1)
+    return tuple(a * b for a in power_vec(i, ring.p)
+                 for b in power_vec(j, ring.ell))
+
+
+def test_monomial_table_equals_construction():
+    for ring in RINGS:
+        for i in range(-2 * ring.p, 2 * ring.p):
+            for j in range(-2 * ring.ell, 2 * ring.ell):
+                assert ring.monomial(i, j) == monomial_oracle(ring, i, j)
+
+
+def test_exponent_counts_and_conj_equal_construction():
+    rng = random.Random(9)
+    for ring in RINGS:
+        for _ in range(20):
+            counts = {(rng.randrange(-9, 9), rng.randrange(-9, 9)):
+                      rng.randrange(-5, 6) for _ in range(6)}
+            expect = ring.zero
+            for (i, j), c in counts.items():
+                expect = ring.add(expect,
+                                  ring.scale(c, monomial_oracle(ring, i, j)))
+            assert ring.from_exponent_counts(counts) == expect
+            a = rand_val(ring, rng)
+            conj = ring.zero
+            for u, x in enumerate(a):
+                iu, ju = divmod(u, ring.dim_l)
+                conj = ring.add(conj, ring.scale(
+                    x, monomial_oracle(ring, -iu, -ju)))
+            assert ring.conj(a) == conj
+
+
+@pytest.mark.parametrize("p, ell", [(3, 2), (5, 2), (7, 3)])
+def test_embedding_is_the_per_coordinate_formula_bitwise(p, ell):
+    ring = cyc_ring(p, ell)
+    rng = random.Random(p * ell)
+    for _ in range(50):
+        a = rand_val(ring, rng, span=1000)
+        expect = 0j
+        for u, x in enumerate(a):
+            if x:
+                iu, ju = divmod(u, ring.dim_l)
+                expect += x * cmath.exp(2j * cmath.pi * (iu / p + ju / ell))
+        assert ring.embed(a) == expect
+        assert ring.abs_embed(a) == abs(expect)

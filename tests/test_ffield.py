@@ -2,10 +2,12 @@
 
 import importlib
 import pkgutil
+import random
 
 import pytest
 
 import cycsieve
+from cycsieve import polyring as pr
 from cycsieve.ffield import GF, ExtensionField, FieldTables, prime_factors
 
 
@@ -126,6 +128,47 @@ def test_field_tables_match_direct_ops():
             b = tab.elems[j]
             assert tab.elems[tab.add[i * n + j]] == k.add(a, b)
             assert tab.elems[tab.mul[i * n + j]] == k.mul(a, b)
+
+
+def power_test_fields():
+    """F_9, F_25, F_27 as residue fields and F_81 as a tower over F_9."""
+    fields = [pr.residue_field(GF(p), pr.irreducibles(GF(p), d)[0])
+              for p, d in ((3, 2), (5, 2), (3, 3))]
+    return fields + [pr.extension_of(fields[0], 2)]
+
+
+@pytest.mark.parametrize("field", power_test_fields(), ids=repr)
+def test_power_equals_repeated_mul(field):
+    Q = field.size
+    elems = field.elements()
+    if Q > 27:  # a tower multiplication is slow; a seeded sample of units
+        elems = random.Random(Q).sample(elems[1:], 6)
+    for a in elems:
+        acc = field.one
+        for e in range(2 * Q):
+            assert field.power(a, e) == acc, (a, e)
+            acc = field.mul(acc, a)
+        if field.is_zero(a):
+            continue
+        inv = field.inv(a)
+        assert field.mul(a, inv) == field.one
+        acc = field.one
+        for e in range(1, Q + 1):
+            acc = field.mul(acc, inv)
+            assert field.power(a, -e) == acc, (a, -e)
+
+
+def test_power_multiplication_count(monkeypatch):
+    # one squaring per bit below the top one and one product per set bit
+    # below the top one: a^1 takes none, a^2 one, a^3 two, a^8 three
+    k = f9()
+    calls = []
+    mul = k.mul
+    monkeypatch.setattr(k, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    for e, want in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (7, 4)):
+        calls.clear()
+        k.power((1, 1), e)
+        assert len(calls) == want, e
 
 
 def test_module_caches_are_bounded():

@@ -508,6 +508,48 @@ def cubic7(coeffs):
     return const_form(K7, 2, 3, coeffs)
 
 
+def indexed_form(k, n, m, terms):
+    """Form whose coefficients are given as lists of element indices of k,
+    constant term first."""
+    return geo.MultiForm(k, n, m, {
+        e: pr.normalize(k, tuple(k.from_index(c) for c in coeffs))
+        for e, coeffs in terms.items()})
+
+
+K9 = pr.make_field(3, 2)
+DIAG_QUADRIC = {(2, 0, 0): [1], (0, 2, 0): [1], (0, 0, 2): [1]}
+NONDIAG_QUADRIC = {(2, 0, 0): [1], (1, 1, 0): [1], (0, 2, 0): [2],
+                   (0, 1, 1): [1], (0, 0, 2): [2]}
+T_QUADRIC = {(2, 0, 0): [1, 1], (0, 2, 0): [0, 1], (1, 0, 1): [2],
+             (0, 0, 2): [1]}
+# supplied "duals" need not be duals: the route evaluates whatever it is
+# given, and a cubic with a T coefficient reaches exponent 3 and X0 X1 X2
+T_CUBIC = {(3, 0, 0): [1], (0, 3, 0): [0, 1], (1, 1, 1): [2, 1],
+           (0, 0, 3): [2]}
+# (field, prime, n, quadric, supplied cubic or None for the auto dual):
+# q in {3, 5, 7, 9}, primes of degree 1 and 2, diagonal, non-diagonal and
+# T-coefficient quadrics
+CLOSED_FORM_CASES = [
+    (K3, "T", 2, DIAG_QUADRIC, None),
+    (K3, "T", 3, {(2, 0, 0, 0): [1], (0, 2, 0, 0): [1], (0, 0, 2, 0): [1],
+                  (0, 0, 0, 2): [2], (1, 0, 0, 1): [1]}, None),
+    (K3, "1+T^2", 2, NONDIAG_QUADRIC, None),
+    (K3, "1+T^2", 2, T_QUADRIC, None),
+    (K3, "2+T+T^2", 2, DIAG_QUADRIC, T_CUBIC),
+    (K5, "1+T", 2, T_QUADRIC, None),
+    (K5, "2+T^2", 2, DIAG_QUADRIC, None),
+    (K5, "T", 2, NONDIAG_QUADRIC, T_CUBIC),
+    (K7, "T", 2, NONDIAG_QUADRIC, None),
+    (K7, "3+T", 2, T_QUADRIC, None),
+    (K7, "1+T", 2, DIAG_QUADRIC, T_CUBIC),
+    (K9, "T", 2, {(2, 0, 0): [1], (1, 1, 0): [4], (0, 2, 0): [5],
+                  (0, 1, 1): [7], (0, 0, 2): [3]}, None),
+    (K9, "1+T", 2, {(2, 0, 0): [0, 1], (0, 2, 0): [1], (0, 0, 2): [2, 4]},
+     None),
+    (K9, "T", 2, T_QUADRIC, T_CUBIC),
+]
+
+
 class TestDualTest:
     """The dual-membership test built once per prime against the slow
     per-covector tangency scan, on every nonzero covector."""
@@ -552,6 +594,30 @@ class TestDualTest:
                           ((one, zero, zero), None), ((one, t, one), None)):
             assert tangency_oracle(f, pi, w, 2) is member
             assert on_dual(w) is member
+
+    @pytest.mark.parametrize(
+        "k, pi_text, n, terms, supplied", CLOSED_FORM_CASES,
+        ids=[f"q{c[0].size}-{c[1]}-n{c[2]}-case{i}"
+             for i, c in enumerate(CLOSED_FORM_CASES)])
+    def test_closed_form_matches_eval_terms(self, k, pi_text, n, terms,
+                                            supplied):
+        # the verdict read off the index tables against the dual evaluated
+        # in tuple arithmetic, on every nonzero covector
+        form = indexed_form(k, n, 2, terms)
+        pi = P(k, pi_text)
+        if supplied is None:
+            dual_form, on_dual = (geo.quadric_dual_form(form),
+                                  geo.dual_membership_test(form, pi))
+        else:
+            dual_form = indexed_form(k, n, 3, supplied)
+            on_dual = geo.dual_membership_test(form, pi, dual=dual_form)
+        kpi, dual_terms, _ = geo.reduce_form(dual_form, pi)
+        members = 0
+        for w in nonzero_covectors(kpi, n + 1):
+            expect = kpi.is_zero(geo.eval_terms(kpi, dual_terms, w))
+            assert on_dual(w) is expect
+            members += expect
+        assert 0 < members < kpi.size ** (n + 1) - 1
 
     def test_covectors_validated(self):
         pi = P(K3, "T")

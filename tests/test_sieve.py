@@ -9,11 +9,14 @@ parameter-selection helpers choose_delta / min_b / the prime-count bounds.
 
 import inspect
 import itertools
+import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from cycsieve import cli
 from cycsieve import ffield
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
@@ -533,6 +536,47 @@ def test_value_moments_equal_per_point_pass(case):
     assert (sv.value_moments(k, form, ell, b, primes, hist)
             == per_point_moments(k, form, ell, b, primes, edges[0],
                                  edges[-1]))
+
+
+def seeded_quadric_terms(seed):
+    """Config terms of a ternary quadric over F_3 with every monomial's
+    coefficient drawn from the polynomials of degree < 2 (zeros dropped)."""
+    rng = random.Random(seed)
+    terms = []
+    for exps in ([2, 0, 0], [0, 2, 0], [0, 0, 2],
+                 [1, 1, 0], [0, 1, 1], [1, 0, 1]):
+        c0, c1 = rng.randrange(3), rng.randrange(3)
+        parts = ([str(c0)] if c0 else []) + ([f"{c1}*T"] if c1 else [])
+        if parts:
+            terms.append({"exps": exps, "coeff": "+".join(parts)})
+    return terms
+
+
+def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
+    # a seeded quadric with cross terms and T coefficients through sieve-run:
+    # the artifacts of one and two workers agree byte for byte, and M is the
+    # per-point pass's and the brute-force count's
+    terms = seeded_quadric_terms(1)
+    config = {"p": 3, "e": 1, "n": 2, "ell": 2, "b": 3, "delta": "auto",
+              "delta_max": 2, "form": {"n": 2, "m": 2, "terms": terms}}
+    path = tmp_path / "quadric.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert cli.main(["sieve-run", "--config", str(path), "--workers",
+                         str(workers), "--out", str(out)]) == 0
+    for name in ("sieve_report.json", "sieve_report.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    report = json.loads((outs[0] / "sieve_report.json").read_text())
+    assert report["pass"] is True
+    form = geo.form_from_json(K3, config["form"])
+    assert not form.is_diagonal()
+    assert any(len(c) > 1 for c in form.terms.values())
+    primes = [P(K3, text) for text in report["sieve"]["primes"]]
+    moments = per_point_moments(K3, form, 2, 3, primes, 0, 3 ** 9)
+    assert report["sieve"]["M"] == moments["M"] == sv.brute_force_count(
+        K3, 2, form, 3)
+    assert f"M={moments['M']} " in capsys.readouterr().out
 
 
 class TestChunking:
