@@ -381,7 +381,8 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     # the case and the text of each w, shared by every character
     w_cases = ["i" if all(kpi.is_zero(x) for x in w) else _CASES[on_dual(w)]
                for w in ws]
-    w_texts = [format_covector(kpi, w) for w in ws]
+    texts = element_texts(kpi)
+    w_texts = [";".join([texts[x] for x in w]) for w in ws]
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
     max_ratio_iii = None
@@ -426,10 +427,17 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     }
 
 
+@functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
+def element_texts(kpi) -> dict:
+    """The text of each element of k_pi, its canonical lift, by element."""
+    k = kpi.base
+    return {x: pr.format_poly(k, pr.normalize(k, x)) for x in kpi.elements()}
+
+
 def format_covector(kpi, w) -> str:
     """Canonical lifts of the coordinates, semicolon-joined."""
-    k = kpi.base
-    return ";".join(pr.format_poly(k, pr.normalize(k, x)) for x in w)
+    texts = element_texts(kpi)
+    return ";".join([texts[x] for x in w])
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +598,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
     phases = ctx.phases(w)
 
+    texts = element_texts(kpi)
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
     smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
                                         search_bound=search_bound) \
@@ -613,7 +622,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
         if deligne_applicable and not ok:
             betas_pass = False
         beta_rows.append({
-            "beta": pr.format_poly(k, pr.normalize(k, kpi.from_index(b_idx))),
+            "beta": texts[tables.elems[b_idx]],
             "abs": abs_t,
             "bound": bound_beta,
             "pass": ok if deligne_applicable else None,

@@ -331,10 +331,10 @@ def cmd_dual_check(args) -> int:
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
                                             search_bound=args.search_bound,
                                             budget=budget)
+    texts = cs.element_texts(kpi)
     rows = []
     agree_all = True
-    for idx in itertools.product(range(kpi.size), repeat=form.n + 1):
-        w = tuple(kpi.from_index(i) for i in idx)
+    for w in itertools.product(kpi.elements(), repeat=form.n + 1):
         if all(kpi.is_zero(x) for x in w):
             continue
         closed = closed_test(w)
@@ -342,7 +342,7 @@ def cmd_dual_check(args) -> int:
         agree = (closed is True) == (witness is True)
         agree_all = agree_all and agree
         rows.append({
-            "w": cs.format_covector(kpi, w),
+            "w": ";".join([texts[x] for x in w]),
             "closed_form": closed,
             "tangency_witness": witness is True,
             "agree": agree,

@@ -5,14 +5,23 @@ sieve runner whose artifacts are byte-identical for every worker count
 (the box is split into one range of positions per worker, and the exact
 value histograms of the ranges sum to the histogram of the whole box however
 it is split).
+
+One streaming writer emits every JSON artifact: its bytes are those of
+json.dumps(normalize(report), sort_keys=True, indent=2) and a newline, but it
+renders straight from the report, each scalar once through one table keyed
+by exact type (_SCALAR_TEXTS, which also gives the CSV cells) and each dict
+of scalars in one join, and writes a few rows at a time.
 """
 
 import csv
+import functools
 import io
 import json
+import math
 import multiprocessing
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
 from . import polyring as pr
@@ -22,6 +31,9 @@ from .charsums import Budget
 from .ffield import is_prime_int, prime_factors
 
 DEFAULT_BUDGET = 10 ** 8
+FLUSH_PIECES = 64  # JSON pieces joined into one write of an artifact
+LAYOUT_CACHE_SIZE = 256  # (nesting level, key tuple) dict layouts kept
+FLOAT_CACHE_SIZE = 4096  # JSON texts of rounded floats kept
 
 # the keys of a resolved config, the only keys a config may have
 CONFIG_KEYS = ("p", "e", "q", "n", "ell", "m", "b", "delta", "delta_max",
@@ -159,8 +171,8 @@ def build_instance(config: dict, budget: Budget | None = None):
 def normalize(obj):
     """JSON-normal form: Fractions become exact integers or "num/den"
     strings, floats are rounded to 12 significant digits, tuples become
-    lists.  normalize is idempotent, so parsing an emitted artifact gives
-    back exactly the normalized report."""
+    lists, dict keys become strings.  normalize is idempotent, so parsing an
+    emitted artifact gives back exactly the normalized report."""
     if isinstance(obj, Fraction):
         if obj.denominator == 1:
             return int(obj)
@@ -178,19 +190,79 @@ def normalize(obj):
     return str(obj)
 
 
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
+def _float_json(value) -> str:
+    return _rounded_float_json(f"{value:.12g}")
+
+
+@functools.lru_cache(maxsize=FLOAT_CACHE_SIZE)
+def _rounded_float_json(text: str) -> str:
+    """The JSON text of the float a 12-digit decimal text rounds to, as
+    json spells it; keyed by the text, so 0 and -0 stay apart."""
+    value = float(text)
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _float_cell(value) -> str:
+    # a 12-digit decimal survives the round trip through a float, so this
+    # is also the cell of the normalized value
+    return f"{value:.12g}"
+
+
+def _fraction_cell(value) -> str:
+    if value.denominator == 1:
+        return int.__repr__(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _fraction_json(value) -> str:
+    text = _fraction_cell(value)
+    return text if value.denominator == 1 else f'"{text}"'
+
+
+# exact type of a scalar -> (its JSON text, its CSV cell), both of its
+# normal form
+_SCALAR_TEXTS = {
+    str: (encode_basestring_ascii, str),
+    bool: (_bool_text, _bool_text),
+    type(None): (lambda _: "null", lambda _: ""),
+    int: (int.__repr__, int.__repr__),
+    float: (_float_json, _float_cell),
+    Fraction: (_fraction_json, _fraction_cell),
+}
+
+
+def _other_texts(value) -> tuple:
+    """(JSON text, CSV cell) of a scalar of no exact type in _SCALAR_TEXTS:
+    those of its normal form, where an int subclass stays itself (json
+    writes int's digits for it, and the cell is its own str)."""
+    value = normalize(value)
+    texts = _SCALAR_TEXTS.get(type(value))
+    if texts is None:
+        return int.__repr__(value), str(value)
+    return texts[0](value), texts[1](value)
+
+
 def cell_text(value) -> str:
     """One CSV cell: exact integers, 12-significant-digit magnitudes,
-    lowercase booleans, exact fractions as num/den."""
-    value = normalize(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, list):
+    lowercase booleans, exact fractions as num/den, lists joined by ";"."""
+    texts = _SCALAR_TEXTS.get(type(value))
+    if texts is not None:
+        return texts[1](value)
+    if isinstance(value, (list, tuple)):
         return ";".join(cell_text(v) for v in value)
-    return str(value)
+    if isinstance(value, dict):
+        return str(normalize(value))
+    return _other_texts(value)[1]
 
 
 def csv_text(columns, rows) -> str:
@@ -202,18 +274,82 @@ def csv_text(columns, rows) -> str:
     return out.getvalue()
 
 
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _dict_layout(level: int, keys: tuple) -> tuple:
+    """(the str keys sorted, the text before each value, the closing text)
+    of a non-empty dict with these keys at this nesting level."""
+    order = sorted(keys)
+    inner = "\n" + "  " * (level + 1)
+    heads = [("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
+             + ": " for i, key in enumerate(order)]
+    return order, heads, "\n" + "  " * level + "}"
+
+
+def _json_pieces(obj, level: int = 0):
+    """The text of json.dumps(normalize(obj), sort_keys=True, indent=2) in
+    pieces, each scalar rendered by _SCALAR_TEXTS; a dict whose values are
+    all scalars is one piece."""
+    texts = _SCALAR_TEXTS.get(type(obj))
+    if texts is not None:
+        yield texts[0](obj)
+        return
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        keys = tuple(obj)
+        if not all(type(key) is str for key in keys):
+            obj = {str(key): value for key, value in obj.items()}
+            keys = tuple(obj)
+        keys, heads, close = _dict_layout(level, keys)
+        values = [obj[key] for key in keys]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = "\n" + "  " * (level + 1)
+        heads = ["[" + inner] + ["," + inner] * (len(obj) - 1)
+        close = "\n" + "  " * level + "]"
+        values = obj
+    else:
+        yield _other_texts(obj)[0]
+        return
+    scalar = _SCALAR_TEXTS.get
+    texts = [scalar(type(v)) for v in values]
+    if None not in texts and isinstance(obj, dict):
+        yield "".join([head + t[0](v)
+                       for head, t, v in zip(heads, texts, values)]) + close
+        return
+    for head, t, v in zip(heads, texts, values):
+        if t is None:
+            yield head
+            yield from _json_pieces(v, level + 1)
+        else:
+            yield head + t[0](v)
+    yield close
+
+
 def write_artifact(out_dir: str, name: str, content) -> str:
     """Write out_dir/name: a str as it is, any other report as byte-stable
-    JSON (normalized, sorted keys, indent 2, a final newline), encoded
-    straight into the file, so the whole text is never held in memory."""
+    JSON, the bytes of json.dumps(normalize(content), sort_keys=True,
+    indent=2) and a final newline.  The JSON is rendered straight from the
+    report, each scalar once and each dict of scalars (an audit row) in one
+    join, and written every FLUSH_PIECES pieces, so neither a normalized
+    copy of the report nor its whole text is ever held in memory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if isinstance(content, str):
             fh.write(content)
         else:
-            json.dump(normalize(content), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            buf = []
+            for piece in _json_pieces(content):
+                buf.append(piece)
+                if len(buf) == FLUSH_PIECES:
+                    fh.write("".join(buf))
+                    buf.clear()
+            buf.append("\n")
+            fh.write("".join(buf))
     return path
 
 

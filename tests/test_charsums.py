@@ -339,6 +339,38 @@ class TestAudit:
             assert row["case"] in ("i", "ii", "iii", "unknown")
 
 
+class TestCovectorTexts:
+    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    @pytest.mark.parametrize("delta", [1, 2])
+    def test_table_texts_equal_per_coordinate_formatting(self, q, delta):
+        k = pr.make_field(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
+        kpi = pr.residue_field(k, pr.irreducibles(k, delta)[-1])
+
+        def lift(x):
+            return pr.format_poly(k, pr.normalize(k, x))
+
+        texts = cs.element_texts(kpi)
+        assert len(texts) == kpi.size
+        # every covector of k_pi^2, and a seeded sample of k_pi^3
+        elems = kpi.elements()
+        ws = list(itertools.product(elems, repeat=2))
+        ws += [tuple(elems[(i * 7 + j * 31) % kpi.size] for j in range(3))
+               for i in range(200)]
+        for w in ws:
+            want = ";".join(lift(x) for x in w)
+            assert cs.format_covector(kpi, w) == want
+            assert ";".join([texts[x] for x in w]) == want
+
+    def test_audit_rows_carry_the_lift_texts(self):
+        pi = P(K3, "1+T^2")
+        kpi = pr.residue_field(K3, pi)
+        report = cs.wd_audit(K3, pi, 2, diag3(K3))
+        ws = list(itertools.product(kpi.elements(), repeat=3))
+        assert [row["w"] for row in report["rows"]] == [
+            ";".join(pr.format_poly(K3, pr.normalize(K3, x)) for x in w)
+            for w in ws]
+
+
 class TestSlicing:
     def test_identity_and_frozen_slices_mod_T(self):
         res = cs.slicing_identity(K3, P(K3, "T"), 2, diag3(K3), 1)

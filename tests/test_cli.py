@@ -5,12 +5,17 @@ stability of emitted JSON/CSV including independence from the worker count,
 and the config resolution rules."""
 
 import copy
+import csv
 import hashlib
+import io
 import json
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cycsieve import charsums as cs
 from cycsieve import cli
@@ -43,6 +48,19 @@ CUBIC_WD_DIGESTS = {
     "wd_audit.json":
         "ddd37c47a0991a1fe66baf493ab1891c13bd75498769ca8ede632091f5b18f22",
 }
+
+# the audit-quaternary instance (the unit n = 3 quadric over F_3): sha256 of
+# wd-audit mod T and 1+T^2; and of dual-check mod T on the cubic
+QUADRIC_N3_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
+                     / "perfbench" / "inputs" / "quadric_n3_q3.json")
+QUATERNARY_WD_DIGESTS = {
+    "wd_audit.csv":
+        "c10b5cfdef1d8b1248a771d497afdf15d476d6d0ea66dde8715f8e909ad297d5",
+    "wd_audit.json":
+        "3ae044ba0400805fafbbb5b090e5c1bc0a418a931bb383798b449c8dbf43f583",
+}
+CUBIC_DUAL_DIGEST = \
+    "991e54159381bc30c31ea284cabf8cf01465f073d12f52bdc835cee665f8757b"
 
 # X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
 # so its auto dual is the tangency search
@@ -169,6 +187,141 @@ class TestSerialization:
         text = rp.csv_text(["x", "y"], [{"y": 2, "x": 1}])
         assert text == "x,y\n1,2\n"
 
+    def test_json_writer_never_normalizes_and_writes_small_pieces(
+            self, tmp_path, monkeypatch):
+        rows = [{"q": 9, "Delta": i % 3, "pi": "1+T^2", "w": f"{i};0;T;1",
+                 "abs_S": i / 7, "bound": Fraction(i, 3), "ratio": -0.0,
+                 "pass": i % 2 == 0, "case": None}
+                for i in range(20000)]
+        report = {"rows": rows, "all_pass": True, "summary": {"rows": 20000}}
+        want = oracle_json(report)
+
+        def refuse(obj):
+            raise AssertionError("normalize called")
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                sizes.append(len(text))
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        monkeypatch.setattr(rp, "normalize", refuse)
+        monkeypatch.setattr(rp, "open",
+                            lambda *a, **kw: Recording(open(*a, **kw)),
+                            raising=False)
+        path = rp.write_artifact(str(tmp_path), "big.json", report)
+        # digests, so a failure does not diff two 4 MB texts
+        got = pathlib.Path(path).read_bytes()
+        assert hashlib.sha256(got).hexdigest() \
+            == hashlib.sha256(want.encode()).hexdigest()
+        assert len(sizes) > 100
+        assert max(sizes) <= 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the streaming writer and the CSV cells against the one-shot encoding
+
+
+def oracle_json(obj) -> str:
+    return json.dumps(rp.normalize(obj), sort_keys=True, indent=2) + "\n"
+
+
+def oracle_cell(value) -> str:
+    value = rp.normalize(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, list):
+        return ";".join(oracle_cell(v) for v in value)
+    return str(value)
+
+
+class Flag(int):
+    """An int subclass whose str is not its digits."""
+
+    def __str__(self):
+        return f"Flag({int(self)})"
+
+
+class Opaque:
+    """No JSON type: normalize gives its str."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return f"opaque<{self.text}>"
+
+
+SPECIAL_SCALARS = [True, False, 0, 1, Flag(1), Flag(-7), Fraction(4, 2),
+                   Fraction(-1, 3), Fraction(10 ** 20, 7), -0.0, 0.0, 1e16,
+                   5e-324, 0.1 + 0.2, float("inf"), float("-inf"),
+                   float("nan"), 1e12 + 0.5, 123456.7890123456, None, "",
+                   "é ∑ \u2028", "\x00\x1f\"\\/", "\ud800", Opaque("x")]
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
+    st.text(), st.sampled_from(SPECIAL_SCALARS),
+    st.integers().map(Flag), st.text(max_size=5).map(Opaque))
+keys = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(),
+                 st.none(), st.floats(allow_nan=False), st.fractions())
+reports = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(keys, inner, max_size=5)),
+    max_leaves=40).filter(lambda r: not isinstance(r, str))  # str: as is
+
+MIXED_ROWS = [{"b": 1, "a": [1, 2.5]}, {"a": True, "c": {}}, {},
+              {1: "one", "1": "string one", True: 0}, {0.5: [], None: ()},
+              {Fraction(1, 2): Opaque("k"), "z": Flag(3)}]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reports)
+@example(SPECIAL_SCALARS)
+@example({"scalars": SPECIAL_SCALARS, "rows": MIXED_ROWS, "t": (1, (2,)),
+          "e": [[], {}, ()], 3: {"x": -0.0}})
+@example(MIXED_ROWS)
+@example(float("nan"))
+@example([{"a": 0, "b": False}, {"a": False, "b": 0}, {"a": 1.0, "b": 1}])
+def test_writer_bytes_equal_one_shot_json(tmp_path, report):
+    path = rp.write_artifact(str(tmp_path), "r.json", report)
+    assert pathlib.Path(path).read_bytes() == oracle_json(report).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(scalars, st.lists(scalars, max_size=3)),
+                min_size=3, max_size=3))
+@example([True, 1, Flag(1)])
+@example([-0.0, 5e-324, float("nan")])
+@example([Fraction(4, 2), Fraction(1, 3), [0.1 + 0.2, None, "a,b"]])
+@example([Opaque("x"), "é\n\"", (False, 0)])
+def test_csv_cells_equal_the_normalized_cells(cells):
+    assert [rp.cell_text(v) for v in cells] == [oracle_cell(v) for v in cells]
+    columns = ["x", "y", "z"]
+    rows = [dict(zip(columns, cells)), {"y": cells[0]}]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([oracle_cell(row.get(c)) for c in columns])
+    assert rp.csv_text(columns, rows) == out.getvalue()
+
 
 class TestCommands:
     def test_primes(self, tmp_path, capsys):
@@ -246,6 +399,27 @@ class TestCommands:
         for name, want in CUBIC_WD_DIGESTS.items():
             got = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert got == want, name
+
+    def test_wd_audit_quaternary_frozen(self, tmp_path):
+        config = tmp_path / "quadric.json"
+        config.write_bytes(QUADRIC_N3_CONFIG.read_bytes())
+        out = tmp_path / "out"
+        code = cli.main(["wd-audit", "--config", str(config), "--pi", "T",
+                         "--pi", "1+T^2", "--out", str(out)])
+        assert code == 0
+        for name, want in QUATERNARY_WD_DIGESTS.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == want, name
+
+    def test_dual_check_cubic_frozen(self, tmp_path):
+        config = tmp_path / "cubic.json"
+        config.write_bytes(CUBIC_CONFIG.read_bytes())
+        out = tmp_path / "out"
+        code = cli.main(["dual-check", "--config", str(config), "--pi", "T",
+                         "--out", str(out)])
+        assert code == 0
+        got = hashlib.sha256((out / "dual_check.json").read_bytes())
+        assert got.hexdigest() == CUBIC_DUAL_DIGEST
 
     def test_wd_audit_q5_fits_default_budget(self, tmp_path):
         code = cli.main(["wd-audit", "--config", CONFIG, "--q", "5",
