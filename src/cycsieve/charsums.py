@@ -381,8 +381,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     # the case and the text of each w, shared by every character
     w_cases = ["i" if all(kpi.is_zero(x) for x in w) else _CASES[on_dual(w)]
                for w in ws]
-    texts = element_texts(kpi)
-    w_texts = [";".join([texts[x] for x in w]) for w in ws]
+    w_texts = [format_covector(kpi, w) for w in ws]
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
     max_ratio_iii = None

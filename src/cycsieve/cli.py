@@ -331,7 +331,6 @@ def cmd_dual_check(args) -> int:
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
                                             search_bound=args.search_bound,
                                             budget=budget)
-    texts = cs.element_texts(kpi)
     rows = []
     agree_all = True
     for w in itertools.product(kpi.elements(), repeat=form.n + 1):
@@ -342,7 +341,7 @@ def cmd_dual_check(args) -> int:
         agree = (closed is True) == (witness is True)
         agree_all = agree_all and agree
         rows.append({
-            "w": ";".join([texts[x] for x in w]),
+            "w": cs.format_covector(kpi, w),
             "closed_form": closed,
             "tangency_witness": witness is True,
             "agree": agree,

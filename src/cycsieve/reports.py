@@ -33,7 +33,6 @@ from .ffield import is_prime_int, prime_factors
 DEFAULT_BUDGET = 10 ** 8
 FLUSH_PIECES = 64  # JSON pieces joined into one write of an artifact
 LAYOUT_CACHE_SIZE = 256  # (nesting level, key tuple) dict layouts kept
-FLOAT_CACHE_SIZE = 4096  # JSON texts of rounded floats kept
 
 # the keys of a resolved config, the only keys a config may have
 CONFIG_KEYS = ("p", "e", "q", "n", "ell", "m", "b", "delta", "delta_max",
@@ -195,14 +194,9 @@ def _bool_text(value) -> str:
 
 
 def _float_json(value) -> str:
-    return _rounded_float_json(f"{value:.12g}")
-
-
-@functools.lru_cache(maxsize=FLOAT_CACHE_SIZE)
-def _rounded_float_json(text: str) -> str:
-    """The JSON text of the float a 12-digit decimal text rounds to, as
-    json spells it; keyed by the text, so 0 and -0 stay apart."""
-    value = float(text)
+    """The JSON text of value rounded to 12 significant digits, with json's
+    spellings of the non-finite floats."""
+    value = float(f"{value:.12g}")
     if value != value:
         return "NaN"
     if value == math.inf:
