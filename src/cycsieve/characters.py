@@ -215,13 +215,6 @@ def psi_exponent(k, num, u) -> int:
     return k.trace_to_prime(c)
 
 
-def additive_char_eval(k, x, pi, ell: int) -> tuple:
-    """psi_infty(x/pi) as an exact cyclotomic value in Z[zeta_p, zeta_ell]
-    (the value itself only involves zeta_p; ell picks the ambient ring)."""
-    ring: CycRing = cyc_ring(k.char, ell)
-    return ring.monomial(psi_exponent(k, x, pi), 0)
-
-
 def gauss_sum(chi: MultChar) -> tuple:
     """tau(chi) = sum over alpha in k_pi of chi(alpha) psi_infty(alpha/pi)."""
     if chi.principal:

@@ -313,8 +313,8 @@ def cmd_wd_audit(args) -> int:
     _emit(args, "wd_audit.json",
           {"config": cfg, "audits": audits, "rows": all_rows,
            "all_pass": ok})
-    path = rp.write_artifact(args.out, "wd_audit.csv",
-                             rp.csv_text(rp.WD_CSV_COLUMNS, all_rows))
+    path = rp.write_artifact(args.out, "wd_audit.csv", all_rows,
+                             columns=rp.WD_CSV_COLUMNS)
     print(f"wrote {path}")
     return 0 if ok else 1
 
@@ -382,9 +382,9 @@ def cmd_sieve_run(args) -> int:
     print(f"argmin alpha={result['general']['argmin_alpha']}")
     print("sieve inequalities: " + ("pass" if result["pass"] else "FAIL"))
     _emit(args, "sieve_report.json", result)
-    path = rp.write_artifact(
-        args.out, "sieve_report.csv",
-        rp.csv_text(rp.SIEVE_CSV_COLUMNS, [rp.sieve_csv_row(result)]))
+    path = rp.write_artifact(args.out, "sieve_report.csv",
+                             [rp.sieve_csv_row(result)],
+                             columns=rp.SIEVE_CSV_COLUMNS)
     print(f"wrote {path}")
     return 0 if result["pass"] else 1
 

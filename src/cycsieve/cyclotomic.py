@@ -201,14 +201,6 @@ class CycRing:
     def serialize(self, a) -> dict:
         return {"p": self.p, "ell": self.ell, "coords": list(a)}
 
-    def deserialize(self, obj) -> tuple:
-        if (obj["p"], obj["ell"]) != (self.p, self.ell):
-            raise ValueError("cyclotomic header mismatch")
-        coords = tuple(int(c) for c in obj["coords"])
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        return coords
-
 
 @functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def cyc_ring(p: int, ell: int) -> CycRing:

@@ -4,7 +4,7 @@ Provides the geometric side of the sieve: multivariate forms with polynomial
 coefficients, reduction modulo primes, Dwork-regularity verdicts (a form is
 Dwork-regular when the system H = 0, X_i * dH/dX_i = 0 for all i has no
 projective solution over the algebraic closure), slice checks, projective
-duality, the exceptional-prime scan, and a Schwartz-Zippel zero count audit.
+duality and the exceptional-prime scan.
 
 Conventions:
   * a "terms" mapping sends an exponent tuple (one entry per variable) to a
@@ -673,11 +673,6 @@ def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
 # duality
 
 
-def dual_degree(d: int, n: int) -> int:
-    """Degree of the dual of a smooth degree-d hypersurface in P^n."""
-    return d * (d - 1) ** (n - 1)
-
-
 def _polynomial(K, a):
     """An element of K = F_q(T) known to lie in F_q[T], as a polynomial."""
     num, den = a
@@ -930,28 +925,3 @@ def _user_dual_mismatch(form: MultiForm, piv, user_dual) -> bool:
     kpi, terms, _ = reduce_form(form, piv)
     return not all(map(on_dual,
                        _tangent_covectors(kpi, terms, form.n + 1, 1)[kpi]))
-
-
-# ---------------------------------------------------------------------------
-# Schwartz-Zippel audit
-
-
-def schwartz_zippel_audit(field, terms, nvars: int, sample=None) -> dict:
-    """Count zeros of a nonzero polynomial on sample^nvars and compare with
-    the degree * |sample|^(nvars-1) bound."""
-    if not terms:
-        raise ValueError("the zero polynomial has no Schwartz-Zippel bound")
-    elems = list(sample) if sample is not None else list(field.elements())
-    deg = max(sum(e) for e in terms)
-    zeros = 0
-    for point in itertools.product(elems, repeat=nvars):
-        if field.is_zero(eval_terms(field, terms, point)):
-            zeros += 1
-    bound = deg * len(elems) ** (nvars - 1)
-    return {
-        "degree": deg,
-        "sample_size": len(elems),
-        "zeros": zeros,
-        "bound": bound,
-        "pass": zeros <= bound,
-    }

@@ -42,7 +42,7 @@ from .characters import (
 from .charsums import Budget, CharSumContext
 from .cyclotomic import cyc_ring
 from .polyring import box
-from .sieve import box_histogram
+from .sieve import box_histogram, residue_indices, value_digits
 
 
 def dot(k, xs, ys):
@@ -178,6 +178,16 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
     return total
 
 
+def _value_residues(data1, data2, form: geo.MultiForm, b: int,
+                    budget: Budget | None):
+    """(residue index mod pi1, residue index mod pi2, count) for each
+    distinct value of F on the box {deg x < b}; the box is charged first."""
+    hist = box_histogram(form.k, form, b, budget=budget)
+    values, digits = list(hist), value_digits(form, b)
+    return zip(residue_indices(data1, values, digits),
+               residue_indices(data2, values, digits), hist.values())
+
+
 def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
                       form: geo.MultiForm, b: int,
                       budget: Budget | None = None) -> dict:
@@ -199,11 +209,11 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     ring = data1.ring
 
     counts: dict = {}
-    for v, count in box_histogram(k, form, b, budget=budget).items():
-        e1 = chi1.exponent_at(data1.index_of_poly(v))
+    for idx1, idx2, count in _value_residues(data1, data2, form, b, budget):
+        e1 = chi1.exponent_at(idx1)
         if e1 is None:
             continue
-        e2 = chi2.exponent_at(data2.index_of_poly(v))
+        e2 = chi2.exponent_at(idx2)
         if e2 is None:
             continue
         key = (0, (e1 + e2) % ell)
@@ -274,9 +284,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     lhs = 0
     zero_portion = ring.zero
     pointwise_ok = True
-    for v, count in box_histogram(k, form, b, budget=budget).items():
-        idx1 = data1.index_of_poly(v)
-        idx2 = data2.index_of_poly(v)
+    for idx1, idx2, count in _value_residues(data1, data2, form, b, budget):
         n1 = data1.root_count[idx1]
         n2 = data2.root_count[idx2]
         s1 = nonprincipal_sum(data1, chis1, idx1)

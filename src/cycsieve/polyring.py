@@ -1,4 +1,5 @@
-"""The polynomial ring F_q[T]: exact arithmetic, irreducibles, places, heights.
+"""The polynomial ring F_q[T]: exact arithmetic, irreducibles, factoring,
+residue fields and the fraction field F_q(T).
 
 A polynomial is a normalized little-endian tuple of field elements with no
 trailing zero; the zero polynomial is the empty tuple ``()`` and its degree is
@@ -14,13 +15,6 @@ Determinism conventions used by everything downstream:
   lexicographically by coefficient sequence read from the T^(d-1) coefficient
   down to the constant.  Irreducibles are listed in this order.
 
-Places of K = F_q(T): the infinite place |x/y|_oo = q^(deg x - deg y) and one
-finite place per monic irreducible pi with |x/y|_pi = q^(ord_pi y - ord_pi x);
-|0|_v = 0.  The product of |x|_v over the infinite place and all primes
-dividing numerator or denominator equals 1 exactly (product formula).
-Heights: ht_K(x) = |x|_oo; on affine tuples the max of coordinate heights; on
-projective points the max of |x_i|_oo over coprime integral coordinates.
-
 Text format (used by every CLI surface): ``c0+c1*T+c2*T^2`` with integer
 coefficients 0 <= c < p, e.g. ``1+2*T^3``; the parser rejects coefficients
 outside that range and duplicate powers; the zero polynomial is ``"0"``.
@@ -31,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from fractions import Fraction
 
 from .ffield import ExtensionField, GF, PrimeField, prime_factors
 
@@ -355,101 +348,6 @@ def factor(k, f):
 
 
 # ---------------------------------------------------------------------------
-# places, valuations, heights
-
-
-def abs_infty(k, num, den=None) -> Fraction:
-    """|num/den|_oo = q^(deg num - deg den); |0|_oo = 0."""
-    if not num:
-        return Fraction(0)
-    dden = 0 if den is None else degree(den)
-    if den is not None and not den:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(k.size) ** (degree(num) - dden)
-
-
-def ord_at(k, f, pi) -> int:
-    """Multiplicity of the prime pi in f != 0."""
-    if not f:
-        raise ValueError("ord of zero is +infinity")
-    e = 0
-    while True:
-        q, r = divrem(k, f, pi)
-        if r:
-            return e
-        f = q
-        e += 1
-
-
-def abs_at(k, num, den, pi) -> Fraction:
-    """|num/den|_pi = q^((ord_pi den - ord_pi num) * deg pi); |0|_pi = 0."""
-    if not num:
-        return Fraction(0)
-    if den is None:
-        den = (k.one,)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    e = ord_at(k, den, pi) - ord_at(k, num, pi)
-    return Fraction(k.size) ** (e * degree(pi))
-
-
-def valuation(k, num, den, place) -> Fraction:
-    """|num/den| at a place: the string "infty" or a monic irreducible."""
-    if place == "infty":
-        return abs_infty(k, num, den)
-    return abs_at(k, num, den, place)
-
-
-def places_of(k, num, den):
-    """The infinite place plus every prime dividing num or den."""
-    out = ["infty"]
-    seen = set()
-    for f in (num, den):
-        if not f or degree(f) == 0:
-            continue
-        for pi, _ in factor(k, f)[1]:
-            if pi not in seen:
-                seen.add(pi)
-                out.append(pi)
-    return out
-
-
-def product_over_places(k, num, den) -> Fraction:
-    """Product of |num/den|_v over the infinite place and all primes dividing
-    numerator or denominator.  Equals 1 exactly for num, den != 0."""
-    if not num or not den:
-        raise ValueError("product formula needs a nonzero rational function")
-    out = Fraction(1)
-    for v in places_of(k, num, den):
-        out *= valuation(k, num, den, v)
-    return out
-
-
-def height_field(k, num, den=None) -> Fraction:
-    """ht_K(x) = |x|_oo."""
-    return abs_infty(k, num, den)
-
-
-def height_affine(k, coords) -> Fraction:
-    """Height of an affine tuple of polynomials: max of coordinate heights."""
-    return max(abs_infty(k, f) for f in coords)
-
-
-def height_projective(k, coords) -> Fraction:
-    """Height of a projective point with polynomial coordinates: divide out the
-    common gcd (making the coordinates coprime and integral), then take the
-    max of |x_i|_oo."""
-    nonzero = [f for f in coords if f]
-    if not nonzero:
-        raise ValueError("projective point needs a nonzero coordinate")
-    g = ()
-    for f in nonzero:
-        g = gcd(k, g, f)
-    reduced = [divrem(k, f, g)[0] if f else () for f in coords]
-    return max(abs_infty(k, f) for f in reduced)
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 
@@ -622,13 +520,3 @@ def residue_field(k, pi) -> ExtensionField:
     """k_pi = F_q[T]/(pi) as an extension field; elements are coefficient
     tuples of length deg(pi)."""
     return ExtensionField(k, pi)
-
-
-def reduce_mod(kpi: ExtensionField, f):
-    """Reduce a polynomial over F_q into the residue field k_pi."""
-    return kpi.reduce_poly(f)
-
-
-def lift_from(kpi: ExtensionField, a):
-    """Canonical lift of a residue to a polynomial of degree < deg(pi)."""
-    return normalize(kpi.base, a)

