@@ -600,8 +600,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     texts = element_texts(kpi)
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
     smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
-                                        search_bound=search_bound) \
-        if ctx.reduced_terms else geo.Verdict("singular")
+                                        search_bound=search_bound)
     deligne_applicable = smooth.status == "smooth"
 
     rhs_counts: dict = {}

@@ -13,12 +13,18 @@ Conventions:
   * verdicts carry a witness point plus the degree of the extension it lives
     in (``extension_of(field, ext_degree)`` reconstructs that field), or the
     search bound that was exhausted when the answer is "unknown",
-  * all decisions are exact; search strategies never report a negative, they
-    report "unknown",
+  * each verdict picks its route from the shape of the form, with no option:
+    a closed form (the missing-variable rule for diagonal forms, the matrix
+    of a quadric, the critical points of a quadratic or of a sum of pure
+    powers) where one applies, else a search,
+  * all decisions are exact; a search never reports a negative, it reports
+    "unknown" when it finds no witness,
   * every search over points of extension fields goes through the one
     generator ``_extension_points``,
-  * matrices over F_q[T] are handled by the field routines (``mat_det``,
-    ``mat_adjugate``) over K = F_q(T) (``RationalFunctionField``),
+  * linear algebra runs through one row reduction (``_rref``), under
+    ``mat_det``, ``mat_kernel_vector`` and ``solve_linear``; matrices over
+    F_q[T] are handled by these field routines over K = F_q(T)
+    (``RationalFunctionField``),
   * dual-variety membership mod a prime is decided by the test that
     ``dual_membership_test`` builds once per (form, pi, route): the closed-form
     quadric dual, a supplied dual, or the set of tangent covectors at smooth
@@ -37,9 +43,6 @@ import itertools
 
 from . import polyring as pr
 from .polyring import NEG_INF, RationalFunctionField
-
-STRATEGIES = ("auto", "diagonal", "quadric", "search")
-
 
 # ---------------------------------------------------------------------------
 # forms with coefficients in F_q[T]
@@ -152,7 +155,7 @@ def reduce_form(form: MultiForm, pi):
 
 def form_over_fraction_field(form: MultiForm):
     """The same form with coefficients in K = F_q(T); lets the closed-form
-    regularity strategies run over the global field."""
+    regularity routes run over the global field."""
     K = RationalFunctionField(form.k)
     return K, {exps: K.from_poly(c) for exps, c in form.terms.items()}
 
@@ -253,7 +256,7 @@ def _extension_points(field, term_maps, nvars: int, search_bound: int,
     P^(nvars-1)(ext), or of ext^nvars when affine, where ext is the
     degree-r extension of field.  Deterministic order."""
     if field.size is None:
-        raise ValueError("search strategy needs a finite field")
+        raise ValueError("an extension-point search needs a finite field")
     for r in range(1, search_bound + 1):
         ext = pr.extension_of(field, r)
         emb = (lambda c: c) if r == 1 else ext.embed_base
@@ -268,55 +271,45 @@ def _extension_points(field, term_maps, nvars: int, search_bound: int,
 # exact linear algebra over any field object
 
 
-def mat_det(field, mat):
-    """Determinant via Gaussian elimination (exact field division)."""
-    n = len(mat)
-    m = [list(row) for row in mat]
-    det = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not field.is_zero(m[r][col])), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if field.is_zero(m[r][col]):
-                continue
-            f = field.mul(m[r][col], inv)
-            for c in range(col, n):
-                m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
-    return det
-
-
-def _rref(field, m, rows, cols):
-    """In-place reduced row echelon form on the leading ``cols`` columns;
-    returns the pivot column list."""
+def _rref(field, m, n):
+    """In-place reduced row echelon form of the n-row matrix m on its
+    leading n columns.  Returns the pivot column list and the product of
+    the pivots, negated for each row swap: the determinant of the leading
+    n x n block when all n columns have a pivot."""
     pivots = []
+    det = field.one
     row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, rows) if not field.is_zero(m[r][col])), None)
+    for col in range(n):
+        piv = next((r for r in range(row, n) if not field.is_zero(m[r][col])), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = field.neg(det)
+        det = field.mul(det, m[row][col])
         inv = field.inv(m[row][col])
         m[row] = [field.mul(inv, v) for v in m[row]]
-        for r in range(rows):
+        for r in range(n):
             if r != row and not field.is_zero(m[r][col]):
                 f = m[r][col]
                 m[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
-    return pivots
+    return pivots, det
+
+
+def mat_det(field, mat):
+    """Determinant of a square matrix, read off its row reduction."""
+    n = len(mat)
+    pivots, det = _rref(field, [list(row) for row in mat], n)
+    return det if len(pivots) == n else field.zero
 
 
 def mat_kernel_vector(field, mat):
     """A nonzero kernel vector of a square matrix, or None if nonsingular."""
     n = len(mat)
     m = [list(row) for row in mat]
-    pivots = _rref(field, m, n, n)
+    pivots, _ = _rref(field, m, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None
@@ -333,7 +326,7 @@ def solve_linear(field, mat, rhs):
     Free variables are set to zero."""
     n = len(mat)
     m = [list(row) + [rhs[r]] for r, row in enumerate(mat)]
-    pivots = _rref(field, m, n, n)
+    pivots, _ = _rref(field, m, n)
     for r in range(len(pivots), n):
         if not field.is_zero(m[r][n]):
             return None
@@ -346,8 +339,6 @@ def solve_linear(field, mat, rhs):
 def mat_adjugate(field, mat):
     """Adjugate (transposed cofactor matrix), so mat * adj = det * I."""
     n = len(mat)
-    if n == 1:
-        return [[field.one]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -411,77 +402,70 @@ def _validated_irregular(field, terms, nvars, witness, ext_degree):
     return Verdict("irregular", tuple(witness), ext_degree)
 
 
-def is_dwork_regular(field, terms, nvars: int, m: int, strategy: str = "auto",
-                     search_bound: int = 4) -> Verdict:
-    """Decide Dwork regularity of a degree-m form over the given field.
+def _missing_variable(field, terms, nvars: int):
+    """The closed form of both checks for a diagonal form, sum c_i X_i^m
+    over a subset of the variables with m coprime to the characteristic:
+    dH/dX_i = m c_i X_i^(m-1), so a common zero has X_i = 0 wherever c_i
+    != 0, and the form is regular and smooth iff every variable appears.
+    Returns the witness e_i of the first missing variable i, or None."""
+    present = {next(i for i, e in enumerate(exps) if e) for exps in terms}
+    missing = next((i for i in range(nvars) if i not in present), None)
+    if missing is None:
+        return None
+    return tuple(field.one if j == missing else field.zero for j in range(nvars))
 
-    Strategies: "diagonal" (complete for diagonal forms), "quadric"
-    (complete for m = 2 via the principal-minor criterion: the form is
-    regular iff every principal minor of its symmetric matrix is
-    nonsingular), "search" (enumerate projective points over extensions of
-    degree <= search_bound; finds witnesses, never certifies regularity),
-    "auto" (first closed form that applies, else search).
-    Requires char(field) coprime to m.
-    """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    if m % field.char == 0:
-        raise ValueError("degree divisible by the characteristic; not supported")
-    if not terms:
-        witness = (field.one,) + (field.zero,) * (nvars - 1)
-        return _validated_irregular(field, terms, nvars, witness, 1)
-    diagonal = _is_diagonal(terms)
 
-    if strategy == "auto":
-        if diagonal:
-            strategy = "diagonal"
-        elif m == 2:
-            strategy = "quadric"
-        elif field.size is not None:
-            strategy = "search"
-        else:
-            raise ValueError("no complete strategy applies over an infinite field")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if strategy == "diagonal":
-        if not diagonal:
-            raise ValueError("form is not diagonal")
-        # c_i X_i^m for i in a subset: regular iff every variable appears
-        # (missing variable i gives the witness e_i).
-        present = {next(i for i, e in enumerate(exps) if e) for exps in terms}
-        for i in range(nvars):
-            if i not in present:
-                witness = tuple(
-                    field.one if j == i else field.zero for j in range(nvars))
-                return _validated_irregular(field, terms, nvars, witness, 1)
-        return Verdict("regular")
-
-    if strategy == "quadric":
-        if m != 2:
-            raise ValueError("quadric strategy needs a degree-2 form")
-        # Irregular iff some principal minor is singular: a witness P with
-        # support S solves A_S v = 0 on v = P|_S, and conversely a kernel
-        # vector of A_S extended by zeros solves the whole system.
-        A = quadric_matrix_over(field, terms, nvars)
-        for size in range(1, nvars + 1):
-            for S in itertools.combinations(range(nvars), size):
-                sub = [[A[i][j] for j in S] for i in S]
-                if not field.is_zero(mat_det(field, sub)):
-                    continue
-                v = mat_kernel_vector(field, sub)
+def _quadric_irregular(field, terms, nvars: int):
+    """The closed form for m = 2: the form is irregular iff some principal
+    minor A_S of its symmetric matrix is singular.  A witness P with support
+    S solves A_S v = 0 on v = P|_S, and conversely a kernel vector of A_S
+    extended by zeros solves the whole system.  Returns that witness for the
+    first singular minor (by size, then S in lexicographic order), or None."""
+    A = quadric_matrix_over(field, terms, nvars)
+    for size in range(1, nvars + 1):
+        for S in itertools.combinations(range(nvars), size):
+            v = mat_kernel_vector(field, [[A[i][j] for j in S] for i in S])
+            if v is not None:
                 witness = [field.zero] * nvars
                 for pos, i in enumerate(S):
                     witness[i] = v[pos]
-                return _validated_irregular(field, terms, nvars, witness, 1)
-        return Verdict("regular")
+                return tuple(witness)
+    return None
 
-    # strategy == "search"
+
+def _search_irregular(field, terms, nvars: int, search_bound: int) -> Verdict:
+    """A projective point solving the Dwork system, searched over the
+    extensions of degree <= search_bound."""
     for r, ext, (ext_terms,), point in _extension_points(
             field, [terms], nvars, search_bound):
         if dwork_system_holds(ext, ext_terms, nvars, point):
             return _validated_irregular(field, terms, nvars, point, r)
     return Verdict("unknown", search_bound=search_bound)
+
+
+def is_dwork_regular(field, terms, nvars: int, m: int,
+                     search_bound: int = 4) -> Verdict:
+    """Decide Dwork regularity of a degree-m form over the given field.
+
+    The shape of the form picks the route: the missing-variable rule for a
+    diagonal form (the zero form included), the principal-minor criterion
+    for m = 2, else a search over the extensions of degree <= search_bound,
+    which finds witnesses but never certifies regularity (and needs a
+    finite field).  Requires char(field) coprime to m.
+    """
+    if m < 1:
+        raise ValueError("degree must be >= 1")
+    if m % field.char == 0:
+        raise ValueError("degree divisible by the characteristic; not supported")
+    if _is_diagonal(terms):
+        witness = _missing_variable(field, terms, nvars)
+    elif m == 2:
+        witness = _quadric_irregular(field, terms, nvars)
+    else:
+        return _search_irregular(field, terms, nvars, search_bound)
+    if witness is None:
+        return Verdict("regular")
+    return _validated_irregular(field, terms, nvars, witness, 1)
 
 
 def _search_singular(field, terms, nvars: int, search_bound: int,
@@ -496,56 +480,30 @@ def _search_singular(field, terms, nvars: int, search_bound: int,
     return Verdict("unknown", search_bound=search_bound)
 
 
-def projective_singularity(field, terms, nvars: int, strategy: str = "auto",
+def _singularity(witness) -> Verdict:
+    """The verdict of a closed form that returns a singular point or None."""
+    return Verdict("smooth") if witness is None else Verdict("singular", witness, 1)
+
+
+def projective_singularity(field, terms, nvars: int,
                            search_bound: int = 4) -> Verdict:
     """Singular-point verdict for the projective hypersurface {form = 0}.
 
     A singular point is a projective point where the form and all partial
-    derivatives vanish.  Diagonal forms (with degree coprime to the
-    characteristic) and quadrics get exact criteria; otherwise extensions of
-    degree <= search_bound are searched ("unknown" if none found).
+    derivatives vanish.  The shape of the form picks the route: the
+    missing-variable rule for a diagonal form of degree coprime to the
+    characteristic (the zero form included), the kernel of the symmetric
+    matrix for a quadric, else a search over the extensions of degree
+    <= search_bound ("unknown" if none found).
     """
-    if not terms:
-        witness = (field.one,) + (field.zero,) * (nvars - 1)
-        return Verdict("singular", witness, 1)
     degs = {sum(e) for e in terms}
-    if len(degs) != 1:
+    if len(degs) > 1:
         raise ValueError("form must be homogeneous")
-    m = degs.pop()
-    diagonal = _is_diagonal(terms)
-    if strategy == "auto":
-        if diagonal and m % field.char != 0:
-            strategy = "diagonal"
-        elif m == 2:
-            strategy = "quadric"
-        else:
-            strategy = "search"
-
-    if strategy == "diagonal":
-        # sum of c_i X_i^m: dH/dX_i = m c_i X_i^(m-1), so a common zero has
-        # X_i = 0 wherever c_i != 0; smooth iff every variable appears.
-        if not diagonal or m % field.char == 0:
-            raise ValueError("diagonal strategy needs a diagonal form with "
-                             "degree coprime to the characteristic")
-        present = {next(i for i, e in enumerate(exps) if e) for exps in terms}
-        for i in range(nvars):
-            if i not in present:
-                witness = tuple(
-                    field.one if t == i else field.zero for t in range(nvars))
-                return Verdict("singular", witness, 1)
-        return Verdict("smooth")
-
-    if strategy == "quadric":
-        if m != 2:
-            raise ValueError("quadric strategy needs a degree-2 form")
-        A = quadric_matrix_over(field, terms, nvars)
-        v = mat_kernel_vector(field, A)
-        if v is None:
-            return Verdict("smooth")
-        return Verdict("singular", v, 1)
-
-    if strategy != "search":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if _is_diagonal(terms) and all(m % field.char for m in degs):
+        return _singularity(_missing_variable(field, terms, nvars))
+    if degs == {2}:
+        return _singularity(mat_kernel_vector(
+            field, quadric_matrix_over(field, terms, nvars)))
     return _search_singular(field, terms, nvars, search_bound, affine=False)
 
 
@@ -563,62 +521,50 @@ def _pure_power_degrees(terms):
     return powers
 
 
-def affine_singularity(field, terms, nvars: int, strategy: str = "auto",
+def _quadratic_singular(field, terms, nvars: int):
+    """The closed form for deg g <= 2: critical points solve the linear
+    system A x = -b/2, and g is constant on the critical space, so one
+    value decides.  Returns a singular point or None."""
+    quad = {e: c for e, c in terms.items() if sum(e) == 2}
+    A = quadric_matrix_over(field, quad, nvars)
+    b = [field.zero] * nvars
+    for exps, c in terms.items():
+        if sum(exps) == 1:
+            b[exps.index(1)] = c
+    half = field.inv(field.from_int(2))
+    x0 = solve_linear(field, A, [field.neg(field.mul(x, half)) for x in b])
+    if x0 is not None and field.is_zero(eval_terms(field, terms, x0)):
+        return x0
+    return None
+
+
+def _pure_powers_singular(field, terms, nvars: int, powers):
+    """The closed form for a sum of pure powers plus a constant, exponents
+    coprime to the characteristic: dg/dX_i = d_i c_i X_i^(d_i - 1), so a
+    linear monomial makes the gradient never vanish; otherwise the origin is
+    the only critical point and g there equals the constant term.  Returns
+    the origin when it is singular, else None."""
+    origin = (field.zero,) * nvars
+    if all(d > 1 for d in powers.values()) and field.is_zero(
+            eval_terms(field, terms, origin)):
+        return origin
+    return None
+
+
+def affine_singularity(field, terms, nvars: int,
                        search_bound: int = 4) -> Verdict:
     """Singular-point verdict for the affine hypersurface {g = 0}.
 
-    For deg g <= 2 the decision is complete: critical points solve the linear
-    system A x = -b/2; g is constant on the critical space, so one value
-    decides.  Sums of pure powers (each variable in exactly one monomial,
-    exponents coprime to the characteristic, plus a constant) are also
-    decided exactly: the only critical point candidate is the origin.
-    Everything else falls back to searching extensions.
+    The shape of g picks the route: closed forms for deg g <= 2 and for sums
+    of pure powers (each variable in exactly one monomial, exponents coprime
+    to the characteristic, plus a constant), else a search over the
+    extensions of degree <= search_bound ("unknown" if none found).
     """
-    deg = max((sum(e) for e in terms), default=NEG_INF)
+    if max((sum(e) for e in terms), default=NEG_INF) <= 2:
+        return _singularity(_quadratic_singular(field, terms, nvars))
     powers = _pure_power_degrees(terms)
-    if strategy == "auto":
-        if deg <= 2:
-            strategy = "quadratic"
-        elif powers is not None and all(d % field.char for d in powers.values()):
-            strategy = "pure-powers"
-        else:
-            strategy = "search"
-
-    if strategy == "pure-powers":
-        if powers is None or any(d % field.char == 0 for d in powers.values()):
-            raise ValueError("pure-powers strategy does not apply")
-        # dg/dX_i = d_i c_i X_i^(d_i - 1): a linear monomial makes the
-        # gradient never vanish; otherwise the origin is the only critical
-        # point and g there equals the constant term.
-        if any(d == 1 for d in powers.values()):
-            return Verdict("smooth")
-        origin = (field.zero,) * nvars
-        if field.is_zero(eval_terms(field, terms, origin)):
-            return Verdict("singular", origin, 1)
-        return Verdict("smooth")
-
-    if strategy == "quadratic":
-        if deg > 2:
-            raise ValueError("closed form needs degree <= 2")
-        if field.char == 2:
-            raise ValueError("closed form needs odd characteristic")
-        quad = {e: c for e, c in terms.items() if sum(e) == 2}
-        A = quadric_matrix_over(field, quad, nvars)
-        b = [field.zero] * nvars
-        for exps, c in terms.items():
-            if sum(exps) == 1:
-                b[exps.index(1)] = c
-        half = field.inv(field.from_int(2))
-        rhs = [field.neg(field.mul(x, half)) for x in b]
-        x0 = solve_linear(field, A, rhs)
-        if x0 is None:
-            return Verdict("smooth")
-        if field.is_zero(eval_terms(field, terms, x0)):
-            return Verdict("singular", x0, 1)
-        return Verdict("smooth")
-
-    if strategy != "search":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if powers is not None and all(d % field.char for d in powers.values()):
+        return _singularity(_pure_powers_singular(field, terms, nvars, powers))
     return _search_singular(field, terms, nvars, search_bound, affine=True)
 
 

@@ -101,26 +101,19 @@ def mul(k, f, g):
     return normalize(k, out)
 
 
-def shift(k, f, n):
-    """Multiply by T^n (n >= 0)."""
-    if not f:
-        return ()
-    return (k.zero,) * n + f
-
-
 def divrem(k, f, g):
     """(quotient, remainder) with f = q*g + r and deg r < deg g.  g != 0."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     dg = len(g) - 1
-    lg_inv = k.inv(g[-1])
+    lg_inv = None if g[-1] == k.one else k.inv(g[-1])  # None: g is monic
     q = [k.zero] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
         top = r[i]
         if k.is_zero(top):
             continue
-        c = k.mul(top, lg_inv)
+        c = top if lg_inv is None else k.mul(top, lg_inv)
         q[i - dg] = c
         for j in range(dg + 1):
             r[i - dg + j] = k.sub(r[i - dg + j], k.mul(c, g[j]))

@@ -73,6 +73,21 @@ QUATERNARY_WD_DIGESTS = {
 CUBIC_DUAL_DIGEST = \
     "991e54159381bc30c31ea284cabf8cf01465f073d12f52bdc835cee665f8757b"
 
+# sha256 of the artifacts that the smoothness, Dwork and dual checks of
+# geometry reach: exc-primes on the shipped config, on the cubic and on
+# NONDIAG_CUBIC (search_bound 1, delta_max 1), and dual-check mod T on the
+# shipped config
+EXC_PRIMES_DIGESTS = {
+    "quadric":
+        "f06d6d495846cdc3255b8b00cd2c9e0b585418cd369405baea0cfec83fb80dd1",
+    "cubic":
+        "118a4ad0556ce1f217dc6c02b11eb8ca1e959f223ad3836fc86a83add1c2af37",
+    "nondiag":
+        "6fc1d96b21bcefdb64cc651eea760dd7a408b5372a03d0607e59e0a83fef5395",
+}
+REFERENCE_DUAL_DIGEST = \
+    "6547fe4bd0a5a5b1e8249198b30ba1a592a623cbf0e80b01a2ad0f66405c7212"
+
 # X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
 # so its auto dual is the tangency search
 NONDIAG_CUBIC = {
@@ -466,6 +481,30 @@ class TestCommands:
         assert code == 0
         got = hashlib.sha256((out / "dual_check.json").read_bytes())
         assert got.hexdigest() == CUBIC_DUAL_DIGEST
+
+    def test_exc_primes_frozen(self, tmp_path):
+        cubic = tmp_path / "cubic.json"
+        cubic.write_bytes(CUBIC_CONFIG.read_bytes())
+        nondiag = tmp_path / "nondiag"
+        nondiag.mkdir()
+        runs = {
+            "quadric": ["--config", CONFIG],
+            "cubic": ["--config", str(cubic)],
+            "nondiag": ["--config", write_config(
+                nondiag, {**NONDIAG_CUBIC, "search_bound": 1}),
+                "--delta-max", "1"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert cli.main(["exc-primes", *argv, "--out", str(out)]) == 0
+            got = hashlib.sha256((out / "exc_primes.json").read_bytes())
+            assert got.hexdigest() == EXC_PRIMES_DIGESTS[name], name
+
+    def test_dual_check_reference_digest(self, tmp_path):
+        assert cli.main(["dual-check", "--config", CONFIG, "--pi", "T",
+                         "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "dual_check.json").read_bytes())
+        assert got.hexdigest() == REFERENCE_DUAL_DIGEST
 
     def test_wd_audit_q5_fits_default_budget(self, tmp_path):
         code = cli.main(["wd-audit", "--config", CONFIG, "--q", "5",

@@ -20,6 +20,7 @@ from oracles import dual_degree, schwartz_zippel_audit
 K3 = GF(3)
 K5 = GF(5)
 K7 = GF(7)
+K9 = pr.make_field(3, 2)
 
 
 def P(k, text):
@@ -192,6 +193,8 @@ class TestLinearAlgebra:
         assert geo.solve_linear(K5, [[K5.zero]], [K5.one]) is None
 
     def test_adjugate_identity(self):
+        # the cofactor of a 1 x 1 matrix is the empty determinant, 1
+        assert geo.mat_adjugate(K7, [[K7.from_int(3)]]) == [[K7.one]]
         rng = random.Random(14)
         for _ in range(25):
             m = [[K7.from_int(rng.randrange(7)) for _ in range(3)] for _ in range(3)]
@@ -246,20 +249,50 @@ def brute_irregular_witness(field, terms, nvars):
     return None
 
 
+def singular_at(field, terms, nvars):
+    """Inline oracle: the test "the form and every partial vanish at P"."""
+    grads = [geo.partial_terms(field, terms, i) for i in range(nvars)]
+    return lambda point: all(field.is_zero(geo.eval_terms(field, t, point))
+                             for t in (terms, *grads))
+
+
+def checks_vs_search(field, terms, nvars, m):
+    """For the Dwork and the smoothness check: the dispatched verdict, the
+    verdict of the private search route at bound 1, and every base-field
+    witness of the check in the search's point order."""
+    routes = [
+        (geo.is_dwork_regular(field, terms, nvars, m),
+         geo._search_irregular(field, terms, nvars, 1),
+         lambda point: geo.dwork_system_holds(field, terms, nvars, point)),
+        (geo.projective_singularity(field, terms, nvars),
+         geo._search_singular(field, terms, nvars, 1, affine=False),
+         singular_at(field, terms, nvars)),
+    ]
+    for verdict, searched, holds in routes:
+        witnesses = [p for p in geo.projective_points(field, nvars) if holds(p)]
+        yield verdict, searched, witnesses
+
+
+NEGATIVE = ("irregular", "singular")
+
+
 class TestDworkRegularity:
     def test_diagonal_regular(self):
         for k in (K3, K7):
             terms = field_terms(k, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
             assert geo.is_dwork_regular(k, terms, 3, 2).status == "regular"
 
-    def test_missing_variable_all_strategies(self):
+    def test_missing_variable_every_route(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1})
         expected = (K3.zero, K3.zero, K3.one)
-        for strategy in ("auto", "diagonal", "quadric", "search"):
-            v = geo.is_dwork_regular(K3, terms, 3, 2, strategy=strategy)
-            assert v.status == "irregular"
-            assert v.ext_degree == 1
-            assert v.witness == expected
+        v = geo.is_dwork_regular(K3, terms, 3, 2)
+        assert v.status == "irregular"
+        assert v.ext_degree == 1
+        assert v.witness == expected
+        # the closed forms and the search the dispatch could have taken
+        assert geo._missing_variable(K3, terms, 3) == expected
+        assert geo._quadric_irregular(K3, terms, 3) == expected
+        assert geo._search_irregular(K3, terms, 3, 4) == v
 
     def test_char_divides_degree_rejected(self):
         terms = field_terms(K3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
@@ -281,27 +314,57 @@ class TestDworkRegularity:
         v = geo.is_dwork_regular(K3, {}, 3, 2)
         assert v.status == "irregular" and v.witness == (K3.one, K3.zero, K3.zero)
 
-    def test_search_strategy_unknown_on_regular(self):
+    def test_search_unknown_on_regular(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        v = geo.is_dwork_regular(K3, terms, 3, 2, strategy="search", search_bound=2)
+        v = geo._search_irregular(K3, terms, 3, search_bound=2)
         assert v.status == "unknown" and v.search_bound == 2
 
     def test_quadric_vs_search_oracle(self):
         rng = random.Random(16)
-        for k in (K3, K5):
+        for k in (K3, K5, K7, K9):
+            elems = list(k.elements())
             for _ in range(40):
-                coeffs = {}
+                terms = {}
                 for exps in [(2, 0, 0), (0, 2, 0), (0, 0, 2),
                              (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-                    coeffs[exps] = rng.randrange(k.size)
-                terms = field_terms(k, coeffs)
+                    c = rng.choice(elems)
+                    if not k.is_zero(c):
+                        terms[exps] = c
                 if not terms:
                     continue
-                verdict = geo.is_dwork_regular(k, terms, 3, 2, strategy="quadric")
-                witness = brute_irregular_witness(k, terms, 3)
-                # For quadrics the principal-minor criterion places any
-                # witness over the base field, so these must agree exactly.
-                assert (verdict.status == "irregular") == (witness is not None)
+                # For quadrics the principal-minor and kernel criteria place
+                # any witness over the base field, so the search at bound 1
+                # decides, and both checks must agree with it exactly.
+                for verdict, searched, witnesses in checks_vs_search(
+                        k, terms, 3, 2):
+                    assert (verdict.status in NEGATIVE) \
+                        == (searched.status != "unknown")
+                    assert searched.witness == (witnesses[0] if witnesses
+                                                else None)
+                    if witnesses:
+                        # the closed forms take a witness of least support,
+                        # which need not be the first point the search meets
+                        assert verdict.ext_degree == 1
+                        assert geo._normalized(k, verdict.witness) in witnesses
+
+    def test_diagonal_cubics_vs_search(self):
+        rng = random.Random(18)
+        for missing in ((), (0,), (2,), (0, 2)):
+            for _ in range(3):
+                terms = {}
+                for i in range(3):
+                    if i not in missing:
+                        exps = tuple(3 if j == i else 0 for j in range(3))
+                        terms[exps] = K7.from_int(rng.randrange(1, 7))
+                unit = (tuple(K7.one if j == missing[0] else K7.zero
+                              for j in range(3)) if missing else None)
+                for verdict, searched, witnesses in checks_vs_search(
+                        K7, terms, 3, 3):
+                    assert (verdict.status in NEGATIVE) == bool(missing)
+                    assert (searched.status != "unknown") == bool(missing)
+                    # the missing-variable rule meets the search's first point
+                    assert verdict.witness == searched.witness == unit
+                    assert (witnesses[0] if witnesses else None) == unit
 
     def test_fraction_field_regularity(self):
         f = geo.MultiForm(
@@ -329,17 +392,11 @@ class TestDworkRegularity:
         with pytest.raises(ValueError):
             geo.is_dwork_regular(K, terms, 3, 4)
 
-    def test_resultant_strategy_not_provided(self):
-        terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        with pytest.raises(ValueError):
-            geo.is_dwork_regular(K3, terms, 3, 2, strategy="resultant")
-
 
 class TestProjectivePoints:
     def test_counts_and_distinctness(self):
         pts3 = list(geo.projective_points(K3, 3))
         assert len(pts3) == 13  # 9 + 3 + 1
-        K9 = pr.make_field(3, 2)
         assert len(list(geo.projective_points(K9, 2))) == 10
         for u, w in itertools.combinations(pts3, 2):
             assert not geo.proportional(K3, u, w)
@@ -361,8 +418,7 @@ class TestSingularity:
         fermat = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         # the diagonal closed form certifies smoothness; a search cannot
         assert geo.projective_singularity(K5, fermat, 3).status == "smooth"
-        v = geo.projective_singularity(K5, fermat, 3, strategy="search",
-                                       search_bound=2)
+        v = geo._search_singular(K5, fermat, 3, search_bound=2, affine=False)
         assert v.status == "unknown" and v.search_bound == 2
         cone = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1})
         w = geo.projective_singularity(K5, cone, 3, search_bound=2)
@@ -407,9 +463,9 @@ class TestSingularity:
         for _ in range(40):
             terms = field_terms(
                 K3, {e: rng.randrange(3) for e in exps_pool})
-            closed = geo.affine_singularity(K3, terms, 2, strategy="quadratic")
-            searched = geo.affine_singularity(K3, terms, 2, strategy="search",
-                                              search_bound=1)
+            closed = geo.affine_singularity(K3, terms, 2)
+            searched = geo._search_singular(K3, terms, 2, search_bound=1,
+                                            affine=True)
             # Critical points of a quadratic solve a linear system over the
             # base field, so a base-field search decides it completely.
             if closed.status == "singular":
@@ -518,7 +574,6 @@ def indexed_form(k, n, m, terms):
         for e, coeffs in terms.items()})
 
 
-K9 = pr.make_field(3, 2)
 DIAG_QUADRIC = {(2, 0, 0): [1], (0, 2, 0): [1], (0, 0, 2): [1]}
 NONDIAG_QUADRIC = {(2, 0, 0): [1], (1, 1, 0): [1], (0, 2, 0): [2],
                    (0, 1, 1): [1], (0, 0, 2): [2]}

@@ -57,6 +57,21 @@ def test_divrem_property(data):
     assert pr.degree(r) < pr.degree(g)
 
 
+def test_divrem_inverts_only_a_non_monic_divisor(monkeypatch):
+    k = pr.make_field(3, 2)
+    prime = pr.irreducibles(k, 2)[0]
+    non_monic = pr.smul(k, k.from_int(2), prime)
+    f = pr.poly_from_index(k, 12345, 6)
+    calls = []
+    inv = k.inv
+    monkeypatch.setattr(k, "inv", lambda a: calls.append(a) or inv(a))
+    for g, inversions in ((prime, 0), (non_monic, 1)):
+        q, r = pr.divrem(k, f, g)
+        assert len(calls) == inversions
+        assert pr.add(k, pr.mul(k, q, g), r) == f
+        assert pr.degree(r) < pr.degree(g)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_ext_gcd_identity(data):
