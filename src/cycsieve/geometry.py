@@ -337,17 +337,30 @@ def solve_linear(field, mat, rhs):
 
 
 def mat_adjugate(field, mat):
-    """Adjugate (transposed cofactor matrix), so mat * adj = det * I."""
+    """Adjugate (transposed cofactor matrix), so mat * adj = det * I, from
+    one row reduction of [A | I] to [R | E], where E A = R.  With d the
+    signed product of the pivots, E has determinant 1/d, and
+    adj(A) = d adj(R) E.  At full rank R = I, so adj(A) = d E.  At rank
+    <= n - 2 every cofactor vanishes.  At rank n - 1 the last row of R is
+    zero and one column j has no pivot, so the only nonzero column of
+    adj(R) is its last, (-1)^(j+n-1) times the kernel vector v of R with
+    v_j = 1: adj(A) = (-1)^(j+n-1) d v w, w the last row of E."""
     n = len(mat)
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            d = mat_det(field, minor)
-            adj[i][j] = d if (i + j) % 2 == 0 else field.neg(d)
-    return adj
+    m = [list(row) + [field.one if c == r else field.zero for c in range(n)]
+         for r, row in enumerate(mat)]
+    pivots, det = _rref(field, m, n)
+    if len(pivots) == n:
+        return [[field.mul(det, e) for e in row[n:]] for row in m]
+    if len(pivots) < n - 1:
+        return [[field.zero] * n for _ in range(n)]
+    j = next(c for c in range(n) if c not in pivots)
+    v = [field.zero] * n
+    v[j] = field.one
+    for r, c in enumerate(pivots):
+        v[c] = field.neg(m[r][j])
+    scale = det if (j + n - 1) % 2 == 0 else field.neg(det)
+    w = [field.mul(scale, e) for e in m[n - 1][n:]]
+    return [[field.mul(a, e) for e in w] for a in v]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The polynomial ring F_q[T]: exact arithmetic, irreducibles, factoring,
-residue fields and the fraction field F_q(T).
+"""The polynomial ring F_q[T]: exact arithmetic, irreducibles, residue
+fields and the fraction field F_q(T).
 
 A polynomial is a normalized little-endian tuple of field elements with no
 trailing zero; the zero polynomial is the empty tuple ``()`` and its degree is
@@ -33,7 +33,6 @@ NEG_INF = float("-inf")
 # bounds of the memo caches; no shipped workload comes near them
 FIELD_CACHE_SIZE = 64
 IRREDUCIBLES_CACHE_SIZE = 256
-FACTOR_CACHE_SIZE = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +106,19 @@ def divrem(k, f, g):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     dg = len(g) - 1
+    sub, mul = k.sub, k.mul
     lg_inv = None if g[-1] == k.one else k.inv(g[-1])  # None: g is monic
     q = [k.zero] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
         top = r[i]
         if k.is_zero(top):
             continue
-        c = top if lg_inv is None else k.mul(top, lg_inv)
-        q[i - dg] = c
-        for j in range(dg + 1):
-            r[i - dg + j] = k.sub(r[i - dg + j], k.mul(c, g[j]))
-    return normalize(k, q), normalize(k, r)
+        c = top if lg_inv is None else mul(top, lg_inv)
+        low = i - dg
+        q[low] = c
+        for j in range(dg):  # r[i] - c * g[dg] is zero and is not written
+            r[low + j] = sub(r[low + j], mul(c, g[j]))
+    return normalize(k, q), normalize(k, r[:dg])
 
 
 def poly_mod(k, f, g):
@@ -227,7 +228,7 @@ def monic_to_index(k, f) -> int:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility and factorization
+# irreducibility
 
 
 def is_irreducible(k, f) -> bool:
@@ -303,41 +304,6 @@ def count_irreducibles_formula(q: int, d: int) -> int:
     total = sum(mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
-
-
-@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def factor(k, f):
-    """(leading coefficient, tuple of (monic irreducible, multiplicity)).
-
-    Trial division by enumerated irreducibles of increasing degree; once the
-    remaining cofactor has degree < 2*(current degree) it is itself
-    irreducible.  Factors are sorted by (degree, enumeration index).
-    """
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    lc, g = monic(k, f)
-    out = []
-    d = 1
-    while degree(g) >= 1:
-        if degree(g) < 2 * d:
-            out.append((g, 1))
-            g = (k.one,)
-            break
-        for pi in irreducibles(k, d):
-            e = 0
-            while True:
-                qt, r = divrem(k, g, pi)
-                if r:
-                    break
-                g = qt
-                e += 1
-            if e:
-                out.append((pi, e))
-            if degree(g) < 1:
-                break
-        d += 1
-    out.sort(key=lambda pe: (len(pe[0]), monic_to_index(k, pe[0])))
-    return lc, tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
 solvability of y^ell = F(x) is decided by two independent routes per
 distinct value of F (membership in a precomputed set of ell-th powers,
-versus the factorization criterion: every irreducible multiplicity divisible
-by ell and the leading coefficient an ell-th power in F_q); a disagreement
-raises instead of returning a number.
+versus the multiplicity criterion read off a squarefree decomposition:
+every irreducible multiplicity divisible by ell and the leading coefficient
+an ell-th power in F_q); a disagreement raises instead of returning a
+number.
 
 Every term depends on a box point x only through the value F(x), and a value
 is carried from the box to its residues as one integer, its value index: the
@@ -18,11 +19,14 @@ index pr.poly_to_index gives it with D = deg_T(F) + m(b-1) + 1 base-q digits
 over h-digit blocks does for indices (block_sums).  The pass over the box has
 two steps.  accumulate_chunk builds the histogram Counter(value index of
 F(x)) over a contiguous range of box positions (box_histogram over the whole
-box), so a caller can split the box into one range per worker;
-merge_accumulators adds the histograms, whose exact counts do not depend on
-the split or the order of the parts; value_moments then does the per-prime
-work once per distinct value, weighted by its count.  The sieve terms read
-the resulting moments.
+box), so a caller can split the box into one range per worker.  It never
+walks the rows of the range: it cuts the range into product blocks
+(product_blocks), and on a block the row parts of F are sums of
+contributions of independent groups of coordinates, so their histogram is a
+convolution of one small Counter per group.  merge_accumulators adds the
+histograms, whose exact counts do not depend on the split or the order of
+the parts; value_moments then does the per-prime work once per distinct
+value, weighted by its count.  The sieve terms read the resulting moments.
 
 Each prime reads the residue index of every distinct value from the
 recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
@@ -34,6 +38,8 @@ against the character route at every residue before the first value
 """
 
 import functools
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,25 +328,50 @@ def _ell_th_power_set(k, ell: int, digits: int) -> set:
     return out
 
 
-def _solvable_by_factoring(k, ell: int, g) -> bool:
+def _solvable_by_squarefree(k, ell: int, g) -> bool:
+    """Has y^ell = g a root y in F_q[T]?  Yes iff g = 0, or the leading
+    coefficient of g is an ell-th power in F_q and the multiplicity of
+    every irreducible factor of its monic part f is divisible by ell.  The
+    multiplicities come from Yun's squarefree decomposition over F_q (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 14.6): with c = gcd(f, f')
+    and w = f / c, step i of the loop splits off y = gcd(w, c), and w / y is
+    the product of the irreducibles of multiplicity exactly i among those
+    whose multiplicity p does not divide.  What is left in c is a p-th
+    power, whose p-th root has every multiplicity divided by p; as ell
+    divides q - 1, p is prime to ell, and the root is decided in turn."""
     if not g:
         return True
-    lc, factors = pr.factor(k, g)
-    if any(e % ell for _, e in factors):
+    lc, f = pr.monic(k, g)
+    if k.power(lc, (k.size - 1) // ell) != k.one:
         return False
-    return k.power(lc, (k.size - 1) // ell) == k.one
+    p, root = k.char, k.size // k.char
+    while len(f) > 1:
+        df = pr.normalize(k, [k.mul(k.from_int(i), a)
+                              for i, a in enumerate(f)][1:])
+        c = pr.gcd(k, f, df)
+        if len(c) == 1:  # f is squarefree: each multiplicity is 1
+            return False
+        w = pr.divrem(k, f, c)[0]
+        i = 1
+        while len(w) > 1:
+            y = pr.gcd(k, w, c)
+            if i % ell and len(y) < len(w):
+                return False
+            c, w, i = pr.divrem(k, c, y)[0], y, i + 1
+        f = tuple(k.power(a, root) for a in c[::p])
+    return True
 
 
 def _globally_solvable(k, ell: int, v: int, digits: int, powers: set) -> bool:
     """Both solvability routes at the value of index v: the power set reads
-    the index, the factorization its polynomial."""
+    the index, the squarefree decomposition its polynomial."""
     by_set = v in powers
     g = pr.poly_from_index(k, v, digits)
-    by_factor = _solvable_by_factoring(k, ell, g)
-    if by_set != by_factor:
+    by_squarefree = _solvable_by_squarefree(k, ell, g)
+    if by_set != by_squarefree:
         raise ArithmeticError(
             f"solvability routes disagree at value {pr.format_poly(k, g)}: "
-            f"power-set {by_set}, factorization {by_factor}")
+            f"power-set {by_set}, squarefree decomposition {by_squarefree}")
     return by_set
 
 
@@ -377,107 +408,183 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
 # the box pass: value histograms of chunks, then the sieve work per value
 
 
+def product_blocks(start: int, stop: int, width: int, places: int,
+                   prefix=()) -> list:
+    """The integers [start, stop), read as places base-width digits (the
+    first the most significant), cut into product blocks in order: a block
+    (prefix, lo, hi) holds the integers whose leading digits are prefix and
+    whose next digit is in [lo, hi), every later digit free.  At most
+    2 * places - 1 blocks: a partial block below and above each digit."""
+    if start >= stop:
+        return []
+    unit = width ** (places - 1)
+    lo, lo_rest = divmod(start, unit)
+    hi, hi_rest = divmod(stop, unit)
+    if lo == hi:
+        return product_blocks(lo_rest, hi_rest, width, places - 1,
+                              prefix + (lo,))
+    out = []
+    if lo_rest:
+        out += product_blocks(lo_rest, unit, width, places - 1,
+                              prefix + (lo,))
+        lo += 1
+    if lo < hi:
+        out.append((prefix, lo, hi))
+    if hi_rest:
+        out += product_blocks(0, hi_rest, width, places - 1, prefix + (hi,))
+    return out
+
+
+def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:
+    """Adds to the counts in out those of the sums of an index in a and one
+    in c, each weighted by the product of their counts (out is a plain
+    dict: its lookups are faster than a Counter's)."""
+    columns = adder.columns(c)
+    weights = list(c.values())
+    get = out.get
+    for v, count in a.items():
+        for s, d in zip(adder.add_to_each(v, columns), weights):
+            out[s] = get(s, 0) + count * d
+    return out
+
+
 def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
                      stop: int, budget: Budget | None = None) -> Counter:
     """Counter of the value indices (value_digits digits) of F(x) over the
     box points at positions [start, stop) of the enumeration
     pr.box(k, b, n + 1).
 
-    The positions are walked row by row, a row being the q^b points that
-    share x_0 .. x_{n-1} (x_n varies fastest).  Once per row, F is written
-    as a polynomial in x_n: the index of its free part, and the key tuple of
-    the indices of its coefficients of x_n^1 .. x_n^m.  Each is a digitwise
-    sum (ValueAdder) over the terms of F: a term in one of x_0 .. x_{n-1}
-    reads an index table over the q^b values of that coordinate, built once
-    per chunk; a term in more of them is multiplied out and encoded.  Full
-    rows are grouped by key, and each group's Counter of free parts is
-    convolved, by adding indices, with the Counter of the key's values over
-    x_n; the partial rows at the edges of the range go point by point.
+    A row is the q^b points that share x_0 .. x_{n-1} (x_n varies
+    fastest), and on a row F is a polynomial in x_n: its free part and its
+    key, the coefficients of x_n^1 .. x_n^m.  The row is packed as one
+    integer, the m + 1 value indices as (m + 1) D base-q digits, so row
+    parts add digit by digit (ValueAdder).  The range is cut into product
+    blocks (product_blocks): leading coordinates fixed, one over a
+    sub-range, the rest free; a partial row at an edge is a block whose
+    x_n runs over a sub-range.  Two of x_0 .. x_{n-1} are linked when a
+    term of F holds both; each component of linked coordinates enumerates
+    its own values once per block and gives a Counter of its packed
+    contributions (a coordinate alone reads its index table over the q^b
+    values, built once per chunk; a term in more coordinates is multiplied
+    out and encoded).  The Counter of the rows of a block is the
+    convolution of its components' Counters.  Rows are grouped by key and
+    x_n range, and each group's Counter of free parts is convolved with the
+    Counter of the key's values over that range of x_n.
     """
     n, m = form.n, form.m
     digits = value_digits(form, b)
-    coords = [pr.poly_from_index(k, i, b) for i in range(k.size ** max(b, 0))]
-    width = len(coords)
+    width = k.size ** max(b, 0)
     if not 0 <= start <= stop <= width ** (n + 1):
         raise ValueError(f"positions [{start}, {stop}) are not in the box")
     if budget is not None:
         budget.charge(stop - start)
-    adder = ValueAdder(k, digits, stop - start)
-    add = adder.add
+    packed = (m + 1) * digits
+    slot = k.size ** digits  # the scale of x_n-degree 1 in a packed row
 
     def encode(f):
         return pr.poly_to_index(k, f, digits)
 
-    powers = []  # powers[i][e] = coords[i]^e for e = 0 .. m
-    for x in coords:
-        xe = [(k.one,)]
+    powers = []  # powers[i][e] = (coordinate value i)^e for e = 0 .. m
+    for i in range(width):
+        x, xe = pr.poly_from_index(k, i, b), [(k.one,)]
         for _ in range(m):
             xe.append(pr.mul(k, xe[-1], x))
         powers.append(xe)
-    const = [0] * (m + 1)  # index of the terms in x_n alone, by x_n-degree
-    singles = []  # (coordinate, x_n-degree, index table) of one-head terms
-    products = []  # (head exponents, x_n-degree, coefficient) of the rest
+    # F is homogeneous, so a coordinate alone has one term per x_n-degree,
+    # and its terms fill distinct slots of the packed row
+    const = 0  # the term in x_n alone
+    tables = [[0] * width for _ in range(n)]  # packed one-coordinate terms
+    label = list(range(n))  # one label per component of linked coordinates
+    products = []  # (coordinates, exponents, scale, table over the first)
     for exps, coeff in form.terms.items():
-        head, j = exps[:n], exps[n]
+        head, scale = exps[:n], slot ** exps[n]
         used = [i for i, e in enumerate(head) if e]
         if not used:
-            const[j] = add(const[j], encode(coeff))
+            const = encode(coeff) * scale
         elif len(used) == 1:
-            e = head[used[0]]
-            singles.append((used[0], j, [encode(pr.mul(k, coeff, xe[e]))
-                                         for xe in powers]))
+            i = used[0]
+            tables[i] = [t + encode(pr.mul(k, coeff, xe[head[i]])) * scale
+                         for t, xe in zip(tables[i], powers)]
         else:
-            products.append((head, j, coeff))
+            products.append((used, [head[i] for i in used], scale,
+                             [pr.mul(k, coeff, xe[head[used[0]]])
+                              for xe in powers]))
+            linked = {label[i] for i in used}
+            label = [min(linked) if c in linked else c for c in label]
+    components = {}  # label -> ([coordinates], [their product terms])
+    for i in range(n):
+        components.setdefault(label[i], ([], []))[0].append(i)
+    for term in products:
+        components[label[term[0][0]]][1].append(term)
+    components = list(components.values())
 
-    def split_row(r):
-        """(free part, key) of F on row r, as value indices."""
-        digits_of_row = []
-        for _ in range(n):
-            r, d = divmod(r, width)
-            digits_of_row.append(d)
-        digits_of_row.reverse()
-        parts = list(const)
-        for i, j, table in singles:
-            parts[j] = add(parts[j], table[digits_of_row[i]])
-        for head, j, coeff in products:
-            t = coeff
-            for d, e in zip(digits_of_row, head):
-                if e:
-                    t = pr.mul(k, t, powers[d][e])
-            parts[j] = add(parts[j], encode(t))
-        return parts[0], tuple(parts[1:])
+    counters = {}  # (component, ranges) -> Counter of packed contributions
 
-    def values_over_row(key):
-        """The index of sum_j key[j-1] * x_n^j at every x_n, in box order."""
-        polys = [pr.poly_from_index(k, c, digits) for c in key]
-        out = []
-        for xe in powers:
-            v = ()
-            for c, power in zip(polys, xe[1:]):
-                if c:
-                    v = pr.add(k, v, pr.mul(k, c, power))
-            out.append(encode(v))
+    def component_counter(c, ranges):
+        coords, terms = components[c]
+        spans = tuple(ranges[i] for i in coords)
+        memo = counters.get((c, spans))
+        if memo is not None:
+            return memo
+        if len(coords) == 1:
+            lo, hi = spans[0]
+            out = Counter(tables[coords[0]][lo:hi])
+        else:
+            points = [range(lo, hi) for lo, hi in spans]
+            count = math.prod(map(len, points)) * (len(coords) + len(terms))
+            add = ValueAdder(k, packed, count).add
+            where = {i: p for p, i in enumerate(coords)}
+            plan = [(where[used[0]], [where[i] for i in used[1:]], exps[1:],
+                     scale, first) for used, exps, scale, first in terms]
+
+            def value(point):
+                v = 0
+                for i, d in zip(coords, point):
+                    v = add(v, tables[i][d])
+                for p0, rest, exps, scale, first in plan:
+                    t = first[point[p0]]
+                    for p, e in zip(rest, exps):
+                        t = pr.mul(k, t, powers[point[p]][e])
+                    v = add(v, encode(t) * scale)
+                return v
+            out = Counter(map(value, itertools.product(*points)))
+        counters[(c, spans)] = out
         return out
 
-    hist = Counter()
-    groups = {}  # key -> Counter of the free parts of the full rows
-    for r in range(start // width, -(-stop // width)):
-        lo = max(start - r * width, 0)
-        hi = min(stop - r * width, width)
-        free, key = split_row(r)
-        if hi - lo == width:
-            groups.setdefault(key, Counter())[free] += 1
-            continue
-        hist.update(adder.add_to_each(
-            free, adder.columns(values_over_row(key)[lo:hi])))
-    for key, frees in groups.items():
-        over_row = Counter(values_over_row(key))
-        columns = adder.columns(over_row)
-        weights = list(over_row.values())
-        for free, c in frees.items():
-            for v, d in zip(adder.add_to_each(free, columns), weights):
-                hist[v] += c * d
-    return hist
+    groups = {}  # (key, x_n range) -> Counter of the free parts of its rows
+    for prefix, lo, hi in product_blocks(start, stop, width, n + 1):
+        ranges = ([(d, d + 1) for d in prefix] + [(lo, hi)]
+                  + [(0, width)] * (n - len(prefix)))
+        rows = {const: 1}
+        for c in range(len(components)):
+            parts = component_counter(c, ranges)
+            rows = _convolve(ValueAdder(k, packed, len(rows) * len(parts)),
+                             rows, parts, {})
+        for v, count in rows.items():
+            key, free = divmod(v, slot)
+            groups.setdefault((key, ranges[n]), Counter())[free] += count
+
+    over_row = {}  # key -> the index of its sum_j key_j x_n^j at every x_n
+    for key, _ in groups:
+        if key not in over_row:
+            polys = [pr.poly_from_index(k, key // slot ** j % slot, digits)
+                     for j in range(m)]
+            values = []
+            for xe in powers:
+                v = ()
+                for c, power in zip(polys, xe[1:]):
+                    if c:
+                        v = pr.add(k, v, pr.mul(k, c, power))
+                values.append(encode(v))
+            over_row[key] = values
+    overs = {(key, span): Counter(over_row[key][span[0]:span[1]])
+             for key, span in groups}
+    adder = ValueAdder(k, digits, sum(len(frees) * len(overs[g])
+                                      for g, frees in groups.items()))
+    hist = {}
+    for g, frees in groups.items():
+        _convolve(adder, frees, overs[g], hist)
+    return Counter(hist)
 
 
 def box_histogram(k, form: geo.MultiForm, b: int,
@@ -507,10 +614,10 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     reads the residue index of every distinct value from its recurrence
     table (residue_indices; the tables are charged to budget first), and
     each distinct value is decided by both solvability routes once, its
-    polynomial decoded only for the factorization; every value is weighted
-    by its count.  The residue index decides ramification: index 0 means
-    pi | g (g = 0 included), any other index reads the fiber from the
-    prime's root-count table.  Each table is first checked against the
+    polynomial decoded only for the squarefree decomposition; every value
+    is weighted by its count.  The residue index decides ramification:
+    index 0 means pi | g (g = 0 included), any other index reads the fiber
+    from the prime's root-count table.  Each table is first checked against the
     characters at every residue (characters.root_count_routes).
 
     Returned counters (P = len(primes)):
@@ -545,16 +652,20 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
         states[code] += count
 
     # the weight of the values with digit a at prime i1 and digit c at
-    # prime i2, at ((i1 * base + a) * P + i2) * base + c for i1 >= i2,
-    # unramified only
+    # prime i2, unramified only, is field i2 * base + c of
+    # pairs[i1 * base + a], in fields of `bits` bits that no weight fills:
+    # a value adds its count in the fields of its unramified primes to the
+    # row of each of them
     slots = P * base
-    pair_weight = [0] * (slots * slots)
+    bits = sum(hist.values()).bit_length()
+    unit = [1 << (bits * a) for a in range(slots)]
+    pairs = [0] * slots
     ram_sum = 0
     psi_square_ok = True
     sum_u2 = sum_us = sum_s2 = 0
     for code, count in states.items():
         live = []  # i * base + digit at each unramified prime i
-        u = s = 0
+        u = s = row = 0
         for i in reversed(range(P)):
             code, d = divmod(code, base)
             if not d:
@@ -566,20 +677,22 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
             u += 1
             s += psi * (ell - 1 - psi)
             live.append(i * base + d)
+            row += unit[live[-1]]
         sum_u2 += count * u * u
         sum_us += count * u * s
         sum_s2 += count * s * s
-        for n, a in enumerate(live):  # live runs down the primes
-            row = a * slots
-            for c in live[n:]:
-                pair_weight[row + c] += count
+        row *= count
+        for a in live:
+            pairs[a] += row
     S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
-    for slot, weight in enumerate(pair_weight):
-        if not weight:
-            continue
-        x, y = divmod(slot, slots)
-        for (i1, a), (i2, c) in {(divmod(x, base), divmod(y, base)),
-                                 (divmod(y, base), divmod(x, base))}:
+    mask = (1 << bits) - 1
+    for x, row in enumerate(pairs):
+        i1, a = divmod(x, base)
+        for y in range(slots):
+            weight = row >> (bits * y) & mask
+            if not weight:
+                continue
+            i2, c = divmod(y, base)
             cell = S[i1][i2]
             for i in range(3):
                 for j in range(3):

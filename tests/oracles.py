@@ -1,7 +1,9 @@
 """Functions only the tests call.  Sieve quantities recomputed point by
 point on polynomials, to check the program against: the fiber size and the
 ramified set of one box point, and the count of the sieving set against its
-lower bound.  The additive character as a cyclotomic value, the check
+lower bound.  Factoring in F_q[T] by trial division, the oracle of the
+squarefree solvability route, and the adjugate from n^2 cofactors, the
+oracle of the one-elimination adjugate.  The additive character as a cyclotomic value, the check
 of a serialized cyclotomic value, the degree of a dual hypersurface and a
 Schwartz-Zippel zero count.  And the places of K = F_q(T) with the heights:
 
@@ -13,6 +15,7 @@ Heights: ht_K(x) = |x|_oo; on affine tuples the max of coordinate heights; on
 projective points the max of |x_i|_oo over coprime integral coordinates.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -56,6 +59,71 @@ def verify_card_p(q: int, delta: int, p_exc_size: int) -> dict:
         "required": required,
         "pass": Fraction(count) >= required,
     }
+
+
+FACTOR_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def factor(k, f):
+    """(leading coefficient, tuple of (monic irreducible, multiplicity)).
+
+    Trial division by enumerated irreducibles of increasing degree; once the
+    remaining cofactor has degree < 2*(current degree) it is itself
+    irreducible.  Factors are sorted by (degree, enumeration index).
+    """
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    lc, g = pr.monic(k, f)
+    out = []
+    d = 1
+    while pr.degree(g) >= 1:
+        if pr.degree(g) < 2 * d:
+            out.append((g, 1))
+            g = (k.one,)
+            break
+        for pi in pr.irreducibles(k, d):
+            e = 0
+            while True:
+                qt, r = pr.divrem(k, g, pi)
+                if r:
+                    break
+                g = qt
+                e += 1
+            if e:
+                out.append((pi, e))
+            if pr.degree(g) < 1:
+                break
+        d += 1
+    out.sort(key=lambda pe: (len(pe[0]), pr.monic_to_index(k, pe[0])))
+    return lc, tuple(out)
+
+
+def solvable_by_factoring(k, ell: int, g) -> bool:
+    """Has y^ell = g a root in F_q[T]?  From the factorization: g = 0, or
+    every multiplicity divisible by ell and the leading coefficient an
+    ell-th power in F_q."""
+    if not g:
+        return True
+    lc, factors = factor(k, g)
+    if any(e % ell for _, e in factors):
+        return False
+    return k.power(lc, (k.size - 1) // ell) == k.one
+
+
+def cofactor_adjugate(field, mat):
+    """Adjugate (transposed cofactor matrix) from n^2 cofactor
+    determinants, so mat * adj = det * I."""
+    n = len(mat)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j
+            ]
+            d = geo.mat_det(field, minor)
+            adj[i][j] = d if (i + j) % 2 == 0 else field.neg(d)
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +179,7 @@ def places_of(k, num, den):
     for f in (num, den):
         if not f or pr.degree(f) == 0:
             continue
-        for pi, _ in pr.factor(k, f)[1]:
+        for pi, _ in factor(k, f)[1]:
             if pi not in seen:
                 seen.add(pi)
                 out.append(pi)

@@ -179,7 +179,6 @@ def test_module_caches_are_bounded():
             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     for name in ("charsums.field_tables", "characters.residue_data",
-                 "polyring.irreducibles", "polyring.factor",
-                 "ffield._find_generator"):
+                 "polyring.irreducibles", "ffield._find_generator"):
         assert name in caches
     assert all(size is not None for size in caches.values()), caches

@@ -15,7 +15,7 @@ from cycsieve import polyring as pr
 from cycsieve.ffield import GF
 from cycsieve.polyring import RationalFunctionField
 
-from oracles import dual_degree, schwartz_zippel_audit
+from oracles import cofactor_adjugate, dual_degree, schwartz_zippel_audit
 
 K3 = GF(3)
 K5 = GF(5)
@@ -206,6 +206,56 @@ class TestLinearAlgebra:
                     for t in range(3):
                         s = K7.add(s, K7.mul(m[i][t], adj[t][j]))
                     assert s == (det if i == j else K7.zero)
+
+    @pytest.mark.parametrize("label", ["F3", "F7", "F9", "F3(T)"])
+    def test_adjugate_equals_cofactor_oracle(self, label):
+        # matrices of rank n, n - 1 and n - 2, built as products B C of an
+        # n x r and an r x n matrix and kept when their rank is exactly r
+        if label == "F3(T)":
+            field = RationalFunctionField(K3)
+
+            def draw(rng):
+                return field.from_poly(pr.poly_from_index(
+                    K3, rng.randrange(9), 2))
+        else:
+            field = {"F3": K3, "F7": K7, "F9": K9}[label]
+
+            def draw(rng):
+                return field.from_index(rng.randrange(field.size))
+
+        def product(b, c):
+            out = []
+            for row in b:
+                out.append([])
+                for col in zip(*c):
+                    s = field.zero
+                    for x, y in zip(row, col):
+                        s = field.add(s, field.mul(x, y))
+                    out[-1].append(s)
+            return out
+
+        def rank(mat):
+            return len(geo._rref(field, [list(r) for r in mat], len(mat))[0])
+
+        rng = random.Random(label)
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for r in (n, n - 1, n - 2):
+                if r < 0:
+                    continue
+                found = 0
+                while found < 6:
+                    b = [[draw(rng) for _ in range(r)] for _ in range(n)]
+                    c = [[draw(rng) for _ in range(n)] for _ in range(r)]
+                    mat = (product(b, c) if r else
+                           [[field.zero] * n for _ in range(n)])
+                    if rank(mat) != r:
+                        continue
+                    found += 1
+                    seen.add((n, r))
+                    assert geo.mat_adjugate(field, mat) == \
+                        cofactor_adjugate(field, mat), (n, r, mat)
+        assert len(seen) == 11
 
     def test_poly_matrix_det_and_adjugate(self):
         # matrices over F_q[T] go through the field routines over K = F_q(T)

@@ -28,7 +28,8 @@ from cycsieve import sieve as sv
 from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
-from oracles import fiber_count, ramified_set, verify_card_p
+from oracles import (fiber_count, ramified_set, solvable_by_factoring,
+                     verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -524,6 +525,18 @@ def _histogram_cases():
         ("q9-non-diagonal", K9, 2, _form(K9, 2, 2, {
             (2, 0, 0): (K9.one,), (0, 1, 1): (g9,), (0, 0, 2): (g9, K9.one)}),
          1, [0, 7, 500, 729]),
+        # n = 3, q = 3, b = 2: 6 561 points, rows of 9; an edge that is not
+        # a multiple of 9 is inside a row and so inside every block level
+        ("q3-n3-diagonal", K3, 2, diag(K3, 3, 2), 2,
+         [0, 5, 1000, 1000, 4444, 6561]),
+        ("q3-n3-linked-pair", K3, 2, _form(K3, 3, 2, {
+            (2, 0, 0, 0): "1", (1, 1, 0, 0): "T", (0, 0, 2, 0): "2",
+            (0, 1, 0, 1): "2", (0, 0, 0, 2): "1+T"}), 2,
+         [7, 733, 2350, 2350, 6560]),
+        ("q3-n3-xn-linked", K3, 2, _form(K3, 3, 4, {
+            (4, 0, 0, 0): "1", (1, 1, 0, 2): "1+T", (0, 0, 4, 0): "2",
+            (0, 0, 1, 3): "1", (0, 0, 0, 4): "T"}), 2,
+         [0, 1, 811, 3283, 6561]),
     ]
 
 
@@ -543,6 +556,54 @@ def test_value_moments_equal_per_point_pass(case):
     assert (sv.value_moments(k, form, ell, b, primes, hist)
             == per_point_moments(k, form, ell, b, primes, edges[0],
                                  edges[-1]))
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_squarefree_route_equals_factoring_on_box_values(case):
+    _, k, _, form, b, _ = case
+    digits = sv.value_digits(form, b)
+    values = [pr.poly_from_index(k, v, digits)
+              for v in sv.box_histogram(k, form, b)]
+    for ell in (2, 3):
+        if (k.size - 1) % ell:
+            continue
+        for g in values:
+            assert sv._solvable_by_squarefree(k, ell, g) \
+                == solvable_by_factoring(k, ell, g), (ell, g)
+
+
+@pytest.mark.parametrize("k", [K3, K5, K7, K9], ids=lambda k: str(k.size))
+def test_squarefree_route_on_powers_and_frobenius_values(k):
+    q, p = k.size, k.char
+    rng = random.Random(q)
+    for ell in (2, 3):
+        if (q - 1) % ell:
+            continue
+        ell_th = {k.power(u, ell) for u in k.elements() if u != k.zero}
+        # every ell-th power of a polynomial of degree <= 2, times every unit
+        for i in range(1, q ** 3):
+            y = pr.poly_from_index(k, i, 3)
+            power = (k.one,)
+            for _ in range(ell):
+                power = pr.mul(k, power, y)
+            for u in k.elements():
+                if u == k.zero:
+                    continue
+                g = pr.smul(k, u, power)
+                assert sv._solvable_by_squarefree(k, ell, g) is (u in ell_th)
+        # values g(T^p), alone and times an ell-th power, which reach the
+        # p-th-root step
+        for _ in range(60):
+            h = pr.poly_from_index(k, rng.randrange(1, q ** 3), 3)
+            g = pr.normalize(k, [c if e % p == 0 else k.zero
+                                 for e in range(p * (len(h) - 1) + 1)
+                                 for c in [h[e // p]]])
+            assert pr.degree(g) == p * pr.degree(h)
+            y = pr.poly_from_index(k, rng.randrange(1, q ** 2), 2)
+            for value in (g, pr.mul(k, g, pr.mul(k, y, y)),
+                          pr.mul(k, pr.mul(k, g, g), g)):
+                assert sv._solvable_by_squarefree(k, ell, value) \
+                    == solvable_by_factoring(k, ell, value), (ell, value)
 
 
 def tuple_chunk_histogram(k, form, b, start, stop):
@@ -629,6 +690,58 @@ def test_value_index_histogram_equals_tuple_pass(case):
         parts.append(part)
     assert decoded(k, sv.merge_accumulators(parts), digits) \
         == tuple_chunk_histogram(k, form, b, edges[0], edges[-1])
+
+
+def test_product_blocks_cover_the_range_in_order():
+    rng = random.Random(21)
+    for width, places in ((3, 1), (3, 4), (9, 4), (27, 4), (5, 3)):
+        size = width ** places
+        ranges = [(0, size), (0, 0), (size, size), (1, size - 1)] + [
+            tuple(sorted((rng.randrange(size + 1), rng.randrange(size + 1))))
+            for _ in range(40)]
+        for start, stop in ranges:
+            blocks = sv.product_blocks(start, stop, width, places)
+            assert len(blocks) <= 2 * places - 1
+            covered = []
+            for prefix, lo, hi in blocks:
+                assert len(prefix) < places and 0 <= lo < hi <= width
+                free = places - len(prefix) - 1
+                head = 0
+                for d in prefix:
+                    head = head * width + d
+                for d in range(lo, hi):
+                    base = (head * width + d) * width ** free
+                    covered.extend(range(base, base + width ** free))
+            assert covered == list(range(start, stop))
+
+
+def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
+    # the unit quaternary box (n = 3, q = 3, b = 3, m = 2): 19 683 rows; the
+    # pass multiplies O(n q^b m) times and makes one digitwise-sum call per
+    # distinct partial sum of row parts, never one per row
+    form = diag(K3, 3, 2)
+    n, width, m = 3, 27, 2
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pr, "mul", counted("mul", pr.mul))
+    for name in ("add", "add_to_each"):
+        monkeypatch.setattr(sv.ValueAdder, name,
+                            counted(name, getattr(sv.ValueAdder, name)))
+    size = 3 ** 12
+    for lo, hi in ((0, size), (0, size // 2), (size // 2, size),
+                   (1234, 400000)):
+        calls.clear()
+        hist = sv.accumulate_chunk(K3, form, 3, start=lo, stop=hi)
+        assert sum(hist.values()) == hi - lo
+        assert calls["mul"] <= 2 * n * width * m
+        assert calls["add"] + calls["add_to_each"] <= 4 * n * width * m
+        assert 4 * n * width * m < width ** n // 10
 
 
 @pytest.mark.parametrize("k, h", [(K3, 5), (K5, 3), (K9, 2)])
