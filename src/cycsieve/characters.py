@@ -2,10 +2,9 @@
 
 For a monic irreducible pi over F_q and a prime ell | q - 1:
 
-* ``residue_symbol(k, a, pi, ell)`` is the ell-th power residue symbol
-  (a/pi)_ell: 0 if pi | a, else the unique alpha in mu_ell(F_q) with
-  a^((q^deg pi - 1)/ell) = alpha (mod pi); alpha = 1 iff X^ell = a (mod pi)
-  is solvable.
+* the ell-th power residue symbol (a/pi)_ell is 0 if pi | a, else the
+  unique alpha in mu_ell(F_q) with a^((q^deg pi - 1)/ell) = alpha (mod pi);
+  alpha = 1 iff X^ell = a (mod pi) is solvable.
 * theta is the fixed isomorphism mu_ell(F_q) -> mu_ell(C) determined by the
   smallest primitive root g of F_q^* (smallest in the field's enumeration
   order): theta(g^((q-1)/ell)) = zeta_ell.
@@ -129,23 +128,10 @@ class ResidueData:
         """Residue of a polynomial over F_q."""
         return self.kpi.reduce_poly(f)
 
-    def index_of_poly(self, f) -> int:
-        return self.kpi.index(self.reduce(f))
-
 
 @functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def residue_data(k, pi, ell: int) -> ResidueData:
     return ResidueData(k, pi, ell)
-
-
-def residue_symbol(k, a, pi, ell: int):
-    """(a/pi)_ell as an element of mu_ell(F_q), or F_q's zero when pi | a."""
-    data = residue_data(k, pi, ell)
-    t = data.chi_exp[data.index_of_poly(a)]
-    if t is None:
-        return k.zero
-    g = k.multiplicative_generator()
-    return k.power(g, t * data._theta_step)
 
 
 class MultChar:
@@ -171,30 +157,11 @@ class MultChar:
             return None
         return (self.index * t) % self.data.ell
 
-    def __call__(self, a):
-        return mult_char_eval(self, a)
-
     def __repr__(self):
         return (
             f"chi(pi={pr.format_poly(self.data.k, self.data.pi)},"
             f" ell={self.data.ell}, i={self.index})"
         )
-
-
-def characters(k, pi, ell: int) -> list[MultChar]:
-    """All characters mod pi of order dividing ell, index ascending
-    (the principal character chi_0 first)."""
-    data = residue_data(k, pi, ell)
-    return [MultChar(data, i) for i in range(ell)]
-
-
-def mult_char_eval(chi: MultChar, a) -> tuple:
-    """chi(a) as an exact cyclotomic value (0, or a power of zeta_ell)."""
-    ring = chi.ring
-    e = chi.exponent_at(chi.data.index_of_poly(a))
-    if e is None:
-        return ring.zero
-    return ring.monomial(0, e)
 
 
 def psi_exponent(k, num, u) -> int:

@@ -1,4 +1,4 @@
-"""Mixed character sums over residue fields and their bound audits.
+"""Mixed character sums over residue fields and their bound audit.
 
 The central object is
 
@@ -11,7 +11,7 @@ counters over index tables and canonicalizes once per sum.  The table of G
 over k_pi^(n+1) comes from ``geometry.index_evaluator``, the evaluation the
 closed-form dual test also runs on the same cached tables (``field_tables``).
 
-Both fast routes rest on the additivity of the psi exponent over k_pi,
+Both routes rest on the additivity of the psi exponent over k_pi,
 psi_exp[x + y] = psi_exp[x] + psi_exp[y] (mod p).  ``char_sum`` builds the
 phase of -w.a at every point a as the outer sum of one Q-entry row per
 coordinate (``CharSumContext.phases``) and counts (phase, chi exponent)
@@ -20,22 +20,15 @@ transform over F_p^N (N = Delta e (n+1), q = p^e): ``all_sums`` reads the
 phase as an F_p-linear functional of the point's base-p digits, runs one
 exact radix-p transform of integer counters and reads every chi of order
 dividing ell from the same counters, for about N ell p^2 Q^(n+1) steps
-against Q^(2(n+1)) for one ``char_sum`` per w.  ``char_sum_bruteforce``
-evaluates psi term by term and is the one route that assumes neither.
+against Q^(2(n+1)) for one ``char_sum`` per w.
 
-On top of the kernel:
-  * the square-root cancellation audit: every |S_G(w, chi)| is compared with
-    the proved bound for its case -- w = 0 ("i"), w on the dual variety
-    ("ii"), w off the dual variety ("iii"; here the normalized ratio
-    |S| / q^((n+1) Delta / 2) is also logged, since no explicit constant is
-    asserted for this case); the case comes from the dual-membership test
-    that ``geometry.dual_membership_test`` builds once per prime, and the
-    case and the text of each w are computed once for every chi,
-  * the slicing identity (S_G(0, chi) decomposed along first-nonzero-
-    coordinate strata) with the per-slice multiplicative-sum bound
-    (d-1) * |field|^(r/2) for Deligne slices,
-  * the Gauss-sum completion of S_G(w, chi) for w != 0, exact on both
-    sides, with the per-beta additive-sum bound (d-1)^r * |field|^(r/2).
+On top of the kernel, the square-root cancellation audit (``wd_audit``):
+every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
+("i"), w on the dual variety ("ii"), w off the dual variety ("iii"; here the
+normalized ratio |S| / q^((n+1) Delta / 2) is also logged, since no explicit
+constant is asserted for this case).  The case comes from the
+dual-membership test that ``geometry.dual_membership_test`` builds once per
+prime, and the case and the text of each w are computed once for every chi.
 
 Every loop that runs over a full k_pi^(n+1) charges an evaluation budget, so
 callers can refuse oversized requests up front.
@@ -51,7 +44,7 @@ from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import MultChar, gauss_sum, residue_data
+from .characters import MultChar, residue_data
 from .cyclotomic import CycRing
 from .ffield import FieldTables, prime_factors
 
@@ -178,25 +171,6 @@ class CharSumContext:
                              map(jtab.__getitem__, self.g_values())))
         return self.ring.from_exponent_counts(
             {key: c for key, c in counts.items() if key[1] is not None})
-
-    def char_sum_bruteforce(self, w, chi_index: int):
-        """Independent slow route: evaluate chi and psi_infty term by term
-        through the generic field/character code (no index tables)."""
-        widx = self._w_indices(w)
-        kpi, ring = self.kpi, self.ring
-        chi = MultChar(self.data, chi_index)
-        total = ring.zero
-        for a in itertools.product(kpi.elements(), repeat=self.nvars):
-            g = geo.eval_terms(kpi, self.reduced_terms, a)
-            e = chi.exponent_at(kpi.index(g))
-            if e is None:
-                continue
-            dot = kpi.zero
-            for wi, ai in zip(w, a):
-                dot = kpi.add(dot, kpi.mul(wi, ai))
-            pe = self.data.psi_exp[kpi.index(kpi.neg(dot))]
-            total = ring.add(total, ring.monomial(pe, e))
-        return total
 
     def all_sums(self, chi_indices):
         """{chi_index: an iterator over S_G(w, chi_index) for every w, in
@@ -437,219 +411,3 @@ def format_covector(kpi, w) -> str:
     """Canonical lifts of the coordinates, semicolon-joined."""
     texts = element_texts(kpi)
     return ";".join([texts[x] for x in w])
-
-
-# ---------------------------------------------------------------------------
-# slicing identity and the per-slice multiplicative bound
-
-
-def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
-                     budget: Budget | None = None,
-                     search_bound: int = 2) -> dict:
-    """S_G(0, chi) = sum_j [sum_{u != 0} chi(u)^m] * sum_b chi(g_j(b)).
-
-    Stratify k_pi^(n+1) by the first nonzero coordinate j; on that stratum
-    factor out chi(a_j)^m, leaving the dehomogenized slice g_j of
-    G_{ {j..n} } at X_j = 1 in the variables j+1..n.  Both routes are exact
-    cyclotomic values; "equal" compares them bit for bit.
-    """
-    ctx = CharSumContext(k, pi, ell, form, budget=budget)
-    kpi, ring = ctx.kpi, ctx.ring
-    nvars = ctx.nvars
-    chi = MultChar(ctx.data, chi_index)
-
-    lhs = ctx.char_sum((kpi.zero,) * nvars, chi_index)
-
-    # sum over units of chi(u)^m
-    unit_counts: dict = {}
-    for r in range(1, ctx.Q):
-        e = chi.exponent_at(r)
-        key = (0, (e * form.m) % ell)
-        unit_counts[key] = unit_counts.get(key, 0) + 1
-    unit_factor = ring.from_exponent_counts(unit_counts)
-
-    rhs = ring.zero
-    slices = []
-    for j in range(nvars):
-        S_j = set(range(j, nvars))
-        g, checks = geo.slice_and_check(kpi, ctx.reduced_terms, nvars,
-                                        form.m, S_j, j,
-                                        search_bound=search_bound)
-        r_vars = nvars - 1 - j
-        counts: dict = {}
-        total_points = 0
-        for b in itertools.product(kpi.elements(), repeat=r_vars):
-            total_points += 1
-            e = chi.exponent_at(kpi.index(geo.eval_terms(kpi, g, b)))
-            if e is not None:
-                key = (0, e)
-                counts[key] = counts.get(key, 0) + 1
-        if budget is not None:
-            budget.charge(total_points)
-        affine_sum = ring.from_exponent_counts(counts)
-        slices.append({"j": j, "r": r_vars, "sum": affine_sum,
-                       "checks": checks})
-        rhs = ring.add(rhs, ring.mul(unit_factor, affine_sum))
-    # the a = 0 point contributes chi(G(0)) = chi(0) exactly
-    zero_term = ring.zero if not chi.principal else ring.one
-    rhs = ring.add(rhs, zero_term)
-
-    return {
-        "id": "slicing",
-        "params": {
-            "q": k.size, "pi": pr.format_poly(k, pi), "ell": ell,
-            "chi_index": chi_index, "n": form.n, "m": form.m,
-        },
-        "lhs": lhs,
-        "rhs": rhs,
-        "equal": lhs == rhs,
-        "unit_factor": unit_factor,
-        "slices": slices,
-    }
-
-
-def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
-                     budget: Budget | None = None,
-                     search_bound: int = 2) -> dict:
-    """Per-slice audit: |sum_b chi(g_j(b))| <= (m - 1) * Q^(r/2) whenever the
-    slice is a certified Deligne polynomial (degree preserved, coprime to the
-    characteristic, smooth top form); otherwise the row is marked
-    not-applicable instead of pass/fail.  Also reports whether the slicing
-    identity held exactly.
-    """
-    if not 0 < chi_index < ell:
-        raise ValueError("the slice audit needs a non-principal character")
-    res = slicing_identity(k, pi, ell, form, chi_index, budget=budget,
-                           search_bound=search_bound)
-    ring = residue_data(k, pi, ell).ring
-    Q = k.size ** pr.degree(pi)
-    rows = []
-    all_pass = True
-    for item in res["slices"]:
-        checks = item["checks"]
-        top_smooth = checks["top_form_smooth"]
-        deligne = (
-            checks["degree_preserved"]
-            and checks["top_form_matches"]
-            and form.m % k.char != 0
-            and (top_smooth is None or top_smooth.status == "smooth")
-        )
-        abs_s = ring.abs_embed(item["sum"])
-        bound = (form.m - 1) * Q ** (item["r"] / 2.0)
-        row = {
-            "j": item["j"],
-            "r": item["r"],
-            "abs_sum": abs_s,
-            "bound": bound,
-            "deligne": deligne,
-            "pass": ((abs_s <= bound * (1 + MAGNITUDE_TOL)) if deligne
-                     else None),
-        }
-        if deligne and not row["pass"]:
-            all_pass = False
-        rows.append(row)
-    return {
-        "identity_equal": res["equal"],
-        "rows": rows,
-        "all_pass": all_pass and res["equal"],
-    }
-
-
-# ---------------------------------------------------------------------------
-# Gauss-sum completion (w != 0)
-
-
-def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
-                         chi_index: int, budget: Budget | None = None,
-                         search_bound: int = 2) -> dict:
-    """Complete S_G(w, chi) through Gauss sums, exactly, for w != 0.
-
-    With tau(chi) = sum_alpha chi(alpha) psi(alpha/pi) and
-    T_beta = sum_a psi((beta G(a) - w.a)/pi), checks both
-
-        S_G(w, chi) * tau(conj chi)  ==  sum_{beta != 0} conj(chi)(beta) T_beta
-        S_G(w, chi) * chi(-1) * q^Delta  ==  tau(chi) * (same right side)
-
-    as exact cyclotomic values, and audits every |T_beta| against the
-    additive-sum bound (m - 1)^(n+1) * Q^((n+1)/2) (applicable when the
-    reduced form is smooth: beta G is then a Deligne polynomial).
-    """
-    if not 0 < chi_index < ell:
-        raise ValueError("completion needs a non-principal character")
-    ctx = CharSumContext(k, pi, ell, form, budget=budget)
-    kpi, ring, tables = ctx.kpi, ctx.ring, ctx.tables
-    Q, nvars = ctx.Q, ctx.nvars
-    widx = ctx._w_indices(w)
-    if all(i == ctx.idx_zero for i in widx):
-        raise ValueError("completion requires w != 0")
-
-    S = ctx.char_sum(w, chi_index)
-    conj_index = (ell - chi_index) % ell
-    tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
-    tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
-
-    if budget is not None:
-        budget.charge((Q - 1) * Q**nvars)
-    mul, p = tables.mul, kpi.char
-    psi = ctx.data.psi_exp
-    chi_exp = ctx.data.chi_exp
-    g_vals = ctx.g_values()
-    # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
-    phases = ctx.phases(w)
-
-    texts = element_texts(kpi)
-    bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
-    smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
-                                        search_bound=search_bound)
-    deligne_applicable = smooth.status == "smooth"
-
-    rhs_counts: dict = {}
-    beta_rows = []
-    betas_pass = True
-    for b_idx in range(Q):
-        if b_idx == ctx.idx_zero:
-            continue
-        jb = (conj_index * chi_exp[b_idx]) % ell
-        inner: dict = {}
-        for gv, phase in zip(g_vals, phases):
-            pe = (psi[mul[b_idx * Q + gv]] + phase) % p
-            inner[pe] = inner.get(pe, 0) + 1
-        t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})
-        abs_t = ring.abs_embed(t_beta)
-        ok = abs_t <= bound_beta * (1 + MAGNITUDE_TOL)
-        if deligne_applicable and not ok:
-            betas_pass = False
-        beta_rows.append({
-            "beta": texts[tables.elems[b_idx]],
-            "abs": abs_t,
-            "bound": bound_beta,
-            "pass": ok if deligne_applicable else None,
-        })
-        for pe, c in inner.items():
-            key = (pe, jb)
-            rhs_counts[key] = rhs_counts.get(key, 0) + c
-    rhs = ring.from_exponent_counts(rhs_counts)
-
-    lhs1 = ring.mul(S, tau_conj)
-    chi_minus1 = ring.monomial(
-        0, (chi_index * chi_exp[tables.index[kpi.neg(kpi.one)]]) % ell)
-    lhs2 = ring.mul(ring.mul(S, chi_minus1), ring.from_int(Q))
-    rhs2 = ring.mul(tau_chi, rhs)
-
-    completion_exact = lhs1 == rhs
-    normalized_exact = lhs2 == rhs2
-    return {
-        "id": "gauss-twist",
-        "params": {
-            "q": k.size, "pi": pr.format_poly(k, pi), "ell": ell,
-            "chi_index": chi_index, "w": format_covector(kpi, w),
-        },
-        "lhs": lhs1,
-        "rhs": rhs,
-        "equal": completion_exact and normalized_exact,
-        "completion_exact": completion_exact,
-        "normalized_exact": normalized_exact,
-        "deligne_applicable": deligne_applicable,
-        "beta_rows": beta_rows,
-        "all_pass": completion_exact and normalized_exact and betas_pass,
-    }

@@ -165,8 +165,11 @@ def cmd_charsum(args) -> int:
     form, _ = rp.config_objects(cfg)
     k = form.k
     pi = pr.parse_poly(k, args.pi)
-    ctx = cs.CharSumContext(k, pi, cfg["ell"], form,
-                            budget=Budget(cfg["budget"]))
+    # the table of G and the phases of w, one pass over k_pi^(n+1) each,
+    # before the residue tables are built
+    Budget(cfg["budget"]).charge(
+        2 * pr.residue_field(k, pi).size ** (form.n + 1))
+    ctx = cs.CharSumContext(k, pi, cfg["ell"], form)
     if args.w:
         w = tuple(ctx.kpi.reduce_poly(pr.parse_poly(k, t))
                   for t in args.w.split(";"))
@@ -326,11 +329,15 @@ def cmd_dual_check(args) -> int:
     pi = pr.parse_poly(k, args.pi)
     kpi = pr.residue_field(k, pi)
     budget = Budget(cfg["budget"])
-    closed_test = geo.dual_membership_test(form, pi, dual=dual,
-                                           budget=budget)
+    # the searches of both tests, then the walk over the nonzero covectors,
+    # before either test is built
+    budget.charge(geo.dual_test_cost(form, kpi.size, dual))
+    budget.charge(geo.dual_test_cost(form, kpi.size, "tangency",
+                                     args.search_bound))
+    budget.charge(kpi.size ** (form.n + 1) - 1)
+    closed_test = geo.dual_membership_test(form, pi, dual=dual)
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
-                                            search_bound=args.search_bound,
-                                            budget=budget)
+                                            search_bound=args.search_bound)
     rows = []
     agree_all = True
     for w in itertools.product(kpi.elements(), repeat=form.n + 1):

@@ -3,32 +3,31 @@
 Provides the geometric side of the sieve: multivariate forms with polynomial
 coefficients, reduction modulo primes, Dwork-regularity verdicts (a form is
 Dwork-regular when the system H = 0, X_i * dH/dX_i = 0 for all i has no
-projective solution over the algebraic closure), slice checks, projective
-duality and the exceptional-prime scan.
+projective solution over the algebraic closure), smoothness verdicts,
+projective duality and the exceptional-prime scan.
 
 Conventions:
   * a "terms" mapping sends an exponent tuple (one entry per variable) to a
     nonzero coefficient; coefficients live either in F_q[T] (MultiForm) or in
-    a field object (reduced / sliced forms),
+    a field object (reduced forms),
   * verdicts carry a witness point plus the degree of the extension it lives
     in (``extension_of(field, ext_degree)`` reconstructs that field), or the
     search bound that was exhausted when the answer is "unknown",
   * each verdict picks its route from the shape of the form, with no option:
     a closed form (the missing-variable rule for diagonal forms, the matrix
-    of a quadric, the critical points of a quadratic or of a sum of pure
-    powers) where one applies, else a search,
+    of a quadric) where one applies, else a search,
   * all decisions are exact; a search never reports a negative, it reports
     "unknown" when it finds no witness,
   * every search over points of extension fields goes through the one
     generator ``_extension_points``,
   * linear algebra runs through one row reduction (``_rref``), under
-    ``mat_det``, ``mat_kernel_vector`` and ``solve_linear``; matrices over
+    ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; matrices over
     F_q[T] are handled by these field routines over K = F_q(T)
     (``RationalFunctionField``),
   * dual-variety membership mod a prime is decided by the test that
     ``dual_membership_test`` builds once per (form, pi, route): the closed-form
-    quadric dual, a supplied dual, or the set of tangent covectors at smooth
-    points found by the extension search,
+    quadric dual ("auto" for m = 2), a supplied dual, or the set of tangent
+    covectors at smooth points found by the extension search,
   * the closed-form routes evaluate the reduced dual on the index tables of
     k_pi that the char-sum kernel caches (``charsums.field_tables``), through
     ``index_evaluator``, the one per-point evaluation the kernel's table of
@@ -84,9 +83,6 @@ class MultiForm:
         """Largest T-degree among the coefficients (NEG_INF for the zero form)."""
         return max((pr.degree(c) for c in self.terms.values()), default=NEG_INF)
 
-    def is_diagonal(self) -> bool:
-        return _is_diagonal(self.terms)
-
 
 def _is_diagonal(terms) -> bool:
     """Is every monomial a pure power of one variable?"""
@@ -119,21 +115,6 @@ def form_to_json(form: MultiForm) -> dict:
             for exps, coeff in form.terms.items()
         ],
     }
-
-
-def eval_form_at_polys(form: MultiForm, xs):
-    """F(x_0, .., x_n) in F_q[T] for polynomial arguments."""
-    if len(xs) != form.n + 1:
-        raise ValueError(f"need {form.n + 1} arguments, got {len(xs)}")
-    k = form.k
-    out = ()
-    for exps, coeff in form.terms.items():
-        t = coeff
-        for x, e in zip(xs, exps):
-            for _ in range(e):
-                t = pr.mul(k, t, x)
-        out = pr.add(k, out, t)
-    return out
 
 
 def reduce_form(form: MultiForm, pi):
@@ -249,21 +230,18 @@ def _projective_count(Q: int, nvars: int, search_bound: int) -> int:
                for r in range(1, search_bound + 1))
 
 
-def _extension_points(field, term_maps, nvars: int, search_bound: int,
-                      affine: bool = False):
+def _extension_points(field, term_maps, nvars: int, search_bound: int):
     """The extension-point search: for r = 1 .. search_bound, yield
     (r, ext, term maps embedded in ext, point) for every point of
-    P^(nvars-1)(ext), or of ext^nvars when affine, where ext is the
-    degree-r extension of field.  Deterministic order."""
+    P^(nvars-1)(ext), where ext is the degree-r extension of field.
+    Deterministic order."""
     if field.size is None:
         raise ValueError("an extension-point search needs a finite field")
     for r in range(1, search_bound + 1):
         ext = pr.extension_of(field, r)
         emb = (lambda c: c) if r == 1 else ext.embed_base
         maps = [{e: emb(c) for e, c in t.items()} for t in term_maps]
-        points = (itertools.product(ext.elements(), repeat=nvars) if affine
-                  else projective_points(ext, nvars))
-        for point in points:
+        for point in projective_points(ext, nvars):
             yield r, ext, maps, point
 
 
@@ -319,21 +297,6 @@ def mat_kernel_vector(field, mat):
     for r, c in enumerate(pivots):
         vec[c] = field.neg(m[r][j])
     return tuple(vec)
-
-
-def solve_linear(field, mat, rhs):
-    """One solution of mat * x = rhs (square system), or None if inconsistent.
-    Free variables are set to zero."""
-    n = len(mat)
-    m = [list(row) + [rhs[r]] for r, row in enumerate(mat)]
-    pivots, _ = _rref(field, m, n)
-    for r in range(len(pivots), n):
-        if not field.is_zero(m[r][n]):
-            return None
-    x = [field.zero] * n
-    for r, c in enumerate(pivots):
-        x[c] = m[r][n]
-    return tuple(x)
 
 
 def mat_adjugate(field, mat):
@@ -481,13 +444,12 @@ def is_dwork_regular(field, terms, nvars: int, m: int,
     return _validated_irregular(field, terms, nvars, witness, 1)
 
 
-def _search_singular(field, terms, nvars: int, search_bound: int,
-                     affine: bool) -> Verdict:
-    """A point where the form and every partial derivative vanish, searched
-    over extensions of degree <= search_bound."""
+def _search_singular(field, terms, nvars: int, search_bound: int) -> Verdict:
+    """A projective point where the form and every partial derivative
+    vanish, searched over extensions of degree <= search_bound."""
     grads = [partial_terms(field, terms, i) for i in range(nvars)]
     for r, ext, (h, *gs), point in _extension_points(
-            field, [terms, *grads], nvars, search_bound, affine):
+            field, [terms, *grads], nvars, search_bound):
         if all(ext.is_zero(eval_terms(ext, t, point)) for t in (h, *gs)):
             return Verdict("singular", point, r)
     return Verdict("unknown", search_bound=search_bound)
@@ -517,115 +479,7 @@ def projective_singularity(field, terms, nvars: int,
     if degs == {2}:
         return _singularity(mat_kernel_vector(
             field, quadric_matrix_over(field, terms, nvars)))
-    return _search_singular(field, terms, nvars, search_bound, affine=False)
-
-
-def _pure_power_degrees(terms):
-    """{variable: exponent} when every non-constant monomial is a pure power
-    of a distinct variable; None when that shape does not hold."""
-    powers = {}
-    for exps in terms:
-        sup = [i for i, e in enumerate(exps) if e]
-        if not sup:
-            continue
-        if len(sup) > 1 or sup[0] in powers:
-            return None
-        powers[sup[0]] = exps[sup[0]]
-    return powers
-
-
-def _quadratic_singular(field, terms, nvars: int):
-    """The closed form for deg g <= 2: critical points solve the linear
-    system A x = -b/2, and g is constant on the critical space, so one
-    value decides.  Returns a singular point or None."""
-    quad = {e: c for e, c in terms.items() if sum(e) == 2}
-    A = quadric_matrix_over(field, quad, nvars)
-    b = [field.zero] * nvars
-    for exps, c in terms.items():
-        if sum(exps) == 1:
-            b[exps.index(1)] = c
-    half = field.inv(field.from_int(2))
-    x0 = solve_linear(field, A, [field.neg(field.mul(x, half)) for x in b])
-    if x0 is not None and field.is_zero(eval_terms(field, terms, x0)):
-        return x0
-    return None
-
-
-def _pure_powers_singular(field, terms, nvars: int, powers):
-    """The closed form for a sum of pure powers plus a constant, exponents
-    coprime to the characteristic: dg/dX_i = d_i c_i X_i^(d_i - 1), so a
-    linear monomial makes the gradient never vanish; otherwise the origin is
-    the only critical point and g there equals the constant term.  Returns
-    the origin when it is singular, else None."""
-    origin = (field.zero,) * nvars
-    if all(d > 1 for d in powers.values()) and field.is_zero(
-            eval_terms(field, terms, origin)):
-        return origin
-    return None
-
-
-def affine_singularity(field, terms, nvars: int,
-                       search_bound: int = 4) -> Verdict:
-    """Singular-point verdict for the affine hypersurface {g = 0}.
-
-    The shape of g picks the route: closed forms for deg g <= 2 and for sums
-    of pure powers (each variable in exactly one monomial, exponents coprime
-    to the characteristic, plus a constant), else a search over the
-    extensions of degree <= search_bound ("unknown" if none found).
-    """
-    if max((sum(e) for e in terms), default=NEG_INF) <= 2:
-        return _singularity(_quadratic_singular(field, terms, nvars))
-    powers = _pure_power_degrees(terms)
-    if powers is not None and all(d % field.char for d in powers.values()):
-        return _singularity(_pure_powers_singular(field, terms, nvars, powers))
-    return _search_singular(field, terms, nvars, search_bound, affine=True)
-
-
-# ---------------------------------------------------------------------------
-# slices
-
-
-def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
-                    search_bound: int = 4):
-    """Dehomogenize H_S (the monomials supported inside S) at X_j = 1.
-
-    Returns (g, checks) where g is an affine polynomial in the variables
-    S - {j} (ascending order) and checks reports: the degree is preserved,
-    the top-degree form of g equals H_{S - {j}}, that top form is smooth
-    projectively, and {g = 0} is smooth as an affine hypersurface.
-    """
-    S = sorted(set(S))
-    if not all(0 <= i < nvars for i in S):
-        raise ValueError("S must be a set of variable indices")
-    if j not in S:
-        raise ValueError("j must lie in S")
-    rest = [i for i in S if i != j]
-    g = {}
-    for exps, coeff in terms.items():
-        if any(e and i not in S for i, e in enumerate(exps)):
-            continue
-        nexps = tuple(exps[i] for i in rest)
-        g[nexps] = field.add(g.get(nexps, field.zero), coeff)
-    g = {e: c for e, c in g.items() if not field.is_zero(c)}
-    gdeg = max((sum(e) for e in g), default=NEG_INF)
-    top = {e: c for e, c in g.items() if sum(e) == m}
-    h_rest = {}
-    for exps, coeff in terms.items():
-        if any(e and i not in rest for i, e in enumerate(exps)):
-            continue
-        h_rest[tuple(exps[i] for i in rest)] = coeff
-    checks = {
-        "degree_preserved": gdeg == m,
-        "top_form_matches": top == h_rest,
-        "top_form_smooth": (
-            projective_singularity(field, h_rest, len(rest), search_bound=search_bound)
-            if rest
-            else None
-        ),
-        "affine_smooth": affine_singularity(field, g, len(rest),
-                                            search_bound=search_bound),
-    }
-    return g, checks
+    return _search_singular(field, terms, nvars, search_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -668,17 +522,6 @@ def quadric_dual_form(form: MultiForm) -> MultiForm:
     return MultiForm(k, form.n, 2, terms)
 
 
-def proportional(field, u, w) -> bool:
-    """u and w nonzero vectors: same projective point iff all 2x2 minors vanish."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = field.sub(field.mul(u[i], w[j]), field.mul(u[j], w[i]))
-            if not field.is_zero(d):
-                return False
-    return True
-
-
 def _normalized(field, v):
     """The nonzero vector v scaled so its first nonzero coordinate is 1."""
     inv = field.inv(next(x for x in v if not field.is_zero(x)))
@@ -702,11 +545,14 @@ def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> dict:
 
 
 def _dual_route(form: MultiForm, dual):
-    """The dual route that "auto" stands for: the closed-form quadric for
-    m = 2, the tangency search otherwise."""
+    """The route of a dual: "auto" is the closed-form quadric for m = 2 and
+    the tangency search otherwise; "tangency" and a supplied MultiForm are
+    their own routes."""
     if dual == "auto":
         return "quadric" if form.m == 2 else "tangency"
-    return dual
+    if dual == "tangency" or isinstance(dual, MultiForm):
+        return dual
+    raise ValueError(f"unknown dual specification {dual!r}")
 
 
 def dual_test_cost(form: MultiForm, Q: int, dual="auto",
@@ -725,9 +571,9 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
     dual of {F = 0} mod pi?", with the per-prime work done once.
 
     dual selects the route:
-      * "quadric" (or "auto" for m = 2): the closed-form dual quadric mod pi;
-        raises if the quadric degenerates mod pi (such a prime belongs in the
-        exceptional set),
+      * "auto": for m = 2 the closed-form dual quadric mod pi, which raises
+        if the quadric degenerates mod pi (such a prime belongs in the
+        exceptional set); the tangency route otherwise,
       * a MultiForm: caller-supplied dual form, evaluated mod pi,
       * "tangency": is w proportional to a (nonzero) gradient at a point of
         {F = 0 mod pi} over an extension of degree <= search_bound?  True on
@@ -758,8 +604,6 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
                 raise ValueError(
                     "quadric degenerates mod pi; the dual is undefined there "
                     "(exceptional prime)")
-        elif not isinstance(dual, MultiForm):
-            raise ValueError(f"unknown dual specification {dual!r}")
         _, dual_terms, _ = reduce_form(dual, pi)
         if not dual_terms:
             raise ValueError("supplied dual form vanishes mod pi")

@@ -52,17 +52,6 @@ def degree(f):
     return len(f) - 1 if f else NEG_INF
 
 
-def leading(k, f):
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return f[-1]
-
-
-def constant(k, c):
-    """The constant polynomial c (normalized)."""
-    return () if k.is_zero(c) else (c,)
-
-
 def from_ints(k, ints):
     """Build a polynomial from small-integer coefficients (little-endian)."""
     return normalize(k, [k.from_int(c) for c in ints])

@@ -1,11 +1,24 @@
-"""Functions only the tests call.  Sieve quantities recomputed point by
-point on polynomials, to check the program against: the fiber size and the
-ramified set of one box point, and the count of the sieving set against its
-lower bound.  Factoring in F_q[T] by trial division, the oracle of the
-squarefree solvability route, and the adjugate from n^2 cofactors, the
-oracle of the one-elimination adjugate.  The additive character as a cyclotomic value, the check
-of a serialized cyclotomic value, the degree of a dual hypersurface and a
-Schwartz-Zippel zero count.  And the places of K = F_q(T) with the heights:
+"""Functions only the tests call: slow or sliced second routes that the
+program is checked against, kept out of the package because no command runs
+them.
+
+* Sieve quantities recomputed point by point on polynomials: F at a box
+  point, the fiber size and the ramified set of one box point, and the
+  count of the sieving set against its lower bound.
+* Factoring in F_q[T] by trial division, the oracle of the squarefree
+  solvability route, and the adjugate from n^2 cofactors, the oracle of the
+  one-elimination adjugate.
+* Linear solving and proportionality of vectors, and the affine
+  singularity verdict (closed forms for quadratics and sums of pure powers,
+  else a search over the points of ext^n) with the slice checks built on
+  it.
+* The character sum term by term (no index tables); the slicing identity
+  for S_G(0, chi) with its per-slice bound audit, which reports the pinned
+  cubic violation; and the Gauss-sum completion of S_G(w, chi) for w != 0.
+* The additive character as a cyclotomic value, the check of a serialized
+  cyclotomic value, the degree of a dual hypersurface and a Schwartz-Zippel
+  zero count.
+* The places of K = F_q(T) and the heights, as follows.
 
 Places of K = F_q(T): the infinite place |x/y|_oo = q^(deg x - deg y) and one
 finite place per monic irreducible pi with |x/y|_pi = q^(ord_pi y - ord_pi x);
@@ -19,17 +32,40 @@ import functools
 import itertools
 from fractions import Fraction
 
+from cycsieve import charsums as cs
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
-from cycsieve.characters import psi_exponent, residue_data, residue_root_count
+from cycsieve.characters import (
+    MultChar,
+    gauss_sum,
+    psi_exponent,
+    residue_data,
+    residue_root_count,
+)
 from cycsieve.cyclotomic import cyc_ring
+from cycsieve.polyring import NEG_INF
+
+
+def eval_form_at_polys(form: geo.MultiForm, xs):
+    """F(x_0, .., x_n) in F_q[T] for polynomial arguments."""
+    if len(xs) != form.n + 1:
+        raise ValueError(f"need {form.n + 1} arguments, got {len(xs)}")
+    k = form.k
+    out = ()
+    for exps, coeff in form.terms.items():
+        t = coeff
+        for x, e in zip(xs, exps):
+            for _ in range(e):
+                t = pr.mul(k, t, x)
+        out = pr.add(k, out, t)
+    return out
 
 
 def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
     """#{y in k_pi : y^ell = F(x) mod pi}, via the residue root table and,
     independently, via the character-sum expression; the two must agree."""
     data = residue_data(k, pi, ell)
-    idx = data.index_of_poly(geo.eval_form_at_polys(form, x))
+    idx = data.kpi.index(data.kpi.reduce_poly(eval_form_at_polys(form, x)))
     by_table = data.root_count[idx]
     by_chars = residue_root_count(data, idx)
     if by_table != by_chars:
@@ -41,7 +77,7 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
 
 def ramified_set(k, sset, form: geo.MultiForm, x) -> tuple:
     """The sieving primes dividing F(x) (all of them when F(x) = 0)."""
-    g = geo.eval_form_at_polys(form, x)
+    g = eval_form_at_polys(form, x)
     if not g:
         return tuple(sset.primes)
     return tuple(p for p in sset.primes if not pr.poly_mod(k, g, p))
@@ -275,4 +311,386 @@ def schwartz_zippel_audit(field, terms, nvars: int, sample=None) -> dict:
         "zeros": zeros,
         "bound": bound,
         "pass": zeros <= bound,
+    }
+
+
+def proportional(field, u, w) -> bool:
+    """u and w nonzero vectors: same projective point iff all 2x2 minors vanish."""
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = field.sub(field.mul(u[i], w[j]), field.mul(u[j], w[i]))
+            if not field.is_zero(d):
+                return False
+    return True
+
+
+def solve_linear(field, mat, rhs):
+    """One solution of mat * x = rhs (square system), or None if inconsistent.
+    Free variables are set to zero."""
+    n = len(mat)
+    m = [list(row) + [rhs[r]] for r, row in enumerate(mat)]
+    pivots, _ = geo._rref(field, m, n)
+    for r in range(len(pivots), n):
+        if not field.is_zero(m[r][n]):
+            return None
+    x = [field.zero] * n
+    for r, c in enumerate(pivots):
+        x[c] = m[r][n]
+    return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# affine smoothness and slices
+
+
+def _pure_power_degrees(terms):
+    """{variable: exponent} when every non-constant monomial is a pure power
+    of a distinct variable; None when that shape does not hold."""
+    powers = {}
+    for exps in terms:
+        sup = [i for i, e in enumerate(exps) if e]
+        if not sup:
+            continue
+        if len(sup) > 1 or sup[0] in powers:
+            return None
+        powers[sup[0]] = exps[sup[0]]
+    return powers
+
+
+def _quadratic_singular(field, terms, nvars: int):
+    """The closed form for deg g <= 2: critical points solve the linear
+    system A x = -b/2, and g is constant on the critical space, so one
+    value decides.  Returns a singular point or None."""
+    quad = {e: c for e, c in terms.items() if sum(e) == 2}
+    A = geo.quadric_matrix_over(field, quad, nvars)
+    b = [field.zero] * nvars
+    for exps, c in terms.items():
+        if sum(exps) == 1:
+            b[exps.index(1)] = c
+    half = field.inv(field.from_int(2))
+    x0 = solve_linear(field, A, [field.neg(field.mul(x, half)) for x in b])
+    if x0 is not None and field.is_zero(geo.eval_terms(field, terms, x0)):
+        return x0
+    return None
+
+
+def _pure_powers_singular(field, terms, nvars: int, powers):
+    """The closed form for a sum of pure powers plus a constant, exponents
+    coprime to the characteristic: dg/dX_i = d_i c_i X_i^(d_i - 1), so a
+    linear monomial makes the gradient never vanish; otherwise the origin is
+    the only critical point and g there equals the constant term.  Returns
+    the origin when it is singular, else None."""
+    origin = (field.zero,) * nvars
+    if all(d > 1 for d in powers.values()) and field.is_zero(
+            geo.eval_terms(field, terms, origin)):
+        return origin
+    return None
+
+
+def search_affine_singular(field, terms, nvars: int,
+                           search_bound: int) -> geo.Verdict:
+    """A point of ext^nvars where g and every partial derivative vanish,
+    searched over the extensions ext of degree <= search_bound."""
+    grads = [geo.partial_terms(field, terms, i) for i in range(nvars)]
+    for r in range(1, search_bound + 1):
+        ext = pr.extension_of(field, r)
+        emb = (lambda c: c) if r == 1 else ext.embed_base
+        maps = [{e: emb(c) for e, c in t.items()} for t in (terms, *grads)]
+        for point in itertools.product(ext.elements(), repeat=nvars):
+            if all(ext.is_zero(geo.eval_terms(ext, t, point)) for t in maps):
+                return geo.Verdict("singular", point, r)
+    return geo.Verdict("unknown", search_bound=search_bound)
+
+
+def affine_singularity(field, terms, nvars: int,
+                       search_bound: int = 4) -> geo.Verdict:
+    """Singular-point verdict for the affine hypersurface {g = 0}.
+
+    The shape of g picks the route: closed forms for deg g <= 2 and for sums
+    of pure powers (each variable in exactly one monomial, exponents coprime
+    to the characteristic, plus a constant), else a search over the
+    extensions of degree <= search_bound ("unknown" if none found).
+    """
+    if max((sum(e) for e in terms), default=NEG_INF) <= 2:
+        return geo._singularity(_quadratic_singular(field, terms, nvars))
+    powers = _pure_power_degrees(terms)
+    if powers is not None and all(d % field.char for d in powers.values()):
+        return geo._singularity(
+            _pure_powers_singular(field, terms, nvars, powers))
+    return search_affine_singular(field, terms, nvars, search_bound)
+
+
+def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
+                    search_bound: int = 4):
+    """Dehomogenize H_S (the monomials supported inside S) at X_j = 1.
+
+    Returns (g, checks) where g is an affine polynomial in the variables
+    S - {j} (ascending order) and checks reports: the degree is preserved,
+    the top-degree form of g equals H_{S - {j}}, that top form is smooth
+    projectively, and {g = 0} is smooth as an affine hypersurface.
+    """
+    S = sorted(set(S))
+    if not all(0 <= i < nvars for i in S):
+        raise ValueError("S must be a set of variable indices")
+    if j not in S:
+        raise ValueError("j must lie in S")
+    rest = [i for i in S if i != j]
+    g = {}
+    for exps, coeff in terms.items():
+        if any(e and i not in S for i, e in enumerate(exps)):
+            continue
+        nexps = tuple(exps[i] for i in rest)
+        g[nexps] = field.add(g.get(nexps, field.zero), coeff)
+    g = {e: c for e, c in g.items() if not field.is_zero(c)}
+    gdeg = max((sum(e) for e in g), default=NEG_INF)
+    top = {e: c for e, c in g.items() if sum(e) == m}
+    h_rest = {}
+    for exps, coeff in terms.items():
+        if any(e and i not in rest for i, e in enumerate(exps)):
+            continue
+        h_rest[tuple(exps[i] for i in rest)] = coeff
+    checks = {
+        "degree_preserved": gdeg == m,
+        "top_form_matches": top == h_rest,
+        "top_form_smooth": (
+            geo.projective_singularity(field, h_rest, len(rest),
+                                       search_bound=search_bound)
+            if rest
+            else None
+        ),
+        "affine_smooth": affine_singularity(field, g, len(rest),
+                                            search_bound=search_bound),
+    }
+    return g, checks
+
+
+# ---------------------------------------------------------------------------
+# character sums: term by term, sliced, and completed by Gauss sums
+
+
+def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
+    """S_G(w, chi_index) of a context by the generic field and character
+    code, chi and psi_infty term by term (no index tables)."""
+    ctx._w_indices(w)  # the length check of the kernel's routes
+    kpi, ring = ctx.kpi, ctx.ring
+    chi = MultChar(ctx.data, chi_index)
+    total = ring.zero
+    for a in itertools.product(kpi.elements(), repeat=ctx.nvars):
+        g = geo.eval_terms(kpi, ctx.reduced_terms, a)
+        e = chi.exponent_at(kpi.index(g))
+        if e is None:
+            continue
+        dot = kpi.zero
+        for wi, ai in zip(w, a):
+            dot = kpi.add(dot, kpi.mul(wi, ai))
+        pe = ctx.data.psi_exp[kpi.index(kpi.neg(dot))]
+        total = ring.add(total, ring.monomial(pe, e))
+    return total
+
+
+def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
+                     budget: cs.Budget | None = None,
+                     search_bound: int = 2) -> dict:
+    """S_G(0, chi) = sum_j [sum_{u != 0} chi(u)^m] * sum_b chi(g_j(b)).
+
+    Stratify k_pi^(n+1) by the first nonzero coordinate j; on that stratum
+    factor out chi(a_j)^m, leaving the dehomogenized slice g_j of
+    G_{ {j..n} } at X_j = 1 in the variables j+1..n.  Both routes are exact
+    cyclotomic values; "equal" compares them bit for bit.
+    """
+    ctx = cs.CharSumContext(k, pi, ell, form, budget=budget)
+    kpi, ring = ctx.kpi, ctx.ring
+    nvars = ctx.nvars
+    chi = MultChar(ctx.data, chi_index)
+
+    lhs = ctx.char_sum((kpi.zero,) * nvars, chi_index)
+
+    # sum over units of chi(u)^m
+    unit_counts: dict = {}
+    for r in range(1, ctx.Q):
+        e = chi.exponent_at(r)
+        key = (0, (e * form.m) % ell)
+        unit_counts[key] = unit_counts.get(key, 0) + 1
+    unit_factor = ring.from_exponent_counts(unit_counts)
+
+    rhs = ring.zero
+    slices = []
+    for j in range(nvars):
+        S_j = set(range(j, nvars))
+        g, checks = slice_and_check(kpi, ctx.reduced_terms, nvars, form.m,
+                                    S_j, j, search_bound=search_bound)
+        r_vars = nvars - 1 - j
+        counts: dict = {}
+        total_points = 0
+        for b in itertools.product(kpi.elements(), repeat=r_vars):
+            total_points += 1
+            e = chi.exponent_at(kpi.index(geo.eval_terms(kpi, g, b)))
+            if e is not None:
+                key = (0, e)
+                counts[key] = counts.get(key, 0) + 1
+        if budget is not None:
+            budget.charge(total_points)
+        affine_sum = ring.from_exponent_counts(counts)
+        slices.append({"j": j, "r": r_vars, "sum": affine_sum,
+                       "checks": checks})
+        rhs = ring.add(rhs, ring.mul(unit_factor, affine_sum))
+    # the a = 0 point contributes chi(G(0)) = chi(0) exactly
+    zero_term = ring.zero if not chi.principal else ring.one
+    rhs = ring.add(rhs, zero_term)
+
+    return {
+        "id": "slicing",
+        "params": {
+            "q": k.size, "pi": pr.format_poly(k, pi), "ell": ell,
+            "chi_index": chi_index, "n": form.n, "m": form.m,
+        },
+        "lhs": lhs,
+        "rhs": rhs,
+        "equal": lhs == rhs,
+        "unit_factor": unit_factor,
+        "slices": slices,
+    }
+
+
+def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
+                     budget: cs.Budget | None = None,
+                     search_bound: int = 2) -> dict:
+    """Per-slice audit: |sum_b chi(g_j(b))| <= (m - 1) * Q^(r/2) whenever the
+    slice is a certified Deligne polynomial (degree preserved, coprime to the
+    characteristic, smooth top form); otherwise the row is marked
+    not-applicable instead of pass/fail.  Also reports whether the slicing
+    identity held exactly.
+    """
+    if not 0 < chi_index < ell:
+        raise ValueError("the slice audit needs a non-principal character")
+    res = slicing_identity(k, pi, ell, form, chi_index, budget=budget,
+                           search_bound=search_bound)
+    ring = residue_data(k, pi, ell).ring
+    Q = k.size ** pr.degree(pi)
+    rows = []
+    all_pass = True
+    for item in res["slices"]:
+        checks = item["checks"]
+        top_smooth = checks["top_form_smooth"]
+        deligne = (
+            checks["degree_preserved"]
+            and checks["top_form_matches"]
+            and form.m % k.char != 0
+            and (top_smooth is None or top_smooth.status == "smooth")
+        )
+        abs_s = ring.abs_embed(item["sum"])
+        bound = (form.m - 1) * Q ** (item["r"] / 2.0)
+        row = {
+            "j": item["j"],
+            "r": item["r"],
+            "abs_sum": abs_s,
+            "bound": bound,
+            "deligne": deligne,
+            "pass": ((abs_s <= bound * (1 + cs.MAGNITUDE_TOL)) if deligne
+                     else None),
+        }
+        if deligne and not row["pass"]:
+            all_pass = False
+        rows.append(row)
+    return {
+        "identity_equal": res["equal"],
+        "rows": rows,
+        "all_pass": all_pass and res["equal"],
+    }
+
+
+def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
+                         chi_index: int, budget: cs.Budget | None = None,
+                         search_bound: int = 2) -> dict:
+    """Complete S_G(w, chi) through Gauss sums, exactly, for w != 0.
+
+    With tau(chi) = sum_alpha chi(alpha) psi(alpha/pi) and
+    T_beta = sum_a psi((beta G(a) - w.a)/pi), checks both
+
+        S_G(w, chi) * tau(conj chi)  ==  sum_{beta != 0} conj(chi)(beta) T_beta
+        S_G(w, chi) * chi(-1) * q^Delta  ==  tau(chi) * (same right side)
+
+    as exact cyclotomic values, and audits every |T_beta| against the
+    additive-sum bound (m - 1)^(n+1) * Q^((n+1)/2) (applicable when the
+    reduced form is smooth: beta G is then a Deligne polynomial).
+    """
+    if not 0 < chi_index < ell:
+        raise ValueError("completion needs a non-principal character")
+    ctx = cs.CharSumContext(k, pi, ell, form, budget=budget)
+    kpi, ring, tables = ctx.kpi, ctx.ring, ctx.tables
+    Q, nvars = ctx.Q, ctx.nvars
+    widx = ctx._w_indices(w)
+    if all(i == ctx.idx_zero for i in widx):
+        raise ValueError("completion requires w != 0")
+
+    S = ctx.char_sum(w, chi_index)
+    conj_index = (ell - chi_index) % ell
+    tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
+    tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
+
+    if budget is not None:
+        budget.charge((Q - 1) * Q**nvars)
+    mul, p = tables.mul, kpi.char
+    psi = ctx.data.psi_exp
+    chi_exp = ctx.data.chi_exp
+    g_vals = ctx.g_values()
+    # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
+    phases = ctx.phases(w)
+
+    texts = cs.element_texts(kpi)
+    bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
+    smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
+                                        search_bound=search_bound)
+    deligne_applicable = smooth.status == "smooth"
+
+    rhs_counts: dict = {}
+    beta_rows = []
+    betas_pass = True
+    for b_idx in range(Q):
+        if b_idx == ctx.idx_zero:
+            continue
+        jb = (conj_index * chi_exp[b_idx]) % ell
+        inner: dict = {}
+        for gv, phase in zip(g_vals, phases):
+            pe = (psi[mul[b_idx * Q + gv]] + phase) % p
+            inner[pe] = inner.get(pe, 0) + 1
+        t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})
+        abs_t = ring.abs_embed(t_beta)
+        ok = abs_t <= bound_beta * (1 + cs.MAGNITUDE_TOL)
+        if deligne_applicable and not ok:
+            betas_pass = False
+        beta_rows.append({
+            "beta": texts[tables.elems[b_idx]],
+            "abs": abs_t,
+            "bound": bound_beta,
+            "pass": ok if deligne_applicable else None,
+        })
+        for pe, c in inner.items():
+            key = (pe, jb)
+            rhs_counts[key] = rhs_counts.get(key, 0) + c
+    rhs = ring.from_exponent_counts(rhs_counts)
+
+    lhs1 = ring.mul(S, tau_conj)
+    chi_minus1 = ring.monomial(
+        0, (chi_index * chi_exp[tables.index[kpi.neg(kpi.one)]]) % ell)
+    lhs2 = ring.mul(ring.mul(S, chi_minus1), ring.from_int(Q))
+    rhs2 = ring.mul(tau_chi, rhs)
+
+    completion_exact = lhs1 == rhs
+    normalized_exact = lhs2 == rhs2
+    return {
+        "id": "gauss-twist",
+        "params": {
+            "q": k.size, "pi": pr.format_poly(k, pi), "ell": ell,
+            "chi_index": chi_index, "w": cs.format_covector(kpi, w),
+        },
+        "lhs": lhs1,
+        "rhs": rhs,
+        "equal": completion_exact and normalized_exact,
+        "completion_exact": completion_exact,
+        "normalized_exact": normalized_exact,
+        "deligne_applicable": deligne_applicable,
+        "beta_rows": beta_rows,
+        "all_pass": completion_exact and normalized_exact and betas_pass,
     }

@@ -28,8 +28,8 @@ from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.identities import box
 
-from oracles import (dual_degree, product_over_places, schwartz_zippel_audit,
-                     verify_card_p)
+from oracles import (dual_degree, eval_form_at_polys, product_over_places,
+                     schwartz_zippel_audit, verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -174,7 +174,7 @@ def test_criterion_5_counting_cross_checks(report):
     for b in (1, 2):
         mine = sv.brute_force_count(K3, 2, QUADRIC, b)
         ext = sum(1 for xs in box(K3, b, 3)
-                  if sympy_solvable(geo.eval_form_at_polys(QUADRIC, xs),
+                  if sympy_solvable(eval_form_at_polys(QUADRIC, xs),
                                     2, 3))
         counts[b] = (mine, ext)
         agree = agree and mine == ext and mine <= 3 ** (b * 3)

@@ -22,13 +22,25 @@ def P(k, *ints):
 T3 = P(K3, 0, 1)
 
 
+def residue_index(data, a):
+    """The index in k_pi of the residue of the polynomial a."""
+    return data.kpi.index(data.kpi.reduce_poly(a))
+
+
+def symbol_exponent(k, a, pi, ell):
+    """The theta-exponent of (a/pi)_ell, None when pi | a."""
+    data = ch.residue_data(k, pi, ell)
+    return data.chi_exp[residue_index(data, a)]
+
+
 def test_residue_symbol_examples():
-    # q=3, ell=2, pi=T: (a/pi) = Legendre symbol of a(0) mod 3
-    assert ch.residue_symbol(K3, P(K3, 1, 1), T3, 2) == 1  # a(0)=1 square
-    assert ch.residue_symbol(K3, P(K3, 2, 1), T3, 2) == 2  # a(0)=2 nonsquare
-    assert ch.residue_symbol(K3, P(K3, 0, 2), T3, 2) == 0  # pi | a
+    # q=3, ell=2, pi=T: (a/pi) = Legendre symbol of a(0) mod 3, and theta
+    # sends the nonsquare 2 = -1 to zeta_2
+    assert symbol_exponent(K3, P(K3, 1, 1), T3, 2) == 0  # a(0)=1 square
+    assert symbol_exponent(K3, P(K3, 2, 1), T3, 2) == 1  # a(0)=2 nonsquare
+    assert symbol_exponent(K3, P(K3, 0, 2), T3, 2) is None  # pi | a
     with pytest.raises(ValueError):
-        ch.residue_symbol(K3, P(K3, 1), T3, 3)  # 3 does not divide q-1=2
+        symbol_exponent(K3, P(K3, 1), T3, 3)  # 3 does not divide q-1=2
 
 
 def test_residue_symbol_is_power_detector():
@@ -40,36 +52,38 @@ def test_residue_symbol_is_power_detector():
             powers = {kpi.power(y, ell) for y in kpi.elements() if not kpi.is_zero(y)}
             for idx in range(1, kpi.size):
                 a = lift_from(kpi, kpi.from_index(idx))
-                sym = ch.residue_symbol(k, a, pi, ell)
-                assert (sym == k.one) == (kpi.from_index(idx) in powers)
+                sym = symbol_exponent(k, a, pi, ell)
+                assert (sym == 0) == (kpi.from_index(idx) in powers)
 
 
 def test_mult_char_conventions():
-    chars = ch.characters(K3, T3, 2)
-    ring = chars[0].ring
-    # principal character: 1 everywhere, even at pi | a
-    assert ch.mult_char_eval(chars[0], P(K3, 0, 1)) == ring.one
-    assert ch.mult_char_eval(chars[0], P(K3, 2)) == ring.one
-    # non-principal: 0 at pi | a; -1 at the nonsquare 2
-    assert ch.mult_char_eval(chars[1], P(K3, 0, 2)) == ring.zero
-    assert ch.mult_char_eval(chars[1], P(K3, 2)) == ring.from_int(-1)
-    assert ch.mult_char_eval(chars[1], P(K3, 1)) == ring.one
+    data = ch.residue_data(K3, T3, 2)
+    chi0, chi1 = ch.MultChar(data, 0), ch.MultChar(data, 1)
+    assert chi0.principal and not chi1.principal
+    # principal character: zeta^0 = 1 everywhere, even at pi | a
+    assert chi0.exponent_at(residue_index(data, P(K3, 0, 1))) == 0
+    assert chi0.exponent_at(residue_index(data, P(K3, 2))) == 0
+    # non-principal: 0 (None) at pi | a; zeta_2 = -1 at the nonsquare 2
+    assert chi1.exponent_at(residue_index(data, P(K3, 0, 2))) is None
+    assert chi1.exponent_at(residue_index(data, P(K3, 2))) == 1
+    assert chi1.exponent_at(residue_index(data, P(K3, 1))) == 0
 
 
 def test_char_multiplicativity_on_units():
     rng = random.Random(17)
     for k, ell, deg in [(K3, 2, 1), (K3, 2, 2), (K7, 2, 1), (K7, 3, 2)]:
         pi = pr.irreducibles(k, deg)[0]
-        for chi in ch.characters(k, pi, ell)[1:]:
-            ring = chi.ring
+        data = ch.residue_data(k, pi, ell)
+        for i in range(1, ell):
+            chi = ch.MultChar(data, i)
             for _ in range(125):
                 a = pr.poly_from_index(k, rng.randrange(k.size**3), 3)
                 b = pr.poly_from_index(k, rng.randrange(k.size**3), 3)
                 if pr.poly_mod(k, a, pi) == () or pr.poly_mod(k, b, pi) == ():
                     continue
-                assert ch.mult_char_eval(chi, pr.mul(k, a, b)) == ring.mul(
-                    ch.mult_char_eval(chi, a), ch.mult_char_eval(chi, b)
-                )
+                ea, eb, eab = (chi.exponent_at(residue_index(data, x))
+                               for x in (a, b, pr.mul(k, a, b)))
+                assert eab == (ea + eb) % ell
 
 
 def test_psi_examples():
@@ -110,7 +124,7 @@ def test_psi_nonmonic_modulus():
 
 def test_gauss_sum_frozen_value():
     ring = cyc_ring(3, 2)
-    chi = ch.characters(K3, T3, 2)[1]
+    chi = ch.MultChar(ch.residue_data(K3, T3, 2), 1)
     tau = ch.gauss_sum(chi)
     # tau = zeta_3 - zeta_3^2 = 1 + 2*zeta_3 in basis coordinates
     assert tau == ring.sub(ring.monomial(1, 0), ring.monomial(2, 0))
@@ -122,7 +136,9 @@ def test_gauss_sum_rh_exact_all_small_primes():
         for ell in ells:
             for d in (1, 2):
                 for pi in pr.irreducibles(k, d):
-                    for chi in ch.characters(k, pi, ell)[1:]:
+                    data = ch.residue_data(k, pi, ell)
+                    for i in range(1, ell):
+                        chi = ch.MultChar(data, i)
                         ring = chi.ring
                         tau = ch.gauss_sum(chi)
                         assert ring.mul(tau, ring.conj(tau)) == ring.from_int(
@@ -132,14 +148,14 @@ def test_gauss_sum_rh_exact_all_small_primes():
 
 def test_gauss_sum_rejects_principal():
     with pytest.raises(ValueError):
-        ch.gauss_sum(ch.characters(K3, T3, 2)[0])
+        ch.gauss_sum(ch.MultChar(ch.residue_data(K3, T3, 2), 0))
 
 
 def test_char_sum_root_count_examples():
     data = ch.residue_data(K3, T3, 2)
 
     def by_chars(a):
-        return ch.residue_root_count(data, data.index_of_poly(a))
+        return ch.residue_root_count(data, residue_index(data, a))
     assert by_chars(P(K3, 0, 1)) == 1  # pi | a
     assert by_chars(P(K3, 1)) == 2  # 1 = (+-1)^2
     assert by_chars(P(K3, 2)) == 0  # nonsquare
@@ -155,7 +171,7 @@ def test_char_sum_equals_fiber_size_everywhere():
                     data = ch.residue_data(k, pi, ell)
                     for idx in range(data.kpi.size):
                         a = lift_from(data.kpi, data.kpi.from_index(idx))
-                        i = data.index_of_poly(a)
+                        i = residue_index(data, a)
                         assert ch.residue_root_count(data, i) == \
                             data.root_count[i]
 

@@ -644,6 +644,18 @@ class TestExitCodes:
         # points is charged to it before either
         assert f"needs {3 ** 18}," in capsys.readouterr().err
 
+    def test_dual_check_covector_walk_is_three(self, tmp_path, monkeypatch,
+                                               capsys):
+        forbid(monkeypatch, geo, "dual_membership_test")
+        code = cli.main(["dual-check", "--config", CONFIG, "--pi", "1+T^2",
+                         "--budget", "200", "--out", str(tmp_path)])
+        assert code == 3
+        # the closed-form quadric searches nothing, the tangency test
+        # P^2(F_9), and the walk visits the 9^3 - 1 nonzero covectors
+        assert f"needs {9 ** 2 + 9 + 1 + 9 ** 3 - 1}," \
+            in capsys.readouterr().err
+        assert not (tmp_path / "dual_check.json").exists()
+
     def test_primes_budget_exceeded_is_three(self, tmp_path, capsys):
         # priced before the sieve allocates 7^9 marks
         code = cli.main(["primes", "--q", "7", "--delta", "9",
@@ -785,6 +797,16 @@ class TestUpFrontBudgets:
                          "--budget", str(needs - 1), "--out", str(tmp_path)])
         assert code == 3
         assert f"needs {needs}," in capsys.readouterr().err
+
+    def test_charsum_priced_before_residue_tables(self, tmp_path,
+                                                  monkeypatch, capsys):
+        forbid(monkeypatch, cs.CharSumContext, "__init__")
+        forbid(monkeypatch, cs, "field_tables")
+        code = cli.main(["charsum", "--config", CONFIG, "--pi", "2+T^2+T^7",
+                         "--budget", "1", "--out", str(tmp_path)])
+        assert code == 3
+        # the table of G and the phases of w, each over k_pi^3, Q = 3^7
+        assert f"needs {2 * 3 ** 21}," in capsys.readouterr().err
 
     def test_wd_audit_prices_the_default_primes(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -15,7 +15,17 @@ from cycsieve import polyring as pr
 from cycsieve.ffield import GF
 from cycsieve.polyring import RationalFunctionField
 
-from oracles import cofactor_adjugate, dual_degree, schwartz_zippel_audit
+from oracles import (
+    affine_singularity,
+    cofactor_adjugate,
+    dual_degree,
+    eval_form_at_polys,
+    proportional,
+    schwartz_zippel_audit,
+    search_affine_singular,
+    slice_and_check,
+    solve_linear,
+)
 
 K3 = GF(3)
 K5 = GF(5)
@@ -102,14 +112,14 @@ class TestMultiForm:
         f = diag3(K3)
         xs = (P(K3, "T"), P(K3, "1+T"), P(K3, "2"))
         # T^2 + (1+T)^2 + 4 = 2T^2 + 2T + 5 = 2T^2 + 2T + 2 over F_3
-        assert geo.eval_form_at_polys(f, xs) == P(K3, "2+2*T+2*T^2")
+        assert eval_form_at_polys(f, xs) == P(K3, "2+2*T+2*T^2")
         with pytest.raises(ValueError):
-            geo.eval_form_at_polys(f, xs[:2])
+            eval_form_at_polys(f, xs[:2])
 
     def test_is_diagonal(self):
-        assert diag3(K3).is_diagonal()
+        assert geo._is_diagonal(diag3(K3).terms)
         f = const_form(K3, 2, 2, {(1, 1, 0): 1, (0, 0, 2): 1})
-        assert not f.is_diagonal()
+        assert not geo._is_diagonal(f.terms)
 
 
 class TestReduceForm:
@@ -182,7 +192,7 @@ class TestLinearAlgebra:
             for r in range(3):
                 for c in range(3):
                     rhs[r] = K5.add(rhs[r], K5.mul(m[r][c], x[c]))
-            sol = geo.solve_linear(K5, m, rhs)
+            sol = solve_linear(K5, m, rhs)
             assert sol is not None
             for r in range(3):
                 s = K5.zero
@@ -190,7 +200,7 @@ class TestLinearAlgebra:
                     s = K5.add(s, K5.mul(m[r][c], sol[c]))
                 assert s == rhs[r]
         # inconsistent: 0 * x = 1
-        assert geo.solve_linear(K5, [[K5.zero]], [K5.one]) is None
+        assert solve_linear(K5, [[K5.zero]], [K5.one]) is None
 
     def test_adjugate_identity(self):
         # the cofactor of a 1 x 1 matrix is the empty determinant, 1
@@ -315,7 +325,7 @@ def checks_vs_search(field, terms, nvars, m):
          geo._search_irregular(field, terms, nvars, 1),
          lambda point: geo.dwork_system_holds(field, terms, nvars, point)),
         (geo.projective_singularity(field, terms, nvars),
-         geo._search_singular(field, terms, nvars, 1, affine=False),
+         geo._search_singular(field, terms, nvars, 1),
          singular_at(field, terms, nvars)),
     ]
     for verdict, searched, holds in routes:
@@ -432,7 +442,7 @@ class TestDworkRegularity:
         v = geo.is_dwork_regular(Kg, gterms, 3, 2)
         assert v.status == "irregular" and v.ext_degree == 1
         assert geo.dwork_system_holds(Kg, gterms, 3, v.witness)
-        assert geo.proportional(
+        assert proportional(
             Kg, v.witness, (Kg.from_poly(P(K3, "2*T")), Kg.one, Kg.zero))
 
     def test_auto_without_closed_form_over_K(self):
@@ -449,7 +459,7 @@ class TestProjectivePoints:
         assert len(pts3) == 13  # 9 + 3 + 1
         assert len(list(geo.projective_points(K9, 2))) == 10
         for u, w in itertools.combinations(pts3, 2):
-            assert not geo.proportional(K3, u, w)
+            assert not proportional(K3, u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +478,7 @@ class TestSingularity:
         fermat = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         # the diagonal closed form certifies smoothness; a search cannot
         assert geo.projective_singularity(K5, fermat, 3).status == "smooth"
-        v = geo._search_singular(K5, fermat, 3, search_bound=2, affine=False)
+        v = geo._search_singular(K5, fermat, 3, search_bound=2)
         assert v.status == "unknown" and v.search_bound == 2
         cone = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1})
         w = geo.projective_singularity(K5, cone, 3, search_bound=2)
@@ -484,27 +494,27 @@ class TestSingularity:
         # x^2 + y^2 + 1 = 0 over F_3: gradient vanishes only at the origin,
         # where the value is 1.
         g = field_terms(K3, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
-        assert geo.affine_singularity(K3, g, 2).status == "smooth"
+        assert affine_singularity(K3, g, 2).status == "smooth"
         cone = field_terms(K3, {(2, 0): 1, (0, 2): 1})
-        v = geo.affine_singularity(K3, cone, 2)
+        v = affine_singularity(K3, cone, 2)
         assert v.status == "singular" and v.witness == (K3.zero, K3.zero)
         parabola = field_terms(K3, {(2, 0): 1, (0, 1): 1})
-        assert geo.affine_singularity(K3, parabola, 2).status == "smooth"
+        assert affine_singularity(K3, parabola, 2).status == "smooth"
         double_line = field_terms(K3, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        assert geo.affine_singularity(K3, double_line, 2).status == "singular"
+        assert affine_singularity(K3, double_line, 2).status == "singular"
 
     def test_affine_pure_powers(self):
         smooth = field_terms(K5, {(3, 0): 1, (0, 3): 1, (0, 0): 1})
-        assert geo.affine_singularity(K5, smooth, 2).status == "smooth"
+        assert affine_singularity(K5, smooth, 2).status == "smooth"
         cone = field_terms(K5, {(3, 0): 1, (0, 3): 1})
-        v = geo.affine_singularity(K5, cone, 2)
+        v = affine_singularity(K5, cone, 2)
         assert v.status == "singular" and v.witness == (K5.zero, K5.zero)
         # a linear monomial keeps the gradient from vanishing anywhere
         line = field_terms(K5, {(3, 0): 1, (0, 1): 1})
-        assert geo.affine_singularity(K5, line, 2).status == "smooth"
+        assert affine_singularity(K5, line, 2).status == "smooth"
         # char | exponent disables the closed form; search still decides
         frob = field_terms(K5, {(5, 0): 1, (0, 3): 1})
-        w = geo.affine_singularity(K5, frob, 2, search_bound=1)
+        w = affine_singularity(K5, frob, 2, search_bound=1)
         assert w.status == "singular" and w.witness == (K5.zero, K5.zero)
 
     def test_affine_closed_form_vs_search(self):
@@ -513,9 +523,8 @@ class TestSingularity:
         for _ in range(40):
             terms = field_terms(
                 K3, {e: rng.randrange(3) for e in exps_pool})
-            closed = geo.affine_singularity(K3, terms, 2)
-            searched = geo._search_singular(K3, terms, 2, search_bound=1,
-                                            affine=True)
+            closed = affine_singularity(K3, terms, 2)
+            searched = search_affine_singular(K3, terms, 2, search_bound=1)
             # Critical points of a quadratic solve a linear system over the
             # base field, so a base-field search decides it completely.
             if closed.status == "singular":
@@ -531,7 +540,7 @@ class TestSingularity:
 class TestSlice:
     def test_dehomogenize_diagonal(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        g, checks = geo.slice_and_check(K3, terms, 3, 2, {0, 1, 2}, 2)
+        g, checks = slice_and_check(K3, terms, 3, 2, {0, 1, 2}, 2)
         assert g == field_terms(K3, {(2, 0): 1, (0, 2): 1, (0, 0): 1})
         assert checks["degree_preserved"]
         assert checks["top_form_matches"]
@@ -540,7 +549,7 @@ class TestSlice:
 
     def test_sub_slice(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        g, checks = geo.slice_and_check(K3, terms, 3, 2, {1, 2}, 1)
+        g, checks = slice_and_check(K3, terms, 3, 2, {1, 2}, 1)
         assert g == field_terms(K3, {(2,): 1, (0,): 1})
         assert checks["degree_preserved"] and checks["top_form_matches"]
         assert checks["top_form_smooth"].status == "smooth"
@@ -549,22 +558,22 @@ class TestSlice:
     def test_residue_field_slice(self):
         kpi = pr.residue_field(K3, P(K3, "1+T^2"))
         terms = field_terms(kpi, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        g, checks = geo.slice_and_check(kpi, terms, 3, 2, {0, 1, 2}, 0)
+        g, checks = slice_and_check(kpi, terms, 3, 2, {0, 1, 2}, 0)
         assert checks["degree_preserved"] and checks["top_form_matches"]
         assert checks["affine_smooth"].status == "smooth"
 
     def test_degenerate_slice(self):
         terms = field_terms(K3, {(2, 0): 1, (1, 1): 1})
-        g, checks = geo.slice_and_check(K3, terms, 2, 2, {0, 1}, 0)
+        g, checks = slice_and_check(K3, terms, 2, 2, {0, 1}, 0)
         assert g == field_terms(K3, {(0,): 1, (1,): 1})
         assert not checks["degree_preserved"]
 
     def test_bad_inputs(self):
         terms = field_terms(K3, {(2, 0): 1, (0, 2): 1})
         with pytest.raises(ValueError):
-            geo.slice_and_check(K3, terms, 2, 2, {0, 1}, 2)
+            slice_and_check(K3, terms, 2, 2, {0, 1}, 2)
         with pytest.raises(ValueError):
-            geo.slice_and_check(K3, terms, 2, 2, {0, 5}, 0)
+            slice_and_check(K3, terms, 2, 2, {0, 5}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +609,7 @@ def tangency_oracle(form, pi, w, search_bound):
             grad = tuple(geo.eval_terms(ext, g, point) for g in ext_grads)
             if all(ext.is_zero(x) for x in grad):
                 continue
-            if geo.proportional(ext, grad, ext_w):
+            if proportional(ext, grad, ext_w):
                 return True
     return None
 
@@ -677,7 +686,7 @@ class TestDualTest:
         pi = P(form.k, pi_text)
         kpi = pr.residue_field(form.k, pi)
         on_dual = geo.dual_membership_test(form, pi, "tangency", bound)
-        quadric = (geo.dual_membership_test(form, pi, "quadric")
+        quadric = (geo.dual_membership_test(form, pi, "auto")
                    if form.m == 2 else None)
         for w in nonzero_covectors(kpi, form.n + 1):
             expect = tangency_oracle(form, pi, w, bound)
@@ -729,7 +738,7 @@ class TestDualTest:
     def test_covectors_validated(self):
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        for route in ("quadric", "tangency", geo.quadric_dual_form(diag3(K3))):
+        for route in ("auto", "tangency", geo.quadric_dual_form(diag3(K3))):
             on_dual = geo.dual_membership_test(diag3(K3), pi, route)
             with pytest.raises(ValueError):
                 on_dual((kpi.one, kpi.one))
@@ -739,6 +748,12 @@ class TestDualTest:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
             geo.dual_membership_test(diag3(K3), P(K3, "T"), "resultant")
+        # the closed-form quadric is what "auto" picks for m = 2; it is not
+        # a route of its own
+        with pytest.raises(ValueError):
+            geo.dual_membership_test(diag3(K3), P(K3, "T"), "quadric")
+        with pytest.raises(ValueError):
+            geo.dual_test_cost(diag3(K3), 3, "quadric")
 
 
 class TestDuality:
@@ -768,7 +783,7 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        closed = geo.dual_membership_test(f, pi, dual="quadric")
+        closed = geo.dual_membership_test(f, pi, dual="auto")
         tangency = geo.dual_membership_test(f, pi, dual="tangency",
                                             search_bound=1)
         members = 0
@@ -784,7 +799,7 @@ class TestDuality:
         f = t_quadric(K3)
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
-        closed = geo.dual_membership_test(f, pi, dual="quadric")
+        closed = geo.dual_membership_test(f, pi, dual="auto")
         tangency = geo.dual_membership_test(f, pi, dual="tangency",
                                             search_bound=1)
         members = 0
@@ -801,7 +816,7 @@ class TestDuality:
         kpi = pr.residue_field(K3, pi)
         supplied = geo.dual_membership_test(f, pi,
                                             dual=geo.quadric_dual_form(f))
-        closed = geo.dual_membership_test(f, pi, dual="quadric")
+        closed = geo.dual_membership_test(f, pi, dual="auto")
         for w in geo.projective_points(kpi, 3):
             assert supplied(w) == closed(w)
 
@@ -810,15 +825,15 @@ class TestDuality:
         kpi = pr.residue_field(K3, P(K3, "1+T"))
         w = (kpi.one, kpi.one, kpi.one)
         with pytest.raises(ValueError):
-            geo.dual_membership_test(f, P(K3, "1+T"), dual="quadric")(w)
+            geo.dual_membership_test(f, P(K3, "1+T"), dual="auto")(w)
         with pytest.raises(ValueError):
-            geo.dual_membership_test(f, P(K3, "1+T"), "quadric")
+            geo.dual_membership_test(f, P(K3, "1+T"), "auto")
 
     def test_w_validation(self):
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        test = geo.dual_membership_test(f, pi, dual="quadric")
+        test = geo.dual_membership_test(f, pi, dual="auto")
         with pytest.raises(ValueError):
             test((kpi.one, kpi.one))
         with pytest.raises(ValueError):

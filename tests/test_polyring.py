@@ -208,7 +208,7 @@ def test_factor_reassembles():
         if not f:
             continue
         lc, facs = factor(k, f)
-        out = pr.constant(k, lc)
+        out = pr.normalize(k, (lc,))
         for p_, e in facs:
             assert pr.is_irreducible(k, p_) and p_[-1] == k.one
             for _ in range(e):

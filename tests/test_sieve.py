@@ -28,8 +28,8 @@ from cycsieve import sieve as sv
 from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
-from oracles import (fiber_count, ramified_set, solvable_by_factoring,
-                     verify_card_p)
+from oracles import (eval_form_at_polys, fiber_count, ramified_set,
+                     solvable_by_factoring, verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -264,7 +264,7 @@ class TestRamifiedSet:
         from cycsieve.identities import box
         seen_nonempty = False
         for x in box(K3, 2, 3):
-            g = geo.eval_form_at_polys(QUADRIC, x)
+            g = eval_form_at_polys(QUADRIC, x)
             if not g:
                 continue
             ram = ramified_set(K3, sset, QUADRIC, x)
@@ -430,7 +430,7 @@ class TestGeneralInequality:
 def per_point_moments(k, form, ell, b, primes, start, stop):
     """The sieve integers of value_moments, recomputed point by point: every
     box position in [start, stop) of pr.box is evaluated with
-    geo.eval_form_at_polys and decided on its own.  The differential oracle
+    eval_form_at_polys and decided on its own.  The differential oracle
     of the value-histogram pass."""
     arity = form.n + 1
     P = len(primes)
@@ -445,7 +445,7 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
     sum_u2 = sum_us = sum_s2 = 0
 
     for x in itertools.islice(pr.box(k, b, arity), start, stop):
-        g = geo.eval_form_at_polys(form, x)
+        g = eval_form_at_polys(form, x)
         if sv._globally_solvable(k, ell, pr.poly_to_index(k, g, digits),
                                  digits, powers):
             M += 1
@@ -454,7 +454,7 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
         u = 0
         s = 0
         for p, data in zip(primes, datas):
-            fiber = data.root_count[data.index_of_poly(g)]
+            fiber = data.root_count[data.kpi.index(data.kpi.reduce_poly(g))]
             is_unram = bool(pr.poly_mod(k, g, p)) if g else False
             unram.append(is_unram)
             fibers.append(fiber)
@@ -784,7 +784,8 @@ def test_residue_recurrence_equals_index_of_poly(k, digits):
     for pi in pr.irreducibles(k, 1)[:2] + pr.irreducibles(k, 2)[:2]:
         data = residue_data(k, pi, 2)
         assert sv.residue_indices(data, values, digits) == [
-            data.index_of_poly(pr.poly_from_index(k, v, digits))
+            data.kpi.index(data.kpi.reduce_poly(
+                pr.poly_from_index(k, v, digits)))
             for v in values]
 
 
@@ -804,7 +805,8 @@ def test_residue_recurrence_in_blocks():
     for pi in pr.irreducibles(K3, 1)[:1] + pr.irreducibles(K3, 2)[:1]:
         data = residue_data(K3, pi, 2)
         assert sv.residue_indices(data, values, digits) == [
-            data.index_of_poly(pr.poly_from_index(K3, v, digits))
+            data.kpi.index(data.kpi.reduce_poly(
+                pr.poly_from_index(K3, v, digits)))
             for v in values]
 
 
@@ -840,7 +842,7 @@ def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
     report = json.loads((outs[0] / "sieve_report.json").read_text())
     assert report["pass"] is True
     form = geo.form_from_json(K3, config["form"])
-    assert not form.is_diagonal()
+    assert not geo._is_diagonal(form.terms)
     assert any(len(c) > 1 for c in form.terms.values())
     primes = [P(K3, text) for text in report["sieve"]["primes"]]
     moments = per_point_moments(K3, form, 2, 3, primes, 0, 3 ** 9)
