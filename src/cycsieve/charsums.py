@@ -30,8 +30,9 @@ constant is asserted for this case).  The case comes from the
 dual-membership test that ``geometry.dual_membership_test`` builds once per
 prime, and the case and the text of each w are computed once for every chi.
 
-Every loop that runs over a full k_pi^(n+1) charges an evaluation budget, so
-callers can refuse oversized requests up front.
+A context given an evaluation budget charges every pass of its kernel over
+k_pi^(n+1); ``wd_audit_cost`` prices a whole audit, so a caller can refuse an
+oversized request before any table is built.
 """
 
 from __future__ import annotations
@@ -300,23 +301,16 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
 _CASES = {True: "ii", False: "iii", None: "unknown"}
 
 
-def wd_audit_cost(q: int, delta: int, n: int, ell: int,
-                  num_ws: int | None = None,
-                  num_chis: int | None = None) -> int:
-    """Innermost evaluations of an audit mod a prime of degree delta: the
-    table of G on k_pi^(n+1) that the sums share, then the transform of
-    all_sums when w runs over all of k_pi^(n+1) (num_ws None), or else one
-    sum over k_pi^(n+1) per (w, chi) for num_ws covectors and num_chis
-    characters (default: the ell - 1 non-principal ones)."""
+def wd_audit_cost(q: int, delta: int, n: int, ell: int) -> int:
+    """Innermost evaluations of an audit of every w mod a prime of degree
+    delta: the table of G on k_pi^(n+1) that the sums share, then the
+    transform of all_sums."""
     size = q ** (delta * (n + 1))
-    if num_ws is None:
-        return size + transform_cost(prime_factors(q)[0], ell, size)
-    chis = ell - 1 if num_chis is None else num_chis
-    return size + chis * num_ws * size
+    return size + transform_cost(prime_factors(q)[0], ell, size)
 
 
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
-             dual="auto", ws=None, budget: Budget | None = None) -> dict:
+             dual="auto", ws=None) -> dict:
     """Audit |S_G(w, chi)| against the per-case bounds.
 
     Defaults: every non-principal chi of order dividing ell and every
@@ -325,8 +319,8 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     "summary": {...}}; each row carries q, Delta, pi, ell, chi_index, w,
     case, abs_S, bound, ratio, pass.  For case "iii" (and "unknown") the
     ratio column is |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is
-    |S| / bound.  The table of G and the sums are charged to budget before
-    any of them runs, and the dual test charges its search before it.
+    |S| / bound.  The audit charges no budget: a caller with one charges
+    wd_audit_cost and the dual test's dual_test_cost first.
     """
     ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
@@ -341,12 +335,8 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     every_w = ws is None
     if every_w:
         ws = list(itertools.product(kpi.elements(), repeat=ctx.nvars))
-    if budget is not None:
-        budget.charge(wd_audit_cost(k.size, delta, n, ell,
-                                    None if every_w else len(ws),
-                                    len(chi_indices)))
 
-    on_dual = geo.dual_membership_test(form, pi, dual=dual, budget=budget)
+    on_dual = geo.dual_membership_test(form, pi, dual=dual)
     if every_w:
         sums = ctx.all_sums(chi_indices)
     else:

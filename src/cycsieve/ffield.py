@@ -9,7 +9,7 @@ d = deg(modulus)).  Residue fields k_pi = F_q[T]/(pi) are built uniformly as
 Both classes share one small API:
 
     zero, one, char, size, degree_over_prime
-    add(a, b)  sub(a, b)  neg(a)  mul(a, b)  inv(a)  div(a, b)  power(a, e)
+    add(a, b)  sub(a, b)  neg(a)  mul(a, b)  inv(a)  power(a, e)
     is_zero(a)  from_int(c)  index(a)  from_index(i)  elements()
     trace_to_prime(a)  multiplicative_generator()
 
@@ -109,9 +109,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def power(self, a, e: int):
         if e < 0:
@@ -231,9 +228,6 @@ class ExtensionField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         return self.power(a, self.size - 2)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return all(self.base.is_zero(x) for x in a)

@@ -566,7 +566,7 @@ def dual_test_cost(form: MultiForm, Q: int, dual="auto",
 
 
 def dual_membership_test(form: MultiForm, pi, dual="auto",
-                         search_bound: int = 1, budget=None):
+                         search_bound: int = 1):
     """The test w -> True | False | None of "does the hyperplane w lie on the
     dual of {F = 0} mod pi?", with the per-prime work done once.
 
@@ -578,16 +578,14 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
       * "tangency": is w proportional to a (nonzero) gradient at a point of
         {F = 0 mod pi} over an extension of degree <= search_bound?  True on
         a witness, None when there is none (certifies nothing).
-    The test raises on a w of the wrong length or w = 0.  The tangency
-    search is charged to budget before it starts (dual_test_cost).
+    The test raises on a w of the wrong length or w = 0.  A caller with a
+    budget charges the tangency search first (dual_test_cost).
     """
     kpi, terms, _ = reduce_form(form, pi)
     nv = form.n + 1
     dual = _dual_route(form, dual)
 
     if dual == "tangency":
-        if budget is not None:
-            budget.charge(_projective_count(kpi.size, nv, search_bound))
         tangents = _tangent_covectors(kpi, terms, nv, search_bound)
 
         def member(w):

@@ -427,9 +427,6 @@ class RationalFunctionField:
             raise ZeroDivisionError("inverse of zero")
         return self.normalize(a[1], a[0])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def power(self, a, e: int):
         if e < 0:
             return self.power(self.inv(a), -e)

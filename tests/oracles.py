@@ -468,6 +468,10 @@ def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
 # ---------------------------------------------------------------------------
 # character sums: term by term, sliced, and completed by Gauss sums
 
+# extension degree up to which the slice and twist checks search for
+# singular points
+SLICE_SEARCH_BOUND = 2
+
 
 def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
     """S_G(w, chi_index) of a context by the generic field and character
@@ -489,9 +493,8 @@ def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
     return total
 
 
-def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
-                     budget: cs.Budget | None = None,
-                     search_bound: int = 2) -> dict:
+def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
+                     chi_index: int) -> dict:
     """S_G(0, chi) = sum_j [sum_{u != 0} chi(u)^m] * sum_b chi(g_j(b)).
 
     Stratify k_pi^(n+1) by the first nonzero coordinate j; on that stratum
@@ -499,7 +502,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
     G_{ {j..n} } at X_j = 1 in the variables j+1..n.  Both routes are exact
     cyclotomic values; "equal" compares them bit for bit.
     """
-    ctx = cs.CharSumContext(k, pi, ell, form, budget=budget)
+    ctx = cs.CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
     nvars = ctx.nvars
     chi = MultChar(ctx.data, chi_index)
@@ -519,18 +522,14 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
     for j in range(nvars):
         S_j = set(range(j, nvars))
         g, checks = slice_and_check(kpi, ctx.reduced_terms, nvars, form.m,
-                                    S_j, j, search_bound=search_bound)
+                                    S_j, j, search_bound=SLICE_SEARCH_BOUND)
         r_vars = nvars - 1 - j
         counts: dict = {}
-        total_points = 0
         for b in itertools.product(kpi.elements(), repeat=r_vars):
-            total_points += 1
             e = chi.exponent_at(kpi.index(geo.eval_terms(kpi, g, b)))
             if e is not None:
                 key = (0, e)
                 counts[key] = counts.get(key, 0) + 1
-        if budget is not None:
-            budget.charge(total_points)
         affine_sum = ring.from_exponent_counts(counts)
         slices.append({"j": j, "r": r_vars, "sum": affine_sum,
                        "checks": checks})
@@ -553,9 +552,8 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
     }
 
 
-def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
-                     budget: cs.Budget | None = None,
-                     search_bound: int = 2) -> dict:
+def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm,
+                     chi_index: int) -> dict:
     """Per-slice audit: |sum_b chi(g_j(b))| <= (m - 1) * Q^(r/2) whenever the
     slice is a certified Deligne polynomial (degree preserved, coprime to the
     characteristic, smooth top form); otherwise the row is marked
@@ -564,8 +562,7 @@ def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
     """
     if not 0 < chi_index < ell:
         raise ValueError("the slice audit needs a non-principal character")
-    res = slicing_identity(k, pi, ell, form, chi_index, budget=budget,
-                           search_bound=search_bound)
+    res = slicing_identity(k, pi, ell, form, chi_index)
     ring = residue_data(k, pi, ell).ring
     Q = k.size ** pr.degree(pi)
     rows = []
@@ -601,8 +598,7 @@ def katz_slice_audit(k, pi, ell: int, form: geo.MultiForm, chi_index: int,
 
 
 def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
-                         chi_index: int, budget: cs.Budget | None = None,
-                         search_bound: int = 2) -> dict:
+                         chi_index: int) -> dict:
     """Complete S_G(w, chi) through Gauss sums, exactly, for w != 0.
 
     With tau(chi) = sum_alpha chi(alpha) psi(alpha/pi) and
@@ -617,7 +613,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     """
     if not 0 < chi_index < ell:
         raise ValueError("completion needs a non-principal character")
-    ctx = cs.CharSumContext(k, pi, ell, form, budget=budget)
+    ctx = cs.CharSumContext(k, pi, ell, form)
     kpi, ring, tables = ctx.kpi, ctx.ring, ctx.tables
     Q, nvars = ctx.Q, ctx.nvars
     widx = ctx._w_indices(w)
@@ -629,8 +625,6 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
     tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
 
-    if budget is not None:
-        budget.charge((Q - 1) * Q**nvars)
     mul, p = tables.mul, kpi.char
     psi = ctx.data.psi_exp
     chi_exp = ctx.data.chi_exp
@@ -641,7 +635,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     texts = cs.element_texts(kpi)
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
     smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
-                                        search_bound=search_bound)
+                                        search_bound=SLICE_SEARCH_BOUND)
     deligne_applicable = smooth.status == "smooth"
 
     rhs_counts: dict = {}

@@ -114,8 +114,7 @@ def test_criterion_2_gauss_riemann_hypothesis(report):
 
 def test_criterion_3_weil_deligne_audit(report):
     t0 = time.perf_counter()
-    budget = cs.Budget(10 ** 8)
-    audits = [cs.wd_audit(K3, P(K3, pi_text), 2, QUADRIC, budget=budget)
+    audits = [cs.wd_audit(K3, P(K3, pi_text), 2, QUADRIC)
               for pi_text in ("T", "1+T^2")]
     rows = sum(a["summary"]["rows"] for a in audits)
     all_pass = all(a["summary"]["all_pass"] for a in audits)

@@ -253,10 +253,6 @@ class TestBudget:
         # every covector: the table of G on 27 = 3^3 points, then the
         # transform, 3 passes over 3 * 2 layers with 3 outputs of 3 blocks
         assert cs.wd_audit_cost(3, 1, 2, 2) == 27 + 3 * 2 * 3 * 3 * 27
-        # 27 given covectors, 27 summands each, one character
-        assert cs.wd_audit_cost(3, 1, 2, 2, num_ws=27) == 27 + 729
-        assert cs.wd_audit_cost(7, 1, 2, 3, num_ws=5, num_chis=1) \
-            == 343 + 5 * 343
 
 
 class TestAudit:
