@@ -124,10 +124,6 @@ class ResidueData:
             raise ArithmeticError("residue symbol is not an ell-th root of unity")
         return (t // self._theta_step) % self.ell
 
-    def reduce(self, f):
-        """Residue of a polynomial over F_q."""
-        return self.kpi.reduce_poly(f)
-
 
 @functools.lru_cache(maxsize=RESIDUE_CACHE_SIZE)
 def residue_data(k, pi, ell: int) -> ResidueData:

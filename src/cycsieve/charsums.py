@@ -29,10 +29,6 @@ normalized ratio |S| / q^((n+1) Delta / 2) is also logged, since no explicit
 constant is asserted for this case).  The case comes from the
 dual-membership test that ``geometry.dual_membership_test`` builds once per
 prime, and the case and the text of each w are computed once for every chi.
-
-A context given an evaluation budget charges every pass of its kernel over
-k_pi^(n+1); ``wd_audit_cost`` prices a whole audit, so a caller can refuse an
-oversized request before any table is built.
 """
 
 from __future__ import annotations
@@ -88,6 +84,11 @@ class Budget:
             raise BudgetExceeded(self.spent + n, self.limit)
         self.spent += n
 
+    def charge_each(self, charges):
+        """Charge each of the charges in turn."""
+        for n in charges:
+            self.charge(n)
+
 
 # ---------------------------------------------------------------------------
 # the kernel
@@ -101,16 +102,11 @@ class CharSumContext:
     reduction, whatever its shape).
     """
 
-    def __init__(self, k, pi, ell: int, form: geo.MultiForm,
-                 budget: Budget | None = None):
+    def __init__(self, k, pi, ell: int, form: geo.MultiForm):
         if form.k != k:
             raise ValueError("form is defined over a different field")
-        self.k = k
-        self.pi = pi
         self.ell = ell
-        self.form = form
         self.nvars = form.n + 1
-        self.budget = budget
         self.data = residue_data(k, pi, ell)
         self.kpi = self.data.kpi
         self.ring: CycRing = self.data.ring
@@ -118,27 +114,13 @@ class CharSumContext:
         self.Q = self.kpi.size
         self.idx_zero = self.tables.index[self.kpi.zero]
         _, self.reduced_terms, _ = geo.reduce_form(form, pi)
-        self._g_vals = None
+        # G(a) as an element index at every a in k_pi^(n+1), in the order of
+        # itertools.product(range(Q), repeat=n+1) on coordinate indices
+        evaluate = geo.index_evaluator(self.tables, self.reduced_terms)
+        self.g_values = list(map(evaluate, itertools.product(
+            range(self.Q), repeat=self.nvars)))
 
-    # -- shared precomputation ------------------------------------------------
-
-    def g_values(self):
-        """G(a) as an element index for every a in k_pi^(n+1), the points
-        in the order itertools.product(range(Q), repeat=n+1) gives their
-        coordinate indices (the order of every per-point list here)."""
-        if self._g_vals is None:
-            if self.budget is not None:
-                self.budget.charge(self.Q ** self.nvars)
-            evaluate = geo.index_evaluator(self.tables, self.reduced_terms)
-            self._g_vals = list(map(evaluate, itertools.product(
-                range(self.Q), repeat=self.nvars)))
-        return self._g_vals
-
-    def chi_exponents(self, chi_index: int):
-        """Per residue index: the zeta_ell exponent of chi_index at that
-        residue, or None where the character vanishes."""
-        chi = MultChar(self.data, chi_index)
-        return [chi.exponent_at(r) for r in range(self.Q)]
+    # -- sums -------------------------------------------------------------
 
     def _w_indices(self, w):
         if len(w) != self.nvars:
@@ -146,16 +128,12 @@ class CharSumContext:
                 f"w needs {self.nvars} coordinates, got {len(w)}")
         return [self.tables.index[x] for x in w]
 
-    # -- sums -------------------------------------------------------------
-
     def phases(self, w):
         """The exponent of psi_infty(-w.a/pi) = zeta_p^phase at every point
         a, mod p.  psi_exp is additive, so the phase of a is the sum over
         its coordinates of one Q-entry row x -> psi_exp[-w_i x]: the list is
-        the outer sum of the rows.  The pass is charged to the budget."""
+        the outer sum of the rows."""
         widx = self._w_indices(w)
-        if self.budget is not None:
-            self.budget.charge(self.Q ** self.nvars)
         p, Q, mul, neg = self.kpi.char, self.Q, self.tables.mul, self.tables.neg
         psi = self.data.psi_exp
         out = [0]
@@ -167,16 +145,20 @@ class CharSumContext:
     def char_sum(self, w, chi_index: int):
         """S_G(w, chi_index) as an exact cyclotomic value: the count of each
         (phase, chi exponent) pair over the points."""
-        jtab = self.chi_exponents(chi_index)
+        # per residue index: the zeta_ell exponent of chi_index there, or
+        # None where the character vanishes
+        jtab = list(map(MultChar(self.data, chi_index).exponent_at,
+                        range(self.Q)))
         counts = Counter(zip(self.phases(w),
-                             map(jtab.__getitem__, self.g_values())))
+                             map(jtab.__getitem__, self.g_values)))
         return self.ring.from_exponent_counts(
             {key: c for key, c in counts.items() if key[1] is not None})
 
-    def all_sums(self, chi_indices):
+    def all_sums(self, chi_indices, positions=None):
         """{chi_index: an iterator over S_G(w, chi_index) for every w, in
-        the order of g_values} for non-principal characters, from one exact
-        radix-p transform.
+        the order of g_values, or for the w at the given flat positions in
+        that order} for non-principal characters, from one exact radix-p
+        transform.
 
         Read a point a through the N base-p digits a_s of its flat index in
         that order (check_digitwise_addition makes that an F_p-linear
@@ -197,8 +179,6 @@ class CharSumContext:
             raise ValueError("the transform needs non-principal characters")
         p, ell, Q = self.kpi.char, self.ell, self.Q
         size = Q ** self.nvars
-        if self.budget is not None:
-            self.budget.charge(transform_cost(p, ell, size))
         check_digitwise_addition(self.tables, p)
         chi_exp = self.data.chi_exp
         # 64-bit integer arrays, not lists of int objects, to keep the
@@ -206,7 +186,7 @@ class CharSumContext:
         # array raises on overflow, it never wraps)
         layers = [[array('q', [0]) * size for _ in range(ell)]
                   for _ in range(p)]
-        for pos, gv in enumerate(self.g_values()):
+        for pos, gv in enumerate(self.g_values):
             t = chi_exp[gv]
             if t is not None:
                 layers[0][t][pos] = 1
@@ -237,6 +217,8 @@ class CharSumContext:
         cs = [0]
         for _ in range(self.nvars):
             cs = [c * Q + col[x] for c in cs for x in range(Q)]
+        if positions is not None:
+            cs = [cs[pos] for pos in positions]
         ring = self.ring
 
         def sums(i):
@@ -301,10 +283,10 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
 _CASES = {True: "ii", False: "iii", None: "unknown"}
 
 
-def wd_audit_cost(q: int, delta: int, n: int, ell: int) -> int:
-    """Innermost evaluations of an audit of every w mod a prime of degree
-    delta: the table of G on k_pi^(n+1) that the sums share, then the
-    transform of all_sums."""
+def all_sums_cost(q: int, delta: int, n: int, ell: int) -> int:
+    """Innermost evaluations of all_sums mod a prime of degree delta: the
+    table of G on k_pi^(n+1) that the context builds, then the
+    transform."""
     size = q ** (delta * (n + 1))
     return size + transform_cost(prime_factors(q)[0], ell, size)
 
@@ -319,8 +301,8 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     "summary": {...}}; each row carries q, Delta, pi, ell, chi_index, w,
     case, abs_S, bound, ratio, pass.  For case "iii" (and "unknown") the
     ratio column is |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is
-    |S| / bound.  The audit charges no budget: a caller with one charges
-    wd_audit_cost and the dual test's dual_test_cost first.
+    |S| / bound.  A caller prices the audit of every w first, by
+    all_sums_cost and the dual test's dual_test_cost.
     """
     ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring

@@ -127,14 +127,6 @@ def _emit(args, name: str, report: dict) -> None:
     print(f"wrote {path}")
 
 
-def _low_primes(k, budget: Budget) -> tuple:
-    """(the linear primes, the quadratic primes), their enumeration charged
-    to budget before it runs."""
-    budget.charge(pr.irreducibles_cost(k.size, 1)
-                  + pr.irreducibles_cost(k.size, 2))
-    return pr.irreducibles(k, 1), pr.irreducibles(k, 2)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -212,56 +204,77 @@ def cmd_gauss(args) -> int:
     return 0 if row["equal"] else 1
 
 
+# the battery's primes, as (degree, index among the monic irreducibles of
+# that degree): the count-mod moduli (each the product of its primes, run
+# at every b < deg u on COUNT_MOD_TARGETS targets) and the completions
+# (pi, pi2, b), the mixed-degree ones only over F_3, where they stay small
+L0, L1, L2, Q0 = (1, 0), (1, 1), (1, 2), (2, 0)
+COUNT_MODULI = ((L0, L1), (L0, L0), (L0, L0, L1), (Q0,), (Q0, L1))
+COUNT_MOD_TARGETS = 3
+COMPLETIONS = ((L0, L1, 1), (L1, L0, 1), (L0, L2, 1), (L1, L2, 1), (L2, L0, 1))
+MIXED_COMPLETIONS = ((L0, Q0, 1), (L0, Q0, 2))
+
+
+def _completions(q: int) -> tuple:
+    return COMPLETIONS + (MIXED_COMPLETIONS if q == 3 else ())
+
+
+def identity_suite_cost(params: sv.SieveParams) -> list:
+    """The charges of run_identity_suite, in order: the expansion's box (even
+    if the scan leaves fewer than two sieving primes); the primes of degree
+    <= 2 and their residues; the count-mod rows, completions and the
+    expansion's character side."""
+    q, n, ell = params.q, params.n, params.ell
+    rows = COUNT_MOD_TARGETS * sum(  # the two boxes of each count-mod row
+        q ** (b * (n + 1)) + q ** ((d - b) * (n + 1))
+        for d in (sum(deg for deg, _ in u) for u in COUNT_MODULI)
+        for b in range(1, d))
+    rows += sum(sum(ids.two_prime_cost(q, (d1, d2), n, ell, b))
+                for (d1, _), (d2, _), b in _completions(q))
+    box, expansion = ids.two_prime_cost(q, (params.delta,) * 2, n, ell,
+                                        params.b)
+    low = sum(pr.irreducibles_cost(q, d) + pr.count_irreducibles_formula(
+        q, d) * q ** d for d in (1, 2))
+    return [box, low, rows + expansion]
+
+
 def run_identity_suite(cfg: dict) -> dict:
     """The exact identity battery on a configured instance: root-count and
     Gauss-magnitude for every prime of degree <= 2, a count-mod battery over
     composite and prime-power moduli, completions over distinct prime pairs,
     and the unramified two-prime expansion on the instance's own sieving
-    primes."""
-    budget = Budget(cfg["budget"])
-    k, form, params, sset = rp.build_instance(cfg, budget)
+    primes.  The whole battery is priced (identity_suite_cost) before the
+    instance's scan."""
+    k, form, params, sset = rp.build_instance(
+        cfg, Budget(cfg["budget"]), identity_suite_cost)
     ell, arity = cfg["ell"], cfg["n"] + 1
     rows = []
 
-    lin, quad = _low_primes(k, budget)
-    for piv in lin + quad:
+    low = {1: pr.irreducibles(k, 1), 2: pr.irreducibles(k, 2)}
+    for piv in low[1] + low[2]:
         rows.append(ids.verify_root_count(k, piv, ell))
         rows.append(ids.verify_gauss_magnitude(k, piv, ell))
 
-    moduli = [
-        pr.mul(k, lin[0], lin[1]),
-        pr.mul(k, lin[0], lin[0]),
-        pr.mul(k, pr.mul(k, lin[0], lin[0]), lin[1]),
-        quad[0],
-        pr.mul(k, quad[0], lin[1]),
-    ]
     targets = [
         tuple(() for _ in range(arity)),
         tuple((k.one,) if i % 2 == 0 else () for i in range(arity)),
-        tuple(lin[1] for _ in range(arity)),
+        tuple(low[1][1] for _ in range(arity)),
     ]
-    for u in moduli:
+    for names in COUNT_MODULI:
+        u = (k.one,)
+        for d, i in names:
+            u = pr.mul(k, u, low[d][i])
         for b in range(1, pr.degree(u)):
             for a in targets:
                 rows.append(ids.verify_count_mod(k, u, a, b))
 
-    chi2 = ell - 1
-    pairs = [(lin[0], lin[1]), (lin[1], lin[0]), (lin[0], lin[2]),
-             (lin[1], lin[2]), (lin[2], lin[0])]
-    for pi1, pi2 in pairs:
-        rows.append(ids.verify_completion(k, pi1, pi2, ell, 1, chi2, form,
-                                          1, budget=budget))
-    if k.size == 3:
-        # mixed-degree pair; kept to the smallest field where the full
-        # residue sums stay desk-sized
-        for b in (1, 2):
-            rows.append(ids.verify_completion(k, lin[0], quad[0], ell, 1,
-                                              chi2, form, b, budget=budget))
+    for (d1, i1), (d2, i2), b in _completions(k.size):
+        rows.append(ids.verify_completion(k, low[d1][i1], low[d2][i2], ell,
+                                          1, ell - 1, form, b))
 
     if len(sset) >= 2:
         rows.append(ids.verify_unramified_expansion(
-            k, sset.primes[0], sset.primes[1], ell, form, params.b,
-            budget=budget))
+            k, sset.primes[0], sset.primes[1], ell, form, params.b))
 
     all_pass = all(r["equal"] and r.get("zero_portion_vanishes", True)
                    and r.get("pointwise_fiber_identity", True)
@@ -292,12 +305,12 @@ def cmd_wd_audit(args) -> int:
     if args.pi:
         pis = [pr.parse_poly(k, text) for text in args.pi]
     else:
-        lin, quad = _low_primes(k, budget)
-        pis = [lin[0], quad[0]]
+        budget.charge(sum(pr.irreducibles_cost(k.size, d) for d in (1, 2)))
+        pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
     # every audit, its table of G, its transform and its dual test, before
     # the first
     budget.charge(sum(
-        cs.wd_audit_cost(k.size, pr.degree(pi), form.n, cfg["ell"])
+        cs.all_sums_cost(k.size, pr.degree(pi), form.n, cfg["ell"])
         + geo.dual_test_cost(form, k.size ** pr.degree(pi), dual)
         for pi in pis))
     audits = []
@@ -328,13 +341,12 @@ def cmd_dual_check(args) -> int:
     k = form.k
     pi = pr.parse_poly(k, args.pi)
     kpi = pr.residue_field(k, pi)
-    budget = Budget(cfg["budget"])
     # the searches of both tests, then the walk over the nonzero covectors,
     # before either test is built
-    budget.charge(geo.dual_test_cost(form, kpi.size, dual))
-    budget.charge(geo.dual_test_cost(form, kpi.size, "tangency",
-                                     args.search_bound))
-    budget.charge(kpi.size ** (form.n + 1) - 1)
+    Budget(cfg["budget"]).charge_each([
+        geo.dual_test_cost(form, kpi.size, dual),
+        geo.dual_test_cost(form, kpi.size, "tangency", args.search_bound),
+        kpi.size ** (form.n + 1) - 1])
     closed_test = geo.dual_membership_test(form, pi, dual=dual)
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
                                             search_bound=args.search_bound)
@@ -366,9 +378,9 @@ def cmd_exc_primes(args) -> int:
     cfg = _config(args)
     form, dual = rp.config_objects(cfg)
     delta_max = cfg["delta_max"]
-    report = geo.compute_exceptional_primes(form, delta_max, dual=dual,
-                                            search_bound=cfg["search_bound"],
-                                            budget=Budget(cfg["budget"]))
+    scan = (form, delta_max, dual, cfg["search_bound"])
+    Budget(cfg["budget"]).charge_each(geo.exceptional_scan_cost(*scan))
+    report = geo.compute_exceptional_primes(*scan)
     for entry in report["entries"]:
         print(f"{entry['pi']}: tags={entry['tags']} "
               f"unknown={entry['unknown']}")
@@ -399,8 +411,9 @@ def cmd_sieve_run(args) -> int:
 def cmd_count(args) -> int:
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
-    M = sv.brute_force_count(form.k, cfg["ell"], form, cfg["b"],
-                             budget=Budget(cfg["budget"]))
+    count = (form.k, cfg["ell"], form, cfg["b"])
+    Budget(cfg["budget"]).charge_each(sv.box_pass_cost(*count))
+    M = sv.brute_force_count(*count)
     trivial = cfg["q"] ** (cfg["b"] * (cfg["n"] + 1))
     ok = M <= trivial
     print(f"M_{cfg['n']}(F; {cfg['b']}) = {M}  (box {trivial} "

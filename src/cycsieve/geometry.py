@@ -578,8 +578,8 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
       * "tangency": is w proportional to a (nonzero) gradient at a point of
         {F = 0 mod pi} over an extension of degree <= search_bound?  True on
         a witness, None when there is none (certifies nothing).
-    The test raises on a w of the wrong length or w = 0.  A caller with a
-    budget charges the tangency search first (dual_test_cost).
+    The test raises on a w of the wrong length or w = 0.  dual_test_cost
+    prices the tangency search.
     """
     kpi, terms, _ = reduce_form(form, pi)
     nv = form.n + 1
@@ -629,9 +629,24 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
 # exceptional primes
 
 
+def exceptional_scan_cost(form: MultiForm, delta_max: int, dual="auto",
+                          search_bound: int = 4) -> tuple:
+    """The charges of compute_exceptional_primes, in order: its prime
+    enumeration, then the points of its smoothness, Dwork and tangent
+    searches, priced from the number of primes of each degree.  A reduction
+    that turns diagonal or vanishes searches less: never under-charged."""
+    q, nv, degrees = form.k.size, form.n + 1, range(1, delta_max + 1)
+    searches = 2 * (form.m != 2 and not _is_diagonal(form.terms))
+    tangents = form.m != 2 and isinstance(dual, MultiForm)
+    return (sum(pr.irreducibles_cost(q, d) for d in degrees),
+            sum(pr.count_irreducibles_formula(q, d)
+                * (searches * _projective_count(q ** d, nv, search_bound)
+                   + tangents * _projective_count(q ** d, nv, 1))
+                for d in degrees))
+
+
 def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
-                               search_bound: int = 4,
-                               budget=None) -> dict:
+                               search_bound: int = 4) -> dict:
     """Scan the monic primes of degree <= delta_max and flag the bad ones.
 
     Tags per prime: "degree-drop" (some coefficient vanishes mod pi),
@@ -641,12 +656,7 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     for a supplied dual a check that it vanishes on every tangent covector
     at the smooth k_pi-points).  Checks a search could not decide are listed
     under "unknown" for that prime rather than silently passed.
-
-    The enumeration of the primes is charged to budget before it runs, and
-    before the first prime the projective points of every extension-point
-    search of the scan: the smoothness and Dwork searches of a reduced form
-    that is neither diagonal nor a quadric, and the tangent covectors over
-    k_pi that a supplied non-quadric dual is checked on.
+    exceptional_scan_cost prices the scan.
     """
     k = form.k
     nv = form.n + 1
@@ -655,19 +665,8 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     quadric = form.m == 2
     adj_poly = _quadric_adjugate(form) if quadric else None
     user_dual = dual if isinstance(dual, MultiForm) else None
-    if budget is not None:
-        budget.charge(sum(pr.irreducibles_cost(k.size, d)
-                          for d in range(1, delta_max + 1)))
     scan = [(d, piv, *reduce_form(form, piv))
             for d in range(1, delta_max + 1) for piv in pr.irreducibles(k, d)]
-    if budget is not None:
-        points = 0
-        for _, _, kpi, terms, _ in scan:
-            if terms and not quadric and not _is_diagonal(terms):
-                points += 2 * _projective_count(kpi.size, nv, search_bound)
-            if terms and not quadric and user_dual is not None:
-                points += _projective_count(kpi.size, nv, 1)
-        budget.charge(points)
     entries = []
     exceptional = []
     for d, piv, kpi, terms, dropped in scan:

@@ -29,6 +29,7 @@ The verified identities:
 """
 
 import itertools
+from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
@@ -39,7 +40,7 @@ from .characters import (
     residue_data,
     root_count_routes,
 )
-from .charsums import Budget, CharSumContext
+from .charsums import CharSumContext, all_sums_cost
 from .cyclotomic import cyc_ring
 from .polyring import box
 from .sieve import box_histogram, residue_indices, value_digits
@@ -146,54 +147,69 @@ def verify_count_mod(k, u, a, b: int) -> dict:
 # completion of a two-prime incomplete sum
 
 
+def two_prime_cost(q: int, degrees, n: int, ell: int, b: int) -> tuple:
+    """The charges of a two-prime identity on the box {deg x < b} mod primes
+    of the given degrees: the box, then the character side (the
+    complementary box and all_sums_cost mod each prime)."""
+    return (q ** (b * (n + 1)),
+            q ** ((sum(degrees) - b) * (n + 1))
+            + sum(all_sums_cost(q, d, n, ell) for d in degrees))
+
+
 def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
-                       width: int, chi_pairs, budget: Budget | None):
+                       width: int, chi_pairs):
     """The character side of the two-prime identities: the sum over the
     index pairs (i1, i2) in chi_pairs and over the box {deg x < width} of
     S_F(pibar2 x, chi_i1 mod pi1) * S_F(pibar1 x, chi_i2 mod pi2), where
     pi1 pibar1 == 1 (mod pi2) and pi2 pibar2 == 1 (mod pi1).
 
-    Every coordinate value is twisted and reduced mod both primes once, the
-    box is walked in box order over those reductions, and the char sum of
-    each distinct (prime, covector, character) is computed once."""
-    ctxs = (CharSumContext(k, pi1, ell, form, budget=budget),
-            CharSumContext(k, pi2, ell, form, budget=budget))
+    The points are counted per pair of covectors (mod pi1, mod pi2), each
+    read as its flat index in the order of g_values, one coordinate at a
+    time.  Each prime's sums come from one all_sums, read at the indices
+    that occur, and each pair is multiplied once per pair of characters."""
+    ctxs = (CharSumContext(k, pi1, ell, form),
+            CharSumContext(k, pi2, ell, form))
     twists = (pr.invert_mod(k, pi2, pi1), pr.invert_mod(k, pi1, pi2))
-    table = [tuple(ctx.data.reduce(pr.mul(k, t, x))
-                   for ctx, t in zip(ctxs, twists))
-             for x in (pr.poly_from_index(k, i, width)
-                       for i in range(k.size ** width))]
+    column = Counter(  # the index of a twisted coordinate value mod each
+        tuple(ctx.tables.index[ctx.kpi.reduce_poly(pr.mul(k, t, x))]
+              for ctx, t in zip(ctxs, twists))
+        for (x,) in box(k, width, 1))
+    Q1, Q2 = ctxs[0].Q, ctxs[1].Q
+    pairs = Counter({(0, 0): 1})  # (flat index mod pi1, mod pi2) -> points
+    for _ in range(form.n + 1):
+        pairs, last = Counter(), pairs
+        for (a1, a2), count in last.items():
+            for (r1, r2), weight in column.items():
+                pairs[a1 * Q1 + r1, a2 * Q2 + r2] += count * weight
+    chi_pairs, sums = list(chi_pairs), []
+    for slot, ctx in enumerate(ctxs):  # {character: {flat index: S}}
+        at = sorted({pair[slot] for pair in pairs})
+        sums.append({i: dict(zip(at, values)) for i, values in ctx.all_sums(
+            sorted({chis[slot] for chis in chi_pairs}), at).items()})
     ring = ctxs[0].ring
-    sums = {}  # (prime slot, covector, character index) -> S
     total = ring.zero
-    for chis in chi_pairs:
-        for point in itertools.product(table, repeat=form.n + 1):
-            factors = []
-            for slot, (ctx, chi) in enumerate(zip(ctxs, chis)):
-                key = (slot, tuple(r[slot] for r in point), chi)
-                if key not in sums:
-                    sums[key] = ctx.char_sum(key[1], chi)
-                factors.append(sums[key])
-            total = ring.add(total, ring.mul(*factors))
+    for i1, i2 in chi_pairs:
+        for (a1, a2), count in pairs.items():
+            total = ring.add(total, ring.scale(
+                count, ring.mul(sums[0][i1][a1], sums[1][i2][a2])))
     return total
 
 
-def _value_residues(data1, data2, form: geo.MultiForm, b: int,
-                    budget: Budget | None):
+def _value_residues(data1, data2, form: geo.MultiForm, b: int):
     """(residue index mod pi1, residue index mod pi2, count) for each
-    distinct value of F on the box {deg x < b}; the box is charged first."""
-    hist = box_histogram(form.k, form, b, budget=budget)
+    distinct value of F on the box {deg x < b}."""
+    hist = box_histogram(form.k, form, b)
     values, digits = list(hist), value_digits(form, b)
     return zip(residue_indices(data1, values, digits),
                residue_indices(data2, values, digits), hist.values())
 
 
 def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
-                      form: geo.MultiForm, b: int,
-                      budget: Budget | None = None) -> dict:
+                      form: geo.MultiForm, b: int) -> dict:
     """Sum over {deg x < b} of chi_pi(G(x)) chi_pi'(G(x)) against
     q^((n+1)(b - deg(pi pi'))) * sum over the complementary box of
-    S_G(pibar' x, chi_pi) S_G(pibar x, chi_pi'), all exact."""
+    S_G(pibar' x, chi_pi) S_G(pibar x, chi_pi'), all exact.  two_prime_cost
+    prices it."""
     _require_distinct_primes(k, pi, pi2)
     if not (0 < chi_index < ell and 0 < chi2_index < ell):
         raise ValueError("both characters must be non-principal")
@@ -209,7 +225,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     ring = data1.ring
 
     counts: dict = {}
-    for idx1, idx2, count in _value_residues(data1, data2, form, b, budget):
+    for idx1, idx2, count in _value_residues(data1, data2, form, b):
         e1 = chi1.exponent_at(idx1)
         if e1 is None:
             continue
@@ -221,7 +237,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     lhs = ring.from_exponent_counts(counts)
 
     total = _complementary_sum(k, pi, pi2, ell, form, D - b,
-                               [(chi_index, chi2_index)], budget)
+                               [(chi_index, chi2_index)])
     rhs = ring.div_int(total, k.size ** (arity * (D - b)))
 
     return {
@@ -246,7 +262,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
 
 
 def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
-                                b: int, budget: Budget | None = None) -> dict:
+                                b: int) -> dict:
     """The two-prime unramified sieve term, three ways.
 
     Route A (integers): sum over {deg x < b, F(x) not divisible by pi1*pi2}
@@ -259,7 +275,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     Extra checks: the discarded
     {F(x) == 0 mod pi1*pi2} portion of the character-product sum vanishes,
     and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
-    holds at every value F takes on the box.
+    holds at every value F takes on the box.  two_prime_cost prices it.
     """
     _require_distinct_primes(k, pi1, pi2)
     D = pr.degree(pi1) + pr.degree(pi2)
@@ -284,7 +300,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     lhs = 0
     zero_portion = ring.zero
     pointwise_ok = True
-    for idx1, idx2, count in _value_residues(data1, data2, form, b, budget):
+    for idx1, idx2, count in _value_residues(data1, data2, form, b):
         n1 = data1.root_count[idx1]
         n2 = data2.root_count[idx2]
         s1 = nonprincipal_sum(data1, chis1, idx1)
@@ -299,7 +315,7 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
 
     total = _complementary_sum(
         k, pi1, pi2, ell, form, D - b,
-        itertools.product(range(1, ell), repeat=2), budget)
+        itertools.product(range(1, ell), repeat=2))
     quotient = ring.div_int(total, k.size ** (arity * (D - b)))
     rhs = ring.as_int(quotient)
     if rhs is None:

@@ -144,22 +144,23 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     }
 
 
-def build_instance(config: dict, budget: Budget | None = None):
+def build_instance(config: dict, budget: Budget, price):
     """(k, form, params, sieving set) for a resolved config.  The params are
-    validated, and a pass over the box is charged to budget, before the bad
-    primes are rescanned up to delta_max and excluded; the scan charges its
-    prime enumeration and searches to the same budget before its first
-    prime.  So an invalid or oversized run stops before the scan."""
+    validated first.  Then the caller's charges price(params), in order,
+    and the scan's (geometry.exceptional_scan_cost) go to budget, before the
+    bad primes are rescanned up to delta_max and excluded.  So an invalid
+    or oversized run stops before the scan."""
     form, dual = config_objects(config)
     k = form.k
     params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
                             b=config["b"], delta=config["delta"],
                             delta_max=config["delta_max"])
-    sv.charge_box_pass(budget, k, params.ell, form, params.b)
-    exc = sv.exceptional_primes_of(
-        form, config["delta_max"], dual=dual,
-        search_bound=config["search_bound"], budget=budget)
-    sset = sv.build_sieving_set(k, config["delta"], exc)
+    scan = (form, config["delta_max"], dual, config["search_bound"])
+    budget.charge_each(price(params))
+    budget.charge_each(geo.exceptional_scan_cost(*scan))
+    exc = geo.compute_exceptional_primes(*scan)["exceptional"]
+    sset = sv.build_sieving_set(k, config["delta"],
+                                [pr.parse_poly(k, text) for text in exc])
     return k, form, params, sset
 
 
@@ -368,15 +369,12 @@ def _chunk_job(spec):
     return sv.accumulate_chunk(k, form, b, start=start, stop=stop)
 
 
-def parallel_accumulator(params: sv.SieveParams, sset: sv.SievingSet,
-                         workers: int = 1,
-                         budget: Budget | None = None) -> dict:
-    """The value moments of the full box.  The box positions are split into
-    workers contiguous ranges, each range builds the histogram of F over its
-    points (in this process for one worker, in a pool of at most one process
-    per non-empty range otherwise), the histograms are summed, and the
-    per-prime work runs once per distinct value, its residue tables charged
-    to budget.  The exact sums do not depend on the split, so the result is
+def parallel_accumulator(params: sv.SieveParams, workers: int = 1):
+    """The value histogram of the full box.  The box positions are split
+    into workers contiguous ranges, each range builds the histogram of F
+    over its points (in this process for one worker, in a pool of at most
+    one process per non-empty range otherwise), and the histograms are
+    summed.  The exact counts do not depend on the split, so the result is
     the same for any worker count."""
     k, form, b = params.k, params.form, params.b
     if workers == 1:
@@ -390,18 +388,22 @@ def parallel_accumulator(params: sv.SieveParams, sset: sv.SievingSet,
                   else "spawn")
         with multiprocessing.get_context(method).Pool(len(specs)) as pool:
             parts = pool.map(_chunk_job, specs)
-    return sv.value_moments(k, form, params.ell, b, sset.primes,
-                            sv.merge_accumulators(parts), budget=budget)
+    return sv.merge_accumulators(parts)
 
 
 def run_sieve(config: dict, workers: int = 1) -> dict:
-    """Both sieve inequalities on the configured instance; one box pass,
-    charged to the config's budget before the bad-prime scan."""
+    """Both sieve inequalities on the configured instance.  The box pass is
+    priced before the bad-prime scan, and the residue tables, whose size
+    depends on the number of distinct values, after it."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     budget = Budget(config["budget"])
-    _, _, params, sset = build_instance(config, budget)
-    acc = parallel_accumulator(params, sset, workers=workers, budget=budget)
+    k, form, params, sset = build_instance(
+        config, budget, lambda p: sv.box_pass_cost(p.k, p.ell, p.form, p.b))
+    hist = parallel_accumulator(params, workers)
+    budget.charge(sv.residue_tables_cost(form, params.b, len(sset),
+                                         len(hist)))
+    acc = sv.value_moments(k, form, params.ell, params.b, sset.primes, hist)
     report = sv.sieve_terms(params, sset, acc)
     general = sv.sieve_inequality_general(params, sset, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]

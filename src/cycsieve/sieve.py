@@ -47,7 +47,7 @@ from fractions import Fraction
 from . import geometry as geo
 from . import polyring as pr
 from .characters import check_cover, residue_data, root_count_routes
-from .charsums import Budget, field_tables
+from .charsums import field_tables
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +166,6 @@ class SievingSet:
 
     def __len__(self):
         return len(self.primes)
-
-
-def exceptional_primes_of(form: geo.MultiForm, delta_max: int,
-                          dual: str = "auto", search_bound: int = 4,
-                          budget: Budget | None = None) -> list:
-    """The bad primes of the form up to degree delta_max, as polynomials;
-    the scan's searches are charged to budget before they start."""
-    report = geo.compute_exceptional_primes(form, delta_max, dual=dual,
-                                            search_bound=search_bound,
-                                            budget=budget)
-    return [pr.parse_poly(form.k, text) for text in report["exceptional"]]
 
 
 def build_sieving_set(k, delta: int, exceptional=()) -> SievingSet:
@@ -383,23 +372,19 @@ def _solvable_weight(k, ell: int, digits: int, hist) -> int:
                if _globally_solvable(k, ell, v, digits, powers))
 
 
-def charge_box_pass(budget: Budget | None, k, ell: int, form: geo.MultiForm,
-                    b: int) -> None:
-    """Charge a pass over the box {deg x < b} before it starts: first its
+def box_pass_cost(k, ell: int, form: geo.MultiForm, b: int) -> tuple:
+    """The charges of a pass over the box {deg x < b}, in order: its
     q^(b(n+1)) points, then the q^(d+1) polynomials of degree <= d whose
     ell-th powers the solvability test enumerates."""
-    if budget is not None:
-        budget.charge(k.size ** (b * (form.n + 1)))
-        budget.charge(k.size ** ((value_digits(form, b) - 1) // ell + 1))
+    return (k.size ** (b * (form.n + 1)),
+            k.size ** ((value_digits(form, b) - 1) // ell + 1))
 
 
-def brute_force_count(k, ell: int, form: geo.MultiForm, b: int,
-                      budget: Budget | None = None) -> int:
+def brute_force_count(k, ell: int, form: geo.MultiForm, b: int) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
     y^ell = F(x) has a solution y in F_q[T].  Each distinct value of F on
     the box is decided by the two independent solvability routes and
     weighted by the number of points taking it."""
-    charge_box_pass(budget, k, ell, form, b)
     return _solvable_weight(k, ell, value_digits(form, b),
                             box_histogram(k, form, b))
 
@@ -449,7 +434,7 @@ def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:
 
 
 def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
-                     stop: int, budget: Budget | None = None) -> Counter:
+                     stop: int) -> Counter:
     """Counter of the value indices (value_digits digits) of F(x) over the
     box points at positions [start, stop) of the enumeration
     pr.box(k, b, n + 1).
@@ -476,8 +461,6 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
     width = k.size ** max(b, 0)
     if not 0 <= start <= stop <= width ** (n + 1):
         raise ValueError(f"positions [{start}, {stop}) are not in the box")
-    if budget is not None:
-        budget.charge(stop - start)
     packed = (m + 1) * digits
     slot = k.size ** digits  # the scale of x_n-degree 1 in a packed row
 
@@ -587,12 +570,11 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
     return Counter(hist)
 
 
-def box_histogram(k, form: geo.MultiForm, b: int,
-                  budget: Budget | None = None) -> Counter:
+def box_histogram(k, form: geo.MultiForm, b: int) -> Counter:
     """Counter of the value indices of F(x) over the whole box {deg x < b},
-    as one chunk; its points are charged to budget first."""
+    as one chunk."""
     return accumulate_chunk(k, form, b, start=0,
-                            stop=k.size ** (b * (form.n + 1)), budget=budget)
+                            stop=k.size ** (b * (form.n + 1)))
 
 
 def merge_accumulators(parts) -> Counter:
@@ -607,12 +589,20 @@ def merge_accumulators(parts) -> Counter:
     return total
 
 
+def residue_tables_cost(form: geo.MultiForm, b: int, primes: int,
+                        values: int) -> int:
+    """Entries of the residue tables of value_moments for the given numbers
+    of primes and distinct values: q^s per prime (s = residue_digits)."""
+    q = form.k.size
+    return primes * q ** residue_digits(q, value_digits(form, b), values)
+
+
 def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
-                  hist, budget: Budget | None = None) -> dict:
+                  hist) -> dict:
     """Every integer the sieve terms need, as exact sums over the box, from
     its value histogram hist = Counter(value index of F(x)).  Each prime
     reads the residue index of every distinct value from its recurrence
-    table (residue_indices; the tables are charged to budget first), and
+    table (residue_indices; residue_tables_cost prices the tables), and
     each distinct value is decided by both solvability routes once, its
     polynomial decoded only for the squarefree decomposition; every value
     is weighted by its count.  The residue index decides ramification:
@@ -636,9 +626,6 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
     for data in datas:
         root_count_routes(data, check=True)
     values = list(hist)
-    if budget is not None:  # the entries of one residue table per prime
-        budget.charge(P * k.size ** residue_digits(k.size, digits,
-                                                   len(values)))
     # the fibers of each value at every prime, as the base-(ell+2) digits
     # of one integer: 0 where the prime is ramified, fiber + 1 elsewhere
     base = ell + 2

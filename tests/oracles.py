@@ -4,7 +4,8 @@ them.
 
 * Sieve quantities recomputed point by point on polynomials: F at a box
   point, the fiber size and the ramified set of one box point, and the
-  count of the sieving set against its lower bound.
+  count of the sieving set against its lower bound; the bad primes of the
+  scan as polynomials.
 * Factoring in F_q[T] by trial division, the oracle of the squarefree
   solvability route, and the adjugate from n^2 cofactors, the oracle of the
   one-elimination adjugate.
@@ -44,6 +45,12 @@ from cycsieve.characters import (
 )
 from cycsieve.cyclotomic import cyc_ring
 from cycsieve.polyring import NEG_INF
+
+
+def exceptional_primes_of(form: geo.MultiForm, delta_max: int) -> list:
+    """The bad primes of the form up to degree delta_max, as polynomials."""
+    report = geo.compute_exceptional_primes(form, delta_max)
+    return [pr.parse_poly(form.k, text) for text in report["exceptional"]]
 
 
 def eval_form_at_polys(form: geo.MultiForm, xs):
@@ -628,7 +635,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     mul, p = tables.mul, kpi.char
     psi = ctx.data.psi_exp
     chi_exp = ctx.data.chi_exp
-    g_vals = ctx.g_values()
+    g_vals = ctx.g_values
     # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
     phases = ctx.phases(w)
 

@@ -28,8 +28,9 @@ from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.identities import box
 
-from oracles import (dual_degree, eval_form_at_polys, product_over_places,
-                     schwartz_zippel_audit, verify_card_p)
+from oracles import (dual_degree, eval_form_at_polys, exceptional_primes_of,
+                     product_over_places, schwartz_zippel_audit,
+                     verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -133,9 +134,10 @@ def test_criterion_3_weil_deligne_audit(report):
 
 def test_criterion_4_sieve_inequalities(report):
     t0 = time.perf_counter()
-    sset = sv.build_sieving_set(K3, 2, sv.exceptional_primes_of(QUADRIC, 2))
+    sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2)
-    acc = rp.parallel_accumulator(params, sset)
+    acc = sv.value_moments(K3, QUADRIC, 2, 3, sset.primes,
+                           rp.parallel_accumulator(params))
     terms = sv.sieve_terms(params, sset, acc)
     general = sv.sieve_inequality_general(params, sset, acc,
                                           alpha_grid=(1, 2, 3, 4))

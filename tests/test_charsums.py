@@ -8,10 +8,12 @@ instances.
 
 import copy
 import itertools
+import pathlib
 
 import pytest
 
 from cycsieve import charsums as cs
+from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
 from cycsieve.characters import gauss_sum, residue_data
@@ -26,6 +28,8 @@ from oracles import (
 
 K3 = GF(3)
 K7 = GF(7)
+CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
+             / "configs" / "quadric_q3.json")
 
 
 def P(k, text):
@@ -42,6 +46,13 @@ def diag3(k):
 
 def ctx_T(ell=2):
     return cs.CharSumContext(K3, P(K3, "T"), ell, diag3(K3))
+
+
+def forbid_contexts(monkeypatch):
+    """Fail the test if a CharSumContext is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("a CharSumContext was built")
+    monkeypatch.setattr(cs, "CharSumContext", built)
 
 
 def all_ws(ctx):
@@ -191,15 +202,17 @@ class TestTransform:
                 assert psi[add[i * Q + j]] == (psi[i] + psi[j]) % p, (i, j)
 
 
-def test_transform_charged_before_the_table():
+def test_transform_charged_before_the_table(tmp_path, monkeypatch, capsys):
     cost = cs.transform_cost(3, 2, 27)
     assert cost == 3 * 2 * 3 * 3 * 27
-    budget = cs.Budget(cost - 1)
-    ctx = cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3), budget=budget)
-    with pytest.raises(cs.BudgetExceeded) as err:
-        ctx.all_sums([1])
-    assert err.value.needed == cost
-    assert ctx._g_vals is None
+    assert cs.all_sums_cost(3, 1, 2, 2) == 27 + cost
+    # wd-audit prices the table of G on 27 points and the transform mod T
+    # before the context builds either
+    forbid_contexts(monkeypatch)
+    code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "T",
+                     "--budget", str(27 + cost - 1), "--out", str(tmp_path)])
+    assert code == 3
+    assert f"needs {27 + cost}," in capsys.readouterr().err
 
 
 def test_transform_needs_non_principal_characters():
@@ -243,16 +256,25 @@ class TestBudget:
             b.charge(50)
         assert err.value.needed == 110 and err.value.limit == 100
 
-    def test_char_sum_respects_budget(self):
-        budget = cs.Budget(10)
-        ctx = cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3), budget=budget)
-        with pytest.raises(cs.BudgetExceeded):
-            ctx.char_sum((ctx.kpi.zero,) * 3, 1)
+    def test_char_sum_respects_budget(self, tmp_path, monkeypatch, capsys):
+        # the table of G and the phases of w, 27 points each mod T, are
+        # priced before the context is built
+        forbid_contexts(monkeypatch)
+        code = cli.main(["charsum", "--config", CONFIG, "--pi", "T",
+                         "--budget", "10", "--out", str(tmp_path)])
+        assert code == 3
+        assert "needs 54, limit 10;" in capsys.readouterr().err
+
+    def test_charge_each_in_turn(self):
+        b = cs.Budget(100)
+        with pytest.raises(cs.BudgetExceeded) as err:
+            b.charge_each([60, 30, 20, 5])
+        assert err.value.needed == 110 and b.spent == 90
 
     def test_estimate(self):
         # every covector: the table of G on 27 = 3^3 points, then the
         # transform, 3 passes over 3 * 2 layers with 3 outputs of 3 blocks
-        assert cs.wd_audit_cost(3, 1, 2, 2) == 27 + 3 * 2 * 3 * 3 * 27
+        assert cs.all_sums_cost(3, 1, 2, 2) == 27 + 3 * 2 * 3 * 3 * 27
 
 
 class TestAudit:

@@ -819,26 +819,61 @@ class TestUpFrontBudgets:
 
     def test_identity_check_prices_its_primes(self, tmp_path, monkeypatch,
                                               capsys):
-        # the instance (box and scan) fits the budget exactly; the primes
-        # of degree <= 2 that the rows run over come after it
-        cfg = rp.resolve_config(rp.load_config(CONFIG))
-        spent = cs.Budget()
-        rp.build_instance(cfg, spent)
-        real = rp.build_instance
-
-        def build_then_forbid(config, budget):
-            built = real(config, budget)
-            forbid(monkeypatch, pr, "irreducibles")
-            return built
-
-        monkeypatch.setattr(rp, "build_instance", build_then_forbid)
+        # the expansion box of 3^9 points fits the budget exactly; the
+        # primes of degree <= 2 that the rows run over, and a pass over the
+        # residues of each, come after it and before any enumeration
+        forbid(monkeypatch, pr, "irreducibles")
         code = cli.main(["identity-check", "--config", CONFIG,
-                         "--budget", str(spent.spent),
+                         "--budget", str(3 ** 9), "--out", str(tmp_path)])
+        assert code == 3
+        needs = (3 ** 9 + pr.irreducibles_cost(3, 1)
+                 + pr.irreducibles_cost(3, 2) + 3 * 3 + 3 * 9)
+        assert f"needs {needs}," in capsys.readouterr().err
+
+    def test_identity_check_price_is_the_sum_of_its_parts(
+            self, tmp_path, monkeypatch, capsys):
+        transform = 3 * 2 * 3 * 3 * 3 ** 3  # mod a linear prime
+        transform2 = 6 * 2 * 3 * 3 * 9 ** 3  # mod a quadratic prime
+        parts = [
+            3 ** 9,  # the box of the unramified expansion, b = 3
+            3 + (9 + 3 * 3),  # the primes of degree 1 and 2
+            3 * 3 + 3 * 9,  # the residues of each, for root counts and Gauss
+            # count-mod: 3 targets, three moduli of degree 2 (b = 1) and
+            # two of degree 3 (b = 1, 2), each row a box and its dual box
+            3 * (3 * (27 + 27) + 2 * 2 * (27 + 729)),
+            # five completions mod linear primes, b = 1: the box, the
+            # complementary box, and the table of G and the transform mod
+            # each prime
+            5 * (27 + 27 + 2 * (27 + transform)),
+            # the mixed-degree completions, b = 1 and b = 2
+            2 * (27 + 729 + 27 + transform + 729 + transform2),
+            # the character side of the expansion mod two quadratic primes
+            27 + 2 * (729 + transform2),
+            3 + (9 + 3 * 3),  # the scan's primes; a quadric searches none
+        ]
+        price = sum(parts)
+        assert price == 366792
+        forbid(monkeypatch, geo, "compute_exceptional_primes")
+        code = cli.main(["identity-check", "--config", CONFIG,
+                         "--budget", str(price - 1), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"needs {price}, limit {price - 1};" in capsys.readouterr().err
+        monkeypatch.undo()
+        out = tmp_path / "exact"
+        assert cli.main(["identity-check", "--config", CONFIG,
+                         "--budget", str(price), "--out", str(out)]) == 0
+
+    def test_cubic_identity_check_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # the transforms of the expansion mod two primes of degree 2 over
+        # F_7 overrun the default budget; the refusal comes before any box
+        # pass or residue-field sum
+        forbid(monkeypatch, cs.CharSumContext, "__init__")
+        forbid(monkeypatch, sv, "accumulate_chunk")
+        code = cli.main(["identity-check", "--config", str(CUBIC_CONFIG),
                          "--out", str(tmp_path)])
         assert code == 3
-        needs = (spent.spent + pr.irreducibles_cost(3, 1)
-                 + pr.irreducibles_cost(3, 2))
-        assert f"needs {needs}," in capsys.readouterr().err
+        assert f"limit {rp.DEFAULT_BUDGET};" in capsys.readouterr().err
 
     def test_scan_prime_enumeration_charged_first(self, tmp_path,
                                                  monkeypatch, capsys):

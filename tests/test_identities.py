@@ -10,6 +10,7 @@ import pytest
 from cycsieve import geometry as geo
 from cycsieve import identities as idn
 from cycsieve import polyring as pr
+from cycsieve import sieve as sv
 from cycsieve.charsums import Budget, BudgetExceeded
 from cycsieve.ffield import GF
 
@@ -168,23 +169,25 @@ class TestUnramifiedExpansion:
         assert res["pointwise_fiber_identity"]
 
     def test_budget_propagates(self):
-        with pytest.raises(BudgetExceeded):
-            idn.verify_unramified_expansion(
-                K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 1,
-                budget=Budget(5))
+        # mod two linear primes on {deg x < 1}: the box, then the 27 points
+        # of the complementary box and, mod each prime, the table of F on
+        # 27 points and the transform (3 passes over 3 * 2 layers, 3
+        # outputs of 3 blocks)
+        price = idn.two_prime_cost(3, (1, 1), 2, 2, 1)
+        assert price == (27, 27 + 2 * (27 + 3 * 2 * 3 * 3 * 27))
+        with pytest.raises(BudgetExceeded) as info:
+            Budget(5).charge_each(price)
+        assert info.value.needed == 27
 
     def test_box_histograms_are_charged(self):
-        # the 27 points of the box {deg x < 1} are charged before any sum
-        for verify in (
-                lambda budget: idn.verify_unramified_expansion(
-                    K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 1,
-                    budget=budget),
-                lambda budget: idn.verify_completion(
-                    K3, P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1,
-                    budget=budget)):
-            with pytest.raises(BudgetExceeded) as info:
-                verify(Budget(26))
-            assert info.value.needed == 27
+        # the 27 points of the box {deg x < 1} come first in the price of
+        # both two-prime identities, before any sum, and they are the
+        # points the box histogram counts
+        box = sum(sv.box_histogram(K3, diag3(K3), 1).values())
+        assert idn.two_prime_cost(3, (1, 1), 2, 2, 1)[0] == box == 27
+        with pytest.raises(BudgetExceeded) as info:
+            Budget(26).charge_each(idn.two_prime_cost(3, (1, 1), 2, 2, 1))
+        assert info.value.needed == 27
 
     def test_b_range(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,9 @@ from cycsieve import sieve as sv
 from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
-from oracles import (eval_form_at_polys, fiber_count, ramified_set,
-                     solvable_by_factoring, verify_card_p)
+from oracles import (eval_form_at_polys, exceptional_primes_of,
+                     fiber_count, ramified_set, solvable_by_factoring,
+                     verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -54,15 +55,20 @@ def diag(k, n, m):
 QUADRIC = diag(K3, 2, 2)
 
 
+def forbidden(*args, **kwargs):
+    raise AssertionError("called before the budget refused the run")
+
+
 def quadric_instance():
-    sset = sv.build_sieving_set(K3, 2, sv.exceptional_primes_of(QUADRIC, 2))
+    sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2)
     return params, sset
 
 
 # one full box pass shared by the term tests (exactness makes reuse safe)
 _PARAMS, _SSET = quadric_instance()
-_ACC = rp.parallel_accumulator(_PARAMS, _SSET)
+_ACC = sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
+                        rp.parallel_accumulator(_PARAMS))
 
 
 class TestParams:
@@ -175,7 +181,7 @@ class TestSievingSet:
     def test_quadric_set_frozen(self):
         # the diagonal unit quadric has good reduction everywhere, so the
         # set is all three monic irreducible quadratics over F_3
-        assert sv.exceptional_primes_of(QUADRIC, 2) == []
+        assert exceptional_primes_of(QUADRIC, 2) == []
         sset = sv.build_sieving_set(K3, 2)
         names = [pr.format_poly(K3, p) for p in sset.primes]
         assert names == ["1+T^2", "2+T+T^2", "2+2*T+T^2"]
@@ -195,7 +201,7 @@ class TestSievingSet:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        exc = sv.exceptional_primes_of(form, 1)
+        exc = exceptional_primes_of(form, 1)
         assert P(K3, "T") in exc
         sset = sv.build_sieving_set(K3, 1, exc)
         assert P(K3, "T") not in sset.primes
@@ -297,11 +303,12 @@ class TestBruteForce:
                         expected += 1
         assert sv.brute_force_count(K7, 3, cubic, 1) == expected
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded) as info:
-            sv.brute_force_count(K3, 2, QUADRIC, 3, budget=Budget(100))
-        assert info.value.needed == 19683
-        assert info.value.limit == 100
+    def test_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sv, "brute_force_count", forbidden)
+        code = cli.main(["count", "--config", CONFIG, "--b", "3",
+                         "--budget", "100", "--out", str(tmp_path)])
+        assert code == 3
+        assert "needs 19683, limit 100;" in capsys.readouterr().err
 
     def test_power_set_budget(self):
         # the box {deg x < 1} has 27 points, but F reaches T-degree 8, so the
@@ -312,12 +319,14 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
+        assert sv.box_pass_cost(K3, 2, form, 1) == (27, 243)
         with pytest.raises(BudgetExceeded) as info:
-            sv.brute_force_count(K3, 2, form, 1, budget=Budget(100))
+            Budget(100).charge_each(sv.box_pass_cost(K3, 2, form, 1))
         assert info.value.needed == 27 + 243
         budget = Budget(270)
-        assert sv.brute_force_count(K3, 2, form, 1, budget=budget) > 0
+        budget.charge_each(sv.box_pass_cost(K3, 2, form, 1))
         assert budget.spent == 270
+        assert sv.brute_force_count(K3, 2, form, 1) > 0
 
     def test_power_set_budget_of_sieve_pass(self):
         # 19683 box points fit the budget; the 3^18 polynomials of degree
@@ -328,7 +337,7 @@ class TestBruteForce:
             (0, 0, 2): (K3.one,),
         })
         with pytest.raises(BudgetExceeded) as info:
-            sv.charge_box_pass(Budget(10 ** 5), K3, 2, form, 3)
+            Budget(10 ** 5).charge_each(sv.box_pass_cost(K3, 2, form, 3))
         assert info.value.needed == 19683 + 3 ** 18
 
     def test_polynomial_coefficient_form(self):
@@ -375,12 +384,14 @@ class TestSieveTerms:
         with pytest.raises(ValueError):
             sv.sieve_terms(_PARAMS, sset, _ACC)
 
-    def test_budget(self):
-        # a sieve run charges its box pass while it builds the instance
-        cfg = rp.resolve_config(rp.load_config(CONFIG))
-        with pytest.raises(BudgetExceeded) as info:
-            rp.build_instance(cfg, Budget(1000))
-        assert info.value.needed == 19683
+    def test_budget(self, tmp_path, monkeypatch, capsys):
+        # a sieve run charges its box pass while it builds the instance,
+        # before the scan
+        monkeypatch.setattr(geo, "compute_exceptional_primes", forbidden)
+        code = cli.main(["sieve-run", "--config", CONFIG, "--budget", "1000",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert "needs 19683, limit 1000;" in capsys.readouterr().err
 
 
 class TestGeneralInequality:
@@ -873,9 +884,8 @@ class TestChunking:
         for params, sset in ((_PARAMS, _SSET),
                              (t_params, sv.build_sieving_set(K3, 2))):
             k, form, b = params.k, params.form, params.b
-            full = sv.value_moments(k, form, 2, b, sset.primes,
-                                    sv.box_histogram(k, form, b))
-            assert rp.parallel_accumulator(params, sset, workers) == full
+            full = sv.box_histogram(k, form, b)
+            assert rp.parallel_accumulator(params, workers) == full
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
@@ -891,10 +901,13 @@ class TestChunking:
             with pytest.raises(ValueError):
                 sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
 
-    def test_chunk_budget(self):
-        with pytest.raises(BudgetExceeded):
-            sv.accumulate_chunk(K3, QUADRIC, 3, start=0, stop=500,
-                                budget=Budget(100))
+    def test_chunk_budget(self, tmp_path, monkeypatch, capsys):
+        # the box is priced before any chunk is accumulated
+        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        code = cli.main(["sieve-run", "--config", CONFIG, "--budget", "100",
+                         "--workers", "2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "needs 19683, limit 100;" in capsys.readouterr().err
 
     def test_start_stop_are_keyword_only(self):
         # the benchmark's tracer reads the chunk span of a call from
