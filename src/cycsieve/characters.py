@@ -193,16 +193,22 @@ def gauss_sum(chi: MultChar) -> tuple:
     return chi.ring.from_exponent_counts(counts)
 
 
-def residue_root_count(data: ResidueData, idx: int) -> int:
-    """The character route to root_count[idx]: sum over the characters chi
-    mod pi of order dividing ell of chi at the residue of index idx."""
+def character_sum(data: ResidueData, idx: int, first: int = 0) -> tuple:
+    """The sum of chi_{pi,i}, i = first, ..., ell - 1, at the residue of
+    index idx, in the ring of the characters."""
     ring = data.ring
     total = ring.zero
-    for i in range(data.ell):
+    for i in range(first, data.ell):
         e = MultChar(data, i).exponent_at(idx)
         if e is not None:
             total = ring.add(total, ring.monomial(0, e))
-    n = ring.as_int(total)
+    return total
+
+
+def residue_root_count(data: ResidueData, idx: int) -> int:
+    """The character route to root_count[idx]: sum over the characters chi
+    mod pi of order dividing ell of chi at the residue of index idx."""
+    n = data.ring.as_int(character_sum(data, idx))
     if n is None:
         raise ArithmeticError("character sum failed to be a rational integer")
     return n

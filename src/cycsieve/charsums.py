@@ -73,14 +73,14 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """Counts innermost evaluations; charge() raises before overrunning."""
 
-    def __init__(self, limit: int | None = None):
-        if limit is not None and limit < 0:
+    def __init__(self, limit: int):
+        if limit < 0:
             raise ValueError("budget limit must be nonnegative")
         self.limit = limit
         self.spent = 0
 
     def charge(self, n: int):
-        if self.limit is not None and self.spent + n > self.limit:
+        if self.spent + n > self.limit:
             raise BudgetExceeded(self.spent + n, self.limit)
         self.spent += n
 

@@ -219,14 +219,31 @@ def _completions(q: int) -> tuple:
     return COMPLETIONS + (MIXED_COMPLETIONS if q == 3 else ())
 
 
+def count_mod_cases(k, low: dict, arity: int):
+    """(u, a, b) for each count-mod row of the battery, in order, with the
+    primes of degree 1 and 2 in low."""
+    targets = [
+        tuple(() for _ in range(arity)),
+        tuple((k.one,) if i % 2 == 0 else () for i in range(arity)),
+        tuple(low[1][1] for _ in range(arity)),
+    ]
+    for names in COUNT_MODULI:
+        u = (k.one,)
+        for d, i in names:
+            u = pr.mul(k, u, low[d][i])
+        for b in range(1, pr.degree(u)):
+            for a in targets:
+                yield u, a, b
+
+
 def identity_suite_cost(params: sv.SieveParams) -> list:
     """The charges of run_identity_suite, in order: the expansion's box (even
     if the scan leaves fewer than two sieving primes); the primes of degree
     <= 2 and their residues; the count-mod rows, completions and the
     expansion's character side."""
     q, n, ell = params.q, params.n, params.ell
-    rows = COUNT_MOD_TARGETS * sum(  # the two boxes of each count-mod row
-        q ** (b * (n + 1)) + q ** ((d - b) * (n + 1))
+    rows = COUNT_MOD_TARGETS * sum(  # one pass per coordinate and box
+        (n + 1) * (q ** b + q ** (d - b))
         for d in (sum(deg for deg, _ in u) for u in COUNT_MODULI)
         for b in range(1, d))
     rows += sum(sum(ids.two_prime_cost(q, (d1, d2), n, ell, b))
@@ -255,18 +272,8 @@ def run_identity_suite(cfg: dict) -> dict:
         rows.append(ids.verify_root_count(k, piv, ell))
         rows.append(ids.verify_gauss_magnitude(k, piv, ell))
 
-    targets = [
-        tuple(() for _ in range(arity)),
-        tuple((k.one,) if i % 2 == 0 else () for i in range(arity)),
-        tuple(low[1][1] for _ in range(arity)),
-    ]
-    for names in COUNT_MODULI:
-        u = (k.one,)
-        for d, i in names:
-            u = pr.mul(k, u, low[d][i])
-        for b in range(1, pr.degree(u)):
-            for a in targets:
-                rows.append(ids.verify_count_mod(k, u, a, b))
+    for u, a, b in count_mod_cases(k, low, arity):
+        rows.append(ids.verify_count_mod(k, u, a, b))
 
     for (d1, i1), (d2, i2), b in _completions(k.size):
         rows.append(ids.verify_completion(k, low[d1][i1], low[d2][i2], ell,

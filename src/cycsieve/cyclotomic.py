@@ -21,9 +21,10 @@ character-sum kernel accumulates integer counts keyed by (i mod p, j mod ell)
 — an order-independent, parallel-merge-safe representation — and calls
 ``from_exponent_counts`` exactly once at the end.
 
-A ring tabulates its p * ell monomials and the complex embeddings of its
-basis once; ``monomial``, ``from_exponent_counts``, ``conj``, ``mul_table``
-and ``embed`` read those tables.
+A ring tabulates its p * ell monomials, the products of its basis elements
+and the complex embeddings of its basis once, when it is built;
+``monomial``, ``from_exponent_counts``, ``conj``, ``mul`` and ``embed`` read
+those tables.
 """
 
 from __future__ import annotations
@@ -69,8 +70,11 @@ class CycRing:
             cmath.exp(2j * cmath.pi * (iu / p + ju / ell))
             for iu in range(self.dim_p) for ju in range(self.dim_l)]
         self.one = self.monomial(0, 0)
-        # table[u][v] = basis_u * basis_v expressed in the basis
-        self._mul_table = None
+        # _mul_table[u][v]: basis_u * basis_v in the basis, a monomial
+        self._mul_table = [
+            [self.monomial(iu + iv, ju + jv)
+             for iv in range(self.dim_p) for jv in range(self.dim_l)]
+            for iu in range(self.dim_p) for ju in range(self.dim_l)]
 
     def __eq__(self, other):
         return isinstance(other, CycRing) and (other.p, other.ell) == (self.p, self.ell)
@@ -120,21 +124,8 @@ class CycRing:
     def scale(self, n: int, a):
         return tuple(n * x for x in a)
 
-    def mul_table(self):
-        if self._mul_table is None:
-            table = []
-            for u in range(self.dim):
-                iu, ju = divmod(u, self.dim_l)
-                row = []
-                for v in range(self.dim):
-                    iv, jv = divmod(v, self.dim_l)
-                    row.append(self.monomial(iu + iv, ju + jv))
-                table.append(row)
-            self._mul_table = table
-        return self._mul_table
-
     def mul(self, a, b):
-        table = self.mul_table()
+        table = self._mul_table
         out = [0] * self.dim
         for u, x in enumerate(a):
             if not x:

@@ -159,7 +159,6 @@ class ExtensionField:
         self.degree_over_prime = base.degree_over_prime * d
         self.zero = (base.zero,) * d
         self.one = tuple(base.one if i == 0 else base.zero for i in range(d))
-        self._elements = None
 
     def __eq__(self, other):
         return (
@@ -259,9 +258,7 @@ class ExtensionField:
         return tuple(out)
 
     def elements(self):
-        if self._elements is None:
-            self._elements = [self.from_index(i) for i in range(self.size)]
-        return self._elements
+        return [self.from_index(i) for i in range(self.size)]
 
     def trace_to_prime(self, a) -> int:
         """Absolute trace Tr_{F_q/F_p}(a) = sum a^(p^i), returned as an int mod p."""

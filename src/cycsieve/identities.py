@@ -16,7 +16,9 @@ The verified identities:
 - gauss-magnitude: tau(chi) * conj(tau(chi)) == q^deg(pi) exactly for every
   non-principal chi (the Riemann hypothesis for Gauss sums).
 - count-mod: the box-and-congruence count equals its additive-character
-  expansion with modulus u (u may be composite and non-monic).
+  expansion with modulus u (u may be composite and non-monic).  Both sides
+  are products over the coordinates: the congruence is one per coordinate
+  and psi_infty is additive, so each side counts one coordinate at a time.
 - completion: sum over a box of chi_pi(G(x)) chi_pi'(G(x)) equals the dual
   short sum of products S_G(pibar' x, chi_pi) S_G(pibar x, chi_pi') scaled by
   an exact q-power, where pibar, pibar' are the CRT inverses.
@@ -25,16 +27,20 @@ The verified identities:
   equals the complete-sum expansion over non-principal character pairs;
   additionally the discarded F(x) == 0 portion is verified to vanish and the
   pointwise fiber identity |fiber| - 1 = sum of non-principal chi(F(x)) is
-  checked at every value F takes on the box.
+  checked at every residue index that a value of F on the box takes.  Both
+  routes read the box through the count of its values per pair of residue
+  indices, and the character sums through one table per prime.
 """
 
 import itertools
+import math
 from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
 from .characters import (
     MultChar,
+    character_sum,
     gauss_sum,
     psi_exponent,
     residue_data,
@@ -44,13 +50,6 @@ from .charsums import CharSumContext, all_sums_cost
 from .cyclotomic import cyc_ring
 from .polyring import box
 from .sieve import box_histogram, residue_indices, value_digits
-
-
-def dot(k, xs, ys):
-    total = ()
-    for x, y in zip(xs, ys):
-        total = pr.add(k, total, pr.mul(k, x, y))
-    return total
 
 
 def _require_distinct_primes(k, pi1, pi2):
@@ -106,26 +105,26 @@ def verify_count_mod(k, u, a, b: int) -> dict:
     """#{x in O_K^(n+1) : deg x < b, x == a mod u} counted directly, against
     q^((n+1)(b - deg u)) * sum over {deg x < deg u - b} of psi(-x.a/u).
 
-    The modulus u may be composite and non-monic; needs 0 < b < deg u."""
+    Each side is a product of one-coordinate factors: the count of the x
+    of degree < b with x == a_i mod u, and in Z[zeta_p] the sum of
+    psi(-y a_i/u) over the y of degree < deg u - b.  The modulus u may be
+    composite and non-monic; needs 0 < b < deg u."""
     d = pr.degree(u)
     if not 0 < b < d:
         raise ValueError("need 0 < b < deg u")
-    arity = len(a)
 
-    lhs = 0
-    for xs in box(k, b, arity):
-        if all(not pr.poly_mod(k, pr.sub(k, x, ai), u) for x, ai in zip(xs, a)):
-            lhs += 1
+    lhs = math.prod(
+        sum(not pr.poly_mod(k, pr.sub(k, x, ai), u) for (x,) in box(k, b, 1))
+        for ai in a)
 
     # zeta_2 = -1, so the ambient ring is plain Z[zeta_p]
     ring = cyc_ring(k.char, 2)
-    counts: dict = {}
-    for xs in box(k, d - b, arity):
-        e = psi_exponent(k, pr.neg(k, dot(k, xs, a)), u)
-        key = (e, 0)
-        counts[key] = counts.get(key, 0) + 1
-    total = ring.from_exponent_counts(counts)
-    quotient = ring.div_int(total, k.size ** (arity * (d - b)))
+    total = ring.one
+    for ai in a:
+        total = ring.mul(total, ring.from_exponent_counts(Counter(
+            (psi_exponent(k, pr.neg(k, pr.mul(k, y, ai)), u), 0)
+            for (y,) in box(k, d - b, 1))))
+    quotient = ring.div_int(total, k.size ** (len(a) * (d - b)))
     rhs = ring.as_int(quotient)
     if rhs is None:
         raise ArithmeticError("additive-character side is not a rational integer")
@@ -195,13 +194,17 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
     return total
 
 
-def _value_residues(data1, data2, form: geo.MultiForm, b: int):
-    """(residue index mod pi1, residue index mod pi2, count) for each
-    distinct value of F on the box {deg x < b}."""
+def _residue_pairs(data1, data2, form: geo.MultiForm, b: int) -> Counter:
+    """The points of the box {deg x < b} counted per pair (residue index of
+    F(x) mod pi1, residue index mod pi2)."""
     hist = box_histogram(form.k, form, b)
     values, digits = list(hist), value_digits(form, b)
-    return zip(residue_indices(data1, values, digits),
-               residue_indices(data2, values, digits), hist.values())
+    pairs: Counter = Counter()
+    for idx1, idx2, count in zip(residue_indices(data1, values, digits),
+                                 residue_indices(data2, values, digits),
+                                 hist.values()):
+        pairs[idx1, idx2] += count
+    return pairs
 
 
 def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
@@ -224,16 +227,12 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
     chi2 = MultChar(data2, chi2_index)
     ring = data1.ring
 
-    counts: dict = {}
-    for idx1, idx2, count in _value_residues(data1, data2, form, b):
-        e1 = chi1.exponent_at(idx1)
-        if e1 is None:
-            continue
-        e2 = chi2.exponent_at(idx2)
-        if e2 is None:
-            continue
-        key = (0, (e1 + e2) % ell)
-        counts[key] = counts.get(key, 0) + count
+    counts: Counter = Counter()
+    for (idx1, idx2), count in _residue_pairs(data1, data2, form,
+                                              b).items():
+        e1, e2 = chi1.exponent_at(idx1), chi2.exponent_at(idx2)
+        if e1 is not None and e2 is not None:
+            counts[0, e1 + e2] += count
     lhs = ring.from_exponent_counts(counts)
 
     total = _complementary_sum(k, pi, pi2, ell, form, D - b,
@@ -275,7 +274,9 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     Extra checks: the discarded
     {F(x) == 0 mod pi1*pi2} portion of the character-product sum vanishes,
     and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
-    holds at every value F takes on the box.  two_prime_cost prices it.
+    holds at every residue index that a value of F on the box takes, read
+    from one table of the character sums per prime.  two_prime_cost prices
+    it.
     """
     _require_distinct_primes(k, pi1, pi2)
     D = pr.degree(pi1) + pr.degree(pi2)
@@ -286,32 +287,22 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     data1 = residue_data(k, pi1, ell)
     data2 = residue_data(k, pi2, ell)
     ring = data1.ring
-    chis1 = [MultChar(data1, i) for i in range(1, ell)]
-    chis2 = [MultChar(data2, i) for i in range(1, ell)]
+    pairs = _residue_pairs(data1, data2, form, b)
+    n1, n2 = data1.root_count, data2.root_count
+    lhs = sum(count * (n1[idx1] - 1) * (n2[idx2] - 1)
+              for (idx1, idx2), count in pairs.items()
+              if idx1 or idx2)  # pi1 pi2 | F(x), F(x) = 0 included, left out
 
-    def nonprincipal_sum(data, chis, idx):
-        total = ring.zero
-        for chi in chis:
-            e = chi.exponent_at(idx)
-            if e is not None:
-                total = ring.add(total, ring.monomial(0, e))
-        return total
-
-    lhs = 0
-    zero_portion = ring.zero
-    pointwise_ok = True
-    for idx1, idx2, count in _value_residues(data1, data2, form, b):
-        n1 = data1.root_count[idx1]
-        n2 = data2.root_count[idx2]
-        s1 = nonprincipal_sum(data1, chis1, idx1)
-        s2 = nonprincipal_sum(data2, chis2, idx2)
-        if ring.as_int(s1) != n1 - 1 or ring.as_int(s2) != n2 - 1:
-            pointwise_ok = False
-        if idx1 == 0 and idx2 == 0:  # pi1 pi2 | F(x), F(x) = 0 included
-            zero_portion = ring.add(zero_portion,
-                                    ring.scale(count, ring.mul(s1, s2)))
-        else:
-            lhs += count * (n1 - 1) * (n2 - 1)
+    # per prime: the sum of the non-principal characters at each residue
+    # index, checked against the fiber size at each index that occurs
+    tables = [[character_sum(data, idx, 1) for idx in range(data.kpi.size)]
+              for data in (data1, data2)]
+    pointwise_ok = all(
+        ring.as_int(tables[slot][idx]) == data.root_count[idx] - 1
+        for slot, data in enumerate((data1, data2))
+        for idx in {pair[slot] for pair in pairs})
+    zero_portion = ring.scale(pairs[0, 0],
+                              ring.mul(tables[0][0], tables[1][0]))
 
     total = _complementary_sum(
         k, pi1, pi2, ell, form, D - b,

@@ -26,12 +26,12 @@ import functools
 import itertools
 import re
 
-from .ffield import ExtensionField, GF, PrimeField, prime_factors
+from .ffield import (FIELD_CACHE_SIZE, ExtensionField, GF, PrimeField,
+                     prime_factors)
 
 NEG_INF = float("-inf")
 
-# bounds of the memo caches; no shipped workload comes near them
-FIELD_CACHE_SIZE = 64
+# bound of the irreducibles memo; no shipped workload comes near it
 IRREDUCIBLES_CACHE_SIZE = 256
 
 

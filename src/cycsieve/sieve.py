@@ -784,17 +784,17 @@ def c_coefficients(alpha, ell: int) -> dict:
     }
 
 
+ALPHA_GRID = (1, 2, 3, 4)  # the weights alpha of the general inequality
+
+
 def sieve_inequality_general(params: SieveParams, sset: SievingSet,
-                             acc: dict, alpha_grid=(1, 2, 3, 4)) -> dict:
-    """For each alpha >= 1 in the grid: sum_x I_alpha(x)^2 from the (u, s)
+                             acc: dict) -> dict:
+    """For each alpha in ALPHA_GRID: sum_x I_alpha(x)^2 from the (u, s)
     moments of the box in acc (see value_moments); the same integer
     recomputed through the c_{i,j}(alpha) expansion over all ordered prime
     pairs (exact equality reported); and both right-hand sides of the
     general sieve inequality — the direct one with sum_x I_alpha^2 and the
     dominating one with per-pair absolute values — checked against M."""
-    for alpha in alpha_grid:
-        if alpha < 1:
-            raise ValueError("alpha must be at least 1")
     P = len(sset)
     if P < 1:
         raise ValueError("empty sieving set")
@@ -802,7 +802,7 @@ def sieve_inequality_general(params: SieveParams, sset: SievingSet,
     M, ram_sum = acc["M"], acc["ram_sum"]
 
     rows = []
-    for alpha in alpha_grid:
+    for alpha in ALPHA_GRID:
         sum_I2 = (alpha * alpha * acc["sum_u2"] + 2 * alpha * acc["sum_us"]
                   + acc["sum_s2"])
         coeffs = c_coefficients(alpha, ell)

@@ -16,6 +16,8 @@ them.
 * The character sum term by term (no index tables); the slicing identity
   for S_G(0, chi) with its per-slice bound audit, which reports the pinned
   cubic violation; and the Gauss-sum completion of S_G(w, chi) for w != 0.
+* Both sides of the count-mod identity by a walk over the points of its
+  boxes.
 * The additive character as a cyclotomic value, the check of a serialized
   cyclotomic value, the degree of a dual hypersurface and a Schwartz-Zippel
   zero count.
@@ -282,6 +284,27 @@ def additive_char_eval(k, x, pi, ell: int) -> tuple:
     """psi_infty(x/pi) as an exact cyclotomic value in Z[zeta_p, zeta_ell]
     (the value itself only involves zeta_p; ell picks the ambient ring)."""
     return cyc_ring(k.char, ell).monomial(psi_exponent(k, x, pi), 0)
+
+
+def count_mod_by_points(k, u, a, b: int) -> tuple:
+    """Both sides of the count-mod identity by walking the (n+1)-variable
+    boxes point by point: #{x : deg x < b, x == a mod u}, and
+    q^((n+1)(b - deg u)) * sum over {deg x < deg u - b} of psi(-x.a/u) as
+    an integer (None if it is not one)."""
+    d, arity = pr.degree(u), len(a)
+    lhs = sum(
+        all(not pr.poly_mod(k, pr.sub(k, x, ai), u) for x, ai in zip(xs, a))
+        for xs in pr.box(k, b, arity))
+    ring = cyc_ring(k.char, 2)
+    counts: dict = {}
+    for xs in pr.box(k, d - b, arity):
+        dot = ()
+        for x, ai in zip(xs, a):
+            dot = pr.add(k, dot, pr.mul(k, x, ai))
+        key = (psi_exponent(k, pr.neg(k, dot), u), 0)
+        counts[key] = counts.get(key, 0) + 1
+    total = ring.from_exponent_counts(counts)
+    return lhs, ring.as_int(ring.div_int(total, k.size ** (arity * (d - b))))
 
 
 def deserialize(ring, obj) -> tuple:

@@ -139,8 +139,7 @@ def test_criterion_4_sieve_inequalities(report):
     acc = sv.value_moments(K3, QUADRIC, 2, 3, sset.primes,
                            rp.parallel_accumulator(params))
     terms = sv.sieve_terms(params, sset, acc)
-    general = sv.sieve_inequality_general(params, sset, acc,
-                                          alpha_grid=(1, 2, 3, 4))
+    general = sv.sieve_inequality_general(params, sset, acc)
     expansion = all(r["expansion_equal"] for r in general["rows"])
     grid = all(r["pass_direct"] and r["pass_absolute"]
                for r in general["rows"])

@@ -839,8 +839,9 @@ class TestUpFrontBudgets:
             3 + (9 + 3 * 3),  # the primes of degree 1 and 2
             3 * 3 + 3 * 9,  # the residues of each, for root counts and Gauss
             # count-mod: 3 targets, three moduli of degree 2 (b = 1) and
-            # two of degree 3 (b = 1, 2), each row a box and its dual box
-            3 * (3 * (27 + 27) + 2 * 2 * (27 + 729)),
+            # two of degree 3 (b = 1, 2), each row one pass over
+            # {deg x < b} and one over {deg y < deg u - b} per coordinate
+            3 * 3 * (3 * (3 + 3) + 2 * 2 * (3 + 9)),
             # five completions mod linear primes, b = 1: the box, the
             # complementary box, and the table of G and the transform mod
             # each prime
@@ -852,7 +853,7 @@ class TestUpFrontBudgets:
             3 + (9 + 3 * 3),  # the scan's primes; a quadric searches none
         ]
         price = sum(parts)
-        assert price == 366792
+        assert price == 357828
         forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["identity-check", "--config", CONFIG,
                          "--budget", str(price - 1), "--out", str(tmp_path)])

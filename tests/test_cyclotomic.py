@@ -171,6 +171,20 @@ def test_monomial_table_equals_construction():
                 assert ring.monomial(i, j) == monomial_oracle(ring, i, j)
 
 
+def test_basis_products_equal_construction():
+    # the product table the ring builds with itself: basis_u * basis_v is
+    # the monomial of the summed exponents
+    for ring in RINGS:
+        basis = [tuple(int(t == u) for t in range(ring.dim))
+                 for u in range(ring.dim)]
+        for u, a in enumerate(basis):
+            iu, ju = divmod(u, ring.dim_l)
+            for v, b in enumerate(basis):
+                iv, jv = divmod(v, ring.dim_l)
+                assert ring.mul(a, b) == monomial_oracle(ring, iu + iv,
+                                                         ju + jv)
+
+
 def test_exponent_counts_and_conj_equal_construction():
     rng = random.Random(9)
     for ring in RINGS:

@@ -72,6 +72,16 @@ def test_extension_index_roundtrip():
     assert k.elements()[0] == k.zero
 
 
+def test_extension_elements_are_a_fresh_list():
+    # the field keeps no copy of the list, so a caller that changes it
+    # cannot change the next enumeration
+    k = f9()
+    elems = k.elements()
+    assert elems == [k.from_index(i) for i in range(9)]
+    elems.clear()
+    assert len(k.elements()) == 9
+
+
 def test_extension_trace():
     # Tr_{F_9/F_3}(x) = x + x^3; for t with t^2 = -1: t^3 = -t so Tr(t) = 0;
     # Tr(1) = 2; Tr over all elements hits each value of F_3 equally often.

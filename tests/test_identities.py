@@ -5,14 +5,22 @@ here pin frozen instance values (computed by hand, recorded inline), check
 the error contracts, and run the verifiers across small parameter sweeps.
 """
 
+import copy
+import random
+from collections import Counter
+
 import pytest
 
+from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import identities as idn
 from cycsieve import polyring as pr
 from cycsieve import sieve as sv
+from cycsieve.characters import MultChar
 from cycsieve.charsums import Budget, BudgetExceeded
+from cycsieve.cyclotomic import CycRing
 from cycsieve.ffield import GF
+from oracles import count_mod_by_points
 
 K3 = GF(3)
 K7 = GF(7)
@@ -96,6 +104,62 @@ class TestCountMod:
                 res = idn.verify_count_mod(K3, u, a, b)
                 assert res["equal"], (pr.format_poly(K3, u), b)
 
+    @pytest.mark.parametrize("p, e, arity", [(3, 1, 3), (5, 1, 2),
+                                             (7, 1, 2), (3, 2, 2)])
+    def test_battery_rows_match_the_point_walk(self, p, e, arity):
+        # every count-mod row of the battery (composite, prime-power and
+        # prime moduli, every b < deg u), and for each (u, b) a non-monic
+        # multiple of u with a seeded target of higher degree, against the
+        # walk over the points of both boxes
+        k = pr.make_field(p, e)
+        low = {d: pr.irreducibles(k, d) for d in (1, 2)}
+        unit = k.from_index(k.size - 1)
+        rng = random.Random(p * e)
+        rows = list(cli.count_mod_cases(k, low, arity))
+        assert len(rows) == 3 * (3 * 1 + 2 * 2)
+        for u, b in dict.fromkeys((u, b) for u, _, b in rows):
+            d = pr.degree(u)
+            rows.append((pr.mul(k, (unit,), u), tuple(
+                pr.poly_from_index(k, rng.randrange(k.size ** (d + 2)), d + 2)
+                for _ in range(arity)), b))
+        for u, a, b in rows:
+            res = idn.verify_count_mod(k, u, a, b)
+            assert res["equal"], res["params"]
+            assert (res["lhs"], res["rhs"]) == count_mod_by_points(
+                k, u, a, b), res["params"]
+
+    def test_work_is_per_coordinate(self, monkeypatch):
+        # per row: one psi_infty phase per coordinate and point of the dual
+        # box {deg y < deg u - b}, and one reduction mod u per coordinate
+        # and point of {deg x < b}; a point walk makes q^(b(n+1)) and
+        # q^((deg u - b)(n+1))
+        calls = Counter()
+        poly_mod, psi_exponent = pr.poly_mod, idn.psi_exponent
+
+        def counted_mod(*args):
+            calls["poly_mod"] += 1
+            return poly_mod(*args)
+
+        def counted_psi(*args):
+            calls["psi_exponent"] += 1
+            outside = calls["poly_mod"]
+            try:
+                return psi_exponent(*args)
+            finally:  # the phase's own reduction is not the count's
+                calls["poly_mod"] = outside
+
+        monkeypatch.setattr(pr, "poly_mod", counted_mod)
+        monkeypatch.setattr(idn, "psi_exponent", counted_psi)
+        arity, q = 3, 3
+        low = {d: pr.irreducibles(K3, d) for d in (1, 2)}
+        for u, a, b in cli.count_mod_cases(K3, low, arity):
+            d = pr.degree(u)
+            calls.clear()
+            assert idn.verify_count_mod(K3, u, a, b)["equal"]
+            assert calls["psi_exponent"] <= arity * q ** (d - b)
+            assert calls["poly_mod"] <= arity * q ** b
+            assert arity * q ** b < q ** (b * arity)
+
     def test_b_out_of_range(self):
         with pytest.raises(ValueError):
             idn.verify_count_mod(K3, P(K3, "T^2"), ((),), 2)
@@ -167,6 +231,49 @@ class TestUnramifiedExpansion:
         assert res["equal"]
         assert res["zero_portion_vanishes"]
         assert res["pointwise_fiber_identity"]
+
+    def test_character_table_is_per_residue_index(self, monkeypatch):
+        # the quadric mod two quadratic primes on {deg x < 3}: F takes more
+        # distinct values than there are residue indices mod both primes,
+        # and the sums of the non-principal characters are built and
+        # checked once per residue index, never once per value
+        form, Q, ell = diag3(K3), 9, 2
+        values = len(sv.box_histogram(K3, form, 3))
+        assert values > 2 * Q
+        calls = Counter()
+        exponent_at, as_int = MultChar.exponent_at, CycRing.as_int
+
+        def counted_exponent(chi, idx):
+            calls["exponent_at"] += 1
+            return exponent_at(chi, idx)
+
+        def counted_as_int(ring, a):
+            calls["as_int"] += 1
+            return as_int(ring, a)
+
+        monkeypatch.setattr(MultChar, "exponent_at", counted_exponent)
+        monkeypatch.setattr(CycRing, "as_int", counted_as_int)
+        res = idn.verify_unramified_expansion(
+            K3, P(K3, "1+T^2"), P(K3, "2+T+T^2"), ell, form, 3)
+        assert res["equal"] and res["pointwise_fiber_identity"]
+        assert calls["exponent_at"] <= (ell - 1) * 2 * Q
+        assert calls["as_int"] <= 2 * Q + 1  # and once for the quotient
+
+    def test_pointwise_check_reads_the_fiber_table(self, monkeypatch):
+        # a fiber size off by one at a residue the box reaches fails the
+        # pointwise identity
+        real = idn.residue_data
+
+        def corrupted(k, pi, ell):
+            data = copy.copy(real(k, pi, ell))
+            data.root_count = list(data.root_count)
+            data.root_count[1] += 1
+            return data
+
+        monkeypatch.setattr(idn, "residue_data", corrupted)
+        res = idn.verify_unramified_expansion(
+            K3, P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
+        assert not res["pointwise_fiber_identity"]
 
     def test_budget_propagates(self):
         # mod two linear primes on {deg x < 1}: the box, then the 27 points

@@ -412,9 +412,8 @@ class TestGeneralInequality:
                 assert c[(2, 1)] == c[(1, 2)] == -(1 + ell)
 
     def test_quadric_grid_frozen(self):
-        table = sv.sieve_inequality_general(_PARAMS, _SSET,
-                                            alpha_grid=(1, 2, 3, 4),
-                                            acc=_ACC)
+        assert sv.ALPHA_GRID == (1, 2, 3, 4)
+        table = sv.sieve_inequality_general(_PARAMS, _SSET, acc=_ACC)
         assert table["M"] == 927
         assert table["ram_sum"] == 6561
         assert [r["sum_I2"] for r in table["rows"]] == [
@@ -426,11 +425,6 @@ class TestGeneralInequality:
         assert table["rows"][0]["rhs_direct"] == Fraction(11394)
         assert table["argmin_alpha"] == 1  # = ell - 1
         assert table["all_pass"] is True
-
-    def test_alpha_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            sv.sieve_inequality_general(_PARAMS, _SSET, alpha_grid=(0, 1),
-                                        acc=_ACC)
 
     def test_empty_sieving_set_rejected(self):
         empty = sv.SievingSet(primes=(), delta=2, excluded=())
