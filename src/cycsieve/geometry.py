@@ -37,7 +37,6 @@ Conventions:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from . import polyring as pr
@@ -330,7 +329,6 @@ def mat_adjugate(field, mat):
 # regularity and smoothness verdicts
 
 
-@dataclasses.dataclass(frozen=True)
 class Verdict:
     """Outcome of a geometric decision.
 
@@ -342,10 +340,17 @@ class Verdict:
     search_bound -- for "unknown": extensions of degree <= this were searched
     """
 
-    status: str
-    witness: tuple | None = None
-    ext_degree: int | None = None
-    search_bound: int | None = None
+    __slots__ = ("status", "witness", "ext_degree", "search_bound")
+
+    def __init__(self, status: str, witness: tuple | None = None,
+                 ext_degree: int | None = None,
+                 search_bound: int | None = None):
+        self.status, self.witness = status, witness
+        self.ext_degree, self.search_bound = ext_degree, search_bound
+
+    def __eq__(self, other):
+        return type(other) is Verdict and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def quadric_matrix_over(field, terms, nvars: int):

@@ -4,7 +4,7 @@ integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
 (the box is split into one range of positions per worker, and the exact
 value histograms of the ranges sum to the histogram of the whole box however
-it is split).
+it is split; multiprocessing is imported only when a pool starts).
 
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
 those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
@@ -18,7 +18,6 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
 import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -380,6 +379,8 @@ def parallel_accumulator(params: sv.SieveParams, workers: int = 1):
     if workers == 1:
         parts = [sv.box_histogram(k, form, b)]
     else:
+        import multiprocessing
+
         size = params.box_size
         edges = [size * i // workers for i in range(workers + 1)]
         specs = [(k, form, b, lo, hi) for lo, hi in zip(edges, edges[1:])

@@ -41,7 +41,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
@@ -54,35 +53,30 @@ from .charsums import field_tables
 # parameters
 
 
-@dataclass(frozen=True)
 class SieveParams:
     """Validated sieve input: the cover y^ell = F over F_q[T], the box bound
     b, the sieving degree delta, and the scan bound for bad primes."""
 
-    k: object
-    n: int
-    ell: int
-    form: geo.MultiForm
-    b: int
-    delta: int
-    delta_max: int = 0
+    __slots__ = ("k", "n", "ell", "form", "b", "delta", "delta_max")
 
-    def __post_init__(self):
-        k, form = self.k, self.form
-        if self.n < 2:
+    def __init__(self, k, n: int, ell: int, form: geo.MultiForm, b: int,
+                 delta: int, delta_max: int = 0):
+        if n < 2:
             raise ValueError("need n >= 2 (the degree constraints on b are "
                              "unsatisfiable for n = 1)")
-        if form.n != self.n:
+        if form.n != n:
             raise ValueError("form arity does not match n")
         if not form.terms:
             raise ValueError("the zero form has no cover to sieve")
-        check_cover(k, self.ell, form.m)
-        if self.delta < 1:
+        check_cover(k, ell, form.m)
+        if delta < 1:
             raise ValueError("delta must be positive")
-        if not self.delta < self.b < 2 * self.delta:
+        if not delta < b < 2 * delta:
             raise ValueError("need delta < b < 2*delta")
-        if self.delta_max and self.delta_max < self.delta:
+        if delta_max and delta_max < delta:
             raise ValueError("delta_max must cover the sieving degree")
+        self.k, self.n, self.ell, self.form = k, n, ell, form
+        self.b, self.delta, self.delta_max = b, delta, delta_max
 
     @property
     def q(self) -> int:
@@ -156,13 +150,13 @@ def _integer_root(x: int, r: int) -> int:
 # sieving set
 
 
-@dataclass(frozen=True)
 class SievingSet:
     """Monic irreducibles of degree exactly delta, bad primes excluded."""
 
-    primes: tuple
-    delta: int
-    excluded: tuple
+    __slots__ = ("primes", "delta", "excluded")
+
+    def __init__(self, primes: tuple, delta: int, excluded: tuple):
+        self.primes, self.delta, self.excluded = primes, delta, excluded
 
     def __len__(self):
         return len(self.primes)
