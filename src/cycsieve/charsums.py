@@ -11,16 +11,11 @@ counters over index tables and canonicalizes once per sum.  The table of G
 over k_pi^(n+1) comes from ``geometry.index_evaluator``, the evaluation the
 closed-form dual test also runs on the same cached tables (``field_tables``).
 
-Both routes rest on the additivity of the psi exponent over k_pi,
-psi_exp[x + y] = psi_exp[x] + psi_exp[y] (mod p).  ``char_sum`` builds the
-phase of -w.a at every point a as the outer sum of one Q-entry row per
-coordinate (``CharSumContext.phases``) and counts (phase, chi exponent)
-pairs.  The family {S_G(w, chi)}_w over every covector w is a Fourier
-transform over F_p^N (N = Delta e (n+1), q = p^e): ``all_sums`` reads the
-phase as an F_p-linear functional of the point's base-p digits, runs one
-exact radix-p transform of integer counters and reads every chi of order
-dividing ell from the same counters, for about N ell p^2 Q^(n+1) steps
-against Q^(2(n+1)) for one ``char_sum`` per w.
+``CharSumContext.sums`` is the one route: psi_exp is additive over k_pi, so
+psi_infty(-w.a/pi) = zeta_p^<c(w), a> for an F_p-linear functional c(w) of
+the base-p digits of a.  One pass counts the points by their projection on
+the span of the c(w) read and by chi exponent, and one exact radix-p
+transform over that span gives every sum on it.
 
 On top of the kernel, the square-root cancellation audit (``wd_audit``):
 every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
@@ -37,13 +32,12 @@ import functools
 import itertools
 import operator
 from array import array
-from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
-from .characters import MultChar, residue_data
+from .characters import residue_data
 from .cyclotomic import CycRing
-from .ffield import FieldTables, prime_factors
+from .ffield import GF, FieldTables, prime_factors
 
 TABLES_CACHE_SIZE = 64  # residue fields with tables kept
 # relative slack of every comparison of a float magnitude with its bound
@@ -112,7 +106,6 @@ class CharSumContext:
         self.ring: CycRing = self.data.ring
         self.tables = field_tables(self.kpi)
         self.Q = self.kpi.size
-        self.idx_zero = self.tables.index[self.kpi.zero]
         _, self.reduced_terms, _ = geo.reduce_form(form, pi)
         # G(a) as an element index at every a in k_pi^(n+1), in the order of
         # itertools.product(range(Q), repeat=n+1) on coordinate indices
@@ -122,84 +115,80 @@ class CharSumContext:
 
     # -- sums -------------------------------------------------------------
 
-    def _w_indices(self, w):
-        if len(w) != self.nvars:
-            raise ValueError(
-                f"w needs {self.nvars} coordinates, got {len(w)}")
-        return [self.tables.index[x] for x in w]
+    def position(self, w) -> int:
+        """The flat index of the covector w in the order of g_values."""
+        return functools.reduce(
+            lambda pos, x: pos * self.Q + self.tables.index[x], w, 0)
 
-    def phases(self, w):
-        """The exponent of psi_infty(-w.a/pi) = zeta_p^phase at every point
-        a, mod p.  psi_exp is additive, so the phase of a is the sum over
-        its coordinates of one Q-entry row x -> psi_exp[-w_i x]: the list is
-        the outer sum of the rows."""
-        widx = self._w_indices(w)
-        p, Q, mul, neg = self.kpi.char, self.Q, self.tables.mul, self.tables.neg
-        psi = self.data.psi_exp
-        out = [0]
-        for i in widx:
-            row = [psi[mul[neg[i] * Q + x]] for x in range(Q)]
-            out = [(c + r) % p for c in out for r in row]
-        return out
+    def sums(self, chi_indices, positions=None):
+        """{chi_index: an iterator over S_G(w, chi_index) for the w at the
+        given flat positions in that order, or for every w in the order of
+        g_values}, from one exact radix-p transform.
 
-    def char_sum(self, w, chi_index: int):
-        """S_G(w, chi_index) as an exact cyclotomic value: the count of each
-        (phase, chi exponent) pair over the points."""
-        # per residue index: the zeta_ell exponent of chi_index there, or
-        # None where the character vanishes
-        jtab = list(map(MultChar(self.data, chi_index).exponent_at,
-                        range(self.Q)))
-        counts = Counter(zip(self.phases(w),
-                             map(jtab.__getitem__, self.g_values)))
-        return self.ring.from_exponent_counts(
-            {key: c for key, c in counts.items() if key[1] is not None})
-
-    def all_sums(self, chi_indices, positions=None):
-        """{chi_index: an iterator over S_G(w, chi_index) for every w, in
-        the order of g_values, or for the w at the given flat positions in
-        that order} for non-principal characters, from one exact radix-p
-        transform.
-
-        Read a point a through the N base-p digits a_s of its flat index in
-        that order (check_digitwise_addition makes that an F_p-linear
-        reading).
-        Then psi_infty(-w.a/pi) = zeta_p^<c(w), a> with c(w)_s =
-        psi_exp[-(w.e_s)], e_s the point of flat index p^s, and
+        Read a point a through the N base-p digits a_s of its flat index
+        (check_digitwise_addition makes that an F_p-linear reading).  Then
+        psi_infty(-w.a/pi) = zeta_p^<c(w), a> with c(w)_s =
+        psi_exp[-(w.e_s)], e_s the point of flat index p^s.  With b_1..b_r
+        the reduced echelon basis of the span of the c(w) read, pivots s_j
+        (the standard basis when every w is read), and u(a) = (<b_j, a>)_j,
 
             S_G(w, chi_i) = sum over (k, t) of
-                            L[k][t][c(w)] * zeta_p^k * zeta_ell^(i t),
+                L[k][t][c(w) at the pivots] * zeta_p^k * zeta_ell^(i t),
 
-        where L[k][t][c] = #{a : <c, a> = k, chi_exp[G(a)] = t}.  The layers
-        L start as the indicator of chi_exp[G(a)] = t in layer k = 0; each of
-        the N passes transforms the top digit of the flat index and writes
-        the output digit at the bottom, so the digits end in order.  Every
-        chi_i comes from the same layers by relabeling t -> i t mod ell.
+        where L[k][t][c] = #{a : <c, u(a)> = k, chi_exp[G(a)] = t}.  The
+        layers start as the counts of u(a) in layer k = 0; each of the r
+        passes transforms the top digit and writes the output digit at the
+        bottom, so the digits end in order.  chi_0 is 1 at the zeros of G
+        too: they get a layer t = ell only when 0 is in chi_indices.
         """
-        if not all(0 < i < self.ell for i in chi_indices):
-            raise ValueError("the transform needs non-principal characters")
         p, ell, Q = self.kpi.char, self.ell, self.Q
         size = Q ** self.nvars
+        r = base_digits(p, size)
         check_digitwise_addition(self.tables, p)
-        chi_exp = self.data.chi_exp
+        # col[x]: the digits of a -> psi_exp[-(x a)] on one coordinate
+        mul, neg, psi = self.tables.mul, self.tables.neg, self.data.psi_exp
+        units = [p ** s for s in range(base_digits(p, Q))]
+        col = [sum(psi[neg[mul[x * Q + u]]] * u for u in units)
+               for x in range(Q)]
+        cs = [0]
+        for _ in range(self.nvars):
+            cs = [c * Q + col[x] for c in cs for x in range(Q)]
+        proj = range(size)
+        if positions is not None:
+            cs = [cs[pos] for pos in positions]
+            basis = [[c // p ** s % p for s in range(r)] for c in set(cs)]
+            pivots, _ = geo._rref(GF(p), basis, r)
+            proj = [0] * size
+            for j, row in enumerate(basis[:len(pivots)]):
+                u = [0]
+                for s in reversed(range(r)):
+                    u = [(x + d * row[s]) % p for x in u for d in range(p)]
+                proj = [v + x * p ** j for v, x in zip(proj, u)]
+            cs = [sum(c // p ** s % p * p ** j for j, s in enumerate(pivots))
+                  for c in cs]
+            r = len(pivots)
         # 64-bit integer arrays, not lists of int objects, to keep the
         # layers small; a count is at most size, so it stays exact (an
         # array raises on overflow, it never wraps)
-        layers = [[array('q', [0]) * size for _ in range(ell)]
+        tops = ell + (0 in chi_indices)
+        layers = [[array('q', [0]) * p ** r for _ in range(tops)]
                   for _ in range(p)]
-        for pos, gv in enumerate(self.g_values):
+        chi_exp = self.data.chi_exp
+        for u, gv in zip(proj, self.g_values):
             t = chi_exp[gv]
-            if t is not None:
-                layers[0][t][pos] = 1
-        block = size // p
-        for _ in range(_base_digits(p, size)):
+            t = ell if t is None else t
+            if t < tops:
+                layers[0][t][u] += 1
+        block = p ** r // p
+        for _ in range(r):
             # blocks[k][t][d]: the points whose top digit is d
             blocks = [[[layer[d * block:(d + 1) * block] for d in range(p)]
                        for layer in by_t] for by_t in layers]
             layers = []
             for k in range(p):
                 by_t = []
-                for t in range(ell):
-                    out = array('q', [0]) * size
+                for t in range(tops):
+                    out = array('q', [0]) * p ** r
                     for c in range(p):
                         acc = blocks[k][t][0]
                         for d in range(1, p):
@@ -208,31 +197,21 @@ class CharSumContext:
                         out[c::p] = array('q', acc)
                     by_t.append(out)
                 layers.append(by_t)
-
-        # col[x]: the digits of a -> psi_exp[-(x a)] on one coordinate
-        mul, neg, psi = self.tables.mul, self.tables.neg, self.data.psi_exp
-        units = [p ** r for r in range(_base_digits(p, Q))]
-        col = [sum(psi[neg[mul[x * Q + u]]] * u for u in units)
-               for x in range(Q)]
-        cs = [0]
-        for _ in range(self.nvars):
-            cs = [c * Q + col[x] for c in cs for x in range(Q)]
-        if positions is not None:
-            cs = [cs[pos] for pos in positions]
         ring = self.ring
 
-        def sums(i):
+        def read(i):
+            # t * (i or ell) is i t mod ell, and keeps chi_0's keys apart
             for c in cs:
                 yield ring.from_exponent_counts(
-                    {(k, i * t): layers[k][t][c]
-                     for k in range(p) for t in range(ell)})
-        return {i: sums(i) for i in chi_indices}
+                    {(k, t * (i or ell)): layers[k][t][c]
+                     for k in range(p) for t in range(ell if i else tops)})
+        return {i: read(i) for i in chi_indices}
 
     def trivial_bound(self) -> int:
         return self.Q ** self.nvars
 
 
-def _base_digits(p: int, size: int) -> int:
+def base_digits(p: int, size: int) -> int:
     """N with p^N = size."""
     n = 0
     while size > 1:
@@ -241,19 +220,23 @@ def _base_digits(p: int, size: int) -> int:
     return n
 
 
-def transform_cost(p: int, ell: int, size: int) -> int:
-    """Steps of the transform of all_sums over size = p^N points: N passes,
-    each summing p blocks of size/p counters for every one of the p outputs
-    of the p * ell layers."""
-    return _base_digits(p, size) * ell * p * p * size
+def sums_cost(q: int, delta: int, n: int, ell: int, r: int) -> int:
+    """Innermost evaluations of CharSumContext.sums mod a prime of degree
+    delta, reading a span of dimension r over F_p: the table of G on the
+    points, their projection on the span unless it is all N dimensions (r
+    = N: every w), then r passes, each summing p blocks of p^(r-1) counters
+    for every one of the p outputs of the p * ell layers."""
+    p, size = prime_factors(q)[0], q ** (delta * (n + 1))
+    return (size + (r < base_digits(p, size)) * r * size
+            + r * ell * p * p * p ** r)
 
 
 def check_digitwise_addition(tables: FieldTables, p: int):
     """Raise unless adding two field elements adds the base-p digits of
-    their indices mod p, with no carry: all_sums reads the digits of an
+    their indices mod p, with no carry: sums reads the digits of an
     index as its coordinates over F_p."""
     Q = tables.size
-    units = [p ** r for r in range(_base_digits(p, Q))]
+    units = [p ** r for r in range(base_digits(p, Q))]
     digits = [[i // u % p for u in units] for i in range(Q)]
     for i in range(Q):
         for j in range(Q):
@@ -283,26 +266,17 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
 _CASES = {True: "ii", False: "iii", None: "unknown"}
 
 
-def all_sums_cost(q: int, delta: int, n: int, ell: int) -> int:
-    """Innermost evaluations of all_sums mod a prime of degree delta: the
-    table of G on k_pi^(n+1) that the context builds, then the
-    transform."""
-    size = q ** (delta * (n + 1))
-    return size + transform_cost(prime_factors(q)[0], ell, size)
-
-
 def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
              dual="auto", ws=None) -> dict:
     """Audit |S_G(w, chi)| against the per-case bounds.
 
     Defaults: every non-principal chi of order dividing ell and every
-    w in k_pi^(n+1), whose sums come from one transform (all_sums); given
-    ws, each sum is its own char_sum.  Returns {"rows": [...],
-    "summary": {...}}; each row carries q, Delta, pi, ell, chi_index, w,
-    case, abs_S, bound, ratio, pass.  For case "iii" (and "unknown") the
-    ratio column is |S| / q^((n+1) Delta / 2); for cases "i"/"ii" it is
-    |S| / bound.  A caller prices the audit of every w first, by
-    all_sums_cost and the dual test's dual_test_cost.
+    w in k_pi^(n+1); the sums of the ws come from one transform (sums).
+    Returns {"rows": [...], "summary": {...}}; each row carries q, Delta,
+    pi, ell, chi_index, w, case, abs_S, bound, ratio, pass.  For case "iii"
+    (and "unknown") the ratio column is |S| / q^((n+1) Delta / 2); for
+    cases "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
+    first, by sums_cost and the dual test's dual_test_cost.
     """
     ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
@@ -314,15 +288,12 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
         chi_indices = range(1, ell)
     if not all(0 < chi_index < ell for chi_index in chi_indices):
         raise ValueError("audit characters must be non-principal")
-    every_w = ws is None
-    if every_w:
+    positions = None if ws is None else list(map(ctx.position, ws))
+    if ws is None:
         ws = list(itertools.product(kpi.elements(), repeat=ctx.nvars))
 
     on_dual = geo.dual_membership_test(form, pi, dual=dual)
-    if every_w:
-        sums = ctx.all_sums(chi_indices)
-    else:
-        sums = {i: [ctx.char_sum(w, i) for w in ws] for i in chi_indices}
+    sums = ctx.sums(chi_indices, positions)
 
     # the case and the text of each w, shared by every character
     w_cases = ["i" if all(kpi.is_zero(x) for x in w) else _CASES[on_dual(w)]

@@ -155,19 +155,21 @@ def cmd_primes(args) -> int:
 def cmd_charsum(args) -> int:
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
-    k = form.k
+    k, ell = form.k, cfg["ell"]
     pi = pr.parse_poly(k, args.pi)
-    # the table of G and the phases of w, one pass over k_pi^(n+1) each,
-    # before the residue tables are built
-    Budget(cfg["budget"]).charge(
-        2 * pr.residue_field(k, pi).size ** (form.n + 1))
-    ctx = cs.CharSumContext(k, pi, cfg["ell"], form)
-    if args.w:
-        w = tuple(ctx.kpi.reduce_poly(pr.parse_poly(k, t))
-                  for t in args.w.split(";"))
-    else:
-        w = (ctx.kpi.zero,) * ctx.nvars
-    S = ctx.char_sum(w, args.chi)
+    kpi = pr.residue_field(k, pi)
+    w = (tuple(kpi.reduce_poly(pr.parse_poly(k, t))
+               for t in args.w.split(";")) if args.w
+         else (kpi.zero,) * (form.n + 1))
+    if len(w) != form.n + 1 or not 0 <= args.chi < ell:
+        raise ValueError(f"need {form.n + 1} coordinates in --w and "
+                         f"0 <= --chi < {ell}")
+    # the table of G, the projection on the line of w and its transform,
+    # before the residue tables are built; chi_0 adds the layer of zeros
+    Budget(cfg["budget"]).charge(cs.sums_cost(
+        k.size, pr.degree(pi), form.n, ell + (args.chi == 0), 1))
+    ctx = cs.CharSumContext(k, pi, ell, form)
+    S = next(ctx.sums([args.chi], [ctx.position(w)])[args.chi])
     abs_s = ctx.ring.abs_embed(S)
     trivial = ctx.trivial_bound()
     ok = abs_s <= trivial * (1 + cs.MAGNITUDE_TOL)
@@ -317,7 +319,8 @@ def cmd_wd_audit(args) -> int:
     # every audit, its table of G, its transform and its dual test, before
     # the first
     budget.charge(sum(
-        cs.all_sums_cost(k.size, pr.degree(pi), form.n, cfg["ell"])
+        cs.sums_cost(k.size, pr.degree(pi), form.n, cfg["ell"],
+                     pr.degree(pi) * k.degree_over_prime * (form.n + 1))
         + geo.dual_test_cost(form, k.size ** pr.degree(pi), dual)
         for pi in pis))
     audits = []

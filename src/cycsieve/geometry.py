@@ -249,15 +249,15 @@ def _extension_points(field, term_maps, nvars: int, search_bound: int):
 
 
 def _rref(field, m, n):
-    """In-place reduced row echelon form of the n-row matrix m on its
-    leading n columns.  Returns the pivot column list and the product of
-    the pivots, negated for each row swap: the determinant of the leading
-    n x n block when all n columns have a pivot."""
+    """In-place reduced row echelon form of the rows m on their leading n
+    columns.  Returns the pivot column list and the product of the pivots,
+    negated for each row swap: the determinant of the leading n x n block
+    when all n columns have a pivot."""
     pivots = []
     det = field.one
     row = 0
     for col in range(n):
-        piv = next((r for r in range(row, n) if not field.is_zero(m[r][col])), None)
+        piv = next((r for r in range(row, len(m)) if not field.is_zero(m[r][col])), None)
         if piv is None:
             continue
         if piv != row:
@@ -266,7 +266,7 @@ def _rref(field, m, n):
         det = field.mul(det, m[row][col])
         inv = field.inv(m[row][col])
         m[row] = [field.mul(inv, v) for v in m[row]]
-        for r in range(n):
+        for r in range(len(m)):
             if r != row and not field.is_zero(m[r][col]):
                 f = m[r][col]
                 m[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[r], m[row])]

@@ -46,8 +46,9 @@ from .characters import (
     residue_data,
     root_count_routes,
 )
-from .charsums import CharSumContext, all_sums_cost
+from .charsums import CharSumContext, base_digits, sums_cost
 from .cyclotomic import cyc_ring
+from .ffield import prime_factors
 from .polyring import box
 from .sieve import box_histogram, residue_indices, value_digits
 
@@ -149,10 +150,13 @@ def verify_count_mod(k, u, a, b: int) -> dict:
 def two_prime_cost(q: int, degrees, n: int, ell: int, b: int) -> tuple:
     """The charges of a two-prime identity on the box {deg x < b} mod primes
     of the given degrees: the box, then the character side (the
-    complementary box and all_sums_cost mod each prime)."""
+    complementary box, and sums_cost mod each prime on a span no larger
+    over F_p than that box or the residue field)."""
+    width, p = sum(degrees) - b, prime_factors(q)[0]
     return (q ** (b * (n + 1)),
-            q ** ((sum(degrees) - b) * (n + 1))
-            + sum(all_sums_cost(q, d, n, ell) for d in degrees))
+            q ** (width * (n + 1)) + sum(sums_cost(
+                q, d, n, ell, base_digits(p, q ** (min(width, d) * (n + 1))))
+                for d in degrees))
 
 
 def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
@@ -164,8 +168,9 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
 
     The points are counted per pair of covectors (mod pi1, mod pi2), each
     read as its flat index in the order of g_values, one coordinate at a
-    time.  Each prime's sums come from one all_sums, read at the indices
-    that occur, and each pair is multiplied once per pair of characters."""
+    time.  Each prime's sums come from one transform on the span of the
+    covectors that occur, and each pair is multiplied once per pair of
+    characters."""
     ctxs = (CharSumContext(k, pi1, ell, form),
             CharSumContext(k, pi2, ell, form))
     twists = (pr.invert_mod(k, pi2, pi1), pr.invert_mod(k, pi1, pi2))
@@ -183,7 +188,7 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
     chi_pairs, sums = list(chi_pairs), []
     for slot, ctx in enumerate(ctxs):  # {character: {flat index: S}}
         at = sorted({pair[slot] for pair in pairs})
-        sums.append({i: dict(zip(at, values)) for i, values in ctx.all_sums(
+        sums.append({i: dict(zip(at, values)) for i, values in ctx.sums(
             sorted({chis[slot] for chis in chi_pairs}), at).items()})
     ring = ctxs[0].ring
     total = ring.zero

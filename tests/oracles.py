@@ -13,9 +13,10 @@ them.
   singularity verdict (closed forms for quadratics and sums of pure powers,
   else a search over the points of ext^n) with the slice checks built on
   it.
-* The character sum term by term (no index tables); the slicing identity
-  for S_G(0, chi) with its per-slice bound audit, which reports the pinned
-  cubic violation; and the Gauss-sum completion of S_G(w, chi) for w != 0.
+* The character sum one w at a time, from the phases of w, and term by
+  term (no index tables); the slicing identity for S_G(0, chi) with its
+  per-slice bound audit, which reports the pinned cubic violation; and the
+  Gauss-sum completion of S_G(w, chi) for w != 0.
 * Both sides of the count-mod identity by a walk over the points of its
   boxes.
 * The additive character as a cyclotomic value, the check of a serialized
@@ -33,6 +34,7 @@ projective points the max of |x_i|_oo over coprime integral coordinates.
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from cycsieve import charsums as cs
@@ -503,10 +505,45 @@ def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
 SLICE_SEARCH_BOUND = 2
 
 
+def w_indices(ctx: cs.CharSumContext, w) -> list:
+    """The element indices of the coordinates of w, after a length check."""
+    if len(w) != ctx.nvars:
+        raise ValueError(f"w needs {ctx.nvars} coordinates, got {len(w)}")
+    return [ctx.tables.index[x] for x in w]
+
+
+def phases(ctx: cs.CharSumContext, w) -> list:
+    """The exponent of psi_infty(-w.a/pi) = zeta_p^phase at every point a,
+    mod p, in the order of g_values.  psi_exp is additive, so the phase of
+    a is the sum over its coordinates of one Q-entry row x ->
+    psi_exp[-w_i x]: the list is the outer sum of the rows."""
+    p, Q = ctx.kpi.char, ctx.Q
+    mul, neg, psi = ctx.tables.mul, ctx.tables.neg, ctx.data.psi_exp
+    out = [0]
+    for i in w_indices(ctx, w):
+        row = [psi[mul[neg[i] * Q + x]] for x in range(Q)]
+        out = [(c + r) % p for c in out for r in row]
+    return out
+
+
+def char_sum(ctx: cs.CharSumContext, w, chi_index: int):
+    """S_G(w, chi_index) for one w, the route CharSumContext.sums is checked
+    against: the count of each (phase, chi exponent) pair over the points,
+    with chi_index = 0 counting the zeros of G too."""
+    # per residue index: the zeta_ell exponent of chi_index there, or None
+    # where the character vanishes
+    jtab = list(map(MultChar(ctx.data, chi_index).exponent_at,
+                    range(ctx.Q)))
+    counts = Counter(zip(phases(ctx, w),
+                         map(jtab.__getitem__, ctx.g_values)))
+    return ctx.ring.from_exponent_counts(
+        {key: c for key, c in counts.items() if key[1] is not None})
+
+
 def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
     """S_G(w, chi_index) of a context by the generic field and character
     code, chi and psi_infty term by term (no index tables)."""
-    ctx._w_indices(w)  # the length check of the kernel's routes
+    w_indices(ctx, w)  # the length check of the per-w route
     kpi, ring = ctx.kpi, ctx.ring
     chi = MultChar(ctx.data, chi_index)
     total = ring.zero
@@ -537,7 +574,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
     nvars = ctx.nvars
     chi = MultChar(ctx.data, chi_index)
 
-    lhs = ctx.char_sum((kpi.zero,) * nvars, chi_index)
+    lhs = char_sum(ctx, (kpi.zero,) * nvars, chi_index)
 
     # sum over units of chi(u)^m
     unit_counts: dict = {}
@@ -646,11 +683,11 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     ctx = cs.CharSumContext(k, pi, ell, form)
     kpi, ring, tables = ctx.kpi, ctx.ring, ctx.tables
     Q, nvars = ctx.Q, ctx.nvars
-    widx = ctx._w_indices(w)
-    if all(i == ctx.idx_zero for i in widx):
+    idx_zero = tables.index[kpi.zero]
+    if all(i == idx_zero for i in w_indices(ctx, w)):
         raise ValueError("completion requires w != 0")
 
-    S = ctx.char_sum(w, chi_index)
+    S = char_sum(ctx, w, chi_index)
     conj_index = (ell - chi_index) % ell
     tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
     tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
@@ -660,7 +697,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     chi_exp = ctx.data.chi_exp
     g_vals = ctx.g_values
     # psi((beta G(a) - w.a)/pi) = psi(beta G(a)/pi) psi(-w.a/pi)
-    phases = ctx.phases(w)
+    phase_list = phases(ctx, w)
 
     texts = cs.element_texts(kpi)
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
@@ -672,11 +709,11 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     beta_rows = []
     betas_pass = True
     for b_idx in range(Q):
-        if b_idx == ctx.idx_zero:
+        if b_idx == idx_zero:
             continue
         jb = (conj_index * chi_exp[b_idx]) % ell
         inner: dict = {}
-        for gv, phase in zip(g_vals, phases):
+        for gv, phase in zip(g_vals, phase_list):
             pe = (psi[mul[b_idx * Q + gv]] + phase) % p
             inner[pe] = inner.get(pe, 0) + 1
         t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})

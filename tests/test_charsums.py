@@ -20,6 +20,7 @@ from cycsieve.characters import gauss_sum, residue_data
 from cycsieve.ffield import GF
 
 from oracles import (
+    char_sum,
     char_sum_bruteforce,
     gauss_twist_identity,
     katz_slice_audit,
@@ -60,6 +61,11 @@ def all_ws(ctx):
             for a in itertools.product(range(ctx.Q), repeat=ctx.nvars)]
 
 
+def sum_at(ctx, w, chi_index):
+    """S_G(w, chi_index) from the transform on the line of w."""
+    return next(ctx.sums([chi_index], [ctx.position(w)])[chi_index])
+
+
 class TestKernel:
     def test_frozen_sum_mod_T(self):
         # S(0, chi) = sum over F_3^3 of chi(a0^2+a1^2+a2^2).  The quadric
@@ -67,20 +73,20 @@ class TestKernel:
         # chi(2) = -1, so S = 6 - 12 = -6.
         ctx = ctx_T()
         zero_w = (ctx.kpi.zero,) * 3
-        assert ctx.char_sum(zero_w, 1) == ctx.ring.from_int(-6)
-        assert ctx.ring.abs_embed(ctx.char_sum(zero_w, 1)) == pytest.approx(6.0)
+        assert sum_at(ctx, zero_w, 1) == ctx.ring.from_int(-6)
+        assert ctx.ring.abs_embed(sum_at(ctx, zero_w, 1)) == pytest.approx(6.0)
 
     def test_principal_counts_everything(self):
         ctx = ctx_T()
         zero_w = (ctx.kpi.zero,) * 3
-        assert ctx.char_sum(zero_w, 0) == ctx.ring.from_int(27)
+        assert sum_at(ctx, zero_w, 0) == ctx.ring.from_int(27)
 
     def test_matches_bruteforce_mod_T(self):
         ctx = ctx_T()
+        sums = ctx.sums([0, 1])
         for chi_index in (0, 1):
-            for w in all_ws(ctx):
-                assert ctx.char_sum(w, chi_index) == \
-                    char_sum_bruteforce(ctx, w, chi_index)
+            for w, S in zip(all_ws(ctx), sums[chi_index]):
+                assert S == char_sum_bruteforce(ctx, w, chi_index)
 
     def test_matches_bruteforce_degree_two(self):
         ctx = cs.CharSumContext(K3, P(K3, "1+T^2"), 2, diag3(K3))
@@ -91,24 +97,27 @@ class TestKernel:
             (kpi.from_index(2), kpi.from_index(7), kpi.one),
             (kpi.from_index(5), kpi.from_index(5), kpi.from_index(3)),
         ]
-        for w in ws:
-            assert ctx.char_sum(w, 1) == char_sum_bruteforce(ctx, w, 1)
+        sums = ctx.sums([1], [ctx.position(w) for w in ws])[1]
+        for w, S in zip(ws, sums):
+            assert S == char_sum_bruteforce(ctx, w, 1)
 
     def test_trivial_bound(self):
         ctx = ctx_T()
         assert ctx.trivial_bound() == 27
-        for w in all_ws(ctx):
-            assert ctx.ring.abs_embed(ctx.char_sum(w, 1)) <= 27 + 1e-9
+        for S in ctx.sums([1])[1]:
+            assert ctx.ring.abs_embed(S) <= 27 + 1e-9
 
     def test_w_arity_rejected(self):
+        # the per-w oracle checks the length; the command checks it before
+        # reading the position of w (test_cli)
         ctx = ctx_T()
         with pytest.raises(ValueError):
-            ctx.char_sum((ctx.kpi.zero,) * 2, 1)
+            char_sum(ctx, (ctx.kpi.zero,) * 2, 1)
 
     def test_one_shot_helper(self):
         kpi = pr.residue_field(K3, P(K3, "T"))
-        got = cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3)).char_sum(
-            (kpi.zero, kpi.zero, kpi.zero), 1)
+        got = sum_at(cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3)),
+                     (kpi.zero, kpi.zero, kpi.zero), 1)
         ring = residue_data(K3, P(K3, "T"), 2).ring
         assert got == ring.from_int(-6)
 
@@ -171,27 +180,55 @@ class TestTransform:
     def test_equals_char_sum_for_every_w(self, case):
         ctx = self.context(case)
         assert ctx.Q ** ctx.nvars <= 729
-        chis = range(1, ctx.ell)
-        sums = {i: list(it) for i, it in ctx.all_sums(chis).items()}
+        chis = range(ctx.ell)
+        sums = {i: list(it) for i, it in ctx.sums(chis).items()}
         ws = all_ws(ctx)
         for chi_index in chis:
             assert len(sums[chi_index]) == len(ws)
             for w, S in zip(ws, sums[chi_index]):
-                assert S == ctx.char_sum(w, chi_index), (w, chi_index)
+                assert S == char_sum(ctx, w, chi_index), (w, chi_index)
+
+    def test_spans_equal_char_sum(self, case):
+        # the transform on the span of the covectors read, for every
+        # character (chi_0 counts the zeros of G too), against the per-w
+        # route on lists of positions whose spans run from {0} to all
+        k, ctx = case[0], self.context(case)
+        kpi, ws = ctx.kpi, all_ws(ctx)
+        w1 = ws[-1]
+        pi2 = next(f for f in pr.irreducibles(k, 1) if f != ctx.data.pi)
+        twist = pr.invert_mod(k, pi2, ctx.data.pi)
+        lists = {
+            "zero": [0],
+            "one w": [len(ws) - 1],
+            "multiples": [ctx.position([kpi.mul(c, x) for x in w1])
+                          for c in kpi.elements()],
+            "twisted box": [ctx.position([kpi.reduce_poly(pr.mul(k, twist, x))
+                                          for x in xs])
+                            for xs in pr.box(k, 1, ctx.nvars)],
+            "repeated": [len(ws) - 1, 0, 5, len(ws) - 1, 1, 5, 0],
+            "every w": list(range(len(ws))),
+        }
+        chis = range(ctx.ell)
+        want = {i: [char_sum(ctx, w, i) for w in ws] for i in chis}
+        for name, positions in lists.items():
+            got = ctx.sums(chis, positions)
+            for i in chis:
+                assert list(got[i]) == [want[i][pos] for pos in positions], \
+                    (name, i)
 
     def test_sample_equals_bruteforce(self, case):
-        # all_sums and char_sum both read psi through its additivity; the
+        # sums and char_sum both read psi through its additivity; the
         # term-by-term route is the one that does not
         ctx = self.context(case)
         chi = ctx.ell - 1
-        sums = list(ctx.all_sums([chi])[chi])
+        sums = list(ctx.sums([chi])[chi])
         ws = all_ws(ctx)
         full = tuple(ctx.kpi.from_index(1 + i % (ctx.Q - 1))
                      for i in range(ctx.nvars))  # every coordinate nonzero
         for pos in sorted({0, 1, len(ws) // 3, len(ws) - 1, ws.index(full)}):
             brute = char_sum_bruteforce(ctx, ws[pos], chi)
             assert sums[pos] == brute
-            assert ctx.char_sum(ws[pos], chi) == brute
+            assert char_sum(ctx, ws[pos], chi) == brute
 
     def test_psi_exponent_adds_over_the_table(self, case):
         ctx = self.context(case)
@@ -203,9 +240,8 @@ class TestTransform:
 
 
 def test_transform_charged_before_the_table(tmp_path, monkeypatch, capsys):
-    cost = cs.transform_cost(3, 2, 27)
-    assert cost == 3 * 2 * 3 * 3 * 27
-    assert cs.all_sums_cost(3, 1, 2, 2) == 27 + cost
+    cost = 3 * 2 * 3 * 3 * 27
+    assert cs.sums_cost(3, 1, 2, 2, 3) == 27 + cost
     # wd-audit prices the table of G on 27 points and the transform mod T
     # before the context builds either
     forbid_contexts(monkeypatch)
@@ -215,10 +251,13 @@ def test_transform_charged_before_the_table(tmp_path, monkeypatch, capsys):
     assert f"needs {27 + cost}," in capsys.readouterr().err
 
 
-def test_transform_needs_non_principal_characters():
-    # chi_0 is 1 at the zeros of G, which the layers do not count
-    with pytest.raises(ValueError):
-        ctx_T().all_sums([0, 1])
+def test_transform_takes_the_principal_character():
+    # chi_0 is 1 at the zeros of G too, so S_G(w, chi_0) is the sum of
+    # psi_infty(-w.a/pi) over every point: 27 at w = 0 and 0 elsewhere
+    ctx = ctx_T()
+    sums = ctx.sums([0, 1])
+    assert list(sums[0]) == [ctx.ring.from_int(27)] + [ctx.ring.zero] * 26
+    assert next(sums[1]) == ctx.ring.from_int(-6)
 
 
 class TestDigitwiseAddition:
@@ -238,13 +277,13 @@ class TestDigitwiseAddition:
         with pytest.raises(ArithmeticError, match="digitwise"):
             cs.check_digitwise_addition(tables, 3)
 
-    def test_all_sums_checks_the_table(self, monkeypatch):
+    def test_sums_checks_the_table(self, monkeypatch):
         ctx = ctx_T()
         ctx.tables = copy.copy(ctx.tables)
         ctx.tables.add = list(ctx.tables.add)
         ctx.tables.add[1 * 3 + 1] = 0  # 1 + 1 = 0 in F_3: false
         with pytest.raises(ArithmeticError):
-            ctx.all_sums([1])
+            ctx.sums([1])
 
 
 class TestBudget:
@@ -257,13 +296,14 @@ class TestBudget:
         assert err.value.needed == 110 and err.value.limit == 100
 
     def test_char_sum_respects_budget(self, tmp_path, monkeypatch, capsys):
-        # the table of G and the phases of w, 27 points each mod T, are
+        # the table of G and the projection on the line of w, 27 points
+        # each mod T, and one pass over 3 * 2 layers of 3 counters are
         # priced before the context is built
         forbid_contexts(monkeypatch)
         code = cli.main(["charsum", "--config", CONFIG, "--pi", "T",
                          "--budget", "10", "--out", str(tmp_path)])
         assert code == 3
-        assert "needs 54, limit 10;" in capsys.readouterr().err
+        assert "needs 108, limit 10;" in capsys.readouterr().err
 
     def test_charge_each_in_turn(self):
         b = cs.Budget(100)
@@ -274,7 +314,13 @@ class TestBudget:
     def test_estimate(self):
         # every covector: the table of G on 27 = 3^3 points, then the
         # transform, 3 passes over 3 * 2 layers with 3 outputs of 3 blocks
-        assert cs.all_sums_cost(3, 1, 2, 2) == 27 + 3 * 2 * 3 * 3 * 27
+        assert cs.sums_cost(3, 1, 2, 2, 3) == 27 + 3 * 2 * 3 * 3 * 27
+        # a span of dimension 1 or 2: the table, the projection of the 27
+        # points on each basis vector, then 1 or 2 passes over 3^1 or 3^2
+        assert cs.sums_cost(3, 1, 2, 2, 1) == 27 + 27 + 2 * 3 * 3 * 3
+        assert cs.sums_cost(3, 1, 2, 2, 2) == 27 + 2 * 27 + 2 * 2 * 3 * 3 * 9
+        # mod 1+T^2 (N = 6), the multiples of one w span 2 dimensions
+        assert cs.sums_cost(3, 2, 2, 2, 2) == 729 + 2 * 729 + 2 * 2 * 3 * 3 * 9
 
 
 class TestAudit:

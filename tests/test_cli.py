@@ -394,6 +394,28 @@ class TestCommands:
         assert data["abs"] == 6.0
         assert data["pass"] is True
 
+    @pytest.mark.parametrize("argv", (
+        ["--w", "1;T"], ["--w", "1;T;2;1"], ["--chi", "2"], ["--chi", "-1"]))
+    def test_charsum_outside_input_is_two(self, tmp_path, monkeypatch,
+                                          capsys, argv):
+        # a covector of the wrong length or a character index outside
+        # range(ell) would read the wrong sum; both are refused first
+        forbid(monkeypatch, cs.CharSumContext, "__init__")
+        code = cli.main(["charsum", "--config", CONFIG, *argv,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "0 <= --chi < 2" in capsys.readouterr().err
+        assert not (tmp_path / "charsum.json").exists()
+
+    @pytest.mark.parametrize("w, want", (("0;0;0", 729), ("1;T;2+T", 0)))
+    def test_charsum_principal_character(self, tmp_path, w, want):
+        # chi_0 is 1 at every point, zeros of G included: the sum of
+        # psi_infty(-w.a/pi) over k_pi^3 is 9^3 at w = 0 and 0 elsewhere
+        code = cli.main(["charsum", "--config", CONFIG, "--pi", "1+T^2",
+                         "--chi", "0", "--w", w, "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads(read(tmp_path / "charsum.json"))["as_int"] == want
+
     def test_gauss(self, tmp_path):
         code = cli.main(["gauss", "--q", "3", "--ell", "2",
                          "--pi", "1+T^2", "--out", str(tmp_path)])
@@ -732,8 +754,7 @@ class TestConfigErrors:
 class TestUpFrontBudgets:
     def test_wd_audit_charged_before_first_sum(self, tmp_path, monkeypatch,
                                                capsys):
-        forbid(monkeypatch, cs.CharSumContext, "char_sum")
-        forbid(monkeypatch, cs.CharSumContext, "all_sums")
+        forbid(monkeypatch, cs.CharSumContext, "sums")
         code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "1+T^2",
                          "--budget", "75000", "--out", str(tmp_path)])
         assert code == 3
@@ -744,8 +765,7 @@ class TestUpFrontBudgets:
 
     def test_wd_audit_prices_every_prime_first(self, tmp_path, monkeypatch,
                                                capsys):
-        forbid(monkeypatch, cs.CharSumContext, "char_sum")
-        forbid(monkeypatch, cs.CharSumContext, "all_sums")
+        forbid(monkeypatch, cs.CharSumContext, "sums")
         code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "T",
                          "--pi", "1+T^2", "--budget", "75000",
                          "--out", str(tmp_path)])
@@ -789,8 +809,7 @@ class TestUpFrontBudgets:
                                                  monkeypatch, capsys):
         path = write_config(tmp_path, NONDIAG_CUBIC)
         forbid(monkeypatch, geo, "_extension_points")
-        forbid(monkeypatch, cs.CharSumContext, "char_sum")
-        forbid(monkeypatch, cs.CharSumContext, "all_sums")
+        forbid(monkeypatch, cs.CharSumContext, "sums")
         # the table of G on 7^3 points, the transform (3 base-7 digits,
         # 7 * 3 layers, 7 outputs of 7 blocks) and P^2(F_7)
         needs = 7 ** 3 + 3 * 3 * 7 * 7 * 7 ** 3 + 7 ** 2 + 7 + 1
@@ -806,8 +825,10 @@ class TestUpFrontBudgets:
         code = cli.main(["charsum", "--config", CONFIG, "--pi", "2+T^2+T^7",
                          "--budget", "1", "--out", str(tmp_path)])
         assert code == 3
-        # the table of G and the phases of w, each over k_pi^3, Q = 3^7
-        assert f"needs {2 * 3 ** 21}," in capsys.readouterr().err
+        # the table of G and the projection on the line of w, each over
+        # k_pi^3 with Q = 3^7, then one pass over 3 * 2 layers of 3
+        assert f"needs {2 * 3 ** 21 + 2 * 3 * 3 * 3}," \
+            in capsys.readouterr().err
 
     def test_wd_audit_prices_the_default_primes(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -835,6 +856,9 @@ class TestUpFrontBudgets:
             self, tmp_path, monkeypatch, capsys):
         transform = 3 * 2 * 3 * 3 * 3 ** 3  # mod a linear prime
         transform2 = 6 * 2 * 3 * 3 * 9 ** 3  # mod a quadratic prime
+        # mod a quadratic prime on a span of dimension 3: the table, the
+        # projection on each basis vector, 3 passes over 3^3 counters
+        span3 = 9 ** 3 + 3 * 9 ** 3 + 3 * 2 * 3 * 3 * 3 ** 3
         parts = [
             3 ** 9,  # the box of the unramified expansion, b = 3
             3 + (9 + 3 * 3),  # the primes of degree 1 and 2
@@ -847,14 +871,17 @@ class TestUpFrontBudgets:
             # complementary box, and the table of G and the transform mod
             # each prime
             5 * (27 + 27 + 2 * (27 + transform)),
-            # the mixed-degree completions, b = 1 and b = 2
-            2 * (27 + 729 + 27 + transform + 729 + transform2),
+            # the mixed-degree completions: with b = 1 the complementary
+            # box spans every w mod both primes, with b = 2 it spans 3 of
+            # the 6 dimensions mod the quadratic prime
+            27 + 729 + 27 + transform + 729 + transform2,
+            729 + 27 + 27 + transform + span3,
             # the character side of the expansion mod two quadratic primes
-            27 + 2 * (729 + transform2),
+            27 + 2 * span3,
             3 + (9 + 3 * 3),  # the scan's primes; a quadric searches none
         ]
         price = sum(parts)
-        assert price == 357828
+        assert price == 132567
         forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["identity-check", "--config", CONFIG,
                          "--budget", str(price - 1), "--out", str(tmp_path)])
@@ -867,15 +894,16 @@ class TestUpFrontBudgets:
 
     def test_cubic_identity_check_refused_before_any_work(
             self, tmp_path, monkeypatch, capsys):
-        # the transforms of the expansion mod two primes of degree 2 over
-        # F_7 overrun the default budget; the refusal comes before any box
-        # pass or residue-field sum
+        # the battery on the F_7 cubic is priced at 43 120 735 before the
+        # scan; a budget one short of that is refused before any box pass
+        # or residue-field sum, and no artifact is written
         forbid(monkeypatch, cs.CharSumContext, "__init__")
         forbid(monkeypatch, sv, "accumulate_chunk")
         code = cli.main(["identity-check", "--config", str(CUBIC_CONFIG),
-                         "--out", str(tmp_path)])
+                         "--budget", "43120734", "--out", str(tmp_path)])
         assert code == 3
-        assert f"limit {rp.DEFAULT_BUDGET};" in capsys.readouterr().err
+        assert "needs 43120735, limit 43120734;" in capsys.readouterr().err
+        assert not (tmp_path / "identity_check.json").exists()
 
     def test_scan_prime_enumeration_charged_first(self, tmp_path,
                                                  monkeypatch, capsys):
