@@ -6,7 +6,7 @@ all in exact arithmetic at desk scale.
 
 __version__ = "0.1.0"
 
-from .ffield import GF, ExtensionField, FieldTables, PrimeField  # noqa: F401
+from .ffield import GF, ExtensionField, PrimeField  # noqa: F401
 from .cyclotomic import CycRing, cyc_ring  # noqa: F401
 from .geometry import MultiForm, Verdict  # noqa: F401
 from .charsums import Budget, BudgetExceeded, CharSumContext, wd_audit  # noqa: F401

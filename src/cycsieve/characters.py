@@ -17,6 +17,10 @@ For a monic irreducible pi over F_q and a prime ell | q - 1:
 * tau(chi) = sum over alpha in k_pi of chi(alpha) psi_infty(alpha/pi); it
   satisfies tau * conj(tau) = q^(deg pi) exactly ("Gauss sum RH").
 
+A residue mod pi is its element index in k_pi, which is the value index of
+its lift of degree < deg pi (``pr.poly_to_index``), so the tables below are
+lists over range(q^deg pi) read without any conversion.
+
 The per-prime ``ResidueData`` tables (character exponents, psi exponents,
 discrete logs) are what the bulk character-sum kernels consume: every value
 is a pair of exponents (psi exponent mod p, character exponent mod ell) or
@@ -55,7 +59,8 @@ class ResidueData:
     """Precomputed residue-field tables for one (pi, ell).
 
     Attributes:
-        kpi         residue field k_pi (ExtensionField over k)
+        kpi         residue field k_pi (ExtensionField over k; residues
+                    are its element indices)
         chi_exp     per residue index: theta-exponent t(r) in Z/ell of the
                     residue symbol (so chi_{pi,i}(r) = zeta_ell^(i*t(r))),
                     or None at r = 0
@@ -67,8 +72,6 @@ class ResidueData:
 
     def __init__(self, k, pi, ell: int):
         check_cover(k, ell)
-        if not pr.is_irreducible(k, pi) or pi[-1] != k.one:
-            raise ValueError("modulus must be a monic irreducible")
         self.k = k
         self.pi = pi
         self.ell = ell
@@ -81,7 +84,7 @@ class ResidueData:
 
         # theta over F_q: dlog table w.r.t. the smallest generator
         g = k.multiplicative_generator()
-        dlog = {}
+        dlog = [None] * q
         x = k.one
         for t in range(q - 1):
             dlog[x] = t
@@ -89,37 +92,33 @@ class ResidueData:
         self._dlog_q = dlog
         self._theta_step = (q - 1) // ell
 
-        # residue symbol exponents and psi exponents per residue index
+        # psi exponents: the trace of the T^(deg pi - 1) coefficient of the
+        # lift, the top base-q digit of the residue index
+        top = q ** (self.deg - 1)
+        traces = [k.trace_to_prime(c) for c in range(q)]
+        self.psi_exp = [traces[idx // top] for idx in range(Q)]
+
+        # residue symbol exponents per residue index
         e = (Q - 1) // ell
-        chi_exp: list = [None] * Q
-        psi_exp = [0] * Q
-        for idx in range(Q):
-            r = kpi.from_index(idx)
-            psi_exp[idx] = k.trace_to_prime(r[self.deg - 1])
-            if kpi.is_zero(r):
-                continue
-            s = kpi.power(r, e)
-            chi_exp[idx] = self._theta_exponent_of_constant(s)
-        self.chi_exp = chi_exp
-        self.psi_exp = psi_exp
+        self.chi_exp = [None] + [
+            self._theta_exponent_of_constant(kpi.power(r, e))
+            for r in range(1, Q)]
 
         # ell-th power fiber sizes
         root_count = [0] * Q
-        for idx in range(Q):
-            y = kpi.from_index(idx)
-            root_count[kpi.index(kpi.power(y, ell))] += 1
+        for y in range(Q):
+            root_count[kpi.power(y, ell)] += 1
         self.root_count = root_count
 
     def _theta_exponent_of_constant(self, s):
         """theta-exponent of s in mu_ell(F_q), where s is a k_pi element that
-        must be a constant (this is a theorem; asserted, not assumed)."""
-        k = self.k
-        if any(not k.is_zero(c) for c in s[1:]):
+        must be a constant, an index below q (this is a theorem; asserted,
+        not assumed)."""
+        if s >= self.k.size:
             raise ArithmeticError(
                 "residue symbol did not land in the constant field"
             )
-        s0 = s[0]
-        t = self._dlog_q[s0]
+        t = self._dlog_q[s]
         if t % self._theta_step:
             raise ArithmeticError("residue symbol is not an ell-th root of unity")
         return (t // self._theta_step) % self.ell

@@ -7,9 +7,9 @@ The central object is
 for a form G reduced mod a monic prime pi, a multiplicative character chi of
 order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
-counters over index tables and canonicalizes once per sum.  The table of G
-over k_pi^(n+1) comes from ``geometry.index_evaluator``, the evaluation the
-closed-form dual test also runs on the same cached tables (``field_tables``).
+counters and canonicalizes once per sum.  Elements of k_pi are its element
+indices, so the table of G over k_pi^(n+1) is ``geometry.eval_terms`` at
+every point, the evaluation the closed-form dual test also runs.
 
 ``CharSumContext.sums`` is the one route: psi_exp is additive over k_pi, so
 psi_infty(-w.a/pi) = zeta_p^<c(w), a> for an F_p-linear functional c(w) of
@@ -37,16 +37,10 @@ from . import geometry as geo
 from . import polyring as pr
 from .characters import residue_data
 from .cyclotomic import CycRing
-from .ffield import GF, FieldTables, prime_factors
+from .ffield import FIELD_CACHE_SIZE, GF, prime_factors
 
-TABLES_CACHE_SIZE = 64  # residue fields with tables kept
 # relative slack of every comparison of a float magnitude with its bound
 MAGNITUDE_TOL = 1e-9
-
-
-@functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
-def field_tables(field) -> FieldTables:
-    return FieldTables(field)
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +98,19 @@ class CharSumContext:
         self.data = residue_data(k, pi, ell)
         self.kpi = self.data.kpi
         self.ring: CycRing = self.data.ring
-        self.tables = field_tables(self.kpi)
         self.Q = self.kpi.size
         _, self.reduced_terms, _ = geo.reduce_form(form, pi)
-        # G(a) as an element index at every a in k_pi^(n+1), in the order of
-        # itertools.product(range(Q), repeat=n+1) on coordinate indices
-        evaluate = geo.index_evaluator(self.tables, self.reduced_terms)
-        self.g_values = list(map(evaluate, itertools.product(
-            range(self.Q), repeat=self.nvars)))
+        # G(a) at every a in k_pi^(n+1), in the order of
+        # itertools.product(range(Q), repeat=n+1)
+        kpi, terms = self.kpi, self.reduced_terms
+        self.g_values = [geo.eval_terms(kpi, terms, a) for a in
+                         itertools.product(range(self.Q), repeat=self.nvars)]
 
     # -- sums -------------------------------------------------------------
 
     def position(self, w) -> int:
         """The flat index of the covector w in the order of g_values."""
-        return functools.reduce(
-            lambda pos, x: pos * self.Q + self.tables.index[x], w, 0)
+        return functools.reduce(lambda pos, x: pos * self.Q + x, w, 0)
 
     def sums(self, chi_indices, positions=None):
         """{chi_index: an iterator over S_G(w, chi_index) for the w at the
@@ -144,11 +136,11 @@ class CharSumContext:
         p, ell, Q = self.kpi.char, self.ell, self.Q
         size = Q ** self.nvars
         r = base_digits(p, size)
-        check_digitwise_addition(self.tables, p)
+        kpi, psi = self.kpi, self.data.psi_exp
+        check_digitwise_addition(kpi, p)
         # col[x]: the digits of a -> psi_exp[-(x a)] on one coordinate
-        mul, neg, psi = self.tables.mul, self.tables.neg, self.data.psi_exp
         units = [p ** s for s in range(base_digits(p, Q))]
-        col = [sum(psi[neg[mul[x * Q + u]]] * u for u in units)
+        col = [sum(psi[kpi.neg(kpi.mul(x, u))] * u for u in units)
                for x in range(Q)]
         cs = [0]
         for _ in range(self.nvars):
@@ -231,18 +223,18 @@ def sums_cost(q: int, delta: int, n: int, ell: int, r: int) -> int:
             + r * ell * p * p * p ** r)
 
 
-def check_digitwise_addition(tables: FieldTables, p: int):
-    """Raise unless adding two field elements adds the base-p digits of
-    their indices mod p, with no carry: sums reads the digits of an
-    index as its coordinates over F_p."""
-    Q = tables.size
+def check_digitwise_addition(field, p: int):
+    """Raise unless adding two field elements (through the field's Zech
+    table) adds the base-p digits of their indices mod p, with no carry:
+    sums reads the digits of an index as its coordinates over F_p."""
+    Q = field.size
     units = [p ** r for r in range(base_digits(p, Q))]
     digits = [[i // u % p for u in units] for i in range(Q)]
     for i in range(Q):
         for j in range(Q):
             want = sum((x + y) % p * u
                        for x, y, u in zip(digits[i], digits[j], units))
-            if tables.add[i * Q + j] != want:
+            if field.add(i, j) != want:
                 raise ArithmeticError(
                     f"field addition is not digitwise mod {p} at indices "
                     f"{i} and {j}")
@@ -343,11 +335,12 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     }
 
 
-@functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
-def element_texts(kpi) -> dict:
-    """The text of each element of k_pi, its canonical lift, by element."""
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def element_texts(kpi) -> list:
+    """The text of each element of k_pi, its canonical lift, by index."""
     k = kpi.base
-    return {x: pr.format_poly(k, pr.normalize(k, x)) for x in kpi.elements()}
+    return [pr.format_poly(k, pr.poly_from_index(k, x, kpi.deg))
+            for x in kpi.elements()]
 
 
 def format_covector(kpi, w) -> str:

@@ -122,6 +122,13 @@ def _config(args) -> dict:
     return rp.resolve_config(raw, over)
 
 
+def _modulus(k, text: str):
+    """The prime of a --pi flag, checked before anything is priced."""
+    pi = pr.parse_poly(k, text)
+    pr.check_modulus(k, pi)
+    return pi
+
+
 def _emit(args, name: str, report: dict) -> None:
     path = rp.write_artifact(args.out, name, report)
     print(f"wrote {path}")
@@ -156,19 +163,19 @@ def cmd_charsum(args) -> int:
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
     k, ell = form.k, cfg["ell"]
-    pi = pr.parse_poly(k, args.pi)
-    kpi = pr.residue_field(k, pi)
-    w = (tuple(kpi.reduce_poly(pr.parse_poly(k, t))
-               for t in args.w.split(";")) if args.w
-         else (kpi.zero,) * (form.n + 1))
+    pi = _modulus(k, args.pi)
+    w = ([pr.parse_poly(k, t) for t in args.w.split(";")] if args.w
+         else [()] * (form.n + 1))
     if len(w) != form.n + 1 or not 0 <= args.chi < ell:
         raise ValueError(f"need {form.n + 1} coordinates in --w and "
                          f"0 <= --chi < {ell}")
     # the table of G, the projection on the line of w and its transform,
-    # before the residue tables are built; chi_0 adds the layer of zeros
+    # before k_pi and its residue tables are built; chi_0 adds the layer of
+    # zeros
     Budget(cfg["budget"]).charge(cs.sums_cost(
         k.size, pr.degree(pi), form.n, ell + (args.chi == 0), 1))
     ctx = cs.CharSumContext(k, pi, ell, form)
+    w = [ctx.kpi.reduce_poly(x) for x in w]
     S = next(ctx.sums([args.chi], [ctx.position(w)])[args.chi])
     abs_s = ctx.ring.abs_embed(S)
     trivial = ctx.trivial_bound()
@@ -195,7 +202,7 @@ def cmd_gauss(args) -> int:
     if args.q is None or args.ell is None:
         raise ValueError("gauss needs --q and --ell")
     k = rp.field_from_q(args.q)
-    pi = pr.parse_poly(k, args.pi)
+    pi = _modulus(k, args.pi)
     row = ids.verify_gauss_magnitude(k, pi, args.ell)
     for i, value in enumerate(row["lhs"], start=1):
         print(f"chi_{i}: tau * conj(tau) = {value} "
@@ -312,7 +319,7 @@ def cmd_wd_audit(args) -> int:
     k = form.k
     budget = Budget(cfg["budget"])
     if args.pi:
-        pis = [pr.parse_poly(k, text) for text in args.pi]
+        pis = [_modulus(k, text) for text in args.pi]
     else:
         budget.charge(sum(pr.irreducibles_cost(k.size, d) for d in (1, 2)))
         pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
@@ -349,14 +356,17 @@ def cmd_dual_check(args) -> int:
     cfg = _config(args)
     form, dual = rp.config_objects(cfg)
     k = form.k
-    pi = pr.parse_poly(k, args.pi)
-    kpi = pr.residue_field(k, pi)
+    if args.search_bound < 1:
+        raise ValueError("search_bound must be at least 1")
+    pi = _modulus(k, args.pi)
+    Q = k.size ** pr.degree(pi)
     # the searches of both tests, then the walk over the nonzero covectors,
-    # before either test is built
+    # before k_pi or either test is built
     Budget(cfg["budget"]).charge_each([
-        geo.dual_test_cost(form, kpi.size, dual),
-        geo.dual_test_cost(form, kpi.size, "tangency", args.search_bound),
-        kpi.size ** (form.n + 1) - 1])
+        geo.dual_test_cost(form, Q, dual),
+        geo.dual_test_cost(form, Q, "tangency", args.search_bound),
+        Q ** (form.n + 1) - 1])
+    kpi = pr.residue_field(k, pi)
     closed_test = geo.dual_membership_test(form, pi, dual=dual)
     witness_test = geo.dual_membership_test(form, pi, dual="tangency",
                                             search_bound=args.search_bound)

@@ -1,29 +1,39 @@
 """Exact finite fields F_q (q = p^e, p an odd prime) and their extension towers.
 
-Elements of ``PrimeField(p)`` are plain ints in ``range(p)``.  Elements of
-``ExtensionField(base, modulus)`` are length-d tuples of base elements
-(little-endian coordinates on the power basis of the adjoined root, where
-d = deg(modulus)).  Residue fields k_pi = F_q[T]/(pi) are built uniformly as
-``ExtensionField(F_q, pi)``, even for deg(pi) = 1.
+Every element of every field is an int, its index in range(size).  In
+``PrimeField(p)`` the index is the residue itself.  In
+``ExtensionField(base, modulus)``, with t the adjoined root and d =
+deg(modulus), the element c_0 + c_1 t + ... + c_(d-1) t^(d-1) (c_j base
+elements) has index c_0 + c_1 B + ... + c_(d-1) B^(d-1), B = base.size: its
+coordinates are the base-B digits of its index, so a base element is its own
+index as a constant.  Residue fields k_pi = F_q[T]/(pi) are built uniformly
+as ``ExtensionField(F_q, pi)``, even for deg(pi) = 1.
+
+An extension field computes on log and antilog tables of O(size) entries
+(Zech logarithms; Lidl and Niederreiter, *Finite Fields*, ch. 2 and 9), built
+once in ``__init__`` from the smallest generator g of the unit group:
+products, inverses and powers add logarithms, and a + b = a (1 + b/a) reads
+log(1 + g^n) from the Zech table.  Polynomial arithmetic over the base runs
+only while the tables are built.
 
 Both classes share one small API:
 
     zero, one, char, size, degree_over_prime
     add(a, b)  sub(a, b)  neg(a)  mul(a, b)  inv(a)  power(a, e)
-    is_zero(a)  from_int(c)  index(a)  from_index(i)  elements()
+    is_zero(a)  from_int(c)  elements()
     trace_to_prime(a)  multiplicative_generator()
 
-Every element representation is immutable and hashable; fields compare by
-value so they can key caches.  The enumeration order ``from_index(0), ...,
-from_index(size-1)`` is the single deterministic ordering used everywhere
-(generator choice, character tables, fixtures).
+Fields compare by value so they can key caches.  Ascending index is the
+single deterministic ordering used everywhere (generator choice, character
+tables, fixtures).
 """
 
 from __future__ import annotations
 
 import functools
 
-FIELD_CACHE_SIZE = 64  # fields whose constructor or generator is memoized
+FIELD_CACHE_SIZE = 64  # fields whose constructor is memoized
+FIELD_SIZE_CAP = 1 << 20  # elements of the largest extension field built
 
 
 def is_prime_int(n: int) -> bool:
@@ -53,22 +63,14 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _find_generator(field):
-    """Smallest generator of field^* in the field's enumeration order.
-
-    An element g generates the cyclic group field^* (order N = size - 1)
-    iff g^(N/r) != 1 for every prime r | N.
-    """
-    n = field.size - 1
+def _smallest_generator(size: int, power):
+    """The smallest index g generating the unit group of a field of the
+    given size, or None: g generates the cyclic group of order N = size - 1
+    iff power(g, N/r) != 1 for every prime r | N."""
+    n = size - 1
     rs = prime_factors(n)
-    for i in range(1, field.size):
-        g = field.from_index(i)
-        if field.is_zero(g):
-            continue
-        if all(field.power(g, n // r) != field.one for r in rs):
-            return g
-    raise ArithmeticError("no generator found (impossible for a field)")
+    return next((g for g in range(1, size)
+                 if all(power(g, n // r) != 1 for r in rs)), None)
 
 
 class PrimeField:
@@ -121,12 +123,6 @@ class PrimeField:
     def from_int(self, c: int):
         return c % self.p
 
-    def index(self, a) -> int:
-        return a
-
-    def from_index(self, i: int):
-        return i
-
     def elements(self):
         return range(self.p)
 
@@ -134,14 +130,16 @@ class PrimeField:
         return a
 
     def multiplicative_generator(self):
-        return _find_generator(self)
+        return _smallest_generator(self.p, lambda g, e: pow(g, e, self.p))
 
 
 class ExtensionField:
-    """base[t]/(modulus): elements are length-d tuples over base (d = deg modulus).
+    """base[t]/(modulus) on element indices, by log and antilog tables.
 
-    ``modulus`` is a monic polynomial over ``base`` given as a coefficient
-    tuple of length d+1 (little-endian, leading coefficient = base.one).
+    ``modulus`` is a monic irreducible polynomial over ``base`` given as a
+    coefficient tuple of length d+1 (little-endian, leading coefficient =
+    base.one); a modulus that is not irreducible is refused while the tables
+    are built.
     """
 
     def __init__(self, base, modulus):
@@ -151,14 +149,76 @@ class ExtensionField:
             raise ValueError("modulus must have degree >= 1")
         if modulus[-1] != base.one:
             raise ValueError("modulus must be monic")
+        size = base.size**d
+        if size > FIELD_SIZE_CAP:
+            raise ValueError(f"a field of {size} elements is above the cap "
+                             f"of {FIELD_SIZE_CAP}")
         self.base = base
         self.modulus = modulus
         self.deg = d
         self.char = base.char
-        self.size = base.size**d
+        self.size = size
         self.degree_over_prime = base.degree_over_prime * d
-        self.zero = (base.zero,) * d
-        self.one = tuple(base.one if i == 0 else base.zero for i in range(d))
+        self.zero = 0
+        self.one = 1
+        self._hash = hash(("ExtensionField", base, modulus))
+        self._build_tables()
+
+    def _build_tables(self):
+        """The antilog table exp (g^i for i < 2N, N = size - 1, so a sum
+        of two logs needs no reduction), the log table (-1 at 0), the Zech
+        table zech[n] = log(1 + g^n) (-1 where 1 + g^n = 0), the log of -1
+        and the element t, from coefficient lists over the base."""
+        base, m, d, size = self.base, self.modulus, self.deg, self.size
+        B, n = base.size, size - 1
+
+        def coeffs(i):
+            return [i // B**j % B for j in range(d)]
+
+        def index(c):
+            return sum(x * B**j for j, x in enumerate(c))
+
+        def mulmod(a, b):
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] = base.add(prod[i + j],
+                                                   base.mul(x, y))
+            for i in range(2 * d - 2, d - 1, -1):
+                top = prod.pop()
+                if top:
+                    for j in range(d):
+                        prod[i - d + j] = base.sub(prod[i - d + j],
+                                                   base.mul(top, m[j]))
+            return prod
+
+        def power(g, e):
+            out, acc = coeffs(1), coeffs(g)
+            while e:
+                if e & 1:
+                    out = mulmod(out, acc)
+                acc = mulmod(acc, acc)
+                e >>= 1
+            return index(out)
+
+        g = _smallest_generator(size, power)
+        log = [-1] * size
+        exp = [0] * n
+        x, step = coeffs(1), coeffs(g) if g is not None else None
+        for i in range(n):
+            j = index(x)
+            if step is None or not j or log[j] >= 0:
+                raise ValueError("modulus must be irreducible")
+            exp[i], log[j] = j, i
+            x = mulmod(x, step)
+        self._generator, self._order = g, n
+        self._exp = exp + exp
+        self._log = log
+        self._zech = [log[j - j % B + base.add(j % B, 1)] for j in exp]
+        self._neg_one = log[base.neg(1)]
+        self._t = B if d > 1 else base.neg(m[0])
 
     def __eq__(self, other):
         return (
@@ -168,141 +228,78 @@ class ExtensionField:
         )
 
     def __hash__(self):
-        return hash(("ExtensionField", self.base, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.char}^{self.degree_over_prime})"
 
     def add(self, a, b):
-        ba = self.base.add
-        return tuple(ba(x, y) for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]  # a negative index reads it mod N
+        return self._exp[la + z] if z >= 0 else 0
 
     def sub(self, a, b):
-        bs = self.base.sub
-        return tuple(bs(x, y) for x, y in zip(a, b))
+        if not b:
+            return a
+        return self.add(a, self._exp[self._log[b] + self._neg_one])
 
     def neg(self, a):
-        bn = self.base.neg
-        return tuple(bn(x) for x in a)
+        if not a:
+            return 0
+        return self._exp[self._log[a] + self._neg_one]
 
     def reduce_poly(self, coeffs):
-        """Reduce an arbitrary-length coefficient list over base mod modulus."""
-        base, d, m = self.base, self.deg, self.modulus
-        c = list(coeffs)
-        if len(c) < d:
-            c += [base.zero] * (d - len(c))
-        for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if not base.is_zero(top):
-                for j in range(d):
-                    c[i - d + j] = base.sub(c[i - d + j], base.mul(top, m[j]))
-            c.pop()
-        return tuple(c)
+        """The element of an arbitrary-length coefficient list over base
+        (little-endian) mod modulus, by Horner's rule in t."""
+        t, out = self._t, 0
+        for c in reversed(coeffs):
+            out = self.add(self.mul(out, t), c)
+        return out
 
     def mul(self, a, b):
-        base, d = self.base, self.deg
-        conv = [base.zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                conv[i + j] = base.add(conv[i + j], base.mul(x, y))
-        return self.reduce_poly(conv)
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def power(self, a, e: int):
-        """a^e by squaring from the top bit of e down: (bits - 1) squarings
-        and (set bits - 1) products, so a^1 takes none and a^2 one."""
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        if e == 0:
-            return self.one
-        out = a
-        for bit in bin(e)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % self._order]
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self.power(a, self.size - 2)
+        return self._exp[self._order - self._log[a]]
 
     def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
+        return a == 0
 
     def from_int(self, c: int):
-        out = list(self.zero)
-        out[0] = self.base.from_int(c)
-        return tuple(out)
-
-    def embed_base(self, c):
-        """Embed a base-field element as a constant."""
-        out = list(self.zero)
-        out[0] = c
-        return tuple(out)
-
-    def index(self, a) -> int:
-        bi, bs = self.base.index, self.base.size
-        out = 0
-        for x in reversed(a):
-            out = out * bs + bi(x)
-        return out
-
-    def from_index(self, i: int):
-        bf, bs = self.base.from_index, self.base.size
-        out = []
-        for _ in range(self.deg):
-            out.append(bf(i % bs))
-            i //= bs
-        return tuple(out)
+        return self.base.from_int(c)
 
     def elements(self):
-        return [self.from_index(i) for i in range(self.size)]
+        return range(self.size)
 
     def trace_to_prime(self, a) -> int:
         """Absolute trace Tr_{F_q/F_p}(a) = sum a^(p^i), returned as an int mod p."""
-        k = self.degree_over_prime
-        s = a
-        x = a
-        for _ in range(k - 1):
+        s = x = a
+        for _ in range(self.degree_over_prime - 1):
             x = self.power(x, self.char)
             s = self.add(s, x)
-        for c in range(self.char):
-            if s == self.from_int(c):
-                return c
-        raise ArithmeticError("trace did not land in the prime field")
+        if s >= self.char:
+            raise ArithmeticError("trace did not land in the prime field")
+        return s
 
     def multiplicative_generator(self):
-        return _find_generator(self)
-
-
-class FieldTables:
-    """Dense index-arithmetic tables for a small field (char-sum kernels).
-
-    Elements are addressed by their enumeration index 0..size-1:
-        add[i * size + j], mul[i * size + j], neg[i], inv[i] (inv[0] = -1).
-    """
-
-    def __init__(self, field):
-        n = field.size
-        elems = [field.from_index(i) for i in range(n)]
-        idx = {e: i for i, e in enumerate(elems)}
-        self.field = field
-        self.size = n
-        self.elems = elems
-        self.index = idx
-        self.add = [0] * (n * n)
-        self.mul = [0] * (n * n)
-        self.neg = [0] * n
-        self.inv = [-1] * n
-        for i, a in enumerate(elems):
-            self.neg[i] = idx[field.neg(a)]
-            if not field.is_zero(a):
-                self.inv[i] = idx[field.inv(a)]
-            for j, b in enumerate(elems):
-                self.add[i * n + j] = idx[field.add(a, b)]
-                self.mul[i * n + j] = idx[field.mul(a, b)]
+        return self._generator
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)

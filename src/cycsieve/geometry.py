@@ -28,11 +28,12 @@ Conventions:
     ``dual_membership_test`` builds once per (form, pi, route): the closed-form
     quadric dual ("auto" for m = 2), a supplied dual, or the set of tangent
     covectors at smooth points found by the extension search,
-  * the closed-form routes evaluate the reduced dual on the index tables of
-    k_pi that the char-sum kernel caches (``charsums.field_tables``), through
-    ``index_evaluator``, the one per-point evaluation the kernel's table of
-    G also uses; the tangency route and the extension search stay in tuple
-    arithmetic.
+  * elements of every finite field, residue fields and their extensions
+    alike, are element indices (``ffield``), and a field element is its own
+    index in every extension of it, so a form reduced mod pi is also a form
+    over each extension the search walks; ``eval_terms`` is the one
+    per-point evaluation, under the searches, the closed-form dual test and
+    the char-sum kernel's table of G.
 """
 
 from __future__ import annotations
@@ -146,41 +147,15 @@ def form_over_fraction_field(form: MultiForm):
 
 def eval_terms(field, terms, point):
     """Sum of coeff * prod(point_i ** e_i) over the terms."""
+    mul, power, add = field.mul, field.power, field.add
     out = field.zero
     for exps, coeff in terms.items():
         t = coeff
         for x, e in zip(point, exps):
             if e:
-                t = field.mul(t, field.power(x, e))
-        out = field.add(out, t)
+                t = mul(t, power(x, e))
+        out = add(out, t)
     return out
-
-
-def index_evaluator(tables, terms):
-    """eval_terms on the index tables of a field: the function that takes a
-    point as the element indices of its coordinates and returns the index
-    of the value of the terms there."""
-    Q, mul, add = tables.size, tables.mul, tables.add
-    monomials = [(tables.index[c], exps) for exps, c in terms.items()]
-    maxe = max((max(exps) for exps in terms), default=0)
-    one, zero = tables.index[tables.field.one], tables.index[tables.field.zero]
-    # powers[x][e]: the index of x^e
-    powers = []
-    for x in range(Q):
-        row = [one]
-        for _ in range(maxe):
-            row.append(mul[row[-1] * Q + x])
-        powers.append(row)
-
-    def evaluate(point):
-        acc = zero
-        for t, exps in monomials:
-            for x, e in zip(point, exps):
-                if e:
-                    t = mul[t * Q + powers[x][e]]
-            acc = add[acc * Q + t]
-        return acc
-    return evaluate
 
 
 def partial_terms(field, terms, i: int):
@@ -229,19 +204,17 @@ def _projective_count(Q: int, nvars: int, search_bound: int) -> int:
                for r in range(1, search_bound + 1))
 
 
-def _extension_points(field, term_maps, nvars: int, search_bound: int):
+def _extension_points(field, nvars: int, search_bound: int):
     """The extension-point search: for r = 1 .. search_bound, yield
-    (r, ext, term maps embedded in ext, point) for every point of
-    P^(nvars-1)(ext), where ext is the degree-r extension of field.
-    Deterministic order."""
+    (r, ext, point) for every point of P^(nvars-1)(ext), where ext is the
+    degree-r extension of field, whose elements include field's as they
+    are.  Deterministic order."""
     if field.size is None:
         raise ValueError("an extension-point search needs a finite field")
     for r in range(1, search_bound + 1):
         ext = pr.extension_of(field, r)
-        emb = (lambda c: c) if r == 1 else ext.embed_base
-        maps = [{e: emb(c) for e, c in t.items()} for t in term_maps]
         for point in projective_points(ext, nvars):
-            yield r, ext, maps, point
+            yield r, ext, point
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +345,8 @@ def quadric_matrix_over(field, terms, nvars: int):
 
 
 def _validated_irregular(field, terms, nvars, witness, ext_degree):
-    if ext_degree == 1:
-        fld, wterms = field, terms
-    else:
-        fld = pr.extension_of(field, ext_degree)
-        emb = fld.embed_base
-        wterms = {e: emb(c) for e, c in terms.items()}
-    if not dwork_system_holds(fld, wterms, nvars, witness):
+    fld = pr.extension_of(field, ext_degree)
+    if not dwork_system_holds(fld, terms, nvars, witness):
         raise RuntimeError("internal error: irregularity witness failed re-validation")
     return Verdict("irregular", tuple(witness), ext_degree)
 
@@ -417,9 +385,8 @@ def _quadric_irregular(field, terms, nvars: int):
 def _search_irregular(field, terms, nvars: int, search_bound: int) -> Verdict:
     """A projective point solving the Dwork system, searched over the
     extensions of degree <= search_bound."""
-    for r, ext, (ext_terms,), point in _extension_points(
-            field, [terms], nvars, search_bound):
-        if dwork_system_holds(ext, ext_terms, nvars, point):
+    for r, ext, point in _extension_points(field, nvars, search_bound):
+        if dwork_system_holds(ext, terms, nvars, point):
             return _validated_irregular(field, terms, nvars, point, r)
     return Verdict("unknown", search_bound=search_bound)
 
@@ -452,10 +419,9 @@ def is_dwork_regular(field, terms, nvars: int, m: int,
 def _search_singular(field, terms, nvars: int, search_bound: int) -> Verdict:
     """A projective point where the form and every partial derivative
     vanish, searched over extensions of degree <= search_bound."""
-    grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    for r, ext, (h, *gs), point in _extension_points(
-            field, [terms, *grads], nvars, search_bound):
-        if all(ext.is_zero(eval_terms(ext, t, point)) for t in (h, *gs)):
+    maps = [terms] + [partial_terms(field, terms, i) for i in range(nvars)]
+    for r, ext, point in _extension_points(field, nvars, search_bound):
+        if all(ext.is_zero(eval_terms(ext, t, point)) for t in maps):
             return Verdict("singular", point, r)
     return Verdict("unknown", search_bound=search_bound)
 
@@ -533,19 +499,19 @@ def _normalized(field, v):
     return tuple(field.mul(inv, x) for x in v)
 
 
-def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> dict:
-    """{ext: normalized gradients grad H(P) != 0 at the points P of
-    {H = 0} over ext} for the extensions of degree <= search_bound."""
+def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> set:
+    """The normalized gradients grad H(P) != 0 at the points P of {H = 0}
+    over the extensions of degree <= search_bound, in one set: field's
+    elements keep their indices in every extension, so a covector over
+    field is proportional to one of them iff its normalized form is in it."""
     grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    found: dict = {}
-    for _, ext, (h, *gs), point in _extension_points(
-            field, [terms, *grads], nvars, search_bound):
-        covectors = found.setdefault(ext, set())
-        if not ext.is_zero(eval_terms(ext, h, point)):
+    found = set()
+    for _, ext, point in _extension_points(field, nvars, search_bound):
+        if not ext.is_zero(eval_terms(ext, terms, point)):
             continue
-        grad = tuple(eval_terms(ext, g, point) for g in gs)
+        grad = tuple(eval_terms(ext, g, point) for g in grads)
         if not all(ext.is_zero(x) for x in grad):
-            covectors.add(_normalized(ext, grad))
+            found.add(_normalized(ext, grad))
     return found
 
 
@@ -594,12 +560,7 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
         tangents = _tangent_covectors(kpi, terms, nv, search_bound)
 
         def member(w):
-            w = _normalized(kpi, w)
-            for ext, covectors in tangents.items():
-                ext_w = w if ext is kpi else tuple(map(ext.embed_base, w))
-                if ext_w in covectors:
-                    return True
-            return None
+            return _normalized(kpi, w) in tangents or None
     else:
         if dual == "quadric":
             dual = quadric_dual_form(form)
@@ -610,15 +571,9 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
         _, dual_terms, _ = reduce_form(dual, pi)
         if not dual_terms:
             raise ValueError("supplied dual form vanishes mod pi")
-        # the char-sum kernel's cached tables of k_pi (charsums imports this
-        # module, so the import waits until a test is built)
-        from .charsums import field_tables
-        tables = field_tables(kpi)
-        evaluate = index_evaluator(tables, dual_terms)
-        index, zero = tables.index, tables.index[kpi.zero]
 
         def member(w):
-            return evaluate([index[x] for x in w]) == zero
+            return kpi.is_zero(eval_terms(kpi, dual_terms, w))
 
     def test(w):
         w = tuple(w)
@@ -637,15 +592,17 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
 def exceptional_scan_cost(form: MultiForm, delta_max: int, dual="auto",
                           search_bound: int = 4) -> tuple:
     """The charges of compute_exceptional_primes, in order: its prime
-    enumeration, then the points of its smoothness, Dwork and tangent
-    searches, priced from the number of primes of each degree.  A reduction
-    that turns diagonal or vanishes searches less: never under-charged."""
+    enumeration, then for each prime the q^d entries of its residue tables
+    and the points of its smoothness, Dwork and tangent searches, priced
+    from the number of primes of each degree d.  A reduction that turns
+    diagonal or vanishes searches less: never under-charged."""
     q, nv, degrees = form.k.size, form.n + 1, range(1, delta_max + 1)
     searches = 2 * (form.m != 2 and not _is_diagonal(form.terms))
     tangents = form.m != 2 and isinstance(dual, MultiForm)
     return (sum(pr.irreducibles_cost(q, d) for d in degrees),
             sum(pr.count_irreducibles_formula(q, d)
-                * (searches * _projective_count(q ** d, nv, search_bound)
+                * (q ** d
+                   + searches * _projective_count(q ** d, nv, search_bound)
                    + tangents * _projective_count(q ** d, nv, 1))
                 for d in degrees))
 
@@ -729,4 +686,4 @@ def _user_dual_mismatch(form: MultiForm, piv, user_dual) -> bool:
         return True
     kpi, terms, _ = reduce_form(form, piv)
     return not all(map(on_dual,
-                       _tangent_covectors(kpi, terms, form.n + 1, 1)[kpi]))
+                       _tangent_covectors(kpi, terms, form.n + 1, 1)))

@@ -175,7 +175,7 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
             CharSumContext(k, pi2, ell, form))
     twists = (pr.invert_mod(k, pi2, pi1), pr.invert_mod(k, pi1, pi2))
     column = Counter(  # the index of a twisted coordinate value mod each
-        tuple(ctx.tables.index[ctx.kpi.reduce_poly(pr.mul(k, t, x))]
+        tuple(ctx.kpi.reduce_poly(pr.mul(k, t, x))
               for ctx, t in zip(ctxs, twists))
         for (x,) in box(k, width, 1))
     Q1, Q2 = ctxs[0].Q, ctxs[1].Q

@@ -1,10 +1,14 @@
 """The polynomial ring F_q[T]: exact arithmetic, irreducibles, residue
 fields and the fraction field F_q(T).
 
-A polynomial is a normalized little-endian tuple of field elements with no
-trailing zero; the zero polynomial is the empty tuple ``()`` and its degree is
-the sentinel ``NEG_INF = float("-inf")``.  All functions take the coefficient
-field ``k`` (a ``PrimeField`` or ``ExtensionField``) as first argument.
+A polynomial is a normalized little-endian tuple of field elements, each
+an int index (``ffield``), with no trailing zero; the zero polynomial is the
+empty tuple ``()`` and its degree is the sentinel ``NEG_INF =
+float("-inf")``.  All functions take the coefficient field ``k`` (a
+``PrimeField`` or ``ExtensionField``) as first argument.  As coefficients
+are indices, the index of a polynomial of degree < b (below) is the number
+with its coefficients as base-q digits, and ``residue_field`` gives the
+residue of such a polynomial mod pi of degree b that same index.
 
 Determinism conventions used by everything downstream:
 
@@ -26,8 +30,7 @@ import functools
 import itertools
 import re
 
-from .ffield import (FIELD_CACHE_SIZE, ExtensionField, GF, PrimeField,
-                     prime_factors)
+from .ffield import FIELD_CACHE_SIZE, ExtensionField, GF, prime_factors
 
 NEG_INF = float("-inf")
 
@@ -177,7 +180,7 @@ def poly_from_index(k, i: int, b: int):
     """The i-th polynomial of degree < b (i in range(q^b)), little-endian digits."""
     out = []
     for _ in range(b):
-        out.append(k.from_index(i % k.size))
+        out.append(i % k.size)
         i //= k.size
     return normalize(k, out)
 
@@ -193,8 +196,7 @@ def poly_to_index(k, f, b: int) -> int:
     """Inverse of poly_from_index for deg f < b."""
     out = 0
     for j in range(b - 1, -1, -1):
-        c = f[j] if j < len(f) else k.zero
-        out = out * k.size + k.index(c)
+        out = out * k.size + (f[j] if j < len(f) else k.zero)
     return out
 
 
@@ -202,7 +204,7 @@ def monic_from_index(k, i: int, d: int):
     """The i-th monic polynomial of degree exactly d (i in range(q^d))."""
     out = []
     for _ in range(d):
-        out.append(k.from_index(i % k.size))
+        out.append(i % k.size)
         i //= k.size
     out.append(k.one)
     return tuple(out)
@@ -212,7 +214,7 @@ def monic_to_index(k, f) -> int:
     d = len(f) - 1
     out = 0
     for j in range(d - 1, -1, -1):
-        out = out * k.size + k.index(f[j])
+        out = out * k.size + f[j]
     return out
 
 
@@ -344,13 +346,12 @@ def format_poly(k, f) -> str:
     for e, c in enumerate(f):
         if k.is_zero(c):
             continue
-        ci = k.index(c)
         if e == 0:
-            parts.append(str(ci))
+            parts.append(str(c))
         elif e == 1:
-            parts.append("T" if ci == 1 else f"{ci}*T")
+            parts.append("T" if c == 1 else f"{c}*T")
         else:
-            parts.append(f"T^{e}" if ci == 1 else f"{ci}*T^{e}")
+            parts.append(f"T^{e}" if c == 1 else f"{c}*T^{e}")
     return "+".join(parts)
 
 
@@ -454,14 +455,26 @@ def make_field(p: int, e: int = 1):
     return ExtensionField(base, irreducibles(base, e)[0])
 
 
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def extension_of(field, r: int):
-    """Degree-r extension of a finite field, deterministic modulus choice."""
+    """Degree-r extension of a finite field, deterministic modulus choice;
+    a field element is its own index in the extension."""
     if r == 1:
         return field
     return ExtensionField(field, irreducibles(field, r)[0])
 
 
+def check_modulus(k, pi):
+    """Raise unless pi is a monic irreducible, the modulus of a field."""
+    if degree(pi) < 1 or pi[-1] != k.one or not is_irreducible(k, pi):
+        raise ValueError("modulus must be a monic irreducible")
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def residue_field(k, pi) -> ExtensionField:
-    """k_pi = F_q[T]/(pi) as an extension field; elements are coefficient
-    tuples of length deg(pi)."""
+    """k_pi = F_q[T]/(pi) as an extension field: the residue of a
+    polynomial of degree < deg(pi) is its index (poly_to_index).  Every
+    modulus passes through here, and is checked before any table is
+    built."""
+    check_modulus(k, pi)
     return ExtensionField(k, pi)

@@ -46,7 +46,6 @@ from fractions import Fraction
 from . import geometry as geo
 from . import polyring as pr
 from .characters import check_cover, residue_data, root_count_routes
-from .charsums import field_tables
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +195,10 @@ def _block_digits(base: int, digits: int, size: int) -> int:
 @functools.lru_cache(maxsize=SUMS_CACHE_SIZE)
 def block_sums(k, h: int) -> list:
     """sums[a * q^h + c] = the index of the sum of the polynomials of
-    indices a and c in range(q^h), digit by digit through FieldTables(k).add;
-    each pass puts one more top digit on the last pass's table."""
+    indices a and c in range(q^h), digit by digit through k.add; each pass
+    puts one more top digit on the last pass's table."""
     q = k.size
-    add = field_tables(k).add
+    add = [k.add(a, c) for a in range(q) for c in range(q)]
     sums, width = add, q
     for _ in range(h - 1):
         wider = []
@@ -272,7 +271,7 @@ def residue_indices(data, values, digits: int) -> list:
     q, Q = k.size, kpi.size
     add = block_sums(k, data.deg)
     t = kpi.reduce_poly((k.zero, k.one))
-    times_t = [kpi.index(kpi.mul(t, kpi.from_index(r))) for r in range(Q)]
+    times_t = [kpi.mul(t, r) for r in range(Q)]
     s = residue_digits(q, digits, len(values))
     red = list(range(q))  # the digit a is the constant of index a in k_pi
     for _ in range(s - 1):

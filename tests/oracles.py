@@ -2,6 +2,11 @@
 program is checked against, kept out of the package because no command runs
 them.
 
+* The tuple arithmetic of extension fields: ``ExtensionField`` with
+  elements as coefficient tuples over the base (an oracle ``PrimeField`` or
+  another tuple field), schoolbook products reduced mod the modulus and
+  powers by squaring, the reference the index arithmetic of
+  ``cycsieve.ffield`` is checked against.
 * Sieve quantities recomputed point by point on polynomials: F at a box
   point, the fiber size and the ramified set of one box point, and the
   count of the sieving set against its lower bound; the bad primes of the
@@ -14,7 +19,7 @@ them.
   else a search over the points of ext^n) with the slice checks built on
   it.
 * The character sum one w at a time, from the phases of w, and term by
-  term (no index tables); the slicing identity for S_G(0, chi) with its
+  term (no transform); the slicing identity for S_G(0, chi) with its
   per-slice bound audit, which reports the pinned cubic violation; and the
   Gauss-sum completion of S_G(w, chi) for w != 0.
 * Both sides of the count-mod identity by a walk over the points of its
@@ -48,7 +53,178 @@ from cycsieve.characters import (
     residue_root_count,
 )
 from cycsieve.cyclotomic import cyc_ring
+from cycsieve import ffield
+from cycsieve.ffield import FIELD_CACHE_SIZE, prime_factors
 from cycsieve.polyring import NEG_INF
+
+
+class PrimeField(ffield.PrimeField):
+    """F_p as a base of the tuple ExtensionField, which reads its base
+    through index and from_index, both the identity on F_p."""
+
+    def index(self, a) -> int:
+        return a
+
+    def from_index(self, i: int):
+        return i
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _find_generator(field):
+    """Smallest generator of field^* in the field's enumeration order.
+
+    An element g generates the cyclic group field^* (order N = size - 1)
+    iff g^(N/r) != 1 for every prime r | N.
+    """
+    n = field.size - 1
+    rs = prime_factors(n)
+    for i in range(1, field.size):
+        g = field.from_index(i)
+        if field.is_zero(g):
+            continue
+        if all(field.power(g, n // r) != field.one for r in rs):
+            return g
+    raise ArithmeticError("no generator found (impossible for a field)")
+
+
+class ExtensionField:
+    """base[t]/(modulus): elements are length-d tuples over base (d = deg modulus).
+
+    ``modulus`` is a monic polynomial over ``base`` given as a coefficient
+    tuple of length d+1 (little-endian, leading coefficient = base.one).
+    """
+
+    def __init__(self, base, modulus):
+        modulus = tuple(modulus)
+        d = len(modulus) - 1
+        if d < 1:
+            raise ValueError("modulus must have degree >= 1")
+        if modulus[-1] != base.one:
+            raise ValueError("modulus must be monic")
+        self.base = base
+        self.modulus = modulus
+        self.deg = d
+        self.char = base.char
+        self.size = base.size**d
+        self.degree_over_prime = base.degree_over_prime * d
+        self.zero = (base.zero,) * d
+        self.one = tuple(base.one if i == 0 else base.zero for i in range(d))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExtensionField)
+            and other.base == self.base
+            and other.modulus == self.modulus
+        )
+
+    def __hash__(self):
+        return hash(("ExtensionField", self.base, self.modulus))
+
+    def __repr__(self):
+        return f"GF({self.char}^{self.degree_over_prime})"
+
+    def add(self, a, b):
+        ba = self.base.add
+        return tuple(ba(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        bs = self.base.sub
+        return tuple(bs(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        bn = self.base.neg
+        return tuple(bn(x) for x in a)
+
+    def reduce_poly(self, coeffs):
+        """Reduce an arbitrary-length coefficient list over base mod modulus."""
+        base, d, m = self.base, self.deg, self.modulus
+        c = list(coeffs)
+        if len(c) < d:
+            c += [base.zero] * (d - len(c))
+        for i in range(len(c) - 1, d - 1, -1):
+            top = c[i]
+            if not base.is_zero(top):
+                for j in range(d):
+                    c[i - d + j] = base.sub(c[i - d + j], base.mul(top, m[j]))
+            c.pop()
+        return tuple(c)
+
+    def mul(self, a, b):
+        base, d = self.base, self.deg
+        conv = [base.zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if base.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                conv[i + j] = base.add(conv[i + j], base.mul(x, y))
+        return self.reduce_poly(conv)
+
+    def power(self, a, e: int):
+        """a^e by squaring from the top bit of e down: (bits - 1) squarings
+        and (set bits - 1) products, so a^1 takes none and a^2 one."""
+        if e < 0:
+            return self.power(self.inv(a), -e)
+        if e == 0:
+            return self.one
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of zero")
+        return self.power(a, self.size - 2)
+
+    def is_zero(self, a):
+        return all(self.base.is_zero(x) for x in a)
+
+    def from_int(self, c: int):
+        out = list(self.zero)
+        out[0] = self.base.from_int(c)
+        return tuple(out)
+
+    def embed_base(self, c):
+        """Embed a base-field element as a constant."""
+        out = list(self.zero)
+        out[0] = c
+        return tuple(out)
+
+    def index(self, a) -> int:
+        bi, bs = self.base.index, self.base.size
+        out = 0
+        for x in reversed(a):
+            out = out * bs + bi(x)
+        return out
+
+    def from_index(self, i: int):
+        bf, bs = self.base.from_index, self.base.size
+        out = []
+        for _ in range(self.deg):
+            out.append(bf(i % bs))
+            i //= bs
+        return tuple(out)
+
+    def elements(self):
+        return [self.from_index(i) for i in range(self.size)]
+
+    def trace_to_prime(self, a) -> int:
+        """Absolute trace Tr_{F_q/F_p}(a) = sum a^(p^i), returned as an int mod p."""
+        k = self.degree_over_prime
+        s = a
+        x = a
+        for _ in range(k - 1):
+            x = self.power(x, self.char)
+            s = self.add(s, x)
+        for c in range(self.char):
+            if s == self.from_int(c):
+                return c
+        raise ArithmeticError("trace did not land in the prime field")
+
+    def multiplicative_generator(self):
+        return _find_generator(self)
 
 
 def exceptional_primes_of(form: geo.MultiForm, delta_max: int) -> list:
@@ -76,7 +252,7 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
     """#{y in k_pi : y^ell = F(x) mod pi}, via the residue root table and,
     independently, via the character-sum expression; the two must agree."""
     data = residue_data(k, pi, ell)
-    idx = data.kpi.index(data.kpi.reduce_poly(eval_form_at_polys(form, x)))
+    idx = data.kpi.reduce_poly(eval_form_at_polys(form, x))
     by_table = data.root_count[idx]
     by_chars = residue_root_count(data, idx)
     if by_table != by_chars:
@@ -275,7 +451,7 @@ def reduce_mod(kpi, f):
 
 def lift_from(kpi, a):
     """Canonical lift of a residue to a polynomial of degree < deg(pi)."""
-    return pr.normalize(kpi.base, a)
+    return pr.poly_from_index(kpi.base, a, kpi.deg)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +603,9 @@ def search_affine_singular(field, terms, nvars: int,
     grads = [geo.partial_terms(field, terms, i) for i in range(nvars)]
     for r in range(1, search_bound + 1):
         ext = pr.extension_of(field, r)
-        emb = (lambda c: c) if r == 1 else ext.embed_base
-        maps = [{e: emb(c) for e, c in t.items()} for t in (terms, *grads)]
         for point in itertools.product(ext.elements(), repeat=nvars):
-            if all(ext.is_zero(geo.eval_terms(ext, t, point)) for t in maps):
+            if all(ext.is_zero(geo.eval_terms(ext, t, point))
+                   for t in (terms, *grads)):
                 return geo.Verdict("singular", point, r)
     return geo.Verdict("unknown", search_bound=search_bound)
 
@@ -506,10 +681,10 @@ SLICE_SEARCH_BOUND = 2
 
 
 def w_indices(ctx: cs.CharSumContext, w) -> list:
-    """The element indices of the coordinates of w, after a length check."""
+    """The coordinates of w, after a length check."""
     if len(w) != ctx.nvars:
         raise ValueError(f"w needs {ctx.nvars} coordinates, got {len(w)}")
-    return [ctx.tables.index[x] for x in w]
+    return list(w)
 
 
 def phases(ctx: cs.CharSumContext, w) -> list:
@@ -517,11 +692,11 @@ def phases(ctx: cs.CharSumContext, w) -> list:
     mod p, in the order of g_values.  psi_exp is additive, so the phase of
     a is the sum over its coordinates of one Q-entry row x ->
     psi_exp[-w_i x]: the list is the outer sum of the rows."""
-    p, Q = ctx.kpi.char, ctx.Q
-    mul, neg, psi = ctx.tables.mul, ctx.tables.neg, ctx.data.psi_exp
+    kpi, psi = ctx.kpi, ctx.data.psi_exp
+    p, Q = kpi.char, ctx.Q
     out = [0]
     for i in w_indices(ctx, w):
-        row = [psi[mul[neg[i] * Q + x]] for x in range(Q)]
+        row = [psi[kpi.mul(kpi.neg(i), x)] for x in range(Q)]
         out = [(c + r) % p for c in out for r in row]
     return out
 
@@ -542,20 +717,20 @@ def char_sum(ctx: cs.CharSumContext, w, chi_index: int):
 
 def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
     """S_G(w, chi_index) of a context by the generic field and character
-    code, chi and psi_infty term by term (no index tables)."""
+    code, chi and psi_infty term by term (no transform)."""
     w_indices(ctx, w)  # the length check of the per-w route
     kpi, ring = ctx.kpi, ctx.ring
     chi = MultChar(ctx.data, chi_index)
     total = ring.zero
     for a in itertools.product(kpi.elements(), repeat=ctx.nvars):
         g = geo.eval_terms(kpi, ctx.reduced_terms, a)
-        e = chi.exponent_at(kpi.index(g))
+        e = chi.exponent_at(g)
         if e is None:
             continue
         dot = kpi.zero
         for wi, ai in zip(w, a):
             dot = kpi.add(dot, kpi.mul(wi, ai))
-        pe = ctx.data.psi_exp[kpi.index(kpi.neg(dot))]
+        pe = ctx.data.psi_exp[kpi.neg(dot)]
         total = ring.add(total, ring.monomial(pe, e))
     return total
 
@@ -593,7 +768,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
         r_vars = nvars - 1 - j
         counts: dict = {}
         for b in itertools.product(kpi.elements(), repeat=r_vars):
-            e = chi.exponent_at(kpi.index(geo.eval_terms(kpi, g, b)))
+            e = chi.exponent_at(geo.eval_terms(kpi, g, b))
             if e is not None:
                 key = (0, e)
                 counts[key] = counts.get(key, 0) + 1
@@ -681,10 +856,9 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     if not 0 < chi_index < ell:
         raise ValueError("completion needs a non-principal character")
     ctx = cs.CharSumContext(k, pi, ell, form)
-    kpi, ring, tables = ctx.kpi, ctx.ring, ctx.tables
+    kpi, ring = ctx.kpi, ctx.ring
     Q, nvars = ctx.Q, ctx.nvars
-    idx_zero = tables.index[kpi.zero]
-    if all(i == idx_zero for i in w_indices(ctx, w)):
+    if all(kpi.is_zero(i) for i in w_indices(ctx, w)):
         raise ValueError("completion requires w != 0")
 
     S = char_sum(ctx, w, chi_index)
@@ -692,7 +866,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
     tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
 
-    mul, p = tables.mul, kpi.char
+    p = kpi.char
     psi = ctx.data.psi_exp
     chi_exp = ctx.data.chi_exp
     g_vals = ctx.g_values
@@ -708,13 +882,11 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     rhs_counts: dict = {}
     beta_rows = []
     betas_pass = True
-    for b_idx in range(Q):
-        if b_idx == idx_zero:
-            continue
+    for b_idx in range(1, Q):
         jb = (conj_index * chi_exp[b_idx]) % ell
         inner: dict = {}
         for gv, phase in zip(g_vals, phase_list):
-            pe = (psi[mul[b_idx * Q + gv]] + phase) % p
+            pe = (psi[kpi.mul(b_idx, gv)] + phase) % p
             inner[pe] = inner.get(pe, 0) + 1
         t_beta = ring.from_exponent_counts({(pe, 0): c for pe, c in inner.items()})
         abs_t = ring.abs_embed(t_beta)
@@ -722,7 +894,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
         if deligne_applicable and not ok:
             betas_pass = False
         beta_rows.append({
-            "beta": texts[tables.elems[b_idx]],
+            "beta": texts[b_idx],
             "abs": abs_t,
             "bound": bound_beta,
             "pass": ok if deligne_applicable else None,
@@ -734,7 +906,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
 
     lhs1 = ring.mul(S, tau_conj)
     chi_minus1 = ring.monomial(
-        0, (chi_index * chi_exp[tables.index[kpi.neg(kpi.one)]]) % ell)
+        0, (chi_index * chi_exp[kpi.neg(kpi.one)]) % ell)
     lhs2 = ring.mul(ring.mul(S, chi_minus1), ring.from_int(Q))
     rhs2 = ring.mul(tau_chi, rhs)
 

@@ -245,8 +245,7 @@ def test_criterion_7_geometry(report):
         witness_test = geo.dual_membership_test(QUADRIC, pi, dual="tangency",
                                                 search_bound=1)
         import itertools
-        for idx in itertools.product(range(kpi.size), repeat=3):
-            w = tuple(kpi.from_index(i) for i in idx)
+        for w in itertools.product(range(kpi.size), repeat=3):
             if all(kpi.is_zero(v) for v in w):
                 continue
             closed = closed_test(w)

@@ -88,6 +88,9 @@ EXC_PRIMES_DIGESTS = {
 }
 REFERENCE_DUAL_DIGEST = \
     "6547fe4bd0a5a5b1e8249198b30ba1a592a623cbf0e80b01a2ad0f66405c7212"
+# dual-check mod 1+T^2 on the shipped config at search bound 2
+TOWER_DUAL_DIGEST = \
+    "b4bfa22453ea36c69f425d398d3c12e1c79fdf2ba26540af224d959cee5c2d30"
 
 # X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
 # so its auto dual is the tangency search
@@ -523,6 +526,13 @@ class TestCommands:
             got = hashlib.sha256((out / "exc_primes.json").read_bytes())
             assert got.hexdigest() == EXC_PRIMES_DIGESTS[name], name
 
+    def test_dual_check_tower_digest(self, tmp_path):
+        # search_bound 2 walks P^2 over F_9 and over the tower F_81
+        assert cli.main(["dual-check", "--config", CONFIG, "--pi", "1+T^2",
+                         "--search-bound", "2", "--out", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "dual_check.json").read_bytes())
+        assert got.hexdigest() == TOWER_DUAL_DIGEST
+
     def test_dual_check_reference_digest(self, tmp_path):
         assert cli.main(["dual-check", "--config", CONFIG, "--pi", "T",
                          "--out", str(tmp_path)]) == 0
@@ -717,6 +727,9 @@ CONFIG_ERRORS = [
     (["exc-primes"], {"search-bound": 1},
      "unknown config keys ['search-bound']"),
     (["count", "--b", "1"], {"m": 4}, "is not the form's degree 2"),
+    (["dual-check", "--search-bound", "0"], {},
+     "search_bound must be at least 1"),
+    (["dual-check", "--pi", "T^2"], {}, "modulus must be a monic irreducible"),
 ]
 
 
@@ -791,8 +804,8 @@ class TestUpFrontBudgets:
         assert code == 3
         points = sum(7 ** (2 * r) + 7 ** r + 1 for r in range(1, 5))
         assert points == 5887704
-        # the 7 linear primes, then two searches for each
-        assert f"needs {7 + 7 * 2 * points}," in capsys.readouterr().err
+        # the 7 linear primes, then the 7 residues and two searches for each
+        assert f"needs {7 + 7 * (7 + 2 * points)}," in capsys.readouterr().err
 
     def test_dual_check_prices_the_tangency_search(self, tmp_path,
                                                    monkeypatch, capsys):
@@ -821,13 +834,26 @@ class TestUpFrontBudgets:
     def test_charsum_priced_before_residue_tables(self, tmp_path,
                                                   monkeypatch, capsys):
         forbid(monkeypatch, cs.CharSumContext, "__init__")
-        forbid(monkeypatch, cs, "field_tables")
+        forbid(monkeypatch, pr, "residue_field")
         code = cli.main(["charsum", "--config", CONFIG, "--pi", "2+T^2+T^7",
                          "--budget", "1", "--out", str(tmp_path)])
         assert code == 3
         # the table of G and the projection on the line of w, each over
         # k_pi^3 with Q = 3^7, then one pass over 3 * 2 layers of 3
         assert f"needs {2 * 3 ** 21 + 2 * 3 * 3 * 3}," \
+            in capsys.readouterr().err
+
+    def test_dual_check_priced_before_residue_field(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # k_pi builds its tables when it is made, so an oversize modulus
+        # is refused by the budget before any field is built
+        forbid(monkeypatch, pr, "residue_field")
+        code = cli.main(["dual-check", "--config", CONFIG,
+                         "--pi", "2+T^2+T^7", "--out", str(tmp_path)])
+        assert code == 3
+        # the closed-form quadric searches nothing, the tangency test
+        # P^2(F_(3^7)), and the walk visits the 3^21 - 1 nonzero covectors
+        assert f"needs {3 ** 14 + 3 ** 7 + 1 + 3 ** 21 - 1}," \
             in capsys.readouterr().err
 
     def test_wd_audit_prices_the_default_primes(self, tmp_path, monkeypatch,
@@ -878,10 +904,11 @@ class TestUpFrontBudgets:
             729 + 27 + 27 + transform + span3,
             # the character side of the expansion mod two quadratic primes
             27 + 2 * span3,
-            3 + (9 + 3 * 3),  # the scan's primes; a quadric searches none
+            3 + (9 + 3 * 3),  # the scan's primes
+            3 * 3 + 3 * 9,  # their residues; a quadric searches none
         ]
         price = sum(parts)
-        assert price == 132567
+        assert price == 132603
         forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["identity-check", "--config", CONFIG,
                          "--budget", str(price - 1), "--out", str(tmp_path)])
@@ -894,15 +921,20 @@ class TestUpFrontBudgets:
 
     def test_cubic_identity_check_refused_before_any_work(
             self, tmp_path, monkeypatch, capsys):
-        # the battery on the F_7 cubic is priced at 43 120 735 before the
-        # scan; a budget one short of that is refused before any box pass
-        # or residue-field sum, and no artifact is written
+        # the battery on the F_7 cubic is priced at 43 120 735, and the
+        # scan's 7 + 21 primes of degree <= 2 and their 7 * 7 + 21 * 49
+        # residues after it; a budget one short of the whole is refused
+        # before any box pass or residue-field sum, and no artifact is
+        # written
+        price = 43120735 + pr.irreducibles_cost(7, 1) \
+            + pr.irreducibles_cost(7, 2) + 7 * 7 + 21 * 49
+        assert price == 43121918
         forbid(monkeypatch, cs.CharSumContext, "__init__")
         forbid(monkeypatch, sv, "accumulate_chunk")
         code = cli.main(["identity-check", "--config", str(CUBIC_CONFIG),
-                         "--budget", "43120734", "--out", str(tmp_path)])
+                         "--budget", "43121917", "--out", str(tmp_path)])
         assert code == 3
-        assert "needs 43120735, limit 43120734;" in capsys.readouterr().err
+        assert "needs 43121918, limit 43121917;" in capsys.readouterr().err
         assert not (tmp_path / "identity_check.json").exists()
 
     def test_scan_prime_enumeration_charged_first(self, tmp_path,

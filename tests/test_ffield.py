@@ -1,6 +1,9 @@
-"""Finite-field tower tests: arithmetic, enumeration order, traces, tables."""
+"""Finite-field tower tests: arithmetic on element indices, enumeration
+order, traces, and every operation against the tuple arithmetic of
+``oracles.ExtensionField`` with exact equality."""
 
 import importlib
+import itertools
 import pkgutil
 import random
 
@@ -8,7 +11,9 @@ import pytest
 
 import cycsieve
 from cycsieve import polyring as pr
-from cycsieve.ffield import GF, ExtensionField, FieldTables, prime_factors
+from cycsieve.ffield import FIELD_SIZE_CAP, GF, ExtensionField, prime_factors
+
+import oracles
 
 
 def test_prime_field_basics():
@@ -42,51 +47,57 @@ def test_prime_factors():
 
 
 def f9():
-    # F_9 = F_3[t]/(t^2 + 1)
+    # F_9 = F_3[t]/(t^2 + 1); c0 + c1 t has index c0 + 3 c1
     k3 = GF(3)
     return ExtensionField(k3, (1, 0, 1))
 
 
+def f9_oracle():
+    return oracles.ExtensionField(oracles.PrimeField(3), (1, 0, 1))
+
+
 def test_extension_field_arithmetic():
     k = f9()
-    t = (0, 1)
+    t = 3
     assert k.size == 9 and k.char == 3
     # t^2 = -1
-    assert k.mul(t, t) == (2, 0)
+    assert k.mul(t, t) == 2
     # (1+t)(1-t) = 1 - t^2 = 2
-    assert k.mul((1, 1), (1, 2)) == (2, 0)
+    assert k.mul(4, 7) == 2
     # t^-1 = -t
-    assert k.inv(t) == (0, 2)
+    assert k.inv(t) == 6
     assert k.mul(t, k.inv(t)) == k.one
     assert k.power(t, 8) == k.one  # group order
 
 
 def test_extension_index_roundtrip():
-    k = f9()
+    # the index of a coefficient tuple, reduced as a polynomial over the
+    # base, is the index the tuple field gives it
+    k, oracle = f9(), f9_oracle()
     seen = set()
     for i in range(9):
-        e = k.from_index(i)
-        assert k.index(e) == i
+        e = oracle.from_index(i)
+        assert k.reduce_poly(e) == i
         seen.add(e)
     assert len(seen) == 9
     assert k.elements()[0] == k.zero
 
 
 def test_extension_elements_are_a_fresh_list():
-    # the field keeps no copy of the list, so a caller that changes it
-    # cannot change the next enumeration
+    # the elements are the indices in ascending order, in a range, which a
+    # caller cannot change under the next enumeration
     k = f9()
     elems = k.elements()
-    assert elems == [k.from_index(i) for i in range(9)]
-    elems.clear()
-    assert len(k.elements()) == 9
+    assert elems == range(9)
+    assert list(elems) == [f9_oracle().index(x)
+                           for x in f9_oracle().elements()]
 
 
 def test_extension_trace():
     # Tr_{F_9/F_3}(x) = x + x^3; for t with t^2 = -1: t^3 = -t so Tr(t) = 0;
     # Tr(1) = 2; Tr over all elements hits each value of F_3 equally often.
     k = f9()
-    assert k.trace_to_prime((0, 1)) == 0
+    assert k.trace_to_prime(3) == 0
     assert k.trace_to_prime(k.one) == 2
     counts = {0: 0, 1: 0, 2: 0}
     for e in k.elements():
@@ -112,7 +123,7 @@ def test_tower_of_towers():
     # find an irreducible quadratic over F_9 by brute force
     mod = None
     for i in range(81):
-        cand = (k9.from_index(i % 9), k9.from_index(i // 9), k9.one)
+        cand = (i % 9, i // 9, k9.one)
         # irreducible iff no root in F_9
         if all(
             k9.add(k9.add(cand[0], k9.mul(cand[1], x)), k9.mul(x, x)) != k9.zero
@@ -126,19 +137,21 @@ def test_tower_of_towers():
         assert k81.trace_to_prime(k81.from_int(c)) == (4 * c) % 3
 
 
-def test_field_tables_match_direct_ops():
-    k = f9()
-    tab = FieldTables(k)
-    n = k.size
-    for i in range(n):
-        a = tab.elems[i]
-        assert tab.neg[i] == tab.index[k.neg(a)]
-        if i:
-            assert k.mul(a, tab.elems[tab.inv[i]]) == k.one
-        for j in range(n):
-            b = tab.elems[j]
-            assert tab.elems[tab.add[i * n + j]] == k.add(a, b)
-            assert tab.elems[tab.mul[i * n + j]] == k.mul(a, b)
+def test_reducible_modulus_is_refused():
+    # t^2 - 1 = (t - 1)(t + 1) over F_3: no field, so no tables
+    with pytest.raises(ValueError, match="irreducible"):
+        ExtensionField(GF(3), (2, 0, 1))
+    with pytest.raises(ValueError, match="monic irreducible"):
+        pr.residue_field(GF(3), (0, 0, 1))
+
+
+def test_field_above_the_cap_is_refused_before_any_table(monkeypatch):
+    # F_7^8 has 5 764 801 elements; the cap refuses it before a generator
+    # is sought
+    assert 7 ** 8 > FIELD_SIZE_CAP
+    monkeypatch.setattr(ExtensionField, "_build_tables", None)
+    with pytest.raises(ValueError, match="cap"):
+        ExtensionField(GF(7), (3,) + (0,) * 7 + (1,))
 
 
 def power_test_fields():
@@ -152,7 +165,7 @@ def power_test_fields():
 def test_power_equals_repeated_mul(field):
     Q = field.size
     elems = field.elements()
-    if Q > 27:  # a tower multiplication is slow; a seeded sample of units
+    if Q > 27:  # a seeded sample of units
         elems = random.Random(Q).sample(elems[1:], 6)
     for a in elems:
         acc = field.one
@@ -170,9 +183,10 @@ def test_power_equals_repeated_mul(field):
 
 
 def test_power_multiplication_count(monkeypatch):
-    # one squaring per bit below the top one and one product per set bit
-    # below the top one: a^1 takes none, a^2 one, a^3 two, a^8 three
-    k = f9()
+    # the tuple oracle's powers by squaring: one squaring per bit below the
+    # top one and one product per set bit below the top one: a^1 takes
+    # none, a^2 one, a^3 two, a^8 three
+    k = f9_oracle()
     calls = []
     mul = k.mul
     monkeypatch.setattr(k, "mul", lambda a, b: calls.append(1) or mul(a, b))
@@ -182,6 +196,86 @@ def test_power_multiplication_count(monkeypatch):
         assert len(calls) == want, e
 
 
+# ---------------------------------------------------------------------------
+# index arithmetic against the tuple oracle
+
+
+def field_pair(p, d, over=None):
+    """(the index field, the tuple oracle) of one field, both with the first
+    monic irreducible of degree d as modulus: over F_p, or over the base of
+    the (index field, tuple oracle) pair given as over."""
+    if over is None:
+        new = pr.residue_field(GF(p), pr.irreducibles(GF(p), d)[0])
+        return new, oracles.ExtensionField(oracles.PrimeField(p),
+                                           new.modulus)
+    base, base_oracle = over
+    new = pr.extension_of(base, d)
+    return new, oracles.ExtensionField(
+        base_oracle, tuple(map(base_oracle.from_index, new.modulus)))
+
+
+def exponents(Q):
+    return (-Q, -3, -1, 0, 1, 2, 3, Q - 2, Q - 1, Q, 2 * Q + 5)
+
+
+def check_against_oracle(new, old, pairs, seed):
+    """Every operation of the index field equals the tuple oracle's, read
+    through the oracle's index, at the given pairs of indices."""
+    assert (new.size, new.char, new.degree_over_prime) \
+        == (old.size, old.char, old.degree_over_prime)
+    ix, el = old.index, old.from_index
+    singles = sorted({i for pair in pairs for i in pair})
+    for i, j in pairs:
+        a, b = el(i), el(j)
+        assert new.add(i, j) == ix(old.add(a, b)), (i, j)
+        assert new.sub(i, j) == ix(old.sub(a, b)), (i, j)
+        assert new.mul(i, j) == ix(old.mul(a, b)), (i, j)
+    for i in singles:
+        a = el(i)
+        assert new.neg(i) == ix(old.neg(a)), i
+        assert new.trace_to_prime(i) == old.trace_to_prime(a), i
+        for e in exponents(new.size):
+            if i or e >= 0:
+                assert new.power(i, e) == ix(old.power(a, e)), (i, e)
+        if i:
+            assert new.inv(i) == ix(old.inv(a)), i
+        else:
+            with pytest.raises(ZeroDivisionError):
+                new.inv(i)
+    assert new.multiplicative_generator() \
+        == ix(old.multiplicative_generator())
+    rng = random.Random(seed)
+    base, base_old = new.base, old.base
+    for _ in range(100):
+        coeffs = [rng.randrange(base.size)
+                  for _ in range(rng.randrange(3 * new.deg + 2))]
+        assert new.reduce_poly(coeffs) \
+            == ix(old.reduce_poly([base_old.from_index(c) for c in coeffs]))
+
+
+@pytest.mark.parametrize("p, d", ((3, 2), (5, 2), (3, 3), (7, 2)),
+                         ids=("F_9", "F_25", "F_27", "F_49"))
+def test_every_pair_matches_the_tuple_oracle(p, d):
+    new, old = field_pair(p, d)
+    pairs = list(itertools.product(range(new.size), repeat=2))
+    check_against_oracle(new, old, pairs, seed=p ** d)
+
+
+@pytest.mark.parametrize("name", ("F_343", "F_81 over F_9"))
+def test_a_sample_matches_the_tuple_oracle(name):
+    if name == "F_343":
+        new, old = field_pair(7, 3)
+    else:
+        base, base_old = field_pair(3, 2)
+        new, old = field_pair(3, 2, over=(base, base_old))
+        assert new.base is base and new.size == 81
+    rng = random.Random(name)
+    pairs = [(0, 0), (0, 1), (1, 0), (new.size - 1, new.size - 1)] + [
+        (rng.randrange(new.size), rng.randrange(new.size))
+        for _ in range(300)]
+    check_against_oracle(new, old, pairs, seed=name)
+
+
 def test_module_caches_are_bounded():
     caches = {}
     for info in pkgutil.iter_modules(cycsieve.__path__):
@@ -189,7 +283,8 @@ def test_module_caches_are_bounded():
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    for name in ("charsums.field_tables", "characters.residue_data",
-                 "polyring.irreducibles", "ffield._find_generator"):
+    for name in ("characters.residue_data", "polyring.irreducibles",
+                 "polyring.residue_field", "polyring.extension_of",
+                 "charsums.element_texts"):
         assert name in caches
     assert all(size is not None for size in caches.values()), caches

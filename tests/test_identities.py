@@ -113,7 +113,7 @@ class TestCountMod:
         # walk over the points of both boxes
         k = pr.make_field(p, e)
         low = {d: pr.irreducibles(k, d) for d in (1, 2)}
-        unit = k.from_index(k.size - 1)
+        unit = k.size - 1
         rng = random.Random(p * e)
         rows = list(cli.count_mod_cases(k, low, arity))
         assert len(rows) == 3 * (3 * 1 + 2 * 2)

@@ -459,7 +459,7 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
         u = 0
         s = 0
         for p, data in zip(primes, datas):
-            fiber = data.root_count[data.kpi.index(data.kpi.reduce_poly(g))]
+            fiber = data.root_count[data.kpi.reduce_poly(g)]
             is_unram = bool(pr.poly_mod(k, g, p)) if g else False
             unram.append(is_unram)
             fibers.append(fiber)
@@ -511,7 +511,7 @@ def _histogram_cases():
     """(label, k, ell, form, b, edges): chunk edges over box positions, with
     ranges that start and stop inside a row (a row is the q^b points that
     share x_0 .. x_{n-1}) and one empty range."""
-    g9 = K9.from_index(4)  # a non-square of F_9 (F_9^* has even order)
+    g9 = 4  # a non-square of F_9 (F_9^* has even order)
     return [
         ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2, [0, 200, 200, 413, 729]),
         ("q3-T-coefficients", K3, 2, _form(K3, 2, 2, {
@@ -789,8 +789,7 @@ def test_residue_recurrence_equals_index_of_poly(k, digits):
     for pi in pr.irreducibles(k, 1)[:2] + pr.irreducibles(k, 2)[:2]:
         data = residue_data(k, pi, 2)
         assert sv.residue_indices(data, values, digits) == [
-            data.kpi.index(data.kpi.reduce_poly(
-                pr.poly_from_index(k, v, digits)))
+            data.kpi.reduce_poly(pr.poly_from_index(k, v, digits))
             for v in values]
 
 
@@ -810,8 +809,7 @@ def test_residue_recurrence_in_blocks():
     for pi in pr.irreducibles(K3, 1)[:1] + pr.irreducibles(K3, 2)[:1]:
         data = residue_data(K3, pi, 2)
         assert sv.residue_indices(data, values, digits) == [
-            data.kpi.index(data.kpi.reduce_poly(
-                pr.poly_from_index(K3, v, digits)))
+            data.kpi.reduce_poly(pr.poly_from_index(K3, v, digits))
             for v in values]
 
 
