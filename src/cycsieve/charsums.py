@@ -7,9 +7,11 @@ The central object is
 for a form G reduced mod a monic prime pi, a multiplicative character chi of
 order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
-counters and canonicalizes once per sum.  Elements of k_pi are its element
-indices, so the table of G over k_pi^(n+1) is ``geometry.eval_terms`` at
-every point, the evaluation the closed-form dual test also runs.
+counters and canonicalizes each distinct column of counters once.  Elements
+of k_pi are its element indices, and the table of G over k_pi^(n+1) is
+``geometry.form_values``: one row of powers per coordinate and term,
+combined by outer products, the construction the closed-form dual test
+also tabulates its dual form with.
 
 ``CharSumContext.sums`` is the one route: psi_exp is additive over k_pi, so
 psi_infty(-w.a/pi) = zeta_p^<c(w), a> for an F_p-linear functional c(w) of
@@ -102,15 +104,14 @@ class CharSumContext:
         _, self.reduced_terms, _ = geo.reduce_form(form, pi)
         # G(a) at every a in k_pi^(n+1), in the order of
         # itertools.product(range(Q), repeat=n+1)
-        kpi, terms = self.kpi, self.reduced_terms
-        self.g_values = [geo.eval_terms(kpi, terms, a) for a in
-                         itertools.product(range(self.Q), repeat=self.nvars)]
+        self.g_values = geo.form_values(self.kpi, self.reduced_terms,
+                                        self.nvars)
 
     # -- sums -------------------------------------------------------------
 
     def position(self, w) -> int:
         """The flat index of the covector w in the order of g_values."""
-        return functools.reduce(lambda pos, x: pos * self.Q + x, w, 0)
+        return geo.flat_index(self.Q, w)
 
     def sums(self, chi_indices, positions=None):
         """{chi_index: an iterator over S_G(w, chi_index) for the w at the
@@ -193,10 +194,18 @@ class CharSumContext:
 
         def read(i):
             # t * (i or ell) is i t mod ell, and keeps chi_0's keys apart
+            ts = range(ell if i else tops)
+            keys = [(k, t * (i or ell)) for k in range(p) for t in ts]
+            column = [layers[k][t] for k in range(p) for t in ts]
+            # each distinct column of counts is canonicalized once
+            seen = {}
             for c in cs:
-                yield ring.from_exponent_counts(
-                    {(k, t * (i or ell)): layers[k][t][c]
-                     for k in range(p) for t in range(ell if i else tops)})
+                counts = tuple([layer[c] for layer in column])
+                S = seen.get(counts)
+                if S is None:
+                    S = seen[counts] = ring.from_exponent_counts(
+                        dict(zip(keys, counts)))
+                yield S
         return {i: read(i) for i in chi_indices}
 
     def trivial_bound(self) -> int:

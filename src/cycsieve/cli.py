@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="covector, semicolon-joined poly texts")
     p.set_defaults(func=cmd_charsum)
 
-    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "out")],
+    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "budget",
+                                                "out")],
                        help="Gauss sums mod one prime; exact |tau|^2 = Q")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.set_defaults(func=cmd_gauss)
@@ -108,6 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="brute-force M_n(F;b) with dual solvability "
                             "routes")
     p.set_defaults(func=cmd_count)
+    # no prefix matching: a flag a command does not read (--b of gauss)
+    # must not pass as another one (--budget)
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -203,6 +208,9 @@ def cmd_gauss(args) -> int:
         raise ValueError("gauss needs --q and --ell")
     k = rp.field_from_q(args.q)
     pi = _modulus(k, args.pi)
+    # the residue tables and the Gauss sums, before k_pi is built
+    Budget(rp.DEFAULT_BUDGET if args.budget is None else args.budget).charge(
+        ids.gauss_cost(args.q, pr.degree(pi), args.ell))
     row = ids.verify_gauss_magnitude(k, pi, args.ell)
     for i, value in enumerate(row["lhs"], start=1):
         print(f"chi_{i}: tau * conj(tau) = {value} "

@@ -31,9 +31,10 @@ Conventions:
   * elements of every finite field, residue fields and their extensions
     alike, are element indices (``ffield``), and a field element is its own
     index in every extension of it, so a form reduced mod pi is also a form
-    over each extension the search walks; ``eval_terms`` is the one
-    per-point evaluation, under the searches, the closed-form dual test and
-    the char-sum kernel's table of G.
+    over each extension the search walks; ``form_values`` builds the whole
+    table of a form, by outer products of one row of powers per coordinate,
+    for the char-sum kernel's table of G and the closed-form dual test, and
+    ``eval_terms`` is the per-point evaluator under the searches.
 """
 
 from __future__ import annotations
@@ -156,6 +157,38 @@ def eval_terms(field, terms, point):
                 t = mul(t, power(x, e))
         out = add(out, t)
     return out
+
+
+def form_values(field, terms, nvars: int) -> list:
+    """The form at every point of field^nvars, in the order of
+    itertools.product(range(Q), repeat=nvars).  Each term's table is built
+    from the last coordinate to the first, starting from its coefficient: a
+    coordinate of exponent e > 0 takes the outer product of its row of e-th
+    powers with the table so far, one of exponent 0 repeats the table Q
+    times; the terms' tables are added entrywise."""
+    Q, mul, add = field.size, field.mul, field.add
+    out = None
+    for exps, coeff in terms.items():
+        tab = [coeff]
+        for e in reversed(exps):
+            if not e:
+                tab *= Q
+                continue
+            outer = []
+            for x in range(Q):
+                outer += map(mul, itertools.repeat(field.power(x, e)), tab)
+            tab = outer
+        out = tab if out is None else list(map(add, out, tab))
+    return [field.zero] * Q ** nvars if out is None else out
+
+
+def flat_index(Q: int, point) -> int:
+    """The position of point in itertools.product(range(Q), repeat=len(point)),
+    the order of form_values."""
+    pos = 0
+    for x in point:
+        pos = pos * Q + x
+    return pos
 
 
 def partial_terms(field, terms, i: int):
@@ -528,11 +561,12 @@ def _dual_route(form: MultiForm, dual):
 
 def dual_test_cost(form: MultiForm, Q: int, dual="auto",
                    search_bound: int = 1) -> int:
-    """The points dual_membership_test searches mod a prime with Q
-    residues: P^n over the extensions up to search_bound on the tangency
-    route, none on a closed-form route."""
+    """The work of dual_membership_test mod a prime with Q residues: the
+    points of P^n over the extensions up to search_bound on the tangency
+    route, the table of the dual form on the Q^(n+1) covectors on a
+    closed-form route."""
     if _dual_route(form, dual) != "tangency":
-        return 0
+        return Q ** (form.n + 1)
     return _projective_count(Q, form.n + 1, search_bound)
 
 
@@ -549,8 +583,9 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
       * "tangency": is w proportional to a (nonzero) gradient at a point of
         {F = 0 mod pi} over an extension of degree <= search_bound?  True on
         a witness, None when there is none (certifies nothing).
+    A closed-form route tabulates the dual form on every covector once.
     The test raises on a w of the wrong length or w = 0.  dual_test_cost
-    prices the tangency search.
+    prices the tangency search or the table.
     """
     kpi, terms, _ = reduce_form(form, pi)
     nv = form.n + 1
@@ -571,9 +606,10 @@ def dual_membership_test(form: MultiForm, pi, dual="auto",
         _, dual_terms, _ = reduce_form(dual, pi)
         if not dual_terms:
             raise ValueError("supplied dual form vanishes mod pi")
+        table, Q = form_values(kpi, dual_terms, nv), kpi.size
 
         def member(w):
-            return kpi.is_zero(eval_terms(kpi, dual_terms, w))
+            return kpi.is_zero(table[flat_index(Q, w)])
 
     def test(w):
         w = tuple(w)
@@ -679,11 +715,11 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
 
 def _user_dual_mismatch(form: MultiForm, piv, user_dual) -> bool:
     """True when the supplied dual vanishes mod pi or fails to vanish on some
-    tangent covector grad H(P) at a smooth k_pi-point of {H = 0}."""
-    try:
-        on_dual = dual_membership_test(form, piv, dual=user_dual)
-    except ValueError:  # the supplied dual vanishes mod pi
+    tangent covector grad H(P) at a smooth k_pi-point of {H = 0}; the dual
+    is evaluated at those covectors only."""
+    _, dual_terms, _ = reduce_form(user_dual, piv)
+    if not dual_terms:
         return True
     kpi, terms, _ = reduce_form(form, piv)
-    return not all(map(on_dual,
-                       _tangent_covectors(kpi, terms, form.n + 1, 1)))
+    return not all(kpi.is_zero(eval_terms(kpi, dual_terms, w))
+                   for w in _tangent_covectors(kpi, terms, form.n + 1, 1))

@@ -78,9 +78,17 @@ def verify_root_count(k, pi, ell: int) -> dict:
     }
 
 
+def gauss_cost(q: int, delta: int, ell: int) -> int:
+    """The work of verify_gauss_magnitude mod a prime of degree delta: the
+    residue tables over the q^delta residues, then one pass over them for
+    each of the ell - 1 Gauss sums."""
+    return ell * q ** delta
+
+
 def verify_gauss_magnitude(k, pi, ell: int) -> dict:
     """tau(chi) * conj(tau(chi)) == q^deg(pi), exactly, for every
-    non-principal character modulo pi of order dividing ell."""
+    non-principal character modulo pi of order dividing ell; gauss_cost
+    prices it."""
     data = residue_data(k, pi, ell)
     ring = data.ring
     Q = k.size ** pr.degree(pi)

@@ -17,6 +17,7 @@ from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
 from cycsieve.characters import gauss_sum, residue_data
+from cycsieve.cyclotomic import CycRing
 from cycsieve.ffield import GF
 
 from oracles import (
@@ -242,13 +243,15 @@ class TestTransform:
 def test_transform_charged_before_the_table(tmp_path, monkeypatch, capsys):
     cost = 3 * 2 * 3 * 3 * 27
     assert cs.sums_cost(3, 1, 2, 2, 3) == 27 + cost
-    # wd-audit prices the table of G on 27 points and the transform mod T
-    # before the context builds either
+    # wd-audit prices the table of G on 27 points, the transform mod T and
+    # the dual quadric's table on the 27 covectors before the context
+    # builds either
     forbid_contexts(monkeypatch)
     code = cli.main(["wd-audit", "--config", CONFIG, "--pi", "T",
-                     "--budget", str(27 + cost - 1), "--out", str(tmp_path)])
+                     "--budget", str(27 + cost + 27 - 1),
+                     "--out", str(tmp_path)])
     assert code == 3
-    assert f"needs {27 + cost}," in capsys.readouterr().err
+    assert f"needs {27 + cost + 27}," in capsys.readouterr().err
 
 
 def test_transform_takes_the_principal_character():
@@ -320,6 +323,66 @@ class TestBudget:
         assert cs.sums_cost(3, 1, 2, 2, 2) == 27 + 2 * 27 + 2 * 2 * 3 * 3 * 9
         # mod 1+T^2 (N = 6), the multiples of one w span 2 dimensions
         assert cs.sums_cost(3, 2, 2, 2, 2) == 729 + 2 * 729 + 2 * 2 * 3 * 3 * 9
+
+
+# the n = 3 unit quadric over F_3
+N3_QUADRIC = const_form(K3, 3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1,
+                                   (0, 0, 2, 0): 1, (0, 0, 0, 2): 1})
+
+
+def count_canonicalizations(monkeypatch) -> list:
+    """Record each CycRing.from_exponent_counts call in the returned list."""
+    calls = []
+    real = CycRing.from_exponent_counts
+
+    def counted(self, counts):
+        calls.append(counts)
+        return real(self, counts)
+    monkeypatch.setattr(CycRing, "from_exponent_counts", counted)
+    return calls
+
+
+class TestWorkBounds:
+    def test_tables_make_no_eval_terms_call(self, monkeypatch):
+        # the table of G and the closed-form dual tests come from
+        # form_values; eval_terms is the per-point evaluator of searches
+        def called(*args, **kwargs):
+            raise AssertionError("eval_terms was called")
+        monkeypatch.setattr(geo, "eval_terms", called)
+        for k, ell, prime, n, m, terms in TRANSFORM_CASES:
+            cs.CharSumContext(k, P(k, prime), ell, indexed_form(k, n, m, terms))
+        pi = P(K3, "1+T^2")
+        cs.CharSumContext(K3, pi, 2, N3_QUADRIC)
+        kpi = pr.residue_field(K3, pi)
+        for dual in ("auto", geo.quadric_dual_form(N3_QUADRIC)):
+            on_dual = geo.dual_membership_test(N3_QUADRIC, pi, dual=dual)
+            members = [on_dual(w) for w in
+                       itertools.product(range(kpi.size), repeat=4)
+                       if any(w)]
+            assert 0 < sum(members) < len(members)
+
+    def test_audit_canonicalizes_each_count_column_once(self, monkeypatch):
+        # 3^4 + 9^4 = 6642 sums, of which only a few columns of counts differ
+        calls = count_canonicalizations(monkeypatch)
+        rows = sum(len(cs.wd_audit(K3, P(K3, t), 2, N3_QUADRIC)["rows"])
+                   for t in ("T", "1+T^2"))
+        assert rows == 3 ** 4 + 9 ** 4
+        assert 0 < len(calls) <= 8
+
+    def test_repeated_columns_read_through_positions(self, monkeypatch):
+        # every w in reverse order and some again: each sum equals the
+        # per-w route, chi_0 included, and a column seen before is not
+        # canonicalized again
+        ctx = cs.CharSumContext(K3, P(K3, "T"), 2, N3_QUADRIC)
+        ws = all_ws(ctx)
+        positions = list(reversed(range(len(ws)))) + [0, 5, 0, 80]
+        want = {i: [char_sum(ctx, ws[pos], i) for pos in positions]
+                for i in (0, 1)}
+        calls = count_canonicalizations(monkeypatch)
+        for i, got in ctx.sums([0, 1], positions).items():
+            before = len(calls)
+            assert list(got) == want[i], i
+            assert len(set(want[i])) <= len(calls) - before < 9, i
 
 
 class TestAudit:

@@ -681,11 +681,12 @@ class TestExitCodes:
                                                capsys):
         forbid(monkeypatch, geo, "dual_membership_test")
         code = cli.main(["dual-check", "--config", CONFIG, "--pi", "1+T^2",
-                         "--budget", "200", "--out", str(tmp_path)])
+                         "--budget", "1000", "--out", str(tmp_path)])
         assert code == 3
-        # the closed-form quadric searches nothing, the tangency test
-        # P^2(F_9), and the walk visits the 9^3 - 1 nonzero covectors
-        assert f"needs {9 ** 2 + 9 + 1 + 9 ** 3 - 1}," \
+        # the closed-form quadric tabulates its dual on the 9^3 covectors,
+        # the tangency test searches P^2(F_9), and the walk visits the
+        # 9^3 - 1 nonzero covectors
+        assert f"needs {9 ** 3 + 9 ** 2 + 9 + 1 + 9 ** 3 - 1}," \
             in capsys.readouterr().err
         assert not (tmp_path / "dual_check.json").exists()
 
@@ -748,6 +749,8 @@ class TestConfigErrors:
         ["count", "--config", CONFIG, "--workers", "2"],
         ["primes", "--q", "3", "--delta", "2", "--config", CONFIG],
         ["gauss", "--q", "3", "--ell", "2", "--b", "3"],
+        # a prefix of a flag the command reads is not that flag
+        ["primes", "--q", "3", "--delta", "2", "--bud", "3"],
     ))
     def test_flag_a_command_does_not_read_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -772,8 +775,9 @@ class TestUpFrontBudgets:
                          "--budget", "75000", "--out", str(tmp_path)])
         assert code == 3
         # the table of G on 9^3 points, then the transform: 6 base-3 digits,
-        # 3 * 2 layers, 3 outputs of 3 blocks each
-        assert f"needs {9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3}," \
+        # 3 * 2 layers, 3 outputs of 3 blocks each; then the dual quadric's
+        # table on the 9^3 covectors
+        assert f"needs {9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3 + 9 ** 3}," \
             in capsys.readouterr().err
 
     def test_wd_audit_prices_every_prime_first(self, tmp_path, monkeypatch,
@@ -783,8 +787,8 @@ class TestUpFrontBudgets:
                          "--pi", "1+T^2", "--budget", "75000",
                          "--out", str(tmp_path)])
         assert code == 3
-        needs = (3 ** 3 + 3 * 2 * 3 * 3 * 3 ** 3
-                 + 9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3)
+        needs = (3 ** 3 + 3 * 2 * 3 * 3 * 3 ** 3 + 3 ** 3
+                 + 9 ** 3 + 6 * 2 * 3 * 3 * 9 ** 3 + 9 ** 3)
         assert f"needs {needs}," in capsys.readouterr().err
 
     def test_scan_searches_charged_before_first_prime(self, tmp_path,
@@ -843,18 +847,32 @@ class TestUpFrontBudgets:
         assert f"needs {2 * 3 ** 21 + 2 * 3 * 3 * 3}," \
             in capsys.readouterr().err
 
+    def test_gauss_priced_before_residue_field(self, tmp_path, monkeypatch,
+                                               capsys):
+        # 2 + T^2 + T^12 is irreducible over F_3: the residue tables over
+        # the 3^12 residues and one Gauss sum over them
+        forbid(monkeypatch, pr, "residue_field")
+        code = cli.main(["gauss", "--q", "3", "--ell", "2",
+                         "--pi", "2+T^2+T^12", "--budget", "1",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert f"needs {2 * 3 ** 12}," in capsys.readouterr().err
+        assert not (tmp_path / "gauss.json").exists()
+
     def test_dual_check_priced_before_residue_field(self, tmp_path,
                                                     monkeypatch, capsys):
         # k_pi builds its tables when it is made, so an oversize modulus
         # is refused by the budget before any field is built
         forbid(monkeypatch, pr, "residue_field")
+        # the closed-form quadric tabulates its dual on the 3^21 covectors,
+        # the tangency test searches P^2(F_(3^7)), and the walk visits the
+        # 3^21 - 1 nonzero covectors; the budget covers the two tests
+        tests = 3 ** 21 + 3 ** 14 + 3 ** 7 + 1
         code = cli.main(["dual-check", "--config", CONFIG,
-                         "--pi", "2+T^2+T^7", "--out", str(tmp_path)])
+                         "--pi", "2+T^2+T^7", "--budget", str(tests),
+                         "--out", str(tmp_path)])
         assert code == 3
-        # the closed-form quadric searches nothing, the tangency test
-        # P^2(F_(3^7)), and the walk visits the 3^21 - 1 nonzero covectors
-        assert f"needs {3 ** 14 + 3 ** 7 + 1 + 3 ** 21 - 1}," \
-            in capsys.readouterr().err
+        assert f"needs {tests + 3 ** 21 - 1}," in capsys.readouterr().err
 
     def test_wd_audit_prices_the_default_primes(self, tmp_path, monkeypatch,
                                                 capsys):

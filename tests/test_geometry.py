@@ -140,6 +140,60 @@ class TestReduceForm:
         assert all(c == K.one for c in terms.values())
 
 
+def table_fields():
+    """F_3, F_5, F_7; F_9 and F_25 as residue fields; F_81 as a tower over
+    F_9."""
+    f9 = pr.residue_field(K3, P(K3, "1+T^2"))
+    return [K3, K5, K7, f9, pr.residue_field(K5, P(K5, "2+T^2")),
+            pr.extension_of(f9, 2)]
+
+
+def table_forms(field, nvars: int, rng):
+    """Named term maps over field in nvars variables, random nonzero
+    coefficients: diagonal, linked (X0 X1 X2, or X0 ... X_(nvars-1) when
+    nvars < 3), zero exponents between and around nonzero ones, exponents
+    at and above Q - 1, and the empty form."""
+    def coeff():
+        return rng.randrange(1, field.size)
+
+    def unit(i, e):
+        return tuple(e if j == i else 0 for j in range(nvars))
+
+    linked = tuple(int(j < 3) for j in range(nvars))
+    gaps = {(3,) + (0,) * (nvars - 2) + (1,) if nvars > 1 else (4,): coeff(),
+            unit(nvars - 1, 2): coeff()}
+    if nvars > 2:
+        gaps[(0, 2) + (0,) * (nvars - 3) + (1,)] = coeff()
+    return {
+        "diagonal": {unit(i, 3): coeff() for i in range(nvars)},
+        "linked": {linked: coeff(), unit(0, sum(linked)): coeff()},
+        "gaps": gaps,
+        "high": {unit(0, field.size - 1): coeff(),
+                 unit(nvars - 1, field.size + 1): coeff()},
+        "empty": {},
+    }
+
+
+class TestFormValues:
+    @pytest.mark.parametrize("field", table_fields(), ids=repr)
+    def test_equals_eval_terms_at_every_point(self, field):
+        # every nvars in 1..4 with at most 9^4 points
+        rng = random.Random(field.size)
+        for nvars in range(1, 5):
+            if field.size ** nvars > 9 ** 4:
+                break
+            points = list(itertools.product(range(field.size),
+                                            repeat=nvars))
+            for name, terms in table_forms(field, nvars, rng).items():
+                table = geo.form_values(field, terms, nvars)
+                assert table == [geo.eval_terms(field, terms, a)
+                                 for a in points], (nvars, name)
+
+    def test_flat_index_is_the_product_order(self):
+        points = itertools.product(range(5), repeat=3)
+        assert [geo.flat_index(5, a) for a in points] == list(range(125))
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
@@ -875,6 +929,19 @@ class TestExceptionalPrimes:
         report = geo.compute_exceptional_primes(f, 1, dual=wrong, search_bound=1)
         entry = next(e for e in report["entries"] if e["pi"] == "T")
         assert entry["tags"] == ["dual-mismatch"]
+
+    def test_user_dual_checked_at_tangent_covectors(self):
+        # u^5 v - u v^5 vanishes at every covector over F_5, so at every
+        # tangent covector mod a linear prime; times T it vanishes mod T
+        f = const_form(K5, 2, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        for coeffs, tagged in ((((1,), (4,)), []),
+                               (((0, 1), (0, 4)), ["T"])):
+            dual = geo.MultiForm(K5, 2, 6, dict(zip(((5, 1, 0), (1, 5, 0)),
+                                                    coeffs)))
+            report = geo.compute_exceptional_primes(f, 1, dual=dual,
+                                                    search_bound=1)
+            assert [e["pi"] for e in report["entries"]
+                    if "dual-mismatch" in e["tags"]] == tagged
 
 
 # ---------------------------------------------------------------------------
