@@ -66,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="covector, semicolon-joined poly texts")
     p.set_defaults(func=cmd_charsum)
 
-    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "budget",
-                                                "out")],
+    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "out")],
                        help="Gauss sums mod one prime; exact |tau|^2 = Q")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.set_defaults(func=cmd_gauss)
@@ -109,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="brute-force M_n(F;b) with dual solvability "
                             "routes")
     p.set_defaults(func=cmd_count)
-    # no prefix matching: a flag a command does not read (--b of gauss)
-    # must not pass as another one (--budget)
-    for p in sub.choices.values():
-        p.allow_abbrev = False
     return parser
 
 
@@ -209,7 +204,7 @@ def cmd_gauss(args) -> int:
     k = rp.field_from_q(args.q)
     pi = _modulus(k, args.pi)
     # the residue tables and the Gauss sums, before k_pi is built
-    Budget(rp.DEFAULT_BUDGET if args.budget is None else args.budget).charge(
+    Budget(rp.DEFAULT_BUDGET).charge(
         ids.gauss_cost(args.q, pr.degree(pi), args.ell))
     row = ids.verify_gauss_magnitude(k, pi, args.ell)
     for i, value in enumerate(row["lhs"], start=1):
@@ -256,7 +251,8 @@ def count_mod_cases(k, low: dict, arity: int):
 def identity_suite_cost(params: sv.SieveParams) -> list:
     """The charges of run_identity_suite, in order: the expansion's box (even
     if the scan leaves fewer than two sieving primes); the primes of degree
-    <= 2 and their residues; the count-mod rows, completions and the
+    <= 2, and mod each its Gauss row (ids.gauss_cost), whose residue tables
+    the root-count row reads too; the count-mod rows, completions and the
     expansion's character side."""
     q, n, ell = params.q, params.n, params.ell
     rows = COUNT_MOD_TARGETS * sum(  # one pass per coordinate and box
@@ -268,7 +264,7 @@ def identity_suite_cost(params: sv.SieveParams) -> list:
     box, expansion = ids.two_prime_cost(q, (params.delta,) * 2, n, ell,
                                         params.b)
     low = sum(pr.irreducibles_cost(q, d) + pr.count_irreducibles_formula(
-        q, d) * q ** d for d in (1, 2))
+        q, d) * ids.gauss_cost(q, d, ell) for d in (1, 2))
     return [box, low, rows + expansion]
 
 

@@ -749,8 +749,6 @@ class TestConfigErrors:
         ["count", "--config", CONFIG, "--workers", "2"],
         ["primes", "--q", "3", "--delta", "2", "--config", CONFIG],
         ["gauss", "--q", "3", "--ell", "2", "--b", "3"],
-        # a prefix of a flag the command reads is not that flag
-        ["primes", "--q", "3", "--delta", "2", "--bud", "3"],
     ))
     def test_flag_a_command_does_not_read_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -849,14 +847,15 @@ class TestUpFrontBudgets:
 
     def test_gauss_priced_before_residue_field(self, tmp_path, monkeypatch,
                                                capsys):
-        # 2 + T^2 + T^12 is irreducible over F_3: the residue tables over
-        # the 3^12 residues and one Gauss sum over them
+        # 1 + 2T + T^17 is irreducible over F_3: the residue tables over
+        # the 3^17 residues and one Gauss sum over them pass the default
+        # budget, so the run is refused before k_pi is built
         forbid(monkeypatch, pr, "residue_field")
         code = cli.main(["gauss", "--q", "3", "--ell", "2",
-                         "--pi", "2+T^2+T^12", "--budget", "1",
-                         "--out", str(tmp_path)])
+                         "--pi", "1+2*T+T^17", "--out", str(tmp_path)])
         assert code == 3
-        assert f"needs {2 * 3 ** 12}," in capsys.readouterr().err
+        assert f"needs {2 * 3 ** 17}, limit {rp.DEFAULT_BUDGET};" \
+            in capsys.readouterr().err
         assert not (tmp_path / "gauss.json").exists()
 
     def test_dual_check_priced_before_residue_field(self, tmp_path,
@@ -893,7 +892,7 @@ class TestUpFrontBudgets:
                          "--budget", str(3 ** 9), "--out", str(tmp_path)])
         assert code == 3
         needs = (3 ** 9 + pr.irreducibles_cost(3, 1)
-                 + pr.irreducibles_cost(3, 2) + 3 * 3 + 3 * 9)
+                 + pr.irreducibles_cost(3, 2) + 3 * 2 * 3 + 3 * 2 * 9)
         assert f"needs {needs}," in capsys.readouterr().err
 
     def test_identity_check_price_is_the_sum_of_its_parts(
@@ -906,7 +905,9 @@ class TestUpFrontBudgets:
         parts = [
             3 ** 9,  # the box of the unramified expansion, b = 3
             3 + (9 + 3 * 3),  # the primes of degree 1 and 2
-            3 * 3 + 3 * 9,  # the residues of each, for root counts and Gauss
+            # mod each, the residue tables (which the root counts read too)
+            # and one Gauss sum: ell = 2 passes over the residues
+            3 * 2 * 3 + 3 * 2 * 9,
             # count-mod: 3 targets, three moduli of degree 2 (b = 1) and
             # two of degree 3 (b = 1, 2), each row one pass over
             # {deg x < b} and one over {deg y < deg u - b} per coordinate
@@ -926,7 +927,7 @@ class TestUpFrontBudgets:
             3 * 3 + 3 * 9,  # their residues; a quadric searches none
         ]
         price = sum(parts)
-        assert price == 132603
+        assert price == 132639
         forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["identity-check", "--config", CONFIG,
                          "--budget", str(price - 1), "--out", str(tmp_path)])
@@ -939,20 +940,20 @@ class TestUpFrontBudgets:
 
     def test_cubic_identity_check_refused_before_any_work(
             self, tmp_path, monkeypatch, capsys):
-        # the battery on the F_7 cubic is priced at 43 120 735, and the
+        # the battery on the F_7 cubic is priced at 43 122 891, and the
         # scan's 7 + 21 primes of degree <= 2 and their 7 * 7 + 21 * 49
         # residues after it; a budget one short of the whole is refused
         # before any box pass or residue-field sum, and no artifact is
         # written
-        price = 43120735 + pr.irreducibles_cost(7, 1) \
+        price = 43122891 + pr.irreducibles_cost(7, 1) \
             + pr.irreducibles_cost(7, 2) + 7 * 7 + 21 * 49
-        assert price == 43121918
+        assert price == 43124074
         forbid(monkeypatch, cs.CharSumContext, "__init__")
         forbid(monkeypatch, sv, "accumulate_chunk")
         code = cli.main(["identity-check", "--config", str(CUBIC_CONFIG),
-                         "--budget", "43121917", "--out", str(tmp_path)])
+                         "--budget", "43124073", "--out", str(tmp_path)])
         assert code == 3
-        assert "needs 43121918, limit 43121917;" in capsys.readouterr().err
+        assert "needs 43124074, limit 43124073;" in capsys.readouterr().err
         assert not (tmp_path / "identity_check.json").exists()
 
     def test_scan_prime_enumeration_charged_first(self, tmp_path,
