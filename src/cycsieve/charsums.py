@@ -275,8 +275,9 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     w in k_pi^(n+1); the sums of the ws come from one transform (sums).
     Returns {"rows": [...], "summary": {...}}; each row carries q, Delta,
     pi, ell, chi_index, w, case, abs_S, bound, ratio, pass.  For case "iii"
-    (and "unknown") the ratio column is |S| / q^((n+1) Delta / 2); for
-    cases "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
+    (and "unknown") the ratio column is |S| / q^((n+1) Delta / 2), and
+    summary.max_ratio_iii is the largest ratio of those rows; for cases
+    "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
     first, by sums_cost and the dual test's dual_test_cost.
     """
     ctx = CharSumContext(k, pi, ell, form)
@@ -289,36 +290,45 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
         chi_indices = range(1, ell)
     if not all(0 < chi_index < ell for chi_index in chi_indices):
         raise ValueError("audit characters must be non-principal")
-    positions = None if ws is None else list(map(ctx.position, ws))
     if ws is None:
         ws = list(itertools.product(kpi.elements(), repeat=ctx.nvars))
+        w_texts = covector_texts(kpi, ctx.nvars)
+        positions = None
+    else:
+        w_texts = [format_covector(kpi, w) for w in ws]
+        positions = list(map(ctx.position, ws))
 
     on_dual = geo.dual_membership_test(form, pi, dual=dual)
     sums = ctx.sums(chi_indices, positions)
 
-    # the case and the text of each w, shared by every character
-    w_cases = ["i" if all(kpi.is_zero(x) for x in w) else _CASES[on_dual(w)]
-               for w in ws]
-    w_texts = [format_covector(kpi, w) for w in ws]
+    # the case of each w, shared by every character
+    w_cases = [_CASES[on_dual(w)] if any(w) else "i" for w in ws]
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
     max_ratio_iii = None
     all_pass = True
+    # (case, S) -> (|S|, bound, ratio, pass), each computed once per
+    # distinct pair, and the rows share those floats
+    verdicts = {}
     pi_text = pr.format_poly(k, pi)
     for chi_index in chi_indices:
         for w_text, case, S in zip(w_texts, w_cases, sums[chi_index]):
-            abs_s = ring.abs_embed(S)
             cases[case] += 1
-            if case == "i":
-                bound, ratio = bound_i, abs_s / bound_i
-            elif case == "ii":
-                bound, ratio = bound_ii, abs_s / bound_ii
-            else:
-                bound, ratio = bound_ii, abs_s / norm_iii
-                if max_ratio_iii is None or ratio > max_ratio_iii:
-                    max_ratio_iii = ratio
-            ok = abs_s <= bound * (1 + MAGNITUDE_TOL)
-            all_pass = all_pass and ok
+            verdict = verdicts.get((case, S))
+            if verdict is None:
+                abs_s = ring.abs_embed(S)
+                if case == "i":
+                    bound, ratio = bound_i, abs_s / bound_i
+                elif case == "ii":
+                    bound, ratio = bound_ii, abs_s / bound_ii
+                else:
+                    bound, ratio = bound_ii, abs_s / norm_iii
+                    if max_ratio_iii is None or ratio > max_ratio_iii:
+                        max_ratio_iii = ratio
+                ok = abs_s <= bound * (1 + MAGNITUDE_TOL)
+                all_pass = all_pass and ok
+                verdict = verdicts[case, S] = abs_s, bound, ratio, ok
+            abs_s, bound, ratio, ok = verdict
             rows.append({
                 "q": k.size,
                 "Delta": delta,
@@ -350,6 +360,12 @@ def element_texts(kpi) -> list:
     k = kpi.base
     return [pr.format_poly(k, pr.poly_from_index(k, x, kpi.deg))
             for x in kpi.elements()]
+
+
+def covector_texts(kpi, nvars: int) -> list:
+    """format_covector of every w in k_pi^nvars, in flat-index order."""
+    return list(map(";".join, itertools.product(element_texts(kpi),
+                                                repeat=nvars)))
 
 
 def format_covector(kpi, w) -> str:

@@ -376,7 +376,8 @@ def cmd_dual_check(args) -> int:
                                             search_bound=args.search_bound)
     rows = []
     agree_all = True
-    for w in itertools.product(kpi.elements(), repeat=form.n + 1):
+    for w, w_text in zip(itertools.product(kpi.elements(), repeat=form.n + 1),
+                         cs.covector_texts(kpi, form.n + 1)):
         if all(kpi.is_zero(x) for x in w):
             continue
         closed = closed_test(w)
@@ -384,7 +385,7 @@ def cmd_dual_check(args) -> int:
         agree = (closed is True) == (witness is True)
         agree_all = agree_all and agree
         rows.append({
-            "w": cs.format_covector(kpi, w),
+            "w": w_text,
             "closed_form": closed,
             "tangency_witness": witness is True,
             "agree": agree,

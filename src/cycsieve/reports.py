@@ -8,16 +8,18 @@ it is split; multiprocessing is imported only when a pool starts).
 
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
 those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
-newline, but it renders straight from the report, each scalar once through
-one table keyed by exact type (_SCALAR_TEXTS, which also gives the CSV cells)
-and each dict of scalars in one join, and writes a few rows at a time; a CSV
-table goes to the file row by row through csv.writer.
+newline, rendered straight from the report a few rows per write, sibling
+dicts of scalars (audit rows) column by column into a % template.  A scalar's
+text, JSON or CSV cell, comes from one table keyed by exact type
+(_SCALAR_TEXTS), a non-str's once per distinct value of a column.
 """
 
+import collections
 import csv
-import functools
+import itertools
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -31,7 +33,6 @@ from .ffield import is_prime_int, prime_factors
 
 DEFAULT_BUDGET = 10 ** 8
 FLUSH_PIECES = 64  # JSON pieces joined into one write of an artifact
-LAYOUT_CACHE_SIZE = 256  # (nesting level, key tuple) dict layouts kept
 
 # the keys of a resolved config, the only keys a config may have
 CONFIG_KEYS = ("p", "e", "q", "n", "ell", "m", "b", "delta", "delta_max",
@@ -189,61 +190,23 @@ def normalize(obj):
     return str(obj)
 
 
-def _bool_text(value) -> str:
-    return "true" if value else "false"
-
-
 def _float_json(value) -> str:
-    """The JSON text of value rounded to 12 significant digits, with json's
-    spellings of the non-finite floats."""
+    """The JSON text of value rounded to 12 significant digits."""
     value = float(f"{value:.12g}")
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _float_cell(value) -> str:
-    # a 12-digit decimal survives the round trip through a float, so this
-    # is also the cell of the normalized value
-    return f"{value:.12g}"
-
-
-def _fraction_cell(value) -> str:
-    if value.denominator == 1:
-        return int.__repr__(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _fraction_json(value) -> str:
-    text = _fraction_cell(value)
-    return text if value.denominator == 1 else f'"{text}"'
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 # exact type of a scalar -> (its JSON text, its CSV cell), both of its
-# normal form
+# normal form (a 12-digit decimal survives the round trip through a float,
+# so the float cell is also the cell of the normalized value)
 _SCALAR_TEXTS = {
     str: (encode_basestring_ascii, str),
-    bool: (_bool_text, _bool_text),
+    bool: (("false", "true").__getitem__,) * 2,
     type(None): (lambda _: "null", lambda _: ""),
     int: (int.__repr__, int.__repr__),
-    float: (_float_json, _float_cell),
-    Fraction: (_fraction_json, _fraction_cell),
+    float: (_float_json, "{:.12g}".format),
+    Fraction: (lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
 }
-
-
-def _other_texts(value) -> tuple:
-    """(JSON text, CSV cell) of a scalar of no exact type in _SCALAR_TEXTS:
-    those of its normal form, where an int subclass stays itself (json
-    writes int's digits for it, and the cell is its own str)."""
-    value = normalize(value)
-    texts = _SCALAR_TEXTS.get(type(value))
-    if texts is None:
-        return int.__repr__(value), str(value)
-    return texts[0](value), texts[1](value)
 
 
 def cell_text(value) -> str:
@@ -256,95 +219,132 @@ def cell_text(value) -> str:
         return ";".join(cell_text(v) for v in value)
     if isinstance(value, dict):
         return str(normalize(value))
-    return _other_texts(value)[1]
+    # that of the normal form, where an int subclass stays itself
+    value = normalize(value)
+    return _SCALAR_TEXTS.get(type(value), (None, str))[1](value)
 
 
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _texts(values, memos, which: int) -> list:
+    """The JSON (which = 0) or CSV (which = 1) texts of values, each kept in
+    memos[i], a memo of the exact type of values[i] (1, True, 1.0 and
+    Fraction(1) are one dict key): no str (cheap; a CSV miss gives the
+    value), and a zero float under its repr, as -0.0 == 0.0."""
+    try:
+        texts = list(map(dict.get, memos, values,
+                         values if which else itertools.repeat(None)))
+    except TypeError:  # an unhashable cell, a list
+        texts = [None] * len(values)
+    if set(map(type, texts)) == {str}:
+        return texts
+    for i, (value, memo) in enumerate(zip(values, memos)):
+        if type(texts[i]) is str:
+            continue
+        render = _SCALAR_TEXTS.get(type(value))
+        if render is None or type(value) is str:
+            texts[i] = cell_text(value) if which else render[0](value)
+            continue
+        key = value if value or type(value) is not float else repr(value)
+        if key not in memo:
+            memo[key] = render[which](value)
+        texts[i] = memo[key]
+    return texts
+
+
 def _dict_layout(level: int, keys: tuple) -> tuple:
-    """(the str keys sorted, the text before each value, the closing text)
-    of a non-empty dict with these keys at this nesting level."""
+    """(sorted keys, the text before each value, the closing text, and the
+    % template of them all) of a non-empty dict with str keys at level."""
     order = sorted(keys)
     inner = "\n" + "  " * (level + 1)
     heads = [("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
              + ": " for i, key in enumerate(order)]
-    return order, heads, "\n" + "  " * level + "}"
+    close = "\n" + "  " * level + "}"
+    return order, heads, close, "%s".join(
+        [head.replace("%", "%%") for head in heads] + [close])
 
 
-def _json_pieces(obj, level: int = 0):
-    """The text of json.dumps(normalize(obj), sort_keys=True, indent=2) in
-    pieces, each scalar rendered by _SCALAR_TEXTS; a dict whose values are
-    all scalars is one piece."""
-    texts = _SCALAR_TEXTS.get(type(obj))
-    if texts is not None:
-        yield texts[0](obj)
+def _rows_texts(rows, keys, level: int, memos):
+    """The JSON texts of rows, dicts with these keys at this level, column
+    by column through _texts and the layout's % template; None unless the
+    keys are str and the values scalars."""
+    if set(map(type, keys)) != {str}:
+        return None
+    order, _, _, template = _dict_layout(level, keys)
+    columns = []
+    for key in order:
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if not _SCALAR_TEXTS.keys() >= kinds:
+            return None
+        memo = {kind: memos[key, kind] for kind in kinds}  # one per type
+        columns.append(
+            map(encode_basestring_ascii, column) if kinds == {str} else
+            _texts(column, list(map(memo.get, map(type, column))), 0))
+    return [template % cells for cells in zip(*columns)]
+
+
+def _json_pieces(obj, level: int, memos):
+    """json.dumps(normalize(obj), sort_keys=True, indent=2) in pieces.  A
+    run of sibling dicts with one key tuple (a lone one is a run of one)
+    goes in blocks of FLUSH_PIECES rows, each row one piece, by _rows_texts
+    when it takes the block."""
+    if not isinstance(obj, (dict, list, tuple)):
+        if type(obj) not in _SCALAR_TEXTS:  # an int subclass stays itself,
+            obj = normalize(obj)  # and json writes int's digits for it
+        yield _SCALAR_TEXTS.get(type(obj), (int.__repr__,))[0](obj)
+        return
+    if not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
         return
     if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        keys = tuple(obj)
-        if not all(type(key) is str for key in keys):
-            obj = {str(key): value for key, value in obj.items()}
-            keys = tuple(obj)
-        keys, heads, close = _dict_layout(level, keys)
+        obj = {str(key): value for key, value in obj.items()}
+        keys, heads, close, _ = _dict_layout(level, tuple(obj))
         values = [obj[key] for key in keys]
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
+    else:
         inner = "\n" + "  " * (level + 1)
         heads = ["[" + inner] + ["," + inner] * (len(obj) - 1)
-        close = "\n" + "  " * level + "]"
-        values = obj
-    else:
-        yield _other_texts(obj)[0]
-        return
-    scalar = _SCALAR_TEXTS.get
-    texts = [scalar(type(v)) for v in values]
-    if None not in texts and isinstance(obj, dict):
-        yield "".join([head + t[0](v)
-                       for head, t, v in zip(heads, texts, values)]) + close
-        return
-    for head, t, v in zip(heads, texts, values):
-        if t is None:
-            yield head
-            yield from _json_pieces(v, level + 1)
-        else:
-            yield head + t[0](v)
+        close, values = "\n" + "  " * level + "]", obj
+    for keys, run in itertools.groupby(zip(heads, values), lambda item: (
+            type(item[1]) is dict and tuple(item[1]))):
+        while block := list(itertools.islice(run, FLUSH_PIECES)):
+            row_heads, rows = zip(*block)
+            texts = keys and _rows_texts(rows, keys, level + 1, memos)
+            if texts:
+                yield from map(operator.add, row_heads, texts)
+                continue
+            for head, value in block:
+                yield head
+                yield from _json_pieces(value, level + 1, memos)
     yield close
 
 
 def write_csv(fh, columns, rows) -> None:
     """The CSV table of rows (dicts) under a header of columns, written to
-    fh one line per row through csv.writer, each cell by cell_text."""
+    fh row by row through csv.writer, each cell from _texts."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
+    memos = {}  # the exact types of a row's cells -> a memo for each
     for row in rows:
-        writer.writerow([cell_text(row.get(c)) for c in columns])
+        values = list(map(row.get, columns))
+        kinds = (*map(type, values),)
+        writer.writerow(_texts(values, memos.get(kinds) or memos.setdefault(
+            kinds, [{} for _ in values]), 1))
 
 
 def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
     """Write out_dir/name: with columns, content is the rows of a CSV table
-    (write_csv); without, content is a report written as byte-stable JSON,
-    the bytes of json.dumps(normalize(content), sort_keys=True, indent=2)
-    and a final newline.  The JSON is rendered straight from the report,
-    each scalar once and each dict of scalars (an audit row) in one join,
-    and written every FLUSH_PIECES pieces, so neither a normalized copy of
-    the report nor the whole text of an artifact is ever held in memory."""
+    (write_csv); without, a report as byte-stable JSON (_json_pieces and a
+    newline), FLUSH_PIECES pieces per write, so neither a normalized copy
+    of the report nor the whole text of an artifact is held in memory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if columns is not None:
             write_csv(fh, columns, content)
         else:
-            buf = []
-            for piece in _json_pieces(content):
-                buf.append(piece)
-                if len(buf) == FLUSH_PIECES:
-                    fh.write("".join(buf))
-                    buf.clear()
-            buf.append("\n")
-            fh.write("".join(buf))
+            pieces = itertools.chain(_json_pieces(
+                content, 0, collections.defaultdict(dict)), ["\n"])
+            while block := list(itertools.islice(pieces, FLUSH_PIECES)):
+                fh.write("".join(block))
     return path
 
 

@@ -16,6 +16,7 @@ from cycsieve import charsums as cs
 from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
+from cycsieve import reports as rp
 from cycsieve.characters import gauss_sum, residue_data
 from cycsieve.cyclotomic import CycRing
 from cycsieve.ffield import GF
@@ -368,6 +369,43 @@ class TestWorkBounds:
                    for t in ("T", "1+T^2"))
         assert rows == 3 ** 4 + 9 ** 4
         assert 0 < len(calls) <= 8
+
+    def test_audit_works_once_per_distinct_value(self, tmp_path,
+                                                 monkeypatch):
+        # |S| once per distinct (case, S) of a prime, and the text of a
+        # float once per distinct float of a column of either artifact
+        embeds = []
+        abs_embed = CycRing.abs_embed
+        monkeypatch.setattr(CycRing, "abs_embed", lambda self, a: (
+            embeds.append(a) or abs_embed(self, a)))
+        rows, pairs = [], 0
+        for t in ("T", "1+T^2"):
+            pi = P(K3, t)
+            audit = cs.wd_audit(K3, pi, 2, N3_QUADRIC)["rows"]
+            sums = cs.CharSumContext(K3, pi, 2, N3_QUADRIC).sums([1])[1]
+            pairs += len({(row["case"], S) for row, S in zip(audit, sums)})
+            rows += audit
+        assert len(rows) == 3 ** 4 + 9 ** 4
+        assert 0 < len(embeds) <= pairs
+
+        renders = {"json": 0, "csv": 0}
+        json_text, cell = rp._SCALAR_TEXTS[float]
+
+        def counted(kind, render):
+            def text(value):
+                renders[kind] += 1
+                return render(value)
+            return text
+        monkeypatch.setitem(rp._SCALAR_TEXTS, float, (
+            counted("json", json_text), counted("csv", cell)))
+        rp.write_artifact(str(tmp_path), "wd_audit.json", {"rows": rows})
+        rp.write_artifact(str(tmp_path), "wd_audit.csv", rows,
+                          columns=rp.WD_CSV_COLUMNS)
+        # distinct floats by their repr, which tells -0.0 from 0.0
+        floats = {(key, repr(value)) for row in rows
+                  for key, value in row.items() if type(value) is float}
+        assert 0 < renders["json"] <= len(floats)
+        assert 0 < renders["csv"] <= len(floats)
 
     def test_repeated_columns_read_through_positions(self, monkeypatch):
         # every w in reverse order and some again: each sum equals the

@@ -338,6 +338,58 @@ MIXED_ROWS = [{"b": 1, "a": [1, 2.5]}, {"a": True, "c": {}}, {},
               {1: "one", "1": "string one", True: 0}, {0.5: [], None: ()},
               {Fraction(1, 2): Opaque("k"), "z": Flag(3)}]
 
+# scalars that compare and hash equal in groups but render differently: a
+# memo of texts keyed by value alone would give one the text of another
+HASH_EQUAL = [0.0, -0.0, 0, False, 1, True, 1.0, Fraction(1), Flag(1),
+              float("nan"), float("nan")]
+ROW_KEYS = ("x", "%s", "y%")  # the % of a key must not reach a template
+
+
+def equal_scalar_rows(count: int, cells: list) -> list:
+    """count rows of one layout whose columns cycle through cells at three
+    different strides, so every column mixes them."""
+    n = len(cells)
+    return [dict(zip(ROW_KEYS, (cells[i % n], cells[i * 5 % n],
+                                cells[(i * 7 + 3) % n])))
+            for i in range(count)]
+
+
+# a run longer than FLUSH_PIECES of the table's scalars only, broken by a
+# row with another key set and one with a nested value, then a run with
+# an int subclass in it
+ROW_RUN = (equal_scalar_rows(rp.FLUSH_PIECES + 3,
+                             [v for v in HASH_EQUAL if type(v) is not Flag])
+           + [{"x": 1}, {"x": -0.0, "%s": [0.0, True], "y%": 1.0}]
+           + equal_scalar_rows(2 * rp.FLUSH_PIECES + 1, HASH_EQUAL))
+
+
+@st.composite
+def row_runs(draw):
+    """More than FLUSH_PIECES rows of one layout, every column mixing some
+    of HASH_EQUAL, broken here and there by a row with another key set or
+    a nested value."""
+    pool = draw(st.lists(st.sampled_from(HASH_EQUAL), min_size=2,
+                         unique_by=id))
+    cell = st.sampled_from(pool)
+    rows = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(ROW_KEYS, cell)),
+                         min_size=rp.FLUSH_PIECES + 1,
+                         max_size=2 * rp.FLUSH_PIECES + 1))
+    breaks = st.one_of(st.fixed_dictionaries({"x": cell}),
+                       st.fixed_dictionaries({"x": cell, "%s": st.lists(cell),
+                                              "y%": cell}))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(breaks))
+    return rows
+
+
+def oracle_csv(columns, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([oracle_cell(row.get(c)) for c in columns])
+    return out.getvalue()
+
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -348,6 +400,8 @@ MIXED_ROWS = [{"b": 1, "a": [1, 2.5]}, {"a": True, "c": {}}, {},
 @example(MIXED_ROWS)
 @example(float("nan"))
 @example([{"a": 0, "b": False}, {"a": False, "b": 0}, {"a": 1.0, "b": 1}])
+@example({"rows": ROW_RUN, "reversed": ROW_RUN[::-1], "zeros": [0.0, -0.0]})
+@example([{"a": -0.0}, {"a": 0.0}, {"a": float("nan")}, {"a": float("nan")}])
 def test_writer_bytes_equal_one_shot_json(tmp_path, report):
     path = rp.write_artifact(str(tmp_path), "r.json", report)
     assert pathlib.Path(path).read_bytes() == oracle_json(report).encode()
@@ -360,18 +414,34 @@ def test_writer_bytes_equal_one_shot_json(tmp_path, report):
 @example([-0.0, 5e-324, float("nan")])
 @example([Fraction(4, 2), Fraction(1, 3), [0.1 + 0.2, None, "a,b"]])
 @example([Opaque("x"), "é\n\"", (False, 0)])
+@example([0.0, -0.0, 0.0])
+@example([1.0, True, Fraction(1)])
+@example([float("nan"), float("nan"), Flag(1)])
 def test_csv_cells_equal_the_normalized_cells(cells):
     assert [rp.cell_text(v) for v in cells] == [oracle_cell(v) for v in cells]
     columns = ["x", "y", "z"]
-    rows = [dict(zip(columns, cells)), {"y": cells[0]}]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([oracle_cell(row.get(c)) for c in columns])
+    # the same key set twice, then the first cell in every column
+    rows = [dict(zip(columns, cells)), dict(zip(columns, cells[::-1])),
+            {"y": cells[0]}, dict.fromkeys(columns, cells[0])]
     text = io.StringIO()
     rp.write_csv(text, columns, rows)
-    assert text.getvalue() == out.getvalue()
+    assert text.getvalue() == oracle_csv(columns, rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row_runs())
+@example(ROW_RUN)
+def test_row_runs_equal_the_one_shot_encodings(tmp_path, rows):
+    # runs longer than a block, whose columns mix hash-equal scalars, in
+    # both artifacts
+    path = rp.write_artifact(str(tmp_path), "r.json", {"rows": rows})
+    assert pathlib.Path(path).read_bytes() \
+        == oracle_json({"rows": rows}).encode()
+    path = rp.write_artifact(str(tmp_path), "r.csv", rows,
+                             columns=list(ROW_KEYS))
+    assert pathlib.Path(path).read_bytes() \
+        == oracle_csv(list(ROW_KEYS), rows).encode()
 
 
 class TestCommands:
