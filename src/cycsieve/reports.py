@@ -4,7 +4,8 @@ integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
 (the box is split into one range of positions per worker, and the exact
 value histograms of the ranges sum to the histogram of the whole box however
-it is split; multiprocessing is imported only when a pool starts).
+it is split; the runner forks a child for every range but the last, builds
+the last itself, and reads each child's histogram back from a pipe).
 
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
 those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
@@ -18,9 +19,11 @@ import collections
 import csv
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -363,33 +366,89 @@ SIEVE_CSV_COLUMNS = ["q", "delta", "n", "ell", "m", "b", "A",
 # the parallel sieve runner
 
 
-def _chunk_job(spec):
-    k, form, b, start, stop = spec
-    return sv.accumulate_chunk(k, form, b, start=start, stop=stop)
+def _fork_share(k, form, b, start: int, stop: int) -> tuple:
+    """(pid, read end of its pipe) of a forked child that writes the
+    marshalled histogram of the box positions [start, stop) to the pipe.
+    The child leaves only by os._exit, 0 once the bytes are written and 1
+    on any error (after printing it), so none of this process's cleanup,
+    buffered output or exit hooks run in it."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        part = sv.accumulate_chunk(k, form, b, start=start, stop=stop)
+        with open(write, "wb") as fh:
+            fh.write(marshal.dumps(dict(part)))
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def parallel_accumulator(params: sv.SieveParams, workers: int = 1):
     """The value histogram of the full box.  The box positions are split
-    into workers contiguous ranges, each range builds the histogram of F
-    over its points (in this process for one worker, in a pool of at most
-    one process per non-empty range otherwise), and the histograms are
-    summed.  The exact counts do not depend on the split, so the result is
-    the same for any worker count."""
+    into workers contiguous ranges; this process forks one child per
+    non-empty range but the last, builds the last range's histogram itself,
+    then reads each child's histogram from its pipe to the end before
+    reaping it, and the histograms are summed in range order.  A child that
+    fails raises here; if this process's own share fails, every child is
+    killed and reaped before the error propagates.  Without os.fork every
+    range runs in this process.  The exact counts do not depend on the
+    split, so the result is the same for any worker count."""
     k, form, b = params.k, params.form, params.b
-    if workers == 1:
-        parts = [sv.box_histogram(k, form, b)]
-    else:
-        import multiprocessing
+    size = params.box_size
+    edges = [size * i // workers for i in range(workers + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    if not hasattr(os, "fork"):
+        return sv.merge_accumulators(
+            sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+            for lo, hi in ranges)
+    pids, reads = [], []
+    try:
+        for lo, hi in ranges[:-1]:
+            pid, read = _fork_share(k, form, b, lo, hi)
+            pids.append(pid)
+            reads.append(read)
+        lo, hi = ranges[-1]
+        own = sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+        blobs = []
+        while reads:
+            with open(reads.pop(0), "rb") as fh:
+                blobs.append(fh.read())
+        codes = []
+        while pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            pids.pop(0)
+    except BaseException:
+        from signal import SIGKILL
 
-        size = params.box_size
-        edges = [size * i // workers for i in range(workers + 1)]
-        specs = [(k, form, b, lo, hi) for lo, hi in zip(edges, edges[1:])
-                 if lo < hi]
-        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                  else "spawn")
-        with multiprocessing.get_context(method).Pool(len(specs)) as pool:
-            parts = pool.map(_chunk_job, specs)
-    return sv.merge_accumulators(parts)
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    for (lo, hi), code in zip(ranges, codes):
+        if code:
+            how = (f"exited with status {code}" if code > 0
+                   else f"was killed by signal {-code}")
+            raise RuntimeError(f"the worker for box positions [{lo}, {hi}) "
+                               f"{how}")
+    return sv.merge_accumulators(
+        [marshal.loads(blob) for blob in blobs] + [own])
 
 
 def run_sieve(config: dict, workers: int = 1) -> dict:

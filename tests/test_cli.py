@@ -9,7 +9,7 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
+import os
 import pathlib
 import re
 from fractions import Fraction
@@ -708,7 +708,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("workers", ("0", "-1"))
     def test_workers_below_one_is_two(self, tmp_path, monkeypatch, capsys,
                                       workers):
-        forbid(monkeypatch, multiprocessing, "get_context")
+        forbid(monkeypatch, os, "fork")
         forbid(monkeypatch, geo, "compute_exceptional_primes")
         code = cli.main(["sieve-run", "--config", CONFIG, "--workers",
                          workers, "--out", str(tmp_path)])

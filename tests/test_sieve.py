@@ -12,8 +12,11 @@ parameter-selection helpers choose_delta / min_b / the prime-count bounds.
 import inspect
 import itertools
 import json
+import os
 import pathlib
 import random
+import signal
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -57,6 +60,12 @@ QUADRIC = diag(K3, 2, 2)
 
 def forbidden(*args, **kwargs):
     raise AssertionError("called before the budget refused the run")
+
+
+def assert_no_child_left():
+    """This process has no child, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def quadric_instance():
@@ -867,7 +876,7 @@ class TestChunking:
             assert sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
                                     merged) == _ACC
 
-    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
     def test_parallel_accumulator_any_worker_count(self, workers):
         t_form = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T",
                                   (0, 1, 1): "2", (0, 0, 2): "2*T^2"})
@@ -878,6 +887,54 @@ class TestChunking:
             k, form, b = params.k, params.form, params.b
             full = sv.box_histogram(k, form, b)
             assert rp.parallel_accumulator(params, workers) == full
+
+    @pytest.mark.parametrize("how", ("raises", "killed"))
+    def test_failed_child_share_raises(self, monkeypatch, how):
+        # with 3 workers the first range is a forked child's
+        chunk = sv.accumulate_chunk
+
+        def failing(k, form, b, *, start, stop):
+            if start == 0:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError("child share")
+            return chunk(k, form, b, start=start, stop=stop)
+
+        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        word = "status 1" if how == "raises" else "signal"
+        with pytest.raises(RuntimeError, match=rf"\[0, 6561\) .*{word}"):
+            rp.parallel_accumulator(_PARAMS, 3)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", (ZeroDivisionError, KeyboardInterrupt))
+    def test_failed_own_share_kills_children(self, monkeypatch, error):
+        # the last range is this process's; the children would sleep on
+        # past the test unless they are killed
+        def failing(k, form, b, *, start, stop):
+            if stop == _PARAMS.box_size:
+                raise error("own share")
+            time.sleep(60)
+
+        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        began = time.monotonic()
+        with pytest.raises(error, match="own share"):
+            rp.parallel_accumulator(_PARAMS, 3)
+        assert time.monotonic() - began < 30
+        assert_no_child_left()
+
+    def test_without_fork_every_range_runs_here(self, monkeypatch):
+        full = sv.box_histogram(_PARAMS.k, _PARAMS.form, _PARAMS.b)
+        chunk = sv.accumulate_chunk
+        ranges = []
+
+        def recording(k, form, b, *, start, stop):
+            ranges.append((start, stop))
+            return chunk(k, form, b, start=start, stop=stop)
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sv, "accumulate_chunk", recording)
+        assert rp.parallel_accumulator(_PARAMS, 3) == full
+        assert ranges == [(0, 6561), (6561, 13122), (13122, 19683)]
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
