@@ -10,7 +10,7 @@ elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
 counters and canonicalizes each distinct column of counters once.  Elements
 of k_pi are its element indices, and the table of G over k_pi^(n+1) is
 ``geometry.form_values``: one row of powers per coordinate and term,
-combined by outer products, the construction the closed-form dual test
+combined by outer products, the construction the closed-form dual column
 also tabulates its dual form with.
 
 ``CharSumContext.sums`` is the one route: psi_exp is additive over k_pi, so
@@ -23,9 +23,9 @@ On top of the kernel, the square-root cancellation audit (``wd_audit``):
 every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
 ("i"), w on the dual variety ("ii"), w off the dual variety ("iii"; here the
 normalized ratio |S| / q^((n+1) Delta / 2) is also logged, since no explicit
-constant is asserted for this case).  The case comes from the
-dual-membership test that ``geometry.dual_membership_test`` builds once per
-prime, and the case and the text of each w are computed once for every chi.
+constant is asserted for this case).  The case comes from the verdict at
+w's position in the prime's ``geometry.dual_column``, and the case and the
+text of each w are computed once for every chi.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ class CharSumContext:
                                         self.nvars)
 
     # -- sums -------------------------------------------------------------
-
-    def position(self, w) -> int:
-        """The flat index of the covector w in the order of g_values."""
-        return geo.flat_index(self.Q, w)
 
     def sums(self, chi_indices, positions=None):
         """{chi_index: an iterator over S_G(w, chi_index) for the w at the
@@ -278,7 +274,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     (and "unknown") the ratio column is |S| / q^((n+1) Delta / 2), and
     summary.max_ratio_iii is the largest ratio of those rows; for cases
     "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
-    first, by sums_cost and the dual test's dual_test_cost.
+    first, by sums_cost and the dual column's dual_test_cost.
     """
     ctx = CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
@@ -291,18 +287,18 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     if not all(0 < chi_index < ell for chi_index in chi_indices):
         raise ValueError("audit characters must be non-principal")
     if ws is None:
-        ws = list(itertools.product(kpi.elements(), repeat=ctx.nvars))
         w_texts = covector_texts(kpi, ctx.nvars)
         positions = None
     else:
         w_texts = [format_covector(kpi, w) for w in ws]
-        positions = list(map(ctx.position, ws))
+        positions = [geo.flat_index(ctx.Q, w) for w in ws]
 
-    on_dual = geo.dual_membership_test(form, pi, dual=dual)
+    column = geo.dual_column(form, pi, dual=dual)
     sums = ctx.sums(chi_indices, positions)
 
-    # the case of each w, shared by every character
-    w_cases = [_CASES[on_dual(w)] if any(w) else "i" for w in ws]
+    # the case of each w, shared by every character; w = 0 is at position 0
+    w_cases = [_CASES[column[pos]] if pos else "i" for pos in
+               (range(len(column)) if positions is None else positions)]
     rows = []
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
     max_ratio_iii = None

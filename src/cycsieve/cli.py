@@ -4,7 +4,8 @@ config files and byte-stable JSON/CSV artifacts.
 Subcommands: primes, charsum, gauss, identity-check, wd-audit, dual-check,
 exc-primes, sieve-run, count.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 usage or config error, 3 enumeration budget
-exceeded (the required budget is printed).
+exceeded (the required budget is printed), 4 internal error (a sieve-run
+worker that failed or was killed among them).
 """
 
 import argparse
@@ -176,7 +177,7 @@ def cmd_charsum(args) -> int:
         k.size, pr.degree(pi), form.n, ell + (args.chi == 0), 1))
     ctx = cs.CharSumContext(k, pi, ell, form)
     w = [ctx.kpi.reduce_poly(x) for x in w]
-    S = next(ctx.sums([args.chi], [ctx.position(w)])[args.chi])
+    S = next(ctx.sums([args.chi], [geo.flat_index(ctx.Q, w)])[args.chi])
     abs_s = ctx.ring.abs_embed(S)
     trivial = ctx.trivial_bound()
     ok = abs_s <= trivial * (1 + cs.MAGNITUDE_TOL)
@@ -327,7 +328,7 @@ def cmd_wd_audit(args) -> int:
     else:
         budget.charge(sum(pr.irreducibles_cost(k.size, d) for d in (1, 2)))
         pis = [pr.irreducibles(k, 1)[0], pr.irreducibles(k, 2)[0]]
-    # every audit, its table of G, its transform and its dual test, before
+    # every audit, its table of G, its transform and its dual column, before
     # the first
     budget.charge(sum(
         cs.sums_cost(k.size, pr.degree(pi), form.n, cfg["ell"],
@@ -364,24 +365,21 @@ def cmd_dual_check(args) -> int:
         raise ValueError("search_bound must be at least 1")
     pi = _modulus(k, args.pi)
     Q = k.size ** pr.degree(pi)
-    # the searches of both tests, then the walk over the nonzero covectors,
-    # before k_pi or either test is built
+    # the searches of both columns, then the walk over the nonzero
+    # covectors, before k_pi or either column is built
     Budget(cfg["budget"]).charge_each([
         geo.dual_test_cost(form, Q, dual),
         geo.dual_test_cost(form, Q, "tangency", args.search_bound),
         Q ** (form.n + 1) - 1])
     kpi = pr.residue_field(k, pi)
-    closed_test = geo.dual_membership_test(form, pi, dual=dual)
-    witness_test = geo.dual_membership_test(form, pi, dual="tangency",
-                                            search_bound=args.search_bound)
+    columns = zip(cs.covector_texts(kpi, form.n + 1),
+                  geo.dual_column(form, pi, dual=dual),
+                  geo.dual_column(form, pi, dual="tangency",
+                                  search_bound=args.search_bound))
     rows = []
     agree_all = True
-    for w, w_text in zip(itertools.product(kpi.elements(), repeat=form.n + 1),
-                         cs.covector_texts(kpi, form.n + 1)):
-        if all(kpi.is_zero(x) for x in w):
-            continue
-        closed = closed_test(w)
-        witness = witness_test(w)
+    # entry 0 is w = 0
+    for w_text, closed, witness in itertools.islice(columns, 1, None):
         agree = (closed is True) == (witness is True)
         agree_all = agree_all and agree
         rows.append({
@@ -463,6 +461,9 @@ def main(argv=None) -> int:
         print(f"budget exceeded: needs {exc.needed}, limit {exc.limit}; "
               f"raise --budget to proceed", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ArithmeticError as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1

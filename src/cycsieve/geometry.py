@@ -24,16 +24,17 @@ Conventions:
     ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; matrices over
     F_q[T] are handled by these field routines over K = F_q(T)
     (``RationalFunctionField``),
-  * dual-variety membership mod a prime is decided by the test that
-    ``dual_membership_test`` builds once per (form, pi, route): the closed-form
-    quadric dual ("auto" for m = 2), a supplied dual, or the set of tangent
-    covectors at smooth points found by the extension search,
+  * dual-variety membership mod a prime is one column, ``dual_column``,
+    with a verdict for every covector in the order of ``form_values``: the
+    zeros of the closed-form quadric dual ("auto" for m = 2) or of a
+    supplied dual, or the multiples of the tangent covectors at smooth
+    points found by the extension search,
   * elements of every finite field, residue fields and their extensions
     alike, are element indices (``ffield``), and a field element is its own
     index in every extension of it, so a form reduced mod pi is also a form
     over each extension the search walks; ``form_values`` builds the whole
     table of a form, by outer products of one row of powers per coordinate,
-    for the char-sum kernel's table of G and the closed-form dual test, and
+    for the char-sum kernel's table of G and the closed-form dual column, and
     ``eval_terms`` is the per-point evaluator under the searches.
 """
 
@@ -561,64 +562,57 @@ def _dual_route(form: MultiForm, dual):
 
 def dual_test_cost(form: MultiForm, Q: int, dual="auto",
                    search_bound: int = 1) -> int:
-    """The work of dual_membership_test mod a prime with Q residues: the
-    points of P^n over the extensions up to search_bound on the tangency
-    route, the table of the dual form on the Q^(n+1) covectors on a
-    closed-form route."""
+    """The work of dual_column mod a prime with Q residues: the points of
+    P^n over the extensions up to search_bound on the tangency route, the
+    table of the dual form on the Q^(n+1) covectors on a closed-form
+    route."""
     if _dual_route(form, dual) != "tangency":
         return Q ** (form.n + 1)
     return _projective_count(Q, form.n + 1, search_bound)
 
 
-def dual_membership_test(form: MultiForm, pi, dual="auto",
-                         search_bound: int = 1):
-    """The test w -> True | False | None of "does the hyperplane w lie on the
-    dual of {F = 0} mod pi?", with the per-prime work done once.
+def dual_column(form: MultiForm, pi, dual="auto",
+                search_bound: int = 1) -> list:
+    """The verdict True | False | None of "does the hyperplane w lie on the
+    dual of {F = 0} mod pi?" for every covector w of k_pi^(n+1), in the
+    order of form_values; entry 0, w = 0, is None on every route.
 
     dual selects the route:
       * "auto": for m = 2 the closed-form dual quadric mod pi, which raises
         if the quadric degenerates mod pi (such a prime belongs in the
         exceptional set); the tangency route otherwise,
       * a MultiForm: caller-supplied dual form, evaluated mod pi,
-      * "tangency": is w proportional to a (nonzero) gradient at a point of
-        {F = 0 mod pi} over an extension of degree <= search_bound?  True on
-        a witness, None when there is none (certifies nothing).
-    A closed-form route tabulates the dual form on every covector once.
-    The test raises on a w of the wrong length or w = 0.  dual_test_cost
-    prices the tangency search or the table.
+      * "tangency": True where w is proportional to a (nonzero) gradient at
+        a point of {F = 0 mod pi} over an extension of degree
+        <= search_bound, None elsewhere (certifies nothing).
+    A closed-form route is the zero set of the dual form's table.
+    dual_test_cost prices the tangency search or the table.
     """
     kpi, terms, _ = reduce_form(form, pi)
-    nv = form.n + 1
+    nv, Q = form.n + 1, kpi.size
     dual = _dual_route(form, dual)
 
     if dual == "tangency":
-        tangents = _tangent_covectors(kpi, terms, nv, search_bound)
-
-        def member(w):
-            return _normalized(kpi, w) in tangents or None
-    else:
-        if dual == "quadric":
-            dual = quadric_dual_form(form)
-            if kpi.is_zero(mat_det(kpi, quadric_matrix_over(kpi, terms, nv))):
-                raise ValueError(
-                    "quadric degenerates mod pi; the dual is undefined there "
-                    "(exceptional prime)")
-        _, dual_terms, _ = reduce_form(dual, pi)
-        if not dual_terms:
-            raise ValueError("supplied dual form vanishes mod pi")
-        table, Q = form_values(kpi, dual_terms, nv), kpi.size
-
-        def member(w):
-            return kpi.is_zero(table[flat_index(Q, w)])
-
-    def test(w):
-        w = tuple(w)
-        if len(w) != nv:
-            raise ValueError(f"w needs {nv} coordinates")
-        if all(kpi.is_zero(x) for x in w):
-            raise ValueError("w must be a nonzero (projective) covector")
-        return member(w)
-    return test
+        column = [None] * Q ** nv
+        for w in _tangent_covectors(kpi, terms, nv, search_bound):
+            # a covector over k_pi normalizes to one over k_pi; mark its
+            # Q - 1 unit multiples
+            if max(w) < Q:
+                for c in range(1, Q):
+                    column[flat_index(Q, [kpi.mul(c, x) for x in w])] = True
+        return column
+    if dual == "quadric":
+        dual = quadric_dual_form(form)
+        if kpi.is_zero(mat_det(kpi, quadric_matrix_over(kpi, terms, nv))):
+            raise ValueError(
+                "quadric degenerates mod pi; the dual is undefined there "
+                "(exceptional prime)")
+    _, dual_terms, _ = reduce_form(dual, pi)
+    if not dual_terms:
+        raise ValueError("supplied dual form vanishes mod pi")
+    column = [not v for v in form_values(kpi, dual_terms, nv)]
+    column[0] = None
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,15 @@ def test_criterion_7_geometry(report):
     for pi_text in ("T", "1+T^2"):
         pi = P(K3, pi_text)
         kpi = pr.residue_field(K3, pi)
-        closed_test = geo.dual_membership_test(QUADRIC, pi, dual="auto")
-        witness_test = geo.dual_membership_test(QUADRIC, pi, dual="tangency",
-                                                search_bound=1)
+        closed_column = geo.dual_column(QUADRIC, pi, dual="auto")
+        witness_column = geo.dual_column(QUADRIC, pi, dual="tangency",
+                                         search_bound=1)
         import itertools
         for w in itertools.product(range(kpi.size), repeat=3):
             if all(kpi.is_zero(v) for v in w):
                 continue
-            closed = closed_test(w)
-            witness = witness_test(w)
+            closed = closed_column[geo.flat_index(kpi.size, w)]
+            witness = witness_column[geo.flat_index(kpi.size, w)]
             tangency_ok = tangency_ok and ((closed is True)
                                            == (witness is True))
 

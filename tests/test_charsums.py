@@ -65,7 +65,7 @@ def all_ws(ctx):
 
 def sum_at(ctx, w, chi_index):
     """S_G(w, chi_index) from the transform on the line of w."""
-    return next(ctx.sums([chi_index], [ctx.position(w)])[chi_index])
+    return next(ctx.sums([chi_index], [geo.flat_index(ctx.Q, w)])[chi_index])
 
 
 class TestKernel:
@@ -99,7 +99,7 @@ class TestKernel:
             (2, 7, kpi.one),
             (5, 5, 3),
         ]
-        sums = ctx.sums([1], [ctx.position(w) for w in ws])[1]
+        sums = ctx.sums([1], [geo.flat_index(ctx.Q, w) for w in ws])[1]
         for w, S in zip(ws, sums):
             assert S == char_sum_bruteforce(ctx, w, 1)
 
@@ -202,11 +202,12 @@ class TestTransform:
         lists = {
             "zero": [0],
             "one w": [len(ws) - 1],
-            "multiples": [ctx.position([kpi.mul(c, x) for x in w1])
+            "multiples": [geo.flat_index(ctx.Q, [kpi.mul(c, x) for x in w1])
                           for c in kpi.elements()],
-            "twisted box": [ctx.position([kpi.reduce_poly(pr.mul(k, twist, x))
-                                          for x in xs])
-                            for xs in pr.box(k, 1, ctx.nvars)],
+            "twisted box": [
+                geo.flat_index(ctx.Q, [kpi.reduce_poly(pr.mul(k, twist, x))
+                                       for x in xs])
+                for xs in pr.box(k, 1, ctx.nvars)],
             "repeated": [len(ws) - 1, 0, 5, len(ws) - 1, 1, 5, 0],
             "every w": list(range(len(ws))),
         }
@@ -345,7 +346,7 @@ def count_canonicalizations(monkeypatch) -> list:
 
 class TestWorkBounds:
     def test_tables_make_no_eval_terms_call(self, monkeypatch):
-        # the table of G and the closed-form dual tests come from
+        # the table of G and the closed-form dual columns come from
         # form_values; eval_terms is the per-point evaluator of searches
         def called(*args, **kwargs):
             raise AssertionError("eval_terms was called")
@@ -356,8 +357,8 @@ class TestWorkBounds:
         cs.CharSumContext(K3, pi, 2, N3_QUADRIC)
         kpi = pr.residue_field(K3, pi)
         for dual in ("auto", geo.quadric_dual_form(N3_QUADRIC)):
-            on_dual = geo.dual_membership_test(N3_QUADRIC, pi, dual=dual)
-            members = [on_dual(w) for w in
+            on_dual = geo.dual_column(N3_QUADRIC, pi, dual=dual)
+            members = [on_dual[geo.flat_index(kpi.size, w)] for w in
                        itertools.product(range(kpi.size), repeat=4)
                        if any(w)]
             assert 0 < sum(members) < len(members)

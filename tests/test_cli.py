@@ -699,6 +699,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "14348907" in err  # the required budget is printed
 
+    def test_failed_worker_is_four(self, tmp_path, monkeypatch, capsys):
+        # with 2 workers the range starting at 0 is the forked child's
+        chunk = sv.accumulate_chunk
+
+        def failing(k, form, b, *, start, stop):
+            if start == 0:
+                raise ZeroDivisionError("child share")
+            return chunk(k, form, b, start=start, stop=stop)
+
+        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        code = cli.main(["sieve-run", "--config", CONFIG, "--workers", "2",
+                         "--out", str(tmp_path)])
+        assert code == 4
+        assert "internal error: the worker for box positions [0, " \
+            in capsys.readouterr().err
+        assert not (tmp_path / "sieve_report.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_config_error_is_two(self, tmp_path, capsys):
         code = cli.main(["sieve-run", "--config", CONFIG, "--ell", "3",
                          "--out", str(tmp_path)])
@@ -749,12 +768,12 @@ class TestExitCodes:
 
     def test_dual_check_covector_walk_is_three(self, tmp_path, monkeypatch,
                                                capsys):
-        forbid(monkeypatch, geo, "dual_membership_test")
+        forbid(monkeypatch, geo, "dual_column")
         code = cli.main(["dual-check", "--config", CONFIG, "--pi", "1+T^2",
                          "--budget", "1000", "--out", str(tmp_path)])
         assert code == 3
         # the closed-form quadric tabulates its dual on the 9^3 covectors,
-        # the tangency test searches P^2(F_9), and the walk visits the
+        # the tangency column searches P^2(F_9), and the walk visits the
         # 9^3 - 1 nonzero covectors
         assert f"needs {9 ** 3 + 9 ** 2 + 9 + 1 + 9 ** 3 - 1}," \
             in capsys.readouterr().err
@@ -934,8 +953,8 @@ class TestUpFrontBudgets:
         # is refused by the budget before any field is built
         forbid(monkeypatch, pr, "residue_field")
         # the closed-form quadric tabulates its dual on the 3^21 covectors,
-        # the tangency test searches P^2(F_(3^7)), and the walk visits the
-        # 3^21 - 1 nonzero covectors; the budget covers the two tests
+        # the tangency column searches P^2(F_(3^7)), and the walk visits the
+        # 3^21 - 1 nonzero covectors; the budget covers the two columns
         tests = 3 ** 21 + 3 ** 14 + 3 ** 7 + 1
         code = cli.main(["dual-check", "--config", CONFIG,
                          "--pi", "2+T^2+T^7", "--budget", str(tests),

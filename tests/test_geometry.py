@@ -645,7 +645,7 @@ def t_quadric(k):
 
 def tangency_oracle(form, pi, w, search_bound):
     """Slow reference for the tangency route: the per-covector scan the
-    built test replaced.  True when w is proportional to a nonzero gradient
+    dual column replaced.  True when w is proportional to a nonzero gradient
     at a point of {F = 0 mod pi} over an extension of degree
     <= search_bound, else None."""
     kpi, h_terms, _ = geo.reduce_form(form, pi)
@@ -716,8 +716,8 @@ CLOSED_FORM_CASES = [
 
 
 class TestDualTest:
-    """The dual-membership test built once per prime against the slow
-    per-covector tangency scan, on every nonzero covector."""
+    """The dual column of a prime against the slow per-covector tangency
+    scan, on every nonzero covector."""
 
     @pytest.mark.parametrize("form, pi_text, bound", [
         (cubic7({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}), "T", 1),
@@ -734,16 +734,17 @@ class TestDualTest:
     def test_tangency_matches_oracle(self, form, pi_text, bound):
         pi = P(form.k, pi_text)
         kpi = pr.residue_field(form.k, pi)
-        on_dual = geo.dual_membership_test(form, pi, "tangency", bound)
-        quadric = (geo.dual_membership_test(form, pi, "auto")
+        on_dual = geo.dual_column(form, pi, "tangency", bound)
+        quadric = (geo.dual_column(form, pi, "auto")
                    if form.m == 2 else None)
         for w in nonzero_covectors(kpi, form.n + 1):
             expect = tangency_oracle(form, pi, w, bound)
-            assert on_dual(w) is expect
+            pos = geo.flat_index(kpi.size, w)
+            assert on_dual[pos] is expect
             if quadric is not None:
                 # a tangent hyperplane of a smooth quadric touches it at a
                 # point of the base field
-                assert quadric(w) is (expect is True)
+                assert quadric[pos] is (expect is True)
 
     def test_tangency_matches_oracle_degree_two_prime_bound_two(self):
         # the oracle scans P^2(F_81) for each covector off the dual (about
@@ -752,13 +753,13 @@ class TestDualTest:
         f = diag3(K3)
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
-        on_dual = geo.dual_membership_test(f, pi, "tangency", 2)
+        on_dual = geo.dual_column(f, pi, "tangency", 2)
         t = 3  # the class of T, a square root of -1
         one, zero = kpi.one, kpi.zero
         for w, member in (((one, one, one), True), ((one, t, zero), True),
                           ((one, zero, zero), None), ((one, t, one), None)):
             assert tangency_oracle(f, pi, w, 2) is member
-            assert on_dual(w) is member
+            assert on_dual[geo.flat_index(kpi.size, w)] is member
 
     @pytest.mark.parametrize(
         "k, pi_text, n, terms, supplied", CLOSED_FORM_CASES,
@@ -772,35 +773,41 @@ class TestDualTest:
         pi = P(k, pi_text)
         if supplied is None:
             dual_form, on_dual = (geo.quadric_dual_form(form),
-                                  geo.dual_membership_test(form, pi))
+                                  geo.dual_column(form, pi))
         else:
             dual_form = indexed_form(k, n, 3, supplied)
-            on_dual = geo.dual_membership_test(form, pi, dual=dual_form)
+            on_dual = geo.dual_column(form, pi, dual=dual_form)
         kpi, dual_terms, _ = geo.reduce_form(dual_form, pi)
         members = 0
         for w in nonzero_covectors(kpi, n + 1):
             expect = kpi.is_zero(geo.eval_terms(kpi, dual_terms, w))
-            assert on_dual(w) is expect
+            assert on_dual[geo.flat_index(kpi.size, w)] is expect
             members += expect
         assert 0 < members < kpi.size ** (n + 1) - 1
 
-    def test_covectors_validated(self):
-        pi = P(K3, "T")
-        kpi = pr.residue_field(K3, pi)
-        for route in ("auto", "tangency", geo.quadric_dual_form(diag3(K3))):
-            on_dual = geo.dual_membership_test(diag3(K3), pi, route)
-            with pytest.raises(ValueError):
-                on_dual((kpi.one, kpi.one))
-            with pytest.raises(ValueError):
-                on_dual((kpi.zero,) * 3)
+    def test_column_shape(self):
+        # Q^(n+1) entries on every route, no verdict at w = 0, and the
+        # tangency route never certifies a covector off the dual
+        f = diag3(K3)
+        for pi_text in ("T", "1+T^2"):
+            pi = P(K3, pi_text)
+            Q = pr.residue_field(K3, pi).size
+            for route in ("auto", geo.quadric_dual_form(f), "tangency"):
+                column = geo.dual_column(f, pi, route)
+                assert len(column) == Q ** 3
+                assert column[0] is None
+                if route == "tangency":
+                    assert set(column) == {True, None}
+                else:
+                    assert set(column[1:]) == {True, False}
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
-            geo.dual_membership_test(diag3(K3), P(K3, "T"), "resultant")
+            geo.dual_column(diag3(K3), P(K3, "T"), "resultant")
         # the closed-form quadric is what "auto" picks for m = 2; it is not
         # a route of its own
         with pytest.raises(ValueError):
-            geo.dual_membership_test(diag3(K3), P(K3, "T"), "quadric")
+            geo.dual_column(diag3(K3), P(K3, "T"), "quadric")
         with pytest.raises(ValueError):
             geo.dual_test_cost(diag3(K3), 3, "quadric")
 
@@ -832,13 +839,12 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        closed = geo.dual_membership_test(f, pi, dual="auto")
-        tangency = geo.dual_membership_test(f, pi, dual="tangency",
-                                            search_bound=1)
+        closed = geo.dual_column(f, pi, dual="auto")
+        tangency = geo.dual_column(f, pi, dual="tangency", search_bound=1)
         members = 0
         for w in geo.projective_points(kpi, 3):
-            via_dual = closed(w)
-            via_tangency = tangency(w)
+            via_dual = closed[geo.flat_index(kpi.size, w)]
+            via_tangency = tangency[geo.flat_index(kpi.size, w)]
             assert via_dual == (via_tangency is True)
             members += via_dual
         # a smooth conic over F_q has exactly q + 1 rational points
@@ -848,13 +854,12 @@ class TestDuality:
         f = t_quadric(K3)
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
-        closed = geo.dual_membership_test(f, pi, dual="auto")
-        tangency = geo.dual_membership_test(f, pi, dual="tangency",
-                                            search_bound=1)
+        closed = geo.dual_column(f, pi, dual="auto")
+        tangency = geo.dual_column(f, pi, dual="tangency", search_bound=1)
         members = 0
         for w in geo.projective_points(kpi, 3):
-            via_dual = closed(w)
-            via_tangency = tangency(w)
+            via_dual = closed[geo.flat_index(kpi.size, w)]
+            via_tangency = tangency[geo.flat_index(kpi.size, w)]
             assert via_dual == (via_tangency is True)
             members += via_dual
         assert members == 10  # q + 1 over F_9
@@ -863,30 +868,19 @@ class TestDuality:
         f = diag3(K3)
         pi = P(K3, "T")
         kpi = pr.residue_field(K3, pi)
-        supplied = geo.dual_membership_test(f, pi,
-                                            dual=geo.quadric_dual_form(f))
-        closed = geo.dual_membership_test(f, pi, dual="auto")
+        supplied = geo.dual_column(f, pi, dual=geo.quadric_dual_form(f))
+        closed = geo.dual_column(f, pi, dual="auto")
         for w in geo.projective_points(kpi, 3):
-            assert supplied(w) == closed(w)
+            pos = geo.flat_index(kpi.size, w)
+            assert supplied[pos] == closed[pos]
 
     def test_degenerate_prime_rejected(self):
-        f = t_quadric(K3)
-        kpi = pr.residue_field(K3, P(K3, "1+T"))
-        w = (kpi.one, kpi.one, kpi.one)
-        with pytest.raises(ValueError):
-            geo.dual_membership_test(f, P(K3, "1+T"), dual="auto")(w)
-        with pytest.raises(ValueError):
-            geo.dual_membership_test(f, P(K3, "1+T"), "auto")
-
-    def test_w_validation(self):
-        f = diag3(K3)
-        pi = P(K3, "T")
-        kpi = pr.residue_field(K3, pi)
-        test = geo.dual_membership_test(f, pi, dual="auto")
-        with pytest.raises(ValueError):
-            test((kpi.one, kpi.one))
-        with pytest.raises(ValueError):
-            test((kpi.zero,) * 3)
+        with pytest.raises(ValueError, match="degenerates"):
+            geo.dual_column(t_quadric(K3), P(K3, "1+T"), dual="auto")
+        # a supplied dual whose every coefficient is a multiple of T
+        t_dual = indexed_form(K3, 2, 2, {e: [0, 1] for e in DIAG_QUADRIC})
+        with pytest.raises(ValueError, match="vanishes"):
+            geo.dual_column(diag3(K3), P(K3, "T"), dual=t_dual)
 
 
 # ---------------------------------------------------------------------------
