@@ -17,7 +17,9 @@ also tabulates its dual form with.
 psi_infty(-w.a/pi) = zeta_p^<c(w), a> for an F_p-linear functional c(w) of
 the base-p digits of a.  One pass counts the points by their projection on
 the span of the c(w) read and by chi exponent, and one exact radix-p
-transform over that span gives every sum on it.
+transform over that span gives every sum on it.  Its counters are 64-bit
+fields of arrays, and each pass adds whole blocks of them as packed
+integers.
 
 On top of the kernel, the square-root cancellation audit (``wd_audit``):
 every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
@@ -25,14 +27,17 @@ every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
 normalized ratio |S| / q^((n+1) Delta / 2) is also logged, since no explicit
 constant is asserted for this case).  The case comes from the verdict at
 w's position in the prime's ``geometry.dual_column``, and the case and the
-text of each w are computed once for every chi.
+text of each w are computed once for every chi.  An audit keeps columns:
+the text and case of each w, each chi's references to the distinct sums,
+and one verdict per distinct (case, sum); ``audit_rows`` makes its rows
+from them as a writer asks for them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import sys
 from array import array
 
 from . import geometry as geo
@@ -127,8 +132,11 @@ class CharSumContext:
         where L[k][t][c] = #{a : <c, u(a)> = k, chi_exp[G(a)] = t}.  The
         layers start as the counts of u(a) in layer k = 0; each of the r
         passes transforms the top digit and writes the output digit at the
-        bottom, so the digits end in order.  chi_0 is 1 at the zeros of G
-        too: they get a layer t = ell only when 0 is in chi_indices.
+        bottom, so the digits end in order.  A pass reads each digit block
+        of each layer once as one int of 64-bit fields and forms each
+        output block as the sum of p such ints, with no loop over the
+        counters.  chi_0 is 1 at the zeros of G too: they get a layer t =
+        ell only when 0 is in chi_indices.
         """
         p, ell, Q = self.kpi.char, self.ell, self.Q
         size = Q ** self.nvars
@@ -156,9 +164,10 @@ class CharSumContext:
             cs = [sum(c // p ** s % p * p ** j for j, s in enumerate(pivots))
                   for c in cs]
             r = len(pivots)
-        # 64-bit integer arrays, not lists of int objects, to keep the
-        # layers small; a count is at most size, so it stays exact (an
-        # array raises on overflow, it never wraps)
+        # 64-bit counters in arrays, not lists of int objects, to keep the
+        # layers small.  Every counter counts points, so it is at most size,
+        # and size points already sit in g_values: a counter never fills
+        # its 64-bit field, and the sum of fields never carries
         tops = ell + (0 in chi_indices)
         layers = [[array('q', [0]) * p ** r for _ in range(tops)]
                   for _ in range(p)]
@@ -169,9 +178,12 @@ class CharSumContext:
             if t < tops:
                 layers[0][t][u] += 1
         block = p ** r // p
+        order = sys.byteorder  # that of array('q'), which is native
         for _ in range(r):
-            # blocks[k][t][d]: the points whose top digit is d
-            blocks = [[[layer[d * block:(d + 1) * block] for d in range(p)]
+            # blocks[k][t][d]: the counters of the points whose top digit
+            # is d, packed in one int of 64-bit fields
+            blocks = [[[int.from_bytes(layer[d * block:(d + 1) * block],
+                                       order) for d in range(p)]
                        for layer in by_t] for by_t in layers]
             layers = []
             for k in range(p):
@@ -179,11 +191,10 @@ class CharSumContext:
                 for t in range(tops):
                     out = array('q', [0]) * p ** r
                     for c in range(p):
-                        acc = blocks[k][t][0]
-                        for d in range(1, p):
-                            acc = map(operator.add, acc,
-                                      blocks[(k - c * d) % p][t][d])
-                        out[c::p] = array('q', acc)
+                        # the p blocks of output digit c, field by field
+                        acc = sum(blocks[(k - c * d) % p][t][d]
+                                  for d in range(p))
+                        out[c::p] = array('q', acc.to_bytes(8 * block, order))
                     by_t.append(out)
                 layers.append(by_t)
         ring = self.ring
@@ -269,10 +280,13 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
 
     Defaults: every non-principal chi of order dividing ell and every
     w in k_pi^(n+1); the sums of the ws come from one transform (sums).
-    Returns {"rows": [...], "summary": {...}}; each row carries q, Delta,
-    pi, ell, chi_index, w, case, abs_S, bound, ratio, pass.  For case "iii"
-    (and "unknown") the ratio column is |S| / q^((n+1) Delta / 2), and
-    summary.max_ratio_iii is the largest ratio of those rows; for cases
+    Returns the columns its rows are made from (audit_rows) and the
+    summary: {"head": the q, Delta, pi and ell of every row, "w": the text
+    of each w, "case": its case, "sums": {chi_index: the sum at each w},
+    "verdicts": {(case, S): (|S|, bound, ratio, pass)}, "summary": {...}},
+    the summary computed from them in one pass over the distinct pairs.
+    For case "iii" (and "unknown") the ratio is |S| / q^((n+1) Delta / 2),
+    and summary.max_ratio_iii is the largest ratio of those rows; for cases
     "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
     first, by sums_cost and the dual column's dual_test_cost.
     """
@@ -293,43 +307,61 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
         w_texts = [format_covector(kpi, w) for w in ws]
         positions = [geo.flat_index(ctx.Q, w) for w in ws]
 
-    column = geo.dual_column(form, pi, dual=dual)
-    sums = ctx.sums(chi_indices, positions)
+    on_dual = geo.dual_column(form, pi, dual=dual)
+    transform = ctx.sums(chi_indices, positions)
 
     # the case of each w, shared by every character; w = 0 is at position 0
-    w_cases = [_CASES[column[pos]] if pos else "i" for pos in
-               (range(len(column)) if positions is None else positions)]
-    rows = []
+    w_cases = [_CASES[on_dual[pos]] if pos else "i" for pos in
+               (range(len(on_dual)) if positions is None else positions)]
+    # the sums of each character: references to the distinct sums
+    sums = {i: list(transform[i]) for i in chi_indices}
     cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
-    max_ratio_iii = None
-    all_pass = True
+    for case in w_cases:
+        cases[case] += len(sums)
+    ratios_iii = []
     # (case, S) -> (|S|, bound, ratio, pass), each computed once per
     # distinct pair, and the rows share those floats
     verdicts = {}
-    pi_text = pr.format_poly(k, pi)
-    for chi_index in chi_indices:
-        for w_text, case, S in zip(w_texts, w_cases, sums[chi_index]):
-            cases[case] += 1
-            verdict = verdicts.get((case, S))
-            if verdict is None:
-                abs_s = ring.abs_embed(S)
-                if case == "i":
-                    bound, ratio = bound_i, abs_s / bound_i
-                elif case == "ii":
-                    bound, ratio = bound_ii, abs_s / bound_ii
-                else:
-                    bound, ratio = bound_ii, abs_s / norm_iii
-                    if max_ratio_iii is None or ratio > max_ratio_iii:
-                        max_ratio_iii = ratio
-                ok = abs_s <= bound * (1 + MAGNITUDE_TOL)
-                all_pass = all_pass and ok
-                verdict = verdicts[case, S] = abs_s, bound, ratio, ok
-            abs_s, bound, ratio, ok = verdict
-            rows.append({
-                "q": k.size,
-                "Delta": delta,
-                "pi": pi_text,
-                "ell": ell,
+    for case, S in dict.fromkeys(itertools.chain.from_iterable(
+            zip(w_cases, column) for column in sums.values())):
+        abs_s = ring.abs_embed(S)
+        if case == "i":
+            bound, ratio = bound_i, abs_s / bound_i
+        elif case == "ii":
+            bound, ratio = bound_ii, abs_s / bound_ii
+        else:
+            bound, ratio = bound_ii, abs_s / norm_iii
+            ratios_iii.append(ratio)
+        verdicts[case, S] = abs_s, bound, ratio, (
+            abs_s <= bound * (1 + MAGNITUDE_TOL))
+    return {
+        "head": {"q": k.size, "Delta": delta, "pi": pr.format_poly(k, pi),
+                 "ell": ell},
+        "w": w_texts,
+        "case": w_cases,
+        "sums": sums,
+        "verdicts": verdicts,
+        "summary": {
+            "rows": len(w_texts) * len(sums),
+            "cases": cases,
+            "all_pass": all(ok for *_, ok in verdicts.values()),
+            "max_ratio_iii": max(ratios_iii, default=None),
+            "trivial_bound": ctx.trivial_bound(),
+        },
+    }
+
+
+def audit_rows(audit: dict):
+    """Each row of a wd_audit result, made as it is asked for, in the order
+    of the characters and, for each, of the ws: a dict of q, Delta, pi,
+    ell, chi_index, w, case, abs_S, bound, ratio, pass.  Every pass makes
+    new rows."""
+    head, verdicts = audit["head"], audit["verdicts"]
+    for chi_index, sums in audit["sums"].items():
+        for w_text, case, S in zip(audit["w"], audit["case"], sums):
+            abs_s, bound, ratio, ok = verdicts[case, S]
+            yield {
+                **head,
                 "chi_index": chi_index,
                 "w": w_text,
                 "case": case,
@@ -337,17 +369,7 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
                 "bound": bound,
                 "ratio": ratio,
                 "pass": ok,
-            })
-    return {
-        "rows": rows,
-        "summary": {
-            "rows": len(rows),
-            "cases": cases,
-            "all_pass": all_pass,
-            "max_ratio_iii": max_ratio_iii,
-            "trivial_bound": ctx.trivial_bound(),
-        },
-    }
+            }
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)

@@ -336,22 +336,25 @@ def cmd_wd_audit(args) -> int:
         + geo.dual_test_cost(form, k.size ** pr.degree(pi), dual)
         for pi in pis))
     audits = []
-    all_rows = []
-    ok = True
     for pi in pis:
-        audit = cs.wd_audit(k, pi, cfg["ell"], form, dual=dual)
-        summary = audit["summary"]
-        audits.append({"pi": pr.format_poly(k, pi), "summary": summary})
-        all_rows.extend(audit["rows"])
-        ok = ok and summary["all_pass"]
+        audits.append(cs.wd_audit(k, pi, cfg["ell"], form, dual=dual))
+        summary = audits[-1]["summary"]
         print(f"pi={pr.format_poly(k, pi)}: rows={summary['rows']} "
               f"cases={summary['cases']} "
               f"max_ratio_iii={summary['max_ratio_iii']} "
               f"{'pass' if summary['all_pass'] else 'FAIL'}")
-    _emit(args, "wd_audit.json",
-          {"config": cfg, "audits": audits, "rows": all_rows,
-           "all_pass": ok})
-    path = rp.write_artifact(args.out, "wd_audit.csv", all_rows,
+    ok = all(audit["summary"]["all_pass"] for audit in audits)
+
+    def rows():
+        # each artifact makes its own rows as it writes them
+        return itertools.chain.from_iterable(map(cs.audit_rows, audits))
+    _emit(args, "wd_audit.json", {
+        "config": cfg,
+        "audits": [{"pi": audit["head"]["pi"], "summary": audit["summary"]}
+                   for audit in audits],
+        "rows": rows(),
+        "all_pass": ok})
+    path = rp.write_artifact(args.out, "wd_audit.csv", rows(),
                              columns=rp.WD_CSV_COLUMNS)
     print(f"wrote {path}")
     return 0 if ok else 1

@@ -10,9 +10,11 @@ the last itself, and reads each child's histogram back from a pipe).
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
 those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
 newline, rendered straight from the report a few rows per write, sibling
-dicts of scalars (audit rows) column by column into a % template.  A scalar's
-text, JSON or CSV cell, comes from one table keyed by exact type
-(_SCALAR_TEXTS), a non-str's once per distinct value of a column.
+dicts of scalars (audit rows) column by column into a % template.  An
+iterator in a report is written as the array of its items, with the bytes
+of their list, so rows can be made as they are written.  A scalar's text,
+JSON or CSV cell, comes from one table keyed by exact type (_SCALAR_TEXTS),
+a non-str's once per distinct value of a column.
 """
 
 import collections
@@ -24,6 +26,7 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -286,28 +289,31 @@ def _rows_texts(rows, keys, level: int, memos):
 
 
 def _json_pieces(obj, level: int, memos):
-    """json.dumps(normalize(obj), sort_keys=True, indent=2) in pieces.  A
-    run of sibling dicts with one key tuple (a lone one is a run of one)
-    goes in blocks of FLUSH_PIECES rows, each row one piece, by _rows_texts
-    when it takes the block."""
-    if not isinstance(obj, (dict, list, tuple)):
+    """json.dumps(normalize(obj), sort_keys=True, indent=2) in pieces, an
+    iterator written as the list of its items (an empty one as []), read
+    once.  A run of sibling dicts with one key tuple (a lone one is a run of
+    one) goes in blocks of FLUSH_PIECES rows, each row one piece, by
+    _rows_texts when it takes the block."""
+    if not isinstance(obj, (dict, list, tuple, Iterator)):
         if type(obj) not in _SCALAR_TEXTS:  # an int subclass stays itself,
             obj = normalize(obj)  # and json writes int's digits for it
         yield _SCALAR_TEXTS.get(type(obj), (int.__repr__,))[0](obj)
         return
-    if not obj:
-        yield "{}" if isinstance(obj, dict) else "[]"
-        return
     if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
         obj = {str(key): value for key, value in obj.items()}
         keys, heads, close, _ = _dict_layout(level, tuple(obj))
         values = [obj[key] for key in keys]
     else:
         inner = "\n" + "  " * (level + 1)
-        heads = ["[" + inner] + ["," + inner] * (len(obj) - 1)
+        heads = itertools.chain(["[" + inner], itertools.repeat("," + inner))
         close, values = "\n" + "  " * level + "]", obj
+    empty = True
     for keys, run in itertools.groupby(zip(heads, values), lambda item: (
             type(item[1]) is dict and tuple(item[1]))):
+        empty = False
         while block := list(itertools.islice(run, FLUSH_PIECES)):
             row_heads, rows = zip(*block)
             texts = keys and _rows_texts(rows, keys, level + 1, memos)
@@ -317,7 +323,7 @@ def _json_pieces(obj, level: int, memos):
             for head, value in block:
                 yield head
                 yield from _json_pieces(value, level + 1, memos)
-    yield close
+    yield "[]" if empty else close
 
 
 def write_csv(fh, columns, rows) -> None:
@@ -337,7 +343,9 @@ def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
     """Write out_dir/name: with columns, content is the rows of a CSV table
     (write_csv); without, a report as byte-stable JSON (_json_pieces and a
     newline), FLUSH_PIECES pieces per write, so neither a normalized copy
-    of the report nor the whole text of an artifact is held in memory."""
+    of the report nor the whole text of an artifact is held in memory.  The
+    rows, or any array of a report, may be an iterator: it is written as
+    the list of its items would be, one block at a time."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:

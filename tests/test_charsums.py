@@ -9,6 +9,8 @@ instances.
 import copy
 import itertools
 import pathlib
+import random
+import tracemalloc
 
 import pytest
 
@@ -344,6 +346,23 @@ def count_canonicalizations(monkeypatch) -> list:
     return calls
 
 
+def test_counters_above_one_byte():
+    # the n = 3 unit quadric mod 1+T^2 has 6561 points, so its counters
+    # pass 255 and fill more than one byte of their 64-bit fields: every
+    # character on a seeded sample of 40 w, read from the transform of
+    # every w and from the transform on the sample's span
+    ctx = cs.CharSumContext(K3, P(K3, "1+T^2"), 2, N3_QUADRIC)
+    ws = all_ws(ctx)
+    sample = random.Random(24).sample(range(len(ws)), 40)
+    chis = range(ctx.ell)
+    want = {i: [char_sum(ctx, ws[pos], i) for pos in sample] for i in chis}
+    every = {i: list(it) for i, it in ctx.sums(chis).items()}
+    on_span = ctx.sums(chis, sample)
+    for i in chis:
+        assert [every[i][pos] for pos in sample] == want[i], i
+        assert list(on_span[i]) == want[i], i
+
+
 class TestWorkBounds:
     def test_tables_make_no_eval_terms_call(self, monkeypatch):
         # the table of G and the closed-form dual columns come from
@@ -366,8 +385,8 @@ class TestWorkBounds:
     def test_audit_canonicalizes_each_count_column_once(self, monkeypatch):
         # 3^4 + 9^4 = 6642 sums, of which only a few columns of counts differ
         calls = count_canonicalizations(monkeypatch)
-        rows = sum(len(cs.wd_audit(K3, P(K3, t), 2, N3_QUADRIC)["rows"])
-                   for t in ("T", "1+T^2"))
+        rows = sum(len(list(cs.audit_rows(cs.wd_audit(
+            K3, P(K3, t), 2, N3_QUADRIC)))) for t in ("T", "1+T^2"))
         assert rows == 3 ** 4 + 9 ** 4
         assert 0 < len(calls) <= 8
 
@@ -382,7 +401,7 @@ class TestWorkBounds:
         rows, pairs = [], 0
         for t in ("T", "1+T^2"):
             pi = P(K3, t)
-            audit = cs.wd_audit(K3, pi, 2, N3_QUADRIC)["rows"]
+            audit = list(cs.audit_rows(cs.wd_audit(K3, pi, 2, N3_QUADRIC)))
             sums = cs.CharSumContext(K3, pi, 2, N3_QUADRIC).sums([1])[1]
             pairs += len({(row["case"], S) for row, S in zip(audit, sums)})
             rows += audit
@@ -407,6 +426,23 @@ class TestWorkBounds:
                   for key, value in row.items() if type(value) is float}
         assert 0 < renders["json"] <= len(floats)
         assert 0 < renders["csv"] <= len(floats)
+
+    def test_audit_keeps_no_rows(self):
+        # the result holds columns and the distinct verdicts, and each pass
+        # of audit_rows makes the 6561 rows afresh (3.34 MB were held as
+        # one dict per row)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = cs.wd_audit(K3, P(K3, "1+T^2"), 2, N3_QUADRIC)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
+        first, second = (list(cs.audit_rows(report)) for _ in range(2))
+        assert len(first) == 9 ** 4
+        assert first == second
+        assert len({id(row) for row in first + second}) == 2 * len(first)
 
     def test_repeated_columns_read_through_positions(self, monkeypatch):
         # every w in reverse order and some again: each sum equals the
@@ -435,7 +471,7 @@ class TestAudit:
         # minus the origin leaves 8; the remaining 18 are off the dual.
         assert summary["cases"] == {"i": 1, "ii": 8, "iii": 18, "unknown": 0}
         assert summary["max_ratio_iii"] is not None
-        for row in report["rows"]:
+        for row in list(cs.audit_rows(report)):
             assert row["pass"]
             if row["case"] == "i":
                 assert row["bound"] == pytest.approx(2 * 9 + 3)  # 21
@@ -473,7 +509,8 @@ class TestAudit:
         kpi = pr.residue_field(K3, pi)
 
         def case(w):
-            return cs.wd_audit(K3, pi, 2, f, ws=[w])["rows"][0]["case"]
+            report = cs.wd_audit(K3, pi, 2, f, ws=[w])
+            return list(cs.audit_rows(report))[0]["case"]
         assert case((kpi.zero,) * 3) == "i"
         one = kpi.one
         assert case((one, one, one)) == "ii"   # 1+1+1 = 0
@@ -491,7 +528,7 @@ class TestAudit:
         kpi = pr.residue_field(K31, pi)
         zero_w = (kpi.zero,) * 3
         report = cs.wd_audit(K31, pi, 5, f, chi_indices=[1], ws=[zero_w])
-        row = report["rows"][0]
+        row = list(cs.audit_rows(report))[0]
         assert row["case"] == "i"
         assert row["bound"] == pytest.approx(7719.0)
         assert row["abs_S"] == pytest.approx(9279.876, abs=1e-3)
@@ -505,7 +542,7 @@ class TestAudit:
         ws = list(itertools.product(range(3), repeat=3))
         report = cs.wd_audit(K7, pi, 3, f, dual="tangency", ws=ws)
         assert report["summary"]["all_pass"]
-        for row in report["rows"]:
+        for row in list(cs.audit_rows(report)):
             assert row["case"] in ("i", "ii", "iii", "unknown")
 
 
@@ -541,7 +578,7 @@ class TestCovectorTexts:
         kpi = pr.residue_field(K3, pi)
         report = cs.wd_audit(K3, pi, 2, diag3(K3))
         ws = list(itertools.product(kpi.elements(), repeat=3))
-        assert [row["w"] for row in report["rows"]] == [
+        assert [row["w"] for row in list(cs.audit_rows(report))] == [
             ";".join(pr.format_poly(K3, lift_from(kpi, x)) for x in w)
             for w in ws]
 

@@ -432,16 +432,23 @@ def test_csv_cells_equal_the_normalized_cells(cells):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(row_runs())
 @example(ROW_RUN)
+@example([])
 def test_row_runs_equal_the_one_shot_encodings(tmp_path, rows):
     # runs longer than a block, whose columns mix hash-equal scalars, in
-    # both artifacts
-    path = rp.write_artifact(str(tmp_path), "r.json", {"rows": rows})
-    assert pathlib.Path(path).read_bytes() \
-        == oracle_json({"rows": rows}).encode()
-    path = rp.write_artifact(str(tmp_path), "r.csv", rows,
-                             columns=list(ROW_KEYS))
-    assert pathlib.Path(path).read_bytes() \
-        == oracle_csv(list(ROW_KEYS), rows).encode()
+    # both artifacts; given as an iterator, the rows are written as the
+    # list of them is
+    want_json = oracle_json({"rows": rows}).encode()
+    want_csv = oracle_csv(list(ROW_KEYS), rows).encode()
+    for given_as in (list, iter):
+        path = rp.write_artifact(str(tmp_path), "r.json",
+                                 {"rows": given_as(rows)})
+        assert pathlib.Path(path).read_bytes() == want_json, given_as
+        path = rp.write_artifact(str(tmp_path), "r.json", given_as(rows))
+        assert pathlib.Path(path).read_bytes() \
+            == oracle_json(rows).encode(), given_as
+        path = rp.write_artifact(str(tmp_path), "r.csv", given_as(rows),
+                                 columns=list(ROW_KEYS))
+        assert pathlib.Path(path).read_bytes() == want_csv, given_as
 
 
 class TestCommands:
