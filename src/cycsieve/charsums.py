@@ -27,10 +27,11 @@ every |S_G(w, chi)| is compared with the proved bound for its case -- w = 0
 normalized ratio |S| / q^((n+1) Delta / 2) is also logged, since no explicit
 constant is asserted for this case).  The case comes from the verdict at
 w's position in the prime's ``geometry.dual_column``, and the case and the
-text of each w are computed once for every chi.  An audit keeps columns:
-the text and case of each w, each chi's references to the distinct sums,
-and one verdict per distinct (case, sum); ``audit_rows`` makes its rows
-from them as a writer asks for them.
+text of each w are computed once for every chi.  An audit keeps columns,
+not rows: the text and case of each w, each chi's references to the
+distinct sums, and one verdict per distinct (case, sum).  A row is the
+verdict of its (case, sum) with its head, chi and w; the writer of the
+artifacts (``reports.Table``) renders each distinct (chi, case, sum) once.
 """
 
 from __future__ import annotations
@@ -280,11 +281,13 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
 
     Defaults: every non-principal chi of order dividing ell and every
     w in k_pi^(n+1); the sums of the ws come from one transform (sums).
-    Returns the columns its rows are made from (audit_rows) and the
-    summary: {"head": the q, Delta, pi and ell of every row, "w": the text
-    of each w, "case": its case, "sums": {chi_index: the sum at each w},
-    "verdicts": {(case, S): (|S|, bound, ratio, pass)}, "summary": {...}},
-    the summary computed from them in one pass over the distinct pairs.
+    Returns the columns its rows are made from and the summary: {"head":
+    the q, Delta, pi and ell of every row, "w": the text of each w, "case":
+    its case, "sums": {chi_index: the sum at each w}, "verdicts": {(case,
+    S): (|S|, bound, ratio, pass)}, "summary": {...}}, the summary computed
+    from them in one pass over the distinct pairs.  Its rows, in the order
+    of the characters and, for each, of the ws, are each the head and
+    chi_index, w, case, abs_S, bound, ratio and pass.
     For case "iii" (and "unknown") the ratio is |S| / q^((n+1) Delta / 2),
     and summary.max_ratio_iii is the largest ratio of those rows; for cases
     "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
@@ -349,27 +352,6 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
             "trivial_bound": ctx.trivial_bound(),
         },
     }
-
-
-def audit_rows(audit: dict):
-    """Each row of a wd_audit result, made as it is asked for, in the order
-    of the characters and, for each, of the ws: a dict of q, Delta, pi,
-    ell, chi_index, w, case, abs_S, bound, ratio, pass.  Every pass makes
-    new rows."""
-    head, verdicts = audit["head"], audit["verdicts"]
-    for chi_index, sums in audit["sums"].items():
-        for w_text, case, S in zip(audit["w"], audit["case"], sums):
-            abs_s, bound, ratio, ok = verdicts[case, S]
-            yield {
-                **head,
-                "chi_index": chi_index,
-                "w": w_text,
-                "case": case,
-                "abs_S": abs_s,
-                "bound": bound,
-                "ratio": ratio,
-                "pass": ok,
-            }
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)

@@ -318,6 +318,25 @@ def cmd_identity_check(args) -> int:
     return 0 if suite["all_pass"] else 1
 
 
+def audit_table(audits) -> rp.Table:
+    """The rows of the wd_audit results in turn, as a table with w free: a
+    class for each audit, character and verdict, read from the columns."""
+    classes, keys, texts = {}, [], []
+    for n, audit in enumerate(audits):
+        for chi_index, sums in audit["sums"].items():
+            for (case, S), verdict in audit["verdicts"].items():
+                abs_s, bound, ratio, ok = verdict
+                classes[n, chi_index, case, S] = {
+                    **audit["head"], "chi_index": chi_index, "case": case,
+                    "abs_S": abs_s, "bound": bound, "ratio": ratio,
+                    "pass": ok}
+            keys.append(zip(itertools.repeat(n), itertools.repeat(chi_index),
+                            audit["case"], sums))
+            texts.append(audit["w"])
+    return rp.Table("w", classes, itertools.chain.from_iterable(keys),
+                    itertools.chain.from_iterable(texts))
+
+
 def cmd_wd_audit(args) -> int:
     cfg = _config(args)
     form, dual = rp.config_objects(cfg)
@@ -344,17 +363,14 @@ def cmd_wd_audit(args) -> int:
               f"max_ratio_iii={summary['max_ratio_iii']} "
               f"{'pass' if summary['all_pass'] else 'FAIL'}")
     ok = all(audit["summary"]["all_pass"] for audit in audits)
-
-    def rows():
-        # each artifact makes its own rows as it writes them
-        return itertools.chain.from_iterable(map(cs.audit_rows, audits))
+    # each artifact reads its own table of the rows as it writes them
     _emit(args, "wd_audit.json", {
         "config": cfg,
         "audits": [{"pi": audit["head"]["pi"], "summary": audit["summary"]}
                    for audit in audits],
-        "rows": rows(),
+        "rows": audit_table(audits),
         "all_pass": ok})
-    path = rp.write_artifact(args.out, "wd_audit.csv", rows(),
+    path = rp.write_artifact(args.out, "wd_audit.csv", audit_table(audits),
                              columns=rp.WD_CSV_COLUMNS)
     print(f"wrote {path}")
     return 0 if ok else 1
@@ -375,24 +391,20 @@ def cmd_dual_check(args) -> int:
         geo.dual_test_cost(form, Q, "tangency", args.search_bound),
         Q ** (form.n + 1) - 1])
     kpi = pr.residue_field(k, pi)
-    columns = zip(cs.covector_texts(kpi, form.n + 1),
-                  geo.dual_column(form, pi, dual=dual),
-                  geo.dual_column(form, pi, dual="tangency",
-                                  search_bound=args.search_bound))
-    rows = []
-    agree_all = True
-    # entry 0 is w = 0
-    for w_text, closed, witness in itertools.islice(columns, 1, None):
-        agree = (closed is True) == (witness is True)
-        agree_all = agree_all and agree
-        rows.append({
-            "w": w_text,
-            "closed_form": closed,
-            "tangency_witness": witness is True,
-            "agree": agree,
-        })
-    print(f"pi={pr.format_poly(k, pi)}: {len(rows)} covectors, "
+    closed = geo.dual_column(form, pi, dual=dual)
+    found = [witness is True for witness in geo.dual_column(
+        form, pi, dual="tangency", search_bound=args.search_bound)]
+    # (closed-form verdict, witness found) of each w but w = 0, entry 0
+    keys = list(zip(closed, found))[1:]
+    classes = {(verdict, witness): {"closed_form": verdict,
+                                    "tangency_witness": witness,
+                                    "agree": (verdict is True) == witness}
+               for verdict, witness in set(keys)}
+    agree_all = all(row["agree"] for row in classes.values())
+    print(f"pi={pr.format_poly(k, pi)}: {len(keys)} covectors, "
           f"{'all agree' if agree_all else 'DISAGREEMENT'}")
+    rows = rp.Table("w", classes, keys, itertools.islice(
+        cs.covector_texts(kpi, form.n + 1), 1, None))
     _emit(args, "dual_check.json",
           {"config": cfg, "pi": pr.format_poly(k, pi),
            "search_bound": args.search_bound, "rows": rows,

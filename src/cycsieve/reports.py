@@ -9,16 +9,18 @@ the last itself, and reads each child's histogram back from a pipe).
 
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
 those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
-newline, rendered straight from the report a few rows per write, sibling
-dicts of scalars (audit rows) column by column into a % template.  An
+newline, rendered straight from the report a few pieces per write.  An
 iterator in a report is written as the array of its items, with the bytes
 of their list, so rows can be made as they are written.  A scalar's text,
-JSON or CSV cell, comes from one table keyed by exact type (_SCALAR_TEXTS),
-a non-str's once per distinct value of a column.
+JSON or CSV cell, comes from one table keyed by exact type (_SCALAR_TEXTS).
+A Table holds rows that share all columns but one free str column class by
+class (audit and dual-check rows): either writer renders each class once,
+with a mark in the free column, and joins each row's text around its free
+text by C-level maps, streaming the rows a block at a time.
 """
 
-import collections
 import csv
+import functools
 import itertools
 import json
 import marshal
@@ -26,6 +28,7 @@ import math
 import operator
 import os
 import sys
+import types
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -38,7 +41,7 @@ from .charsums import Budget
 from .ffield import is_prime_int, prime_factors
 
 DEFAULT_BUDGET = 10 ** 8
-FLUSH_PIECES = 64  # JSON pieces joined into one write of an artifact
+FLUSH_PIECES = 64  # JSON pieces, or CSV lines of a Table, in one write
 
 # the keys of a resolved config, the only keys a config may have
 CONFIG_KEYS = ("p", "e", "q", "n", "ell", "m", "b", "delta", "delta_max",
@@ -113,6 +116,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         if key not in cfg:
             raise ValueError(f"config needs {key}")
     n, ell, b = int(cfg["n"]), int(cfg["ell"]), int(cfg["b"])
+    if b < 0:
+        raise ValueError(f"b must be nonnegative, got {b}")
     form, dual = config_objects(cfg)
     if form.n != n:
         raise ValueError("form arity does not match n")
@@ -230,113 +235,103 @@ def cell_text(value) -> str:
     return _SCALAR_TEXTS.get(type(value), (None, str))[1](value)
 
 
-def _texts(values, memos, which: int) -> list:
-    """The JSON (which = 0) or CSV (which = 1) texts of values, each kept in
-    memos[i], a memo of the exact type of values[i] (1, True, 1.0 and
-    Fraction(1) are one dict key): no str (cheap; a CSV miss gives the
-    value), and a zero float under its repr, as -0.0 == 0.0."""
-    try:
-        texts = list(map(dict.get, memos, values,
-                         values if which else itertools.repeat(None)))
-    except TypeError:  # an unhashable cell, a list
-        texts = [None] * len(values)
-    if set(map(type, texts)) == {str}:
-        return texts
-    for i, (value, memo) in enumerate(zip(values, memos)):
-        if type(texts[i]) is str:
-            continue
-        render = _SCALAR_TEXTS.get(type(value))
-        if render is None or type(value) is str:
-            texts[i] = cell_text(value) if which else render[0](value)
-            continue
-        key = value if value or type(value) is not float else repr(value)
-        if key not in memo:
-            memo[key] = render[which](value)
-        texts[i] = memo[key]
-    return texts
+class Table:
+    """Rows that share all but one column class by class: the row of a key
+    and a text is the dict classes[key] with the text, a str, under the
+    column free.  keys and texts are iterables of one item per row, in row
+    order, read once.  A report may hold a Table where it holds a list of
+    rows, and a CSV artifact may be written from one; either writer
+    renders each class once, by the rules of any other row."""
+
+    def __init__(self, free: str, classes: dict, keys, texts):
+        self.free, self.classes = free, classes
+        self.keys, self.texts = keys, texts
 
 
-def _dict_layout(level: int, keys: tuple) -> tuple:
-    """(sorted keys, the text before each value, the closing text, and the
-    % template of them all) of a non-empty dict with str keys at level."""
-    order = sorted(keys)
-    inner = "\n" + "  " * (level + 1)
-    heads = [("{" if i == 0 else ",") + inner + encode_basestring_ascii(key)
-             + ": " for i, key in enumerate(order)]
-    close = "\n" + "  " * level + "}"
-    return order, heads, close, "%s".join(
-        [head.replace("%", "%%") for head in heads] + [close])
+def _table_texts(table: Table, render, quote):
+    """The text of each row of table, made as it is asked for: its class's
+    text by render (a row -> its text), rendered once with a mark in the
+    free column, joined around the row's free text quoted by quote (texts
+    -> their texts) where the mark's text was.  The mark is the first of
+    "\\x1f0", "\\x1f1", ... whose text occurs just once in each class's
+    text."""
+    for n in itertools.count():
+        mark = f"\x1f{n}"
+        spot = next(quote([mark]))
+        parts = {key: tuple(render({**row, table.free: mark}).split(spot))
+                 for key, row in table.classes.items()}
+        counts = set(map(len, parts.values()))
+        if 1 in counts:
+            raise ValueError(f"no column {table.free!r} for the free texts")
+        if counts <= {2}:
+            return map(str.join, quote(table.texts),
+                       map(parts.__getitem__, table.keys))
 
 
-def _rows_texts(rows, keys, level: int, memos):
-    """The JSON texts of rows, dicts with these keys at this level, column
-    by column through _texts and the layout's % template; None unless the
-    keys are str and the values scalars."""
-    if set(map(type, keys)) != {str}:
-        return None
-    order, _, _, template = _dict_layout(level, keys)
-    columns = []
-    for key in order:
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        if not _SCALAR_TEXTS.keys() >= kinds:
-            return None
-        memo = {kind: memos[key, kind] for kind in kinds}  # one per type
-        columns.append(
-            map(encode_basestring_ascii, column) if kinds == {str} else
-            _texts(column, list(map(memo.get, map(type, column))), 0))
-    return [template % cells for cells in zip(*columns)]
-
-
-def _json_pieces(obj, level: int, memos):
+def _json_pieces(obj, level: int):
     """json.dumps(normalize(obj), sort_keys=True, indent=2) in pieces, an
     iterator written as the list of its items (an empty one as []), read
-    once.  A run of sibling dicts with one key tuple (a lone one is a run of
-    one) goes in blocks of FLUSH_PIECES rows, each row one piece, by
-    _rows_texts when it takes the block."""
-    if not isinstance(obj, (dict, list, tuple, Iterator)):
+    once, and a Table as the list of its rows, one piece a row."""
+    if not isinstance(obj, (dict, list, tuple, Iterator, Table)):
         if type(obj) not in _SCALAR_TEXTS:  # an int subclass stays itself,
             obj = normalize(obj)  # and json writes int's digits for it
         yield _SCALAR_TEXTS.get(type(obj), (int.__repr__,))[0](obj)
         return
+    inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
         obj = {str(key): value for key, value in obj.items()}
-        keys, heads, close, _ = _dict_layout(level, tuple(obj))
-        values = [obj[key] for key in keys]
+        keys = sorted(obj)
+        heads = [("{" if i == 0 else ",") + inner
+                 + encode_basestring_ascii(key) + ": "
+                 for i, key in enumerate(keys)]
+        close, values = "\n" + "  " * level + "}", map(obj.get, keys)
     else:
-        inner = "\n" + "  " * (level + 1)
         heads = itertools.chain(["[" + inner], itertools.repeat("," + inner))
         close, values = "\n" + "  " * level + "]", obj
-    empty = True
-    for keys, run in itertools.groupby(zip(heads, values), lambda item: (
-            type(item[1]) is dict and tuple(item[1]))):
-        empty = False
-        while block := list(itertools.islice(run, FLUSH_PIECES)):
-            row_heads, rows = zip(*block)
-            texts = keys and _rows_texts(rows, keys, level + 1, memos)
-            if texts:
-                yield from map(operator.add, row_heads, texts)
-                continue
-            for head, value in block:
-                yield head
-                yield from _json_pieces(value, level + 1, memos)
-    yield "[]" if empty else close
+    if isinstance(obj, Table):
+        pieces = map(operator.add, heads, _table_texts(
+            obj, lambda row: "".join(_json_pieces(row, level + 1)),
+            functools.partial(map, encode_basestring_ascii)))
+    else:
+        pieces = itertools.chain.from_iterable(
+            itertools.chain((head,), _json_pieces(value, level + 1))
+            for head, value in zip(heads, values))
+    first = next(pieces, None)
+    if first is None:
+        yield "[]"
+        return
+    yield first
+    yield from pieces
+    yield close
 
 
 def write_csv(fh, columns, rows) -> None:
-    """The CSV table of rows (dicts) under a header of columns, written to
-    fh row by row through csv.writer, each cell from _texts."""
+    """The CSV table of rows under a header of columns, written to fh
+    through csv.writer: a Table FLUSH_PIECES rows per write, any other
+    rows (dicts) row by row, each cell by cell_text."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
-    memos = {}  # the exact types of a row's cells -> a memo for each
-    for row in rows:
-        values = list(map(row.get, columns))
-        kinds = (*map(type, values),)
-        writer.writerow(_texts(values, memos.get(kinds) or memos.setdefault(
-            kinds, [{} for _ in values]), 1))
+    if not isinstance(rows, Table):
+        for row in rows:
+            writer.writerow(map(cell_text, map(row.get, columns)))
+        return
+    # writerow returns what the file's write does, here the line itself
+    echo = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+    # a free text's cell, cut from the line of it and an empty cell; alone
+    # when it is the only column, as a lone empty cell is quoted
+    pad = [""] * (len(columns) > 1)
+    cut = operator.itemgetter(slice(None, -1 - len(pad)))
+
+    def quote(texts):
+        return map(cut, map(echo.writerow, zip(
+            texts, *map(itertools.repeat, pad))))
+    lines = _table_texts(rows, lambda row: echo.writerow(
+        map(cell_text, map(row.get, columns))), quote)
+    while block := list(itertools.islice(lines, FLUSH_PIECES)):
+        fh.write("".join(block))
 
 
 def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
@@ -344,16 +339,15 @@ def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
     (write_csv); without, a report as byte-stable JSON (_json_pieces and a
     newline), FLUSH_PIECES pieces per write, so neither a normalized copy
     of the report nor the whole text of an artifact is held in memory.  The
-    rows, or any array of a report, may be an iterator: it is written as
-    the list of its items would be, one block at a time."""
+    rows, or any array of a report, may be an iterator or a Table: each is
+    written as the list of its rows would be, as they are made."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if columns is not None:
             write_csv(fh, columns, content)
         else:
-            pieces = itertools.chain(_json_pieces(
-                content, 0, collections.defaultdict(dict)), ["\n"])
+            pieces = itertools.chain(_json_pieces(content, 0), ["\n"])
             while block := list(itertools.islice(pieces, FLUSH_PIECES)):
                 fh.write("".join(block))
     return path

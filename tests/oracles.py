@@ -18,6 +18,8 @@ them.
   singularity verdict (closed forms for quadratics and sums of pure powers,
   else a search over the points of ext^n) with the slice checks built on
   it.
+* The rows of a ``wd_audit`` result one dict at a time, the reference
+  the artifacts' table route (``cli.audit_table``) is checked against.
 * The character sum one w at a time, from the phases of w, and term by
   term (no transform); the slicing identity for S_G(0, chi) with its
   per-slice bound audit, which reports the pinned cubic violation; and the
@@ -927,3 +929,24 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
         "beta_rows": beta_rows,
         "all_pass": completion_exact and normalized_exact and betas_pass,
     }
+
+
+def audit_rows(audit: dict):
+    """Each row of a wd_audit result, made as it is asked for, in the order
+    of the characters and, for each, of the ws: a dict of q, Delta, pi,
+    ell, chi_index, w, case, abs_S, bound, ratio, pass.  Every pass makes
+    new rows."""
+    head, verdicts = audit["head"], audit["verdicts"]
+    for chi_index, sums in audit["sums"].items():
+        for w_text, case, S in zip(audit["w"], audit["case"], sums):
+            abs_s, bound, ratio, ok = verdicts[case, S]
+            yield {
+                **head,
+                "chi_index": chi_index,
+                "w": w_text,
+                "case": case,
+                "abs_S": abs_s,
+                "bound": bound,
+                "ratio": ratio,
+                "pass": ok,
+            }

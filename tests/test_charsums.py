@@ -24,6 +24,7 @@ from cycsieve.cyclotomic import CycRing
 from cycsieve.ffield import GF
 
 from oracles import (
+    audit_rows,
     char_sum,
     char_sum_bruteforce,
     gauss_twist_identity,
@@ -385,23 +386,24 @@ class TestWorkBounds:
     def test_audit_canonicalizes_each_count_column_once(self, monkeypatch):
         # 3^4 + 9^4 = 6642 sums, of which only a few columns of counts differ
         calls = count_canonicalizations(monkeypatch)
-        rows = sum(len(list(cs.audit_rows(cs.wd_audit(
+        rows = sum(len(list(audit_rows(cs.wd_audit(
             K3, P(K3, t), 2, N3_QUADRIC)))) for t in ("T", "1+T^2"))
         assert rows == 3 ** 4 + 9 ** 4
         assert 0 < len(calls) <= 8
 
     def test_audit_works_once_per_distinct_value(self, tmp_path,
                                                  monkeypatch):
-        # |S| once per distinct (case, S) of a prime, and the text of a
-        # float once per distinct float of a column of either artifact
+        # |S| once per distinct (case, S) of a prime, and the texts of a
+        # row's floats once per distinct (case, S) in either artifact
         embeds = []
         abs_embed = CycRing.abs_embed
         monkeypatch.setattr(CycRing, "abs_embed", lambda self, a: (
             embeds.append(a) or abs_embed(self, a)))
-        rows, pairs = [], 0
+        audits, rows, pairs = [], [], 0
         for t in ("T", "1+T^2"):
             pi = P(K3, t)
-            audit = list(cs.audit_rows(cs.wd_audit(K3, pi, 2, N3_QUADRIC)))
+            audits.append(cs.wd_audit(K3, pi, 2, N3_QUADRIC))
+            audit = list(audit_rows(audits[-1]))
             sums = cs.CharSumContext(K3, pi, 2, N3_QUADRIC).sums([1])[1]
             pairs += len({(row["case"], S) for row, S in zip(audit, sums)})
             rows += audit
@@ -418,14 +420,13 @@ class TestWorkBounds:
             return text
         monkeypatch.setitem(rp._SCALAR_TEXTS, float, (
             counted("json", json_text), counted("csv", cell)))
-        rp.write_artifact(str(tmp_path), "wd_audit.json", {"rows": rows})
-        rp.write_artifact(str(tmp_path), "wd_audit.csv", rows,
-                          columns=rp.WD_CSV_COLUMNS)
-        # distinct floats by their repr, which tells -0.0 from 0.0
-        floats = {(key, repr(value)) for row in rows
-                  for key, value in row.items() if type(value) is float}
-        assert 0 < renders["json"] <= len(floats)
-        assert 0 < renders["csv"] <= len(floats)
+        rp.write_artifact(str(tmp_path), "wd_audit.json",
+                          {"rows": cli.audit_table(audits)})
+        rp.write_artifact(str(tmp_path), "wd_audit.csv",
+                          cli.audit_table(audits), columns=rp.WD_CSV_COLUMNS)
+        # a row's floats are its abs_S, bound and ratio
+        assert 0 < renders["json"] <= 3 * pairs
+        assert 0 < renders["csv"] <= 3 * pairs
 
     def test_audit_keeps_no_rows(self):
         # the result holds columns and the distinct verdicts, and each pass
@@ -439,7 +440,7 @@ class TestWorkBounds:
         finally:
             tracemalloc.stop()
         assert held < 2 ** 20
-        first, second = (list(cs.audit_rows(report)) for _ in range(2))
+        first, second = (list(audit_rows(report)) for _ in range(2))
         assert len(first) == 9 ** 4
         assert first == second
         assert len({id(row) for row in first + second}) == 2 * len(first)
@@ -471,7 +472,7 @@ class TestAudit:
         # minus the origin leaves 8; the remaining 18 are off the dual.
         assert summary["cases"] == {"i": 1, "ii": 8, "iii": 18, "unknown": 0}
         assert summary["max_ratio_iii"] is not None
-        for row in list(cs.audit_rows(report)):
+        for row in list(audit_rows(report)):
             assert row["pass"]
             if row["case"] == "i":
                 assert row["bound"] == pytest.approx(2 * 9 + 3)  # 21
@@ -510,7 +511,7 @@ class TestAudit:
 
         def case(w):
             report = cs.wd_audit(K3, pi, 2, f, ws=[w])
-            return list(cs.audit_rows(report))[0]["case"]
+            return list(audit_rows(report))[0]["case"]
         assert case((kpi.zero,) * 3) == "i"
         one = kpi.one
         assert case((one, one, one)) == "ii"   # 1+1+1 = 0
@@ -528,7 +529,7 @@ class TestAudit:
         kpi = pr.residue_field(K31, pi)
         zero_w = (kpi.zero,) * 3
         report = cs.wd_audit(K31, pi, 5, f, chi_indices=[1], ws=[zero_w])
-        row = list(cs.audit_rows(report))[0]
+        row = list(audit_rows(report))[0]
         assert row["case"] == "i"
         assert row["bound"] == pytest.approx(7719.0)
         assert row["abs_S"] == pytest.approx(9279.876, abs=1e-3)
@@ -542,7 +543,7 @@ class TestAudit:
         ws = list(itertools.product(range(3), repeat=3))
         report = cs.wd_audit(K7, pi, 3, f, dual="tangency", ws=ws)
         assert report["summary"]["all_pass"]
-        for row in list(cs.audit_rows(report)):
+        for row in list(audit_rows(report)):
             assert row["case"] in ("i", "ii", "iii", "unknown")
 
 
@@ -578,7 +579,7 @@ class TestCovectorTexts:
         kpi = pr.residue_field(K3, pi)
         report = cs.wd_audit(K3, pi, 2, diag3(K3))
         ws = list(itertools.product(kpi.elements(), repeat=3))
-        assert [row["w"] for row in list(cs.audit_rows(report))] == [
+        assert [row["w"] for row in list(audit_rows(report))] == [
             ";".join(pr.format_poly(K3, lift_from(kpi, x)) for x in w)
             for w in ws]
 

@@ -8,6 +8,7 @@ import copy
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -25,6 +26,8 @@ from cycsieve import identities as ids
 from cycsieve import polyring as pr
 from cycsieve import reports as rp
 from cycsieve import sieve as sv
+
+from oracles import audit_rows
 
 CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
              / "configs" / "quadric_q3.json")
@@ -91,6 +94,9 @@ REFERENCE_DUAL_DIGEST = \
 # dual-check mod 1+T^2 on the shipped config at search bound 2
 TOWER_DUAL_DIGEST = \
     "b4bfa22453ea36c69f425d398d3c12e1c79fdf2ba26540af224d959cee5c2d30"
+# count --b 0 on the shipped config: the box of the zero vector alone
+COUNT_B0_DIGEST = \
+    "f95e13ff05a73d9b0f4bd17910a8ac2198157b48bf7a2d4b61a268f2d6733dea"
 
 # X0^3 + 2 X1^3 + X2^3 + X0 X1 X2 over F_7: neither diagonal nor a quadric,
 # so its auto dual is the tangency search
@@ -451,6 +457,167 @@ def test_row_runs_equal_the_one_shot_encodings(tmp_path, rows):
         assert pathlib.Path(path).read_bytes() == want_csv, given_as
 
 
+# ---------------------------------------------------------------------------
+# the table route of wd-audit and dual-check against the generic writers
+
+
+def written(tmp_path, report, columns=None) -> bytes:
+    """The bytes write_artifact writes for report (a CSV table of rows with
+    columns)."""
+    name = "t.csv" if columns else "t.json"
+    return pathlib.Path(rp.write_artifact(str(tmp_path), name, report,
+                                          columns)).read_bytes()
+
+
+def diagonal(k, n, m):
+    return geo.MultiForm(k, n, m, {tuple(m * (i == j) for j in range(n + 1)):
+                                   (k.one,) for i in range(n + 1)})
+
+
+# (q, ell, n, m, primes): q in {3, 5, 7, 9} and ell in {2, 3} where ell
+# divides q - 1; the cubics' dual columns come from the tangency search,
+# with "unknown" rows
+TABLE_AUDITS = [
+    (3, 2, 2, 2, ("T", "1+T^2")),
+    (5, 2, 2, 2, ("T", "2+T^2")),
+    (7, 2, 2, 2, ("T", "1+T")),
+    (7, 3, 2, 3, ("T", "1+T")),
+    (9, 2, 2, 2, ("T",)),
+]
+
+
+@pytest.mark.parametrize("q, ell, n, m, primes", TABLE_AUDITS)
+def test_audit_table_equals_the_generic_writers(tmp_path, q, ell, n, m,
+                                                primes):
+    k = rp.field_from_q(q)
+    form = diagonal(k, n, m)
+    audits = [cs.wd_audit(k, pr.parse_poly(k, t), ell, form)
+              for t in primes]
+    assert any(audit["summary"]["cases"]["unknown"]
+               for audit in audits) == (m == 3)
+
+    def rows():
+        return itertools.chain.from_iterable(map(audit_rows, audits))
+    assert written(tmp_path, {"rows": cli.audit_table(audits)}) \
+        == written(tmp_path, {"rows": rows()})
+    assert written(tmp_path, cli.audit_table(audits), rp.WD_CSV_COLUMNS) \
+        == written(tmp_path, rows(), rp.WD_CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("ws", [
+    [(0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 0, 0), (2, 0, 1), (1, 1, 1)],
+    [(0, 0, 0)],
+    [],
+])
+def test_audit_table_of_given_ws(tmp_path, ws):
+    # repeated ws and w = 0 among them; no ws at all is "rows": [] and a
+    # header alone
+    k = rp.field_from_q(3)
+    audits = [cs.wd_audit(k, pr.parse_poly(k, "T"), 2, diagonal(k, 2, 2),
+                          ws=ws)]
+    rows = list(audit_rows(audits[0]))
+    assert len(rows) == len(ws)
+    assert written(tmp_path, {"rows": cli.audit_table(audits)}) \
+        == written(tmp_path, {"rows": rows})
+    assert written(tmp_path, cli.audit_table(audits), rp.WD_CSV_COLUMNS) \
+        == written(tmp_path, rows, rp.WD_CSV_COLUMNS)
+    if not ws:
+        assert json.loads(written(tmp_path, {
+            "rows": cli.audit_table(audits)}))["rows"] == []
+        assert written(tmp_path, cli.audit_table(audits),
+                       rp.WD_CSV_COLUMNS) \
+            == (",".join(rp.WD_CSV_COLUMNS) + "\n").encode()
+
+
+@pytest.mark.parametrize("config, pi, search_bound", [
+    (CONFIG, "T", 1), (CONFIG, "1+T^2", 2), (str(CUBIC_CONFIG), "T", 1),
+    (str(QUADRIC_N3_CONFIG), "T", 1)])
+def test_dual_check_table_equals_the_generic_writer(tmp_path, config, pi,
+                                                     search_bound):
+    # the rows dual-check wrote one dict per nonzero w, in flat order
+    code = cli.main(["dual-check", "--config", config, "--pi", pi,
+                     "--search-bound", str(search_bound),
+                     "--out", str(tmp_path)])
+    report = json.loads(read(tmp_path / "dual_check.json"))
+    form, dual = rp.config_objects(report["config"])
+    k = form.k
+    modulus = pr.parse_poly(k, pi)
+    columns = zip(cs.covector_texts(pr.residue_field(k, modulus), form.n + 1),
+                  geo.dual_column(form, modulus, dual=dual),
+                  geo.dual_column(form, modulus, dual="tangency",
+                                  search_bound=search_bound))
+    rows = [{"w": w, "closed_form": closed,
+             "tangency_witness": witness is True,
+             "agree": (closed is True) == (witness is True)}
+            for w, closed, witness in itertools.islice(columns, 1, None)]
+    agree = all(row["agree"] for row in rows)
+    assert code == (0 if agree else 1)
+    assert written(tmp_path, {
+        "config": report["config"], "pi": pi, "search_bound": search_bound,
+        "rows": rows, "all_agree": agree}) \
+        == (tmp_path / "dual_check.json").read_bytes()
+
+
+# a class's scalars, hash-equal in groups, and texts that are, or hold, the
+# mark of the free column, so the route must pass over them
+CLASS_SCALARS = [0, False, 0.0, -0.0, float("nan"), float("inf"),
+                 float("-inf"), 1, True, 1.0, Fraction(1, 2), None, "",
+                 "%s", "\x1f0", "\x1f1", "a\x1f2b", '"\x1f3"', "a,b"]
+FREE_TEXTS = st.one_of(st.text(), st.text(alphabet=[
+    ",", '"', "\r", "\n", "%", "s", "\x00", "\x1f", "0", "é", "∑", " ",
+    "a"]))
+TABLE_KEYS = ("a", "w", "%s", "z")  # "w" is the free column
+
+
+@st.composite
+def tables(draw):
+    """(classes, rows as (class key, free text), CSV columns)."""
+    value = st.sampled_from(CLASS_SCALARS)
+    classes = draw(st.lists(st.fixed_dictionaries(
+        {}, optional=dict.fromkeys(("a", "%s", "z"), value)), min_size=1,
+        max_size=4))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(classes) - 1),
+                                   FREE_TEXTS), max_size=2 * rp.FLUSH_PIECES))
+    others = draw(st.lists(st.sampled_from(("a", "%s", "z")), unique=True))
+    columns = others[:]
+    columns.insert(draw(st.integers(0, len(others))), "w")
+    return dict(enumerate(classes)), rows, columns
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables())
+@example(({0: {"a": 0, "z": False}, 1: {"a": -0.0, "z": float("nan")}},
+          [(0, "x,\"y\"\r\n%"), (1, ""), (0, "\x00é"), (1, "\x1f0")],
+          ["w", "a", "z"]))
+@example(({0: {"a": "\x1f0", "z": "\x1f1"}}, [(0, "")], ["z", "w", "a"]))
+@example(({0: {}}, [(0, ""), (0, "a")], ["w"]))
+@example(({0: {"a": 1}}, [], ["a", "w"]))
+def test_table_equals_the_one_shot_encodings(tmp_path, table):
+    classes, rows, columns = table
+    dicts = [{**classes[key], "w": text} for key, text in rows]
+
+    def make():
+        return rp.Table("w", classes, (key for key, _ in rows),
+                        (text for _, text in rows))
+    assert written(tmp_path, {"rows": make(), "n": 1}) \
+        == oracle_json({"rows": dicts, "n": 1}).encode()
+    assert written(tmp_path, make()) == oracle_json(dicts).encode()
+    try:
+        want = oracle_csv(columns, dicts).encode()
+    except csv.Error:  # a NUL, which csv.writer refuses before Python 3.11
+        with pytest.raises(csv.Error):
+            written(tmp_path, make(), columns)
+    else:
+        assert written(tmp_path, make(), columns) == want
+
+
+def test_table_needs_its_free_column(tmp_path):
+    table = rp.Table("w", {0: {"a": 1}}, [0], ["x"])
+    with pytest.raises(ValueError, match="no column 'w'"):
+        rp.write_artifact(str(tmp_path), "t.csv", table, columns=["a"])
+
+
 class TestCommands:
     def test_primes(self, tmp_path, capsys):
         code = cli.main(["primes", "--q", "3", "--delta", "2",
@@ -662,6 +829,18 @@ class TestCommands:
         assert data["M"] == 15
         assert data["trivial_bound"] == 27
 
+    def test_count_empty_box(self, tmp_path):
+        # b = 0: the box holds the zero vector alone, and F(0) = 0 is an
+        # ell-th power
+        code = cli.main(["count", "--config", CONFIG, "--b", "0",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads(read(tmp_path / "count.json"))
+        assert data["M"] == 1
+        assert data["trivial_bound"] == 1
+        assert hashlib.sha256(read(tmp_path / "count.json").encode()) \
+            .hexdigest() == COUNT_B0_DIGEST
+
     def test_sieve_run_frozen(self, tmp_path):
         code = cli.main(["sieve-run", "--config", CONFIG,
                          "--out", str(tmp_path)])
@@ -827,6 +1006,7 @@ CONFIG_ERRORS = [
     (["dual-check", "--search-bound", "0"], {},
      "search_bound must be at least 1"),
     (["dual-check", "--pi", "T^2"], {}, "modulus must be a monic irreducible"),
+    (["count", "--b", "-1"], {}, "b must be nonnegative, got -1"),
 ]
 
 
