@@ -2,9 +2,9 @@
 with CLI overrides, byte-stable JSON and CSV emission (sorted keys, exact
 integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
-(the box is split into one range of positions per worker, and the exact
-value histograms of the ranges sum to the histogram of the whole box however
-it is split; the runner forks a child for every range but the last, builds
+(the box is split into one range of x_0 per worker, and the exact value
+histograms of the ranges sum to the histogram of the whole box however it
+is split; the runner forks a child for every range but the last, builds
 the last itself, and reads each child's histogram back from a pipe).
 
 One streaming writer emits every artifact.  The bytes of a JSON artifact are
@@ -82,6 +82,15 @@ def load_config(path: str) -> dict:
         return json.load(fh)
 
 
+def _config_int(cfg: dict, key: str, default=None) -> int:
+    """cfg[key] (default when absent) as an int, or a config error."""
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got "
+                         f"{json.dumps(cfg.get(key, default))}") from None
+
+
 def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     """Merge CLI overrides over the raw config, fill defaults, resolve
     delta = "auto", and make every check a config gets (see README.md,
@@ -100,12 +109,13 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
                          f"{' '.join(CONFIG_KEYS)}")
 
     if "q" in cfg and "p" not in cfg:
-        cfg["p"], cfg["e"] = factor_prime_power(int(cfg["q"]))
+        cfg["p"], e = factor_prime_power(_config_int(cfg, "q"))
+        cfg.setdefault("e", e)
     if "p" not in cfg:
         raise ValueError("config needs a field: p (and optional e) or q")
-    p = int(cfg["p"])
-    e = int(cfg.get("e", 1))
-    if "q" in cfg and p ** e != int(cfg["q"]):
+    p = _config_int(cfg, "p")
+    e = _config_int(cfg, "e", 1)
+    if "q" in cfg and p ** e != _config_int(cfg, "q"):
         raise ValueError(f"q = {cfg['q']} does not match p^e = {p}^{e}")
     if not is_prime_int(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -115,7 +125,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     for key in ("n", "ell", "b", "form"):
         if key not in cfg:
             raise ValueError(f"config needs {key}")
-    n, ell, b = int(cfg["n"]), int(cfg["ell"]), int(cfg["b"])
+    n, ell, b = (_config_int(cfg, key) for key in ("n", "ell", "b"))
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     form, dual = config_objects(cfg)
@@ -123,16 +133,15 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         raise ValueError("form arity does not match n")
     if dual != "auto" and dual.n != n:
         raise ValueError("dual form arity does not match n")
-    if int(cfg.get("m", form.m)) != form.m:
+    if _config_int(cfg, "m", form.m) != form.m:
         raise ValueError(f"m = {cfg['m']} is not the form's degree {form.m}")
     check_cover(form.k, ell, form.m)
 
-    delta = cfg.get("delta", "auto")
-    if delta in ("auto", None):
-        delta = sv.choose_delta(n, b)
-    delta = int(delta)
-    delta_max = int(cfg.get("delta_max", max(delta, 1)))
-    search_bound = int(cfg.get("search_bound", 4))
+    if cfg.get("delta", "auto") in ("auto", None):
+        cfg["delta"] = sv.choose_delta(n, b)
+    delta = _config_int(cfg, "delta")
+    delta_max = _config_int(cfg, "delta_max", max(delta, 1))
+    search_bound = _config_int(cfg, "search_bound", 4)
     for key, value in (("delta_max", delta_max),
                        ("search_bound", search_bound)):
         if value < 1:
@@ -149,7 +158,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         "delta": delta,
         "delta_max": delta_max,
         "search_bound": search_bound,
-        "budget": int(cfg.get("budget", DEFAULT_BUDGET)),
+        "budget": _config_int(cfg, "budget", DEFAULT_BUDGET),
         "form": geo.form_to_json(form),
         "dual": cfg.get("dual"),
     }
@@ -401,18 +410,19 @@ def _fork_share(k, form, b, start: int, stop: int) -> tuple:
 
 
 def parallel_accumulator(params: sv.SieveParams, workers: int = 1):
-    """The value histogram of the full box.  The box positions are split
-    into workers contiguous ranges; this process forks one child per
-    non-empty range but the last, builds the last range's histogram itself,
-    then reads each child's histogram from its pipe to the end before
-    reaping it, and the histograms are summed in range order.  A child that
-    fails raises here; if this process's own share fails, every child is
-    killed and reaped before the error propagates.  Without os.fork every
-    range runs in this process.  The exact counts do not depend on the
-    split, so the result is the same for any worker count."""
+    """The value histogram of the full box.  The q^b values of x_0 are split
+    into workers contiguous ranges, each passed as the box positions of its
+    values of x_0; this process forks one child per non-empty range but the
+    last, builds the last range's histogram itself, then reads each child's
+    histogram from its pipe to the end before reaping it, and the
+    histograms are summed in range order.  A child that fails raises here;
+    if this process's own share fails, every child is killed and reaped
+    before the error propagates.  Without os.fork every range runs in this
+    process.  The exact counts do not depend on the split, so the result
+    is the same for any worker count."""
     k, form, b = params.k, params.form, params.b
-    size = params.box_size
-    edges = [size * i // workers for i in range(workers + 1)]
+    width, unit = params.q ** b, params.q ** (b * params.n)
+    edges = [width * i // workers * unit for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
     if not hasattr(os, "fork"):
         return sv.merge_accumulators(

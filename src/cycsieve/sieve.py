@@ -18,15 +18,13 @@ index pr.poly_to_index gives it with D = deg_T(F) + m(b-1) + 1 base-q digits
 (value_digits).  Polynomials add digit by digit, which one block-sum table
 over h-digit blocks does for indices (block_sums).  The pass over the box has
 two steps.  accumulate_chunk builds the histogram Counter(value index of
-F(x)) over a contiguous range of box positions (box_histogram over the whole
-box), so a caller can split the box into one range per worker.  It never
-walks the rows of the range: it cuts the range into product blocks
-(product_blocks), and on a block the row parts of F are sums of
-contributions of independent groups of coordinates, so their histogram is a
-convolution of one small Counter per group.  merge_accumulators adds the
-histograms, whose exact counts do not depend on the split or the order of
-the parts; value_moments then does the per-prime work once per distinct
-value, weighted by its count.  The sieve terms read the resulting moments.
+F(x)) over the box points with x_0 in a range (box_histogram over the whole
+box), so a caller can split the box into one range of x_0 per worker; it
+never walks rows, but convolves one small Counter per group of linked
+coordinates.  merge_accumulators adds the histograms, whose exact counts do
+not depend on the split; value_moments then does the per-prime work once
+per distinct value, weighted by its count, and the sieve terms read the
+resulting moments.
 
 Each prime reads the residue index of every distinct value from the
 recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
@@ -386,33 +384,6 @@ def brute_force_count(k, ell: int, form: geo.MultiForm, b: int) -> int:
 # the box pass: value histograms of chunks, then the sieve work per value
 
 
-def product_blocks(start: int, stop: int, width: int, places: int,
-                   prefix=()) -> list:
-    """The integers [start, stop), read as places base-width digits (the
-    first the most significant), cut into product blocks in order: a block
-    (prefix, lo, hi) holds the integers whose leading digits are prefix and
-    whose next digit is in [lo, hi), every later digit free.  At most
-    2 * places - 1 blocks: a partial block below and above each digit."""
-    if start >= stop:
-        return []
-    unit = width ** (places - 1)
-    lo, lo_rest = divmod(start, unit)
-    hi, hi_rest = divmod(stop, unit)
-    if lo == hi:
-        return product_blocks(lo_rest, hi_rest, width, places - 1,
-                              prefix + (lo,))
-    out = []
-    if lo_rest:
-        out += product_blocks(lo_rest, unit, width, places - 1,
-                              prefix + (lo,))
-        lo += 1
-    if lo < hi:
-        out.append((prefix, lo, hi))
-    if hi_rest:
-        out += product_blocks(0, hi_rest, width, places - 1, prefix + (hi,))
-    return out
-
-
 def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:
     """Adds to the counts in out those of the sums of an index in a and one
     in c, each weighted by the product of their counts (out is a plain
@@ -430,30 +401,31 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
                      stop: int) -> Counter:
     """Counter of the value indices (value_digits digits) of F(x) over the
     box points at positions [start, stop) of the enumeration
-    pr.box(k, b, n + 1).
+    pr.box(k, b, n + 1).  Both ends are multiples of q^(bn), so the range
+    is the points with x_0 in [start // q^(bn), stop // q^(bn)), every
+    other coordinate free.
 
     A row is the q^b points that share x_0 .. x_{n-1} (x_n varies
     fastest), and on a row F is a polynomial in x_n: its free part and its
     key, the coefficients of x_n^1 .. x_n^m.  The row is packed as one
     integer, the m + 1 value indices as (m + 1) D base-q digits, so row
-    parts add digit by digit (ValueAdder).  The range is cut into product
-    blocks (product_blocks): leading coordinates fixed, one over a
-    sub-range, the rest free; a partial row at an edge is a block whose
-    x_n runs over a sub-range.  Two of x_0 .. x_{n-1} are linked when a
-    term of F holds both; each component of linked coordinates enumerates
-    its own values once per block and gives a Counter of its packed
-    contributions (a coordinate alone reads its index table over the q^b
-    values, built once per chunk; a term in more coordinates is multiplied
-    out and encoded).  The Counter of the rows of a block is the
-    convolution of its components' Counters.  Rows are grouped by key and
-    x_n range, and each group's Counter of free parts is convolved with the
-    Counter of the key's values over that range of x_n.
+    parts add digit by digit (ValueAdder).  Two of x_0 .. x_{n-1} are
+    linked when a term of F holds both; each component of linked
+    coordinates gives a Counter of its packed contributions over its
+    values (a coordinate alone reads its index table; a term in more
+    coordinates is multiplied out and encoded), and the Counter of the
+    rows is their convolution.  Rows are grouped by key, and each group's
+    Counter of free parts is convolved with the Counter of the key's
+    values over the row.
     """
     n, m = form.n, form.m
     digits = value_digits(form, b)
     width = k.size ** max(b, 0)
-    if not 0 <= start <= stop <= width ** (n + 1):
-        raise ValueError(f"positions [{start}, {stop}) are not in the box")
+    unit = width ** n  # the positions of one value of x_0
+    if not (0 <= start <= stop <= width * unit
+            and start % unit == stop % unit == 0):
+        raise ValueError(f"positions [{start}, {stop}) are not a range of "
+                         f"x_0 in the box")
     packed = (m + 1) * digits
     slot = k.size ** digits  # the scale of x_n-degree 1 in a packed row
 
@@ -492,22 +464,17 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
         components.setdefault(label[i], ([], []))[0].append(i)
     for term in products:
         components[label[term[0][0]]][1].append(term)
-    components = list(components.values())
 
-    counters = {}  # (component, ranges) -> Counter of packed contributions
-
-    def component_counter(c, ranges):
-        coords, terms = components[c]
-        spans = tuple(ranges[i] for i in coords)
-        memo = counters.get((c, spans))
-        if memo is not None:
-            return memo
+    # x_0 runs over its range (x_n itself when n = 0), the rest over all q^b
+    points = [range(start // unit, stop // unit)] + [range(width)] * n
+    rows = {const: 1}
+    for coords, terms in components.values():
         if len(coords) == 1:
-            lo, hi = spans[0]
-            out = Counter(tables[coords[0]][lo:hi])
+            i = coords[0]
+            parts = Counter(map(tables[i].__getitem__, points[i]))
         else:
-            points = [range(lo, hi) for lo, hi in spans]
-            count = math.prod(map(len, points)) * (len(coords) + len(terms))
+            spans = [points[i] for i in coords]
+            count = math.prod(map(len, spans)) * (len(coords) + len(terms))
             add = ValueAdder(k, packed, count).add
             where = {i: p for p, i in enumerate(coords)}
             plan = [(where[used[0]], [where[i] for i in used[1:]], exps[1:],
@@ -523,43 +490,30 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
                         t = pr.mul(k, t, powers[point[p]][e])
                     v = add(v, encode(t) * scale)
                 return v
-            out = Counter(map(value, itertools.product(*points)))
-        counters[(c, spans)] = out
-        return out
+            parts = Counter(map(value, itertools.product(*spans)))
+        rows = _convolve(ValueAdder(k, packed, len(rows) * len(parts)),
+                         rows, parts, {})
 
-    groups = {}  # (key, x_n range) -> Counter of the free parts of its rows
-    for prefix, lo, hi in product_blocks(start, stop, width, n + 1):
-        ranges = ([(d, d + 1) for d in prefix] + [(lo, hi)]
-                  + [(0, width)] * (n - len(prefix)))
-        rows = {const: 1}
-        for c in range(len(components)):
-            parts = component_counter(c, ranges)
-            rows = _convolve(ValueAdder(k, packed, len(rows) * len(parts)),
-                             rows, parts, {})
-        for v, count in rows.items():
-            key, free = divmod(v, slot)
-            groups.setdefault((key, ranges[n]), Counter())[free] += count
-
-    over_row = {}  # key -> the index of its sum_j key_j x_n^j at every x_n
-    for key, _ in groups:
-        if key not in over_row:
-            polys = [pr.poly_from_index(k, key // slot ** j % slot, digits)
-                     for j in range(m)]
-            values = []
-            for xe in powers:
-                v = ()
-                for c, power in zip(polys, xe[1:]):
-                    if c:
-                        v = pr.add(k, v, pr.mul(k, c, power))
-                values.append(encode(v))
-            over_row[key] = values
-    overs = {(key, span): Counter(over_row[key][span[0]:span[1]])
-             for key, span in groups}
-    adder = ValueAdder(k, digits, sum(len(frees) * len(overs[g])
-                                      for g, frees in groups.items()))
+    groups = {}  # key -> Counter of the free parts of its rows
+    for v, count in rows.items():
+        key, free = divmod(v, slot)
+        groups.setdefault(key, Counter())[free] += count
+    overs = {}  # key -> Counter of the index of sum_j key_j x_n^j on the row
+    for key in groups:
+        polys = [pr.poly_from_index(k, key // slot ** j % slot, digits)
+                 for j in range(m)]
+        over = overs[key] = Counter()
+        for xe in map(powers.__getitem__, points[n]):
+            v = ()
+            for c, power in zip(polys, xe[1:]):
+                if c:
+                    v = pr.add(k, v, pr.mul(k, c, power))
+            over[encode(v)] += 1
+    adder = ValueAdder(k, digits, sum(len(frees) * len(overs[key])
+                                      for key, frees in groups.items()))
     hist = {}
-    for g, frees in groups.items():
-        _convolve(adder, frees, overs[g], hist)
+    for key, frees in groups.items():
+        _convolve(adder, frees, overs[key], hist)
     return Counter(hist)
 
 

@@ -121,10 +121,14 @@ def config_without_delta_max(tmp_path):
     return str(path)
 
 
+ABSENT = object()  # a patch value that takes its key out of the config
+
+
 def write_config(tmp_path, patch):
     """The shipped config with the keys of patch set, as a file."""
     config = json.loads(read(CONFIG))
     config.update(patch)
+    config = {key: v for key, v in config.items() if v is not ABSENT}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -1007,6 +1011,15 @@ CONFIG_ERRORS = [
      "search_bound must be at least 1"),
     (["dual-check", "--pi", "T^2"], {}, "modulus must be a monic irreducible"),
     (["count", "--b", "-1"], {}, "b must be nonnegative, got -1"),
+    (["count", "--b", "2"], {"p": None}, "p must be an integer, got null"),
+    (["count", "--b", "2"], {"n": None}, "n must be an integer, got null"),
+    (["sieve-run"], {"delta_max": [2]},
+     "delta_max must be an integer, got [2]"),
+    (["sieve-run"], {"budget": {}}, "budget must be an integer, got {}"),
+    (["count", "--b", "2"], {"p": "three"},
+     'p must be an integer, got "three"'),
+    (["count", "--b", "2"], {"q": 9, "p": ABSENT, "e": 1},
+     "q = 9 does not match p^e = 3^1"),
 ]
 
 

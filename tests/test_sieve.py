@@ -517,40 +517,39 @@ def _form(k, n, m, terms):
 
 
 def _histogram_cases():
-    """(label, k, ell, form, b, edges): chunk edges over box positions, with
-    ranges that start and stop inside a row (a row is the q^b points that
-    share x_0 .. x_{n-1}) and one empty range."""
+    """(label, k, ell, form, b, edges): chunk edges over box positions, each
+    a multiple of q^(bn), the positions of one value of x_0; the ranges
+    hold empty ones, single values of x_0 and ones that start past 0."""
     g9 = 4  # a non-square of F_9 (F_9^* has even order)
     return [
-        ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2, [0, 200, 200, 413, 729]),
+        ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2, [0, 243, 243, 324, 729]),
         ("q3-T-coefficients", K3, 2, _form(K3, 2, 2, {
             (2, 0, 0): "1+T", (1, 1, 0): "T", (0, 1, 1): "2",
-            (0, 0, 2): "2*T^2"}), 2, [0, 5, 377, 377, 729]),
+            (0, 0, 2): "2*T^2"}), 2, [0, 81, 405, 405, 729]),
         ("q5-diagonal", K5, 2, _form(K5, 2, 2, {
             (2, 0, 0): "1", (0, 2, 0): "2", (0, 0, 2): "3"}), 2,
-         [3007, 3501, 3501, 4012]),
+         [1875, 2500, 2500, 3750]),
         ("q7-quadric-non-diagonal", K7, 2, _form(K7, 2, 2, {
             (1, 1, 0): "1", (0, 0, 2): "3+T", (1, 0, 1): "2"}), 1,
-         [0, 100, 343]),
-        ("q7-cubic-diagonal", K7, 3, diag(K7, 2, 3), 1, [0, 171, 171, 343]),
+         [0, 98, 343]),
+        ("q7-cubic-diagonal", K7, 3, diag(K7, 2, 3), 1, [0, 147, 147, 343]),
         ("q7-cubic-T-coefficients", K7, 3, _form(K7, 2, 3, {
             (3, 0, 0): "1", (0, 3, 0): "2", (0, 0, 3): "T",
-            (1, 1, 1): "1+T"}), 2, [20000, 20050, 20700]),
+            (1, 1, 1): "1+T"}), 2, [19208, 21609, 24010]),
         ("q9-non-diagonal", K9, 2, _form(K9, 2, 2, {
             (2, 0, 0): (K9.one,), (0, 1, 1): (g9,), (0, 0, 2): (g9, K9.one)}),
-         1, [0, 7, 500, 729]),
-        # n = 3, q = 3, b = 2: 6 561 points, rows of 9; an edge that is not
-        # a multiple of 9 is inside a row and so inside every block level
+         1, [0, 81, 486, 729]),
+        # n = 3, q = 3, b = 2: 6 561 points, 729 for each value of x_0
         ("q3-n3-diagonal", K3, 2, diag(K3, 3, 2), 2,
-         [0, 5, 1000, 1000, 4444, 6561]),
+         [0, 729, 2187, 2187, 4374, 6561]),
         ("q3-n3-linked-pair", K3, 2, _form(K3, 3, 2, {
             (2, 0, 0, 0): "1", (1, 1, 0, 0): "T", (0, 0, 2, 0): "2",
             (0, 1, 0, 1): "2", (0, 0, 0, 2): "1+T"}), 2,
-         [7, 733, 2350, 2350, 6560]),
+         [729, 1458, 2916, 2916, 6561]),
         ("q3-n3-xn-linked", K3, 2, _form(K3, 3, 4, {
             (4, 0, 0, 0): "1", (1, 1, 0, 2): "1+T", (0, 0, 4, 0): "2",
             (0, 0, 1, 3): "1", (0, 0, 0, 4): "T"}), 2,
-         [0, 1, 811, 3283, 6561]),
+         [0, 729, 1458, 3645, 6561]),
     ]
 
 
@@ -706,29 +705,6 @@ def test_value_index_histogram_equals_tuple_pass(case):
         == tuple_chunk_histogram(k, form, b, edges[0], edges[-1])
 
 
-def test_product_blocks_cover_the_range_in_order():
-    rng = random.Random(21)
-    for width, places in ((3, 1), (3, 4), (9, 4), (27, 4), (5, 3)):
-        size = width ** places
-        ranges = [(0, size), (0, 0), (size, size), (1, size - 1)] + [
-            tuple(sorted((rng.randrange(size + 1), rng.randrange(size + 1))))
-            for _ in range(40)]
-        for start, stop in ranges:
-            blocks = sv.product_blocks(start, stop, width, places)
-            assert len(blocks) <= 2 * places - 1
-            covered = []
-            for prefix, lo, hi in blocks:
-                assert len(prefix) < places and 0 <= lo < hi <= width
-                free = places - len(prefix) - 1
-                head = 0
-                for d in prefix:
-                    head = head * width + d
-                for d in range(lo, hi):
-                    base = (head * width + d) * width ** free
-                    covered.extend(range(base, base + width ** free))
-            assert covered == list(range(start, stop))
-
-
 def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
     # the unit quaternary box (n = 3, q = 3, b = 3, m = 2): 19 683 rows; the
     # pass multiplies O(n q^b m) times and makes one digitwise-sum call per
@@ -747,9 +723,9 @@ def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
     for name in ("add", "add_to_each"):
         monkeypatch.setattr(sv.ValueAdder, name,
                             counted(name, getattr(sv.ValueAdder, name)))
-    size = 3 ** 12
-    for lo, hi in ((0, size), (0, size // 2), (size // 2, size),
-                   (1234, 400000)):
+    size, unit = 3 ** 12, width ** n  # unit: the points of one x_0
+    for lo, hi in ((0, size), (0, 13 * unit), (13 * unit, size),
+                   (unit, 20 * unit)):
         calls.clear()
         hist = sv.accumulate_chunk(K3, form, 3, start=lo, stop=hi)
         assert sum(hist.values()) == hi - lo
@@ -868,7 +844,7 @@ class TestChunking:
         size = _PARAMS.box_size
         full = sv.accumulate_chunk(K3, QUADRIC, 3, start=0, stop=size)
         for pieces in (2, 7):
-            edges = [size * i // pieces for i in range(pieces + 1)]
+            edges = [27 * i // pieces * 729 for i in range(pieces + 1)]
             parts = [sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
                      for lo, hi in zip(edges, edges[1:])]
             merged = sv.merge_accumulators(parts)
@@ -935,18 +911,28 @@ class TestChunking:
         monkeypatch.setattr(sv, "accumulate_chunk", recording)
         assert rp.parallel_accumulator(_PARAMS, 3) == full
         assert ranges == [(0, 6561), (6561, 13122), (13122, 19683)]
+        # 100 workers get the 27 values of x_0, one each, so a forking run
+        # would start 26 children, not 99
+        ranges.clear()
+        assert rp.parallel_accumulator(_PARAMS, 100) == full
+        assert ranges == [(729 * i, 729 * (i + 1)) for i in range(27)]
+        assert_no_child_left()
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
             sv.merge_accumulators([])
 
     def test_histogram_weights_sum_to_range(self):
-        for lo, hi in ((0, 10), (5, 5), (20, 500), (19600, 19683)):
+        for lo, hi in ((0, 729), (729, 729), (1458, 5832), (18954, 19683)):
             hist = sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
             assert sum(hist.values()) == hi - lo
 
     def test_range_outside_box_rejected(self):
-        for lo, hi in ((-1, 5), (10, 5), (0, 19684)):
+        # outside the box, or with an end that is not a multiple of the 729
+        # positions of one value of x_0
+        for lo, hi in ((-1, 5), (10, 5), (0, 19684), (-729, 0),
+                       (729, 20412), (0, 10), (5, 729), (1, 19683),
+                       (729, 800), (5, 5)):
             with pytest.raises(ValueError):
                 sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
 
