@@ -30,6 +30,7 @@ is a pair of exponents (psi exponent mod p, character exponent mod ell) or
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from . import polyring as pr
 from .cyclotomic import CycRing, cyc_ring
@@ -129,34 +130,15 @@ def residue_data(k, pi, ell: int) -> ResidueData:
     return ResidueData(k, pi, ell)
 
 
-class MultChar:
-    """chi_{pi,i}: the order-(ell/gcd) multiplicative character mod pi."""
-
-    def __init__(self, data: ResidueData, index: int):
-        if not 0 <= index < data.ell:
-            raise ValueError("character index out of range")
-        self.data = data
-        self.index = index
-        self.ring = data.ring
-
-    @property
-    def principal(self) -> bool:
-        return self.index == 0
-
-    def exponent_at(self, residue_index: int):
-        """theta-exponent of chi at a residue (None means chi = 0 there)."""
-        if self.index == 0:
-            return 0
-        t = self.data.chi_exp[residue_index]
-        if t is None:
-            return None
-        return (self.index * t) % self.data.ell
-
-    def __repr__(self):
-        return (
-            f"chi(pi={pr.format_poly(self.data.k, self.data.pi)},"
-            f" ell={self.data.ell}, i={self.index})"
-        )
+def chi_exponents(data: ResidueData, index: int) -> list:
+    """chi_{pi,index} over the residue indices: its theta-exponent at each
+    residue, None where it vanishes (at 0, for index != 0)."""
+    if not 0 <= index < data.ell:
+        raise ValueError("character index out of range")
+    if index == 0:
+        return [0] * data.kpi.size
+    return [None if t is None else index * t % data.ell
+            for t in data.chi_exp]
 
 
 def psi_exponent(k, num, u) -> int:
@@ -177,48 +159,36 @@ def psi_exponent(k, num, u) -> int:
     return k.trace_to_prime(c)
 
 
-def gauss_sum(chi: MultChar) -> tuple:
-    """tau(chi) = sum over alpha in k_pi of chi(alpha) psi_infty(alpha/pi)."""
-    if chi.principal:
+def gauss_sum(data: ResidueData, index: int) -> tuple:
+    """tau(chi_{pi,index}) = sum over alpha in k_pi of chi(alpha)
+    psi_infty(alpha/pi)."""
+    if index == 0:
         raise ValueError("Gauss sum is defined for non-principal characters")
-    data = chi.data
-    counts: dict = {}
-    for idx in range(data.kpi.size):
-        e = chi.exponent_at(idx)
-        if e is None:
-            continue
-        key = (data.psi_exp[idx], e)
-        counts[key] = counts.get(key, 0) + 1
-    return chi.ring.from_exponent_counts(counts)
+    # a non-principal character vanishes at residue 0 only
+    return data.ring.from_exponent_counts(Counter(
+        zip(data.psi_exp[1:], chi_exponents(data, index)[1:])))
 
 
 def character_sum(data: ResidueData, idx: int, first: int = 0) -> tuple:
     """The sum of chi_{pi,i}, i = first, ..., ell - 1, at the residue of
     index idx, in the ring of the characters."""
-    ring = data.ring
-    total = ring.zero
-    for i in range(first, data.ell):
-        e = MultChar(data, i).exponent_at(idx)
-        if e is not None:
-            total = ring.add(total, ring.monomial(0, e))
-    return total
-
-
-def residue_root_count(data: ResidueData, idx: int) -> int:
-    """The character route to root_count[idx]: sum over the characters chi
-    mod pi of order dividing ell of chi at the residue of index idx."""
-    n = data.ring.as_int(character_sum(data, idx))
-    if n is None:
-        raise ArithmeticError("character sum failed to be a rational integer")
-    return n
+    t = data.chi_exp[idx]
+    if t is None:  # only chi_0 is nonzero at 0
+        return data.ring.from_int(int(first == 0))
+    return data.ring.from_exponent_counts(Counter(
+        (0, i * t) for i in range(first, data.ell)))
 
 
 def root_count_routes(data: ResidueData, check: bool = False) -> tuple:
     """(root_count, the character route) at every residue index of one
     prime: the table, filled by raising every y in k_pi to the ell-th
-    power, against residue_root_count.  With check, raise on the first
+    power, against the sum over the characters chi mod pi of order
+    dividing ell of chi at each residue.  With check, raise on the first
     residue where they differ."""
-    by_chars = [residue_root_count(data, idx) for idx in range(data.kpi.size)]
+    by_chars = [data.ring.as_int(character_sum(data, idx))
+                for idx in range(data.kpi.size)]
+    if None in by_chars:
+        raise ArithmeticError("character sum failed to be a rational integer")
     if check:
         for idx, (a, b) in enumerate(zip(data.root_count, by_chars)):
             if a != b:

@@ -26,7 +26,6 @@ from .charsums import Budget, BudgetExceeded
 FLAGS = {
     "config": {"help": "JSON config file"},
     "q": {"type": int, "help": "field size (prime power)"},
-    "n": {"type": int, "help": "projective dimension"},
     "ell": {"type": int, "help": "cover degree (prime)"},
     "b": {"type": int, "help": "box degree bound"},
     "delta": {"help": "sieving degree or 'auto'"},
@@ -115,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args) -> dict:
     """The resolved config: the file under the flags that override it."""
     raw = rp.load_config(args.config) if args.config else {}
-    over = {"q": args.q, "n": args.n, "ell": args.ell, "b": args.b,
+    over = {"q": args.q, "ell": args.ell, "b": args.b,
             "delta": args.delta, "budget": args.budget,
             "delta_max": getattr(args, "delta_max", None)}
     if args.form:

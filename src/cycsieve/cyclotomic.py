@@ -115,12 +115,6 @@ class CycRing:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
     def scale(self, n: int, a):
         return tuple(n * x for x in a)
 

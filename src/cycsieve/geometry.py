@@ -41,6 +41,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import json
 
 from . import polyring as pr
 from .polyring import NEG_INF, RationalFunctionField
@@ -91,16 +92,27 @@ def _is_diagonal(terms) -> bool:
     return all(sum(1 for e in exps if e) <= 1 for exps in terms)
 
 
+def json_int(name: str, value) -> int:
+    """value, an int or its text (never a bool or a float), as an int."""
+    if type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+
+
 def form_from_json(k, obj) -> MultiForm:
     """Build a form from ``{"n": .., "m": .., "terms": [{"exps": [..],
     "coeff": "poly text"}, ..]}``; duplicate exponent tuples are rejected."""
     try:
-        n, m, raw = int(obj["n"]), int(obj["m"]), obj["terms"]
+        n, m, raw = obj["n"], obj["m"], obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError("form object needs keys n, m, terms") from exc
+    n, m = json_int("form n", n), json_int("form m", m)
     terms = {}
     for item in raw:
-        exps = tuple(int(e) for e in item["exps"])
+        exps = tuple(json_int("form exponent", e) for e in item["exps"])
         if exps in terms:
             raise ValueError(f"duplicate monomial {exps}")
         terms[exps] = pr.parse_poly(k, item["coeff"])

@@ -39,8 +39,8 @@ from collections import Counter
 from . import geometry as geo
 from . import polyring as pr
 from .characters import (
-    MultChar,
     character_sum,
+    chi_exponents,
     gauss_sum,
     psi_exponent,
     residue_data,
@@ -93,10 +93,8 @@ def verify_gauss_magnitude(k, pi, ell: int) -> dict:
     ring = data.ring
     Q = k.size ** pr.degree(pi)
     expect = ring.from_int(Q)
-    lhs = []
-    for index in range(1, ell):
-        tau = gauss_sum(MultChar(data, index))
-        lhs.append(ring.mul(tau, ring.conj(tau)))
+    taus = [gauss_sum(data, index) for index in range(1, ell)]
+    lhs = [ring.mul(tau, ring.conj(tau)) for tau in taus]
     return {
         "id": "gauss-magnitude",
         "params": {"q": k.size, "pi": pr.format_poly(k, pi), "ell": ell},
@@ -236,16 +234,14 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
 
     data1 = residue_data(k, pi, ell)
     data2 = residue_data(k, pi2, ell)
-    chi1 = MultChar(data1, chi_index)
-    chi2 = MultChar(data2, chi2_index)
+    chi1 = chi_exponents(data1, chi_index)
+    chi2 = chi_exponents(data2, chi2_index)
     ring = data1.ring
 
     counts: Counter = Counter()
-    for (idx1, idx2), count in _residue_pairs(data1, data2, form,
-                                              b).items():
-        e1, e2 = chi1.exponent_at(idx1), chi2.exponent_at(idx2)
-        if e1 is not None and e2 is not None:
-            counts[0, e1 + e2] += count
+    for (idx1, idx2), count in _residue_pairs(data1, data2, form, b).items():
+        if idx1 and idx2:  # non-principal characters vanish at 0 only
+            counts[0, chi1[idx1] + chi2[idx2]] += count
     lhs = ring.from_exponent_counts(counts)
 
     total = _complementary_sum(k, pi, pi2, ell, form, D - b,

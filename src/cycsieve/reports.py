@@ -7,16 +7,18 @@ histograms of the ranges sum to the histogram of the whole box however it
 is split; the runner forks a child for every range but the last, builds
 the last itself, and reads each child's histogram back from a pipe).
 
-One streaming writer emits every artifact.  The bytes of a JSON artifact are
-those of json.dumps(normalize(report), sort_keys=True, indent=2) and a
-newline, rendered straight from the report a few pieces per write.  An
-iterator in a report is written as the array of its items, with the bytes
-of their list, so rows can be made as they are written.  A scalar's text,
-JSON or CSV cell, comes from one table keyed by exact type (_SCALAR_TEXTS).
-A Table holds rows that share all columns but one free str column class by
-class (audit and dual-check rows): either writer renders each class once,
-with a mark in the free column, and joins each row's text around its free
-text by C-level maps, streaming the rows a block at a time.
+One streaming writer emits every artifact, a few pieces per write.  A
+report is closed: dicts with str keys, lists, tuples and Tables, with str,
+int, bool, None, float and Fraction leaves, each of exactly that type; any
+other value or key is a TypeError.  The bytes of a JSON artifact are those
+of json.dumps(report, sort_keys=True, indent=2) and a newline, with each
+Fraction an exact integer or a "num/den" string and each float rounded to
+12 significant digits.  A scalar's text, JSON or CSV cell, comes from one
+table keyed by exact type (_SCALAR_TEXTS).  A Table holds rows that share
+all columns but one free str column class by class (audit and dual-check
+rows): either writer renders each class once, with a mark in the free
+column, and joins each row's text around its free text by C-level maps,
+streaming the rows a block at a time.
 """
 
 import csv
@@ -29,7 +31,6 @@ import operator
 import os
 import sys
 import types
-from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -84,11 +85,7 @@ def load_config(path: str) -> dict:
 
 def _config_int(cfg: dict, key: str, default=None) -> int:
     """cfg[key] (default when absent) as an int, or a config error."""
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got "
-                         f"{json.dumps(cfg.get(key, default))}") from None
+    return geo.json_int(key, cfg.get(key, default))
 
 
 def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
@@ -122,14 +119,15 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     if e < 1:
         raise ValueError("extension degree must be positive")
 
-    for key in ("n", "ell", "b", "form"):
+    for key in ("ell", "b", "form"):
         if key not in cfg:
             raise ValueError(f"config needs {key}")
-    n, ell, b = (_config_int(cfg, key) for key in ("n", "ell", "b"))
+    ell, b = _config_int(cfg, "ell"), _config_int(cfg, "b")
     if b < 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     form, dual = config_objects(cfg)
-    if form.n != n:
+    n = form.n
+    if _config_int(cfg, "n", n) != n:
         raise ValueError("form arity does not match n")
     if dual != "auto" and dual.n != n:
         raise ValueError("dual form arity does not match n")
@@ -188,37 +186,15 @@ def build_instance(config: dict, budget: Budget, price):
 # byte-stable serialization
 
 
-def normalize(obj):
-    """JSON-normal form: Fractions become exact integers or "num/den"
-    strings, floats are rounded to 12 significant digits, tuples become
-    lists, dict keys become strings.  normalize is idempotent, so parsing an
-    emitted artifact gives back exactly the normalized report."""
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return int(obj)
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [normalize(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(key): normalize(value) for key, value in obj.items()}
-    return str(obj)
-
-
 def _float_json(value) -> str:
     """The JSON text of value rounded to 12 significant digits."""
     value = float(f"{value:.12g}")
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
-# exact type of a scalar -> (its JSON text, its CSV cell), both of its
-# normal form (a 12-digit decimal survives the round trip through a float,
-# so the float cell is also the cell of the normalized value)
+# exact type of a scalar -> (its JSON text, its CSV cell); a float's cell is
+# also that of its JSON value, as a 12-digit decimal survives the round trip
+# through a float
 _SCALAR_TEXTS = {
     str: (encode_basestring_ascii, str),
     bool: (("false", "true").__getitem__,) * 2,
@@ -229,19 +205,30 @@ _SCALAR_TEXTS = {
 }
 
 
+def _refused(value) -> TypeError:
+    return TypeError(f"a report holds no {type(value).__name__}")
+
+
+def _row(row) -> dict:
+    """row, a dict with str keys, or TypeError."""
+    if type(row) is not dict:
+        raise _refused(row)
+    for key in row:
+        if type(key) is not str:
+            raise _refused(key)
+    return row
+
+
 def cell_text(value) -> str:
     """One CSV cell: exact integers, 12-significant-digit magnitudes,
-    lowercase booleans, exact fractions as num/den, lists joined by ";"."""
+    lowercase booleans, exact fractions as num/den, lists and tuples joined
+    by ";"."""
     texts = _SCALAR_TEXTS.get(type(value))
     if texts is not None:
         return texts[1](value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(cell_text(v) for v in value)
-    if isinstance(value, dict):
-        return str(normalize(value))
-    # that of the normal form, where an int subclass stays itself
-    value = normalize(value)
-    return _SCALAR_TEXTS.get(type(value), (None, str))[1](value)
+    if type(value) not in (list, tuple):
+        raise _refused(value)
+    return ";".join(map(cell_text, value))
 
 
 class Table:
@@ -278,29 +265,29 @@ def _table_texts(table: Table, render, quote):
 
 
 def _json_pieces(obj, level: int):
-    """json.dumps(normalize(obj), sort_keys=True, indent=2) in pieces, an
-    iterator written as the list of its items (an empty one as []), read
-    once, and a Table as the list of its rows, one piece a row."""
-    if not isinstance(obj, (dict, list, tuple, Iterator, Table)):
-        if type(obj) not in _SCALAR_TEXTS:  # an int subclass stays itself,
-            obj = normalize(obj)  # and json writes int's digits for it
-        yield _SCALAR_TEXTS.get(type(obj), (int.__repr__,))[0](obj)
+    """The JSON text of obj with sorted keys and an indent of 2, in pieces:
+    its scalars by _SCALAR_TEXTS, and a Table as the list of its rows, one
+    piece a row."""
+    texts = _SCALAR_TEXTS.get(type(obj))
+    if texts is not None:
+        yield texts[0](obj)
         return
     inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
+    if type(obj) is dict:
         if not obj:
             yield "{}"
             return
-        obj = {str(key): value for key, value in obj.items()}
-        keys = sorted(obj)
+        keys = sorted(_row(obj))
         heads = [("{" if i == 0 else ",") + inner
                  + encode_basestring_ascii(key) + ": "
                  for i, key in enumerate(keys)]
         close, values = "\n" + "  " * level + "}", map(obj.get, keys)
-    else:
+    elif type(obj) in (list, tuple, Table):
         heads = itertools.chain(["[" + inner], itertools.repeat("," + inner))
         close, values = "\n" + "  " * level + "]", obj
-    if isinstance(obj, Table):
+    else:
+        raise _refused(obj)
+    if type(obj) is Table:
         pieces = map(operator.add, heads, _table_texts(
             obj, lambda row: "".join(_json_pieces(row, level + 1)),
             functools.partial(map, encode_basestring_ascii)))
@@ -319,13 +306,15 @@ def _json_pieces(obj, level: int):
 
 def write_csv(fh, columns, rows) -> None:
     """The CSV table of rows under a header of columns, written to fh
-    through csv.writer: a Table FLUSH_PIECES rows per write, any other
-    rows (dicts) row by row, each cell by cell_text."""
+    through csv.writer: a Table FLUSH_PIECES rows per write, a list or
+    tuple of dicts row by row, each cell by cell_text."""
+    if type(rows) not in (list, tuple, Table):
+        raise _refused(rows)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
-    if not isinstance(rows, Table):
+    if type(rows) is not Table:
         for row in rows:
-            writer.writerow(map(cell_text, map(row.get, columns)))
+            writer.writerow(map(cell_text, map(_row(row).get, columns)))
         return
     # writerow returns what the file's write does, here the line itself
     echo = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
@@ -338,7 +327,7 @@ def write_csv(fh, columns, rows) -> None:
         return map(cut, map(echo.writerow, zip(
             texts, *map(itertools.repeat, pad))))
     lines = _table_texts(rows, lambda row: echo.writerow(
-        map(cell_text, map(row.get, columns))), quote)
+        map(cell_text, map(_row(row).get, columns))), quote)
     while block := list(itertools.islice(lines, FLUSH_PIECES)):
         fh.write("".join(block))
 
@@ -346,10 +335,10 @@ def write_csv(fh, columns, rows) -> None:
 def write_artifact(out_dir: str, name: str, content, columns=None) -> str:
     """Write out_dir/name: with columns, content is the rows of a CSV table
     (write_csv); without, a report as byte-stable JSON (_json_pieces and a
-    newline), FLUSH_PIECES pieces per write, so neither a normalized copy
-    of the report nor the whole text of an artifact is held in memory.  The
-    rows, or any array of a report, may be an iterator or a Table: each is
-    written as the list of its rows would be, as they are made."""
+    newline), FLUSH_PIECES pieces per write, so the whole text of an
+    artifact is never held in memory.  The rows, or any array of a report,
+    may be a Table, written as the list of its rows would be, as they are
+    made."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -20,6 +20,9 @@ them.
   it.
 * The rows of a ``wd_audit`` result one dict at a time, the reference
   the artifacts' table route (``cli.audit_table``) is checked against.
+* The JSON-normal form of a report, whose json.dumps with sorted keys and
+  an indent of 2 is the reference the bytes of the streaming writer
+  (``reports.write_artifact``) are checked against.
 * The character sum one w at a time, from the phases of w, and term by
   term (no transform); the slicing identity for S_G(0, chi) with its
   per-slice bound audit, which reports the pinned cubic violation; and the
@@ -48,11 +51,11 @@ from cycsieve import charsums as cs
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
 from cycsieve.characters import (
-    MultChar,
+    character_sum,
+    chi_exponents,
     gauss_sum,
     psi_exponent,
     residue_data,
-    residue_root_count,
 )
 from cycsieve.cyclotomic import cyc_ring
 from cycsieve import ffield
@@ -256,7 +259,7 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
     data = residue_data(k, pi, ell)
     idx = data.kpi.reduce_poly(eval_form_at_polys(form, x))
     by_table = data.root_count[idx]
-    by_chars = residue_root_count(data, idx)
+    by_chars = data.ring.as_int(character_sum(data, idx))
     if by_table != by_chars:
         raise ArithmeticError(
             f"fiber routes disagree at {x}: table {by_table}, "
@@ -709,8 +712,7 @@ def char_sum(ctx: cs.CharSumContext, w, chi_index: int):
     with chi_index = 0 counting the zeros of G too."""
     # per residue index: the zeta_ell exponent of chi_index there, or None
     # where the character vanishes
-    jtab = list(map(MultChar(ctx.data, chi_index).exponent_at,
-                    range(ctx.Q)))
+    jtab = chi_exponents(ctx.data, chi_index)
     counts = Counter(zip(phases(ctx, w),
                          map(jtab.__getitem__, ctx.g_values)))
     return ctx.ring.from_exponent_counts(
@@ -722,11 +724,11 @@ def char_sum_bruteforce(ctx: cs.CharSumContext, w, chi_index: int):
     code, chi and psi_infty term by term (no transform)."""
     w_indices(ctx, w)  # the length check of the per-w route
     kpi, ring = ctx.kpi, ctx.ring
-    chi = MultChar(ctx.data, chi_index)
+    chi = chi_exponents(ctx.data, chi_index)
     total = ring.zero
     for a in itertools.product(kpi.elements(), repeat=ctx.nvars):
         g = geo.eval_terms(kpi, ctx.reduced_terms, a)
-        e = chi.exponent_at(g)
+        e = chi[g]
         if e is None:
             continue
         dot = kpi.zero
@@ -749,15 +751,14 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
     ctx = cs.CharSumContext(k, pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
     nvars = ctx.nvars
-    chi = MultChar(ctx.data, chi_index)
+    chi = chi_exponents(ctx.data, chi_index)
 
     lhs = char_sum(ctx, (kpi.zero,) * nvars, chi_index)
 
     # sum over units of chi(u)^m
     unit_counts: dict = {}
     for r in range(1, ctx.Q):
-        e = chi.exponent_at(r)
-        key = (0, (e * form.m) % ell)
+        key = (0, (chi[r] * form.m) % ell)
         unit_counts[key] = unit_counts.get(key, 0) + 1
     unit_factor = ring.from_exponent_counts(unit_counts)
 
@@ -770,7 +771,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
         r_vars = nvars - 1 - j
         counts: dict = {}
         for b in itertools.product(kpi.elements(), repeat=r_vars):
-            e = chi.exponent_at(geo.eval_terms(kpi, g, b))
+            e = chi[geo.eval_terms(kpi, g, b)]
             if e is not None:
                 key = (0, e)
                 counts[key] = counts.get(key, 0) + 1
@@ -779,7 +780,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
                        "checks": checks})
         rhs = ring.add(rhs, ring.mul(unit_factor, affine_sum))
     # the a = 0 point contributes chi(G(0)) = chi(0) exactly
-    zero_term = ring.zero if not chi.principal else ring.one
+    zero_term = ring.zero if chi_index else ring.one
     rhs = ring.add(rhs, zero_term)
 
     return {
@@ -865,8 +866,8 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
 
     S = char_sum(ctx, w, chi_index)
     conj_index = (ell - chi_index) % ell
-    tau_chi = gauss_sum(MultChar(ctx.data, chi_index))
-    tau_conj = gauss_sum(MultChar(ctx.data, conj_index))
+    tau_chi = gauss_sum(ctx.data, chi_index)
+    tau_conj = gauss_sum(ctx.data, conj_index)
 
     p = kpi.char
     psi = ctx.data.psi_exp
@@ -950,3 +951,25 @@ def audit_rows(audit: dict):
                 "ratio": ratio,
                 "pass": ok,
             }
+
+
+def normalize(obj):
+    """JSON-normal form: Fractions become exact integers or "num/den"
+    strings, floats are rounded to 12 significant digits, tuples become
+    lists, dict keys become strings.  normalize is idempotent, so parsing an
+    emitted artifact gives back exactly the normalized report."""
+    if isinstance(obj, Fraction):
+        if obj.denominator == 1:
+            return int(obj)
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [normalize(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(key): normalize(value) for key, value in obj.items()}
+    return str(obj)

@@ -58,15 +58,17 @@ def test_residue_symbol_is_power_detector():
 
 def test_mult_char_conventions():
     data = ch.residue_data(K3, T3, 2)
-    chi0, chi1 = ch.MultChar(data, 0), ch.MultChar(data, 1)
-    assert chi0.principal and not chi1.principal
+    chi0, chi1 = ch.chi_exponents(data, 0), ch.chi_exponents(data, 1)
     # principal character: zeta^0 = 1 everywhere, even at pi | a
-    assert chi0.exponent_at(residue_index(data, P(K3, 0, 1))) == 0
-    assert chi0.exponent_at(residue_index(data, P(K3, 2))) == 0
+    assert chi0[residue_index(data, P(K3, 0, 1))] == 0
+    assert chi0[residue_index(data, P(K3, 2))] == 0
     # non-principal: 0 (None) at pi | a; zeta_2 = -1 at the nonsquare 2
-    assert chi1.exponent_at(residue_index(data, P(K3, 0, 2))) is None
-    assert chi1.exponent_at(residue_index(data, P(K3, 2))) == 1
-    assert chi1.exponent_at(residue_index(data, P(K3, 1))) == 0
+    assert chi1[residue_index(data, P(K3, 0, 2))] is None
+    assert chi1[residue_index(data, P(K3, 2))] == 1
+    assert chi1[residue_index(data, P(K3, 1))] == 0
+    for index in (-1, 2):
+        with pytest.raises(ValueError):
+            ch.chi_exponents(data, index)
 
 
 def test_char_multiplicativity_on_units():
@@ -75,13 +77,13 @@ def test_char_multiplicativity_on_units():
         pi = pr.irreducibles(k, deg)[0]
         data = ch.residue_data(k, pi, ell)
         for i in range(1, ell):
-            chi = ch.MultChar(data, i)
+            chi = ch.chi_exponents(data, i)
             for _ in range(125):
                 a = pr.poly_from_index(k, rng.randrange(k.size**3), 3)
                 b = pr.poly_from_index(k, rng.randrange(k.size**3), 3)
                 if pr.poly_mod(k, a, pi) == () or pr.poly_mod(k, b, pi) == ():
                     continue
-                ea, eb, eab = (chi.exponent_at(residue_index(data, x))
+                ea, eb, eab = (chi[residue_index(data, x)]
                                for x in (a, b, pr.mul(k, a, b)))
                 assert eab == (ea + eb) % ell
 
@@ -124,10 +126,10 @@ def test_psi_nonmonic_modulus():
 
 def test_gauss_sum_frozen_value():
     ring = cyc_ring(3, 2)
-    chi = ch.MultChar(ch.residue_data(K3, T3, 2), 1)
-    tau = ch.gauss_sum(chi)
+    tau = ch.gauss_sum(ch.residue_data(K3, T3, 2), 1)
     # tau = zeta_3 - zeta_3^2 = 1 + 2*zeta_3 in basis coordinates
-    assert tau == ring.sub(ring.monomial(1, 0), ring.monomial(2, 0))
+    assert tau == ring.add(ring.monomial(1, 0),
+                           ring.scale(-1, ring.monomial(2, 0)))
     assert ring.mul(tau, ring.conj(tau)) == ring.from_int(3)
 
 
@@ -137,28 +139,25 @@ def test_gauss_sum_rh_exact_all_small_primes():
             for d in (1, 2):
                 for pi in pr.irreducibles(k, d):
                     data = ch.residue_data(k, pi, ell)
+                    ring = data.ring
                     for i in range(1, ell):
-                        chi = ch.MultChar(data, i)
-                        ring = chi.ring
-                        tau = ch.gauss_sum(chi)
+                        tau = ch.gauss_sum(data, i)
                         assert ring.mul(tau, ring.conj(tau)) == ring.from_int(
                             k.size**d
-                        ), (pi, ell, chi.index)
+                        ), (pi, ell, i)
 
 
 def test_gauss_sum_rejects_principal():
     with pytest.raises(ValueError):
-        ch.gauss_sum(ch.MultChar(ch.residue_data(K3, T3, 2), 0))
+        ch.gauss_sum(ch.residue_data(K3, T3, 2), 0)
 
 
 def test_char_sum_root_count_examples():
     data = ch.residue_data(K3, T3, 2)
-
-    def by_chars(a):
-        return ch.residue_root_count(data, residue_index(data, a))
-    assert by_chars(P(K3, 0, 1)) == 1  # pi | a
-    assert by_chars(P(K3, 1)) == 2  # 1 = (+-1)^2
-    assert by_chars(P(K3, 2)) == 0  # nonsquare
+    by_chars = ch.root_count_routes(data)[1]
+    # pi | a; 1 = (+-1)^2; 2 a nonsquare
+    assert [by_chars[residue_index(data, a)]
+            for a in (P(K3, 0, 1), P(K3, 1), P(K3, 2))] == [1, 2, 0]
 
 
 def test_char_sum_equals_fiber_size_everywhere():
@@ -169,11 +168,11 @@ def test_char_sum_equals_fiber_size_everywhere():
             for d in (1, 2):
                 for pi in pr.irreducibles(k, d)[: (4 if d == 2 else None)]:
                     data = ch.residue_data(k, pi, ell)
+                    by_chars = ch.root_count_routes(data, check=True)[1]
                     for idx in range(data.kpi.size):
                         a = lift_from(data.kpi, idx)
                         i = residue_index(data, a)
-                        assert ch.residue_root_count(data, i) == \
-                            data.root_count[i]
+                        assert by_chars[i] == data.root_count[i]
 
 
 def test_residue_data_rejects_bad_modulus():

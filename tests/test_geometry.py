@@ -101,6 +101,23 @@ class TestMultiForm:
                 ]},
             )
 
+    @pytest.mark.parametrize("n, exp, message", [
+        (2.5, 2, "form n must be an integer, got 2.5"),
+        (True, 2, "form n must be an integer, got true"),
+        (2, 2.5, "form exponent must be an integer, got 2.5"),
+        (2, 2.0, "form exponent must be an integer, got 2.0"),
+        (2, "two", 'form exponent must be an integer, got "two"'),
+    ])
+    def test_json_integers_only(self, n, exp, message):
+        # an int or its text; a float or a bool is never truncated
+        obj = {"n": n, "m": 2, "terms": [{"exps": [exp, 0, 0], "coeff": "1"},
+                                         {"exps": [0, 2, 0], "coeff": "1"}]}
+        with pytest.raises(ValueError, match=message):
+            geo.form_from_json(K3, obj)
+        text = {"n": "2", "m": "2", "terms": [
+            {"exps": ["2", 0, 0], "coeff": "1"}]}
+        assert geo.form_from_json(K3, text).terms == {(2, 0, 0): (K3.one,)}
+
     def test_deg_T(self):
         assert diag3(K3).deg_T() == 0
         f = geo.MultiForm(
