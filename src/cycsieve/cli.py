@@ -15,10 +15,8 @@ import sys
 
 from . import charsums as cs
 from . import geometry as geo
-from . import identities as ids
 from . import polyring as pr
 from . import reports as rp
-from . import sieve as sv
 from .charsums import Budget, BudgetExceeded
 
 
@@ -139,6 +137,8 @@ def _emit(args, name: str, report: dict) -> None:
 
 
 def cmd_primes(args) -> int:
+    from . import sieve as sv
+
     if args.q is None or args.delta in (None, "auto"):
         raise ValueError("primes needs --q and an integer --delta")
     q, delta = args.q, int(args.delta)
@@ -199,6 +199,8 @@ def cmd_charsum(args) -> int:
 
 
 def cmd_gauss(args) -> int:
+    from . import identities as ids
+
     if args.q is None or args.ell is None:
         raise ValueError("gauss needs --q and --ell")
     k = rp.field_from_q(args.q)
@@ -248,12 +250,14 @@ def count_mod_cases(k, low: dict, arity: int):
                 yield u, a, b
 
 
-def identity_suite_cost(params: sv.SieveParams) -> list:
-    """The charges of run_identity_suite, in order: the expansion's box (even
-    if the scan leaves fewer than two sieving primes); the primes of degree
-    <= 2, and mod each its Gauss row (ids.gauss_cost), whose residue tables
-    the root-count row reads too; the count-mod rows, completions and the
-    expansion's character side."""
+def identity_suite_cost(params) -> list:
+    """The charges of run_identity_suite on its sieve.SieveParams, in order:
+    the expansion's box (even if the scan leaves fewer than two sieving
+    primes); the primes of degree <= 2, and mod each its Gauss row
+    (ids.gauss_cost), whose residue tables the root-count row reads too; the
+    count-mod rows, completions and the expansion's character side."""
+    from . import identities as ids
+
     q, n, ell = params.q, params.n, params.ell
     rows = COUNT_MOD_TARGETS * sum(  # one pass per coordinate and box
         (n + 1) * (q ** b + q ** (d - b))
@@ -275,6 +279,8 @@ def run_identity_suite(cfg: dict) -> dict:
     and the unramified two-prime expansion on the instance's own sieving
     primes.  The whole battery is priced (identity_suite_cost) before the
     instance's scan."""
+    from . import identities as ids
+
     k, form, params, sset = rp.build_instance(
         cfg, Budget(cfg["budget"]), identity_suite_cost)
     ell, arity = cfg["ell"], cfg["n"] + 1
@@ -446,6 +452,8 @@ def cmd_sieve_run(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import sieve as sv
+
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
     count = (form.k, cfg["ell"], form, cfg["b"])

@@ -36,7 +36,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
 from . import polyring as pr
-from . import sieve as sv
 from .characters import check_cover
 from .charsums import Budget
 from .ffield import is_prime_int, prime_factors
@@ -81,6 +80,14 @@ def config_objects(config: dict) -> tuple:
 def load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def choose_delta(n: int, b: int) -> int:
+    """The sieving degree floor(n*b/(n+1)); n = 1 is rejected because
+    delta < b < 2*delta can then never hold."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return n * b // (n + 1)
 
 
 def _config_int(cfg: dict, key: str, default=None) -> int:
@@ -136,7 +143,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     check_cover(form.k, ell, form.m)
 
     if cfg.get("delta", "auto") in ("auto", None):
-        cfg["delta"] = sv.choose_delta(n, b)
+        cfg["delta"] = choose_delta(n, b)
     delta = _config_int(cfg, "delta")
     delta_max = _config_int(cfg, "delta_max", max(delta, 1))
     search_bound = _config_int(cfg, "search_bound", 4)
@@ -168,6 +175,8 @@ def build_instance(config: dict, budget: Budget, price):
     and the scan's (geometry.exceptional_scan_cost) go to budget, before the
     bad primes are rescanned up to delta_max and excluded.  So an invalid
     or oversized run stops before the scan."""
+    from . import sieve as sv
+
     form, dual = config_objects(config)
     k = form.k
     params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
@@ -372,6 +381,8 @@ def _fork_share(k, form, b, start: int, stop: int) -> tuple:
     The child leaves only by os._exit, 0 once the bytes are written and 1
     on any error (after printing it), so none of this process's cleanup,
     buffered output or exit hooks run in it."""
+    from . import sieve as sv
+
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -398,17 +409,19 @@ def _fork_share(k, form, b, start: int, stop: int) -> tuple:
         os._exit(code)
 
 
-def parallel_accumulator(params: sv.SieveParams, workers: int = 1):
-    """The value histogram of the full box.  The q^b values of x_0 are split
-    into workers contiguous ranges, each passed as the box positions of its
-    values of x_0; this process forks one child per non-empty range but the
-    last, builds the last range's histogram itself, then reads each child's
-    histogram from its pipe to the end before reaping it, and the
-    histograms are summed in range order.  A child that fails raises here;
-    if this process's own share fails, every child is killed and reaped
-    before the error propagates.  Without os.fork every range runs in this
-    process.  The exact counts do not depend on the split, so the result
-    is the same for any worker count."""
+def parallel_accumulator(params, workers: int = 1):
+    """The value histogram of the full box of params, a sieve.SieveParams.
+    The q^b values of x_0 are split into workers contiguous ranges, each
+    passed as the box positions of its values of x_0; this process forks one
+    child per non-empty range but the last, builds the last range's
+    histogram itself, then reads each child's histogram from its pipe to the
+    end before reaping it, and the histograms are summed in range order.  A
+    child that fails raises here; if this process's own share fails, every
+    child is killed and reaped before the error propagates.  Without os.fork
+    every range runs in this process.  The exact counts do not depend on the
+    split, so the result is the same for any worker count."""
+    from . import sieve as sv
+
     k, form, b = params.k, params.form, params.b
     width, unit = params.q ** b, params.q ** (b * params.n)
     edges = [width * i // workers * unit for i in range(workers + 1)]
@@ -456,6 +469,8 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
     """Both sieve inequalities on the configured instance.  The box pass is
     priced before the bad-prime scan, and the residue tables, whose size
     depends on the number of distinct values, after it."""
+    from . import sieve as sv
+
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     budget = Budget(config["budget"])

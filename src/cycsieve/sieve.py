@@ -1,7 +1,7 @@
 """The geometric sieve at desk scale: the box A = {deg x < b}, the three
 sieve terms, both sieve-inequality formulations with the c_{i,j}(alpha)
-expansion, parameter selection Delta(n, b) and the minimal admissible b, and
-the brute-force count M_n(F; b) of points with a global ell-th root.
+expansion, and the brute-force count M_n(F; b) of points with a global
+ell-th root.
 
 All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
@@ -82,35 +82,6 @@ class SieveParams:
     @property
     def box_size(self) -> int:
         return self.q ** (self.b * (self.n + 1))
-
-
-def choose_delta(n: int, b: int) -> int:
-    """The sieving degree floor(n*b/(n+1)); n = 1 is rejected because
-    delta < b < 2*delta can then never hold."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return n * b // (n + 1)
-
-
-def min_b(n: int, q: int, p_exc_size: int, cap: int = 10000) -> int:
-    """The least b whose delta = choose_delta(n, b) satisfies all the
-    admissibility constraints: delta != 0; |P_exc| <= q^delta/(4*delta);
-    4(b+1) <= q^(delta/2); and delta < b < 2*delta.  The root-free
-    equivalents 4*delta*|P_exc| <= q^delta and (4(b+1))^2 <= q^delta are
-    tested so everything stays in integers; choose_delta rejects n < 2."""
-    for b in range(1, cap + 1):
-        delta = choose_delta(n, b)
-        if delta == 0:
-            continue
-        qd = q ** delta
-        if 4 * delta * p_exc_size > qd:
-            continue
-        if (4 * (b + 1)) ** 2 > qd:
-            continue
-        if not delta < b < 2 * delta:
-            continue
-        return b
-    raise ArithmeticError(f"no admissible b below {cap}")
 
 
 def verify_prime_count(q: int, delta: int) -> dict:

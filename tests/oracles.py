@@ -8,9 +8,9 @@ them.
   powers by squaring, the reference the index arithmetic of
   ``cycsieve.ffield`` is checked against.
 * Sieve quantities recomputed point by point on polynomials: F at a box
-  point, the fiber size and the ramified set of one box point, and the
-  count of the sieving set against its lower bound; the bad primes of the
-  scan as polynomials.
+  point, the fiber size and the ramified set of one box point, the count
+  of the sieving set against its lower bound and the least admissible b;
+  the bad primes of the scan as polynomials.
 * Factoring in F_q[T] by trial division, the oracle of the squarefree
   solvability route, and the adjugate from n^2 cofactors, the oracle of the
   one-elimination adjugate.
@@ -50,6 +50,7 @@ from fractions import Fraction
 from cycsieve import charsums as cs
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
+from cycsieve import reports as rp
 from cycsieve.characters import (
     character_sum,
     chi_exponents,
@@ -287,6 +288,27 @@ def verify_card_p(q: int, delta: int, p_exc_size: int) -> dict:
         "required": required,
         "pass": Fraction(count) >= required,
     }
+
+
+def min_b(n: int, q: int, p_exc_size: int, cap: int = 10000) -> int:
+    """The least b whose delta = choose_delta(n, b) satisfies all the
+    admissibility constraints: delta != 0; |P_exc| <= q^delta/(4*delta);
+    4(b+1) <= q^(delta/2); and delta < b < 2*delta.  The root-free
+    equivalents 4*delta*|P_exc| <= q^delta and (4(b+1))^2 <= q^delta are
+    tested so everything stays in integers; choose_delta rejects n < 2."""
+    for b in range(1, cap + 1):
+        delta = rp.choose_delta(n, b)
+        if delta == 0:
+            continue
+        qd = q ** delta
+        if 4 * delta * p_exc_size > qd:
+            continue
+        if (4 * (b + 1)) ** 2 > qd:
+            continue
+        if not delta < b < 2 * delta:
+            continue
+        return b
+    raise ArithmeticError(f"no admissible b below {cap}")
 
 
 FACTOR_CACHE_SIZE = 1 << 14

@@ -29,7 +29,7 @@ from cycsieve import sieve as sv
 from cycsieve.identities import box
 
 from oracles import (dual_degree, eval_form_at_polys, exceptional_primes_of,
-                     product_over_places, schwartz_zippel_audit,
+                     min_b, product_over_places, schwartz_zippel_audit,
                      verify_card_p)
 
 K3 = ffield.GF(3)
@@ -270,13 +270,13 @@ def test_criterion_7_geometry(report):
 
 def test_criterion_8_parameter_selection(report):
     t0 = time.perf_counter()
-    delta = sv.choose_delta(2, 3)
+    delta = rp.choose_delta(2, 3)
     window = delta == 2 and delta < 3 < 2 * delta
-    b = sv.min_b(2, 3, 0)
-    card = verify_card_p(3, sv.choose_delta(2, b), 0)
+    b = min_b(2, 3, 0)
+    card = verify_card_p(3, rp.choose_delta(2, b), 0)
     rejected = False
     try:
-        sv.choose_delta(1, 5)
+        rp.choose_delta(1, 5)
     except ValueError:
         rejected = True
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,8 @@ enumeration), the c_{i,j}(alpha) expansion, the chunked value-histogram
 box pass against the per-point pass as a differential oracle, its value
 indices against the tuple pass (tuple_chunk_histogram), the block sums and
 the residue recurrence against polynomial arithmetic, and the
-parameter-selection helpers choose_delta / min_b / the prime-count bounds.
+parameter-selection helpers reports.choose_delta / oracles.min_b / the
+prime-count bounds.
 """
 
 import inspect
@@ -32,7 +33,7 @@ from cycsieve.characters import residue_data
 from cycsieve.charsums import Budget, BudgetExceeded
 
 from oracles import (eval_form_at_polys, exceptional_primes_of,
-                     fiber_count, ramified_set, solvable_by_factoring,
+                     fiber_count, min_b, ramified_set, solvable_by_factoring,
                      verify_card_p)
 
 K3 = ffield.GF(3)
@@ -138,28 +139,28 @@ class TestParams:
 class TestParameterSelection:
     def test_choose_delta_quadric_point(self):
         # floor(2*3/3) = 2 and the window 2 < 3 < 4 holds
-        assert sv.choose_delta(2, 3) == 2
+        assert rp.choose_delta(2, 3) == 2
 
     def test_choose_delta_formula(self):
         for n in range(2, 5):
             for b in range(1, 20):
-                assert sv.choose_delta(n, b) == n * b // (n + 1)
+                assert rp.choose_delta(n, b) == n * b // (n + 1)
 
     def test_choose_delta_rejects_n_one(self):
         with pytest.raises(ValueError):
-            sv.choose_delta(1, 5)
+            rp.choose_delta(1, 5)
 
     def test_min_b_frozen(self):
         # b = 11 gives delta = 7 and (4*12)^2 = 2304 > 3^7 = 2187; b = 12
         # gives delta = 8 with (4*13)^2 = 2704 <= 6561 and 8 < 12 < 16
-        b = sv.min_b(2, 3, 0)
+        b = min_b(2, 3, 0)
         assert b == 12
-        assert sv.choose_delta(2, b) == 8
+        assert rp.choose_delta(2, b) == 8
 
     def test_min_b_all_constraints_hold(self):
         for q in (3, 5, 7):
-            b = sv.min_b(2, q, 1)
-            delta = sv.choose_delta(2, b)
+            b = min_b(2, q, 1)
+            delta = rp.choose_delta(2, b)
             assert delta >= 1
             assert 4 * delta * 1 <= q ** delta
             assert (4 * (b + 1)) ** 2 <= q ** delta
@@ -167,11 +168,11 @@ class TestParameterSelection:
 
     def test_min_b_rejects_n_one(self):
         with pytest.raises(ValueError):
-            sv.min_b(1, 3, 0)
+            min_b(1, 3, 0)
 
     def test_min_b_cap(self):
         with pytest.raises(ArithmeticError):
-            sv.min_b(2, 3, 10 ** 9, cap=5)
+            min_b(2, 3, 10 ** 9, cap=5)
 
     def test_card_p_at_min_b(self):
         # 810 = (3^8 - 3^4)/8 monic irreducible octics >= 3^8/16
