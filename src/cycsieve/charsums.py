@@ -98,12 +98,10 @@ class CharSumContext:
     reduction, whatever its shape).
     """
 
-    def __init__(self, k, pi, ell: int, form: geo.MultiForm):
-        if form.k != k:
-            raise ValueError("form is defined over a different field")
+    def __init__(self, pi, ell: int, form: geo.MultiForm):
         self.ell = ell
         self.nvars = form.n + 1
-        self.data = residue_data(k, pi, ell)
+        self.data = residue_data(form.k, pi, ell)
         self.kpi = self.data.kpi
         self.ring: CycRing = self.data.ring
         self.Q = self.kpi.size
@@ -275,7 +273,7 @@ def wd_case_bounds(q: int, delta: int, n: int, m: int):
 _CASES = {True: "ii", False: "iii", None: "unknown"}
 
 
-def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
+def wd_audit(pi, ell: int, form: geo.MultiForm, chi_indices=None,
              dual="auto", ws=None) -> dict:
     """Audit |S_G(w, chi)| against the per-case bounds.
 
@@ -293,9 +291,9 @@ def wd_audit(k, pi, ell: int, form: geo.MultiForm, chi_indices=None,
     "i"/"ii" it is |S| / bound.  A caller prices the audit of every w
     first, by sums_cost and the dual column's dual_test_cost.
     """
-    ctx = CharSumContext(k, pi, ell, form)
+    ctx = CharSumContext(pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
-    n, m = form.n, form.m
+    k, n, m = form.k, form.n, form.m
     delta = pr.degree(pi)
     bound_i, bound_ii, norm_iii = wd_case_bounds(k.size, delta, n, m)
 

@@ -147,6 +147,9 @@ def cmd_primes(args) -> int:
     budget.charge(pr.irreducibles_cost(q, delta))
     names = [pr.format_poly(k, f) for f in pr.irreducibles(k, delta)]
     pnt = sv.verify_prime_count(q, delta)
+    if len(names) != pnt["count"]:
+        raise ArithmeticError(f"{len(names)} irreducibles enumerated, the "
+                              f"Moebius count is {pnt['count']}")
     for name in names:
         print(name)
     print(f"prime-count bound (q={q}, delta={delta}): count={pnt['count']} "
@@ -174,7 +177,7 @@ def cmd_charsum(args) -> int:
     # zeros
     Budget(cfg["budget"]).charge(cs.sums_cost(
         k.size, pr.degree(pi), form.n, ell + (args.chi == 0), 1))
-    ctx = cs.CharSumContext(k, pi, ell, form)
+    ctx = cs.CharSumContext(pi, ell, form)
     w = [ctx.kpi.reduce_poly(x) for x in w]
     S = next(ctx.sums([args.chi], [geo.flat_index(ctx.Q, w)])[args.chi])
     abs_s = ctx.ring.abs_embed(S)
@@ -281,9 +284,9 @@ def run_identity_suite(cfg: dict) -> dict:
     instance's scan."""
     from . import identities as ids
 
-    k, form, params, sset = rp.build_instance(
+    params, sset = rp.build_instance(
         cfg, Budget(cfg["budget"]), identity_suite_cost)
-    ell, arity = cfg["ell"], cfg["n"] + 1
+    k, form, ell = params.k, params.form, params.ell
     rows = []
 
     low = {1: pr.irreducibles(k, 1), 2: pr.irreducibles(k, 2)}
@@ -291,16 +294,16 @@ def run_identity_suite(cfg: dict) -> dict:
         rows.append(ids.verify_root_count(k, piv, ell))
         rows.append(ids.verify_gauss_magnitude(k, piv, ell))
 
-    for u, a, b in count_mod_cases(k, low, arity):
+    for u, a, b in count_mod_cases(k, low, params.n + 1):
         rows.append(ids.verify_count_mod(k, u, a, b))
 
     for (d1, i1), (d2, i2), b in _completions(k.size):
-        rows.append(ids.verify_completion(k, low[d1][i1], low[d2][i2], ell,
-                                          1, ell - 1, form, b))
+        rows.append(ids.verify_completion(low[d1][i1], low[d2][i2], ell, 1,
+                                          ell - 1, form, b))
 
     if len(sset) >= 2:
         rows.append(ids.verify_unramified_expansion(
-            k, sset.primes[0], sset.primes[1], ell, form, params.b))
+            sset.primes[0], sset.primes[1], ell, form, params.b))
 
     all_pass = all(r["equal"] and r.get("zero_portion_vanishes", True)
                    and r.get("pointwise_fiber_identity", True)
@@ -361,7 +364,7 @@ def cmd_wd_audit(args) -> int:
         for pi in pis))
     audits = []
     for pi in pis:
-        audits.append(cs.wd_audit(k, pi, cfg["ell"], form, dual=dual))
+        audits.append(cs.wd_audit(pi, cfg["ell"], form, dual=dual))
         summary = audits[-1]["summary"]
         print(f"pi={pr.format_poly(k, pi)}: rows={summary['rows']} "
               f"cases={summary['cases']} "
@@ -456,12 +459,12 @@ def cmd_count(args) -> int:
 
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
-    count = (form.k, cfg["ell"], form, cfg["b"])
+    count = (form, cfg["ell"], cfg["b"])
     Budget(cfg["budget"]).charge_each(sv.box_pass_cost(*count))
     M = sv.brute_force_count(*count)
-    trivial = cfg["q"] ** (cfg["b"] * (cfg["n"] + 1))
+    trivial = form.k.size ** (cfg["b"] * (form.n + 1))
     ok = M <= trivial
-    print(f"M_{cfg['n']}(F; {cfg['b']}) = {M}  (box {trivial} "
+    print(f"M_{form.n}(F; {cfg['b']}) = {M}  (box {trivial} "
           f"{'pass' if ok else 'FAIL'})")
     _emit(args, "count.json", {
         "config": cfg,

@@ -165,8 +165,8 @@ def two_prime_cost(q: int, degrees, n: int, ell: int, b: int) -> tuple:
                 for d in degrees))
 
 
-def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
-                       width: int, chi_pairs):
+def _complementary_sum(pi1, pi2, ell: int, form: geo.MultiForm, width: int,
+                       chi_pairs):
     """The character side of the two-prime identities: the sum over the
     index pairs (i1, i2) in chi_pairs and over the box {deg x < width} of
     S_F(pibar2 x, chi_i1 mod pi1) * S_F(pibar1 x, chi_i2 mod pi2), where
@@ -177,8 +177,8 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
     time.  Each prime's sums come from one transform on the span of the
     covectors that occur, and each pair is multiplied once per pair of
     characters."""
-    ctxs = (CharSumContext(k, pi1, ell, form),
-            CharSumContext(k, pi2, ell, form))
+    k = form.k
+    ctxs = (CharSumContext(pi1, ell, form), CharSumContext(pi2, ell, form))
     twists = (pr.invert_mod(k, pi2, pi1), pr.invert_mod(k, pi1, pi2))
     column = Counter(  # the index of a twisted coordinate value mod each
         tuple(ctx.kpi.reduce_poly(pr.mul(k, t, x))
@@ -208,7 +208,7 @@ def _complementary_sum(k, pi1, pi2, ell: int, form: geo.MultiForm,
 def _residue_pairs(data1, data2, form: geo.MultiForm, b: int) -> Counter:
     """The points of the box {deg x < b} counted per pair (residue index of
     F(x) mod pi1, residue index mod pi2)."""
-    hist = box_histogram(form.k, form, b)
+    hist = box_histogram(form, b)
     values, digits = list(hist), value_digits(form, b)
     pairs: Counter = Counter()
     for idx1, idx2, count in zip(residue_indices(data1, values, digits),
@@ -218,19 +218,19 @@ def _residue_pairs(data1, data2, form: geo.MultiForm, b: int) -> Counter:
     return pairs
 
 
-def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
+def verify_completion(pi, pi2, ell: int, chi_index: int, chi2_index: int,
                       form: geo.MultiForm, b: int) -> dict:
     """Sum over {deg x < b} of chi_pi(G(x)) chi_pi'(G(x)) against
     q^((n+1)(b - deg(pi pi'))) * sum over the complementary box of
     S_G(pibar' x, chi_pi) S_G(pibar x, chi_pi'), all exact.  two_prime_cost
     prices it."""
+    k, arity = form.k, form.n + 1
     _require_distinct_primes(k, pi, pi2)
     if not (0 < chi_index < ell and 0 < chi2_index < ell):
         raise ValueError("both characters must be non-principal")
     D = pr.degree(pi) + pr.degree(pi2)
     if not 0 < b < D:
         raise ValueError("need 0 < b < deg(pi * pi2)")
-    arity = form.n + 1
 
     data1 = residue_data(k, pi, ell)
     data2 = residue_data(k, pi2, ell)
@@ -244,7 +244,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
             counts[0, chi1[idx1] + chi2[idx2]] += count
     lhs = ring.from_exponent_counts(counts)
 
-    total = _complementary_sum(k, pi, pi2, ell, form, D - b,
+    total = _complementary_sum(pi, pi2, ell, form, D - b,
                                [(chi_index, chi2_index)])
     rhs = ring.div_int(total, k.size ** (arity * (D - b)))
 
@@ -269,7 +269,7 @@ def verify_completion(k, pi, pi2, ell: int, chi_index: int, chi2_index: int,
 # the full unramified sieve term
 
 
-def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
+def verify_unramified_expansion(pi1, pi2, ell: int, form: geo.MultiForm,
                                 b: int) -> dict:
     """The two-prime unramified sieve term, three ways.
 
@@ -287,11 +287,11 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     from one table of the character sums per prime.  two_prime_cost prices
     it.
     """
+    k, arity = form.k, form.n + 1
     _require_distinct_primes(k, pi1, pi2)
     D = pr.degree(pi1) + pr.degree(pi2)
     if not 0 < b < D:
         raise ValueError("need 0 < b < deg(pi1 * pi2)")
-    arity = form.n + 1
 
     data1 = residue_data(k, pi1, ell)
     data2 = residue_data(k, pi2, ell)
@@ -313,9 +313,8 @@ def verify_unramified_expansion(k, pi1, pi2, ell: int, form: geo.MultiForm,
     zero_portion = ring.scale(pairs[0, 0],
                               ring.mul(tables[0][0], tables[1][0]))
 
-    total = _complementary_sum(
-        k, pi1, pi2, ell, form, D - b,
-        itertools.product(range(1, ell), repeat=2))
+    total = _complementary_sum(pi1, pi2, ell, form, D - b,
+                               itertools.product(range(1, ell), repeat=2))
     quotient = ring.div_int(total, k.size ** (arity * (D - b)))
     rhs = ring.as_int(quotient)
     if rhs is None:

@@ -170,7 +170,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
 
 
 def build_instance(config: dict, budget: Budget, price):
-    """(k, form, params, sieving set) for a resolved config.  The params are
+    """(params, sieving set) for a resolved config.  The params are
     validated first.  Then the caller's charges price(params), in order,
     and the scan's (geometry.exceptional_scan_cost) go to budget, before the
     bad primes are rescanned up to delta_max and excluded.  So an invalid
@@ -178,17 +178,15 @@ def build_instance(config: dict, budget: Budget, price):
     from . import sieve as sv
 
     form, dual = config_objects(config)
-    k = form.k
-    params = sv.SieveParams(k=k, n=config["n"], ell=config["ell"], form=form,
-                            b=config["b"], delta=config["delta"],
-                            delta_max=config["delta_max"])
+    params = sv.SieveParams(form, config["ell"], config["b"], config["delta"],
+                            config["delta_max"])
     scan = (form, config["delta_max"], dual, config["search_bound"])
     budget.charge_each(price(params))
     budget.charge_each(geo.exceptional_scan_cost(*scan))
     exc = geo.compute_exceptional_primes(*scan)["exceptional"]
-    sset = sv.build_sieving_set(k, config["delta"],
-                                [pr.parse_poly(k, text) for text in exc])
-    return k, form, params, sset
+    sset = sv.build_sieving_set(form.k, config["delta"],
+                                [pr.parse_poly(form.k, text) for text in exc])
+    return params, sset
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +373,7 @@ SIEVE_CSV_COLUMNS = ["q", "delta", "n", "ell", "m", "b", "A",
 # the parallel sieve runner
 
 
-def _fork_share(k, form, b, start: int, stop: int) -> tuple:
+def _fork_share(form, b, start: int, stop: int) -> tuple:
     """(pid, read end of its pipe) of a forked child that writes the
     marshalled histogram of the box positions [start, stop) to the pipe.
     The child leaves only by os._exit, 0 once the bytes are written and 1
@@ -396,7 +394,7 @@ def _fork_share(k, form, b, start: int, stop: int) -> tuple:
     code = 1
     try:
         os.close(read)
-        part = sv.accumulate_chunk(k, form, b, start=start, stop=stop)
+        part = sv.accumulate_chunk(form, b, start=start, stop=stop)
         with open(write, "wb") as fh:
             fh.write(marshal.dumps(dict(part)))
         code = 0
@@ -422,22 +420,22 @@ def parallel_accumulator(params, workers: int = 1):
     split, so the result is the same for any worker count."""
     from . import sieve as sv
 
-    k, form, b = params.k, params.form, params.b
+    form, b = params.form, params.b
     width, unit = params.q ** b, params.q ** (b * params.n)
     edges = [width * i // workers * unit for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
     if not hasattr(os, "fork"):
         return sv.merge_accumulators(
-            sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+            sv.accumulate_chunk(form, b, start=lo, stop=hi)
             for lo, hi in ranges)
     pids, reads = [], []
     try:
         for lo, hi in ranges[:-1]:
-            pid, read = _fork_share(k, form, b, lo, hi)
+            pid, read = _fork_share(form, b, lo, hi)
             pids.append(pid)
             reads.append(read)
         lo, hi = ranges[-1]
-        own = sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+        own = sv.accumulate_chunk(form, b, start=lo, stop=hi)
         blobs = []
         while reads:
             with open(reads.pop(0), "rb") as fh:
@@ -474,12 +472,12 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     budget = Budget(config["budget"])
-    k, form, params, sset = build_instance(
-        config, budget, lambda p: sv.box_pass_cost(p.k, p.ell, p.form, p.b))
+    params, sset = build_instance(
+        config, budget, lambda p: sv.box_pass_cost(p.form, p.ell, p.b))
+    form, ell, b = params.form, params.ell, params.b
     hist = parallel_accumulator(params, workers)
-    budget.charge(sv.residue_tables_cost(form, params.b, len(sset),
-                                         len(hist)))
-    acc = sv.value_moments(k, form, params.ell, params.b, sset.primes, hist)
+    budget.charge(sv.residue_tables_cost(form, b, len(sset), len(hist)))
+    acc = sv.value_moments(form, ell, b, sset.primes, hist)
     report = sv.sieve_terms(params, sset, acc)
     general = sv.sieve_inequality_general(params, sset, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]

@@ -54,30 +54,28 @@ class SieveParams:
     """Validated sieve input: the cover y^ell = F over F_q[T], the box bound
     b, the sieving degree delta, and the scan bound for bad primes."""
 
-    __slots__ = ("k", "n", "ell", "form", "b", "delta", "delta_max")
+    __slots__ = ("ell", "form", "b", "delta", "delta_max")
 
-    def __init__(self, k, n: int, ell: int, form: geo.MultiForm, b: int,
-                 delta: int, delta_max: int = 0):
-        if n < 2:
+    def __init__(self, form: geo.MultiForm, ell: int, b: int, delta: int,
+                 delta_max: int = 0):
+        if form.n < 2:
             raise ValueError("need n >= 2 (the degree constraints on b are "
                              "unsatisfiable for n = 1)")
-        if form.n != n:
-            raise ValueError("form arity does not match n")
         if not form.terms:
             raise ValueError("the zero form has no cover to sieve")
-        check_cover(k, ell, form.m)
-        if delta < 1:
-            raise ValueError("delta must be positive")
+        check_cover(form.k, ell, form.m)
         if not delta < b < 2 * delta:
-            raise ValueError("need delta < b < 2*delta")
+            raise ValueError(f"need delta < b < 2*delta, got delta = {delta}, "
+                             f"b = {b}")
         if delta_max and delta_max < delta:
             raise ValueError("delta_max must cover the sieving degree")
-        self.k, self.n, self.ell, self.form = k, n, ell, form
+        self.ell, self.form = ell, form
         self.b, self.delta, self.delta_max = b, delta, delta_max
 
-    @property
-    def q(self) -> int:
-        return self.k.size
+    # the field, arity and field size are the form's
+    k = property(lambda self: self.form.k)
+    n = property(lambda self: self.form.n)
+    q = property(lambda self: self.form.k.size)
 
     @property
     def box_size(self) -> int:
@@ -121,10 +119,10 @@ def _integer_root(x: int, r: int) -> int:
 class SievingSet:
     """Monic irreducibles of degree exactly delta, bad primes excluded."""
 
-    __slots__ = ("primes", "delta", "excluded")
+    __slots__ = ("primes", "excluded")
 
-    def __init__(self, primes: tuple, delta: int, excluded: tuple):
-        self.primes, self.delta, self.excluded = primes, delta, excluded
+    def __init__(self, primes: tuple, excluded: tuple):
+        self.primes, self.excluded = primes, excluded
 
     def __len__(self):
         return len(self.primes)
@@ -133,8 +131,7 @@ class SievingSet:
 def build_sieving_set(k, delta: int, exceptional=()) -> SievingSet:
     excluded = {pr.monic(k, f)[1] for f in exceptional}
     primes = tuple(f for f in pr.irreducibles(k, delta) if f not in excluded)
-    return SievingSet(primes=primes, delta=delta,
-                      excluded=tuple(sorted(excluded)))
+    return SievingSet(primes=primes, excluded=tuple(sorted(excluded)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +331,21 @@ def _solvable_weight(k, ell: int, digits: int, hist) -> int:
                if _globally_solvable(k, ell, v, digits, powers))
 
 
-def box_pass_cost(k, ell: int, form: geo.MultiForm, b: int) -> tuple:
+def box_pass_cost(form: geo.MultiForm, ell: int, b: int) -> tuple:
     """The charges of a pass over the box {deg x < b}, in order: its
     q^(b(n+1)) points, then the q^(d+1) polynomials of degree <= d whose
     ell-th powers the solvability test enumerates."""
-    return (k.size ** (b * (form.n + 1)),
-            k.size ** ((value_digits(form, b) - 1) // ell + 1))
+    return (form.k.size ** (b * (form.n + 1)),
+            form.k.size ** ((value_digits(form, b) - 1) // ell + 1))
 
 
-def brute_force_count(k, ell: int, form: geo.MultiForm, b: int) -> int:
+def brute_force_count(form: geo.MultiForm, ell: int, b: int) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
     y^ell = F(x) has a solution y in F_q[T].  Each distinct value of F on
     the box is decided by the two independent solvability routes and
     weighted by the number of points taking it."""
-    return _solvable_weight(k, ell, value_digits(form, b),
-                            box_histogram(k, form, b))
+    return _solvable_weight(form.k, ell, value_digits(form, b),
+                            box_histogram(form, b))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +365,7 @@ def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:
     return out
 
 
-def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
+def accumulate_chunk(form: geo.MultiForm, b: int, *, start: int,
                      stop: int) -> Counter:
     """Counter of the value indices (value_digits digits) of F(x) over the
     box points at positions [start, stop) of the enumeration
@@ -389,7 +386,7 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
     Counter of free parts is convolved with the Counter of the key's
     values over the row.
     """
-    n, m = form.n, form.m
+    k, n, m = form.k, form.n, form.m
     digits = value_digits(form, b)
     width = k.size ** max(b, 0)
     unit = width ** n  # the positions of one value of x_0
@@ -488,11 +485,11 @@ def accumulate_chunk(k, form: geo.MultiForm, b: int, *, start: int,
     return Counter(hist)
 
 
-def box_histogram(k, form: geo.MultiForm, b: int) -> Counter:
+def box_histogram(form: geo.MultiForm, b: int) -> Counter:
     """Counter of the value indices of F(x) over the whole box {deg x < b},
     as one chunk."""
-    return accumulate_chunk(k, form, b, start=0,
-                            stop=k.size ** (b * (form.n + 1)))
+    return accumulate_chunk(form, b, start=0,
+                            stop=form.k.size ** (b * (form.n + 1)))
 
 
 def merge_accumulators(parts) -> Counter:
@@ -515,7 +512,7 @@ def residue_tables_cost(form: geo.MultiForm, b: int, primes: int,
     return primes * q ** residue_digits(q, value_digits(form, b), values)
 
 
-def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
+def value_moments(form: geo.MultiForm, ell: int, b: int, primes,
                   hist) -> dict:
     """Every integer the sieve terms need, as exact sums over the box, from
     its value histogram hist = Counter(value index of F(x)).  Each prime
@@ -538,7 +535,7 @@ def value_moments(k, form: geo.MultiForm, ell: int, b: int, primes,
         primes at x and s = sum of Psi(ell-1-Psi) over them, so that
         I_alpha(x) = alpha*u + s for every alpha.
     """
-    P = len(primes)
+    k, P = form.k, len(primes)
     digits = value_digits(form, b)
     datas = [residue_data(k, p, ell) for p in primes]
     for data in datas:
@@ -664,7 +661,7 @@ def sieve_terms(params: SieveParams, sset: SievingSet, acc: dict) -> dict:
         "delta": params.delta,
         "primes": [pr.format_poly(k, p) for p in sset.primes],
         "A": A,
-        "trivial_bound": params.q ** (params.b * (params.n + 1)),
+        "trivial_bound": A,
         "M": acc["M"],
         "main_term": main,
         "ramified_term": ram_term,

@@ -770,7 +770,7 @@ def slicing_identity(k, pi, ell: int, form: geo.MultiForm,
     G_{ {j..n} } at X_j = 1 in the variables j+1..n.  Both routes are exact
     cyclotomic values; "equal" compares them bit for bit.
     """
-    ctx = cs.CharSumContext(k, pi, ell, form)
+    ctx = cs.CharSumContext(pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
     nvars = ctx.nvars
     chi = chi_exponents(ctx.data, chi_index)
@@ -880,7 +880,7 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
     """
     if not 0 < chi_index < ell:
         raise ValueError("completion needs a non-principal character")
-    ctx = cs.CharSumContext(k, pi, ell, form)
+    ctx = cs.CharSumContext(pi, ell, form)
     kpi, ring = ctx.kpi, ctx.ring
     Q, nvars = ctx.Q, ctx.nvars
     if all(kpi.is_zero(i) for i in w_indices(ctx, w)):

@@ -115,7 +115,7 @@ def test_criterion_2_gauss_riemann_hypothesis(report):
 
 def test_criterion_3_weil_deligne_audit(report):
     t0 = time.perf_counter()
-    audits = [cs.wd_audit(K3, P(K3, pi_text), 2, QUADRIC)
+    audits = [cs.wd_audit(P(K3, pi_text), 2, QUADRIC)
               for pi_text in ("T", "1+T^2")]
     rows = sum(a["summary"]["rows"] for a in audits)
     all_pass = all(a["summary"]["all_pass"] for a in audits)
@@ -135,8 +135,8 @@ def test_criterion_3_weil_deligne_audit(report):
 def test_criterion_4_sieve_inequalities(report):
     t0 = time.perf_counter()
     sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
-    params = sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2)
-    acc = sv.value_moments(K3, QUADRIC, 2, 3, sset.primes,
+    params = sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2)
+    acc = sv.value_moments(QUADRIC, 2, 3, sset.primes,
                            rp.parallel_accumulator(params))
     terms = sv.sieve_terms(params, sset, acc)
     general = sv.sieve_inequality_general(params, sset, acc)
@@ -172,7 +172,7 @@ def test_criterion_5_counting_cross_checks(report):
     counts = {}
     agree = True
     for b in (1, 2):
-        mine = sv.brute_force_count(K3, 2, QUADRIC, b)
+        mine = sv.brute_force_count(QUADRIC, 2, b)
         ext = sum(1 for xs in box(K3, b, 3)
                   if sympy_solvable(eval_form_at_polys(QUADRIC, xs),
                                     2, 3))

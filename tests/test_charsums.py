@@ -52,7 +52,7 @@ def diag3(k):
 
 
 def ctx_T(ell=2):
-    return cs.CharSumContext(K3, P(K3, "T"), ell, diag3(K3))
+    return cs.CharSumContext(P(K3, "T"), ell, diag3(K3))
 
 
 def forbid_contexts(monkeypatch):
@@ -94,7 +94,7 @@ class TestKernel:
                 assert S == char_sum_bruteforce(ctx, w, chi_index)
 
     def test_matches_bruteforce_degree_two(self):
-        ctx = cs.CharSumContext(K3, P(K3, "1+T^2"), 2, diag3(K3))
+        ctx = cs.CharSumContext(P(K3, "1+T^2"), 2, diag3(K3))
         kpi = ctx.kpi
         ws = [
             (kpi.zero, kpi.zero, kpi.zero),
@@ -121,7 +121,7 @@ class TestKernel:
 
     def test_one_shot_helper(self):
         kpi = pr.residue_field(K3, P(K3, "T"))
-        got = sum_at(cs.CharSumContext(K3, P(K3, "T"), 2, diag3(K3)),
+        got = sum_at(cs.CharSumContext(P(K3, "T"), 2, diag3(K3)),
                      (kpi.zero, kpi.zero, kpi.zero), 1)
         ring = residue_data(K3, P(K3, "T"), 2).ring
         assert got == ring.from_int(-6)
@@ -180,7 +180,7 @@ class TestTransform:
         k, ell, prime, n, m, terms = case
         pi = P(k, prime)
         assert pr.is_irreducible(k, pi)
-        return cs.CharSumContext(k, pi, ell, indexed_form(k, n, m, terms))
+        return cs.CharSumContext(pi, ell, indexed_form(k, n, m, terms))
 
     def test_equals_char_sum_for_every_w(self, case):
         ctx = self.context(case)
@@ -352,7 +352,7 @@ def test_counters_above_one_byte():
     # pass 255 and fill more than one byte of their 64-bit fields: every
     # character on a seeded sample of 40 w, read from the transform of
     # every w and from the transform on the sample's span
-    ctx = cs.CharSumContext(K3, P(K3, "1+T^2"), 2, N3_QUADRIC)
+    ctx = cs.CharSumContext(P(K3, "1+T^2"), 2, N3_QUADRIC)
     ws = all_ws(ctx)
     sample = random.Random(24).sample(range(len(ws)), 40)
     chis = range(ctx.ell)
@@ -372,9 +372,9 @@ class TestWorkBounds:
             raise AssertionError("eval_terms was called")
         monkeypatch.setattr(geo, "eval_terms", called)
         for k, ell, prime, n, m, terms in TRANSFORM_CASES:
-            cs.CharSumContext(k, P(k, prime), ell, indexed_form(k, n, m, terms))
+            cs.CharSumContext(P(k, prime), ell, indexed_form(k, n, m, terms))
         pi = P(K3, "1+T^2")
-        cs.CharSumContext(K3, pi, 2, N3_QUADRIC)
+        cs.CharSumContext(pi, 2, N3_QUADRIC)
         kpi = pr.residue_field(K3, pi)
         for dual in ("auto", geo.quadric_dual_form(N3_QUADRIC)):
             on_dual = geo.dual_column(N3_QUADRIC, pi, dual=dual)
@@ -387,7 +387,7 @@ class TestWorkBounds:
         # 3^4 + 9^4 = 6642 sums, of which only a few columns of counts differ
         calls = count_canonicalizations(monkeypatch)
         rows = sum(len(list(audit_rows(cs.wd_audit(
-            K3, P(K3, t), 2, N3_QUADRIC)))) for t in ("T", "1+T^2"))
+            P(K3, t), 2, N3_QUADRIC)))) for t in ("T", "1+T^2"))
         assert rows == 3 ** 4 + 9 ** 4
         assert 0 < len(calls) <= 8
 
@@ -402,9 +402,9 @@ class TestWorkBounds:
         audits, rows, pairs = [], [], 0
         for t in ("T", "1+T^2"):
             pi = P(K3, t)
-            audits.append(cs.wd_audit(K3, pi, 2, N3_QUADRIC))
+            audits.append(cs.wd_audit(pi, 2, N3_QUADRIC))
             audit = list(audit_rows(audits[-1]))
-            sums = cs.CharSumContext(K3, pi, 2, N3_QUADRIC).sums([1])[1]
+            sums = cs.CharSumContext(pi, 2, N3_QUADRIC).sums([1])[1]
             pairs += len({(row["case"], S) for row, S in zip(audit, sums)})
             rows += audit
         assert len(rows) == 3 ** 4 + 9 ** 4
@@ -435,7 +435,7 @@ class TestWorkBounds:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            report = cs.wd_audit(K3, P(K3, "1+T^2"), 2, N3_QUADRIC)
+            report = cs.wd_audit(P(K3, "1+T^2"), 2, N3_QUADRIC)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -449,7 +449,7 @@ class TestWorkBounds:
         # every w in reverse order and some again: each sum equals the
         # per-w route, chi_0 included, and a column seen before is not
         # canonicalized again
-        ctx = cs.CharSumContext(K3, P(K3, "T"), 2, N3_QUADRIC)
+        ctx = cs.CharSumContext(P(K3, "T"), 2, N3_QUADRIC)
         ws = all_ws(ctx)
         positions = list(reversed(range(len(ws)))) + [0, 5, 0, 80]
         want = {i: [char_sum(ctx, ws[pos], i) for pos in positions]
@@ -463,7 +463,7 @@ class TestWorkBounds:
 
 class TestAudit:
     def test_full_audit_mod_T(self):
-        report = cs.wd_audit(K3, P(K3, "T"), 2, diag3(K3))
+        report = cs.wd_audit(P(K3, "T"), 2, diag3(K3))
         summary = report["summary"]
         assert summary["rows"] == 27
         assert summary["all_pass"]
@@ -485,7 +485,7 @@ class TestAudit:
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
         ws = list(itertools.product(range(3), repeat=3))
-        report = cs.wd_audit(K3, pi, 2, diag3(K3), ws=ws)
+        report = cs.wd_audit(pi, 2, diag3(K3), ws=ws)
         assert report["summary"]["all_pass"]
         assert report["summary"]["rows"] == 27
         bound_i, bound_ii, norm = cs.wd_case_bounds(3, 2, 2, 2)
@@ -498,11 +498,11 @@ class TestAudit:
             K3, 2, 2,
             {(2, 0, 0): P(K3, "T"), (0, 2, 0): (K3.one,), (0, 0, 2): (K3.one,)})
         with pytest.raises(ValueError):
-            cs.wd_audit(K3, P(K3, "T"), 2, f)
+            cs.wd_audit(P(K3, "T"), 2, f)
 
     def test_principal_index_refused(self):
         with pytest.raises(ValueError):
-            cs.wd_audit(K3, P(K3, "T"), 2, diag3(K3), chi_indices=[0])
+            cs.wd_audit(P(K3, "T"), 2, diag3(K3), chi_indices=[0])
 
     def test_classify(self):
         f = diag3(K3)
@@ -510,7 +510,7 @@ class TestAudit:
         kpi = pr.residue_field(K3, pi)
 
         def case(w):
-            report = cs.wd_audit(K3, pi, 2, f, ws=[w])
+            report = cs.wd_audit(pi, 2, f, ws=[w])
             return list(audit_rows(report))[0]["case"]
         assert case((kpi.zero,) * 3) == "i"
         one = kpi.one
@@ -528,7 +528,7 @@ class TestAudit:
         pi = P(K31, "T")
         kpi = pr.residue_field(K31, pi)
         zero_w = (kpi.zero,) * 3
-        report = cs.wd_audit(K31, pi, 5, f, chi_indices=[1], ws=[zero_w])
+        report = cs.wd_audit(pi, 5, f, chi_indices=[1], ws=[zero_w])
         row = list(audit_rows(report))[0]
         assert row["case"] == "i"
         assert row["bound"] == pytest.approx(7719.0)
@@ -541,7 +541,7 @@ class TestAudit:
         pi = P(K7, "T")
         kpi = pr.residue_field(K7, pi)
         ws = list(itertools.product(range(3), repeat=3))
-        report = cs.wd_audit(K7, pi, 3, f, dual="tangency", ws=ws)
+        report = cs.wd_audit(pi, 3, f, dual="tangency", ws=ws)
         assert report["summary"]["all_pass"]
         for row in list(audit_rows(report)):
             assert row["case"] in ("i", "ii", "iii", "unknown")
@@ -577,7 +577,7 @@ class TestCovectorTexts:
     def test_audit_rows_carry_the_lift_texts(self):
         pi = P(K3, "1+T^2")
         kpi = pr.residue_field(K3, pi)
-        report = cs.wd_audit(K3, pi, 2, diag3(K3))
+        report = cs.wd_audit(pi, 2, diag3(K3))
         ws = list(itertools.product(kpi.elements(), repeat=3))
         assert [row["w"] for row in list(audit_rows(report))] == [
             ";".join(pr.format_poly(K3, lift_from(kpi, x)) for x in w)

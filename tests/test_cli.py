@@ -527,7 +527,7 @@ def test_audit_table_equals_the_generic_writers(tmp_path, q, ell, n, m,
                                                 primes):
     k = rp.field_from_q(q)
     form = diagonal(k, n, m)
-    audits = [cs.wd_audit(k, pr.parse_poly(k, t), ell, form)
+    audits = [cs.wd_audit(pr.parse_poly(k, t), ell, form)
               for t in primes]
     assert any(audit["summary"]["cases"]["unknown"]
                for audit in audits) == (m == 3)
@@ -548,7 +548,7 @@ def test_audit_table_of_given_ws(tmp_path, ws):
     # repeated ws and w = 0 among them; no ws at all is "rows": [] and a
     # header alone
     k = rp.field_from_q(3)
-    audits = [cs.wd_audit(k, pr.parse_poly(k, "T"), 2, diagonal(k, 2, 2),
+    audits = [cs.wd_audit(pr.parse_poly(k, "T"), 2, diagonal(k, 2, 2),
                           ws=ws)]
     rows = list(audit_rows(audits[0]))
     assert len(rows) == len(ws)
@@ -664,6 +664,19 @@ class TestCommands:
         data = json.loads(read(tmp_path / "primes.json"))
         assert data["primes"] == ["1+T^2", "2+T+T^2", "2+2*T+T^2"]
         assert data["pnt"]["pass"] is True
+
+    def test_primes_enumeration_checked_against_count(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # an enumeration that drops a prime disagrees with the Moebius count
+        irreducibles = pr.irreducibles
+        monkeypatch.setattr(pr, "irreducibles",
+                            lambda k, d: irreducibles(k, d)[1:])
+        code = cli.main(["primes", "--q", "3", "--delta", "2",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "2 irreducibles enumerated, the Moebius count is 3" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "primes.json").exists()
 
     def test_charsum_frozen(self, tmp_path, capsys):
         code = cli.main(["charsum", "--config", CONFIG, "--pi", "T",
@@ -924,10 +937,10 @@ class TestExitCodes:
         # with 2 workers the range starting at 0 is the forked child's
         chunk = sv.accumulate_chunk
 
-        def failing(k, form, b, *, start, stop):
+        def failing(form, b, *, start, stop):
             if start == 0:
                 raise ZeroDivisionError("child share")
-            return chunk(k, form, b, start=start, stop=stop)
+            return chunk(form, b, start=start, stop=stop)
 
         monkeypatch.setattr(sv, "accumulate_chunk", failing)
         code = cli.main(["sieve-run", "--config", CONFIG, "--workers", "2",
@@ -1063,6 +1076,8 @@ CONFIG_ERRORS = [
      "form exponent must be an integer, got 2.5"),
     (["wd-audit", "--pi", "T"], {"dual": {**UNIT_QUADRIC, "m": False}},
      "form m must be an integer, got false"),
+    (["sieve-run", "--b", "1"], {},
+     "need delta < b < 2*delta, got delta = 0, b = 1"),
 ]
 
 

@@ -174,44 +174,44 @@ class TestCompletion:
 
     def test_quadric_fixture(self):
         res = idn.verify_completion(
-            K3, P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1)
+            P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1)
         assert res["equal"]
 
     def test_swap_symmetry(self):
         a = idn.verify_completion(
-            K3, P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1)
+            P(K3, "T"), P(K3, "1+T"), 2, 1, 1, diag3(K3), 1)
         b = idn.verify_completion(
-            K3, P(K3, "1+T"), P(K3, "T"), 2, 1, 1, diag3(K3), 1)
+            P(K3, "1+T"), P(K3, "T"), 2, 1, 1, diag3(K3), 1)
         assert a["equal"] and b["equal"]
         assert a["lhs"] == b["lhs"] and a["rhs"] == b["rhs"]
 
     def test_mixed_degrees_and_b(self):
         for b in (1, 2):
             res = idn.verify_completion(
-                K3, P(K3, "T"), P(K3, "1+T^2"), 2, 1, 1, diag3(K3), b)
+                P(K3, "T"), P(K3, "1+T^2"), 2, 1, 1, diag3(K3), b)
             assert res["equal"], b
 
     def test_order_three_characters(self):
         f = const_form(K7, 1, 3, {(3, 0): 1, (0, 3): 1})
         for c1 in (1, 2):
             res = idn.verify_completion(
-                K7, P(K7, "T"), P(K7, "1+T"), 3, c1, 2, f, 1)
+                P(K7, "T"), P(K7, "1+T"), 3, c1, 2, f, 1)
             assert res["equal"], c1
 
     def test_preconditions(self):
         f = diag3(K3)
         with pytest.raises(ValueError):
-            idn.verify_completion(K3, P(K3, "T"), P(K3, "2*T"), 2, 1, 1, f, 1)
+            idn.verify_completion(P(K3, "T"), P(K3, "2*T"), 2, 1, 1, f, 1)
         with pytest.raises(ValueError):
-            idn.verify_completion(K3, P(K3, "T"), P(K3, "1+T"), 2, 0, 1, f, 1)
+            idn.verify_completion(P(K3, "T"), P(K3, "1+T"), 2, 0, 1, f, 1)
         with pytest.raises(ValueError):
-            idn.verify_completion(K3, P(K3, "T"), P(K3, "1+T"), 2, 1, 1, f, 2)
+            idn.verify_completion(P(K3, "T"), P(K3, "1+T"), 2, 1, 1, f, 2)
 
 
 class TestUnramifiedExpansion:
     def test_quadric_two_prime_fixture(self):
         res = idn.verify_unramified_expansion(
-            K3, P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
+            P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
         assert res["equal"]
         assert res["zero_portion_vanishes"]
         assert res["pointwise_fiber_identity"]
@@ -219,14 +219,14 @@ class TestUnramifiedExpansion:
     def test_degree_one_primes_all_b(self):
         for b in (1,):
             res = idn.verify_unramified_expansion(
-                K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), b)
+                P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), b)
             assert res["equal"], b
             assert res["zero_portion_vanishes"]
 
     def test_order_three(self):
         f = const_form(K7, 1, 3, {(3, 0): 1, (0, 3): 1})
         res = idn.verify_unramified_expansion(
-            K7, P(K7, "T"), P(K7, "1+T"), 3, f, 1)
+            P(K7, "T"), P(K7, "1+T"), 3, f, 1)
         assert res["equal"]
         assert res["zero_portion_vanishes"]
         assert res["pointwise_fiber_identity"]
@@ -237,7 +237,7 @@ class TestUnramifiedExpansion:
         # and the sums of the non-principal characters are built and
         # checked once per residue index, never once per value
         form, Q, ell = diag3(K3), 9, 2
-        values = len(sv.box_histogram(K3, form, 3))
+        values = len(sv.box_histogram(form, 3))
         assert values > 2 * Q
         calls = Counter()
         character_sum, as_int = idn.character_sum, CycRing.as_int
@@ -253,7 +253,7 @@ class TestUnramifiedExpansion:
         monkeypatch.setattr(idn, "character_sum", counted_sum)
         monkeypatch.setattr(CycRing, "as_int", counted_as_int)
         res = idn.verify_unramified_expansion(
-            K3, P(K3, "1+T^2"), P(K3, "2+T+T^2"), ell, form, 3)
+            P(K3, "1+T^2"), P(K3, "2+T+T^2"), ell, form, 3)
         assert res["equal"] and res["pointwise_fiber_identity"]
         assert calls["character_sum"] <= 2 * Q
         assert calls["as_int"] <= 2 * Q + 1  # and once for the quotient
@@ -271,7 +271,7 @@ class TestUnramifiedExpansion:
 
         monkeypatch.setattr(idn, "residue_data", corrupted)
         res = idn.verify_unramified_expansion(
-            K3, P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
+            P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
         assert not res["pointwise_fiber_identity"]
 
     def test_budget_propagates(self):
@@ -289,7 +289,7 @@ class TestUnramifiedExpansion:
         # the 27 points of the box {deg x < 1} come first in the price of
         # both two-prime identities, before any sum, and they are the
         # points the box histogram counts
-        box = sum(sv.box_histogram(K3, diag3(K3), 1).values())
+        box = sum(sv.box_histogram(diag3(K3), 1).values())
         assert idn.two_prime_cost(3, (1, 1), 2, 2, 1)[0] == box == 27
         with pytest.raises(BudgetExceeded) as info:
             Budget(26).charge_each(idn.two_prime_cost(3, (1, 1), 2, 2, 1))
@@ -298,4 +298,4 @@ class TestUnramifiedExpansion:
     def test_b_range(self):
         with pytest.raises(ValueError):
             idn.verify_unramified_expansion(
-                K3, P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 2)
+                P(K3, "T"), P(K3, "2+T"), 2, diag3(K3), 2)

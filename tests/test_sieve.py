@@ -71,63 +71,53 @@ def assert_no_child_left():
 
 def quadric_instance():
     sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
-    params = sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2)
+    params = sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2)
     return params, sset
 
 
 # one full box pass shared by the term tests (exactness makes reuse safe)
 _PARAMS, _SSET = quadric_instance()
-_ACC = sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
+_ACC = sv.value_moments(QUADRIC, 2, 3, _SSET.primes,
                         rp.parallel_accumulator(_PARAMS))
 
 
 class TestParams:
     def test_n_one_rejected(self):
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=1, ell=2, form=diag(K3, 1, 2), b=3,
-                           delta=2)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=3, ell=2, form=QUADRIC, b=3, delta=2)
+            sv.SieveParams(form=diag(K3, 1, 2), ell=2, b=3, delta=2)
 
     def test_zero_form_rejected(self):
         zero = geo.MultiForm(K3, 2, 2, {(2, 0, 0): ()})
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=2, ell=2, form=zero, b=3, delta=2)
+            sv.SieveParams(form=zero, ell=2, b=3, delta=2)
 
     def test_composite_ell_rejected(self):
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=2, ell=4, form=diag(K3, 2, 4), b=3,
-                           delta=2)
+            sv.SieveParams(form=diag(K3, 2, 4), ell=4, b=3, delta=2)
 
     def test_ell_must_divide_degree(self):
         # ell = 3 divides q - 1 = 6 but not m = 2
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K7, n=2, ell=3, form=diag(K7, 2, 2), b=3,
-                           delta=2)
+            sv.SieveParams(form=diag(K7, 2, 2), ell=3, b=3, delta=2)
 
     def test_ell_must_divide_group_order(self):
         # ell = 5 divides m = 5 but not q - 1 = 6
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K7, n=2, ell=5, form=diag(K7, 2, 5), b=3,
-                           delta=2)
+            sv.SieveParams(form=diag(K7, 2, 5), ell=5, b=3, delta=2)
 
     def test_characteristic_dividing_degree_rejected(self):
         # m = 6 = 2 * char over F_3; ell = 2 divides both m and q - 1
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=2, ell=2, form=diag(K3, 2, 6), b=3,
-                           delta=2)
+            sv.SieveParams(form=diag(K3, 2, 6), ell=2, b=3, delta=2)
 
     def test_b_delta_window(self):
         for b, delta in ((4, 2), (2, 2), (5, 2)):
             with pytest.raises(ValueError):
-                sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=b,
-                               delta=delta)
+                sv.SieveParams(form=QUADRIC, ell=2, b=b, delta=delta)
 
     def test_delta_max_must_cover_delta(self):
         with pytest.raises(ValueError):
-            sv.SieveParams(k=K3, n=2, ell=2, form=QUADRIC, b=3, delta=2,
+            sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2,
                            delta_max=1)
 
     def test_box_size(self):
@@ -196,7 +186,6 @@ class TestSievingSet:
         names = [pr.format_poly(K3, p) for p in sset.primes]
         assert names == ["1+T^2", "2+T+T^2", "2+2*T+T^2"]
         assert len(sset) == 3
-        assert sset.delta == 2
 
     def test_exclusion(self):
         sset = sv.build_sieving_set(K3, 2, [P(K3, "1+T^2")])
@@ -277,6 +266,7 @@ class TestRamifiedSet:
         # distinct degree-delta divisors of a nonzero value g satisfy
         # (#divisors) * delta <= deg g
         _, sset = quadric_instance()
+        delta = pr.degree(sset.primes[0])
         from cycsieve.identities import box
         seen_nonempty = False
         for x in box(K3, 2, 3):
@@ -284,7 +274,7 @@ class TestRamifiedSet:
             if not g:
                 continue
             ram = ramified_set(K3, sset, QUADRIC, x)
-            assert len(ram) * sset.delta <= pr.degree(g)
+            assert len(ram) * delta <= pr.degree(g)
             seen_nonempty = seen_nonempty or bool(ram)
         assert seen_nonempty
 
@@ -293,10 +283,10 @@ class TestBruteForce:
     def test_constant_box_frozen(self):
         # F = X_0^2+X_1^2+X_2^2 on constants over F_3: 9 zero values (all
         # counted via y = 0) and 6 values equal to 1 (the square) -> 15
-        assert sv.brute_force_count(K3, 2, QUADRIC, 1) == 15
+        assert sv.brute_force_count(QUADRIC, 2, 1) == 15
 
     def test_within_trivial_bound(self):
-        assert sv.brute_force_count(K3, 2, QUADRIC, 1) <= 3 ** 3
+        assert sv.brute_force_count(QUADRIC, 2, 1) <= 3 ** 3
 
     def test_cubic_against_local_enumeration(self):
         # third route, test-local: a constant value c is an ell-th power of
@@ -311,7 +301,7 @@ class TestBruteForce:
                                  K7.power(c, 3))
                     if val in cubes:
                         expected += 1
-        assert sv.brute_force_count(K7, 3, cubic, 1) == expected
+        assert sv.brute_force_count(cubic, 3, 1) == expected
 
     def test_budget(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sv, "brute_force_count", forbidden)
@@ -329,14 +319,14 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        assert sv.box_pass_cost(K3, 2, form, 1) == (27, 243)
+        assert sv.box_pass_cost(form, 2, 1) == (27, 243)
         with pytest.raises(BudgetExceeded) as info:
-            Budget(100).charge_each(sv.box_pass_cost(K3, 2, form, 1))
+            Budget(100).charge_each(sv.box_pass_cost(form, 2, 1))
         assert info.value.needed == 27 + 243
         budget = Budget(270)
-        budget.charge_each(sv.box_pass_cost(K3, 2, form, 1))
+        budget.charge_each(sv.box_pass_cost(form, 2, 1))
         assert budget.spent == 270
-        assert sv.brute_force_count(K3, 2, form, 1) > 0
+        assert sv.brute_force_count(form, 2, 1) > 0
 
     def test_power_set_budget_of_sieve_pass(self):
         # 19683 box points fit the budget; the 3^18 polynomials of degree
@@ -347,7 +337,7 @@ class TestBruteForce:
             (0, 0, 2): (K3.one,),
         })
         with pytest.raises(BudgetExceeded) as info:
-            Budget(10 ** 5).charge_each(sv.box_pass_cost(K3, 2, form, 3))
+            Budget(10 ** 5).charge_each(sv.box_pass_cost(form, 2, 3))
         assert info.value.needed == 19683 + 3 ** 18
 
     def test_polynomial_coefficient_form(self):
@@ -357,7 +347,7 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        count = sv.brute_force_count(K3, 2, form, 2)
+        count = sv.brute_force_count(form, 2, 2)
         assert 0 < count <= 3 ** 6
 
 
@@ -437,7 +427,7 @@ class TestGeneralInequality:
         assert table["all_pass"] is True
 
     def test_empty_sieving_set_rejected(self):
-        empty = sv.SievingSet(primes=(), delta=2, excluded=())
+        empty = sv.SievingSet(primes=(), excluded=())
         with pytest.raises(ValueError):
             sv.sieve_inequality_general(_PARAMS, empty, _ACC)
 
@@ -561,13 +551,13 @@ def _case_primes(k):
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
 def test_value_moments_equal_per_point_pass(case):
     _, k, ell, form, b, edges = case
-    parts = [sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+    parts = [sv.accumulate_chunk(form, b, start=lo, stop=hi)
              for lo, hi in zip(edges, edges[1:])]
     for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
         assert sum(part.values()) == hi - lo
     hist = sv.merge_accumulators(parts)
     primes = _case_primes(k)
-    assert (sv.value_moments(k, form, ell, b, primes, hist)
+    assert (sv.value_moments(form, ell, b, primes, hist)
             == per_point_moments(k, form, ell, b, primes, edges[0],
                                  edges[-1]))
 
@@ -577,7 +567,7 @@ def test_squarefree_route_equals_factoring_on_box_values(case):
     _, k, _, form, b, _ = case
     digits = sv.value_digits(form, b)
     values = [pr.poly_from_index(k, v, digits)
-              for v in sv.box_histogram(k, form, b)]
+              for v in sv.box_histogram(form, b)]
     for ell in (2, 3):
         if (k.size - 1) % ell:
             continue
@@ -697,7 +687,7 @@ def test_value_index_histogram_equals_tuple_pass(case):
     assert digits == form.deg_T() + form.m * (b - 1) + 1
     parts = []
     for lo, hi in zip(edges, edges[1:]):
-        part = sv.accumulate_chunk(k, form, b, start=lo, stop=hi)
+        part = sv.accumulate_chunk(form, b, start=lo, stop=hi)
         assert all(type(v) is int for v in part)
         assert decoded(k, part, digits) == tuple_chunk_histogram(
             k, form, b, lo, hi)
@@ -728,7 +718,7 @@ def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
     for lo, hi in ((0, size), (0, 13 * unit), (13 * unit, size),
                    (unit, 20 * unit)):
         calls.clear()
-        hist = sv.accumulate_chunk(K3, form, 3, start=lo, stop=hi)
+        hist = sv.accumulate_chunk(form, 3, start=lo, stop=hi)
         assert sum(hist.values()) == hi - lo
         assert calls["mul"] <= 2 * n * width * m
         assert calls["add"] + calls["add_to_each"] <= 4 * n * width * m
@@ -836,33 +826,31 @@ def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
     primes = [P(K3, text) for text in report["sieve"]["primes"]]
     moments = per_point_moments(K3, form, 2, 3, primes, 0, 3 ** 9)
     assert report["sieve"]["M"] == moments["M"] == sv.brute_force_count(
-        K3, 2, form, 3)
+        form, 2, 3)
     assert f"M={moments['M']} " in capsys.readouterr().out
 
 
 class TestChunking:
     def test_chunked_merge_equals_full_pass(self):
         size = _PARAMS.box_size
-        full = sv.accumulate_chunk(K3, QUADRIC, 3, start=0, stop=size)
+        full = sv.accumulate_chunk(QUADRIC, 3, start=0, stop=size)
         for pieces in (2, 7):
             edges = [27 * i // pieces * 729 for i in range(pieces + 1)]
-            parts = [sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
+            parts = [sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
                      for lo, hi in zip(edges, edges[1:])]
             merged = sv.merge_accumulators(parts)
             assert merged == full
-            assert sv.value_moments(K3, QUADRIC, 2, 3, _SSET.primes,
+            assert sv.value_moments(QUADRIC, 2, 3, _SSET.primes,
                                     merged) == _ACC
 
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
     def test_parallel_accumulator_any_worker_count(self, workers):
         t_form = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T",
                                   (0, 1, 1): "2", (0, 0, 2): "2*T^2"})
-        t_params = sv.SieveParams(k=K3, n=2, ell=2, form=t_form, b=3,
-                                  delta=2)
+        t_params = sv.SieveParams(form=t_form, ell=2, b=3, delta=2)
         for params, sset in ((_PARAMS, _SSET),
                              (t_params, sv.build_sieving_set(K3, 2))):
-            k, form, b = params.k, params.form, params.b
-            full = sv.box_histogram(k, form, b)
+            full = sv.box_histogram(params.form, params.b)
             assert rp.parallel_accumulator(params, workers) == full
 
     @pytest.mark.parametrize("how", ("raises", "killed"))
@@ -870,12 +858,12 @@ class TestChunking:
         # with 3 workers the first range is a forked child's
         chunk = sv.accumulate_chunk
 
-        def failing(k, form, b, *, start, stop):
+        def failing(form, b, *, start, stop):
             if start == 0:
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ZeroDivisionError("child share")
-            return chunk(k, form, b, start=start, stop=stop)
+            return chunk(form, b, start=start, stop=stop)
 
         monkeypatch.setattr(sv, "accumulate_chunk", failing)
         word = "status 1" if how == "raises" else "signal"
@@ -887,7 +875,7 @@ class TestChunking:
     def test_failed_own_share_kills_children(self, monkeypatch, error):
         # the last range is this process's; the children would sleep on
         # past the test unless they are killed
-        def failing(k, form, b, *, start, stop):
+        def failing(form, b, *, start, stop):
             if stop == _PARAMS.box_size:
                 raise error("own share")
             time.sleep(60)
@@ -900,13 +888,13 @@ class TestChunking:
         assert_no_child_left()
 
     def test_without_fork_every_range_runs_here(self, monkeypatch):
-        full = sv.box_histogram(_PARAMS.k, _PARAMS.form, _PARAMS.b)
+        full = sv.box_histogram(_PARAMS.form, _PARAMS.b)
         chunk = sv.accumulate_chunk
         ranges = []
 
-        def recording(k, form, b, *, start, stop):
+        def recording(form, b, *, start, stop):
             ranges.append((start, stop))
-            return chunk(k, form, b, start=start, stop=stop)
+            return chunk(form, b, start=start, stop=stop)
 
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(sv, "accumulate_chunk", recording)
@@ -925,7 +913,7 @@ class TestChunking:
 
     def test_histogram_weights_sum_to_range(self):
         for lo, hi in ((0, 729), (729, 729), (1458, 5832), (18954, 19683)):
-            hist = sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
+            hist = sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
             assert sum(hist.values()) == hi - lo
 
     def test_range_outside_box_rejected(self):
@@ -935,7 +923,7 @@ class TestChunking:
                        (729, 20412), (0, 10), (5, 729), (1, 19683),
                        (729, 800), (5, 5)):
             with pytest.raises(ValueError):
-                sv.accumulate_chunk(K3, QUADRIC, 3, start=lo, stop=hi)
+                sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
 
     def test_chunk_budget(self, tmp_path, monkeypatch, capsys):
         # the box is priced before any chunk is accumulated
