@@ -9,14 +9,16 @@ order dividing ell, and a covector w in k_pi^(n+1).  Values are exact
 elements of Z[zeta_p, zeta_ell]: the kernel accumulates integer exponent
 counters and canonicalizes each distinct column of counters once.  Elements
 of k_pi are its element indices, and the table of G over k_pi^(n+1) is
-``geometry.form_values``: one row of powers per coordinate and term,
-combined by outer products, the construction the closed-form dual column
-also tabulates its dual form with.
+``geometry.form_values``: the table of the other coordinates read through
+one row of sums per value of x_0, the construction the closed-form dual
+column also tabulates its dual form with.
 
 ``CharSumContext.sums`` is the one route: psi_exp is additive over k_pi, so
 psi_infty(-w.a/pi) = zeta_p^<c(w), a> for an F_p-linear functional c(w) of
-the base-p digits of a.  One pass counts the points by their projection on
-the span of the c(w) read and by chi exponent, and one exact radix-p
+the base-p digits of a.  One pass weighs the points by their projection on
+the span of the c(w) read, in ell - 1 layers for the non-principal
+characters (the zeta_ell^(i t) sum to 0, so ell - 1 differences of chi
+exponent classes suffice) and one for chi_0, and one exact radix-p
 transform over that span gives every sum on it.  Its counters are 64-bit
 fields of arrays, and each pass adds whole blocks of them as packed
 integers.
@@ -40,6 +42,7 @@ import functools
 import itertools
 import sys
 from array import array
+from collections import Counter
 
 from . import geometry as geo
 from . import polyring as pr
@@ -124,18 +127,31 @@ class CharSumContext:
         psi_exp[-(w.e_s)], e_s the point of flat index p^s.  With b_1..b_r
         the reduced echelon basis of the span of the c(w) read, pivots s_j
         (the standard basis when every w is read), and u(a) = (<b_j, a>)_j,
+        the transform of a weight D on the points is
 
-            S_G(w, chi_i) = sum over (k, t) of
-                L[k][t][c(w) at the pivots] * zeta_p^k * zeta_ell^(i t),
+            T(D)[k][c] = sum of D(a) over the a with <c, u(a)> = k,
 
-        where L[k][t][c] = #{a : <c, u(a)> = k, chi_exp[G(a)] = t}.  The
-        layers start as the counts of u(a) in layer k = 0; each of the r
-        passes transforms the top digit and writes the output digit at the
-        bottom, so the digits end in order.  A pass reads each digit block
-        of each layer once as one int of 64-bit fields and forms each
-        output block as the sum of p such ints, with no loop over the
-        counters.  chi_0 is 1 at the zeros of G too: they get a layer t =
-        ell only when 0 is in chi_indices.
+        and S_G(w, chi) = sum over k of T(chi(G))[k][c(w) at the pivots]
+        zeta_p^k.  For i != 0 the zeta_ell^(i t), t < ell, sum to 0, so with
+        D_t = 1[chi_exp G = t] - 1[chi_exp G = ell - 1],
+
+            S_G(w, chi_i) = sum over t < ell - 1 and k of
+                T(D_t)[k][c] * zeta_p^k * zeta_ell^(i t):
+
+        ell - 1 layers serve every non-principal character.  Each layer is
+        the transform of D_t + 1, whose values 0..2 keep the counters
+        nonnegative.  u is onto F_p^r, so the transform of the 1 is
+        constant in k at every c != 0, where it adds nothing to S, and is
+        size at c = 0, k = 0, where it is taken off.  chi_0 is 1 at the
+        zeros of G too, so it has its own layer, the transform of 1, built
+        only when 0 is in chi_indices.
+
+        The first layer holds the weights of the points by u(a); for every
+        w, u(a) is a's flat index.  Each of the r passes transforms the top
+        digit and writes the output digit at the bottom, so the digits end
+        in order.  A pass reads each digit block of each layer once as one
+        int of 64-bit fields and forms each output block as the sum of p
+        such ints, with no loop over the counters.
         """
         p, ell, Q = self.kpi.char, self.ell, self.Q
         size = Q ** self.nvars
@@ -148,8 +164,8 @@ class CharSumContext:
                for x in range(Q)]
         cs = [0]
         for _ in range(self.nvars):
-            cs = [c * Q + col[x] for c in cs for x in range(Q)]
-        proj = range(size)
+            cs = [c + x for c in map(Q.__mul__, cs) for x in col]
+        proj = None
         if positions is not None:
             cs = [cs[pos] for pos in positions]
             basis = [[c // p ** s % p for s in range(r)] for c in set(cs)]
@@ -163,19 +179,29 @@ class CharSumContext:
             cs = [sum(c // p ** s % p * p ** j for j, s in enumerate(pivots))
                   for c in cs]
             r = len(pivots)
-        # 64-bit counters in arrays, not lists of int objects, to keep the
-        # layers small.  Every counter counts points, so it is at most size,
-        # and size points already sit in g_values: a counter never fills
-        # its 64-bit field, and the sum of fields never carries
-        tops = ell + (0 in chi_indices)
-        layers = [[array('q', [0]) * p ** r for _ in range(tops)]
-                  for _ in range(p)]
+        # the weight of each layer at each residue index: D_t + 1 for t <
+        # ell - 1 if a non-principal character is read, then 1 for chi_0
         chi_exp = self.data.chi_exp
-        for u, gv in zip(proj, self.g_values):
-            t = chi_exp[gv]
-            t = ell if t is None else t
-            if t < tops:
-                layers[0][t][u] += 1
+        diffs = ell - 1 if any(chi_indices) else 0
+        weights = [[1 + (e == t) - (e == ell - 1) for e in chi_exp]
+                   for t in range(diffs)]
+        if 0 in chi_indices:
+            weights.append([1] * Q)
+        # 64-bit counters in arrays, not lists of int objects, to keep the
+        # layers small.  Every counter weighs points by at most 2, so it is
+        # at most 2 size, and size points already sit in g_values: a
+        # counter never fills its 64-bit field, and the sum of fields never
+        # carries
+        if proj is None:
+            first = [array('q', map(weight.__getitem__, self.g_values))
+                     for weight in weights]
+        else:
+            first = [array('q', [0]) * p ** r for _ in weights]
+            for (u, gv), n in Counter(zip(proj, self.g_values)).items():
+                for layer, weight in zip(first, weights):
+                    layer[u] += n * weight[gv]
+        layers = [first] + [[array('q', [0]) * p ** r for _ in weights]
+                            for _ in range(p - 1)]
         block = p ** r // p
         order = sys.byteorder  # that of array('q'), which is native
         for _ in range(r):
@@ -187,7 +213,7 @@ class CharSumContext:
             layers = []
             for k in range(p):
                 by_t = []
-                for t in range(tops):
+                for t in range(len(weights)):
                     out = array('q', [0]) * p ** r
                     for c in range(p):
                         # the p blocks of output digit c, field by field
@@ -196,23 +222,26 @@ class CharSumContext:
                         out[c::p] = array('q', acc.to_bytes(8 * block, order))
                     by_t.append(out)
                 layers.append(by_t)
+        # the transform of the 1 under each D_t, at c = 0, k = 0
+        for layer in layers[0][:diffs]:
+            layer[0] -= size
         ring = self.ring
 
         def read(i):
-            # t * (i or ell) is i t mod ell, and keeps chi_0's keys apart
-            ts = range(ell if i else tops)
-            keys = [(k, t * (i or ell)) for k in range(p) for t in ts]
-            column = [layers[k][t] for k in range(p) for t in ts]
-            # each distinct column of counts is canonicalized once
-            seen = {}
-            for c in cs:
-                counts = tuple([layer[c] for layer in column])
-                S = seen.get(counts)
-                if S is None:
-                    S = seen[counts] = ring.from_exponent_counts(
-                        dict(zip(keys, counts)))
-                yield S
-        return {i: read(i) for i in chi_indices}
+            # one map over the ws, made when the first sum is asked for
+            ts = range(diffs) if i else [diffs]
+            keys = [(k, i * t) for k in range(p) for t in ts]
+
+            def columns():
+                # the counters of each w in turn
+                return zip(*[map(layers[k][t].__getitem__, cs)
+                             for k in range(p) for t in ts])
+            # each distinct column of counters is canonicalized once
+            seen = {counts: ring.from_exponent_counts(dict(zip(keys, counts)))
+                    for counts in set(columns())}
+            yield map(seen.__getitem__, columns())
+        return {i: itertools.chain.from_iterable(read(i))
+                for i in chi_indices}
 
     def trivial_bound(self) -> int:
         return self.Q ** self.nvars
@@ -312,13 +341,15 @@ def wd_audit(pi, ell: int, form: geo.MultiForm, chi_indices=None,
     transform = ctx.sums(chi_indices, positions)
 
     # the case of each w, shared by every character; w = 0 is at position 0
-    w_cases = [_CASES[on_dual[pos]] if pos else "i" for pos in
-               (range(len(on_dual)) if positions is None else positions)]
+    w_cases = list(map(_CASES.__getitem__, on_dual))
+    w_cases[0] = "i"
+    if positions is not None:
+        w_cases = list(map(w_cases.__getitem__, positions))
     # the sums of each character: references to the distinct sums
     sums = {i: list(transform[i]) for i in chi_indices}
-    cases = {"i": 0, "ii": 0, "iii": 0, "unknown": 0}
-    for case in w_cases:
-        cases[case] += len(sums)
+    counts = Counter(w_cases)
+    cases = {case: counts[case] * len(sums)
+             for case in ("i", "ii", "iii", "unknown")}
     ratios_iii = []
     # (case, S) -> (|S|, bound, ratio, pass), each computed once per
     # distinct pair, and the rows share those floats

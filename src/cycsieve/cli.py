@@ -35,77 +35,66 @@ FLAGS = {
 }
 
 
-def _flags(*names) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    for name in names:
-        parent.add_argument(f"--{name}", **FLAGS[name])
-    return parent
+def _command(sub, name: str, flags, func, summary: str):
+    """The subparser of one command, with the flags it reads from FLAGS."""
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    config = _flags(*FLAGS)
-
     parser = argparse.ArgumentParser(
         prog="cycsieve",
         description="exact desk-scale checks for the geometric sieve on "
                     "prime-degree cyclic covers over F_q(T)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("primes", parents=[_flags("q", "delta", "budget",
-                                                 "out")],
-                       help="enumerate monic irreducibles of one degree and "
-                            "check the prime-count bound")
-    p.set_defaults(func=cmd_primes)
+    _command(sub, "primes", ("q", "delta", "budget", "out"), cmd_primes,
+             "enumerate monic irreducibles of one degree and check the "
+             "prime-count bound")
 
-    p = sub.add_parser("charsum", parents=[config],
-                       help="one mixed character sum S_G(w, chi), exact")
+    p = _command(sub, "charsum", FLAGS, cmd_charsum,
+                 "one mixed character sum S_G(w, chi), exact")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.add_argument("--chi", type=int, default=1, help="character index")
     p.add_argument("--w", help="covector, semicolon-joined poly texts")
-    p.set_defaults(func=cmd_charsum)
 
-    p = sub.add_parser("gauss", parents=[_flags("q", "ell", "out")],
-                       help="Gauss sums mod one prime; exact |tau|^2 = Q")
+    p = _command(sub, "gauss", ("q", "ell", "out"), cmd_gauss,
+                 "Gauss sums mod one prime; exact |tau|^2 = Q")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
-    p.set_defaults(func=cmd_gauss)
 
-    p = sub.add_parser("identity-check", parents=[config],
-                       help="run the exact identity suite on the config")
-    p.set_defaults(func=cmd_identity_check)
+    _command(sub, "identity-check", FLAGS, cmd_identity_check,
+             "run the exact identity suite on the config")
 
-    p = sub.add_parser("wd-audit", parents=[config],
-                       help="audit |S_G(w, chi)| against the case bounds "
-                            "for every w mod the given primes")
+    p = _command(sub, "wd-audit", FLAGS, cmd_wd_audit,
+                 "audit |S_G(w, chi)| against the case bounds for every w "
+                 "mod the given primes")
     p.add_argument("--pi", action="append",
                    help="prime modulus; repeatable (default: first linear "
                         "and first quadratic prime)")
-    p.set_defaults(func=cmd_wd_audit)
 
-    p = sub.add_parser("dual-check", parents=[config],
-                       help="dual membership: closed form against tangency "
-                            "witness search, all w mod one prime")
+    p = _command(sub, "dual-check", FLAGS, cmd_dual_check,
+                 "dual membership: closed form against tangency witness "
+                 "search, all w mod one prime")
     p.add_argument("--pi", default="T", help="prime modulus (poly text)")
     p.add_argument("--search-bound", type=int, default=1,
                    help="extension degree for the witness search")
-    p.set_defaults(func=cmd_dual_check)
 
-    p = sub.add_parser("exc-primes", parents=[config],
-                       help="scan for primes of bad reduction")
+    p = _command(sub, "exc-primes", FLAGS, cmd_exc_primes,
+                 "scan for primes of bad reduction")
     p.add_argument("--delta-max", type=int,
                    help="scan bound (overrides config)")
-    p.set_defaults(func=cmd_exc_primes)
 
-    p = sub.add_parser("sieve-run", parents=[config],
-                       help="both sieve inequalities on the configured "
-                            "instance; JSON + CSV artifacts")
+    p = _command(sub, "sieve-run", FLAGS, cmd_sieve_run,
+                 "both sieve inequalities on the configured instance; JSON "
+                 "+ CSV artifacts")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (default 1)")
-    p.set_defaults(func=cmd_sieve_run)
 
-    p = sub.add_parser("count", parents=[config],
-                       help="brute-force M_n(F;b) with dual solvability "
-                            "routes")
-    p.set_defaults(func=cmd_count)
+    _command(sub, "count", FLAGS, cmd_count,
+             "brute-force M_n(F;b) with dual solvability routes")
     return parser
 
 

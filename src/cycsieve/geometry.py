@@ -33,13 +33,14 @@ Conventions:
     alike, are element indices (``ffield``), and a field element is its own
     index in every extension of it, so a form reduced mod pi is also a form
     over each extension the search walks; ``form_values`` builds the whole
-    table of a form, by outer products of one row of powers per coordinate,
+    table of a form by outer sums, peeling off one coordinate at a time,
     for the char-sum kernel's table of G and the closed-form dual column, and
     ``eval_terms`` is the per-point evaluator under the searches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -174,25 +175,68 @@ def eval_terms(field, terms, point):
 
 def form_values(field, terms, nvars: int) -> list:
     """The form at every point of field^nvars, in the order of
-    itertools.product(range(Q), repeat=nvars).  Each term's table is built
-    from the last coordinate to the first, starting from its coefficient: a
-    coordinate of exponent e > 0 takes the outer product of its row of e-th
-    powers with the table so far, one of exponent 0 repeats the table Q
-    times; the terms' tables are added entrywise."""
-    Q, mul, add = field.size, field.mul, field.add
-    out = None
-    for exps, coeff in terms.items():
-        tab = [coeff]
-        for e in reversed(exps):
-            if not e:
-                tab *= Q
-                continue
-            outer = []
-            for x in range(Q):
-                outer += map(mul, itertools.repeat(field.power(x, e)), tab)
-            tab = outer
-        out = tab if out is None else list(map(add, out, tab))
-    return [field.zero] * Q ** nvars if out is None else out
+    itertools.product(range(Q), repeat=nvars), with no Python call per
+    entry.  The coordinates are peeled off from x_0 on.  The terms free of
+    x_0 form the rest, a form in the other coordinates.  The terms in x_0
+    alone add one constant c(a) per value a of x_0.  A term that links x_0
+    to other coordinates joins the rest with a^e folded into its
+    coefficient, so it is combined only over the coordinates it links.  The
+    block of a is then the table of its rest, read through the row of sums
+    with c(a); the blocks are chained in the order of x_0.  Each distinct
+    rest's table, (c(a), rest) block, row of sums and row of constants is
+    built once."""
+    Q, zero, add, mul = field.size, field.zero, field.add, field.mul
+    repeat = itertools.repeat
+
+    @functools.cache
+    def plus(c):
+        # x -> c + x
+        return [add(c, x) for x in range(Q)]
+
+    @functools.cache
+    def consts(alone):
+        # a -> the sum of c a^e over the (e, c) in alone
+        out = [zero] * Q
+        for e, c in alone:
+            out = list(map(add, out, map(mul, repeat(c), map(
+                field.power, range(Q), repeat(e)))))
+        return out
+
+    @functools.cache
+    def table(key, nvars):
+        if not nvars:
+            return [dict(key).get((), zero)]
+        rest, alone, linked = {}, [], []
+        for exps, c in key:
+            if not exps[0]:
+                rest[exps[1:]] = c
+            elif any(exps[1:]):
+                linked.append((exps, c))
+            else:
+                alone.append((exps[0], c))
+        subs = [tuple(rest.items())] * Q
+        if linked:
+            for a in range(Q):
+                sub = dict(rest)
+                for exps, c in linked:
+                    tail = exps[1:]
+                    sub[tail] = add(sub.get(tail, zero),
+                                    mul(c, field.power(a, exps[0])))
+                subs[a] = tuple(sorted(
+                    (exps, c) for exps, c in sub.items() if c))
+        keys = list(zip(consts(tuple(alone)), subs))
+        blocks = {}
+        for c, sub in set(keys):
+            tab = table(sub, nvars - 1)
+            blocks[c, sub] = list(map(plus(c).__getitem__, tab)) if c else tab
+        return list(itertools.chain.from_iterable(
+            map(blocks.__getitem__, keys)))
+
+    out = table(tuple(sorted(terms.items())), nvars)
+    # table refers to itself, so only a collection of the cycle would free
+    # the tables it keeps
+    table.cache_clear()
+    return out
 
 
 def flat_index(Q: int, point) -> int:

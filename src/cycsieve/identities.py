@@ -124,8 +124,9 @@ def verify_count_mod(k, u, a, b: int) -> dict:
         sum(not pr.poly_mod(k, pr.sub(k, x, ai), u) for (x,) in box(k, b, 1))
         for ai in a)
 
-    # zeta_2 = -1, so the ambient ring is plain Z[zeta_p]
-    ring = cyc_ring(k.char, 2)
+    # the sums lie in Z[zeta_p], inside Z[zeta_p, zeta_ell] for any prime
+    # ell != p; ell = 2 (zeta_2 = -1) makes it plain Z[zeta_p]
+    ring = cyc_ring(k.char, 3 if k.char == 2 else 2)
     total = ring.one
     for ai in a:
         total = ring.mul(total, ring.from_exponent_counts(Counter(

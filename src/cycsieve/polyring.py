@@ -55,11 +55,6 @@ def degree(f):
     return len(f) - 1 if f else NEG_INF
 
 
-def from_ints(k, ints):
-    """Build a polynomial from small-integer coefficients (little-endian)."""
-    return normalize(k, [k.from_int(c) for c in ints])
-
-
 def add(k, f, g):
     n = max(len(f), len(g))
     fz, gz = f + (k.zero,) * (n - len(f)), g + (k.zero,) * (n - len(g))
@@ -307,7 +302,9 @@ _TERM_RE = re.compile(r"^(?:(\d+)|(?:(\d+)\*)?T(?:\^(\d+))?)$")
 def parse_poly(k, text: str):
     """Parse ``c0+c1*T+c2*T^2`` (e.g. ``1+2*T^3``) into a polynomial over k.
 
-    Coefficients must be integers in [0, char); duplicate powers rejected.
+    Each coefficient is an element index of k, an integer in [0, q), as
+    format_poly writes it; on a prime field that is the residue itself.
+    Duplicate powers are rejected.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -325,17 +322,17 @@ def parse_poly(k, text: str):
         else:
             c = int(coef) if coef is not None else 1
             e = int(power) if power is not None else 1
-        if c >= k.char:
+        if c >= k.size:
             raise ValueError(
-                f"coefficient {c} out of range for characteristic {k.char}"
-            )
+                f"coefficient {c} out of range for a field of {k.size} "
+                f"elements")
         if e in coeffs:
             raise ValueError(f"duplicate term for power {e}")
         coeffs[e] = c
-    out = [0] * (max(coeffs) + 1)
+    out = [k.zero] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    return from_ints(k, out)
+    return normalize(k, out)
 
 
 def format_poly(k, f) -> str:

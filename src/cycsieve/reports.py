@@ -14,8 +14,9 @@ other value or key is a TypeError.  The bytes of a JSON artifact are those
 of json.dumps(report, sort_keys=True, indent=2) and a newline, with each
 Fraction an exact integer or a "num/den" string and each float rounded to
 12 significant digits.  A scalar's text, JSON or CSV cell, comes from one
-table keyed by exact type (_SCALAR_TEXTS).  A Table holds rows that share
-all columns but one free str column class by class (audit and dual-check
+table keyed by exact type (_SCALAR_TEXTS), which gains the Fraction's row
+with the first Fraction written.  A Table holds rows that share all
+columns but one free str column class by class (audit and dual-check
 rows): either writer renders each class once, with a mark in the free
 column, and joins each row's text around its free text by C-level maps,
 streaming the rows a block at a time.
@@ -31,7 +32,6 @@ import operator
 import os
 import sys
 import types
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
@@ -208,8 +208,19 @@ _SCALAR_TEXTS = {
     type(None): (lambda _: "null", lambda _: ""),
     int: (int.__repr__, int.__repr__),
     float: (_float_json, "{:.12g}".format),
-    Fraction: (lambda v: str(v) if v.denominator == 1 else f'"{v}"', str),
 }
+
+
+def _fraction_texts(value):
+    """The texts of value if it is a Fraction, which are then added to
+    _SCALAR_TEXTS, else None.  This module does not import fractions: a
+    Fraction exists only once its maker has loaded it."""
+    kind = type(value)
+    if kind is not getattr(sys.modules.get("fractions"), "Fraction", None):
+        return None
+    texts = _SCALAR_TEXTS[kind] = (
+        lambda v: str(v) if v.denominator == 1 else f'"{v}"', str)
+    return texts
 
 
 def _refused(value) -> TypeError:
@@ -230,7 +241,7 @@ def cell_text(value) -> str:
     """One CSV cell: exact integers, 12-significant-digit magnitudes,
     lowercase booleans, exact fractions as num/den, lists and tuples joined
     by ";"."""
-    texts = _SCALAR_TEXTS.get(type(value))
+    texts = _SCALAR_TEXTS.get(type(value)) or _fraction_texts(value)
     if texts is not None:
         return texts[1](value)
     if type(value) not in (list, tuple):
@@ -275,7 +286,7 @@ def _json_pieces(obj, level: int):
     """The JSON text of obj with sorted keys and an indent of 2, in pieces:
     its scalars by _SCALAR_TEXTS, and a Table as the list of its rows, one
     piece a row."""
-    texts = _SCALAR_TEXTS.get(type(obj))
+    texts = _SCALAR_TEXTS.get(type(obj)) or _fraction_texts(obj)
     if texts is not None:
         yield texts[0](obj)
         return

@@ -7,6 +7,9 @@ them.
   another tuple field), schoolbook products reduced mod the modulus and
   powers by squaring, the reference the index arithmetic of
   ``cycsieve.ffield`` is checked against.
+* The table of a form over a finite field term by term, each term's table
+  an outer product of rows of powers, the route ``geometry.form_values``
+  is checked against.
 * Sieve quantities recomputed point by point on polynomials: F at a box
   point, the fiber size and the ramified set of one box point, the count
   of the sieving set against its lower bound and the least admissible b;
@@ -252,6 +255,29 @@ def eval_form_at_polys(form: geo.MultiForm, xs):
                 t = pr.mul(k, t, x)
         out = pr.add(k, out, t)
     return out
+
+
+def form_values_by_terms(field, terms, nvars: int) -> list:
+    """The table of geo.form_values term by term, the route it is checked
+    against.  Each term's table is built from the last coordinate to the
+    first, starting from its coefficient: a coordinate of exponent e > 0
+    takes the outer product of its row of e-th powers with the table so
+    far, one of exponent 0 repeats the table Q times; the terms' tables are
+    added entrywise."""
+    Q, mul, add = field.size, field.mul, field.add
+    out = None
+    for exps, coeff in terms.items():
+        tab = [coeff]
+        for e in reversed(exps):
+            if not e:
+                tab *= Q
+                continue
+            outer = []
+            for x in range(Q):
+                outer += map(mul, itertools.repeat(field.power(x, e)), tab)
+            tab = outer
+        out = tab if out is None else list(map(add, out, tab))
+    return [field.zero] * Q ** nvars if out is None else out
 
 
 def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
@@ -500,16 +526,19 @@ def count_mod_by_points(k, u, a, b: int) -> tuple:
     lhs = sum(
         all(not pr.poly_mod(k, pr.sub(k, x, ai), u) for x, ai in zip(xs, a))
         for xs in pr.box(k, b, arity))
-    ring = cyc_ring(k.char, 2)
-    counts: dict = {}
+    counts = [0] * k.char
     for xs in pr.box(k, d - b, arity):
         dot = ()
         for x, ai in zip(xs, a):
             dot = pr.add(k, dot, pr.mul(k, x, ai))
-        key = (psi_exponent(k, pr.neg(k, dot), u), 0)
-        counts[key] = counts.get(key, 0) + 1
-    total = ring.from_exponent_counts(counts)
-    return lhs, ring.as_int(ring.div_int(total, k.size ** (arity * (d - b))))
+        counts[psi_exponent(k, pr.neg(k, dot), u)] += 1
+    # sum of counts[e] zeta_p^e is the integer counts[0] - counts[1] when
+    # the counts of the p - 1 exponents e > 0 agree, and irrational else
+    if len(set(counts[1:])) > 1:
+        return lhs, None
+    quotient, left = divmod(counts[0] - counts[1],
+                            k.size ** (arity * (d - b)))
+    return lhs, None if left else quotient
 
 
 def deserialize(ring, obj) -> tuple:

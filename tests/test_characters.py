@@ -16,7 +16,7 @@ K7 = GF(7)
 
 
 def P(k, *ints):
-    return pr.from_ints(k, ints)
+    return pr.normalize(k, [k.from_int(c) for c in ints])
 
 
 T3 = P(K3, 0, 1)

@@ -222,6 +222,22 @@ class TestTransform:
                 assert list(got[i]) == [want[i][pos] for pos in positions], \
                     (name, i)
 
+    def test_character_sets_equal_char_sum(self, case):
+        # ell - 1 layers serve the non-principal characters and chi_0 has
+        # its own: each set of characters, with and without chi_0, for
+        # every w and at given positions (w = 0 among them, twice), against
+        # the per-w route
+        ctx = self.context(case)
+        ws = all_ws(ctx)
+        want = {i: [char_sum(ctx, w, i) for w in ws] for i in range(ctx.ell)}
+        positions = [0, len(ws) - 1, 0, len(ws) // 2, 1]
+        for chis in ([0], [ctx.ell - 1], list(range(1, ctx.ell)),
+                     [ctx.ell - 1, 0], list(range(ctx.ell))):
+            every, given = ctx.sums(chis), ctx.sums(chis, positions)
+            for i in chis:
+                assert list(every[i]) == want[i], (chis, i)
+                assert list(given[i]) == [want[i][pos] for pos in positions]
+
     def test_sample_equals_bruteforce(self, case):
         # sums and char_sum both read psi through its additivity; the
         # term-by-term route is the one that does not

@@ -77,6 +77,18 @@ QUATERNARY_WD_DIGESTS = {
 CUBIC_DUAL_DIGEST = \
     "991e54159381bc30c31ea284cabf8cf01465f073d12f52bdc835cee665f8757b"
 
+# the cubic's form over F_4 (p = 2, e = 2) with ell = 3, and the sha256 of
+# its identity-check and sieve-run artifacts
+F4_CUBIC = {"p": 2, "e": 2}
+F4_CUBIC_DIGESTS = {
+    "identity_check.json":
+        "737b407e53e79c898a5f40c2036b9daed62e4ccda432d0b12ded6f5057a9e47f",
+    "sieve_report.json":
+        "44e41893b4a3b05a2aaae2af79a98af05615dabc21f1f5b9fcad3379296a5507",
+    "sieve_report.csv":
+        "5a807e277ae86f9778f633f266099f03063fa662015c9950bc08e211c38d1c19",
+}
+
 # sha256 of the artifacts that the smoothness, Dwork and dual checks of
 # geometry reach: exc-primes on the shipped config, on the cubic and on
 # NONDIAG_CUBIC (search_bound 1, delta_max 1), and dual-check mod T on the
@@ -732,6 +744,54 @@ class TestCommands:
         assert by_id["completion"] >= 5
         assert by_id["root-count"] == 6  # every prime of degree <= 2
         assert by_id["unramified-expansion"] == 1
+
+    def test_f4_cubic_identity_check_and_sieve_run(self, tmp_path, capsys):
+        # characteristic 2: count-mod reads its sums in Z[zeta_2, zeta_3],
+        # since Z[zeta_2, zeta_2] is no ring; both commands pass and write
+        # the pinned bytes
+        config = json.loads(CUBIC_CONFIG.read_text(encoding="utf-8"))
+        config.update(F4_CUBIC)
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        for command in ("identity-check", "sieve-run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "identity suite: pass" in printed
+        assert "M=35344 " in printed
+        assert "sieve inequalities: pass" in printed
+        rows = json.loads(read(out / "identity_check.json"))["rows"]
+        assert len(rows) == 47
+        for name, want in F4_CUBIC_DIGESTS.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == want, name
+
+    @pytest.mark.parametrize("q, delta", ((4, 1), (4, 2), (9, 1), (9, 2)))
+    def test_every_printed_prime_is_taken_back(self, tmp_path, capsys, q,
+                                               delta):
+        # primes writes each coefficient as its element index, 0..q-1, and
+        # --pi reads it back: gauss mod each prime over F_4 (ell = 3) and
+        # F_9 (ell = 2) prints the text it was given
+        assert cli.main(["primes", "--q", str(q), "--delta", str(delta),
+                         "--out", str(tmp_path)]) == 0
+        primes = json.loads(read(tmp_path / "primes.json"))["primes"]
+        capsys.readouterr()
+        ell = 3 if q == 4 else 2
+        for text in primes:
+            assert cli.main(["gauss", "--q", str(q), "--ell", str(ell),
+                             "--pi", text, "--out", str(tmp_path)]) == 0
+            assert json.loads(read(tmp_path / "gauss.json"))["params"][
+                "pi"] == text
+        # some prime has a coefficient outside the prime field
+        k = pr.make_field(*{4: (2, 2), 9: (3, 2)}[q])
+        assert any(max(pr.parse_poly(k, text)) >= k.char for text in primes)
+
+    def test_charsum_reads_an_f9_coefficient(self, tmp_path, capsys):
+        # 5+T is prime over F_9, and 5 is the index of an element outside F_3
+        assert cli.main(["charsum", "--config", CONFIG, "--q", "9",
+                         "--pi", "5+T", "--out", str(tmp_path)]) == 0
+        assert json.loads(read(tmp_path / "charsum.json"))["pi"] == "5+T"
 
     def test_wd_audit(self, tmp_path):
         code = cli.main(["wd-audit", "--config", CONFIG,

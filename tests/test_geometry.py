@@ -20,6 +20,7 @@ from oracles import (
     cofactor_adjugate,
     dual_degree,
     eval_form_at_polys,
+    form_values_by_terms,
     proportional,
     schwartz_zippel_audit,
     search_affine_singular,
@@ -205,6 +206,66 @@ class TestFormValues:
                 table = geo.form_values(field, terms, nvars)
                 assert table == [geo.eval_terms(field, terms, a)
                                  for a in points], (nvars, name)
+
+    @pytest.mark.parametrize("p, e, d", [(3, 1, 2), (2, 2, 1), (2, 2, 2),
+                                         (5, 1, 1), (7, 1, 1), (3, 2, 1)])
+    def test_equals_the_term_by_term_oracle(self, p, e, d):
+        # reductions mod a prime of degree d of n = 3 quadrics over
+        # F_(p^e): diagonal, with T in the coefficients, with a term that
+        # vanishes mod pi, linked x_0 to x_2, x_1 to x_3 or both, and a
+        # cubic with X0 X1 X2, against the route term by term
+        k = pr.make_field(p, e)
+        pi = pr.irreducibles(k, d)[0]
+        rng = random.Random(k.size * 10 + d)
+
+        def c():
+            return (rng.randrange(1, k.size),)
+
+        def t():
+            return (rng.randrange(k.size), rng.randrange(1, k.size))
+
+        def diagonal(coeff):
+            return {tuple(2 * (j == i) for j in range(4)): coeff()
+                    for i in range(4)}
+        forms = {
+            "diagonal": (3, 2, diagonal(c)),
+            "T coefficients": (3, 2, diagonal(t)),
+            "vanished": (3, 2, {**diagonal(c), (0, 0, 0, 2): pi,
+                                (1, 1, 0, 0): pr.mul(k, pi, t())}),
+            "x0 x2": (3, 2, {**diagonal(c), (1, 0, 1, 0): t()}),
+            "x1 x3": (3, 2, {**diagonal(t), (0, 1, 0, 1): c()}),
+            "both": (3, 2, {**diagonal(c), (1, 0, 1, 0): c(),
+                            (0, 1, 0, 1): t()}),
+            "cubic": (2, 3, {(3, 0, 0): c(), (0, 3, 0): t(), (0, 0, 3): c(),
+                             (1, 1, 1): t()}),
+        }
+        for name, (n, m, terms) in forms.items():
+            kpi, reduced, dropped = geo.reduce_form(
+                geo.MultiForm(k, n, m, terms), pi)
+            assert dropped or name != "vanished"
+            assert geo.form_values(kpi, reduced, n + 1) == \
+                form_values_by_terms(kpi, reduced, n + 1), name
+
+    @pytest.mark.parametrize("p, d, n, m, terms", [
+        (3, 2, 3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1,
+                      (0, 0, 0, 2): 2}),
+        (7, 2, 2, 3, {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1,
+                      (1, 1, 1): 1}),
+        (3, 2, 3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1,
+                      (0, 0, 0, 2): 1, (1, 0, 1, 0): 1, (0, 1, 0, 1): 2}),
+    ], ids=["n3 quadric", "linked cubic", "linked quadric"])
+    def test_makes_few_field_calls(self, monkeypatch, p, d, n, m, terms):
+        # the field's add, mul and power are called for rows of Q entries,
+        # not per entry of the table: here for under a quarter of them
+        field = pr.residue_field(GF(p), pr.irreducibles(GF(p), d)[0])
+        calls = []
+        for name in ("add", "mul", "power"):
+            real = getattr(field, name)
+            monkeypatch.setattr(field, name, lambda *a, real=real: (
+                calls.append(1) or real(*a)))
+        table = geo.form_values(field, terms, n + 1)
+        assert len(table) == field.size ** (n + 1)
+        assert 0 < len(calls) < len(table) / 4
 
     def test_flat_index_is_the_product_order(self):
         points = itertools.product(range(5), repeat=3)

@@ -104,7 +104,8 @@ class TestCountMod:
                 assert res["equal"], (pr.format_poly(K3, u), b)
 
     @pytest.mark.parametrize("p, e, arity", [(3, 1, 3), (5, 1, 2),
-                                             (7, 1, 2), (3, 2, 2)])
+                                             (7, 1, 2), (3, 2, 2),
+                                             (2, 2, 2), (2, 3, 2)])
     def test_battery_rows_match_the_point_walk(self, p, e, arity):
         # every count-mod row of the battery (composite, prime-power and
         # prime moduli, every b < deg u), and for each (u, b) a non-monic

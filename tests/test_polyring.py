@@ -25,7 +25,7 @@ K7 = GF(7)
 
 def P(k, *ints):
     """Little-endian polynomial builder."""
-    return pr.from_ints(k, ints)
+    return pr.normalize(k, [k.from_int(c) for c in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,26 @@ def test_parse_format_roundtrip():
         f = pr.parse_poly(K3, s)
         assert pr.format_poly(K3, f) == s
     assert pr.parse_poly(K3, "0+T") == P(K3, 0, 1)
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_parse_format_roundtrip_over_extensions(p, e):
+    # every polynomial of degree < 2 and seeded ones of degree < 5 over
+    # F_(p^e): format_poly writes each coefficient as its element index,
+    # and parse_poly reads it back; the index q is refused
+    k = pr.make_field(p, e)
+    rng = random.Random(k.size)
+    fs = [pr.poly_from_index(k, i, 2) for i in range(k.size ** 2)]
+    fs += [pr.poly_from_index(k, rng.randrange(k.size ** 5), 5)
+           for _ in range(50)]
+    assert any(c >= p for f in fs for c in f)
+    for f in fs:
+        text = pr.format_poly(k, f)
+        assert pr.parse_poly(k, text) == f, text
+        assert pr.format_poly(k, pr.parse_poly(k, text)) == text
+    for text in (str(k.size), f"{k.size}*T", f"1+{k.size}*T^2"):
+        with pytest.raises(ValueError):
+            pr.parse_poly(k, text)
 
 
 def test_parse_rejects():
