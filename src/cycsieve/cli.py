@@ -273,7 +273,7 @@ def run_identity_suite(cfg: dict) -> dict:
     instance's scan."""
     from . import identities as ids
 
-    params, sset = rp.build_instance(
+    params, primes, _ = rp.build_instance(
         cfg, Budget(cfg["budget"]), identity_suite_cost)
     k, form, ell = params.k, params.form, params.ell
     rows = []
@@ -290,9 +290,9 @@ def run_identity_suite(cfg: dict) -> dict:
         rows.append(ids.verify_completion(low[d1][i1], low[d2][i2], ell, 1,
                                           ell - 1, form, b))
 
-    if len(sset) >= 2:
+    if len(primes) >= 2:
         rows.append(ids.verify_unramified_expansion(
-            sset.primes[0], sset.primes[1], ell, form, params.b))
+            primes[0], primes[1], ell, form, params.b))
 
     all_pass = all(r["equal"] and r.get("zero_portion_vanishes", True)
                    and r.get("pointwise_fiber_identity", True)
@@ -450,7 +450,7 @@ def cmd_count(args) -> int:
     form, _ = rp.config_objects(cfg)
     count = (form, cfg["ell"], cfg["b"])
     Budget(cfg["budget"]).charge_each(sv.box_pass_cost(*count))
-    M = sv.brute_force_count(*count)
+    M = sv.solvable_count(*count, sv.box_histogram(form, cfg["b"]))
     trivial = form.k.size ** (cfg["b"] * (form.n + 1))
     ok = M <= trivial
     print(f"M_{form.n}(F; {cfg['b']}) = {M}  (box {trivial} "

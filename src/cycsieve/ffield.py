@@ -1,4 +1,4 @@
-"""Exact finite fields F_q (q = p^e, p an odd prime) and their extension towers.
+"""Exact finite fields F_q (q = p^e, p any prime) and their extension towers.
 
 Every element of every field is an int, its index in range(size).  In
 ``PrimeField(p)`` the index is the residue itself.  In

@@ -19,9 +19,10 @@ Determinism conventions used by everything downstream:
   lexicographically by coefficient sequence read from the T^(d-1) coefficient
   down to the constant.  Irreducibles are listed in this order.
 
-Text format (used by every CLI surface): ``c0+c1*T+c2*T^2`` with integer
-coefficients 0 <= c < p, e.g. ``1+2*T^3``; the parser rejects coefficients
-outside that range and duplicate powers; the zero polynomial is ``"0"``.
+Text format (used by every CLI surface): ``c0+c1*T+c2*T^2`` with each
+coefficient an element index 0 <= c < q, e.g. ``1+2*T^3``; the parser
+rejects coefficients outside that range and duplicate powers; the zero
+polynomial is ``"0"``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ import operator
 import os
 import sys
 import types
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
@@ -170,23 +171,26 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
 
 
 def build_instance(config: dict, budget: Budget, price):
-    """(params, sieving set) for a resolved config.  The params are
-    validated first.  Then the caller's charges price(params), in order,
-    and the scan's (geometry.exceptional_scan_cost) go to budget, before the
-    bad primes are rescanned up to delta_max and excluded.  So an invalid
-    or oversized run stops before the scan."""
+    """(params, primes, excluded) for a resolved config: the sieving primes
+    and the bad primes left out of them (sieve.build_sieving_set).  The
+    params are validated first, and delta_max must cover delta.  Then the
+    caller's charges price(params), in order, and the scan's
+    (geometry.exceptional_scan_cost) go to budget, before the bad primes are
+    rescanned up to delta_max and excluded.  So an invalid or oversized run
+    stops before the scan."""
     from . import sieve as sv
 
     form, dual = config_objects(config)
-    params = sv.SieveParams(form, config["ell"], config["b"], config["delta"],
-                            config["delta_max"])
+    params = sv.SieveParams(form, config["ell"], config["b"], config["delta"])
+    if config["delta_max"] < config["delta"]:
+        raise ValueError("delta_max must cover the sieving degree")
     scan = (form, config["delta_max"], dual, config["search_bound"])
     budget.charge_each(price(params))
     budget.charge_each(geo.exceptional_scan_cost(*scan))
     exc = geo.compute_exceptional_primes(*scan)["exceptional"]
-    sset = sv.build_sieving_set(form.k, config["delta"],
-                                [pr.parse_poly(form.k, text) for text in exc])
-    return params, sset
+    primes, excluded = sv.build_sieving_set(
+        form.k, config["delta"], [pr.parse_poly(form.k, text) for text in exc])
+    return params, primes, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +428,7 @@ def parallel_accumulator(params, workers: int = 1):
     passed as the box positions of its values of x_0; this process forks one
     child per non-empty range but the last, builds the last range's
     histogram itself, then reads each child's histogram from its pipe to the
-    end before reaping it, and the histograms are summed in range order.  A
+    end before reaping it, and the histograms are added in range order.  A
     child that fails raises here; if this process's own share fails, every
     child is killed and reaped before the error propagates.  Without os.fork
     every range runs in this process.  The exact counts do not depend on the
@@ -435,10 +439,11 @@ def parallel_accumulator(params, workers: int = 1):
     width, unit = params.q ** b, params.q ** (b * params.n)
     edges = [width * i // workers * unit for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    hist = Counter()
     if not hasattr(os, "fork"):
-        return sv.merge_accumulators(
-            sv.accumulate_chunk(form, b, start=lo, stop=hi)
-            for lo, hi in ranges)
+        for lo, hi in ranges:
+            hist.update(sv.accumulate_chunk(form, b, start=lo, stop=hi))
+        return hist
     pids, reads = [], []
     try:
         for lo, hi in ranges[:-1]:
@@ -470,27 +475,33 @@ def parallel_accumulator(params, workers: int = 1):
                    else f"was killed by signal {-code}")
             raise RuntimeError(f"the worker for box positions [{lo}, {hi}) "
                                f"{how}")
-    return sv.merge_accumulators(
-        [marshal.loads(blob) for blob in blobs] + [own])
+    for part in [*map(marshal.loads, blobs), own]:
+        hist.update(part)
+    return hist
 
 
 def run_sieve(config: dict, workers: int = 1) -> dict:
     """Both sieve inequalities on the configured instance.  The box pass is
-    priced before the bad-prime scan, and the residue tables, whose size
-    depends on the number of distinct values, after it."""
+    priced before the bad-prime scan, and a sieving set of fewer than two
+    primes is refused after the scan, before the box pass.  The residue
+    tables, whose size depends on the number of distinct values, are priced
+    after the box pass, before M and the moments."""
     from . import sieve as sv
 
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     budget = Budget(config["budget"])
-    params, sset = build_instance(
+    params, primes, excluded = build_instance(
         config, budget, lambda p: sv.box_pass_cost(p.form, p.ell, p.b))
+    if len(primes) < 2:
+        raise ValueError("need at least two sieving primes for the pair max")
     form, ell, b = params.form, params.ell, params.b
     hist = parallel_accumulator(params, workers)
-    budget.charge(sv.residue_tables_cost(form, b, len(sset), len(hist)))
-    acc = sv.value_moments(form, ell, b, sset.primes, hist)
-    report = sv.sieve_terms(params, sset, acc)
-    general = sv.sieve_inequality_general(params, sset, acc)
+    budget.charge(sv.residue_tables_cost(form, b, len(primes), len(hist)))
+    M = sv.solvable_count(form, ell, b, hist)
+    acc = sv.value_moments(form, ell, b, primes, hist)
+    report = sv.sieve_terms(params, primes, M, acc)
+    general = sv.sieve_inequality_general(params, primes, M, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]
               and report["psi_square_identity"]
               and report["ramified_majorization"]
@@ -499,7 +510,7 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
         "config": config,
         "sieve": report,
         "general": general,
-        "excluded": [pr.format_poly(params.k, p) for p in sset.excluded],
+        "excluded": [pr.format_poly(params.k, p) for p in excluded],
         "pass": passed,
     }
 

@@ -1,7 +1,6 @@
 """The geometric sieve at desk scale: the box A = {deg x < b}, the three
 sieve terms, both sieve-inequality formulations with the c_{i,j}(alpha)
-expansion, and the brute-force count M_n(F; b) of points with a global
-ell-th root.
+expansion, and the count M_n(F; b) of points with a global ell-th root.
 
 All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
@@ -21,10 +20,10 @@ two steps.  accumulate_chunk builds the histogram Counter(value index of
 F(x)) over the box points with x_0 in a range (box_histogram over the whole
 box), so a caller can split the box into one range of x_0 per worker; it
 never walks rows, but convolves one small Counter per group of linked
-coordinates.  merge_accumulators adds the histograms, whose exact counts do
-not depend on the split; value_moments then does the per-prime work once
-per distinct value, weighted by its count, and the sieve terms read the
-resulting moments.
+coordinates.  The histograms of the ranges sum to that of the box, whose
+exact counts do not depend on the split.  solvable_count decides M from the
+histogram, value_moments does the per-prime work once per distinct value,
+each weighted by its count, and the sieve terms read M and the moments.
 
 Each prime reads the residue index of every distinct value from the
 recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
@@ -52,12 +51,11 @@ from .characters import check_cover, residue_data, root_count_routes
 
 class SieveParams:
     """Validated sieve input: the cover y^ell = F over F_q[T], the box bound
-    b, the sieving degree delta, and the scan bound for bad primes."""
+    b and the sieving degree delta."""
 
-    __slots__ = ("ell", "form", "b", "delta", "delta_max")
+    __slots__ = ("ell", "form", "b", "delta")
 
-    def __init__(self, form: geo.MultiForm, ell: int, b: int, delta: int,
-                 delta_max: int = 0):
+    def __init__(self, form: geo.MultiForm, ell: int, b: int, delta: int):
         if form.n < 2:
             raise ValueError("need n >= 2 (the degree constraints on b are "
                              "unsatisfiable for n = 1)")
@@ -67,10 +65,8 @@ class SieveParams:
         if not delta < b < 2 * delta:
             raise ValueError(f"need delta < b < 2*delta, got delta = {delta}, "
                              f"b = {b}")
-        if delta_max and delta_max < delta:
-            raise ValueError("delta_max must cover the sieving degree")
         self.ell, self.form = ell, form
-        self.b, self.delta, self.delta_max = b, delta, delta_max
+        self.b, self.delta = b, delta
 
     # the field, arity and field size are the form's
     k = property(lambda self: self.form.k)
@@ -116,22 +112,12 @@ def _integer_root(x: int, r: int) -> int:
 # sieving set
 
 
-class SievingSet:
-    """Monic irreducibles of degree exactly delta, bad primes excluded."""
-
-    __slots__ = ("primes", "excluded")
-
-    def __init__(self, primes: tuple, excluded: tuple):
-        self.primes, self.excluded = primes, excluded
-
-    def __len__(self):
-        return len(self.primes)
-
-
-def build_sieving_set(k, delta: int, exceptional=()) -> SievingSet:
+def build_sieving_set(k, delta: int, exceptional=()) -> tuple:
+    """(primes, excluded): the monic irreducibles of degree exactly delta
+    with the bad primes left out, and the monic bad primes, sorted."""
     excluded = {pr.monic(k, f)[1] for f in exceptional}
     primes = tuple(f for f in pr.irreducibles(k, delta) if f not in excluded)
-    return SievingSet(primes=primes, excluded=tuple(sorted(excluded)))
+    return primes, tuple(sorted(excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +309,6 @@ def _globally_solvable(k, ell: int, v: int, digits: int, powers: set) -> bool:
     return by_set
 
 
-def _solvable_weight(k, ell: int, digits: int, hist) -> int:
-    """The total count of the value indices in hist whose value has a global
-    ell-th root; each distinct value is decided once, by both routes."""
-    powers = _ell_th_power_set(k, ell, digits)
-    return sum(count for v, count in hist.items()
-               if _globally_solvable(k, ell, v, digits, powers))
-
-
 def box_pass_cost(form: geo.MultiForm, ell: int, b: int) -> tuple:
     """The charges of a pass over the box {deg x < b}, in order: its
     q^(b(n+1)) points, then the q^(d+1) polynomials of degree <= d whose
@@ -339,13 +317,15 @@ def box_pass_cost(form: geo.MultiForm, ell: int, b: int) -> tuple:
             form.k.size ** ((value_digits(form, b) - 1) // ell + 1))
 
 
-def brute_force_count(form: geo.MultiForm, ell: int, b: int) -> int:
+def solvable_count(form: geo.MultiForm, ell: int, b: int, hist) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
-    y^ell = F(x) has a solution y in F_q[T].  Each distinct value of F on
-    the box is decided by the two independent solvability routes and
-    weighted by the number of points taking it."""
-    return _solvable_weight(form.k, ell, value_digits(form, b),
-                            box_histogram(form, b))
+    y^ell = F(x) has a solution y in F_q[T], from the box's value histogram
+    hist = Counter(value index of F(x)).  Each distinct value is decided
+    once, by both solvability routes, and weighted by its count."""
+    k, digits = form.k, value_digits(form, b)
+    powers = _ell_th_power_set(k, ell, digits)
+    return sum(count for v, count in hist.items()
+               if _globally_solvable(k, ell, v, digits, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +472,6 @@ def box_histogram(form: geo.MultiForm, b: int) -> Counter:
                             stop=form.k.size ** (b * (form.n + 1)))
 
 
-def merge_accumulators(parts) -> Counter:
-    """The sum of chunk histograms; counts are exact, so the order of the
-    parts does not matter."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    total = Counter()
-    for part in parts:
-        total.update(part)
-    return total
-
-
 def residue_tables_cost(form: geo.MultiForm, b: int, primes: int,
                         values: int) -> int:
     """Entries of the residue tables of value_moments for the given numbers
@@ -518,17 +486,15 @@ def value_moments(form: geo.MultiForm, ell: int, b: int, primes,
     its value histogram hist = Counter(value index of F(x)).  Each prime
     reads the residue index of every distinct value from its recurrence
     table (residue_indices; residue_tables_cost prices the tables), and
-    each distinct value is decided by both solvability routes once, its
-    polynomial decoded only for the squarefree decomposition; every value
-    is weighted by its count.  The residue index decides ramification:
-    index 0 means pi | g (g = 0 included), any other index reads the fiber
-    from the prime's root-count table.  Each table is first checked against the
-    characters at every residue (characters.root_count_routes).
+    every value is weighted by its count.  The residue index decides
+    ramification: index 0 means pi | g (g = 0 included), any other index
+    reads the fiber from the prime's root-count table.  Each table is first
+    checked against the characters at every residue
+    (characters.root_count_routes).
 
     Returned counters (P = len(primes)):
       - ram_sum: #{(x, pi) : pi | F(x)}
       - psi_square_ok: Psi^2 = (ell-1) + (ell-2) Psi at every unramified pair
-      - M: points with a globally solvable y^ell = F(x) (dual routes)
       - S: P*P nested lists, S[i1][i2][i][j] = sum over x unramified at both
         primes of fiber_1^i * fiber_2^j for i, j in {0, 1, 2}
       - sum_u2, sum_us, sum_s2: moments of (u, s) where u = #unramified
@@ -602,7 +568,6 @@ def value_moments(form: geo.MultiForm, ell: int, b: int, primes,
     return {
         "ram_sum": ram_sum,
         "psi_square_ok": psi_square_ok,
-        "M": _solvable_weight(k, ell, digits, hist),
         "S": S,
         "sum_u2": sum_u2,
         "sum_us": sum_us,
@@ -621,9 +586,10 @@ def _pair_psi_sum(S, i1: int, i2: int) -> int:
     return cell[1][1] - cell[1][0] - cell[0][1] + cell[0][0]
 
 
-def sieve_terms(params: SieveParams, sset: SievingSet, acc: dict) -> dict:
-    """All terms of the prime-degree cyclic-cover sieve inequality, exactly,
-    from the value moments acc of the box (see value_moments):
+def sieve_terms(params: SieveParams, primes, M: int, acc: dict) -> dict:
+    """All terms of the prime-degree cyclic-cover sieve inequality at the
+    sieving primes, exactly, from the count M (see solvable_count) and the
+    value moments acc of the box (see value_moments):
 
         M <= (ell-1)^2 |A| / |P|  +  (2/|P|) sum_x |V_P^ram(x)|
              + max over distinct prime pairs |sum_x' Psi_1 Psi_2|
@@ -632,10 +598,10 @@ def sieve_terms(params: SieveParams, sset: SievingSet, acc: dict) -> dict:
     re-checks Psi^2 = (ell-1) + (ell-2) Psi at every unramified pair, the
     coarse majorization of the ramified count, and the symmetry of the pair
     sums under exchanging the primes."""
-    if len(sset) < 2:
+    if len(primes) < 2:
         raise ValueError("need at least two sieving primes for the pair max")
     k, form, ell = params.k, params.form, params.ell
-    P = len(sset)
+    P = len(primes)
     A = params.box_size
 
     pair_sums = {(i1, i2): _pair_psi_sum(acc["S"], i1, i2)
@@ -659,16 +625,16 @@ def sieve_terms(params: SieveParams, sset: SievingSet, acc: dict) -> dict:
         "m": form.m,
         "b": params.b,
         "delta": params.delta,
-        "primes": [pr.format_poly(k, p) for p in sset.primes],
+        "primes": [pr.format_poly(k, p) for p in primes],
         "A": A,
         "trivial_bound": A,
-        "M": acc["M"],
+        "M": M,
         "main_term": main,
         "ramified_term": ram_term,
         "unramified_term": unram_max,
         "rhs": rhs,
-        "inequality_pass": Fraction(acc["M"]) <= rhs,
-        "count_within_box": acc["M"] <= A,
+        "inequality_pass": Fraction(M) <= rhs,
+        "count_within_box": M <= A,
         "psi_square_identity": acc["psi_square_ok"],
         "ramified_majorization": acc["ram_sum"] <= ram_bound,
         "pair_symmetric": pair_symmetric,
@@ -702,19 +668,19 @@ def c_coefficients(alpha, ell: int) -> dict:
 ALPHA_GRID = (1, 2, 3, 4)  # the weights alpha of the general inequality
 
 
-def sieve_inequality_general(params: SieveParams, sset: SievingSet,
+def sieve_inequality_general(params: SieveParams, primes, M: int,
                              acc: dict) -> dict:
-    """For each alpha in ALPHA_GRID: sum_x I_alpha(x)^2 from the (u, s)
-    moments of the box in acc (see value_moments); the same integer
+    """For each alpha in ALPHA_GRID at the sieving primes: sum_x
+    I_alpha(x)^2 from the (u, s) moments of the box in acc (see
+    value_moments); the same integer
     recomputed through the c_{i,j}(alpha) expansion over all ordered prime
     pairs (exact equality reported); and both right-hand sides of the
     general sieve inequality — the direct one with sum_x I_alpha^2 and the
     dominating one with per-pair absolute values — checked against M."""
-    P = len(sset)
+    P = len(primes)
     if P < 1:
         raise ValueError("empty sieving set")
-    ell = params.ell
-    M, ram_sum = acc["M"], acc["ram_sum"]
+    ell, ram_sum = params.ell, acc["ram_sum"]
 
     rows = []
     for alpha in ALPHA_GRID:

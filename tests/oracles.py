@@ -294,12 +294,12 @@ def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:
     return by_table
 
 
-def ramified_set(k, sset, form: geo.MultiForm, x) -> tuple:
+def ramified_set(k, primes, form: geo.MultiForm, x) -> tuple:
     """The sieving primes dividing F(x) (all of them when F(x) = 0)."""
     g = eval_form_at_polys(form, x)
     if not g:
-        return tuple(sset.primes)
-    return tuple(p for p in sset.primes if not pr.poly_mod(k, g, p))
+        return tuple(primes)
+    return tuple(p for p in primes if not pr.poly_mod(k, g, p))
 
 
 def verify_card_p(q: int, delta: int, p_exc_size: int) -> dict:

@@ -134,12 +134,13 @@ def test_criterion_3_weil_deligne_audit(report):
 
 def test_criterion_4_sieve_inequalities(report):
     t0 = time.perf_counter()
-    sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
+    primes, _ = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2)
-    acc = sv.value_moments(QUADRIC, 2, 3, sset.primes,
-                           rp.parallel_accumulator(params))
-    terms = sv.sieve_terms(params, sset, acc)
-    general = sv.sieve_inequality_general(params, sset, acc)
+    hist = rp.parallel_accumulator(params)
+    M = sv.solvable_count(QUADRIC, 2, 3, hist)
+    acc = sv.value_moments(QUADRIC, 2, 3, primes, hist)
+    terms = sv.sieve_terms(params, primes, M, acc)
+    general = sv.sieve_inequality_general(params, primes, M, acc)
     expansion = all(r["expansion_equal"] for r in general["rows"])
     grid = all(r["pass_direct"] and r["pass_absolute"]
                for r in general["rows"])
@@ -172,7 +173,7 @@ def test_criterion_5_counting_cross_checks(report):
     counts = {}
     agree = True
     for b in (1, 2):
-        mine = sv.brute_force_count(QUADRIC, 2, b)
+        mine = sv.solvable_count(QUADRIC, 2, b, sv.box_histogram(QUADRIC, b))
         ext = sum(1 for xs in box(K3, b, 3)
                   if sympy_solvable(eval_form_at_polys(QUADRIC, xs),
                                     2, 3))

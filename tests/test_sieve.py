@@ -1,13 +1,13 @@
 """Sieve tests: fiber counts and ramified sets at sieving primes, the
-brute-force global count M_n(F; b) with its two independent solvability
-routes, both sieve-inequality formulations on the diagonal-quadric instance
-q = 3, n = 2, ell = 2, b = 3, delta = 2 (every term frozen from exact
-enumeration), the c_{i,j}(alpha) expansion, the chunked value-histogram
-box pass against the per-point pass as a differential oracle, its value
-indices against the tuple pass (tuple_chunk_histogram), the block sums and
-the residue recurrence against polynomial arithmetic, and the
-parameter-selection helpers reports.choose_delta / oracles.min_b / the
-prime-count bounds.
+global count M_n(F; b) from the value histogram with its two independent
+solvability routes, decided once per run, both sieve-inequality
+formulations on the diagonal-quadric instance q = 3, n = 2, ell = 2, b = 3,
+delta = 2 (every term frozen from exact enumeration), the c_{i,j}(alpha)
+expansion, the chunked value-histogram box pass against the per-point pass
+as a differential oracle, its value indices against the tuple pass
+(tuple_chunk_histogram), the block sums and the residue recurrence against
+polynomial arithmetic, and the parameter-selection helpers
+reports.choose_delta / oracles.min_b / the prime-count bounds.
 """
 
 import inspect
@@ -70,15 +70,16 @@ def assert_no_child_left():
 
 
 def quadric_instance():
-    sset = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
+    primes, _ = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2)
-    return params, sset
+    return params, primes
 
 
 # one full box pass shared by the term tests (exactness makes reuse safe)
-_PARAMS, _SSET = quadric_instance()
-_ACC = sv.value_moments(QUADRIC, 2, 3, _SSET.primes,
-                        rp.parallel_accumulator(_PARAMS))
+_PARAMS, _PRIMES = quadric_instance()
+_HIST = rp.parallel_accumulator(_PARAMS)
+_M = sv.solvable_count(QUADRIC, 2, 3, _HIST)
+_ACC = sv.value_moments(QUADRIC, 2, 3, _PRIMES, _HIST)
 
 
 class TestParams:
@@ -116,9 +117,10 @@ class TestParams:
                 sv.SieveParams(form=QUADRIC, ell=2, b=b, delta=delta)
 
     def test_delta_max_must_cover_delta(self):
-        with pytest.raises(ValueError):
-            sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2,
-                           delta_max=1)
+        # checked with the params, before any charge or scan
+        config = rp.resolve_config(rp.load_config(CONFIG), {"delta_max": 1})
+        with pytest.raises(ValueError, match="delta_max must cover"):
+            rp.build_instance(config, Budget(10 ** 9), forbidden)
 
     def test_box_size(self):
         params, _ = quadric_instance()
@@ -182,16 +184,16 @@ class TestSievingSet:
         # the diagonal unit quadric has good reduction everywhere, so the
         # set is all three monic irreducible quadratics over F_3
         assert exceptional_primes_of(QUADRIC, 2) == []
-        sset = sv.build_sieving_set(K3, 2)
-        names = [pr.format_poly(K3, p) for p in sset.primes]
+        primes, excluded = sv.build_sieving_set(K3, 2)
+        names = [pr.format_poly(K3, p) for p in primes]
         assert names == ["1+T^2", "2+T+T^2", "2+2*T+T^2"]
-        assert len(sset) == 3
+        assert excluded == ()
 
     def test_exclusion(self):
-        sset = sv.build_sieving_set(K3, 2, [P(K3, "1+T^2")])
-        assert len(sset) == 2
-        assert P(K3, "1+T^2") not in sset.primes
-        assert sset.excluded == (P(K3, "1+T^2"),)
+        primes, excluded = sv.build_sieving_set(K3, 2, [P(K3, "1+T^2")])
+        assert len(primes) == 2
+        assert P(K3, "1+T^2") not in primes
+        assert excluded == (P(K3, "1+T^2"),)
 
     def test_degree_drop_prime_is_excluded(self):
         # T * X_0^2 + X_1^2 + X_2^2 loses its X_0^2 term mod T
@@ -202,15 +204,15 @@ class TestSievingSet:
         })
         exc = exceptional_primes_of(form, 1)
         assert P(K3, "T") in exc
-        sset = sv.build_sieving_set(K3, 1, exc)
-        assert P(K3, "T") not in sset.primes
-        assert all(pr.degree(p) == 1 for p in sset.primes)
+        primes, _ = sv.build_sieving_set(K3, 1, exc)
+        assert P(K3, "T") not in primes
+        assert all(pr.degree(p) == 1 for p in primes)
 
     def test_members_are_monic_irreducible(self):
-        sset = sv.build_sieving_set(K7, 2)
+        primes, _ = sv.build_sieving_set(K7, 2)
         pool = set(pr.irreducibles(K7, 2))
-        assert all(p in pool for p in sset.primes)
-        assert len(sset) == pr.count_irreducibles_formula(7, 2)
+        assert all(p in pool for p in primes)
+        assert len(primes) == pr.count_irreducibles_formula(7, 2)
 
 
 class TestFiberCount:
@@ -253,27 +255,24 @@ class TestFiberCount:
 
 class TestRamifiedSet:
     def test_nonzero_constant_value(self):
-        _, sset = quadric_instance()
         x = ((K3.one,), (), ())
-        assert ramified_set(K3, sset, QUADRIC, x) == ()
+        assert ramified_set(K3, _PRIMES, QUADRIC, x) == ()
 
     def test_zero_value_hits_every_prime(self):
-        _, sset = quadric_instance()
         x = ((K3.one,), (K3.one,), (K3.one,))
-        assert ramified_set(K3, sset, QUADRIC, x) == tuple(sset.primes)
+        assert ramified_set(K3, _PRIMES, QUADRIC, x) == _PRIMES
 
     def test_size_bounded_by_value_degree(self):
         # distinct degree-delta divisors of a nonzero value g satisfy
         # (#divisors) * delta <= deg g
-        _, sset = quadric_instance()
-        delta = pr.degree(sset.primes[0])
+        delta = pr.degree(_PRIMES[0])
         from cycsieve.identities import box
         seen_nonempty = False
         for x in box(K3, 2, 3):
             g = eval_form_at_polys(QUADRIC, x)
             if not g:
                 continue
-            ram = ramified_set(K3, sset, QUADRIC, x)
+            ram = ramified_set(K3, _PRIMES, QUADRIC, x)
             assert len(ram) * delta <= pr.degree(g)
             seen_nonempty = seen_nonempty or bool(ram)
         assert seen_nonempty
@@ -283,10 +282,12 @@ class TestBruteForce:
     def test_constant_box_frozen(self):
         # F = X_0^2+X_1^2+X_2^2 on constants over F_3: 9 zero values (all
         # counted via y = 0) and 6 values equal to 1 (the square) -> 15
-        assert sv.brute_force_count(QUADRIC, 2, 1) == 15
+        assert sv.solvable_count(QUADRIC, 2, 1,
+                                 sv.box_histogram(QUADRIC, 1)) == 15
 
     def test_within_trivial_bound(self):
-        assert sv.brute_force_count(QUADRIC, 2, 1) <= 3 ** 3
+        assert sv.solvable_count(QUADRIC, 2, 1,
+                                 sv.box_histogram(QUADRIC, 1)) <= 3 ** 3
 
     def test_cubic_against_local_enumeration(self):
         # third route, test-local: a constant value c is an ell-th power of
@@ -301,10 +302,12 @@ class TestBruteForce:
                                  K7.power(c, 3))
                     if val in cubes:
                         expected += 1
-        assert sv.brute_force_count(cubic, 3, 1) == expected
+        assert sv.solvable_count(cubic, 3, 1,
+                                 sv.box_histogram(cubic, 1)) == expected
 
     def test_budget(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sv, "brute_force_count", forbidden)
+        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        monkeypatch.setattr(sv, "solvable_count", forbidden)
         code = cli.main(["count", "--config", CONFIG, "--b", "3",
                          "--budget", "100", "--out", str(tmp_path)])
         assert code == 3
@@ -326,7 +329,7 @@ class TestBruteForce:
         budget = Budget(270)
         budget.charge_each(sv.box_pass_cost(form, 2, 1))
         assert budget.spent == 270
-        assert sv.brute_force_count(form, 2, 1) > 0
+        assert sv.solvable_count(form, 2, 1, sv.box_histogram(form, 1)) > 0
 
     def test_power_set_budget_of_sieve_pass(self):
         # 19683 box points fit the budget; the 3^18 polynomials of degree
@@ -347,13 +350,13 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        count = sv.brute_force_count(form, 2, 2)
+        count = sv.solvable_count(form, 2, 2, sv.box_histogram(form, 2))
         assert 0 < count <= 3 ** 6
 
 
 class TestSieveTerms:
     def test_quadric_instance_frozen(self):
-        report = sv.sieve_terms(_PARAMS, _SSET, acc=_ACC)
+        report = sv.sieve_terms(_PARAMS, _PRIMES, _M, acc=_ACC)
         assert report["A"] == 19683
         assert report["trivial_bound"] == 19683
         assert report["M"] == 927
@@ -372,17 +375,33 @@ class TestSieveTerms:
         assert report["primes"] == ["1+T^2", "2+T+T^2", "2+2*T+T^2"]
 
     def test_terms_are_exact_rationals(self):
-        report = sv.sieve_terms(_PARAMS, _SSET, acc=_ACC)
+        report = sv.sieve_terms(_PARAMS, _PRIMES, _M, acc=_ACC)
         assert isinstance(report["main_term"], Fraction)
         assert isinstance(report["ramified_term"], Fraction)
         assert isinstance(report["M"], int)
 
     def test_pair_minimum(self):
-        sset = sv.build_sieving_set(
+        primes, _ = sv.build_sieving_set(
             K3, 2, [P(K3, "1+T^2"), P(K3, "2+T+T^2")])
-        assert len(sset) == 1
+        assert len(primes) == 1
         with pytest.raises(ValueError):
-            sv.sieve_terms(_PARAMS, sset, _ACC)
+            sv.sieve_terms(_PARAMS, primes, _M, _ACC)
+
+    def test_pair_minimum_refused_before_box_pass(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # 1+T^2 and 2+T+T^2 divide a coefficient, so the scan leaves one
+        # quadratic prime, and the run stops before its first chunk
+        form = {"n": 2, "m": 2, "terms": [
+            {"exps": [2, 0, 0], "coeff": "1"},
+            {"exps": [0, 2, 0], "coeff": "1+T^2"},
+            {"exps": [0, 0, 2], "coeff": "2+T+T^2"}]}
+        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        code = cli.main(["sieve-run", "--config", CONFIG, "--form",
+                         json.dumps(form), "--out", str(tmp_path)])
+        assert code == 2
+        assert "need at least two sieving primes for the pair max" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "sieve_report.json").exists()
 
     def test_budget(self, tmp_path, monkeypatch, capsys):
         # a sieve run charges its box pass while it builds the instance,
@@ -413,7 +432,7 @@ class TestGeneralInequality:
 
     def test_quadric_grid_frozen(self):
         assert sv.ALPHA_GRID == (1, 2, 3, 4)
-        table = sv.sieve_inequality_general(_PARAMS, _SSET, acc=_ACC)
+        table = sv.sieve_inequality_general(_PARAMS, _PRIMES, _M, acc=_ACC)
         assert table["M"] == 927
         assert table["ram_sum"] == 6561
         assert [r["sum_I2"] for r in table["rows"]] == [
@@ -427,13 +446,13 @@ class TestGeneralInequality:
         assert table["all_pass"] is True
 
     def test_empty_sieving_set_rejected(self):
-        empty = sv.SievingSet(primes=(), excluded=())
         with pytest.raises(ValueError):
-            sv.sieve_inequality_general(_PARAMS, empty, _ACC)
+            sv.sieve_inequality_general(_PARAMS, (), _M, _ACC)
 
 
 def per_point_moments(k, form, ell, b, primes, start, stop):
-    """The sieve integers of value_moments, recomputed point by point: every
+    """M and the sieve integers of value_moments, recomputed point by
+    point: every
     box position in [start, stop) of pr.box is evaluated with
     eval_form_at_polys and decided on its own.  The differential oracle
     of the value-histogram pass."""
@@ -555,11 +574,12 @@ def test_value_moments_equal_per_point_pass(case):
              for lo, hi in zip(edges, edges[1:])]
     for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
         assert sum(part.values()) == hi - lo
-    hist = sv.merge_accumulators(parts)
+    hist = sum(parts, Counter())
     primes = _case_primes(k)
-    assert (sv.value_moments(form, ell, b, primes, hist)
-            == per_point_moments(k, form, ell, b, primes, edges[0],
-                                 edges[-1]))
+    moments = sv.value_moments(form, ell, b, primes, hist)
+    moments["M"] = sv.solvable_count(form, ell, b, hist)
+    assert moments == per_point_moments(k, form, ell, b, primes, edges[0],
+                                        edges[-1])
 
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
@@ -692,7 +712,7 @@ def test_value_index_histogram_equals_tuple_pass(case):
         assert decoded(k, part, digits) == tuple_chunk_histogram(
             k, form, b, lo, hi)
         parts.append(part)
-    assert decoded(k, sv.merge_accumulators(parts), digits) \
+    assert decoded(k, sum(parts, Counter()), digits) \
         == tuple_chunk_histogram(k, form, b, edges[0], edges[-1])
 
 
@@ -825,9 +845,43 @@ def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
     assert any(len(c) > 1 for c in form.terms.values())
     primes = [P(K3, text) for text in report["sieve"]["primes"]]
     moments = per_point_moments(K3, form, 2, 3, primes, 0, 3 ** 9)
-    assert report["sieve"]["M"] == moments["M"] == sv.brute_force_count(
-        form, 2, 3)
+    assert report["sieve"]["M"] == moments["M"] == sv.solvable_count(
+        form, 2, 3, sv.box_histogram(form, 3))
     assert f"M={moments['M']} " in capsys.readouterr().out
+
+
+class TestSolvableCount:
+    def test_value_moments_make_no_solvability_call(self, monkeypatch):
+        # M is solvable_count's alone: the moments are the per-point pass's
+        # without it
+        expected = per_point_moments(K3, QUADRIC, 2, 3, _PRIMES, 0, 3 ** 9)
+        assert expected.pop("M") == 927
+        monkeypatch.setattr(sv, "_globally_solvable", forbidden)
+        assert sv.value_moments(QUADRIC, 2, 3, _PRIMES, _HIST) == expected
+
+    def test_each_value_decided_once_per_run(self, monkeypatch):
+        decide, decided = sv._globally_solvable, []
+
+        def recording(k, ell, v, digits, powers):
+            decided.append(v)
+            return decide(k, ell, v, digits, powers)
+
+        monkeypatch.setattr(sv, "_globally_solvable", recording)
+        config = rp.resolve_config(rp.load_config(CONFIG))
+        assert rp.run_sieve(config, workers=1)["sieve"]["M"] == 927
+        assert sorted(decided) == sorted(_HIST)
+
+    def test_count_and_sieve_run_report_one_m(self, tmp_path, capsys):
+        assert cli.main(["count", "--config", CONFIG, "--b", "3", "--out",
+                         str(tmp_path / "count")]) == 0
+        assert cli.main(["sieve-run", "--config", CONFIG, "--out",
+                         str(tmp_path / "sieve")]) == 0
+        out = capsys.readouterr().out
+        assert "M_2(F; 3) = 927 " in out and "M=927 " in out
+        count = json.loads((tmp_path / "count" / "count.json").read_text())
+        sieve = json.loads(
+            (tmp_path / "sieve" / "sieve_report.json").read_text())
+        assert count["M"] == sieve["sieve"]["M"] == 927
 
 
 class TestChunking:
@@ -838,18 +892,16 @@ class TestChunking:
             edges = [27 * i // pieces * 729 for i in range(pieces + 1)]
             parts = [sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
                      for lo, hi in zip(edges, edges[1:])]
-            merged = sv.merge_accumulators(parts)
+            merged = sum(parts, Counter())
             assert merged == full
-            assert sv.value_moments(QUADRIC, 2, 3, _SSET.primes,
-                                    merged) == _ACC
+            assert sv.value_moments(QUADRIC, 2, 3, _PRIMES, merged) == _ACC
 
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
     def test_parallel_accumulator_any_worker_count(self, workers):
         t_form = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T",
                                   (0, 1, 1): "2", (0, 0, 2): "2*T^2"})
         t_params = sv.SieveParams(form=t_form, ell=2, b=3, delta=2)
-        for params, sset in ((_PARAMS, _SSET),
-                             (t_params, sv.build_sieving_set(K3, 2))):
+        for params in (_PARAMS, t_params):
             full = sv.box_histogram(params.form, params.b)
             assert rp.parallel_accumulator(params, workers) == full
 
@@ -906,10 +958,6 @@ class TestChunking:
         assert rp.parallel_accumulator(_PARAMS, 100) == full
         assert ranges == [(729 * i, 729 * (i + 1)) for i in range(27)]
         assert_no_child_left()
-
-    def test_merge_requires_input(self):
-        with pytest.raises(ValueError):
-            sv.merge_accumulators([])
 
     def test_histogram_weights_sum_to_range(self):
         for lo, hi in ((0, 729), (729, 729), (1458, 5832), (18954, 19683)):
