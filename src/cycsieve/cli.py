@@ -35,66 +35,24 @@ FLAGS = {
 }
 
 
-def _command(sub, name: str, flags, func, summary: str):
-    """The subparser of one command, with the flags it reads from FLAGS."""
-    p = sub.add_parser(name, help=summary)
-    for flag in flags:
-        p.add_argument(f"--{flag}", **FLAGS[flag])
-    p.set_defaults(func=func)
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(built=()) -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS, with the flags (--help
+    among them) of the commands named in built only.  Every other command
+    keeps its name and summary, so the top-level help and usage errors are
+    the same whatever is built."""
     parser = argparse.ArgumentParser(
         prog="cycsieve",
         description="exact desk-scale checks for the geometric sieve on "
                     "prime-degree cyclic covers over F_q(T)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _command(sub, "primes", ("q", "delta", "budget", "out"), cmd_primes,
-             "enumerate monic irreducibles of one degree and check the "
-             "prime-count bound")
-
-    p = _command(sub, "charsum", FLAGS, cmd_charsum,
-                 "one mixed character sum S_G(w, chi), exact")
-    p.add_argument("--pi", default="T", help="prime modulus (poly text)")
-    p.add_argument("--chi", type=int, default=1, help="character index")
-    p.add_argument("--w", help="covector, semicolon-joined poly texts")
-
-    p = _command(sub, "gauss", ("q", "ell", "out"), cmd_gauss,
-                 "Gauss sums mod one prime; exact |tau|^2 = Q")
-    p.add_argument("--pi", default="T", help="prime modulus (poly text)")
-
-    _command(sub, "identity-check", FLAGS, cmd_identity_check,
-             "run the exact identity suite on the config")
-
-    p = _command(sub, "wd-audit", FLAGS, cmd_wd_audit,
-                 "audit |S_G(w, chi)| against the case bounds for every w "
-                 "mod the given primes")
-    p.add_argument("--pi", action="append",
-                   help="prime modulus; repeatable (default: first linear "
-                        "and first quadratic prime)")
-
-    p = _command(sub, "dual-check", FLAGS, cmd_dual_check,
-                 "dual membership: closed form against tangency witness "
-                 "search, all w mod one prime")
-    p.add_argument("--pi", default="T", help="prime modulus (poly text)")
-    p.add_argument("--search-bound", type=int, default=1,
-                   help="extension degree for the witness search")
-
-    p = _command(sub, "exc-primes", FLAGS, cmd_exc_primes,
-                 "scan for primes of bad reduction")
-    p.add_argument("--delta-max", type=int,
-                   help="scan bound (overrides config)")
-
-    p = _command(sub, "sieve-run", FLAGS, cmd_sieve_run,
-                 "both sieve inequalities on the configured instance; JSON "
-                 "+ CSV artifacts")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1)")
-
-    _command(sub, "count", FLAGS, cmd_count,
-             "brute-force M_n(F;b) with dual solvability routes")
+    for name, (func, summary, flags, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary, add_help=name in built)
+        p.set_defaults(func=func)
+        if name in built:
+            for flag in flags:
+                p.add_argument(f"--{flag}", **FLAGS[flag])
+            for flag, options in own.items():
+                p.add_argument(f"--{flag}", **options)
     return parser
 
 
@@ -269,8 +227,9 @@ def run_identity_suite(cfg: dict) -> dict:
     Gauss-magnitude for every prime of degree <= 2, a count-mod battery over
     composite and prime-power moduli, completions over distinct prime pairs,
     and the unramified two-prime expansion on the instance's own sieving
-    primes.  The whole battery is priced (identity_suite_cost) before the
-    instance's scan."""
+    primes, which the suite lists under "skipped" when the scan leaves
+    fewer than two.  The whole battery is priced (identity_suite_cost)
+    before the instance's scan."""
     from . import identities as ids
 
     params, primes, _ = rp.build_instance(
@@ -297,7 +256,12 @@ def run_identity_suite(cfg: dict) -> dict:
     all_pass = all(r["equal"] and r.get("zero_portion_vanishes", True)
                    and r.get("pointwise_fiber_identity", True)
                    for r in rows)
-    return {"config": cfg, "rows": rows, "all_pass": all_pass}
+    suite = {"config": cfg, "rows": rows, "all_pass": all_pass}
+    if len(primes) < 2:
+        suite["skipped"] = [{"id": "unramified-expansion",
+                             "reason": f"needs two sieving primes, the scan "
+                                       f"leaves {len(primes)}"}]
+    return suite
 
 
 def cmd_identity_check(args) -> int:
@@ -310,6 +274,8 @@ def cmd_identity_check(args) -> int:
             print(f"FAIL {row['id']}: {row['params']}")
     for name in sorted(counts):
         print(f"{name}: {counts[name]} instances")
+    for skip in suite.get("skipped", ()):
+        print(f"{skip['id']}: skipped, {skip['reason']}")
     print("identity suite: " + ("pass" if suite["all_pass"] else "FAIL"))
     _emit(args, "identity_check.json", suite)
     return 0 if suite["all_pass"] else 1
@@ -467,8 +433,55 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+PI = {"default": "T", "help": "prime modulus (poly text)"}
+
+# name -> (function, summary, flags of FLAGS it reads, flags of its own)
+COMMANDS = {
+    "primes": (cmd_primes, "enumerate monic irreducibles of one degree and "
+               "check the prime-count bound",
+               ("q", "delta", "budget", "out"), {}),
+    "charsum": (cmd_charsum, "one mixed character sum S_G(w, chi), exact",
+                FLAGS, {
+                    "pi": PI,
+                    "chi": {"type": int, "default": 1,
+                            "help": "character index"},
+                    "w": {"help": "covector, semicolon-joined poly texts"}}),
+    "gauss": (cmd_gauss, "Gauss sums mod one prime; exact |tau|^2 = Q",
+              ("q", "ell", "out"), {"pi": PI}),
+    "identity-check": (cmd_identity_check,
+                       "run the exact identity suite on the config", FLAGS,
+                       {}),
+    "wd-audit": (cmd_wd_audit, "audit |S_G(w, chi)| against the case "
+                 "bounds for every w mod the given primes", FLAGS, {
+                     "pi": {"action": "append",
+                            "help": "prime modulus; repeatable (default: "
+                                    "first linear and first quadratic "
+                                    "prime)"}}),
+    "dual-check": (cmd_dual_check, "dual membership: closed form against "
+                   "tangency witness search, all w mod one prime", FLAGS, {
+                       "pi": PI,
+                       "search-bound": {
+                           "type": int, "default": 1,
+                           "help": "extension degree for the witness "
+                                   "search"}}),
+    "exc-primes": (cmd_exc_primes, "scan for primes of bad reduction", FLAGS,
+                   {"delta-max": {"type": int,
+                                  "help": "scan bound (overrides config)"}}),
+    "sieve-run": (cmd_sieve_run, "both sieve inequalities on the configured "
+                  "instance; JSON + CSV artifacts", FLAGS, {
+                      "workers": {"type": int, "default": 1,
+                                  "help": "worker processes (default 1)"}}),
+    "count": (cmd_count, "brute-force M_n(F;b) with dual solvability routes",
+              FLAGS, {}),
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first word that is no option, as cycsieve itself
+    # takes none but --help
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser([command]).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

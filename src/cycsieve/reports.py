@@ -2,10 +2,12 @@
 with CLI overrides, byte-stable JSON and CSV emission (sorted keys, exact
 integers, magnitudes at 12 significant digits), and the worker-parallel
 sieve runner whose artifacts are byte-identical for every worker count
-(the box is split into one range of x_0 per worker, and the exact value
-histograms of the ranges sum to the histogram of the whole box however it
-is split; the runner forks a child for every range but the last, builds
-the last itself, and reads each child's histogram back from a pipe).
+(the runner builds the box pass up to its last convolution once, deals
+that convolution's pairs into one share per process where each share
+holds FORK_PAIRS pairs, by the low digits of their sums, forks a child for
+every share but the last, runs the last itself, and reads each child's
+histogram back from a pipe; the shares' exact histograms hold no value in
+common, and joined they are that of the whole box however it is split).
 
 One streaming writer emits every artifact, a few pieces per write.  A
 report is closed: dicts with str keys, lists, tuples and Tables, with str,
@@ -32,7 +34,6 @@ import operator
 import os
 import sys
 import types
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
@@ -388,12 +389,20 @@ SIEVE_CSV_COLUMNS = ["q", "delta", "n", "ell", "m", "b", "A",
 # the parallel sieve runner
 
 
-def _fork_share(form, b, start: int, stop: int) -> tuple:
+# the pairs (free part, x_n value) of the box pass's last convolution that
+# each process must take on to pay for a fork, the class plan and the
+# longer loops of a share: on a shared 2-vCPU host a split into two
+# processes broke even near 50 000 pairs in all, so a split needs 60 000
+FORK_PAIRS = 30000
+
+
+def _fork_share(adder, operands, plan, share: int) -> tuple:
     """(pid, read end of its pipe) of a forked child that writes the
-    marshalled histogram of the box positions [start, stop) to the pipe.
-    The child leaves only by os._exit, 0 once the bytes are written and 1
-    on any error (after printing it), so none of this process's cleanup,
-    buffered output or exit hooks run in it."""
+    marshalled histogram of one share of the last convolution
+    (sieve.convolve_share) to the pipe.  The child leaves only by os._exit,
+    0 once the bytes are written and 1 on any error (after printing it), so
+    none of this process's cleanup, buffered output or exit hooks run in
+    it."""
     from . import sieve as sv
 
     read, write = os.pipe()
@@ -409,9 +418,9 @@ def _fork_share(form, b, start: int, stop: int) -> tuple:
     code = 1
     try:
         os.close(read)
-        part = sv.accumulate_chunk(form, b, start=start, stop=stop)
+        part = sv.convolve_share(adder, operands, plan, share)
         with open(write, "wb") as fh:
-            fh.write(marshal.dumps(dict(part)))
+            fh.write(marshal.dumps(part))
         code = 0
     except Exception:
         import traceback
@@ -422,36 +431,34 @@ def _fork_share(form, b, start: int, stop: int) -> tuple:
         os._exit(code)
 
 
-def parallel_accumulator(params, workers: int = 1):
-    """The value histogram of the full box of params, a sieve.SieveParams.
-    The q^b values of x_0 are split into workers contiguous ranges, each
-    passed as the box positions of its values of x_0; this process forks one
-    child per non-empty range but the last, builds the last range's
-    histogram itself, then reads each child's histogram from its pipe to the
-    end before reaping it, and the histograms are added in range order.  A
-    child that fails raises here; if this process's own share fails, every
-    child is killed and reaped before the error propagates.  Without os.fork
-    every range runs in this process.  The exact counts do not depend on the
-    split, so the result is the same for any worker count."""
+def parallel_accumulator(params, workers: int = 1) -> dict:
+    """The value histogram {value index: count} of the full box of params,
+    a sieve.SieveParams, in at most workers processes.  This process runs
+    the box pass up to its last convolution (sieve.box_convolution), whose
+    pairs it deals into one share per process, as many as hold FORK_PAIRS
+    pairs each, by the classes of their sums (sieve.deal_shares).  It forks
+    one child per share but the last, which inherits the operands through
+    the fork, runs the last share itself, then reads each child's
+    histogram from its pipe to the end before reaping it.  No value falls
+    in two shares, so their histograms are joined, not added.  A child
+    that fails raises here; if this process's own share fails, every child
+    is killed and reaped before the error propagates.  Without os.fork the
+    whole convolution runs in this process.  The exact counts do not
+    depend on the split, so the result is the same for any worker count."""
     from . import sieve as sv
 
-    form, b = params.form, params.b
-    width, unit = params.q ** b, params.q ** (b * params.n)
-    edges = [width * i // workers * unit for i in range(workers + 1)]
-    ranges = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
-    hist = Counter()
-    if not hasattr(os, "fork"):
-        for lo, hi in ranges:
-            hist.update(sv.accumulate_chunk(form, b, start=lo, stop=hi))
-        return hist
+    adder, operands = sv.box_convolution(params.form, params.b)
+    shares = min(workers, sv.pair_count(operands) // FORK_PAIRS)
+    if shares < 2 or not hasattr(os, "fork"):
+        return sv.convolve_share(adder, operands)
+    plan = sv.deal_shares(params.form.k, operands, shares)
     pids, reads = [], []
     try:
-        for lo, hi in ranges[:-1]:
-            pid, read = _fork_share(form, b, lo, hi)
+        for share in range(shares - 1):
+            pid, read = _fork_share(adder, operands, plan, share)
             pids.append(pid)
             reads.append(read)
-        lo, hi = ranges[-1]
-        own = sv.accumulate_chunk(form, b, start=lo, stop=hi)
+        own = sv.convolve_share(adder, operands, plan, shares - 1)
         blobs = []
         while reads:
             with open(reads.pop(0), "rb") as fh:
@@ -469,14 +476,19 @@ def parallel_accumulator(params, workers: int = 1):
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
         raise
-    for (lo, hi), code in zip(ranges, codes):
+    for share, code in enumerate(codes):
         if code:
             how = (f"exited with status {code}" if code > 0
                    else f"was killed by signal {-code}")
-            raise RuntimeError(f"the worker for box positions [{lo}, {hi}) "
-                               f"{how}")
-    for part in [*map(marshal.loads, blobs), own]:
+            raise RuntimeError(f"the worker for share {share + 1} of "
+                               f"{shares} of the last convolution {how}")
+    hist, size = own, len(own)
+    for part in map(marshal.loads, blobs):
         hist.update(part)
+        size += len(part)
+    if len(hist) != size:
+        raise ArithmeticError("two shares of the last convolution hold one "
+                              "value")
     return hist
 
 
@@ -485,7 +497,9 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
     priced before the bad-prime scan, and a sieving set of fewer than two
     primes is refused after the scan, before the box pass.  The residue
     tables, whose size depends on the number of distinct values, are priced
-    after the box pass, before M and the moments."""
+    after the box pass, before the fibers of the distinct values at the
+    sieving primes, which both M (a local obstruction settles most values)
+    and the moments read."""
     from . import sieve as sv
 
     if workers < 1:
@@ -498,8 +512,9 @@ def run_sieve(config: dict, workers: int = 1) -> dict:
     form, ell, b = params.form, params.ell, params.b
     hist = parallel_accumulator(params, workers)
     budget.charge(sv.residue_tables_cost(form, b, len(primes), len(hist)))
-    M = sv.solvable_count(form, ell, b, hist)
-    acc = sv.value_moments(form, ell, b, primes, hist)
+    fibers = sv.prime_fibers(form, ell, b, primes, hist)
+    M = sv.solvable_count(form, ell, b, hist, fibers)
+    acc = sv.value_moments(ell, fibers, hist)
     report = sv.sieve_terms(params, primes, M, acc)
     general = sv.sieve_inequality_general(params, primes, M, acc)
     passed = (report["inequality_pass"] and report["count_within_box"]

@@ -6,24 +6,25 @@ All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
 solvability of y^ell = F(x) is decided by two independent routes per
 distinct value of F (membership in a precomputed set of ell-th powers,
-versus the multiplicity criterion read off a squarefree decomposition:
-every irreducible multiplicity divisible by ell and the leading coefficient
-an ell-th power in F_q); a disagreement raises instead of returning a
-number.
+versus a local obstruction, a sieving prime where the value is unramified
+and its residue is no ell-th power, or else the multiplicity criterion read
+off a squarefree decomposition); a disagreement raises instead of returning
+a number.
 
 Every term depends on a box point x only through the value F(x), and a value
 is carried from the box to its residues as one integer, its value index: the
 index pr.poly_to_index gives it with D = deg_T(F) + m(b-1) + 1 base-q digits
 (value_digits).  Polynomials add digit by digit, which one block-sum table
-over h-digit blocks does for indices (block_sums).  The pass over the box has
-two steps.  accumulate_chunk builds the histogram Counter(value index of
-F(x)) over the box points with x_0 in a range (box_histogram over the whole
-box), so a caller can split the box into one range of x_0 per worker; it
-never walks rows, but convolves one small Counter per group of linked
-coordinates.  The histograms of the ranges sum to that of the box, whose
-exact counts do not depend on the split.  solvable_count decides M from the
-histogram, value_moments does the per-prime work once per distinct value,
-each weighted by its count, and the sieve terms read M and the moments.
+over h-digit blocks does for indices (block_sums).  The box pass builds the
+histogram Counter(value index of F(x)) without walking rows: it convolves
+one small Counter per group of linked coordinates (box_convolution), and
+deals the pairs of its last convolution into shares, one per worker, by
+the low digits of their sums (deal_shares), so that the shares'
+histograms have no value in common and sum to the box's (convolve_share).
+prime_fibers reads each distinct value's fiber at every sieving prime
+once; solvable_count decides M from them, value_moments does the
+per-prime work, each value weighted by its count, and the sieve terms read
+M and the moments.
 
 Each prime reads the residue index of every distinct value from the
 recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
@@ -36,7 +37,6 @@ against the character route at every residue before the first value
 
 import functools
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -317,14 +317,28 @@ def box_pass_cost(form: geo.MultiForm, ell: int, b: int) -> tuple:
             form.k.size ** ((value_digits(form, b) - 1) // ell + 1))
 
 
-def solvable_count(form: geo.MultiForm, ell: int, b: int, hist) -> int:
+def solvable_count(form: geo.MultiForm, ell: int, b: int, hist,
+                   fibers=()) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
     y^ell = F(x) has a solution y in F_q[T], from the box's value histogram
     hist = Counter(value index of F(x)).  Each distinct value is decided
-    once, by both solvability routes, and weighted by its count."""
+    once, by the power set against a local obstruction (a prime of the
+    fibers from prime_fibers where the value is unramified with a fiber of
+    0) or else its squarefree decomposition, and weighted by its count;
+    without fibers every value is decomposed."""
     k, digits = form.k, value_digits(form, b)
     powers = _ell_th_power_set(k, ell, digits)
-    return sum(count for v, count in hist.items()
+    values = list(hist)
+    left = range(len(values))  # the positions of the values not obstructed
+    for fiber in fibers:
+        left = [i for i in left if fiber[i] != 1]
+    left = [values[i] for i in left]
+    for v in powers.intersection(hist).difference(left):
+        raise ArithmeticError(
+            f"solvability routes disagree at value "
+            f"{pr.format_poly(k, pr.poly_from_index(k, v, digits))}: "
+            f"power-set True, a local obstruction")
+    return sum(hist[v] for v in left
                if _globally_solvable(k, ell, v, digits, powers))
 
 
@@ -345,13 +359,9 @@ def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:
     return out
 
 
-def accumulate_chunk(form: geo.MultiForm, b: int, *, start: int,
-                     stop: int) -> Counter:
-    """Counter of the value indices (value_digits digits) of F(x) over the
-    box points at positions [start, stop) of the enumeration
-    pr.box(k, b, n + 1).  Both ends are multiples of q^(bn), so the range
-    is the points with x_0 in [start // q^(bn), stop // q^(bn)), every
-    other coordinate free.
+def box_convolution(form: geo.MultiForm, b: int) -> tuple:
+    """(adder, operands): the box pass over {deg x < b} up to its last
+    convolution, whose pairs convolve_share sums.
 
     A row is the q^b points that share x_0 .. x_{n-1} (x_n varies
     fastest), and on a row F is a polynomial in x_n: its free part and its
@@ -362,18 +372,13 @@ def accumulate_chunk(form: geo.MultiForm, b: int, *, start: int,
     coordinates gives a Counter of its packed contributions over its
     values (a coordinate alone reads its index table; a term in more
     coordinates is multiplied out and encoded), and the Counter of the
-    rows is their convolution.  Rows are grouped by key, and each group's
-    Counter of free parts is convolved with the Counter of the key's
-    values over the row.
+    rows is their convolution.  Rows are grouped by key: the operands are
+    one ({free part: count}, Counter of the key's values over the row) per
+    key, and adder adds value indices of value_digits digits.
     """
     k, n, m = form.k, form.n, form.m
     digits = value_digits(form, b)
     width = k.size ** max(b, 0)
-    unit = width ** n  # the positions of one value of x_0
-    if not (0 <= start <= stop <= width * unit
-            and start % unit == stop % unit == 0):
-        raise ValueError(f"positions [{start}, {stop}) are not a range of "
-                         f"x_0 in the box")
     packed = (m + 1) * digits
     slot = k.size ** digits  # the scale of x_n-degree 1 in a packed row
 
@@ -413,16 +418,12 @@ def accumulate_chunk(form: geo.MultiForm, b: int, *, start: int,
     for term in products:
         components[label[term[0][0]]][1].append(term)
 
-    # x_0 runs over its range (x_n itself when n = 0), the rest over all q^b
-    points = [range(start // unit, stop // unit)] + [range(width)] * n
     rows = {const: 1}
     for coords, terms in components.values():
         if len(coords) == 1:
-            i = coords[0]
-            parts = Counter(map(tables[i].__getitem__, points[i]))
+            parts = Counter(tables[coords[0]])
         else:
-            spans = [points[i] for i in coords]
-            count = math.prod(map(len, spans)) * (len(coords) + len(terms))
+            count = width ** len(coords) * (len(coords) + len(terms))
             add = ValueAdder(k, packed, count).add
             where = {i: p for p, i in enumerate(coords)}
             plan = [(where[used[0]], [where[i] for i in used[1:]], exps[1:],
@@ -438,38 +439,102 @@ def accumulate_chunk(form: geo.MultiForm, b: int, *, start: int,
                         t = pr.mul(k, t, powers[point[p]][e])
                     v = add(v, encode(t) * scale)
                 return v
-            parts = Counter(map(value, itertools.product(*spans)))
+            parts = Counter(map(value, itertools.product(
+                range(width), repeat=len(coords))))
         rows = _convolve(ValueAdder(k, packed, len(rows) * len(parts)),
                          rows, parts, {})
 
-    groups = {}  # key -> Counter of the free parts of its rows
+    groups = {}  # key -> {free part: count} of its rows, each row once
     for v, count in rows.items():
         key, free = divmod(v, slot)
-        groups.setdefault(key, Counter())[free] += count
-    overs = {}  # key -> Counter of the index of sum_j key_j x_n^j on the row
-    for key in groups:
+        groups.setdefault(key, {})[free] = count
+    operands = []
+    for key, frees in groups.items():
         polys = [pr.poly_from_index(k, key // slot ** j % slot, digits)
                  for j in range(m)]
-        over = overs[key] = Counter()
-        for xe in map(powers.__getitem__, points[n]):
+        over = Counter()  # the index of sum_j key_j x_n^j on the row
+        for xe in powers:
             v = ()
             for c, power in zip(polys, xe[1:]):
                 if c:
                     v = pr.add(k, v, pr.mul(k, c, power))
             over[encode(v)] += 1
-    adder = ValueAdder(k, digits, sum(len(frees) * len(overs[key])
-                                      for key, frees in groups.items()))
+        operands.append((frees, over))
+    return ValueAdder(k, digits, pair_count(operands)), operands
+
+
+def pair_count(operands) -> int:
+    """The pairs (free part, x_n value) of the last convolution."""
+    return sum(len(frees) * len(over) for frees, over in operands)
+
+
+def deal_shares(k, operands, shares: int) -> tuple:
+    """(sums, owner): the plan that deals the pairs of the last convolution
+    of box_convolution into shares with no value in common.  The class of
+    a value is its low d digits, its index mod q^d, for the least d with
+    q^d >= 8 * shares (while q^(2d) <= BLOCK_SUM_SIZE).  Digitwise sums
+    carry nothing from digit to digit, so the class of f + x is
+    sums[(f mod q^d) q^d + x mod q^d] (sums = block_sums(k, d)), and a pair
+    goes to the share of the class of its sum: owner[c] is the share of
+    class c.  The classes, heaviest first by their pairs, each go to the
+    share with the fewest pairs so far."""
+    q, d = k.size, 1
+    while q ** d < 8 * shares and q ** (2 * d + 2) <= BLOCK_SUM_SIZE:
+        d += 1
+    classes = q ** d
+    sums = block_sums(k, d)
+    weight = [0] * classes
+    for frees, over in operands:
+        overs = Counter(x % classes for x in over)
+        for a, count in Counter(f % classes for f in frees).items():
+            row = a * classes
+            for c, times in overs.items():
+                weight[sums[row + c]] += count * times
+    load, owner = [0] * shares, [0] * classes
+    for c in sorted(range(classes), key=weight.__getitem__, reverse=True):
+        owner[c] = share = load.index(min(load))
+        load[share] += weight[c]
+    return sums, owner
+
+
+def convolve_share(adder: ValueAdder, operands, plan=None,
+                   share: int = 0) -> dict:
+    """The value histogram {value index: count} of one share of the last
+    convolution of box_convolution: the pairs whose sums the plan of
+    deal_shares gives to share, or every pair without a plan.  The shares
+    of one plan have no value in common, and their histograms sum to the
+    box's."""
     hist = {}
-    for key, frees in groups.items():
-        _convolve(adder, frees, overs[key], hist)
-    return Counter(hist)
+    if plan is not None:
+        sums, owner = plan
+        classes = len(owner)
+        # wanted[a]: the classes whose sums with class a are this share's
+        wanted = [[c for c in range(classes)
+                   if owner[sums[a * classes + c]] == share]
+                  for a in range(classes)]
+    for operand in operands:
+        # one call per entry of the smaller operand, over the larger one
+        outer, inner = sorted(operand, key=len)
+        if plan is None:
+            _convolve(adder, outer, inner, hist)
+            continue
+        groups, parts = {}, {}  # class -> {index: count} of inner, outer
+        for v, count in inner.items():
+            groups.setdefault(v % classes, {})[v] = count
+        for v, count in outer.items():
+            parts.setdefault(v % classes, {})[v] = count
+        for a, part in parts.items():
+            mine = {}
+            for c in wanted[a]:
+                mine.update(groups.get(c, ()))
+            _convolve(adder, part, mine, hist)
+    return hist
 
 
 def box_histogram(form: geo.MultiForm, b: int) -> Counter:
     """Counter of the value indices of F(x) over the whole box {deg x < b},
-    as one chunk."""
-    return accumulate_chunk(form, b, start=0,
-                            stop=form.k.size ** (b * (form.n + 1)))
+    in one share."""
+    return Counter(convolve_share(*box_convolution(form, b)))
 
 
 def residue_tables_cost(form: geo.MultiForm, b: int, primes: int,
@@ -480,19 +545,34 @@ def residue_tables_cost(form: geo.MultiForm, b: int, primes: int,
     return primes * q ** residue_digits(q, value_digits(form, b), values)
 
 
-def value_moments(form: geo.MultiForm, ell: int, b: int, primes,
-                  hist) -> dict:
-    """Every integer the sieve terms need, as exact sums over the box, from
-    its value histogram hist = Counter(value index of F(x)).  Each prime
-    reads the residue index of every distinct value from its recurrence
-    table (residue_indices; residue_tables_cost prices the tables), and
-    every value is weighted by its count.  The residue index decides
-    ramification: index 0 means pi | g (g = 0 included), any other index
-    reads the fiber from the prime's root-count table.  Each table is first
-    checked against the characters at every residue
-    (characters.root_count_routes).
+def prime_fibers(form: geo.MultiForm, ell: int, b: int, primes,
+                 hist) -> list:
+    """The fibers of the distinct values of hist, in its order, at each
+    prime: 0 where the prime divides the value (g = 0 included), else
+    fiber + 1, read from the value's residue index (residue_indices;
+    residue_tables_cost prices the tables) through the prime's root-count
+    table, which is checked against the characters first
+    (characters.root_count_routes)."""
+    k, digits = form.k, value_digits(form, b)
+    values = list(hist)
+    out = []
+    for p in primes:
+        data = residue_data(k, p, ell)
+        root_count_routes(data, check=True)
+        fiber = map([0, *(f + 1 for f in data.root_count[1:])].__getitem__,
+                    residue_indices(data, values, digits))
+        # a byte a value where they fit, as every prime's are held at once
+        out.append(bytes(fiber) if ell < 255 else list(fiber))
+    return out
 
-    Returned counters (P = len(primes)):
+
+def value_moments(ell: int, fibers, hist) -> dict:
+    """Every integer the sieve terms need, as exact sums over the box, from
+    its value histogram hist = Counter(value index of F(x)) and the fibers
+    of its distinct values at the sieving primes (prime_fibers), every
+    value weighted by its count.
+
+    Returned counters (P = len(fibers), the sieving primes):
       - ram_sum: #{(x, pi) : pi | F(x)}
       - psi_square_ok: Psi^2 = (ell-1) + (ell-2) Psi at every unramified pair
       - S: P*P nested lists, S[i1][i2][i][j] = sum over x unramified at both
@@ -501,20 +581,13 @@ def value_moments(form: geo.MultiForm, ell: int, b: int, primes,
         primes at x and s = sum of Psi(ell-1-Psi) over them, so that
         I_alpha(x) = alpha*u + s for every alpha.
     """
-    k, P = form.k, len(primes)
-    digits = value_digits(form, b)
-    datas = [residue_data(k, p, ell) for p in primes]
-    for data in datas:
-        root_count_routes(data, check=True)
-    values = list(hist)
+    P = len(fibers)
     # the fibers of each value at every prime, as the base-(ell+2) digits
-    # of one integer: 0 where the prime is ramified, fiber + 1 elsewhere
+    # of one integer
     base = ell + 2
-    codes = [0] * len(values)
-    for data in datas:
-        digit_of = [0] + [f + 1 for f in data.root_count[1:]]
-        codes = [c * base + digit_of[r] for c, r in
-                 zip(codes, residue_indices(data, values, digits))]
+    codes = [0] * len(hist)
+    for fiber in fibers:
+        codes = [c * base + d for c, d in zip(codes, fiber)]
     states = Counter()  # fiber code -> weight
     for code, count in zip(codes, hist.values()):
         states[code] += count

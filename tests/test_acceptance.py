@@ -137,8 +137,9 @@ def test_criterion_4_sieve_inequalities(report):
     primes, _ = sv.build_sieving_set(K3, 2, exceptional_primes_of(QUADRIC, 2))
     params = sv.SieveParams(form=QUADRIC, ell=2, b=3, delta=2)
     hist = rp.parallel_accumulator(params)
-    M = sv.solvable_count(QUADRIC, 2, 3, hist)
-    acc = sv.value_moments(QUADRIC, 2, 3, primes, hist)
+    fibers = sv.prime_fibers(QUADRIC, 2, 3, primes, hist)
+    M = sv.solvable_count(QUADRIC, 2, 3, hist, fibers)
+    acc = sv.value_moments(2, fibers, hist)
     terms = sv.sieve_terms(params, primes, M, acc)
     general = sv.sieve_inequality_general(params, primes, M, acc)
     expansion = all(r["expansion_equal"] for r in general["rows"])

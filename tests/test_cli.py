@@ -4,6 +4,7 @@ contract (0 pass / 1 math failure / 2 config or usage / 3 budget), byte
 stability of emitted JSON/CSV including independence from the worker count,
 and the config resolution rules."""
 
+import argparse
 import copy
 import csv
 import hashlib
@@ -744,6 +745,29 @@ class TestCommands:
         assert by_id["completion"] >= 5
         assert by_id["root-count"] == 6  # every prime of degree <= 2
         assert by_id["unramified-expansion"] == 1
+        assert "skipped" not in data
+
+    def test_identity_check_names_a_skipped_expansion(self, tmp_path,
+                                                      capsys):
+        # 1+T^2 and 2+T+T^2 divide a coefficient, so the scan leaves one
+        # quadratic prime and the unramified expansion has no pair to run
+        form = {"n": 2, "m": 2, "terms": [
+            {"exps": [2, 0, 0], "coeff": "1"},
+            {"exps": [0, 2, 0], "coeff": "1+T^2"},
+            {"exps": [0, 0, 2], "coeff": "2+T+T^2"}]}
+        code = cli.main(["identity-check", "--config", CONFIG, "--form",
+                         json.dumps(form), "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("unramified-expansion: skipped, needs two sieving primes, "
+                "the scan leaves 1\nidentity suite: pass\n") in out
+        data = json.loads(read(tmp_path / "identity_check.json"))
+        assert data["skipped"] == [{
+            "id": "unramified-expansion",
+            "reason": "needs two sieving primes, the scan leaves 1"}]
+        assert "unramified-expansion" not in {row["id"]
+                                              for row in data["rows"]}
+        assert data["all_pass"] is True
 
     def test_f4_cubic_identity_check_and_sieve_run(self, tmp_path, capsys):
         # characteristic 2: count-mod reads its sums in Z[zeta_2, zeta_3],
@@ -965,7 +989,9 @@ class TestCommands:
                                 "1782,12717,1+T^2;2+T+T^2;2+2*T+T^2,1,"
                                 "true,true,true,true,true,true")
 
-    def test_sieve_run_worker_independence(self, tmp_path):
+    def test_sieve_run_worker_independence(self, tmp_path, monkeypatch):
+        # one pair pays for a fork here, so 3 workers fork 2 children
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert cli.main(["sieve-run", "--config", CONFIG, "--workers", "1",
                          "--out", str(out1)]) == 0
@@ -994,19 +1020,21 @@ class TestExitCodes:
         assert "14348907" in err  # the required budget is printed
 
     def test_failed_worker_is_four(self, tmp_path, monkeypatch, capsys):
-        # with 2 workers the range starting at 0 is the forked child's
-        chunk = sv.accumulate_chunk
+        # with 2 workers, and one pair enough to pay for a fork, share 0 of
+        # the last convolution is the forked child's
+        share_of = sv.convolve_share
 
-        def failing(form, b, *, start, stop):
-            if start == 0:
+        def failing(adder, operands, plan=None, share=0):
+            if share == 0:
                 raise ZeroDivisionError("child share")
-            return chunk(form, b, start=start, stop=stop)
+            return share_of(adder, operands, plan, share)
 
-        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
+        monkeypatch.setattr(sv, "convolve_share", failing)
         code = cli.main(["sieve-run", "--config", CONFIG, "--workers", "2",
                          "--out", str(tmp_path)])
         assert code == 4
-        assert "internal error: the worker for box positions [0, " \
+        assert "internal error: the worker for share 1 of 2 " \
             in capsys.readouterr().err
         assert not (tmp_path / "sieve_report.json").exists()
         with pytest.raises(ChildProcessError):
@@ -1357,7 +1385,7 @@ class TestUpFrontBudgets:
             + pr.irreducibles_cost(7, 2) + 7 * 7 + 21 * 49
         assert price == 43124074
         forbid(monkeypatch, cs.CharSumContext, "__init__")
-        forbid(monkeypatch, sv, "accumulate_chunk")
+        forbid(monkeypatch, sv, "box_convolution")
         code = cli.main(["identity-check", "--config", str(CUBIC_CONFIG),
                          "--budget", "43124073", "--out", str(tmp_path)])
         assert code == 3
@@ -1406,3 +1434,49 @@ def test_sieve_run_checks_root_tables_by_characters(tmp_path, monkeypatch,
     code = cli.main(["sieve-run", "--config", CONFIG, "--out", str(tmp_path)])
     assert code == 1
     assert "fiber routes disagree" in capsys.readouterr().err
+
+
+class TestParser:
+    """main builds the flags of the command it runs only; its help and its
+    usage errors are those of the parser with every command's flags."""
+
+    @staticmethod
+    def outcome(run, argv, capsys) -> tuple:
+        """(exit code, stdout, stderr) of run(argv), which exits."""
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        out = capsys.readouterr()
+        return info.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [name, "--help"] for name in cli.COMMANDS] + [
+        ["bogus"], ["primes", "--workers", "2"], ["gauss", "--config", "x"],
+        ["count", "--delta-max", "3"], ["sieve-run", "--pi", "T"]],
+        ids=" ".join)
+    def test_help_and_usage_errors_equal_the_full_parser(
+            self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = cli.build_parser(cli.COMMANDS).parse_args
+        built = []
+        build = cli.build_parser
+
+        def recording(commands=()):
+            built.append(list(commands))
+            return build(commands)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        code, out, err = self.outcome(cli.main, argv, capsys)
+        assert (code, out, err) == self.outcome(full, argv, capsys)
+        assert code == (0 if argv[-1] == "--help" else 2)
+        assert (out if code == 0 else err).startswith("usage: cycsieve")
+        assert built == [[None if argv == ["--help"] else argv[0]]]
+
+    def test_only_the_invoked_command_has_flags(self):
+        parser = cli.build_parser(["gauss"])
+        args = parser.parse_args(["gauss", "--q", "5", "--ell", "2"])
+        assert (args.q, args.ell, args.pi, args.func) \
+            == (5, 2, "T", cli.cmd_gauss)
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert {name: len(p._actions) for name, p in sub.choices.items()} \
+            == {name: 5 if name == "gauss" else 0 for name in cli.COMMANDS}

@@ -3,15 +3,15 @@ global count M_n(F; b) from the value histogram with its two independent
 solvability routes, decided once per run, both sieve-inequality
 formulations on the diagonal-quadric instance q = 3, n = 2, ell = 2, b = 3,
 delta = 2 (every term frozen from exact enumeration), the c_{i,j}(alpha)
-expansion, the chunked value-histogram box pass against the per-point pass
-as a differential oracle, its value indices against the tuple pass
-(tuple_chunk_histogram), the block sums and the residue recurrence against
+expansion, the value-histogram box pass and its shares against the
+per-point pass as a differential oracle, the local obstruction against the
+squarefree decomposition of every value, its value indices against the
+tuple pass (tuple_box_histogram), the forks of the worker pool, the block
+sums and the residue recurrence against
 polynomial arithmetic, and the parameter-selection helpers
 reports.choose_delta / oracles.min_b / the prime-count bounds.
 """
 
-import inspect
-import itertools
 import json
 import os
 import pathlib
@@ -78,8 +78,15 @@ def quadric_instance():
 # one full box pass shared by the term tests (exactness makes reuse safe)
 _PARAMS, _PRIMES = quadric_instance()
 _HIST = rp.parallel_accumulator(_PARAMS)
-_M = sv.solvable_count(QUADRIC, 2, 3, _HIST)
-_ACC = sv.value_moments(QUADRIC, 2, 3, _PRIMES, _HIST)
+_FIBERS = sv.prime_fibers(QUADRIC, 2, 3, _PRIMES, _HIST)
+_M = sv.solvable_count(QUADRIC, 2, 3, _HIST, _FIBERS)
+_ACC = sv.value_moments(2, _FIBERS, _HIST)
+
+
+def moments(form, ell, b, primes, hist):
+    """value_moments on the fibers of hist's values at the primes."""
+    return sv.value_moments(
+        ell, sv.prime_fibers(form, ell, b, primes, hist), hist)
 
 
 class TestParams:
@@ -306,7 +313,7 @@ class TestBruteForce:
                                  sv.box_histogram(cubic, 1)) == expected
 
     def test_budget(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        monkeypatch.setattr(sv, "box_convolution", forbidden)
         monkeypatch.setattr(sv, "solvable_count", forbidden)
         code = cli.main(["count", "--config", CONFIG, "--b", "3",
                          "--budget", "100", "--out", str(tmp_path)])
@@ -390,12 +397,12 @@ class TestSieveTerms:
     def test_pair_minimum_refused_before_box_pass(self, tmp_path,
                                                   monkeypatch, capsys):
         # 1+T^2 and 2+T+T^2 divide a coefficient, so the scan leaves one
-        # quadratic prime, and the run stops before its first chunk
+        # quadratic prime, and the run stops before its box pass
         form = {"n": 2, "m": 2, "terms": [
             {"exps": [2, 0, 0], "coeff": "1"},
             {"exps": [0, 2, 0], "coeff": "1+T^2"},
             {"exps": [0, 0, 2], "coeff": "2+T+T^2"}]}
-        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        monkeypatch.setattr(sv, "box_convolution", forbidden)
         code = cli.main(["sieve-run", "--config", CONFIG, "--form",
                          json.dumps(form), "--out", str(tmp_path)])
         assert code == 2
@@ -450,12 +457,12 @@ class TestGeneralInequality:
             sv.sieve_inequality_general(_PARAMS, (), _M, _ACC)
 
 
-def per_point_moments(k, form, ell, b, primes, start, stop):
+def per_point_moments(k, form, ell, b, primes):
     """M and the sieve integers of value_moments, recomputed point by
-    point: every
-    box position in [start, stop) of pr.box is evaluated with
-    eval_form_at_polys and decided on its own.  The differential oracle
-    of the value-histogram pass."""
+    point: every point of the box pr.box is evaluated with
+    eval_form_at_polys and decided on its own, by the power set and the
+    squarefree decomposition.  The differential oracle of the
+    value-histogram pass."""
     arity = form.n + 1
     P = len(primes)
     datas = [residue_data(k, p, ell) for p in primes]
@@ -468,7 +475,7 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
     S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
     sum_u2 = sum_us = sum_s2 = 0
 
-    for x in itertools.islice(pr.box(k, b, arity), start, stop):
+    for x in pr.box(k, b, arity):
         g = eval_form_at_polys(form, x)
         if sv._globally_solvable(k, ell, pr.poly_to_index(k, g, digits),
                                  digits, powers):
@@ -517,6 +524,7 @@ def per_point_moments(k, form, ell, b, primes, start, stop):
     }
 
 
+K4 = pr.make_field(2, 2)
 K5 = ffield.GF(5)
 K9 = pr.make_field(3, 2)
 
@@ -527,39 +535,39 @@ def _form(k, n, m, terms):
 
 
 def _histogram_cases():
-    """(label, k, ell, form, b, edges): chunk edges over box positions, each
-    a multiple of q^(bn), the positions of one value of x_0; the ranges
-    hold empty ones, single values of x_0 and ones that start past 0."""
+    """(label, k, ell, form, b): diagonal, linked and T-coefficient forms
+    over F_3, F_4, F_5, F_7 and F_9, each the cover y^ell = F on the box
+    {deg x < b}."""
     g9 = 4  # a non-square of F_9 (F_9^* has even order)
     return [
-        ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2, [0, 243, 243, 324, 729]),
+        ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2),
         ("q3-T-coefficients", K3, 2, _form(K3, 2, 2, {
             (2, 0, 0): "1+T", (1, 1, 0): "T", (0, 1, 1): "2",
-            (0, 0, 2): "2*T^2"}), 2, [0, 81, 405, 405, 729]),
+            (0, 0, 2): "2*T^2"}), 2),
+        # F_4: the coefficient 2 is the generator, outside the prime field
+        ("q4-cubic-diagonal", K4, 3, diag(K4, 2, 3), 2),
+        ("q4-cubic-T-coefficients", K4, 3, _form(K4, 2, 3, {
+            (3, 0, 0): "1", (0, 3, 0): "2", (0, 0, 3): "1+T",
+            (1, 1, 1): "3"}), 2),
         ("q5-diagonal", K5, 2, _form(K5, 2, 2, {
-            (2, 0, 0): "1", (0, 2, 0): "2", (0, 0, 2): "3"}), 2,
-         [1875, 2500, 2500, 3750]),
+            (2, 0, 0): "1", (0, 2, 0): "2", (0, 0, 2): "3"}), 2),
         ("q7-quadric-non-diagonal", K7, 2, _form(K7, 2, 2, {
-            (1, 1, 0): "1", (0, 0, 2): "3+T", (1, 0, 1): "2"}), 1,
-         [0, 98, 343]),
-        ("q7-cubic-diagonal", K7, 3, diag(K7, 2, 3), 1, [0, 147, 147, 343]),
+            (1, 1, 0): "1", (0, 0, 2): "3+T", (1, 0, 1): "2"}), 1),
+        ("q7-cubic-diagonal", K7, 3, diag(K7, 2, 3), 1),
         ("q7-cubic-T-coefficients", K7, 3, _form(K7, 2, 3, {
             (3, 0, 0): "1", (0, 3, 0): "2", (0, 0, 3): "T",
-            (1, 1, 1): "1+T"}), 2, [19208, 21609, 24010]),
+            (1, 1, 1): "1+T"}), 2),
         ("q9-non-diagonal", K9, 2, _form(K9, 2, 2, {
             (2, 0, 0): (K9.one,), (0, 1, 1): (g9,), (0, 0, 2): (g9, K9.one)}),
-         1, [0, 81, 486, 729]),
-        # n = 3, q = 3, b = 2: 6 561 points, 729 for each value of x_0
-        ("q3-n3-diagonal", K3, 2, diag(K3, 3, 2), 2,
-         [0, 729, 2187, 2187, 4374, 6561]),
+         1),
+        # n = 3, q = 3, b = 2: 6 561 points
+        ("q3-n3-diagonal", K3, 2, diag(K3, 3, 2), 2),
         ("q3-n3-linked-pair", K3, 2, _form(K3, 3, 2, {
             (2, 0, 0, 0): "1", (1, 1, 0, 0): "T", (0, 0, 2, 0): "2",
-            (0, 1, 0, 1): "2", (0, 0, 0, 2): "1+T"}), 2,
-         [729, 1458, 2916, 2916, 6561]),
+            (0, 1, 0, 1): "2", (0, 0, 0, 2): "1+T"}), 2),
         ("q3-n3-xn-linked", K3, 2, _form(K3, 3, 4, {
             (4, 0, 0, 0): "1", (1, 1, 0, 2): "1+T", (0, 0, 4, 0): "2",
-            (0, 0, 1, 3): "1", (0, 0, 0, 4): "T"}), 2,
-         [0, 729, 1458, 3645, 6561]),
+            (0, 0, 1, 3): "1", (0, 0, 0, 4): "T"}), 2),
     ]
 
 
@@ -569,22 +577,52 @@ def _case_primes(k):
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
 def test_value_moments_equal_per_point_pass(case):
-    _, k, ell, form, b, edges = case
-    parts = [sv.accumulate_chunk(form, b, start=lo, stop=hi)
-             for lo, hi in zip(edges, edges[1:])]
-    for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
-        assert sum(part.values()) == hi - lo
-    hist = sum(parts, Counter())
+    _, k, ell, form, b = case
+    if k.size ** (b * (form.n + 1)) > 60000:
+        b -= 1  # the per-point walk takes seconds on 7^6 points
+    hist = sv.box_histogram(form, b)
+    assert sum(hist.values()) == k.size ** (b * (form.n + 1))
     primes = _case_primes(k)
-    moments = sv.value_moments(form, ell, b, primes, hist)
-    moments["M"] = sv.solvable_count(form, ell, b, hist)
-    assert moments == per_point_moments(k, form, ell, b, primes, edges[0],
-                                        edges[-1])
+    fibers = sv.prime_fibers(form, ell, b, primes, hist)
+    found = sv.value_moments(ell, fibers, hist)
+    found["M"] = sv.solvable_count(form, ell, b, hist, fibers)
+    assert found == per_point_moments(k, form, ell, b, primes)
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_local_obstruction_count_equals_squarefree_on_every_value(
+        case, monkeypatch):
+    # route 2 with the fibers at every prime of degree <= 2 against the
+    # squarefree decomposition of every value, for each ell | q - 1 in
+    # {2, 3}; the obstruction settles values, so fewer reach the squarefree
+    # route
+    _, k, _, form, b = case
+    hist = sv.box_histogram(form, b)
+    digits = sv.value_digits(form, b)
+    primes = pr.irreducibles(k, 1) + pr.irreducibles(k, 2)
+    decide, decided = sv._solvable_by_squarefree, []
+
+    def recording(k, ell, g):
+        decided.append(g)
+        return decide(k, ell, g)
+
+    for ell in (2, 3):
+        if (k.size - 1) % ell:
+            continue
+        oracle = sum(count for v, count in hist.items() if decide(
+            k, ell, pr.poly_from_index(k, v, digits)))
+        fibers = sv.prime_fibers(form, ell, b, primes, hist)
+        monkeypatch.setattr(sv, "_solvable_by_squarefree", recording)
+        decided.clear()
+        assert sv.solvable_count(form, ell, b, hist, fibers) == oracle
+        assert len(decided) < len(hist)
+        monkeypatch.undo()
+        assert sv.solvable_count(form, ell, b, hist) == oracle
 
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
 def test_squarefree_route_equals_factoring_on_box_values(case):
-    _, k, _, form, b, _ = case
+    _, k, _, form, b = case
     digits = sv.value_digits(form, b)
     values = [pr.poly_from_index(k, v, digits)
               for v in sv.box_histogram(form, b)]
@@ -630,12 +668,11 @@ def test_squarefree_route_on_powers_and_frobenius_values(k):
                     == solvable_by_factoring(k, ell, value), (ell, value)
 
 
-def tuple_chunk_histogram(k, form, b, start, stop):
-    """Counter(F(x)) as polynomials over the box positions [start, stop),
-    on tuple arithmetic: rows split into a free part and a key from
-    per-coordinate power tables, full rows grouped by key and convolved with
-    the key's values over x_n.  The differential oracle of the value-index
-    pass."""
+def tuple_box_histogram(k, form, b):
+    """Counter(F(x)) as polynomials over the box {deg x < b}, on tuple
+    arithmetic: rows split into a free part and a key from per-coordinate
+    power tables, rows grouped by key and convolved with the key's values
+    over x_n.  The differential oracle of the value-index pass."""
     n, m = form.n, form.m
     coords = [pr.poly_from_index(k, i, b) for i in range(k.size ** max(b, 0))]
     width = len(coords)
@@ -674,15 +711,9 @@ def tuple_chunk_histogram(k, form, b, start, stop):
 
     hist = Counter()
     groups = {}
-    for r in range(start // width, -(-stop // width)):
-        lo = max(start - r * width, 0)
-        hi = min(stop - r * width, width)
+    for r in range(width ** n):
         free, key = split_row(r)
-        if hi - lo == width:
-            groups.setdefault(key, Counter())[free] += 1
-            continue
-        for v in values_over_row(key)[lo:hi]:
-            hist[pr.add(k, free, v)] += 1
+        groups.setdefault(key, Counter())[free] += 1
     for key, frees in groups.items():
         over_row = Counter(values_over_row(key))
         for free, c in frees.items():
@@ -702,24 +733,33 @@ def decoded(k, hist, digits):
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
 def test_value_index_histogram_equals_tuple_pass(case):
-    _, k, _, form, b, edges = case
+    # the whole box, and the shares of its last convolution for 1 to 4
+    # workers, which hold every pair once and no value twice between them
+    _, k, _, form, b = case
     digits = sv.value_digits(form, b)
     assert digits == form.deg_T() + form.m * (b - 1) + 1
-    parts = []
-    for lo, hi in zip(edges, edges[1:]):
-        part = sv.accumulate_chunk(form, b, start=lo, stop=hi)
-        assert all(type(v) is int for v in part)
-        assert decoded(k, part, digits) == tuple_chunk_histogram(
-            k, form, b, lo, hi)
-        parts.append(part)
-    assert decoded(k, sum(parts, Counter()), digits) \
-        == tuple_chunk_histogram(k, form, b, edges[0], edges[-1])
+    expected = tuple_box_histogram(k, form, b)
+    full = sv.box_histogram(form, b)
+    assert all(type(v) is int for v in full)
+    assert decoded(k, full, digits) == expected
+    adder, operands = sv.box_convolution(form, b)
+    for shares in (1, 2, 3, 4):
+        plan = sv.deal_shares(k, operands, shares)
+        parts = [Counter(sv.convolve_share(adder, operands, plan, share))
+                 for share in range(shares)]
+        assert all(part for part in parts)
+        classes = len(plan[1])
+        assert all(plan[1][v % classes] == share
+                   for share, part in enumerate(parts) for v in part)
+        assert sum(map(len, parts)) == len(full)
+        assert sum(parts, Counter()) == full
 
 
 def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
     # the unit quaternary box (n = 3, q = 3, b = 3, m = 2): 19 683 rows; the
     # pass multiplies O(n q^b m) times and makes one digitwise-sum call per
-    # distinct partial sum of row parts, never one per row
+    # distinct partial sum of row parts, never one per row, whether its last
+    # convolution runs as one share or as three
     form = diag(K3, 3, 2)
     n, width, m = 3, 27, 2
     calls = Counter()
@@ -734,12 +774,15 @@ def test_box_pass_work_is_per_coordinate_not_per_row(monkeypatch):
     for name in ("add", "add_to_each"):
         monkeypatch.setattr(sv.ValueAdder, name,
                             counted(name, getattr(sv.ValueAdder, name)))
-    size, unit = 3 ** 12, width ** n  # unit: the points of one x_0
-    for lo, hi in ((0, size), (0, 13 * unit), (13 * unit, size),
-                   (unit, 20 * unit)):
+    for shares in (1, 3):
         calls.clear()
-        hist = sv.accumulate_chunk(form, 3, start=lo, stop=hi)
-        assert sum(hist.values()) == hi - lo
+        adder, operands = sv.box_convolution(form, 3)
+        assert sv.pair_count(operands) == 3290
+        plan = sv.deal_shares(K3, operands, shares)
+        total = sum(sum(sv.convolve_share(adder, operands, plan,
+                                          share).values())
+                    for share in range(shares))
+        assert total == 3 ** 12
         assert calls["mul"] <= 2 * n * width * m
         assert calls["add"] + calls["add_to_each"] <= 4 * n * width * m
         assert 4 * n * width * m < width ** n // 10
@@ -844,22 +887,40 @@ def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
     assert not geo._is_diagonal(form.terms)
     assert any(len(c) > 1 for c in form.terms.values())
     primes = [P(K3, text) for text in report["sieve"]["primes"]]
-    moments = per_point_moments(K3, form, 2, 3, primes, 0, 3 ** 9)
+    moments = per_point_moments(K3, form, 2, 3, primes)
     assert report["sieve"]["M"] == moments["M"] == sv.solvable_count(
         form, 2, 3, sv.box_histogram(form, 3))
     assert f"M={moments['M']} " in capsys.readouterr().out
+
+
+def obstructed(k, ell, digits, primes, hist) -> set:
+    """The values of hist (value indices of the given digits) that some
+    prime obstructs: the value is unramified there and its residue is no
+    ell-th power, read from k_pi's own arithmetic."""
+    out = set()
+    for p in primes:
+        kpi = pr.residue_field(k, p)
+        powers = {kpi.power(y, ell) for y in range(kpi.size)}
+        for v in hist:
+            r = kpi.reduce_poly(pr.poly_from_index(k, v, digits))
+            if r and r not in powers:
+                out.add(v)
+    return out
 
 
 class TestSolvableCount:
     def test_value_moments_make_no_solvability_call(self, monkeypatch):
         # M is solvable_count's alone: the moments are the per-point pass's
         # without it
-        expected = per_point_moments(K3, QUADRIC, 2, 3, _PRIMES, 0, 3 ** 9)
+        expected = per_point_moments(K3, QUADRIC, 2, 3, _PRIMES)
         assert expected.pop("M") == 927
         monkeypatch.setattr(sv, "_globally_solvable", forbidden)
-        assert sv.value_moments(QUADRIC, 2, 3, _PRIMES, _HIST) == expected
+        monkeypatch.setattr(sv, "_solvable_by_squarefree", forbidden)
+        assert sv.value_moments(2, _FIBERS, _HIST) == expected
 
     def test_each_value_decided_once_per_run(self, monkeypatch):
+        # the values no sieving prime obstructs take the squarefree route,
+        # each once
         decide, decided = sv._globally_solvable, []
 
         def recording(k, ell, v, digits, powers):
@@ -869,7 +930,37 @@ class TestSolvableCount:
         monkeypatch.setattr(sv, "_globally_solvable", recording)
         config = rp.resolve_config(rp.load_config(CONFIG))
         assert rp.run_sieve(config, workers=1)["sieve"]["M"] == 927
-        assert sorted(decided) == sorted(_HIST)
+        closed = obstructed(K3, 2, 5, _PRIMES, _HIST)
+        assert sorted(decided) == sorted(set(_HIST) - closed)
+        assert 0 < len(decided) < len(closed)
+
+    @pytest.mark.parametrize("how", ("obstructed power", "missing power",
+                                     "refuted power"))
+    def test_forced_disagreement_raises(self, tmp_path, monkeypatch,
+                                        capsys, how):
+        # route 1 and route 2 made to disagree on one value each way: a
+        # power-set value that a prime obstructs, or that the squarefree
+        # decomposition refutes, and a square (the value 1) missing from
+        # the power set
+        power_set = sv._ell_th_power_set
+        if how == "obstructed power":
+            v = min(obstructed(K3, 2, 5, _PRIMES, _HIST))
+            monkeypatch.setattr(sv, "_ell_th_power_set",
+                                lambda *args: power_set(*args) | {v})
+            word = "power-set True, a local obstruction"
+        elif how == "missing power":
+            monkeypatch.setattr(sv, "_ell_th_power_set",
+                                lambda *args: power_set(*args) - {1})
+            word = "power-set False, squarefree decomposition True"
+        else:
+            monkeypatch.setattr(sv, "_solvable_by_squarefree",
+                                lambda *args: False)
+            word = "power-set True, squarefree decomposition False"
+        code = cli.main(["sieve-run", "--config", CONFIG,
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "sieve_report.json").exists()
 
     def test_count_and_sieve_run_report_one_m(self, tmp_path, capsys):
         assert cli.main(["count", "--config", CONFIG, "--b", "3", "--out",
@@ -884,55 +975,121 @@ class TestSolvableCount:
         assert count["M"] == sieve["sieve"]["M"] == 927
 
 
+def counted_forks(monkeypatch) -> list:
+    """Patch os.fork to note each call in the returned list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+LINKED = _form(K3, 2, 2, {(2, 0, 0): "1", (1, 1, 0): "1", (0, 1, 1): "1",
+                          (0, 2, 0): "1", (0, 0, 2): "1"})
+T_FORM = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T", (0, 1, 1): "2",
+                          (0, 0, 2): "2*T^2"})
+
+
 class TestChunking:
     def test_chunked_merge_equals_full_pass(self):
-        size = _PARAMS.box_size
-        full = sv.accumulate_chunk(QUADRIC, 3, start=0, stop=size)
-        for pieces in (2, 7):
-            edges = [27 * i // pieces * 729 for i in range(pieces + 1)]
-            parts = [sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
-                     for lo, hi in zip(edges, edges[1:])]
-            merged = sum(parts, Counter())
+        adder, operands = sv.box_convolution(QUADRIC, 3)
+        full = sv.box_histogram(QUADRIC, 3)
+        assert sum(full.values()) == _PARAMS.box_size
+        for shares in (2, 7):
+            plan = sv.deal_shares(K3, operands, shares)
+            parts = [sv.convolve_share(adder, operands, plan, share)
+                     for share in range(shares)]
+            merged = sum(map(Counter, parts), Counter())
             assert merged == full
-            assert sv.value_moments(QUADRIC, 2, 3, _PRIMES, merged) == _ACC
+            assert moments(QUADRIC, 2, 3, _PRIMES, merged) == _ACC
 
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
-    def test_parallel_accumulator_any_worker_count(self, workers):
-        t_form = _form(K3, 2, 2, {(2, 0, 0): "1+T", (1, 1, 0): "T",
-                                  (0, 1, 1): "2", (0, 0, 2): "2*T^2"})
-        t_params = sv.SieveParams(form=t_form, ell=2, b=3, delta=2)
-        for params in (_PARAMS, t_params):
-            full = sv.box_histogram(params.form, params.b)
+    def test_parallel_accumulator_any_worker_count(self, monkeypatch,
+                                                   workers):
+        # every pass forks here, as one pair pays for a fork
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
+        forks = counted_forks(monkeypatch)
+        for form in (QUADRIC, LINKED, T_FORM):
+            params = sv.SieveParams(form=form, ell=2, b=3, delta=2)
+            full = sv.box_histogram(form, 3)
             assert rp.parallel_accumulator(params, workers) == full
+        assert len(forks) == 3 * (workers - 1)
+        assert_no_child_left()
+
+    def test_forks_only_where_the_pairs_pay(self, monkeypatch):
+        # the reference pass convolves 1 302 pairs, too few for a fork at
+        # any worker count; the q = 5 pass convolves 98 595 and forks 2
+        # children at 3 workers
+        forks = counted_forks(monkeypatch)
+        assert sv.pair_count(sv.box_convolution(QUADRIC, 3)[1]) == 1302
+        assert rp.parallel_accumulator(_PARAMS, 4) == _HIST
+        assert forks == []
+        q5 = sv.SieveParams(form=diag(K5, 2, 2), ell=2, b=3, delta=2)
+        assert sv.pair_count(sv.box_convolution(q5.form, 3)[1]) == 98595
+        assert 98595 >= 3 * rp.FORK_PAIRS > 1302
+        assert rp.parallel_accumulator(q5, 3) == sv.box_histogram(q5.form, 3)
+        assert forks == [os.getpid()] * 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("shares", (2, 3, 4))
+    def test_deal_shares_balances_the_pairs(self, shares):
+        # a pair goes to the share of its sum's class, and each share holds
+        # within a tenth of its even part of the pairs
+        for form in (QUADRIC, LINKED, T_FORM, diag(K5, 2, 2)):
+            adder, operands = sv.box_convolution(form, 3)
+            sums, owner = sv.deal_shares(form.k, operands, shares)
+            classes = len(owner)
+            load = Counter(owner[sums[f % classes * classes + x % classes]]
+                           for frees, over in operands
+                           for f in frees for x in over)
+            even = sv.pair_count(operands) / shares
+            assert all(abs(load[share] - even) <= even / 10
+                       for share in range(shares))
+
+    def test_overlapping_shares_raise(self, monkeypatch):
+        # shares that both hold a value would lose a count when joined
+        share_of = sv.convolve_share
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
+        monkeypatch.setattr(sv, "convolve_share",
+                            lambda adder, operands, plan=None, share=0:
+                            share_of(adder, operands))
+        with pytest.raises(ArithmeticError, match="two shares"):
+            rp.parallel_accumulator(_PARAMS, 2)
+        assert_no_child_left()
 
     @pytest.mark.parametrize("how", ("raises", "killed"))
     def test_failed_child_share_raises(self, monkeypatch, how):
-        # with 3 workers the first range is a forked child's
-        chunk = sv.accumulate_chunk
+        # with 3 workers share 0 is the first forked child's
+        share_of = sv.convolve_share
 
-        def failing(form, b, *, start, stop):
-            if start == 0:
+        def failing(adder, operands, plan=None, share=0):
+            if share == 0:
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ZeroDivisionError("child share")
-            return chunk(form, b, start=start, stop=stop)
+            return share_of(adder, operands, plan, share)
 
-        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
+        monkeypatch.setattr(sv, "convolve_share", failing)
         word = "status 1" if how == "raises" else "signal"
-        with pytest.raises(RuntimeError, match=rf"\[0, 6561\) .*{word}"):
+        with pytest.raises(RuntimeError, match=rf"share 1 of 3 .*{word}"):
             rp.parallel_accumulator(_PARAMS, 3)
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", (ZeroDivisionError, KeyboardInterrupt))
     def test_failed_own_share_kills_children(self, monkeypatch, error):
-        # the last range is this process's; the children would sleep on
-        # past the test unless they are killed
-        def failing(form, b, *, start, stop):
-            if stop == _PARAMS.box_size:
+        # the last share, 2 of 0 .. 2, is this process's; the children
+        # would sleep on past the test unless they are killed
+        def failing(adder, operands, plan=None, share=0):
+            if share == 2:
                 raise error("own share")
             time.sleep(60)
 
-        monkeypatch.setattr(sv, "accumulate_chunk", failing)
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
+        monkeypatch.setattr(sv, "convolve_share", failing)
         began = time.monotonic()
         with pytest.raises(error, match="own share"):
             rp.parallel_accumulator(_PARAMS, 3)
@@ -940,50 +1097,28 @@ class TestChunking:
         assert_no_child_left()
 
     def test_without_fork_every_range_runs_here(self, monkeypatch):
-        full = sv.box_histogram(_PARAMS.form, _PARAMS.b)
-        chunk = sv.accumulate_chunk
-        ranges = []
+        # a pass that would fork runs its whole last convolution here, as
+        # one share, at any worker count
+        share_of = sv.convolve_share
+        shares = []
 
-        def recording(form, b, *, start, stop):
-            ranges.append((start, stop))
-            return chunk(form, b, start=start, stop=stop)
+        def recording(adder, operands, plan=None, share=0):
+            shares.append((plan, share))
+            return share_of(adder, operands, plan, share)
 
+        monkeypatch.setattr(rp, "FORK_PAIRS", 1)
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(sv, "accumulate_chunk", recording)
-        assert rp.parallel_accumulator(_PARAMS, 3) == full
-        assert ranges == [(0, 6561), (6561, 13122), (13122, 19683)]
-        # 100 workers get the 27 values of x_0, one each, so a forking run
-        # would start 26 children, not 99
-        ranges.clear()
-        assert rp.parallel_accumulator(_PARAMS, 100) == full
-        assert ranges == [(729 * i, 729 * (i + 1)) for i in range(27)]
+        monkeypatch.setattr(sv, "convolve_share", recording)
+        for workers in (3, 100):
+            shares.clear()
+            assert rp.parallel_accumulator(_PARAMS, workers) == _HIST
+            assert shares == [(None, 0)]
         assert_no_child_left()
 
-    def test_histogram_weights_sum_to_range(self):
-        for lo, hi in ((0, 729), (729, 729), (1458, 5832), (18954, 19683)):
-            hist = sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
-            assert sum(hist.values()) == hi - lo
-
-    def test_range_outside_box_rejected(self):
-        # outside the box, or with an end that is not a multiple of the 729
-        # positions of one value of x_0
-        for lo, hi in ((-1, 5), (10, 5), (0, 19684), (-729, 0),
-                       (729, 20412), (0, 10), (5, 729), (1, 19683),
-                       (729, 800), (5, 5)):
-            with pytest.raises(ValueError):
-                sv.accumulate_chunk(QUADRIC, 3, start=lo, stop=hi)
-
     def test_chunk_budget(self, tmp_path, monkeypatch, capsys):
-        # the box is priced before any chunk is accumulated
-        monkeypatch.setattr(sv, "accumulate_chunk", forbidden)
+        # the box is priced before any of its pass runs
+        monkeypatch.setattr(sv, "box_convolution", forbidden)
         code = cli.main(["sieve-run", "--config", CONFIG, "--budget", "100",
                          "--workers", "2", "--out", str(tmp_path)])
         assert code == 3
         assert "needs 19683, limit 100;" in capsys.readouterr().err
-
-    def test_start_stop_are_keyword_only(self):
-        # the benchmark's tracer reads the chunk span of a call from
-        # kwargs["start"] and kwargs["stop"]
-        params = inspect.signature(sv.accumulate_chunk).parameters
-        for name in ("start", "stop"):
-            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY

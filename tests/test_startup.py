@@ -58,8 +58,9 @@ def test_commands_without_a_pool_load_no_heavy_module(tmp_path):
 
 
 def test_a_multi_worker_run_loads_no_heavy_module(tmp_path):
-    results = probe(["sieve-run", "--config", CONFIG, "--workers", "2",
-                     "--out", str(tmp_path)])
+    # at q = 5 the last convolution has pairs enough to fork a worker
+    results = probe(["sieve-run", "--config", CONFIG, "--q", "5",
+                     "--workers", "2", "--out", str(tmp_path)])
     assert results == [[None, []], [0, []]]
 
 
