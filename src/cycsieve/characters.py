@@ -169,14 +169,14 @@ def gauss_sum(data: ResidueData, index: int) -> tuple:
         zip(data.psi_exp[1:], chi_exponents(data, index)[1:])))
 
 
-def character_sum(data: ResidueData, idx: int, first: int = 0) -> tuple:
-    """The sum of chi_{pi,i}, i = first, ..., ell - 1, at the residue of
-    index idx, in the ring of the characters."""
+def character_sum(data: ResidueData, idx: int) -> tuple:
+    """The sum of chi_{pi,i}, i = 0, ..., ell - 1, at the residue of index
+    idx, in the ring of the characters."""
     t = data.chi_exp[idx]
     if t is None:  # only chi_0 is nonzero at 0
-        return data.ring.from_int(int(first == 0))
+        return data.ring.one
     return data.ring.from_exponent_counts(Counter(
-        (0, i * t) for i in range(first, data.ell)))
+        (0, i * t) for i in range(data.ell)))
 
 
 def root_count_routes(data: ResidueData, check: bool = False) -> tuple:

@@ -84,8 +84,6 @@ def _emit(args, name: str, report: dict) -> None:
 
 
 def cmd_primes(args) -> int:
-    from . import sieve as sv
-
     if args.q is None or args.delta in (None, "auto"):
         raise ValueError("primes needs --q and an integer --delta")
     q, delta = args.q, int(args.delta)
@@ -93,7 +91,7 @@ def cmd_primes(args) -> int:
     budget = Budget(rp.DEFAULT_BUDGET if args.budget is None else args.budget)
     budget.charge(pr.irreducibles_cost(q, delta))
     names = [pr.format_poly(k, f) for f in pr.irreducibles(k, delta)]
-    pnt = sv.verify_prime_count(q, delta)
+    pnt = pr.verify_prime_count(q, delta)
     if len(names) != pnt["count"]:
         raise ArithmeticError(f"{len(names)} irreducibles enumerated, the "
                               f"Moebius count is {pnt['count']}")
@@ -414,12 +412,19 @@ def cmd_count(args) -> int:
 
     cfg = _config(args)
     form, _ = rp.config_objects(cfg)
-    count = (form, cfg["ell"], cfg["b"])
-    Budget(cfg["budget"]).charge_each(sv.box_pass_cost(*count))
-    M = sv.solvable_count(*count, sv.box_histogram(form, cfg["b"]))
-    trivial = form.k.size ** (cfg["b"] * (form.n + 1))
+    ell, b, q = cfg["ell"], cfg["b"], form.k.size
+    budget = Budget(cfg["budget"])
+    budget.charge_each([*sv.box_pass_cost(form, ell, b),
+                        pr.irreducibles_cost(q, 1)])
+    hist = sv.box_histogram(form, b)
+    # a local obstruction holds at every prime, good or bad, so the q
+    # linear primes settle most values before any is decomposed
+    budget.charge(sv.residue_tables_cost(form, b, q, len(hist)))
+    fibers = sv.prime_fibers(form, ell, b, pr.irreducibles(form.k, 1), hist)
+    M = sv.solvable_count(form, ell, b, hist, fibers)
+    trivial = q ** (b * (form.n + 1))
     ok = M <= trivial
-    print(f"M_{form.n}(F; {cfg['b']}) = {M}  (box {trivial} "
+    print(f"M_{form.n}(F; {b}) = {M}  (box {trivial} "
           f"{'pass' if ok else 'FAIL'})")
     _emit(args, "count.json", {
         "config": cfg,

@@ -27,9 +27,12 @@ The verified identities:
   equals the complete-sum expansion over non-principal character pairs;
   additionally the discarded F(x) == 0 portion is verified to vanish and the
   pointwise fiber identity |fiber| - 1 = sum of non-principal chi(F(x)) is
-  checked at every residue index that a value of F on the box takes.  Both
-  routes read the box through the count of its values per pair of residue
-  indices, and the character sums through one table per prime.
+  checked at every residue index that a value of F on the box takes.
+
+The two-prime identities share one preamble (_two_prime_sides): the box
+counted per pair of residue indices, and the character side on the
+complementary box, divided exactly.  The pointwise check reads the
+character route of characters.root_count_routes.
 """
 
 import itertools
@@ -39,7 +42,6 @@ from collections import Counter
 from . import geometry as geo
 from . import polyring as pr
 from .characters import (
-    character_sum,
     chi_exponents,
     gauss_sum,
     psi_exponent,
@@ -51,13 +53,6 @@ from .cyclotomic import cyc_ring
 from .ffield import prime_factors
 from .polyring import box
 from .sieve import box_histogram, residue_indices, value_digits
-
-
-def _require_distinct_primes(k, pi1, pi2):
-    if pr.degree(pi1) < 1 or pr.degree(pi2) < 1:
-        raise ValueError("moduli must be non-constant primes")
-    if pr.monic(k, pi1)[1] == pr.monic(k, pi2)[1]:
-        raise ValueError("the two primes must be distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +201,24 @@ def _complementary_sum(pi1, pi2, ell: int, form: geo.MultiForm, width: int,
     return total
 
 
-def _residue_pairs(data1, data2, form: geo.MultiForm, b: int) -> Counter:
-    """The points of the box {deg x < b} counted per pair (residue index of
-    F(x) mod pi1, residue index mod pi2)."""
+def _two_prime_sides(pi1, pi2, ell: int, form: geo.MultiForm, b: int,
+                     chi_pairs) -> tuple:
+    """(data1, data2, pairs, character side) of a two-prime identity on
+    the box {deg x < b}: the ResidueData mod each prime, the points of the
+    box counted per pair (residue index of F(x) mod pi1, mod pi2), and
+    _complementary_sum over chi_pairs divided exactly by
+    q^((n+1)(deg(pi1 pi2) - b)).  Needs distinct non-constant primes and
+    0 < b < deg(pi1 pi2)."""
+    k = form.k
+    if pr.degree(pi1) < 1 or pr.degree(pi2) < 1:
+        raise ValueError("moduli must be non-constant primes")
+    if pr.monic(k, pi1)[1] == pr.monic(k, pi2)[1]:
+        raise ValueError("the two primes must be distinct")
+    D = pr.degree(pi1) + pr.degree(pi2)
+    if not 0 < b < D:
+        raise ValueError("need 0 < b < deg(pi1 * pi2)")
+
+    data1, data2 = residue_data(k, pi1, ell), residue_data(k, pi2, ell)
     hist = box_histogram(form, b)
     values, digits = list(hist), value_digits(form, b)
     pairs: Counter = Counter()
@@ -216,7 +226,10 @@ def _residue_pairs(data1, data2, form: geo.MultiForm, b: int) -> Counter:
                                  residue_indices(data2, values, digits),
                                  hist.values()):
         pairs[idx1, idx2] += count
-    return pairs
+
+    total = _complementary_sum(pi1, pi2, ell, form, D - b, chi_pairs)
+    side = data1.ring.div_int(total, k.size ** ((form.n + 1) * (D - b)))
+    return data1, data2, pairs, side
 
 
 def verify_completion(pi, pi2, ell: int, chi_index: int, chi2_index: int,
@@ -225,29 +238,19 @@ def verify_completion(pi, pi2, ell: int, chi_index: int, chi2_index: int,
     q^((n+1)(b - deg(pi pi'))) * sum over the complementary box of
     S_G(pibar' x, chi_pi) S_G(pibar x, chi_pi'), all exact.  two_prime_cost
     prices it."""
-    k, arity = form.k, form.n + 1
-    _require_distinct_primes(k, pi, pi2)
+    k = form.k
     if not (0 < chi_index < ell and 0 < chi2_index < ell):
         raise ValueError("both characters must be non-principal")
-    D = pr.degree(pi) + pr.degree(pi2)
-    if not 0 < b < D:
-        raise ValueError("need 0 < b < deg(pi * pi2)")
-
-    data1 = residue_data(k, pi, ell)
-    data2 = residue_data(k, pi2, ell)
+    data1, data2, pairs, rhs = _two_prime_sides(
+        pi, pi2, ell, form, b, [(chi_index, chi2_index)])
     chi1 = chi_exponents(data1, chi_index)
     chi2 = chi_exponents(data2, chi2_index)
-    ring = data1.ring
 
     counts: Counter = Counter()
-    for (idx1, idx2), count in _residue_pairs(data1, data2, form, b).items():
+    for (idx1, idx2), count in pairs.items():
         if idx1 and idx2:  # non-principal characters vanish at 0 only
             counts[0, chi1[idx1] + chi2[idx2]] += count
-    lhs = ring.from_exponent_counts(counts)
-
-    total = _complementary_sum(pi, pi2, ell, form, D - b,
-                               [(chi_index, chi2_index)])
-    rhs = ring.div_int(total, k.size ** (arity * (D - b)))
+    lhs = data1.ring.from_exponent_counts(counts)
 
     return {
         "id": "completion",
@@ -285,39 +288,28 @@ def verify_unramified_expansion(pi1, pi2, ell: int, form: geo.MultiForm,
     {F(x) == 0 mod pi1*pi2} portion of the character-product sum vanishes,
     and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
     holds at every residue index that a value of F on the box takes, read
-    from one table of the character sums per prime.  two_prime_cost prices
-    it.
+    from the character route of characters.root_count_routes, the sum over
+    all characters, less the principal one.  two_prime_cost prices it.
     """
-    k, arity = form.k, form.n + 1
-    _require_distinct_primes(k, pi1, pi2)
-    D = pr.degree(pi1) + pr.degree(pi2)
-    if not 0 < b < D:
-        raise ValueError("need 0 < b < deg(pi1 * pi2)")
-
-    data1 = residue_data(k, pi1, ell)
-    data2 = residue_data(k, pi2, ell)
-    ring = data1.ring
-    pairs = _residue_pairs(data1, data2, form, b)
+    k = form.k
+    data1, data2, pairs, quotient = _two_prime_sides(
+        pi1, pi2, ell, form, b, itertools.product(range(1, ell), repeat=2))
     n1, n2 = data1.root_count, data2.root_count
     lhs = sum(count * (n1[idx1] - 1) * (n2[idx2] - 1)
               for (idx1, idx2), count in pairs.items()
               if idx1 or idx2)  # pi1 pi2 | F(x), F(x) = 0 included, left out
 
-    # per prime: the sum of the non-principal characters at each residue
-    # index, checked against the fiber size at each index that occurs
-    tables = [[character_sum(data, idx, 1) for idx in range(data.kpi.size)]
-              for data in (data1, data2)]
+    # per prime: the sum over all characters at each residue index, checked
+    # against the fiber size at each index that occurs; the non-principal
+    # sum is that minus 1, which is 0 at residue 0
+    by_chars = [root_count_routes(data)[1] for data in (data1, data2)]
     pointwise_ok = all(
-        ring.as_int(tables[slot][idx]) == data.root_count[idx] - 1
+        by_chars[slot][idx] == data.root_count[idx]
         for slot, data in enumerate((data1, data2))
         for idx in {pair[slot] for pair in pairs})
-    zero_portion = ring.scale(pairs[0, 0],
-                              ring.mul(tables[0][0], tables[1][0]))
-
-    total = _complementary_sum(pi1, pi2, ell, form, D - b,
-                               itertools.product(range(1, ell), repeat=2))
-    quotient = ring.div_int(total, k.size ** (arity * (D - b)))
-    rhs = ring.as_int(quotient)
+    zero_portion = (pairs[0, 0] * (by_chars[0][0] - 1)
+                    * (by_chars[1][0] - 1))
+    rhs = data1.ring.as_int(quotient)
     if rhs is None:
         raise ArithmeticError("character side is not a rational integer")
 
@@ -335,6 +327,6 @@ def verify_unramified_expansion(pi1, pi2, ell: int, form: geo.MultiForm,
         "lhs": lhs,
         "rhs": rhs,
         "equal": lhs == rhs,
-        "zero_portion_vanishes": ring.is_zero(zero_portion),
+        "zero_portion_vanishes": zero_portion == 0,
         "pointwise_fiber_identity": pointwise_ok,
     }

@@ -293,6 +293,36 @@ def count_irreducibles_formula(q: int, d: int) -> int:
     return total // d
 
 
+def verify_prime_count(q: int, delta: int) -> dict:
+    """|#{monic irreducible pi : deg pi = delta} - q^delta/delta| <=
+    q^(delta/2)/delta + q^(delta/3), checked after scaling by delta against
+    integer floors of the roots (a stricter test than the statement, so a
+    pass is conclusive)."""
+    count = count_irreducibles_formula(q, delta)
+    lhs = abs(count * delta - q ** delta)
+    half = _integer_root(q ** delta, 2)
+    third = _integer_root(q ** delta, 3)
+    rhs_floor = half + delta * third
+    return {
+        "delta": delta,
+        "count": count,
+        "pass": lhs <= rhs_floor,
+    }
+
+
+def _integer_root(x: int, r: int) -> int:
+    lo, hi = 0, 1
+    while hi ** r <= x:
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid ** r <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # text format
 

@@ -6,10 +6,10 @@ All terms are exact: counts are integers, normalized terms are Fractions,
 and every inequality is checked as a comparison of rationals.  Global
 solvability of y^ell = F(x) is decided by two independent routes per
 distinct value of F (membership in a precomputed set of ell-th powers,
-versus a local obstruction, a sieving prime where the value is unramified
-and its residue is no ell-th power, or else the multiplicity criterion read
-off a squarefree decomposition); a disagreement raises instead of returning
-a number.
+versus a local obstruction, a prime where the value is unramified and its
+residue is no ell-th power, or else the multiplicity criterion read off a
+squarefree decomposition); a disagreement raises instead of returning a
+number.  sieve-run reads its sieving primes, count the q linear primes.
 
 Every term depends on a box point x only through the value F(x), and a value
 is carried from the box to its residues as one integer, its value index: the
@@ -76,36 +76,6 @@ class SieveParams:
     @property
     def box_size(self) -> int:
         return self.q ** (self.b * (self.n + 1))
-
-
-def verify_prime_count(q: int, delta: int) -> dict:
-    """|#{monic irreducible pi : deg pi = delta} - q^delta/delta| <=
-    q^(delta/2)/delta + q^(delta/3), checked after scaling by delta against
-    integer floors of the roots (a stricter test than the statement, so a
-    pass is conclusive)."""
-    count = pr.count_irreducibles_formula(q, delta)
-    lhs = abs(count * delta - q ** delta)
-    half = _integer_root(q ** delta, 2)
-    third = _integer_root(q ** delta, 3)
-    rhs_floor = half + delta * third
-    return {
-        "delta": delta,
-        "count": count,
-        "pass": lhs <= rhs_floor,
-    }
-
-
-def _integer_root(x: int, r: int) -> int:
-    lo, hi = 0, 1
-    while hi ** r <= x:
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid ** r <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +288,14 @@ def box_pass_cost(form: geo.MultiForm, ell: int, b: int) -> tuple:
 
 
 def solvable_count(form: geo.MultiForm, ell: int, b: int, hist,
-                   fibers=()) -> int:
+                   fibers) -> int:
     """M_n(F; b): the number of x in the box {deg x < b} such that
     y^ell = F(x) has a solution y in F_q[T], from the box's value histogram
     hist = Counter(value index of F(x)).  Each distinct value is decided
     once, by the power set against a local obstruction (a prime of the
     fibers from prime_fibers where the value is unramified with a fiber of
-    0) or else its squarefree decomposition, and weighted by its count;
-    without fibers every value is decomposed."""
+    0; any prime will do, good or bad) or else its squarefree
+    decomposition, and weighted by its count."""
     k, digits = form.k, value_digits(form, b)
     powers = _ell_th_power_set(k, ell, digits)
     values = list(hist)
@@ -343,7 +313,7 @@ def solvable_count(form: geo.MultiForm, ell: int, b: int, hist,
 
 
 # ---------------------------------------------------------------------------
-# the box pass: value histograms of chunks, then the sieve work per value
+# the box pass: the value histogram of the box, in shares
 
 
 def _convolve(adder: ValueAdder, a, c, out: dict) -> dict:

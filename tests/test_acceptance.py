@@ -174,7 +174,9 @@ def test_criterion_5_counting_cross_checks(report):
     counts = {}
     agree = True
     for b in (1, 2):
-        mine = sv.solvable_count(QUADRIC, 2, b, sv.box_histogram(QUADRIC, b))
+        hist = sv.box_histogram(QUADRIC, b)
+        mine = sv.solvable_count(QUADRIC, 2, b, hist, sv.prime_fibers(
+            QUADRIC, 2, b, pr.irreducibles(K3, 1), hist))
         ext = sum(1 for xs in box(K3, b, 3)
                   if sympy_solvable(eval_form_at_polys(QUADRIC, xs),
                                     2, 3))
@@ -201,7 +203,7 @@ def test_criterion_6_prime_infrastructure(report):
         k = ffield.GF(q)
         for delta in range(1, 7):
             enumerated = len(pr.irreducibles(k, delta))
-            check = sv.verify_prime_count(q, delta)
+            check = pr.verify_prime_count(q, delta)
             pnt = (pnt and check["pass"]
                    and enumerated == check["count"])
     rng = random.Random(20260815)

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from cycsieve import characters
 from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import identities as idn
@@ -235,23 +236,24 @@ class TestUnramifiedExpansion:
     def test_character_table_is_per_residue_index(self, monkeypatch):
         # the quadric mod two quadratic primes on {deg x < 3}: F takes more
         # distinct values than there are residue indices mod both primes,
-        # and the sums of the non-principal characters are built and
-        # checked once per residue index, never once per value
+        # and the sums over the characters are built (by the root-count
+        # check of characters) and checked once per residue index, never
+        # once per value
         form, Q, ell = diag3(K3), 9, 2
         values = len(sv.box_histogram(form, 3))
         assert values > 2 * Q
         calls = Counter()
-        character_sum, as_int = idn.character_sum, CycRing.as_int
+        character_sum, as_int = characters.character_sum, CycRing.as_int
 
-        def counted_sum(data, idx, first=0):
+        def counted_sum(data, idx):
             calls["character_sum"] += 1
-            return character_sum(data, idx, first)
+            return character_sum(data, idx)
 
         def counted_as_int(ring, a):
             calls["as_int"] += 1
             return as_int(ring, a)
 
-        monkeypatch.setattr(idn, "character_sum", counted_sum)
+        monkeypatch.setattr(characters, "character_sum", counted_sum)
         monkeypatch.setattr(CycRing, "as_int", counted_as_int)
         res = idn.verify_unramified_expansion(
             P(K3, "1+T^2"), P(K3, "2+T+T^2"), ell, form, 3)

@@ -83,6 +83,14 @@ _M = sv.solvable_count(QUADRIC, 2, 3, _HIST, _FIBERS)
 _ACC = sv.value_moments(2, _FIBERS, _HIST)
 
 
+def count_m(form, ell, b):
+    """M on the box {deg x < b} as count decides it: solvable_count on the
+    box's histogram with the fibers at the q linear primes."""
+    hist = sv.box_histogram(form, b)
+    return sv.solvable_count(form, ell, b, hist, sv.prime_fibers(
+        form, ell, b, pr.irreducibles(form.k, 1), hist))
+
+
 def moments(form, ell, b, primes, hist):
     """value_moments on the fibers of hist's values at the primes."""
     return sv.value_moments(
@@ -183,7 +191,7 @@ class TestParameterSelection:
     def test_prime_count_bound(self):
         for q in (3, 5, 7):
             for delta in range(1, 7):
-                assert sv.verify_prime_count(q, delta)["pass"], (q, delta)
+                assert pr.verify_prime_count(q, delta)["pass"], (q, delta)
 
 
 class TestSievingSet:
@@ -289,12 +297,10 @@ class TestBruteForce:
     def test_constant_box_frozen(self):
         # F = X_0^2+X_1^2+X_2^2 on constants over F_3: 9 zero values (all
         # counted via y = 0) and 6 values equal to 1 (the square) -> 15
-        assert sv.solvable_count(QUADRIC, 2, 1,
-                                 sv.box_histogram(QUADRIC, 1)) == 15
+        assert count_m(QUADRIC, 2, 1) == 15
 
     def test_within_trivial_bound(self):
-        assert sv.solvable_count(QUADRIC, 2, 1,
-                                 sv.box_histogram(QUADRIC, 1)) <= 3 ** 3
+        assert count_m(QUADRIC, 2, 1) <= 3 ** 3
 
     def test_cubic_against_local_enumeration(self):
         # third route, test-local: a constant value c is an ell-th power of
@@ -309,8 +315,7 @@ class TestBruteForce:
                                  K7.power(c, 3))
                     if val in cubes:
                         expected += 1
-        assert sv.solvable_count(cubic, 3, 1,
-                                 sv.box_histogram(cubic, 1)) == expected
+        assert count_m(cubic, 3, 1) == expected
 
     def test_budget(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sv, "box_convolution", forbidden)
@@ -319,6 +324,15 @@ class TestBruteForce:
                          "--budget", "100", "--out", str(tmp_path)])
         assert code == 3
         assert "needs 19683, limit 100;" in capsys.readouterr().err
+
+    def test_residue_table_budget(self, tmp_path, monkeypatch, capsys):
+        # at b = 2 the box (729), the power set (9) and the 3 linear primes
+        # fit 741; the residue tables of 27 entries at each prime do not
+        monkeypatch.setattr(sv, "prime_fibers", forbidden)
+        code = cli.main(["count", "--config", CONFIG, "--b", "2",
+                         "--budget", "741", "--out", str(tmp_path)])
+        assert code == 3
+        assert "needs 822, limit 741;" in capsys.readouterr().err
 
     def test_power_set_budget(self):
         # the box {deg x < 1} has 27 points, but F reaches T-degree 8, so the
@@ -336,7 +350,7 @@ class TestBruteForce:
         budget = Budget(270)
         budget.charge_each(sv.box_pass_cost(form, 2, 1))
         assert budget.spent == 270
-        assert sv.solvable_count(form, 2, 1, sv.box_histogram(form, 1)) > 0
+        assert count_m(form, 2, 1) > 0
 
     def test_power_set_budget_of_sieve_pass(self):
         # 19683 box points fit the budget; the 3^18 polynomials of degree
@@ -357,8 +371,7 @@ class TestBruteForce:
             (0, 2, 0): (K3.one,),
             (0, 0, 2): (K3.one,),
         })
-        count = sv.solvable_count(form, 2, 2, sv.box_histogram(form, 2))
-        assert 0 < count <= 3 ** 6
+        assert 0 < count_m(form, 2, 2) <= 3 ** 6
 
 
 class TestSieveTerms:
@@ -617,7 +630,41 @@ def test_local_obstruction_count_equals_squarefree_on_every_value(
         assert sv.solvable_count(form, ell, b, hist, fibers) == oracle
         assert len(decided) < len(hist)
         monkeypatch.undo()
-        assert sv.solvable_count(form, ell, b, hist) == oracle
+        assert sv.solvable_count(form, ell, b, hist, ()) == oracle
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_count_decides_m_by_the_local_obstruction(case, tmp_path,
+                                                  monkeypatch):
+    # count's M against the squarefree decomposition of every value; the
+    # values its q linear primes obstruct skip the decomposition, so fewer
+    # reach it than there are distinct values.  Not on the diagonal F_4
+    # cubic: at T = c each value is a sum of cubes in F_4, each 0 or 1, so
+    # no linear prime obstructs it
+    label, k, ell, form, b = case
+    hist = sv.box_histogram(form, b)
+    digits = sv.value_digits(form, b)
+    decide, decided = sv._solvable_by_squarefree, []
+    oracle = sum(count for v, count in hist.items() if decide(
+        k, ell, pr.poly_from_index(k, v, digits)))
+
+    def recording(k, ell, g):
+        decided.append(g)
+        return decide(k, ell, g)
+
+    config = {"p": k.char, "e": k.degree_over_prime, "ell": ell, "b": b,
+              "form": geo.form_to_json(form)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setattr(sv, "_solvable_by_squarefree", recording)
+    assert cli.main(["count", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "count.json").read_text())
+    assert report["M"] == oracle
+    linear = pr.irreducibles(k, 1)
+    assert len(decided) == len(hist) - len(
+        obstructed(k, ell, digits, linear, hist))
+    assert len(decided) < len(hist) or label == "q4-cubic-diagonal"
 
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
@@ -888,8 +935,7 @@ def test_non_diagonal_sieve_run_end_to_end(tmp_path, capsys):
     assert any(len(c) > 1 for c in form.terms.values())
     primes = [P(K3, text) for text in report["sieve"]["primes"]]
     moments = per_point_moments(K3, form, 2, 3, primes)
-    assert report["sieve"]["M"] == moments["M"] == sv.solvable_count(
-        form, 2, 3, sv.box_histogram(form, 3))
+    assert report["sieve"]["M"] == moments["M"] == count_m(form, 2, 3)
     assert f"M={moments['M']} " in capsys.readouterr().out
 
 
@@ -961,6 +1007,21 @@ class TestSolvableCount:
         assert code == 1
         assert word in capsys.readouterr().err
         assert not (tmp_path / "sieve_report.json").exists()
+
+    def test_forced_disagreement_through_count(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a power-set value that one of count's linear primes obstructs
+        # stops the run before its artifact
+        power_set = sv._ell_th_power_set
+        v = min(obstructed(K3, 2, 5, pr.irreducibles(K3, 1), _HIST))
+        monkeypatch.setattr(sv, "_ell_th_power_set",
+                            lambda *args: power_set(*args) | {v})
+        code = cli.main(["count", "--config", CONFIG, "--out",
+                         str(tmp_path)])
+        assert code == 1
+        assert ("power-set True, a local obstruction"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "count.json").exists()
 
     def test_count_and_sieve_run_report_one_m(self, tmp_path, capsys):
         assert cli.main(["count", "--config", CONFIG, "--b", "3", "--out",

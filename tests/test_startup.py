@@ -7,9 +7,10 @@ several load neither ``dataclasses`` (which pulls in ``inspect``, ``ast`` and
 histograms back through pipes.  The package imports no module of its own, and
 ``cli`` and ``reports`` import ``sieve`` and ``identities`` only in the
 functions that run them: the import alone and the commands that run neither
-(``wd-audit``, ``dual-check``, ``exc-primes``, ``charsum``) load neither, and
-``sieve-run`` and ``count`` do not load ``identities``.  The test process has
-imported all of these already, so each check runs in a fresh interpreter."""
+(``wd-audit``, ``dual-check``, ``exc-primes``, ``charsum``, ``primes``) load
+neither, and ``sieve-run`` and ``count`` do not load ``identities``.  The test
+process has imported all of these already, so each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -71,8 +72,9 @@ def test_commands_that_run_no_sieve_load_neither_sieve_nor_identities(
         ["dual-check", "--config", CONFIG, "--out", str(tmp_path)],
         ["exc-primes", "--config", CONFIG, "--out", str(tmp_path)],
         ["charsum", "--config", CONFIG, "--out", str(tmp_path)],
+        ["primes", "--q", "3", "--delta", "3", "--out", str(tmp_path)],
         watched=(SIEVE, IDENTITIES))
-    assert results == [[None, []]] + [[0, []]] * 4
+    assert results == [[None, []]] + [[0, []]] * 5
 
 
 def test_sieve_commands_do_not_load_identities(tmp_path):
