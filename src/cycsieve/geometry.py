@@ -13,13 +13,16 @@ Conventions:
   * verdicts carry a witness point plus the degree of the extension it lives
     in (``extension_of(field, ext_degree)`` reconstructs that field), or the
     search bound that was exhausted when the answer is "unknown",
-  * each verdict picks its route from the shape of the form, with no option:
-    a closed form (the missing-variable rule for diagonal forms, the matrix
-    of a quadric) where one applies, else a search,
-  * all decisions are exact; a search never reports a negative, it reports
+  * one call, ``hypersurface_verdicts``, gives both verdicts of a form,
+    smoothness and Dwork regularity, from one route that the shape of the
+    form picks, with no option: a closed form (the missing-variable rule
+    for diagonal forms, the matrix of a quadric) where one applies, else
+    one search that serves both checks,
+  * all decisions are exact; a search never reports a positive, it reports
     "unknown" when it finds no witness,
   * every search over points of extension fields goes through the one
-    generator ``_extension_points``,
+    generator ``_extension_points``, and every search over the zeros of a
+    form, with its gradient there, through ``_zeros``,
   * linear algebra runs through one row reduction (``_rref``), under
     ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; matrices over
     F_q[T] are handled by these field routines over K = F_q(T)
@@ -454,13 +457,14 @@ def _missing_variable(field, terms, nvars: int):
     return tuple(field.one if j == missing else field.zero for j in range(nvars))
 
 
-def _quadric_irregular(field, terms, nvars: int):
+def _quadric_irregular(field, A):
     """The closed form for m = 2: the form is irregular iff some principal
-    minor A_S of its symmetric matrix is singular.  A witness P with support
-    S solves A_S v = 0 on v = P|_S, and conversely a kernel vector of A_S
-    extended by zeros solves the whole system.  Returns that witness for the
-    first singular minor (by size, then S in lexicographic order), or None."""
-    A = quadric_matrix_over(field, terms, nvars)
+    minor A_S of its symmetric matrix A is singular.  A witness P with
+    support S solves A_S v = 0 on v = P|_S, and conversely a kernel vector
+    of A_S extended by zeros solves the whole system.  Returns that witness
+    for the first singular minor (by size, then S in lexicographic order),
+    or None."""
+    nvars = len(A)
     for size in range(1, nvars + 1):
         for S in itertools.combinations(range(nvars), size):
             v = mat_kernel_vector(field, [[A[i][j] for j in S] for i in S])
@@ -472,75 +476,68 @@ def _quadric_irregular(field, terms, nvars: int):
     return None
 
 
-def _search_irregular(field, terms, nvars: int, search_bound: int) -> Verdict:
-    """A projective point solving the Dwork system, searched over the
-    extensions of degree <= search_bound."""
+def _zeros(field, terms, nvars: int, search_bound: int):
+    """The zeros of the form on the extension-point search: (r, ext, point,
+    gradient) at each point where the form vanishes, in the order of
+    _extension_points, with the gradient of the form there."""
+    grads = [partial_terms(field, terms, i) for i in range(nvars)]
     for r, ext, point in _extension_points(field, nvars, search_bound):
-        if dwork_system_holds(ext, terms, nvars, point):
-            return _validated_irregular(field, terms, nvars, point, r)
-    return Verdict("unknown", search_bound=search_bound)
+        if ext.is_zero(eval_terms(ext, terms, point)):
+            yield r, ext, point, tuple(eval_terms(ext, g, point) for g in grads)
 
 
-def is_dwork_regular(field, terms, nvars: int, m: int,
-                     search_bound: int = 4) -> Verdict:
-    """Decide Dwork regularity of a degree-m form over the given field.
+def _search_verdicts(field, terms, nvars: int, search_bound: int) -> tuple:
+    """Both verdicts from one walk over the zeros of the form on the
+    extensions of degree <= search_bound: the first point solving the Dwork
+    system, P_i * dH/dX_i(P) = 0 for every i, and the first singular point,
+    where the walk stops; a singular point solves the Dwork system, so the
+    Dwork witness is set by then."""
+    unknown = Verdict("unknown", search_bound=search_bound)
+    dwork = None
+    for r, ext, point, grad in _zeros(field, terms, nvars, search_bound):
+        if dwork is None and all(ext.is_zero(x) or ext.is_zero(g)
+                                 for x, g in zip(point, grad)):
+            dwork = _validated_irregular(field, terms, nvars, point, r)
+        if all(ext.is_zero(g) for g in grad):
+            return Verdict("singular", point, r), dwork
+    return unknown, dwork or unknown
 
-    The shape of the form picks the route: the missing-variable rule for a
-    diagonal form (the zero form included), the principal-minor criterion
-    for m = 2, else a search over the extensions of degree <= search_bound,
-    which finds witnesses but never certifies regularity (and needs a
-    finite field).  Requires char(field) coprime to m.
+
+def hypersurface_verdicts(field, terms, nvars: int,
+                          search_bound: int = 4) -> tuple:
+    """The smoothness and the Dwork-regularity verdict of the projective
+    hypersurface {H = 0} of a homogeneous form of degree prime to the
+    characteristic.
+
+    A singular point is a projective point where the form and every partial
+    derivative vanish; a Dwork point one where H and every X_i * dH/dX_i
+    vanish.  The shape of the form picks one route for both: the
+    missing-variable rule for a diagonal form (the zero form included), the
+    symmetric matrix for a quadric (its kernel, and its first singular
+    principal minor), else one search over the extensions of degree
+    <= search_bound, which finds witnesses but never certifies a positive
+    ("unknown"), and needs a finite field.
     """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    if m % field.char == 0:
+    degs = {sum(e) for e in terms}
+    if len(degs) > 1:
+        raise ValueError("form must be homogeneous")
+    if any(m % field.char == 0 for m in degs):
         raise ValueError("degree divisible by the characteristic; not supported")
     if _is_diagonal(terms):
-        witness = _missing_variable(field, terms, nvars)
-    elif m == 2:
-        witness = _quadric_irregular(field, terms, nvars)
+        smooth = dwork = _missing_variable(field, terms, nvars)
+    elif degs == {2}:
+        A = quadric_matrix_over(field, terms, nvars)
+        smooth, dwork = mat_kernel_vector(field, A), _quadric_irregular(field, A)
     else:
-        return _search_irregular(field, terms, nvars, search_bound)
-    if witness is None:
-        return Verdict("regular")
-    return _validated_irregular(field, terms, nvars, witness, 1)
-
-
-def _search_singular(field, terms, nvars: int, search_bound: int) -> Verdict:
-    """A projective point where the form and every partial derivative
-    vanish, searched over extensions of degree <= search_bound."""
-    maps = [terms] + [partial_terms(field, terms, i) for i in range(nvars)]
-    for r, ext, point in _extension_points(field, nvars, search_bound):
-        if all(ext.is_zero(eval_terms(ext, t, point)) for t in maps):
-            return Verdict("singular", point, r)
-    return Verdict("unknown", search_bound=search_bound)
+        return _search_verdicts(field, terms, nvars, search_bound)
+    return _singularity(smooth), (
+        Verdict("regular") if dwork is None
+        else _validated_irregular(field, terms, nvars, dwork, 1))
 
 
 def _singularity(witness) -> Verdict:
     """The verdict of a closed form that returns a singular point or None."""
     return Verdict("smooth") if witness is None else Verdict("singular", witness, 1)
-
-
-def projective_singularity(field, terms, nvars: int,
-                           search_bound: int = 4) -> Verdict:
-    """Singular-point verdict for the projective hypersurface {form = 0}.
-
-    A singular point is a projective point where the form and all partial
-    derivatives vanish.  The shape of the form picks the route: the
-    missing-variable rule for a diagonal form of degree coprime to the
-    characteristic (the zero form included), the kernel of the symmetric
-    matrix for a quadric, else a search over the extensions of degree
-    <= search_bound ("unknown" if none found).
-    """
-    degs = {sum(e) for e in terms}
-    if len(degs) > 1:
-        raise ValueError("form must be homogeneous")
-    if _is_diagonal(terms) and all(m % field.char for m in degs):
-        return _singularity(_missing_variable(field, terms, nvars))
-    if degs == {2}:
-        return _singularity(mat_kernel_vector(
-            field, quadric_matrix_over(field, terms, nvars)))
-    return _search_singular(field, terms, nvars, search_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +591,9 @@ def _tangent_covectors(field, terms, nvars: int, search_bound: int) -> set:
     over the extensions of degree <= search_bound, in one set: field's
     elements keep their indices in every extension, so a covector over
     field is proportional to one of them iff its normalized form is in it."""
-    grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    found = set()
-    for _, ext, point in _extension_points(field, nvars, search_bound):
-        if not ext.is_zero(eval_terms(ext, terms, point)):
-            continue
-        grad = tuple(eval_terms(ext, g, point) for g in grads)
-        if not all(ext.is_zero(x) for x in grad):
-            found.add(_normalized(ext, grad))
-    return found
+    return {_normalized(ext, grad)
+            for _, ext, _, grad in _zeros(field, terms, nvars, search_bound)
+            if not all(ext.is_zero(x) for x in grad)}
 
 
 def _dual_route(form: MultiForm, dual):
@@ -678,12 +669,13 @@ def dual_column(form: MultiForm, pi, dual="auto",
 def exceptional_scan_cost(form: MultiForm, delta_max: int, dual="auto",
                           search_bound: int = 4) -> tuple:
     """The charges of compute_exceptional_primes, in order: its prime
-    enumeration, then for each prime the q^d entries of its residue tables
-    and the points of its smoothness, Dwork and tangent searches, priced
-    from the number of primes of each degree d.  A reduction that turns
-    diagonal or vanishes searches less: never under-charged."""
+    enumeration, then for each prime the q^d entries of its residue tables,
+    the points of the one walk that serves its smoothness and Dwork checks,
+    and those of its tangent search, priced from the number of primes of
+    each degree d.  A reduction that turns diagonal or vanishes, or a walk
+    that stops at a singular point, searches less: never under-charged."""
     q, nv, degrees = form.k.size, form.n + 1, range(1, delta_max + 1)
-    searches = 2 * (form.m != 2 and not _is_diagonal(form.terms))
+    searches = form.m != 2 and not _is_diagonal(form.terms)
     tangents = form.m != 2 and isinstance(dual, MultiForm)
     return (sum(pr.irreducibles_cost(q, d) for d in degrees),
             sum(pr.count_irreducibles_formula(q, d)
@@ -708,8 +700,6 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     """
     k = form.k
     nv = form.n + 1
-    if form.m % k.char == 0:
-        raise ValueError("degree divisible by the characteristic; not supported")
     quadric = form.m == 2
     adj_poly = _quadric_adjugate(form) if quadric else None
     user_dual = dual if isinstance(dual, MultiForm) else None
@@ -721,21 +711,15 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
         tags, unknown = [], []
         if dropped:
             tags.append("degree-drop")
-        if not terms:
-            tags.extend(["smoothness-fail", "dwork-fail"])
-        else:
-            sv = projective_singularity(kpi, terms, nv,
-                                        search_bound=search_bound)
-            if sv.status == "singular":
-                tags.append("smoothness-fail")
-            elif sv.status == "unknown":
-                unknown.append("smoothness")
-            dv = is_dwork_regular(kpi, terms, nv, form.m,
-                                  search_bound=search_bound)
-            if dv.status == "irregular":
-                tags.append("dwork-fail")
-            elif dv.status == "unknown":
-                unknown.append("dwork")
+        sv, dv = hypersurface_verdicts(kpi, terms, nv, search_bound)
+        if sv.status == "singular":
+            tags.append("smoothness-fail")
+        elif sv.status == "unknown":
+            unknown.append("smoothness")
+        if dv.status == "irregular":
+            tags.append("dwork-fail")
+        elif dv.status == "unknown":
+            unknown.append("dwork")
         if quadric:
             adj_then_reduce = [[kpi.reduce_poly(e) for e in row]
                                for row in adj_poly]
@@ -744,7 +728,7 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
             if adj_then_reduce != reduce_then_adj:
                 tags.append("dual-mismatch")
         elif user_dual is not None and terms:
-            if _user_dual_mismatch(form, piv, user_dual):
+            if _user_dual_mismatch(kpi, terms, nv, piv, user_dual):
                 tags.append("dual-mismatch")
         if tags or unknown:
             entries.append({
@@ -763,13 +747,13 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
     }
 
 
-def _user_dual_mismatch(form: MultiForm, piv, user_dual) -> bool:
+def _user_dual_mismatch(kpi, terms, nvars: int, piv, user_dual) -> bool:
     """True when the supplied dual vanishes mod pi or fails to vanish on some
-    tangent covector grad H(P) at a smooth k_pi-point of {H = 0}; the dual
-    is evaluated at those covectors only."""
+    tangent covector grad H(P) at a smooth k_pi-point of {H = 0}, H the form
+    reduced mod pi (terms over kpi); the dual is evaluated at those
+    covectors only."""
     _, dual_terms, _ = reduce_form(user_dual, piv)
     if not dual_terms:
         return True
-    kpi, terms, _ = reduce_form(form, piv)
     return not all(kpi.is_zero(eval_terms(kpi, dual_terms, w))
-                   for w in _tangent_covectors(kpi, terms, form.n + 1, 1))
+                   for w in _tangent_covectors(kpi, terms, nvars, 1))

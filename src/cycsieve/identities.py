@@ -284,9 +284,8 @@ def verify_unramified_expansion(pi1, pi2, ell: int, form: geo.MultiForm,
     non-principal pairs (chi_1, chi_2) and the complementary box of
     S_F(pibar_2 x, chi_1) S_F(pibar_1 x, chi_2), divided exactly.
 
-    Extra checks: the discarded
-    {F(x) == 0 mod pi1*pi2} portion of the character-product sum vanishes,
-    and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
+    Extra checks: route A's own weight (#fiber_1 - 1)(#fiber_2 - 1) on the
+    {F(x) == 0 mod pi1*pi2} points it leaves out vanishes, and the pointwise identity #fiber - 1 = sum of non-principal chi(F(x))
     holds at every residue index that a value of F on the box takes, read
     from the character route of characters.root_count_routes, the sum over
     all characters, less the principal one.  two_prime_cost prices it.
@@ -307,8 +306,8 @@ def verify_unramified_expansion(pi1, pi2, ell: int, form: geo.MultiForm,
         by_chars[slot][idx] == data.root_count[idx]
         for slot, data in enumerate((data1, data2))
         for idx in {pair[slot] for pair in pairs})
-    zero_portion = (pairs[0, 0] * (by_chars[0][0] - 1)
-                    * (by_chars[1][0] - 1))
+    # route A's own weight for the {F(x) = 0 mod pi1 pi2} points it leaves out
+    zero_portion = pairs[0, 0] * (n1[0] - 1) * (n2[0] - 1)
     rhs = data1.ring.as_int(quotient)
     if rhs is None:
         raise ArithmeticError("character side is not a rational integer")

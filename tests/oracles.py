@@ -717,8 +717,8 @@ def slice_and_check(field, terms, nvars: int, m: int, S, j: int,
         "degree_preserved": gdeg == m,
         "top_form_matches": top == h_rest,
         "top_form_smooth": (
-            geo.projective_singularity(field, h_rest, len(rest),
-                                       search_bound=search_bound)
+            geo.hypersurface_verdicts(field, h_rest, len(rest),
+                                      search_bound=search_bound)[0]
             if rest
             else None
         ),
@@ -929,8 +929,8 @@ def gauss_twist_identity(k, pi, ell: int, form: geo.MultiForm, w,
 
     texts = cs.element_texts(kpi)
     bound_beta = (form.m - 1) ** nvars * Q ** (nvars / 2.0)
-    smooth = geo.projective_singularity(kpi, ctx.reduced_terms, nvars,
-                                        search_bound=SLICE_SEARCH_BOUND)
+    smooth = geo.hypersurface_verdicts(kpi, ctx.reduced_terms, nvars,
+                                       search_bound=SLICE_SEARCH_BOUND)[0]
     deligne_applicable = smooth.status == "smooth"
 
     rhs_counts: dict = {}

@@ -229,12 +229,12 @@ def test_criterion_6_prime_infrastructure(report):
 
 def test_criterion_7_geometry(report):
     t0 = time.perf_counter()
-    regular = geo.is_dwork_regular(
+    regular = geo.hypersurface_verdicts(
         K3, {e: c for e, c in
              (((2, 0, 0), K3.one), ((0, 2, 0), K3.one),
-              ((0, 0, 2), K3.one))}, 3, 2)
-    degenerate = geo.is_dwork_regular(
-        K3, {(2, 0, 0): K3.one, (0, 2, 0): K3.one}, 3, 2)
+              ((0, 0, 2), K3.one))}, 3)[1]
+    degenerate = geo.hypersurface_verdicts(
+        K3, {(2, 0, 0): K3.one, (0, 2, 0): K3.one}, 3)[1]
     dwork_ok = (regular.status == "regular"
                 and degenerate.status == "irregular"
                 and degenerate.witness is not None)

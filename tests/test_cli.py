@@ -1227,8 +1227,9 @@ class TestUpFrontBudgets:
 
     def test_scan_searches_charged_before_first_prime(self, tmp_path,
                                                       monkeypatch, capsys):
-        # neither diagonal nor a quadric, so each prime gets a smoothness
-        # and a Dwork search over P^2 of F_7, F_49, F_343 and F_2401
+        # neither diagonal nor a quadric, so each prime gets one walk over
+        # P^2 of F_7, F_49, F_343 and F_2401 for its smoothness and Dwork
+        # checks
         path = write_config(tmp_path, {
             "p": 7, "ell": 3, "delta_max": 1,
             "form": {"n": 2, "m": 3, "terms": [
@@ -1242,8 +1243,8 @@ class TestUpFrontBudgets:
         assert code == 3
         points = sum(7 ** (2 * r) + 7 ** r + 1 for r in range(1, 5))
         assert points == 5887704
-        # the 7 linear primes, then the 7 residues and two searches for each
-        assert f"needs {7 + 7 * (7 + 2 * points)}," in capsys.readouterr().err
+        # the 7 linear primes, then the 7 residues and one walk for each
+        assert f"needs {7 + 7 * (7 + points)}," in capsys.readouterr().err
 
     def test_dual_check_prices_the_tangency_search(self, tmp_path,
                                                    monkeypatch, capsys):

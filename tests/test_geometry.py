@@ -5,8 +5,10 @@ Closed-form verdicts are cross-checked against independent brute-force
 enumeration oracles written inline here.
 """
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -448,21 +450,31 @@ def singular_at(field, terms, nvars):
                              for t in (terms, *grads))
 
 
-def checks_vs_search(field, terms, nvars, m):
-    """For the Dwork and the smoothness check: the dispatched verdict, the
-    verdict of the private search route at bound 1, and every base-field
-    witness of the check in the search's point order."""
-    routes = [
-        (geo.is_dwork_regular(field, terms, nvars, m),
-         geo._search_irregular(field, terms, nvars, 1),
-         lambda point: geo.dwork_system_holds(field, terms, nvars, point)),
-        (geo.projective_singularity(field, terms, nvars),
-         geo._search_singular(field, terms, nvars, 1),
-         singular_at(field, terms, nvars)),
-    ]
-    for verdict, searched, holds in routes:
-        witnesses = [p for p in geo.projective_points(field, nvars) if holds(p)]
-        yield verdict, searched, witnesses
+def walk_witnesses(field, terms, nvars, bound):
+    """Inline oracle: for the smoothness and the Dwork check, in that order,
+    every (extension degree, point) of the extension-point walk up to bound
+    where the check's system holds, in the walk's order."""
+    out, tests = ([], []), {}
+    for r, ext, point in geo._extension_points(field, nvars, bound):
+        if r not in tests:
+            tests[r] = (singular_at(ext, terms, nvars),
+                        functools.partial(geo.dwork_system_holds, ext, terms,
+                                          nvars))
+        for found, holds in zip(out, tests[r]):
+            if holds(point):
+                found.append((r, point))
+    return out
+
+
+def checks_vs_search(field, terms, nvars, bound=1):
+    """For the smoothness and the Dwork check: the dispatched verdict, the
+    verdict of the private search route at bound, and every witness of the
+    check in the search's point order."""
+    for verdict, searched, found in zip(
+            geo.hypersurface_verdicts(field, terms, nvars),
+            geo._search_verdicts(field, terms, nvars, bound),
+            walk_witnesses(field, terms, nvars, bound)):
+        yield verdict, searched, [point for _, point in found]
 
 
 NEGATIVE = ("irregular", "singular")
@@ -472,43 +484,44 @@ class TestDworkRegularity:
     def test_diagonal_regular(self):
         for k in (K3, K7):
             terms = field_terms(k, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-            assert geo.is_dwork_regular(k, terms, 3, 2).status == "regular"
+            assert geo.hypersurface_verdicts(k, terms, 3)[1].status == "regular"
 
     def test_missing_variable_every_route(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1})
         expected = (K3.zero, K3.zero, K3.one)
-        v = geo.is_dwork_regular(K3, terms, 3, 2)
+        v = geo.hypersurface_verdicts(K3, terms, 3)[1]
         assert v.status == "irregular"
         assert v.ext_degree == 1
         assert v.witness == expected
         # the closed forms and the search the dispatch could have taken
         assert geo._missing_variable(K3, terms, 3) == expected
-        assert geo._quadric_irregular(K3, terms, 3) == expected
-        assert geo._search_irregular(K3, terms, 3, 4) == v
+        assert geo._quadric_irregular(
+            K3, geo.quadric_matrix_over(K3, terms, 3)) == expected
+        assert geo._search_verdicts(K3, terms, 3, 4)[1] == v
 
     def test_char_divides_degree_rejected(self):
         terms = field_terms(K3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         with pytest.raises(ValueError):
-            geo.is_dwork_regular(K3, terms, 3, 3)
+            geo.hypersurface_verdicts(K3, terms, 3)[1]
 
     def test_nondiagonal_quadric(self):
         coeffs = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 1}
         # Over F_3 the {0,1} principal minor is singular: witness (1,1,0).
-        v3 = geo.is_dwork_regular(K3, field_terms(K3, coeffs), 3, 2)
+        v3 = geo.hypersurface_verdicts(K3, field_terms(K3, coeffs), 3)[1]
         assert v3.status == "irregular"
         assert v3.witness == (K3.one, K3.one, K3.zero)
         # Over F_7 all principal minors are nonsingular.
-        v7 = geo.is_dwork_regular(K7, field_terms(K7, coeffs), 3, 2)
+        v7 = geo.hypersurface_verdicts(K7, field_terms(K7, coeffs), 3)[1]
         assert v7.status == "regular"
         assert brute_irregular_witness(K7, field_terms(K7, coeffs), 3) is None
 
     def test_zero_form_irregular(self):
-        v = geo.is_dwork_regular(K3, {}, 3, 2)
+        v = geo.hypersurface_verdicts(K3, {}, 3)[1]
         assert v.status == "irregular" and v.witness == (K3.one, K3.zero, K3.zero)
 
     def test_search_unknown_on_regular(self):
         terms = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        v = geo._search_irregular(K3, terms, 3, search_bound=2)
+        v = geo._search_verdicts(K3, terms, 3, 2)[1]
         assert v.status == "unknown" and v.search_bound == 2
 
     def test_quadric_vs_search_oracle(self):
@@ -528,7 +541,7 @@ class TestDworkRegularity:
                 # any witness over the base field, so the search at bound 1
                 # decides, and both checks must agree with it exactly.
                 for verdict, searched, witnesses in checks_vs_search(
-                        k, terms, 3, 2):
+                        k, terms, 3):
                     assert (verdict.status in NEGATIVE) \
                         == (searched.status != "unknown")
                     assert searched.witness == (witnesses[0] if witnesses
@@ -551,7 +564,7 @@ class TestDworkRegularity:
                 unit = (tuple(K7.one if j == missing[0] else K7.zero
                               for j in range(3)) if missing else None)
                 for verdict, searched, witnesses in checks_vs_search(
-                        K7, terms, 3, 3):
+                        K7, terms, 3):
                     assert (verdict.status in NEGATIVE) == bool(missing)
                     assert (searched.status != "unknown") == bool(missing)
                     # the missing-variable rule meets the search's first point
@@ -563,7 +576,7 @@ class TestDworkRegularity:
             K3, 2, 2,
             {(2, 0, 0): P(K3, "T"), (0, 2, 0): (K3.one,), (0, 0, 2): (K3.one,)})
         K, terms = geo.form_over_fraction_field(f)
-        assert geo.is_dwork_regular(K, terms, 3, 2).status == "regular"
+        assert geo.hypersurface_verdicts(K, terms, 3)[1].status == "regular"
         # (X_0 + T X_1)^2 + X_2^2 is irregular over F_3(T): the {0,1} minor
         # is identically singular, kernel direction (-T, 1).
         g = geo.MultiForm(
@@ -571,7 +584,7 @@ class TestDworkRegularity:
             {(2, 0, 0): (K3.one,), (1, 1, 0): P(K3, "2*T"),
              (0, 2, 0): P(K3, "T^2"), (0, 0, 2): (K3.one,)})
         Kg, gterms = geo.form_over_fraction_field(g)
-        v = geo.is_dwork_regular(Kg, gterms, 3, 2)
+        v = geo.hypersurface_verdicts(Kg, gterms, 3)[1]
         assert v.status == "irregular" and v.ext_degree == 1
         assert geo.dwork_system_holds(Kg, gterms, 3, v.witness)
         assert proportional(
@@ -582,7 +595,89 @@ class TestDworkRegularity:
             K3, 2, 4, {(3, 1, 0): (K3.one,), (0, 2, 2): (K3.one,)})
         K, terms = geo.form_over_fraction_field(f)
         with pytest.raises(ValueError):
-            geo.is_dwork_regular(K, terms, 3, 4)
+            geo.hypersurface_verdicts(K, terms, 3)[1]
+
+
+class TestOneWalk:
+    CUBICS = [e for e in itertools.product(range(4), repeat=3)
+              if sum(e) == 3]
+
+    def test_search_verdicts_vs_walk_oracle(self):
+        # seeded non-diagonal cubics: the three cubes and two mixed terms,
+        # or four terms without X2^3, X0 X2^2 and X1 X2^2, singular at
+        # (0, 0, 1), the last point of P^2 over the base field, or without
+        # X0^3, X0^2 X1 and X0^2 X2, singular at (1, 0, 0), the first; the
+        # walk's first witness of each check is the searched one, and
+        # "unknown" means the walk has none
+        rng = random.Random(35)
+        cubes = [e for e in self.CUBICS if max(e) == 3]
+        mixed = [e for e in self.CUBICS if max(e) < 3]
+        seen = Counter()
+        for k in (pr.make_field(2, 2), K5, K7):
+            units = [x for x in k.elements() if not k.is_zero(x)]
+            for bound, shape, _ in itertools.product(
+                    (1, 2), ("cubes", "x2", "x0"), range(2)):
+                if shape == "cubes":
+                    monomials = cubes + rng.sample(mixed, 2)
+                else:
+                    slot = 2 if shape == "x2" else 0
+                    monomials = rng.sample(
+                        [e for e in self.CUBICS if e[slot] <= 1], 4)
+                terms = {e: rng.choice(units) for e in monomials}
+                verdicts = geo.hypersurface_verdicts(k, terms, 3,
+                                                     search_bound=bound)
+                assert verdicts == geo._search_verdicts(k, terms, 3, bound)
+                for verdict, found, status in zip(
+                        verdicts, walk_witnesses(k, terms, 3, bound),
+                        ("singular", "irregular")):
+                    if found:
+                        r, point = found[0]
+                        assert verdict == geo.Verdict(status, point, r)
+                    else:
+                        assert verdict == geo.Verdict(
+                            "unknown", search_bound=bound)
+                    seen[status, verdict.ext_degree] += 1
+                if shape != "cubes":
+                    assert verdicts[0].status == "singular"
+        assert set(seen) == {(status, r) for status in ("singular",
+                                                        "irregular")
+                             for r in (1, None)}
+
+    def test_walk_stops_at_a_singular_point_of_an_extension(self):
+        # X2 (X0^2 - 2 X1^2 + X2^2) over F_5: every point of the line
+        # X2 = 0 solves the Dwork system, and the two singular points, where
+        # the line meets the conic, have X0 / X1 = sqrt(2), in F_25 only
+        terms = field_terms(K5, {(2, 0, 1): 1, (0, 2, 1): -2, (0, 0, 3): 1})
+        for bound in (1, 2):
+            smooth, dwork = geo.hypersurface_verdicts(K5, terms, 3,
+                                                      search_bound=bound)
+            singular, irregular = walk_witnesses(K5, terms, 3, bound)
+            assert dwork == geo.Verdict("irregular", irregular[0][1], 1)
+            assert dwork.witness == (K5.one, K5.zero, K5.zero)
+            if bound == 1:
+                assert not singular
+                assert smooth == geo.Verdict("unknown", search_bound=1)
+            else:
+                assert smooth == geo.Verdict("singular", singular[0][1], 2)
+
+    def test_one_evaluation_of_h_per_walked_point(self, monkeypatch):
+        # the linked cubic mod T has no singular point on the walk, so the
+        # walk runs to its end and evaluates H once at each of its points
+        f = const_form(K7, 2, 3, {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1,
+                                  (1, 1, 1): 1})
+        kpi, terms, _ = geo.reduce_form(f, P(K7, "T"))
+        calls = Counter()
+        evaluate = geo.eval_terms
+
+        def counted(field, t, point):
+            calls[t is terms] += 1
+            return evaluate(field, t, point)
+
+        monkeypatch.setattr(geo, "eval_terms", counted)
+        bound = 2
+        smooth, dwork = geo.hypersurface_verdicts(kpi, terms, 3, bound)
+        assert smooth.status == dwork.status == "unknown"
+        assert calls[True] == geo._projective_count(7, 3, bound) == 2508
 
 
 class TestProjectivePoints:
@@ -601,24 +696,24 @@ class TestProjectivePoints:
 class TestSingularity:
     def test_projective_quadrics(self):
         smooth = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-        assert geo.projective_singularity(K3, smooth, 3).status == "smooth"
+        assert geo.hypersurface_verdicts(K3, smooth, 3)[0].status == "smooth"
         cone = field_terms(K3, {(2, 0, 0): 1, (0, 2, 0): 1})
-        v = geo.projective_singularity(K3, cone, 3)
+        v = geo.hypersurface_verdicts(K3, cone, 3)[0]
         assert v.status == "singular" and v.witness == (K3.zero, K3.zero, K3.one)
 
     def test_projective_cubics(self):
         fermat = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         # the diagonal closed form certifies smoothness; a search cannot
-        assert geo.projective_singularity(K5, fermat, 3).status == "smooth"
-        v = geo._search_singular(K5, fermat, 3, search_bound=2)
+        assert geo.hypersurface_verdicts(K5, fermat, 3)[0].status == "smooth"
+        v = geo._search_verdicts(K5, fermat, 3, 2)[0]
         assert v.status == "unknown" and v.search_bound == 2
         cone = field_terms(K5, {(3, 0, 0): 1, (0, 3, 0): 1})
-        w = geo.projective_singularity(K5, cone, 3, search_bound=2)
+        w = geo.hypersurface_verdicts(K5, cone, 3, search_bound=2)[0]
         assert w.status == "singular"
         assert w.witness == (K5.zero, K5.zero, K5.one) and w.ext_degree == 1
         # nondiagonal cubic with a rational singular point, found by search
         nodal = field_terms(K5, {(1, 1, 1): 1, (3, 0, 0): 1})
-        u = geo.projective_singularity(K5, nodal, 3, search_bound=1)
+        u = geo.hypersurface_verdicts(K5, nodal, 3, search_bound=1)[0]
         assert u.status == "singular"
         assert u.witness == (K5.zero, K5.one, K5.zero)
 

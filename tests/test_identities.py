@@ -6,6 +6,7 @@ the error contracts, and run the verifiers across small parameter sweeps.
 """
 
 import copy
+import pathlib
 import random
 from collections import Counter
 
@@ -16,6 +17,7 @@ from cycsieve import cli
 from cycsieve import geometry as geo
 from cycsieve import identities as idn
 from cycsieve import polyring as pr
+from cycsieve import reports as rp
 from cycsieve import sieve as sv
 from cycsieve.charsums import Budget, BudgetExceeded
 from cycsieve.cyclotomic import CycRing
@@ -24,6 +26,8 @@ from oracles import count_mod_by_points
 
 K3 = GF(3)
 K7 = GF(7)
+CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
+             / "configs" / "quadric_q3.json")
 
 
 def P(k, text):
@@ -276,6 +280,34 @@ class TestUnramifiedExpansion:
         res = idn.verify_unramified_expansion(
             P(K3, "1+T^2"), P(K3, "2+T+T^2"), 2, diag3(K3), 3)
         assert not res["pointwise_fiber_identity"]
+
+    def test_zero_portion_reads_route_a(self, monkeypatch):
+        # a fiber size other than 1 at residue 0 gives the {pi1 pi2 | F(x)}
+        # points route A leaves out a weight, x = 0 among them; the
+        # reference battery then fails, on its expansion row alone
+        real, expansion = idn.residue_data, idn.verify_unramified_expansion
+
+        def corrupted(k, pi, ell):
+            data = copy.copy(real(k, pi, ell))
+            data.root_count = list(data.root_count)
+            data.root_count[0] = 2
+            return data
+
+        def corrupted_expansion(*args):
+            monkeypatch.setattr(idn, "residue_data", corrupted)
+            try:
+                return expansion(*args)
+            finally:
+                monkeypatch.setattr(idn, "residue_data", real)
+
+        monkeypatch.setattr(idn, "verify_unramified_expansion",
+                            corrupted_expansion)
+        suite = cli.run_identity_suite(
+            rp.resolve_config(rp.load_config(CONFIG)))
+        row, = [r for r in suite["rows"] if r["id"] == "unramified-expansion"]
+        assert not row["zero_portion_vanishes"]
+        assert not suite["all_pass"]
+        assert all(r["equal"] for r in suite["rows"] if r is not row)
 
     def test_budget_propagates(self):
         # mod two linear primes on {deg x < 1}: the box, then the 27 points
