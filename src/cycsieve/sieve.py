@@ -22,9 +22,9 @@ deals the pairs of its last convolution into shares, one per worker, by
 the low digits of their sums (deal_shares), so that the shares'
 histograms have no value in common and sum to the box's (convolve_share).
 prime_fibers reads each distinct value's fiber at every sieving prime
-once; solvable_count decides M from them, value_moments does the
-per-prime work, each value weighted by its count, and the sieve terms read
-M and the moments.
+once; solvable_count decides M from them, value_moments weights each
+distinct row of fiber digits by its values' counts and reads the row
+through per-digit tables, and the sieve terms read M and the moments.
 
 Each prime reads the residue index of every distinct value from the
 recurrence red[v] = digit(v mod q) + (T mod pi) red[v div q] on index
@@ -542,6 +542,13 @@ def value_moments(ell: int, fibers, hist) -> dict:
     of its distinct values at the sieving primes (prime_fibers), every
     value weighted by its count.
 
+    A value is read as its row, the digits of its fibers at the primes in
+    order (bytes where a digit fits one, as in prime_fibers), each distinct
+    row weighted by the counts of its values.  Per-digit tables give a
+    row's unramified count u, its s and its live pair slots (one for each
+    prime and digit that occurs), and Psi^2 = (ell-1) + (ell-2) Psi is
+    checked once per digit that occurs.
+
     Returned counters (P = len(fibers), the sieving primes):
       - ram_sum: #{(x, pi) : pi | F(x)}
       - psi_square_ok: Psi^2 = (ell-1) + (ell-2) Psi at every unramified pair
@@ -552,58 +559,48 @@ def value_moments(ell: int, fibers, hist) -> dict:
         I_alpha(x) = alpha*u + s for every alpha.
     """
     P = len(fibers)
-    # the fibers of each value at every prime, as the base-(ell+2) digits
-    # of one integer
-    base = ell + 2
-    codes = [0] * len(hist)
-    for fiber in fibers:
-        codes = [c * base + d for c, d in zip(codes, fiber)]
-    states = Counter()  # fiber code -> weight
-    for code, count in zip(codes, hist.values()):
-        states[code] += count
+    base = ell + 2  # a digit is 0 (ramified) or the fiber + 1
+    rows = map(bytes, zip(*fibers)) if ell < 255 else zip(*fibers)
+    states = Counter()  # row -> weight
+    for row, count in zip(rows, hist.values()):
+        states[row] += count
+    occurring = sorted(set().union(*fibers) - {0})  # unramified digits
+    psi_square_ok = all((d - 2) ** 2 == (ell - 1) + (ell - 2) * (d - 2)
+                        for d in occurring)
 
-    # the weight of the values with digit a at prime i1 and digit c at
-    # prime i2, unramified only, is field i2 * base + c of
-    # pairs[i1 * base + a], in fields of `bits` bits that no weight fills:
-    # a value adds its count in the fields of its unramified primes to the
-    # row of each of them
-    slots = P * base
+    # field f >= 1 stands for the prime and digit where[f - 1], a digit that
+    # occurs somewhere, and slot[i][d] is the field of digit d at prime i
+    # (0 where d = 0, a ramified prime).  The weight of the values with
+    # digit a at prime i1 and digit c at prime i2, unramified only, is
+    # field slot[i2][c] of pairs[slot[i1][a]], in fields of `bits` bits that
+    # no weight fills: a value adds its count, in the fields of its
+    # unramified primes, to the entry of pairs of each of them
+    where = [(i, d) for i in range(P) for d in occurring]
     bits = sum(hist.values()).bit_length()
-    unit = [1 << (bits * a) for a in range(slots)]
-    pairs = [0] * slots
-    ram_sum = 0
-    psi_square_ok = True
-    sum_u2 = sum_us = sum_s2 = 0
-    for code, count in states.items():
-        live = []  # i * base + digit at each unramified prime i
-        u = s = row = 0
-        for i in reversed(range(P)):
-            code, d = divmod(code, base)
-            if not d:
-                ram_sum += count
-                continue
-            psi = d - 2  # the fiber is d - 1
-            if psi * psi != (ell - 1) + (ell - 2) * psi:
-                psi_square_ok = False
-            u += 1
-            s += psi * (ell - 1 - psi)
-            live.append(i * base + d)
-            row += unit[live[-1]]
+    unit = [1 << (bits * f) for f in range(len(where) + 1)]
+    slot = [[0] * base for _ in range(P)]
+    for f, (i, d) in enumerate(where, 1):
+        slot[i][d] = f
+    s_of = [0, *((d - 2) * (ell + 1 - d) for d in range(1, base))]
+    pairs = [0] * (len(where) + 1)
+    ram_sum = sum_u2 = sum_us = sum_s2 = 0
+    for row, count in states.items():
+        live = list(filter(None, map(list.__getitem__, slot, row)))
+        u, s = len(live), sum(map(s_of.__getitem__, row))
+        ram_sum += count * (P - u)
         sum_u2 += count * u * u
         sum_us += count * u * s
         sum_s2 += count * s * s
-        row *= count
-        for a in live:
-            pairs[a] += row
+        field = count * sum(map(unit.__getitem__, live))
+        for f in live:
+            pairs[f] += field
     S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
     mask = (1 << bits) - 1
-    for x, row in enumerate(pairs):
-        i1, a = divmod(x, base)
-        for y in range(slots):
-            weight = row >> (bits * y) & mask
+    for (i1, a), fields in zip(where, pairs[1:]):
+        for f, (i2, c) in enumerate(where, 1):
+            weight = fields >> (bits * f) & mask
             if not weight:
                 continue
-            i2, c = divmod(y, base)
             cell = S[i1][i2]
             for i in range(3):
                 for j in range(3):

@@ -14,6 +14,10 @@ them.
   point, the fiber size and the ramified set of one box point, the count
   of the sieving set against its lower bound and the least admissible b;
   the bad primes of the scan as polynomials.
+* The moments of the sieve with each value's fibers at every prime packed
+  into one base-(ell+2) integer and unpacked by ``divmod`` at each prime
+  (``value_moments_packed``), the reference the digit rows of
+  ``sieve.value_moments`` are checked against.
 * Factoring in F_q[T] by trial division, the oracle of the squarefree
   solvability route, and the adjugate from n^2 cofactors, the oracle of the
   one-elimination adjugate.
@@ -300,6 +304,88 @@ def ramified_set(k, primes, form: geo.MultiForm, x) -> tuple:
     if not g:
         return tuple(primes)
     return tuple(p for p in primes if not pr.poly_mod(k, g, p))
+
+
+def value_moments_packed(ell: int, fibers, hist) -> dict:
+    """Every integer the sieve terms need, as exact sums over the box, from
+    its value histogram hist = Counter(value index of F(x)) and the fibers
+    of its distinct values at the sieving primes (prime_fibers), every
+    value weighted by its count.
+
+    Returned counters (P = len(fibers), the sieving primes):
+      - ram_sum: #{(x, pi) : pi | F(x)}
+      - psi_square_ok: Psi^2 = (ell-1) + (ell-2) Psi at every unramified pair
+      - S: P*P nested lists, S[i1][i2][i][j] = sum over x unramified at both
+        primes of fiber_1^i * fiber_2^j for i, j in {0, 1, 2}
+      - sum_u2, sum_us, sum_s2: moments of (u, s) where u = #unramified
+        primes at x and s = sum of Psi(ell-1-Psi) over them, so that
+        I_alpha(x) = alpha*u + s for every alpha.
+    """
+    P = len(fibers)
+    # the fibers of each value at every prime, as the base-(ell+2) digits
+    # of one integer
+    base = ell + 2
+    codes = [0] * len(hist)
+    for fiber in fibers:
+        codes = [c * base + d for c, d in zip(codes, fiber)]
+    states = Counter()  # fiber code -> weight
+    for code, count in zip(codes, hist.values()):
+        states[code] += count
+
+    # the weight of the values with digit a at prime i1 and digit c at
+    # prime i2, unramified only, is field i2 * base + c of
+    # pairs[i1 * base + a], in fields of `bits` bits that no weight fills:
+    # a value adds its count in the fields of its unramified primes to the
+    # row of each of them
+    slots = P * base
+    bits = sum(hist.values()).bit_length()
+    unit = [1 << (bits * a) for a in range(slots)]
+    pairs = [0] * slots
+    ram_sum = 0
+    psi_square_ok = True
+    sum_u2 = sum_us = sum_s2 = 0
+    for code, count in states.items():
+        live = []  # i * base + digit at each unramified prime i
+        u = s = row = 0
+        for i in reversed(range(P)):
+            code, d = divmod(code, base)
+            if not d:
+                ram_sum += count
+                continue
+            psi = d - 2  # the fiber is d - 1
+            if psi * psi != (ell - 1) + (ell - 2) * psi:
+                psi_square_ok = False
+            u += 1
+            s += psi * (ell - 1 - psi)
+            live.append(i * base + d)
+            row += unit[live[-1]]
+        sum_u2 += count * u * u
+        sum_us += count * u * s
+        sum_s2 += count * s * s
+        row *= count
+        for a in live:
+            pairs[a] += row
+    S = [[[[0] * 3 for _ in range(3)] for _ in range(P)] for _ in range(P)]
+    mask = (1 << bits) - 1
+    for x, row in enumerate(pairs):
+        i1, a = divmod(x, base)
+        for y in range(slots):
+            weight = row >> (bits * y) & mask
+            if not weight:
+                continue
+            i2, c = divmod(y, base)
+            cell = S[i1][i2]
+            for i in range(3):
+                for j in range(3):
+                    cell[i][j] += weight * (a - 1) ** i * (c - 1) ** j
+    return {
+        "ram_sum": ram_sum,
+        "psi_square_ok": psi_square_ok,
+        "S": S,
+        "sum_u2": sum_u2,
+        "sum_us": sum_us,
+        "sum_s2": sum_s2,
+    }
 
 
 def verify_card_p(q: int, delta: int, p_exc_size: int) -> dict:

@@ -4,11 +4,12 @@ solvability routes, decided once per run, both sieve-inequality
 formulations on the diagonal-quadric instance q = 3, n = 2, ell = 2, b = 3,
 delta = 2 (every term frozen from exact enumeration), the c_{i,j}(alpha)
 expansion, the value-histogram box pass and its shares against the
-per-point pass as a differential oracle, the local obstruction against the
-squarefree decomposition of every value, its value indices against the
-tuple pass (tuple_box_histogram), the forks of the worker pool, the block
-sums and the residue recurrence against
-polynomial arithmetic, and the parameter-selection helpers
+per-point pass as a differential oracle, the digit rows of value_moments
+against the packed codes (value_moments_packed), the local obstruction
+against the squarefree decomposition of every value, its value indices
+against the tuple pass (tuple_box_histogram), the forks of the worker
+pool, the block sums and the residue recurrence against polynomial
+arithmetic, and the parameter-selection helpers
 reports.choose_delta / oracles.min_b / the prime-count bounds.
 """
 
@@ -34,7 +35,7 @@ from cycsieve.charsums import Budget, BudgetExceeded
 
 from oracles import (eval_form_at_polys, exceptional_primes_of,
                      fiber_count, min_b, ramified_set, solvable_by_factoring,
-                     verify_card_p)
+                     value_moments_packed, verify_card_p)
 
 K3 = ffield.GF(3)
 K7 = ffield.GF(7)
@@ -540,6 +541,7 @@ def per_point_moments(k, form, ell, b, primes):
 K4 = pr.make_field(2, 2)
 K5 = ffield.GF(5)
 K9 = pr.make_field(3, 2)
+K25 = pr.make_field(5, 2)
 
 
 def _form(k, n, m, terms):
@@ -549,8 +551,8 @@ def _form(k, n, m, terms):
 
 def _histogram_cases():
     """(label, k, ell, form, b): diagonal, linked and T-coefficient forms
-    over F_3, F_4, F_5, F_7 and F_9, each the cover y^ell = F on the box
-    {deg x < b}."""
+    over F_3, F_4, F_5, F_7, F_9 and F_25, each the cover y^ell = F on the
+    box {deg x < b}."""
     g9 = 4  # a non-square of F_9 (F_9^* has even order)
     return [
         ("q3-diagonal", K3, 2, diag(K3, 2, 2), 2),
@@ -581,6 +583,10 @@ def _histogram_cases():
         ("q3-n3-xn-linked", K3, 2, _form(K3, 3, 4, {
             (4, 0, 0, 0): "1", (1, 1, 0, 2): "1+T", (0, 0, 4, 0): "2",
             (0, 0, 1, 3): "1", (0, 0, 0, 4): "T"}), 2),
+        # F_25: the elements 7 and 12 lie outside F_5; b = 1, 15 625 points
+        ("q25-cubic-T-coefficients", K25, 3, _form(K25, 2, 3, {
+            (3, 0, 0): (K25.one,), (0, 3, 0): (7,), (0, 0, 3): (K25.one, 12),
+            (1, 1, 1): (3,)}), 1),
     ]
 
 
@@ -600,6 +606,79 @@ def test_value_moments_equal_per_point_pass(case):
     found = sv.value_moments(ell, fibers, hist)
     found["M"] = sv.solvable_count(form, ell, b, hist, fibers)
     assert found == per_point_moments(k, form, ell, b, primes)
+
+
+@pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
+def test_value_moments_equal_packed_route(case):
+    # the digit rows against the packed base-(ell+2) codes at the linear
+    # primes and two of degree 2
+    _, k, ell, form, b = case
+    hist = sv.box_histogram(form, b)
+    primes = pr.irreducibles(k, 1) + pr.irreducibles(k, 2)[:2]
+    fibers = sv.prime_fibers(form, ell, b, primes, hist)
+    assert sv.value_moments(ell, fibers, hist) == value_moments_packed(
+        ell, fibers, hist)
+
+
+def _synthetic_columns(rng, ell, primes, values, digits):
+    """Fiber columns of `values` values at `primes` primes, digits drawn
+    from `digits` with the last most likely (so rows repeat), and a
+    histogram of counts 1 to 9 keyed by arbitrary value indices."""
+    weights = [1] * (len(digits) - 1) + [3 * len(digits)]
+    fibers = [rng.choices(digits, weights, k=values) for _ in range(primes)]
+    hist = Counter({rng.getrandbits(40): rng.randint(1, 9)
+                    for _ in range(values)})
+    assert len(hist) == values
+    return fibers, hist
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_value_moments_equal_packed_route_on_synthetic_columns(ell):
+    rng = random.Random(20261022 + ell)
+    for primes in (1, 2, 3, 5, 8, 17, 33, 64):
+        fibers, hist = _synthetic_columns(rng, ell, primes, 300,
+                                          (0, 1, ell + 1))
+        expected = value_moments_packed(ell, fibers, hist)
+        assert sv.value_moments(ell, list(map(bytes, fibers)),
+                                hist) == expected
+        assert expected["psi_square_ok"] is True
+
+
+def test_digit_off_the_identity_fails_psi_square():
+    # d = 3 at ell = 3 is a fiber of 2: Psi = 1, and 1 != 2 + 1 * 1
+    rng = random.Random(3)
+    fibers, hist = _synthetic_columns(rng, 3, 4, 50, (0, 1, 4))
+    fibers[2][17] = 3
+    found = sv.value_moments(3, list(map(bytes, fibers)), hist)
+    assert found == value_moments_packed(3, fibers, hist)
+    assert found["psi_square_ok"] is False
+
+
+def test_list_fibers_take_tuple_rows():
+    # at ell = 257 a digit (up to 258) does not fit a byte, as in
+    # prime_fibers, so the rows are tuples
+    rng = random.Random(257)
+    fibers, hist = _synthetic_columns(rng, 257, 5, 80, (0, 1, 258))
+    found = sv.value_moments(257, fibers, hist)
+    assert found == value_moments_packed(257, fibers, hist)
+    assert found["psi_square_ok"] is True
+    assert found["ram_sum"] > 0 and found["sum_u2"] > 0
+
+
+def test_value_ramified_everywhere_adds_only_to_ram_sum():
+    rng = random.Random(7)
+    for ell in (2, 3):
+        fibers, hist = _synthetic_columns(rng, ell, 6, 40, (0, 1, ell + 1))
+        base = sv.value_moments(ell, list(map(bytes, fibers)), hist)
+        hist[-1] = 5  # a value every prime divides
+        found = sv.value_moments(
+            ell, [bytes([*column, 0]) for column in fibers], hist)
+        assert found == {**base, "ram_sum": base["ram_sum"] + 5 * 6}
+        alone = sv.value_moments(ell, [b"\0"] * 6, Counter({0: 5}))
+        assert alone["ram_sum"] == 30 and alone["psi_square_ok"] is True
+        assert alone["sum_u2"] == alone["sum_us"] == alone["sum_s2"] == 0
+        assert not any(x for cell in alone["S"] for row in cell
+                       for entry in row for x in entry)
 
 
 @pytest.mark.parametrize("case", _histogram_cases(), ids=lambda c: c[0])
