@@ -24,9 +24,8 @@ Conventions:
     generator ``_extension_points``, and every search over the zeros of a
     form, with its gradient there, through ``_zeros``,
   * linear algebra runs through one row reduction (``_rref``), under
-    ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; matrices over
-    F_q[T] are handled by these field routines over K = F_q(T)
-    (``RationalFunctionField``),
+    ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; a quadric's
+    matrix over F_q[T] gets its adjugate from cofactors by ``_poly_det``,
   * dual-variety membership mod a prime is one column, ``dual_column``,
     with a verdict for every covector in the order of ``form_values``: the
     zeros of the closed-form quadric dual ("auto" for m = 2) or of a
@@ -48,7 +47,7 @@ import itertools
 import json
 
 from . import polyring as pr
-from .polyring import NEG_INF, RationalFunctionField
+from .polyring import NEG_INF
 
 # ---------------------------------------------------------------------------
 # forms with coefficients in F_q[T]
@@ -114,6 +113,11 @@ def form_from_json(k, obj) -> MultiForm:
     except (KeyError, TypeError) as exc:
         raise ValueError("form object needs keys n, m, terms") from exc
     n, m = json_int("form n", n), json_int("form m", m)
+    if type(raw) is not list or not all(
+            type(item) is dict and type(item.get("exps")) is list
+            and type(item.get("coeff")) is str for item in raw):
+        raise ValueError('form terms must be a list of {"exps": [..], '
+                         '"coeff": "poly text"} objects')
     terms = {}
     for item in raw:
         exps = tuple(json_int("form exponent", e) for e in item["exps"])
@@ -150,13 +154,6 @@ def reduce_form(form: MultiForm, pi):
         else:
             terms[exps] = r
     return kpi, terms, dropped
-
-
-def form_over_fraction_field(form: MultiForm):
-    """The same form with coefficients in K = F_q(T); lets the closed-form
-    regularity routes run over the global field."""
-    K = RationalFunctionField(form.k)
-    return K, {exps: K.from_poly(c) for exps, c in form.terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +541,40 @@ def _singularity(witness) -> Verdict:
 # duality
 
 
-def _polynomial(K, a):
-    """An element of K = F_q(T) known to lie in F_q[T], as a polynomial."""
-    num, den = a
-    if den != (K.k.one,):
-        raise RuntimeError("internal error: expected a polynomial entry")
-    return num
+def _poly_det(k, mat):
+    """Determinant of a square matrix over F_q[T] by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968), whose every division is exact by
+    Sylvester's identity; a remainder raises ArithmeticError."""
+    m, sign, last = [list(row) for row in mat], (k.one,), (k.one,)
+    for c in range(len(m) - 1):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return ()
+        if piv != c:
+            m[c], m[piv], sign = m[piv], m[c], pr.neg(k, sign)
+        for row in m[c + 1:]:
+            for j in range(c + 1, len(m)):
+                row[j], rem = pr.divrem(k, pr.sub(k, pr.mul(
+                    k, m[c][c], row[j]), pr.mul(k, row[c], m[c][j])), last)
+                if rem:
+                    raise ArithmeticError("inexact fraction-free division")
+        last = m[c][c]
+    return pr.mul(k, sign, m[-1][-1]) if m else (k.one,)
 
 
 def _quadric_adjugate(form: MultiForm):
-    """Adjugate of the symmetric matrix of a quadratic form (m = 2,
-    char != 2), computed over K = F_q(T); its entries are polynomials."""
-    if form.m != 2:
-        raise ValueError("need a quadratic form")
-    K, terms = form_over_fraction_field(form)
-    adj = mat_adjugate(K, quadric_matrix_over(K, terms, form.n + 1))
-    return [[_polynomial(K, e) for e in row] for row in adj]
+    """Adjugate of the matrix A of a quadratic form (char != 2) over F_q[T]
+    with no fraction field: A is quadric_matrix_over on each T-degree layer
+    of the coefficients, adj(A)[i][j] the (j, i) cofactor by _poly_det."""
+    k, nv = form.k, form.n + 1
+    layers = [quadric_matrix_over(k, {e: c[d] if d < len(c) else k.zero
+                                      for e, c in form.terms.items()}, nv)
+              for d in range(max(map(len, form.terms.values()), default=0))]
+    A = [[pr.normalize(k, [layer[i][j] for layer in layers])
+          for j in range(nv)] for i in range(nv)]
+    return [[pr.smul(k, k.from_int((-1) ** (i + j)), _poly_det(
+        k, [row[:i] + row[i + 1:] for row in A[:j] + A[j + 1:]]))
+        for j in range(nv)] for i in range(nv)]
 
 
 def quadric_dual_form(form: MultiForm) -> MultiForm:
@@ -691,12 +706,12 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
 
     Tags per prime: "degree-drop" (some coefficient vanishes mod pi),
     "smoothness-fail" (the reduced hypersurface is singular), "dwork-fail"
-    (the reduced form is not Dwork-regular), "dual-mismatch" (reduction does
-    not commute with the dual: for quadrics an exact adjugate comparison,
-    for a supplied dual a check that it vanishes on every tangent covector
-    at the smooth k_pi-points).  Checks a search could not decide are listed
-    under "unknown" for that prime rather than silently passed.
-    exceptional_scan_cost prices the scan.
+    (the reduced form is not Dwork-regular), "dual-mismatch" (a supplied
+    dual vanishes mod pi or fails to vanish on some tangent covector at the
+    smooth k_pi-points).  Checks a search could not decide are listed under
+    "unknown" for that prime rather than silently passed.  A quadric's
+    adjugate by _quadric_adjugate, reduced mod pi, must equal mat_adjugate
+    over k_pi, else ArithmeticError.  exceptional_scan_cost prices the scan.
     """
     k = form.k
     nv = form.n + 1
@@ -726,7 +741,9 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
             reduce_then_adj = mat_adjugate(
                 kpi, quadric_matrix_over(kpi, terms, nv))
             if adj_then_reduce != reduce_then_adj:
-                tags.append("dual-mismatch")
+                raise ArithmeticError(
+                    f"adjugate routes disagree mod {pr.format_poly(k, piv)}: "
+                    "cofactors over F_q[T] reduced, elimination over k_pi")
         elif user_dual is not None and terms:
             if _user_dual_mismatch(kpi, terms, nv, piv, user_dual):
                 tags.append("dual-mismatch")

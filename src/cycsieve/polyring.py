@@ -1,5 +1,5 @@
-"""The polynomial ring F_q[T]: exact arithmetic, irreducibles, residue
-fields and the fraction field F_q(T).
+"""The polynomial ring F_q[T]: exact arithmetic, irreducibles and residue
+fields.
 
 A polynomial is a normalized little-endian tuple of field elements, each
 an int index (``ffield``), with no trailing zero; the zero polynomial is the
@@ -381,92 +381,6 @@ def format_poly(k, f) -> str:
         else:
             parts.append(f"T^{e}" if c == 1 else f"{c}*T^{e}")
     return "+".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# the fraction field K = F_q(T)
-
-
-class RationalFunctionField:
-    """K = F_q(T) with the same element API as the finite fields.
-
-    Elements are normalized pairs (num, den): den monic, gcd(num, den) = 1,
-    zero = ((), (one,)).  This gives the geometry routines (determinants,
-    kernels, closed-form regularity) one exact code path that works over both
-    residue fields and the global function field.
-    """
-
-    def __init__(self, k):
-        self.k = k
-        self.char = k.char
-        self.size = None  # infinite
-        self.zero = ((), (k.one,))
-        self.one = ((k.one,), (k.one,))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.k == self.k
-
-    def __hash__(self):
-        return hash(("RationalFunctionField", self.k))
-
-    def __repr__(self):
-        return f"GF({self.k.size})(T)"
-
-    def normalize(self, num, den):
-        k = self.k
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return ((), (k.one,))
-        g = gcd(k, num, den)
-        if degree(g) > 0:
-            num = divrem(k, num, g)[0]
-            den = divrem(k, den, g)[0]
-        lc, den = monic(k, den)
-        if lc != k.one:
-            num = smul(k, k.inv(lc), num)
-        return (num, den)
-
-    def from_poly(self, f):
-        return (normalize(self.k, f), (self.k.one,))
-
-    def from_int(self, c):
-        return self.from_poly((self.k.from_int(c),))
-
-    def is_zero(self, a):
-        return not a[0]
-
-    def add(self, a, b):
-        k = self.k
-        num = add(k, mul(k, a[0], b[1]), mul(k, b[0], a[1]))
-        return self.normalize(num, mul(k, a[1], b[1]))
-
-    def neg(self, a):
-        return (neg(self.k, a[0]), a[1])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        k = self.k
-        return self.normalize(mul(k, a[0], b[0]), mul(k, a[1], b[1]))
-
-    def inv(self, a):
-        if not a[0]:
-            raise ZeroDivisionError("inverse of zero")
-        return self.normalize(a[1], a[0])
-
-    def power(self, a, e: int):
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        out = self.one
-        acc = a
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return out
 
 
 # ---------------------------------------------------------------------------

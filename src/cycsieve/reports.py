@@ -103,6 +103,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     "Configuration"), so a bad config stops before any work.  Returns the
     fully resolved config embedded in every artifact; fed back as input it
     resolves to itself."""
+    if type(raw) is not dict:
+        raise ValueError("a config must be a JSON object")
     cfg = dict(raw)
     live = {k: v for k, v in (overrides or {}).items() if v is not None}
     if "q" in live:

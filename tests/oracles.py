@@ -21,6 +21,11 @@ them.
 * Factoring in F_q[T] by trial division, the oracle of the squarefree
   solvability route, and the adjugate from n^2 cofactors, the oracle of the
   one-elimination adjugate.
+* The fraction field K = F_q(T) (``RationalFunctionField``) and a form
+  lifted to it, over which the field routines of ``geometry`` give the
+  determinant and adjugate of a matrix over F_q[T] by elimination: the
+  reference the division-free cofactors (``geometry._poly_det``) are
+  checked against.
 * Linear solving and proportionality of vectors, and the affine
   singularity verdict (closed forms for quadratics and sums of pure powers,
   else a search over the points of ext^n) with the slice checks built on
@@ -486,6 +491,100 @@ def cofactor_adjugate(field, mat):
             d = geo.mat_det(field, minor)
             adj[i][j] = d if (i + j) % 2 == 0 else field.neg(d)
     return adj
+
+
+# ---------------------------------------------------------------------------
+# the fraction field K = F_q(T)
+
+
+class RationalFunctionField:
+    """K = F_q(T) with the same element API as the finite fields.
+
+    Elements are normalized pairs (num, den): den monic, gcd(num, den) = 1,
+    zero = ((), (one,)).  The field routines of geometry (determinants,
+    kernels, adjugates, closed-form regularity) run over it unchanged, so
+    over the global function field they are the reference the
+    division-free cofactors over F_q[T] are checked against.
+    """
+
+    def __init__(self, k):
+        self.k = k
+        self.char = k.char
+        self.size = None  # infinite
+        self.zero = ((), (k.one,))
+        self.one = ((k.one,), (k.one,))
+
+    def __eq__(self, other):
+        return isinstance(other, RationalFunctionField) and other.k == self.k
+
+    def __hash__(self):
+        return hash(("RationalFunctionField", self.k))
+
+    def __repr__(self):
+        return f"GF({self.k.size})(T)"
+
+    def normalize(self, num, den):
+        k = self.k
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            return ((), (k.one,))
+        g = pr.gcd(k, num, den)
+        if pr.degree(g) > 0:
+            num = pr.divrem(k, num, g)[0]
+            den = pr.divrem(k, den, g)[0]
+        lc, den = pr.monic(k, den)
+        if lc != k.one:
+            num = pr.smul(k, k.inv(lc), num)
+        return (num, den)
+
+    def from_poly(self, f):
+        return (pr.normalize(self.k, f), (self.k.one,))
+
+    def from_int(self, c):
+        return self.from_poly((self.k.from_int(c),))
+
+    def is_zero(self, a):
+        return not a[0]
+
+    def add(self, a, b):
+        k = self.k
+        num = pr.add(k, pr.mul(k, a[0], b[1]), pr.mul(k, b[0], a[1]))
+        return self.normalize(num, pr.mul(k, a[1], b[1]))
+
+    def neg(self, a):
+        return (pr.neg(self.k, a[0]), a[1])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        k = self.k
+        return self.normalize(pr.mul(k, a[0], b[0]), pr.mul(k, a[1], b[1]))
+
+    def inv(self, a):
+        if not a[0]:
+            raise ZeroDivisionError("inverse of zero")
+        return self.normalize(a[1], a[0])
+
+    def power(self, a, e: int):
+        if e < 0:
+            return self.power(self.inv(a), -e)
+        out = self.one
+        acc = a
+        while e:
+            if e & 1:
+                out = self.mul(out, acc)
+            acc = self.mul(acc, acc)
+            e >>= 1
+        return out
+
+
+def form_over_fraction_field(form: geo.MultiForm):
+    """The same form with coefficients in K = F_q(T); lets the closed-form
+    regularity routes run over the global field."""
+    K = RationalFunctionField(form.k)
+    return K, {exps: K.from_poly(c) for exps, c in form.terms.items()}
 
 
 # ---------------------------------------------------------------------------

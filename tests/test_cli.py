@@ -1116,6 +1116,25 @@ class TestExitCodes:
             cli.main(["nosuch"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ("exc-primes", "sieve-run"))
+    def test_adjugate_routes_disagreeing_is_one(self, tmp_path, monkeypatch,
+                                                capsys, command):
+        # the cofactors over F_q[T] with 1 added to one entry: reduced mod
+        # any prime they differ from the elimination over k_pi, so the scan
+        # stops at its first prime, T
+        adjugate = geo._quadric_adjugate
+
+        def off_by_one(form):
+            adj = adjugate(form)
+            adj[0][0] = pr.add(form.k, adj[0][0], (form.k.one,))
+            return adj
+
+        monkeypatch.setattr(geo, "_quadric_adjugate", off_by_one)
+        code = cli.main([command, "--config", CONFIG, "--out", str(tmp_path)])
+        assert code == 1
+        assert "adjugate routes disagree mod T:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_file_is_two(self, tmp_path):
         code = cli.main(["sieve-run", "--config",
                          str(tmp_path / "absent.json"),
@@ -1166,6 +1185,16 @@ CONFIG_ERRORS = [
      "form m must be an integer, got false"),
     (["sieve-run", "--b", "1"], {},
      "need delta < b < 2*delta, got delta = 0, b = 1"),
+    (["wd-audit", "--pi", "T"], {"dual": {**UNIT_QUADRIC, "terms": 5}},
+     "form terms must be a list of"),
+] + [
+    # inline forms whose terms are JSON but not the terms of a form
+    (["exc-primes", "--form", json.dumps({**UNIT_QUADRIC, "terms": terms})],
+     {}, "form terms must be a list of")
+    for terms in ([{"exps": [2, 0, 0], "coeff": 5}],
+                  [{"exps": [2, 0, 0], "coeff": None}],
+                  [{"exps": [2, 0, 0], "coeff": ["1"]}],
+                  {"a": 1}, None, [1], [{"exps": 5, "coeff": "1"}])
 ]
 
 
@@ -1179,6 +1208,14 @@ class TestConfigErrors:
         code = cli.main([*argv, "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert fragment in capsys.readouterr().err
+
+    def test_config_not_an_object_is_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        code = cli.main(["exc-primes", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "a config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", (
         ["count", "--config", CONFIG, "--workers", "2"],

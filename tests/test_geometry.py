@@ -15,13 +15,14 @@ import pytest
 from cycsieve import geometry as geo
 from cycsieve import polyring as pr
 from cycsieve.ffield import GF
-from cycsieve.polyring import RationalFunctionField
 
 from oracles import (
+    RationalFunctionField,
     affine_singularity,
     cofactor_adjugate,
     dual_degree,
     eval_form_at_polys,
+    form_over_fraction_field,
     form_values_by_terms,
     proportional,
     schwartz_zippel_audit,
@@ -155,7 +156,7 @@ class TestReduceForm:
         assert dropped1 == [] and len(terms1) == 3
 
     def test_fraction_field_lift(self):
-        K, terms = geo.form_over_fraction_field(diag3(K3))
+        K, terms = form_over_fraction_field(diag3(K3))
         assert isinstance(K, RationalFunctionField)
         assert all(c == K.one for c in terms.values())
 
@@ -575,7 +576,7 @@ class TestDworkRegularity:
         f = geo.MultiForm(
             K3, 2, 2,
             {(2, 0, 0): P(K3, "T"), (0, 2, 0): (K3.one,), (0, 0, 2): (K3.one,)})
-        K, terms = geo.form_over_fraction_field(f)
+        K, terms = form_over_fraction_field(f)
         assert geo.hypersurface_verdicts(K, terms, 3)[1].status == "regular"
         # (X_0 + T X_1)^2 + X_2^2 is irregular over F_3(T): the {0,1} minor
         # is identically singular, kernel direction (-T, 1).
@@ -583,7 +584,7 @@ class TestDworkRegularity:
             K3, 2, 2,
             {(2, 0, 0): (K3.one,), (1, 1, 0): P(K3, "2*T"),
              (0, 2, 0): P(K3, "T^2"), (0, 0, 2): (K3.one,)})
-        Kg, gterms = geo.form_over_fraction_field(g)
+        Kg, gterms = form_over_fraction_field(g)
         v = geo.hypersurface_verdicts(Kg, gterms, 3)[1]
         assert v.status == "irregular" and v.ext_degree == 1
         assert geo.dwork_system_holds(Kg, gterms, 3, v.witness)
@@ -593,7 +594,7 @@ class TestDworkRegularity:
     def test_auto_without_closed_form_over_K(self):
         f = geo.MultiForm(
             K3, 2, 4, {(3, 1, 0): (K3.one,), (0, 2, 2): (K3.one,)})
-        K, terms = geo.form_over_fraction_field(f)
+        K, terms = form_over_fraction_field(f)
         with pytest.raises(ValueError):
             geo.hypersurface_verdicts(K, terms, 3)[1]
 
@@ -999,7 +1000,7 @@ class TestDuality:
 
     def test_double_dual_is_det_times_form(self):
         f = t_quadric(K3)
-        K, terms = geo.form_over_fraction_field(f)
+        K, terms = form_over_fraction_field(f)
         num, den = geo.mat_det(K, geo.quadric_matrix_over(K, terms, 3))
         assert den == (K3.one,)
         det = num
@@ -1054,6 +1055,112 @@ class TestDuality:
         t_dual = indexed_form(K3, 2, 2, {e: [0, 1] for e in DIAG_QUADRIC})
         with pytest.raises(ValueError, match="vanishes"):
             geo.dual_column(diag3(K3), P(K3, "T"), dual=t_dual)
+
+
+# ---------------------------------------------------------------------------
+# the division-free adjugate over F_q[T] against elimination over F_q(T)
+
+
+K25 = pr.make_field(5, 2)
+ADJUGATE_FIELDS = {"F3": K3, "F5": K5, "F7": K7, "F9": K9, "F25": K25}
+
+
+def poly_product(k, b, c):
+    """The product of two matrices over F_q[T]."""
+    return [[functools.reduce(lambda s, t: pr.add(k, s, t),
+                              (pr.mul(k, x, y) for x, y in zip(row, col)), ())
+             for col in zip(*c)] for row in b]
+
+
+def over_fraction_field(K, mat):
+    return [[K.from_poly(e) for e in row] for row in mat]
+
+
+def polynomial_entries(K, mat):
+    """The entries of a matrix over K = F_q(T), each asserted a polynomial."""
+    assert all(den == (K.k.one,) for row in mat for _, den in row)
+    return [[num for num, _ in row] for row in mat]
+
+
+def seeded_quadric(k, nvars, r, rng):
+    """The quadric x^T B D B^T x, B an nvars x r matrix of polynomials of
+    degree < 2 and D a diagonal of nonzero constants: its matrix has rank
+    at most r over F_q(T)."""
+    b = [[pr.poly_from_index(k, rng.randrange(k.size ** 2), 2)
+          for _ in range(r)] for _ in range(nvars)]
+    d = [(rng.randrange(1, k.size),) for _ in range(r)]
+    bd = [[pr.mul(k, x, y) for x, y in zip(row, d)] for row in b]
+    A = poly_product(k, bd, list(zip(*b))) if r else \
+        [[()] * nvars for _ in range(nvars)]
+    two = (k.from_int(2),)
+    terms = {}
+    for i in range(nvars):
+        for j in range(i, nvars):
+            exps = tuple((t == i) + (t == j) for t in range(nvars))
+            terms[exps] = A[i][j] if i == j else pr.mul(k, two, A[i][j])
+    return geo.MultiForm(k, nvars - 1, 2, terms), A
+
+
+class TestDivisionFreeAdjugate:
+    @pytest.mark.parametrize("label", ["F3", "F5", "F9", "F25"])
+    def test_poly_det_equals_elimination_over_K(self, label):
+        # square matrices of every rank, products B C of an n x r and an
+        # r x n matrix, and ones with a zero first column entry, so the
+        # elimination swaps rows
+        k = ADJUGATE_FIELDS[label]
+        K = RationalFunctionField(k)
+        rng = random.Random(label)
+
+        def draw():
+            return pr.poly_from_index(k, rng.randrange(k.size ** 3), 3)
+
+        assert geo._poly_det(k, []) == (k.one,)
+        for n in range(1, 6):
+            for r in range(n + 1):
+                for _ in range(3):
+                    b = [[draw() for _ in range(r)] for _ in range(n)]
+                    c = [[draw() for _ in range(n)] for _ in range(r)]
+                    mat = poly_product(k, b, c) if r else \
+                        [[()] * n for _ in range(n)]
+                    mat[0][0] = () if rng.randrange(2) else mat[0][0]
+                    det = geo.mat_det(K, over_fraction_field(K, mat))
+                    assert geo._poly_det(k, mat) == \
+                        polynomial_entries(K, [[det]])[0][0], (n, r, mat)
+
+    @pytest.mark.parametrize("label", sorted(ADJUGATE_FIELDS))
+    def test_quadric_adjugate_equals_elimination_over_K(self, label):
+        # seeded quadrics in N = 1 .. 5 variables whose matrices have rank
+        # N, N - 1 and at most N - 2 over F_q(T), told apart by the
+        # corank's bucket: 0, 1, or 2 and more
+        k = ADJUGATE_FIELDS[label]
+        K = RationalFunctionField(k)
+        rng = random.Random(label)
+        seen = set()
+        for nvars in range(1, 6):
+            for r in range(nvars, max(nvars - 3, -1), -1):
+                found = 0
+                while found < 3:
+                    form, A = seeded_quadric(k, nvars, r, rng)
+                    corank = min(nvars - len(geo._rref(
+                        K, over_fraction_field(K, A), nvars)[0]), 2)
+                    if corank != nvars - r:
+                        continue
+                    found += 1
+                    seen.add((nvars, corank))
+                    Kf, terms = form_over_fraction_field(form)
+                    assert geo.quadric_matrix_over(Kf, terms, nvars) == \
+                        over_fraction_field(K, A)
+                    assert geo._quadric_adjugate(form) == polynomial_entries(
+                        K, geo.mat_adjugate(
+                            K, over_fraction_field(K, A))), (nvars, r, A)
+        assert len(seen) == 2 + 3 + 3 + 3 + 3
+
+    def test_inexact_division_raises(self, monkeypatch):
+        m = [[P(K3, "T"), P(K3, "1")], [P(K3, "1+T"), P(K3, "T^2")]]
+        assert geo._poly_det(K3, m) == P(K3, "2+2*T+T^3")
+        monkeypatch.setattr(pr, "divrem", lambda k, f, g: (f, (k.one,)))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            geo._poly_det(K3, m)
 
 
 # ---------------------------------------------------------------------------
