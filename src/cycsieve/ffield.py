@@ -36,6 +36,14 @@ FIELD_CACHE_SIZE = 64  # fields whose constructor is memoized
 FIELD_SIZE_CAP = 1 << 20  # elements of the largest extension field built
 
 
+def check_field_size(size: int) -> int:
+    """size, unless a field of size elements is above the cap."""
+    if size > FIELD_SIZE_CAP:
+        raise ValueError(f"a field of {size} elements is above the cap "
+                         f"of {FIELD_SIZE_CAP}")
+    return size
+
+
 def is_prime_int(n: int) -> bool:
     """Deterministic trial-division primality for small integers."""
     if n < 2:
@@ -149,10 +157,7 @@ class ExtensionField:
             raise ValueError("modulus must have degree >= 1")
         if modulus[-1] != base.one:
             raise ValueError("modulus must be monic")
-        size = base.size**d
-        if size > FIELD_SIZE_CAP:
-            raise ValueError(f"a field of {size} elements is above the cap "
-                             f"of {FIELD_SIZE_CAP}")
+        size = check_field_size(base.size**d)
         self.base = base
         self.modulus = modulus
         self.deg = d

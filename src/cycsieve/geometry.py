@@ -20,9 +20,9 @@ Conventions:
     one search that serves both checks,
   * all decisions are exact; a search never reports a positive, it reports
     "unknown" when it finds no witness,
-  * every search over points of extension fields goes through the one
-    generator ``_extension_points``, and every search over the zeros of a
-    form, with its gradient there, through ``_zeros``,
+  * every search over points of extension fields is one walk over the
+    zeros of a form, with its gradient there, ``_zeros``, which reads each
+    chart of P^n over each extension as ``form_values`` blocks,
   * linear algebra runs through one row reduction (``_rref``), under
     ``mat_det``, ``mat_kernel_vector`` and ``mat_adjugate``; a quadric's
     matrix over F_q[T] gets its adjugate from cofactors by ``_poly_det``,
@@ -36,8 +36,9 @@ Conventions:
     index in every extension of it, so a form reduced mod pi is also a form
     over each extension the search walks; ``form_values`` builds the whole
     table of a form by outer sums, peeling off one coordinate at a time,
-    for the char-sum kernel's table of G and the closed-form dual column, and
-    ``eval_terms`` is the per-point evaluator under the searches.
+    for the char-sum kernel's table of G, the closed-form dual column and
+    the zero walk, and ``eval_terms`` evaluates one point: the gradient at
+    a zero, a witness, or a supplied dual at a tangent covector.
 """
 
 from __future__ import annotations
@@ -181,10 +182,10 @@ def form_values(field, terms, nvars: int) -> list:
     alone add one constant c(a) per value a of x_0.  A term that links x_0
     to other coordinates joins the rest with a^e folded into its
     coefficient, so it is combined only over the coordinates it links.  The
-    block of a is then the table of its rest, read through the row of sums
-    with c(a); the blocks are chained in the order of x_0.  Each distinct
-    rest's table, (c(a), rest) block, row of sums and row of constants is
-    built once."""
+    block of a is the table of its rest read through the row of sums with
+    c(a), or its one entry plus c(a) when no coordinate is left; the blocks
+    are chained in the order of x_0.  Each distinct rest's table, (c(a),
+    rest) block, row of sums and row of constants is built once."""
     Q, zero, add, mul = field.size, field.zero, field.add, field.mul
     repeat = itertools.repeat
 
@@ -228,7 +229,8 @@ def form_values(field, terms, nvars: int) -> list:
         blocks = {}
         for c, sub in set(keys):
             tab = table(sub, nvars - 1)
-            blocks[c, sub] = list(map(plus(c).__getitem__, tab)) if c else tab
+            blocks[c, sub] = (tab if not c else [add(c, *tab)] if nvars == 1
+                              else list(map(plus(c).__getitem__, tab)))
         return list(itertools.chain.from_iterable(
             map(blocks.__getitem__, keys)))
 
@@ -278,33 +280,11 @@ def dwork_system_holds(field, terms, nvars: int, point) -> bool:
     return True
 
 
-def projective_points(field, nvars: int):
-    """P^{nvars-1}(field), one representative per point: the first nonzero
-    coordinate is 1.  Deterministic order (pivot, then element order)."""
-    elems = list(field.elements())
-    for pivot in range(nvars):
-        for rest in itertools.product(elems, repeat=nvars - pivot - 1):
-            yield (field.zero,) * pivot + (field.one,) + rest
-
-
 def _projective_count(Q: int, nvars: int, search_bound: int) -> int:
-    """The number of points _extension_points walks over F_Q: those of
+    """The number of table cells _zeros reads over F_Q: the points of
     P^(nvars-1) over each extension of degree 1 .. search_bound."""
     return sum((Q ** (r * nvars) - 1) // (Q ** r - 1)
                for r in range(1, search_bound + 1))
-
-
-def _extension_points(field, nvars: int, search_bound: int):
-    """The extension-point search: for r = 1 .. search_bound, yield
-    (r, ext, point) for every point of P^(nvars-1)(ext), where ext is the
-    degree-r extension of field, whose elements include field's as they
-    are.  Deterministic order."""
-    if field.size is None:
-        raise ValueError("an extension-point search needs a finite field")
-    for r in range(1, search_bound + 1):
-        ext = pr.extension_of(field, r)
-        for point in projective_points(ext, nvars):
-            yield r, ext, point
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +454,33 @@ def _quadric_irregular(field, A):
 
 
 def _zeros(field, terms, nvars: int, search_bound: int):
-    """The zeros of the form on the extension-point search: (r, ext, point,
-    gradient) at each point where the form vanishes, in the order of
-    _extension_points, with the gradient of the form there."""
+    """(r, ext, point, gradient) at each zero of the form on P^(nvars-1)
+    over ext, the degree-r extension of field (r = 1 .. search_bound), in
+    the order r, the chart {x_pivot = 1, x_i = 0 for i < pivot}, its free
+    coordinates in itertools.product order; a chart is read as form_values
+    blocks, one for each value a of x_(pivot+1), the form over the rest."""
+    if field.size is None:
+        raise ValueError("a zero walk needs a finite field")
     grads = [partial_terms(field, terms, i) for i in range(nvars)]
-    for r, ext, point in _extension_points(field, nvars, search_bound):
-        if ext.is_zero(eval_terms(ext, terms, point)):
-            yield r, ext, point, tuple(eval_terms(ext, g, point) for g in grads)
+    for r in range(1, search_bound + 1):
+        ext = pr.extension_of(field, r)
+        for pivot in range(nvars):
+            lead = (ext.zero,) * pivot + (ext.one,)
+            for head in ([lead + (a,) for a in ext.elements()]
+                         if pivot < nvars - 1 else [lead]):
+                block, rest = {}, nvars - len(head)
+                for exps, c in terms.items():
+                    for x, e in zip(head, exps):
+                        c = ext.mul(c, ext.power(x, e))
+                    if c:
+                        tail = exps[len(head):]
+                        block[tail] = ext.add(block.get(tail, ext.zero), c)
+                for tail in itertools.compress(
+                        itertools.product(ext.elements(), repeat=rest),
+                        map(ext.zero.__eq__, form_values(ext, block, rest))):
+                    point = head + tail
+                    yield r, ext, point, tuple(eval_terms(ext, g, point)
+                                               for g in grads)
 
 
 def _search_verdicts(field, terms, nvars: int, search_bound: int) -> tuple:
@@ -691,7 +691,7 @@ def exceptional_scan_cost(form: MultiForm, delta_max: int, dual="auto",
     that stops at a singular point, searches less: never under-charged."""
     q, nv, degrees = form.k.size, form.n + 1, range(1, delta_max + 1)
     searches = form.m != 2 and not _is_diagonal(form.terms)
-    tangents = form.m != 2 and isinstance(dual, MultiForm)
+    tangents = isinstance(dual, MultiForm)
     return (sum(pr.irreducibles_cost(q, d) for d in degrees),
             sum(pr.count_irreducibles_formula(q, d)
                 * (q ** d
@@ -744,7 +744,7 @@ def compute_exceptional_primes(form: MultiForm, delta_max: int, dual="auto",
                 raise ArithmeticError(
                     f"adjugate routes disagree mod {pr.format_poly(k, piv)}: "
                     "cofactors over F_q[T] reduced, elimination over k_pi")
-        elif user_dual is not None and terms:
+        if user_dual is not None and terms:
             if _user_dual_mismatch(kpi, terms, nv, piv, user_dual):
                 tags.append("dual-mismatch")
         if tags or unknown:

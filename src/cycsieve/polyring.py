@@ -31,7 +31,8 @@ import functools
 import itertools
 import re
 
-from .ffield import FIELD_CACHE_SIZE, ExtensionField, GF, prime_factors
+from .ffield import (FIELD_CACHE_SIZE, ExtensionField, GF, check_field_size,
+                     prime_factors)
 
 NEG_INF = float("-inf")
 
@@ -391,18 +392,16 @@ def format_poly(k, f) -> str:
 def make_field(p: int, e: int = 1):
     """F_{p^e}; for e > 1 the modulus is the first irreducible of degree e
     over F_p in enumeration order (fixed, documented choice)."""
-    base = GF(p)
-    if e == 1:
-        return base
-    return ExtensionField(base, irreducibles(base, e)[0])
+    return extension_of(GF(p), e)
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def extension_of(field, r: int):
-    """Degree-r extension of a finite field, deterministic modulus choice;
-    a field element is its own index in the extension."""
+    """Degree-r extension of a finite field by its first irreducible, sought
+    only below the field cap; a field element is its own index in it."""
     if r == 1:
         return field
+    check_field_size(field.size ** r)
     return ExtensionField(field, irreducibles(field, r)[0])
 
 

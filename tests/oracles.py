@@ -10,6 +10,9 @@ them.
 * The table of a form over a finite field term by term, each term's table
   an outer product of rows of powers, the route ``geometry.form_values``
   is checked against.
+* The points of P^n over a finite field and its extensions one by one, and
+  the zeros of a form on them with one evaluation per point, the walk the
+  table-read zeros of ``geometry._zeros`` are checked against.
 * Sieve quantities recomputed point by point on polynomials: F at a box
   point, the fiber size and the ramified set of one box point, the count
   of the sieving set against its lower bound and the least admissible b;
@@ -287,6 +290,40 @@ def form_values_by_terms(field, terms, nvars: int) -> list:
             tab = outer
         out = tab if out is None else list(map(add, out, tab))
     return [field.zero] * Q ** nvars if out is None else out
+
+
+def projective_points(field, nvars: int):
+    """P^{nvars-1}(field), one representative per point: the first nonzero
+    coordinate is 1.  Deterministic order (pivot, then element order)."""
+    elems = list(field.elements())
+    for pivot in range(nvars):
+        for rest in itertools.product(elems, repeat=nvars - pivot - 1):
+            yield (field.zero,) * pivot + (field.one,) + rest
+
+
+def _extension_points(field, nvars: int, search_bound: int):
+    """The extension-point search: for r = 1 .. search_bound, yield
+    (r, ext, point) for every point of P^(nvars-1)(ext), where ext is the
+    degree-r extension of field, whose elements include field's as they
+    are.  Deterministic order."""
+    if field.size is None:
+        raise ValueError("an extension-point search needs a finite field")
+    for r in range(1, search_bound + 1):
+        ext = pr.extension_of(field, r)
+        for point in projective_points(ext, nvars):
+            yield r, ext, point
+
+
+def zeros_by_points(field, terms, nvars: int, search_bound: int):
+    """The zeros of the form on the extension-point search: (r, ext, point,
+    gradient) at each point where the form vanishes, in the order of
+    _extension_points, with the gradient of the form there; the per-point
+    walk geo._zeros is checked against."""
+    grads = [geo.partial_terms(field, terms, i) for i in range(nvars)]
+    for r, ext, point in _extension_points(field, nvars, search_bound):
+        if ext.is_zero(geo.eval_terms(ext, terms, point)):
+            yield r, ext, point, tuple(geo.eval_terms(ext, g, point)
+                                       for g in grads)
 
 
 def fiber_count(k, pi, ell: int, form: geo.MultiForm, x) -> int:

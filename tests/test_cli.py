@@ -1195,7 +1195,26 @@ CONFIG_ERRORS = [
                   [{"exps": [2, 0, 0], "coeff": None}],
                   [{"exps": [2, 0, 0], "coeff": ["1"]}],
                   {"a": 1}, None, [1], [{"exps": 5, "coeff": "1"}])
+] + [
+    # F_(3^40) is refused before its modulus is sought
+    (argv, {"e": 40}, "a field of 12157665459056928801 elements is above")
+    for argv in (["exc-primes"], ["sieve-run"], ["dual-check", "--pi", "T"],
+                 ["wd-audit", "--pi", "T"])
 ]
+
+
+@pytest.mark.parametrize("dual", (
+    [{"exps": [1, 1, 0], "coeff": "1"}], []), ids=("X0X1", "zero"))
+def test_wrong_dual_of_a_quadric_leaves_no_sieving_primes(tmp_path, capsys,
+                                                          dual):
+    # the unit quadric's supplied dual is checked at each of its 6 primes
+    path = write_config(tmp_path, {"dual": {"n": 2, "m": 2, "terms": dual}})
+    code = cli.main(["exc-primes", "--config", path, "--out", str(tmp_path)])
+    assert code == 0
+    assert "6 exceptional" in capsys.readouterr().out
+    code = cli.main(["sieve-run", "--config", path, "--out", str(tmp_path)])
+    assert code == 2
+    assert "need at least two sieving primes" in capsys.readouterr().err
 
 
 class TestConfigErrors:
@@ -1208,6 +1227,14 @@ class TestConfigErrors:
         code = cli.main([*argv, "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert fragment in capsys.readouterr().err
+
+    def test_field_above_the_cap_is_two(self, tmp_path, monkeypatch,
+                                        capsys):
+        forbid(monkeypatch, pr, "irreducibles")
+        code = cli.main(["primes", "--q", str(3 ** 40), "--delta", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "above the cap of 1048576" in capsys.readouterr().err
 
     def test_config_not_an_object_is_two(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1274,7 +1301,7 @@ class TestUpFrontBudgets:
                 {"exps": [0, 3, 0], "coeff": "2"},
                 {"exps": [0, 0, 3], "coeff": "1"},
                 {"exps": [1, 1, 1], "coeff": "1"}]}})
-        forbid(monkeypatch, geo, "_extension_points")
+        forbid(monkeypatch, geo, "_zeros")
         code = cli.main(["exc-primes", "--config", path,
                          "--budget", "100000", "--out", str(tmp_path)])
         assert code == 3
@@ -1283,10 +1310,23 @@ class TestUpFrontBudgets:
         # the 7 linear primes, then the 7 residues and one walk for each
         assert f"needs {7 + 7 * (7 + points)}," in capsys.readouterr().err
 
+    def test_scan_prices_the_tangent_walk_of_a_quadric(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # a supplied dual is checked at the tangent covectors of each
+        # prime: P^2 over F_3 at the 3 linear primes, over F_9 at the 3
+        # quadratic ones, after the enumeration and the residues
+        path = write_config(tmp_path, {"dual": UNIT_QUADRIC})
+        forbid(monkeypatch, geo, "_zeros")
+        code = cli.main(["exc-primes", "--config", path, "--budget", "100",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        needs = 3 + 18 + 3 * (3 + 13) + 3 * (9 + 91)
+        assert f"needs {needs}," in capsys.readouterr().err
+
     def test_dual_check_prices_the_tangency_search(self, tmp_path,
                                                    monkeypatch, capsys):
         path = write_config(tmp_path, NONDIAG_CUBIC)
-        forbid(monkeypatch, geo, "_extension_points")
+        forbid(monkeypatch, geo, "_zeros")
         code = cli.main(["dual-check", "--config", path, "--pi", "T",
                          "--search-bound", "2", "--budget", "1",
                          "--out", str(tmp_path)])
@@ -1297,7 +1337,7 @@ class TestUpFrontBudgets:
     def test_wd_audit_prices_the_tangency_search(self, tmp_path,
                                                  monkeypatch, capsys):
         path = write_config(tmp_path, NONDIAG_CUBIC)
-        forbid(monkeypatch, geo, "_extension_points")
+        forbid(monkeypatch, geo, "_zeros")
         forbid(monkeypatch, cs.CharSumContext, "sums")
         # the table of G on 7^3 points, the transform (3 base-7 digits,
         # 7 * 3 layers, 7 outputs of 7 blocks) and P^2(F_7)
@@ -1450,7 +1490,7 @@ class TestUpFrontBudgets:
                 {"exps": [3, 0, 0], "coeff": "1"},
                 {"exps": [0, 3, 0], "coeff": "1"},
                 {"exps": [1, 1, 1], "coeff": "1"}]}})
-        forbid(monkeypatch, geo, "_extension_points")
+        forbid(monkeypatch, geo, "_zeros")
         code = cli.main(["sieve-run", "--config", path,
                          "--out", str(tmp_path)])
         assert code == 3

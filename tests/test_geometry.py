@@ -18,17 +18,20 @@ from cycsieve.ffield import GF
 
 from oracles import (
     RationalFunctionField,
+    _extension_points,
     affine_singularity,
     cofactor_adjugate,
     dual_degree,
     eval_form_at_polys,
     form_over_fraction_field,
     form_values_by_terms,
+    projective_points,
     proportional,
     schwartz_zippel_audit,
     search_affine_singular,
     slice_and_check,
     solve_linear,
+    zeros_by_points,
 )
 
 K3 = GF(3)
@@ -438,7 +441,7 @@ class TestLinearAlgebra:
 def brute_irregular_witness(field, terms, nvars):
     """Inline oracle: first projective point over the field itself that
     solves the full system, or None."""
-    for point in geo.projective_points(field, nvars):
+    for point in projective_points(field, nvars):
         if geo.dwork_system_holds(field, terms, nvars, point):
             return point
     return None
@@ -456,7 +459,7 @@ def walk_witnesses(field, terms, nvars, bound):
     every (extension degree, point) of the extension-point walk up to bound
     where the check's system holds, in the walk's order."""
     out, tests = ([], []), {}
-    for r, ext, point in geo._extension_points(field, nvars, bound):
+    for r, ext, point in _extension_points(field, nvars, bound):
         if r not in tests:
             tests[r] = (singular_at(ext, terms, nvars),
                         functools.partial(geo.dwork_system_holds, ext, terms,
@@ -663,29 +666,87 @@ class TestOneWalk:
 
     def test_one_evaluation_of_h_per_walked_point(self, monkeypatch):
         # the linked cubic mod T has no singular point on the walk, so the
-        # walk runs to its end and evaluates H once at each of its points
+        # walk runs to its end; it evaluates H once at each of its points,
+        # as one cell of a form_values table, and eval_terms only at the
+        # zeros, on the three partials
         f = const_form(K7, 2, 3, {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1,
                                   (1, 1, 1): 1})
         kpi, terms, _ = geo.reduce_form(f, P(K7, "T"))
-        calls = Counter()
-        evaluate = geo.eval_terms
+        bound = 2
+        zeros = list(zeros_by_points(kpi, terms, 3, bound))
+        cells, calls = Counter(), Counter()
+        tabulate, evaluate = geo.form_values, geo.eval_terms
 
-        def counted(field, t, point):
-            calls[t is terms] += 1
+        def counted_values(field, t, nvars):
+            out = tabulate(field, t, nvars)
+            cells[field.size] += len(out)
+            return out
+
+        def counted_eval(field, t, point):
+            calls[t == terms] += 1
             return evaluate(field, t, point)
 
-        monkeypatch.setattr(geo, "eval_terms", counted)
-        bound = 2
+        monkeypatch.setattr(geo, "form_values", counted_values)
+        monkeypatch.setattr(geo, "eval_terms", counted_eval)
         smooth, dwork = geo.hypersurface_verdicts(kpi, terms, 3, bound)
         assert smooth.status == dwork.status == "unknown"
-        assert calls[True] == geo._projective_count(7, 3, bound) == 2508
+        assert cells == {7: 57, 49: 2451}
+        assert sum(cells.values()) == geo._projective_count(7, 3, bound) \
+            == 2508
+        assert calls == {False: 3 * len(zeros)}
+
+    @staticmethod
+    def walk_cases():
+        """(field, nvars, bound, terms): seeded forms of degree 2 and 3
+        over F_3, F_4, F_5, F_7, F_9 and F_25, coefficients from the whole
+        field, in 2, 3 and 4 variables at bounds 1 and 2, with a linked
+        form, one without its last variable, the product of the first
+        variables (zero on whole charts) and the zero form in each; a cell
+        whose walk passes 17 000 points is left out: (7, 4, 2), (9, 4, 2),
+        (25, 3, 2) and (25, 4, 2)."""
+        rng = random.Random(39)
+        for k, nvars, bound in itertools.product(
+                (K3, pr.make_field(2, 2), K5, K7, K9, pr.make_field(5, 2)),
+                (2, 3, 4), (1, 2)):
+            if geo._projective_count(k.size, nvars, bound) > 17000:
+                continue
+            units = [x for x in k.elements() if not k.is_zero(x)]
+            for m in (2, 3):
+                monomials = [e for e in itertools.product(
+                    range(m + 1), repeat=nvars) if sum(e) == m]
+                linked = [e for e in monomials if max(e) < m]
+                missing = [e for e in monomials if not e[-1]]
+                for chosen in (rng.sample(monomials, 3),
+                               rng.sample(linked, min(len(linked), 3)),
+                               rng.sample(missing, min(len(missing), 2))):
+                    yield k, nvars, bound, {e: rng.choice(units)
+                                            for e in chosen}
+            product = tuple(int(i < 3) for i in range(nvars))
+            yield k, nvars, bound, {product: k.one}
+            yield k, nvars, bound, {}
+
+    def test_zeros_equal_the_per_point_walk(self):
+        cells = set()
+        for k, nvars, bound, terms in self.walk_cases():
+            assert [(r, ext.size, point, grad) for r, ext, point, grad
+                    in geo._zeros(k, terms, nvars, bound)] == \
+                [(r, ext.size, point, grad) for r, ext, point, grad
+                 in zeros_by_points(k, terms, nvars, bound)], \
+                (k.size, nvars, bound, terms)
+            cells.add((k.size, nvars, bound))
+        assert len(cells) == 32
+
+    def test_zero_walk_needs_a_finite_field(self):
+        K = RationalFunctionField(K3)
+        with pytest.raises(ValueError, match="finite field"):
+            next(geo._zeros(K, {(1, 1): K.one}, 2, 1))
 
 
 class TestProjectivePoints:
     def test_counts_and_distinctness(self):
-        pts3 = list(geo.projective_points(K3, 3))
+        pts3 = list(projective_points(K3, 3))
         assert len(pts3) == 13  # 9 + 3 + 1
-        assert len(list(geo.projective_points(K9, 2))) == 10
+        assert len(list(projective_points(K9, 2))) == 10
         for u, w in itertools.combinations(pts3, 2):
             assert not proportional(K3, u, w)
 
@@ -827,7 +888,7 @@ def tangency_oracle(form, pi, w, search_bound):
     grads = [geo.partial_terms(kpi, h_terms, i) for i in range(nv)]
     for r in range(1, search_bound + 1):
         ext = pr.extension_of(kpi, r)
-        for point in geo.projective_points(ext, nv):
+        for point in projective_points(ext, nv):
             if not ext.is_zero(geo.eval_terms(ext, h_terms, point)):
                 continue
             grad = tuple(geo.eval_terms(ext, g, point) for g in grads)
@@ -1016,7 +1077,7 @@ class TestDuality:
         closed = geo.dual_column(f, pi, dual="auto")
         tangency = geo.dual_column(f, pi, dual="tangency", search_bound=1)
         members = 0
-        for w in geo.projective_points(kpi, 3):
+        for w in projective_points(kpi, 3):
             via_dual = closed[geo.flat_index(kpi.size, w)]
             via_tangency = tangency[geo.flat_index(kpi.size, w)]
             assert via_dual == (via_tangency is True)
@@ -1031,7 +1092,7 @@ class TestDuality:
         closed = geo.dual_column(f, pi, dual="auto")
         tangency = geo.dual_column(f, pi, dual="tangency", search_bound=1)
         members = 0
-        for w in geo.projective_points(kpi, 3):
+        for w in projective_points(kpi, 3):
             via_dual = closed[geo.flat_index(kpi.size, w)]
             via_tangency = tangency[geo.flat_index(kpi.size, w)]
             assert via_dual == (via_tangency is True)
@@ -1044,7 +1105,7 @@ class TestDuality:
         kpi = pr.residue_field(K3, pi)
         supplied = geo.dual_column(f, pi, dual=geo.quadric_dual_form(f))
         closed = geo.dual_column(f, pi, dual="auto")
-        for w in geo.projective_points(kpi, 3):
+        for w in projective_points(kpi, 3):
             pos = geo.flat_index(kpi.size, w)
             assert supplied[pos] == closed[pos]
 
@@ -1216,6 +1277,33 @@ class TestExceptionalPrimes:
                                                     search_bound=1)
             assert [e["pi"] for e in report["entries"]
                     if "dual-mismatch" in e["tags"]] == tagged
+
+    def test_supplied_dual_of_a_quadric_is_checked(self):
+        # the unit quadric over F_3 is its own dual; X0 X1 misses the
+        # tangent covector (1, 1, 1) at the point (1, 1, 1) mod every prime,
+        # and the zero form vanishes mod every prime, so both tag each of
+        # the 6 primes of degree <= 2 and nothing else
+        f = diag3(K3)
+        own = geo.quadric_dual_form(f)
+        assert own == f
+        assert geo.compute_exceptional_primes(f, 2, dual=own)["entries"] \
+            == []
+        for dual in (const_form(K3, 2, 2, {(1, 1, 0): 1}),
+                     geo.MultiForm(K3, 2, 2, {})):
+            report = geo.compute_exceptional_primes(f, 2, dual=dual)
+            assert report["scanned"] == len(report["exceptional"]) == 6
+            assert [(e["tags"], e["unknown"]) for e in report["entries"]] \
+                == [(["dual-mismatch"], [])] * 6
+
+    def test_quadric_with_supplied_dual_prices_its_tangent_walk(self):
+        # the residues of each prime, then P^2 over its residue field:
+        # 3 linear primes over F_3 and 3 quadratic ones over F_9
+        f = diag3(K3)
+        assert geo.exceptional_scan_cost(f, 2) == (
+            pr.irreducibles_cost(3, 1) + pr.irreducibles_cost(3, 2),
+            3 * 3 + 3 * 9)
+        assert geo.exceptional_scan_cost(f, 2, geo.quadric_dual_form(f))[1] \
+            == 3 * (3 + 13) + 3 * (9 + 91)
 
 
 # ---------------------------------------------------------------------------
